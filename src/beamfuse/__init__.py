@@ -14,7 +14,6 @@ from .acoustic import (
     EmissionMatrix,
     brute_force_ctc,
     brute_force_ctc_prefix,
-    ctc_label_sync_score,
     ctc_step_extend,
     forward_ctc,
     greedy_labels,
@@ -38,19 +37,15 @@ from .lm import (
     ScoreRequest,
     ScoreResult,
     read_arpa,
-    score_sequence,
     train_ngram,
     wrap_with_latency,
     write_arpa,
 )
 from .tokenization import (
-    RetokenizedPrefix,
     Tokenizer,
     Vocabulary,
     build_vocab,
     read_vocab,
-    retokenize_prefix,
-    shortest_retokenized_len,
     tokenizable_prefix_len,
     write_vocab,
 )

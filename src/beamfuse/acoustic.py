@@ -300,17 +300,6 @@ class CtcPrefixScorer:
         return PrefixState(r_nb, r_b, pp, label)
 
 
-def ctc_label_sync_score(
-    em: EmissionMatrix, prefix: Sequence[int], candidate: int, eos_id: int
-) -> float:
-    """Score one extension of ``prefix`` (functional form of the scorer)."""
-    scorer = CtcPrefixScorer(em, eos_id)
-    state = scorer.root()
-    for label in prefix:
-        state = scorer.child(state, label)
-    return float(scorer.candidate_scores(state)[candidate])
-
-
 # -- synthetic emissions ------------------------------------------------------
 
 

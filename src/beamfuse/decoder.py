@@ -1,12 +1,13 @@
 """Beam search with policy-timed external LM fusion.
 
-The loop per step is: extend hypotheses, update acoustic scores, prune to
-the beam size by the combined score (acoustic plus weighted LM scores, the
-LM part possibly stale), then — if the fusion policy fires — re-score the
-surviving hypotheses' newly completed words with one batched LM call per
-model.  Finalization re-tokenizes every full hypothesis, charges the LM for
-whatever it has not seen yet plus ``</s>``, and selects the best hypothesis
-using only the scorers flagged for final selection.
+One search loop serves both decoding modes.  Each step it expands the beam,
+prunes the candidates to the beam size by the combined score (acoustic plus
+weighted LM scores, the LM part possibly stale), advances the survivors' LM
+views over their newly completed words, and — if the fusion policy fires —
+re-scores those words with one batched LM call per model.  Finalization
+re-tokenizes every full hypothesis, charges the LM for whatever it has not
+seen yet plus ``</s>``, and selects the best hypothesis using only the
+scorers flagged for final selection.
 
 Policies:
 
@@ -16,10 +17,19 @@ Policies:
 * ``interval``  — fuse every I steps if any hypothesis has unscored words
 * ``shallow``   — reference baseline: score every candidate before pruning
 
-Frame-synchronous mode advances one acoustic frame per step and keeps the
-blank/non-blank score pair per collapsed label prefix, merging duplicate
-prefixes.  Label-synchronous mode advances one label per step, so all live
-hypotheses share a length.
+What differs between the modes lives in a small step object:
+
+* ``_FrameStep`` (mode ``ctc``) advances one acoustic frame per step.
+  ``extend_frame`` keeps the blank/non-blank score pair per collapsed label
+  prefix and merges duplicate prefixes; ``prune_frame_candidates`` keeps
+  the best.
+* ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
+  CTC prefix scorer, so all live hypotheses share a length.  It builds
+  prefix-scorer states for survivors only and closes unfinished
+  hypotheses with ``</s>``.
+
+The shallow baseline replaces the prune for both modes alike: every
+candidate is materialized, scored from scratch, and only then pruned.
 """
 
 from __future__ import annotations
@@ -100,8 +110,12 @@ class DecodeConfig:
     keep_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.beam is not None and self.beam < 1:
-            raise DecodeError("beam must be >= 1 (or None for no pruning)")
+        for name in ("beam", "nbest", "max_label_steps"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise DecodeError(f"{name} must be an int >= 1 or None, got {value!r}")
         if self.mode not in ("ctc", "labelsync"):
             raise DecodeError(f"unknown mode {self.mode!r}")
         for spec in self.lms:
@@ -277,6 +291,15 @@ def _select_top(entries: list, beam_size: int | None) -> list:
     return entries[:beam_size]
 
 
+def _frame_hypothesis(tokens: tuple[int, ...], rec: _Cand) -> Hypothesis:
+    return Hypothesis(
+        tokens,
+        log_blank=rec.log_blank,
+        log_nonblank=rec.log_nonblank,
+        views=[v.clone() for v in rec.views],
+    )
+
+
 def prune_frame_candidates(
     cands: dict[tuple[int, ...], _Cand],
     beam_size: int | None,
@@ -289,22 +312,19 @@ def prune_frame_candidates(
             comb += w * view.cache.cum_logprob
         entries.append((comb, tokens, rec))
     kept = _select_top(entries, beam_size)
-    return [
-        Hypothesis(
-            tokens,
-            log_blank=rec.log_blank,
-            log_nonblank=rec.log_nonblank,
-            views=[v.clone() for v in rec.views],
-        )
-        for _, tokens, rec in kept
-    ]
+    return [_frame_hypothesis(tokens, rec) for _, tokens, rec in kept]
 
 
 # -- LM bookkeeping ------------------------------------------------------------
 
 
 def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
-    """Extend each LM view with the hypothesis's newly completed words."""
+    """Extend each LM view with the hypothesis's newly completed words.
+
+    Only complete words are mapped, and each word encodes on its own, so
+    advancing a growing hypothesis step by step gives the same LM tokens as
+    re-tokenizing its whole complete-word prefix at once.
+    """
     if not lms:
         return
     k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
@@ -352,6 +372,140 @@ def apply_lm_scores(beam: Sequence[Hypothesis], lms: Sequence[LMSpec]) -> None:
             hyp.views[i].cache = res.cache
 
 
+# -- per-mode steps ---------------------------------------------------------------
+#
+# ``expand`` returns a step's candidates, sized by the step's expansion count;
+# ``prune`` keeps the best by the stale combined score.  For the shallow
+# baseline, ``hypotheses`` materializes every candidate as a (hypothesis,
+# parent) pair and ``survivor`` completes a pair that survived.  ``close``
+# finishes the last beam.
+
+
+class _FrameStep:
+    """Frame-synchronous CTC prefix search: one emission row per step."""
+
+    def __init__(self, em, config: DecodeConfig, asr_tok: Tokenizer):
+        if not isinstance(em, EmissionMatrix):
+            raise DecodeError("frame-synchronous decoding needs an EmissionMatrix")
+        if em.vocab_size != asr_tok.vocab.size:
+            raise DecodeError(
+                f"emissions have {em.vocab_size} columns but the vocabulary "
+                f"has {asr_tok.vocab.size} tokens"
+            )
+        self.rows = em.log_probs
+        self.limit = em.num_frames
+        self.real_ids = list(asr_tok.vocab.real_ids())
+        self.lms = config.lms
+        self.beam_size = config.beam
+        self.weights = [spec.weight for spec in config.lms]
+
+    def root(self) -> Hypothesis:
+        return make_root_hypothesis(self.lms, "ctc")
+
+    def expand(self, beam, t):
+        return extend_frame(beam, self.rows[t - 1], self.real_ids)
+
+    def prune(self, cands) -> list[Hypothesis]:
+        return prune_frame_candidates(cands, self.beam_size, self.weights)
+
+    def hypotheses(self, cands) -> list[tuple[Hypothesis, None]]:
+        return [(_frame_hypothesis(tokens, rec), None) for tokens, rec in cands.items()]
+
+    def survivor(self, hyp: Hypothesis, parent: None) -> Hypothesis:
+        return hyp
+
+    def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
+        return beam
+
+
+class _LabelStep:
+    """Label-synchronous search: one label per step from a CTC prefix scorer.
+
+    Candidates are entries ``(stale combined score, tokens, (parent, label
+    score))``; an ended hypothesis is carried over as itself with label
+    score ``None``.  Prefix-scorer states are built for survivors only.
+    """
+
+    def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
+        scorer = source if hasattr(source, "candidate_scores") else None
+        if scorer is None:
+            if not isinstance(source, EmissionMatrix):
+                raise DecodeError("label-synchronous decoding needs emissions or a scorer")
+            if source.vocab_size != asr_tok.vocab.size:
+                raise DecodeError("emissions do not match the vocabulary size")
+            scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
+        limit = config.max_label_steps
+        cap = getattr(scorer, "T", None)
+        if limit is None:
+            limit = cap
+        elif cap is not None:
+            limit = min(limit, cap)
+        if limit is None:
+            raise DecodeError("label-synchronous decoding needs max_label_steps")
+        self.scorer = scorer
+        self.limit = limit
+        self.candidate_ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
+        self.lms = config.lms
+        self.beam_size = config.beam
+        self.weights = [spec.weight for spec in config.lms]
+
+    def root(self) -> Hypothesis:
+        root = make_root_hypothesis(self.lms, "labelsync")
+        root.state = self.scorer.root()
+        return root
+
+    def expand(self, beam, t) -> list:
+        entries = []
+        for hyp in beam:
+            base_lm = hyp.lm_combined(self.weights)
+            if hyp.ended:
+                entries.append((hyp.e2e + base_lm, hyp.tokens, (hyp, None)))
+                continue
+            scores = self.scorer.candidate_scores(hyp.state)
+            for c in self.candidate_ids:
+                s = float(scores[c])
+                if s == NEG_INF:
+                    continue
+                entries.append((hyp.e2e + s + base_lm, hyp.tokens + (c,), (hyp, s)))
+        return entries
+
+    def prune(self, entries) -> list[Hypothesis]:
+        return [
+            self.survivor(*self._hypothesis(entry))
+            for entry in _select_top(entries, self.beam_size)
+        ]
+
+    def hypotheses(self, entries) -> list[tuple[Hypothesis, Hypothesis | None]]:
+        return [self._hypothesis(entry) for entry in entries]
+
+    def _hypothesis(self, entry) -> tuple[Hypothesis, Hypothesis | None]:
+        _, tokens, (parent, s) = entry
+        if s is None:
+            return parent, None
+        child = Hypothesis(
+            tokens,
+            e2e=parent.e2e + s,
+            ended=tokens[-1] == EOS_ID,
+            views=[v.clone() for v in parent.views],
+        )
+        return child, parent
+
+    def survivor(self, hyp: Hypothesis, parent: Hypothesis | None) -> Hypothesis:
+        if parent is not None and not hyp.ended:
+            hyp.state = self.scorer.child(parent.state, hyp.tokens[-1])
+        return hyp
+
+    def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
+        """End every unfinished hypothesis with its ``</s>`` score."""
+        for hyp in beam:
+            if not hyp.ended:
+                hyp.e2e += float(self.scorer.candidate_scores(hyp.state)[EOS_ID])
+                hyp.tokens = hyp.tokens + (EOS_ID,)
+                hyp.ended = True
+                hyp.state = None
+        return beam
+
+
 # -- decode ---------------------------------------------------------------------
 
 
@@ -362,26 +516,9 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     snap_counts = [spec.scorer.counters.snapshot() for spec in config.lms]
     snap_emul = [getattr(spec.scorer, "emulated_seconds", 0.0) for spec in config.lms]
 
-    if config.mode == "ctc":
-        if not isinstance(source, EmissionMatrix):
-            raise DecodeError("frame-synchronous decoding needs an EmissionMatrix")
-        if source.vocab_size != asr_tok.vocab.size:
-            raise DecodeError(
-                f"emissions have {source.vocab_size} columns but the vocabulary "
-                f"has {asr_tok.vocab.size} tokens"
-            )
-        beam, trace = _decode_frames(source, config, asr_tok, counters)
-        nbest = finalize_beam(beam, config, asr_tok, counters, mode="ctc")
-    else:
-        scorer = source if hasattr(source, "candidate_scores") else None
-        if scorer is None:
-            if not isinstance(source, EmissionMatrix):
-                raise DecodeError("label-synchronous decoding needs emissions or a scorer")
-            if source.vocab_size != asr_tok.vocab.size:
-                raise DecodeError("emissions do not match the vocabulary size")
-            scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
-        beam, trace = _decode_labels(scorer, config, asr_tok, counters)
-        nbest = finalize_beam(beam, config, asr_tok, counters, mode="labelsync")
+    step_type = _FrameStep if config.mode == "ctc" else _LabelStep
+    beam, trace = _search(step_type(source, config, asr_tok), config, asr_tok, counters)
+    nbest = finalize_beam(beam, config, asr_tok, counters)
 
     for snap, spec in zip(snap_counts, config.lms):
         calls, hyps, toks = spec.scorer.counters.snapshot()
@@ -396,37 +533,38 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     return DecodeResult(best, nbest, counters, trace if config.keep_trace else None)
 
 
-def _decode_frames(em, config, asr_tok, counters):
-    weights = [spec.weight for spec in config.lms]
-    real_ids = list(asr_tok.vocab.real_ids())
-    beam = [make_root_hypothesis(config.lms, "ctc")]
+def _search(step, config, asr_tok, counters):
+    """The search loop of both modes: expand, prune, advance views, fuse, trace."""
+    beam = [step.root()]
     state = _PolicyState()
     trace: list[StepTrace] = []
     shallow = config.policy.kind == "shallow" and bool(config.lms)
 
-    for t in range(1, em.num_frames + 1):
-        frame = em.log_probs[t - 1]
-        cands = extend_frame(beam, frame, real_ids)
+    for t in range(1, step.limit + 1):
+        cands = step.expand(beam, t)
         counters.steps += 1
         counters.hyps_expanded += len(cands)
 
         if shallow:
-            beam = _shallow_prune_frame(cands, config, asr_tok)
-            continue
+            beam = _shallow_prune(step, cands, config, asr_tok)
+        else:
+            beam = step.prune(cands)
+            for hyp in beam:
+                advance_views(hyp, asr_tok, config.lms)
+            fired = bool(config.lms) and fusable(config.policy, beam, t, state)
+            if fired:
+                apply_lm_scores(beam, config.lms)
+            if config.keep_trace:
+                trace.append(_trace_step(t, fired, beam, config))
+        # free the candidates before the next expansion builds new ones
+        del cands
+        # only label-synchronous hypotheses ever end
+        if all(h.ended for h in beam):
+            break
+    return step.close(beam), trace
 
-        beam = prune_frame_candidates(cands, config.beam, weights)
-        for hyp in beam:
-            advance_views(hyp, asr_tok, config.lms)
-        fired = False
-        if config.lms and fusable(config.policy, beam, t, state):
-            apply_lm_scores(beam, config.lms)
-            fired = True
-        if config.keep_trace:
-            trace.append(_trace_step(t, fired, beam, config))
-    return beam, trace
 
-
-def _shallow_prune_frame(cands, config, asr_tok):
+def _shallow_prune(step, cands, config, asr_tok) -> list[Hypothesis]:
     """Reference baseline: score every candidate before pruning.
 
     Classic shallow fusion charges each candidate token as it is emitted,
@@ -436,21 +574,16 @@ def _shallow_prune_frame(cands, config, asr_tok):
     is cached, so the LM cost counters reflect the full price of pre-pruning
     fusion.
     """
-    items = []
-    for tokens, rec in cands.items():
-        hyp = Hypothesis(
-            tokens,
-            log_blank=rec.log_blank,
-            log_nonblank=rec.log_nonblank,
-            views=[v.clone() for v in rec.views],
-        )
+    items = step.hypotheses(cands)
+    hyps = [hyp for hyp, _ in items]
+    for hyp in hyps:
         advance_views(hyp, asr_tok, config.lms)
-        items.append(hyp)
-    lm_totals = _shallow_scores(items, config.lms, asr_tok)
-    entries = [
-        (h.e2e_total("ctc") + lm_totals[j], h.tokens, h) for j, h in enumerate(items)
+    lm_totals = _shallow_scores(hyps, config.lms, asr_tok)
+    ranked = [
+        (hyp.e2e_total(config.mode) + lm_totals[j], hyp.tokens, items[j])
+        for j, hyp in enumerate(hyps)
     ]
-    return [h for _, _, h in _select_top(entries, config.beam)]
+    return [step.survivor(*item) for _, _, item in _select_top(ranked, config.beam)]
 
 
 def _shallow_scores(
@@ -475,114 +608,6 @@ def _shallow_scores(
     return totals
 
 
-def _decode_labels(scorer, config, asr_tok, counters):
-    weights = [spec.weight for spec in config.lms]
-    real_ids = list(asr_tok.vocab.real_ids())
-    candidate_ids = real_ids + [EOS_ID]
-    root = make_root_hypothesis(config.lms, "labelsync")
-    root.state = scorer.root()
-    beam = [root]
-    state = _PolicyState()
-    trace: list[StepTrace] = []
-    shallow = config.policy.kind == "shallow" and bool(config.lms)
-
-    limit = config.max_label_steps
-    cap = getattr(scorer, "T", None)
-    if limit is None:
-        limit = cap
-    elif cap is not None:
-        limit = min(limit, cap)
-    if limit is None:
-        raise DecodeError("label-synchronous decoding needs max_label_steps")
-
-    for t in range(1, limit + 1):
-        entries = []
-        for hyp in beam:
-            base_lm = hyp.lm_combined(weights)
-            if hyp.ended:
-                entries.append((hyp.e2e + base_lm, hyp.tokens, ("keep", hyp, 0.0)))
-                continue
-            scores = scorer.candidate_scores(hyp.state)
-            for c in candidate_ids:
-                s = float(scores[c])
-                if s == NEG_INF:
-                    continue
-                entries.append((hyp.e2e + s + base_lm, hyp.tokens + (c,), ("child", hyp, s)))
-        counters.steps += 1
-        counters.hyps_expanded += len(entries)
-
-        if shallow:
-            beam = _shallow_prune_labels(entries, scorer, config, asr_tok, weights)
-        else:
-            new_beam = []
-            for _, tokens, info in _select_top(entries, config.beam):
-                kind, hyp, s = info
-                if kind == "keep":
-                    new_beam.append(hyp)
-                    continue
-                label = tokens[-1]
-                ended = label == EOS_ID
-                child = Hypothesis(
-                    tokens,
-                    e2e=hyp.e2e + s,
-                    ended=ended,
-                    views=[v.clone() for v in hyp.views],
-                    state=None if ended else scorer.child(hyp.state, label),
-                )
-                new_beam.append(child)
-            beam = new_beam
-            for hyp in beam:
-                advance_views(hyp, asr_tok, config.lms)
-            fired = False
-            if config.lms and fusable(config.policy, beam, t, state):
-                apply_lm_scores(beam, config.lms)
-                fired = True
-            if config.keep_trace:
-                trace.append(_trace_step(t, fired, beam, config))
-        if all(h.ended for h in beam):
-            break
-
-    for hyp in beam:
-        if not hyp.ended:
-            eos_score = float(scorer.candidate_scores(hyp.state)[EOS_ID])
-            hyp.e2e += eos_score
-            hyp.tokens = hyp.tokens + (EOS_ID,)
-            hyp.ended = True
-            hyp.state = None
-    return beam, trace
-
-
-def _shallow_prune_labels(entries, scorer, config, asr_tok, weights):
-    """Score every candidate before pruning; states built for survivors only."""
-    recs = []
-    for _, tokens, info in entries:
-        kind, hyp, s = info
-        if kind == "keep":
-            recs.append((hyp, None, None))
-            continue
-        label = tokens[-1]
-        child = Hypothesis(
-            tokens,
-            e2e=hyp.e2e + s,
-            ended=label == EOS_ID,
-            views=[v.clone() for v in hyp.views],
-        )
-        recs.append((child, hyp, label))
-    for child, _, _ in recs:
-        advance_views(child, asr_tok, config.lms)
-    lm_totals = _shallow_scores([child for child, _, _ in recs], config.lms, asr_tok)
-    rescored = [
-        (child.e2e + lm_totals[j], child.tokens, (child, parent, label))
-        for j, (child, parent, label) in enumerate(recs)
-    ]
-    beam = []
-    for _, _, (child, parent, label) in _select_top(rescored, config.beam):
-        if parent is not None and not child.ended:
-            child.state = scorer.child(parent.state, label)
-        beam.append(child)
-    return beam
-
-
 def _trace_step(t, fired, beam, config) -> StepTrace:
     if config.lms:
         shortest = min(len(h.views[0].lm_tokens) for h in beam)
@@ -595,12 +620,12 @@ def _trace_step(t, fired, beam, config) -> StepTrace:
     return StepTrace(t, fired, shortest, lm_state)
 
 
-def finalize_beam(beam, config, asr_tok, counters, mode: str) -> list[ScoredHypothesis]:
+def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
     """Full re-tokenization, one last LM pass with ``</s>``, final selection."""
     if not beam:
         raise DecodeError("empty beam at finalization")
     texts = [asr_tok.decode(h.tokens) for h in beam]
-    e2e = [h.e2e_total(mode) for h in beam]
+    e2e = [h.e2e_total(config.mode) for h in beam]
     raws = [[0.0] * len(config.lms) for _ in beam]
     for i, spec in enumerate(config.lms):
         requests = []

@@ -422,10 +422,7 @@ def run_bench(cfg: BenchConfig, out_path: str | None = None) -> list[BenchRow]:
 
 def write_bench_csv(rows: Sequence[BenchRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_csv())
+        fh.write(bench_csv_text(rows))
 
 
 def bench_csv_text(rows: Sequence[BenchRow]) -> str:

@@ -38,13 +38,15 @@ class PrefixCacheEntry:
     """Per-hypothesis record of how much of its sequence is already scored.
 
     ``cum_logprob`` always equals the from-scratch log-probability of the
-    first ``scored_len`` tokens; ``context`` is whatever state the scorer
-    needs to resume (for an n-gram, the last order-1 ids).
+    first ``scored_len`` tokens, which are exactly ``tokens``; ``context`` is
+    whatever state the scorer needs to resume (for an n-gram, the last
+    order-1 ids).
     """
 
     scored_len: int
     cum_logprob: float
     context: tuple[int, ...]
+    tokens: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,10 @@ class NGramModel:
                 raise LMError(
                     f"cache covers {cache.scored_len} tokens but sequence has {len(tokens)}"
                 )
-            expected = self._context_after(tokens[: cache.scored_len])
-            if cache.context != expected:
+            if tokens[: cache.scored_len] != cache.tokens:
                 raise LMError(
                     "cached prefix is not a prefix of the submitted sequence "
-                    f"(context {cache.context} != {expected})"
+                    f"({cache.tokens} vs {tokens[: cache.scored_len]})"
                 )
             cum = cache.cum_logprob
             ctx = cache.context
@@ -162,7 +163,7 @@ class NGramModel:
             if new:
                 self.counters.hypotheses += 1
                 self.counters.tokens += len(new)
-            results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx)))
+            results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx, tokens)))
         return results
 
     def reset(self) -> None:
@@ -236,11 +237,6 @@ def train_ngram(
             backoffs[ctx] = math.log(released / denom)
 
     return NGramModel(order, vocab, probs, backoffs)
-
-
-def score_sequence(model, seq: Sequence[int]) -> float:
-    """From-scratch reference score of a ``<s>``-initial sequence."""
-    return model.sequence_logprob(seq)
 
 
 class LatencyLMScorer:

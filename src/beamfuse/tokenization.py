@@ -2,10 +2,11 @@
 
 Two tokenizers over different vocabularies create the mismatch this package
 resolves at decode time: hypothesis prefixes produced with one inventory are
-mapped into another by detokenizing the longest complete-word prefix and
-re-encoding it.  Everything here is deterministic: the same corpus always
-yields the same vocabulary file, and every word always encodes to the same
-piece sequence.
+mapped into another by detokenizing the longest complete-word prefix
+(``tokenizable_prefix_len``) and re-encoding it, which the decoder does
+incrementally in ``advance_views``.  Everything here is deterministic: the
+same corpus always yields the same vocabulary file, and every word always
+encodes to the same piece sequence.
 """
 
 from __future__ import annotations
@@ -196,19 +197,6 @@ class Tokenizer:
         return "".join(parts).replace(self.vocab.marker, " ").strip()
 
 
-@dataclass(frozen=True)
-class RetokenizedPrefix:
-    """The complete-word prefix of a hypothesis, mapped into LM pieces.
-
-    ``source_len`` counts the source tokens consumed (``<s>`` excluded);
-    detokenizing ``lm_tokens`` reproduces ``text`` exactly.
-    """
-
-    source_len: int
-    lm_tokens: tuple[int, ...]
-    text: str
-
-
 def tokenizable_prefix_len(ids: Sequence[int], vocab: Vocabulary) -> int:
     """Length of the longest prefix made only of complete words.
 
@@ -221,26 +209,3 @@ def tokenizable_prefix_len(ids: Sequence[int], vocab: Vocabulary) -> int:
         if vocab.is_word_begin(seq[j]):
             return j
     return 0
-
-
-def retokenize_prefix(
-    ids: Sequence[int], asr_tok: Tokenizer, lm_tok: Tokenizer
-) -> RetokenizedPrefix:
-    """Map the complete-word prefix of ``ids`` into the LM's inventory.
-
-    The result is prefix-monotonic: extending ``ids`` never changes the LM
-    tokens already produced, which is what makes incremental LM scoring of
-    growing hypotheses sound.
-    """
-    seq = ids[1:] if ids and ids[0] == BOS_ID else list(ids)
-    k = tokenizable_prefix_len(seq, asr_tok.vocab)
-    text = asr_tok.decode(seq[:k])
-    return RetokenizedPrefix(k, tuple(lm_tok.encode(text)), text)
-
-
-def shortest_retokenized_len(
-    hyps: Sequence[Sequence[int]], asr_tok: Tokenizer, lm_tok: Tokenizer
-) -> int:
-    if not hyps:
-        raise ValueError("empty hypothesis list")
-    return min(len(retokenize_prefix(h, asr_tok, lm_tok).lm_tokens) for h in hyps)

@@ -35,7 +35,6 @@ from beamfuse.harness import (
 from beamfuse.lm import (
     ScoreRequest,
     read_arpa,
-    score_sequence,
     train_ngram,
     wrap_with_latency,
     write_arpa,
@@ -45,11 +44,10 @@ from beamfuse.tokenization import (
     EOS_ID,
     Tokenizer,
     build_vocab,
-    retokenize_prefix,
     tokenizable_prefix_len,
 )
 
-from conftest import make_vocab, random_emissions
+from conftest import advanced_view, make_vocab, random_emissions
 from test_acoustic import prefix_dp
 
 
@@ -136,7 +134,7 @@ def test_c02_degenerate_policy_equals_rescoring(world):
         rescored = []
         for hyp in plain.nbest:
             lm_ids = (BOS_ID,) + tuple(world.lm_tok.encode(hyp.text)) + (EOS_ID,)
-            comb = hyp.e2e_score + world.weight * score_sequence(world.lm, lm_ids)
+            comb = hyp.e2e_score + world.weight * world.lm.sequence_logprob(lm_ids)
             rescored.append((comb, hyp.tokens))
         rescored.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
         assert [h.tokens for h in fused.nbest] == [t for _, t in rescored]
@@ -178,7 +176,7 @@ def test_c03_no_pruning_invariance():
                 continue
             text = tok.decode(seq)
             lm_ids = (BOS_ID,) + tuple(tok.encode(text)) + (EOS_ID,)
-            comb = e2e + weight * score_sequence(lm, lm_ids)
+            comb = e2e + weight * lm.sequence_logprob(lm_ids)
             key = (-comb, len(seq), seq)
             if best is None or key < best[0]:
                 best = (key, comb, text)
@@ -217,7 +215,7 @@ def test_c04_incremental_cache_exactness(world):
         for end in rounds + [len(seq)]:
             res = world.lm.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
             cache, cum = res.cache, res.cum_logprob
-        reference = score_sequence(world.lm, (BOS_ID,) + seq)
+        reference = world.lm.sequence_logprob((BOS_ID,) + seq)
         worst = max(worst, abs(cum - reference))
         assert worst < 1e-9
     print(
@@ -300,10 +298,14 @@ def test_c07_retokenization_invariants(world):
         n = int(rng.integers(1, 18))
         ids = [real[int(i)] for i in rng.integers(0, len(real), size=n)]
         cut = int(rng.integers(0, n))
-        short = retokenize_prefix(ids[:cut], world.asr_tok, world.lm_tok).lm_tokens
-        long = retokenize_prefix(ids, world.asr_tok, world.lm_tok).lm_tokens
-        assert long[: len(short)] == short
+        short = advanced_view(ids[:cut], world.asr_tok, world.lm_tok).lm_tokens
+        whole = advanced_view(ids, world.asr_tok, world.lm_tok)
+        stepwise = advanced_view(ids, world.asr_tok, world.lm_tok, stepwise=True)
+        assert whole.lm_tokens[: len(short)] == short
         k = tokenizable_prefix_len(ids, world.asr_tok.vocab)
+        expected = (k, tuple(world.lm_tok.encode(world.asr_tok.decode(ids[:k]))))
+        assert (whole.consumed, whole.lm_tokens) == expected
+        assert (stepwise.consumed, stepwise.lm_tokens) == expected
         assert k <= len(ids)
         assert not any(world.asr_tok.vocab.is_word_begin(t) for t in ids[k + 1 :])
     for line in world.train:
@@ -366,7 +368,7 @@ def test_c09_arpa_round_trip(world, tmp_path):
     for _ in range(100):
         n = int(rng.integers(1, 25))
         seq = (BOS_ID,) + tuple(int(x) for x in rng.integers(4, vsize, size=n)) + (EOS_ID,)
-        worst = max(worst, abs(score_sequence(world.lm, seq) - score_sequence(loaded, seq)))
+        worst = max(worst, abs(world.lm.sequence_logprob(seq) - loaded.sequence_logprob(seq)))
     assert worst < 1e-9
     print(
         f"\nACCEPTANCE PASS [9] ARPA round trip: 100 random sequences score "

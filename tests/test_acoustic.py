@@ -14,7 +14,6 @@ from beamfuse.acoustic import (
     brute_force_ctc,
     brute_force_ctc_prefix,
     collapse_path,
-    ctc_label_sync_score,
     ctc_step_extend,
     enumerate_collapse_table,
     forward_ctc,
@@ -143,7 +142,8 @@ class TestLabelSyncScorer:
         rng = np.random.default_rng(9)
         em = EmissionMatrix(random_emissions(rng, 5, 4))
         eos = 3
-        score = ctc_label_sync_score(em, [], eos, eos)
+        scorer = CtcPrefixScorer(em, eos)
+        score = float(scorer.candidate_scores(scorer.root())[eos])
         assert score == pytest.approx(float(em.log_probs[:, BLANK_ID].sum()), abs=1e-9)
 
     def test_telescoping_to_full_ctc_probability(self):
@@ -185,16 +185,6 @@ class TestLabelSyncScorer:
         finite = scores[np.isfinite(scores)]
         total = float(np.log(np.exp(finite - finite.max()).sum()) + finite.max())
         assert total <= 1e-9
-
-    def test_function_matches_scorer_class(self):
-        rng = np.random.default_rng(13)
-        em = EmissionMatrix(random_emissions(rng, 5, 5))
-        eos = 4
-        scorer = CtcPrefixScorer(em, eos)
-        state = scorer.child(scorer.root(), 2)
-        assert ctc_label_sync_score(em, [2], 1, eos) == pytest.approx(
-            float(scorer.candidate_scores(state)[1]), abs=1e-12
-        )
 
     def test_blank_disallowed(self):
         rng = np.random.default_rng(14)

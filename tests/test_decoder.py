@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamfuse.acoustic import NEG_INF, EmissionMatrix, synth_emissions
+from beamfuse.acoustic import NEG_INF, CtcPrefixScorer, EmissionMatrix, synth_emissions
 from beamfuse.decoder import (
     DecodeConfig,
     DecodeError,
@@ -21,10 +21,12 @@ from beamfuse.decoder import (
     prune_frame_candidates,
 )
 from beamfuse.harness import wer
-from beamfuse.lm import PrefixCacheEntry, score_sequence, train_ngram, wrap_with_latency
-from beamfuse.tokenization import BOS_ID, EOS_ID, Tokenizer
+from beamfuse.lm import PrefixCacheEntry, train_ngram, wrap_with_latency
+from beamfuse.tokenization import BOS_ID, EOS_ID, UNK_ID, Tokenizer
 
 from conftest import make_vocab, random_emissions
+
+MODES = ("ctc", "labelsync")
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +190,7 @@ class TestApplyLmScores:
         view = hyp.views[0]
         assert view.cache.scored_len == 1
         assert view.cache.cum_logprob == pytest.approx(
-            score_sequence(model, (BOS_ID, a)), abs=1e-12
+            model.sequence_logprob((BOS_ID, a)), abs=1e-12
         )
 
 
@@ -196,14 +198,16 @@ class TestPolicyEquivalences:
     def test_always_equals_from_scratch_shallow_at_full_beam(self, tiny):
         tok, model = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(3), 5, tok.vocab.size))
-        cfg = DecodeConfig(
-            beam=None, policy=FusionPolicy.always(), lms=[LMSpec(model, tok, 0.5)]
-        )
-        result = decode(em, cfg, tok)
-        for hyp in result.nbest:
-            lm_ids = (BOS_ID,) + tuple(tok.encode(hyp.text)) + (EOS_ID,)
-            expected = hyp.e2e_score + 0.5 * score_sequence(model, lm_ids)
-            assert hyp.combined_score == pytest.approx(expected, abs=1e-9)
+        for mode in MODES:
+            cfg = DecodeConfig(
+                beam=None, policy=FusionPolicy.always(), lms=[LMSpec(model, tok, 0.5)],
+                mode=mode,
+            )
+            result = decode(em, cfg, tok)
+            for hyp in result.nbest:
+                lm_ids = (BOS_ID,) + tuple(tok.encode(hyp.text)) + (EOS_ID,)
+                expected = hyp.e2e_score + 0.5 * model.sequence_logprob(lm_ids)
+                assert hyp.combined_score == pytest.approx(expected, abs=1e-9)
 
     def test_never_equals_explicit_rescoring(self, asr_tok, lm_tok, trigram, corpus_split):
         spec = LMSpec(trigram, lm_tok, 0.5)
@@ -219,7 +223,7 @@ class TestPolicyEquivalences:
             rescored = []
             for hyp in plain.nbest:
                 lm_ids = (BOS_ID,) + tuple(lm_tok.encode(hyp.text)) + (EOS_ID,)
-                lm_score = score_sequence(trigram, lm_ids)
+                lm_score = trigram.sequence_logprob(lm_ids)
                 rescored.append((hyp.e2e_score + 0.5 * lm_score, hyp.tokens, lm_score))
             rescored.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
             assert [h.tokens for h in fused.nbest] == [t for _, t, _ in rescored]
@@ -238,7 +242,7 @@ class TestPolicyEquivalences:
             for hyp in result.nbest:
                 lm_ids = (BOS_ID,) + tuple(lm_tok.encode(hyp.text)) + (EOS_ID,)
                 assert hyp.lm_scores[0] == pytest.approx(
-                    score_sequence(trigram, lm_ids), abs=1e-9
+                    trigram.sequence_logprob(lm_ids), abs=1e-9
                 )
 
 
@@ -252,7 +256,7 @@ class TestTwoLMs:
         )
         for hyp in result.nbest:
             lm_ids = (BOS_ID,) + tuple(tok.encode(hyp.text)) + (EOS_ID,)
-            raw = score_sequence(model, lm_ids)
+            raw = model.sequence_logprob(lm_ids)
             assert hyp.lm_scores == pytest.approx((raw, raw), abs=1e-9)
             assert hyp.combined_score == pytest.approx(
                 hyp.e2e_score + 0.3 * raw, abs=1e-9
@@ -281,23 +285,25 @@ class TestStaleScores:
     def test_prune_consumes_last_fused_values(self, asr_tok, lm_tok, trigram, corpus_split):
         spec = LMSpec(trigram, lm_tok, 0.5)
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.5)[0]
-        cfg = DecodeConfig(
-            beam=5,
-            policy=FusionPolicy.fixed_interval(5),
-            lms=[spec],
-            keep_trace=True,
-        )
-        result = decode(em, cfg, asr_tok)
-        assert result.trace
-        assert any(step.fused for step in result.trace)
-        # each step records the per-hypothesis (scored_len, cum) after any
-        # fusion; a step that did not fuse may only carry inherited values,
-        # i.e. pruning between fusion events consumed the stale scores
-        seen = {(0, 0.0)}
-        for step in result.trace:
-            if not step.fused:
-                assert set(step.lm_state) <= seen
-            seen.update(step.lm_state)
+        for mode in MODES:
+            cfg = DecodeConfig(
+                beam=5,
+                policy=FusionPolicy.fixed_interval(5),
+                lms=[spec],
+                mode=mode,
+                keep_trace=True,
+            )
+            result = decode(em, cfg, asr_tok)
+            assert result.trace
+            assert any(step.fused for step in result.trace)
+            # each step records the per-hypothesis (scored_len, cum) after any
+            # fusion; a step that did not fuse may only carry inherited values,
+            # i.e. pruning between fusion events consumed the stale scores
+            seen = {(0, 0.0)}
+            for step in result.trace:
+                if not step.fused:
+                    assert set(step.lm_state) <= seen
+                seen.update(step.lm_state)
 
     def test_trace_disabled_by_default(self, asr_tok, corpus_split):
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.3)[0]
@@ -441,17 +447,38 @@ class TestLabelSync:
         rng = np.random.default_rng(8)
         em = EmissionMatrix(random_emissions(rng, 4, tok.vocab.size))
         spec = LMSpec(model, tok, 0.5)
-        runs = {}
-        for kind in ("never", "shallow"):
-            cfg = DecodeConfig(
-                beam=None, policy=FusionPolicy(kind), lms=[spec], mode="labelsync"
+        for mode in MODES:
+            runs = {}
+            for kind in ("never", "shallow"):
+                cfg = DecodeConfig(beam=None, policy=FusionPolicy(kind), lms=[spec], mode=mode)
+                runs[kind] = decode(em, cfg, tok)
+            assert runs["shallow"].best.tokens == runs["never"].best.tokens
+            assert runs["shallow"].best.combined_score == pytest.approx(
+                runs["never"].best.combined_score, abs=1e-9
             )
-            runs[kind] = decode(em, cfg, tok)
-        assert runs["shallow"].best.tokens == runs["never"].best.tokens
-        assert runs["shallow"].best.combined_score == pytest.approx(
-            runs["never"].best.combined_score, abs=1e-9
+            assert runs["shallow"].counters.lm_tokens > runs["never"].counters.lm_tokens
+
+    def test_shallow_label_sync_builds_states_for_survivors_only(
+        self, asr_tok, asr_trigram, corpus_split
+    ):
+        _, em = utterances(asr_tok, corpus_split, 1, noise=0.5)[0]
+        scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
+        cfg = DecodeConfig(
+            beam=4,
+            policy=FusionPolicy.shallow(),
+            lms=[LMSpec(asr_trigram, asr_tok, 0.5)],
+            mode="labelsync",
         )
-        assert runs["shallow"].counters.lm_tokens > runs["never"].counters.lm_tokens
+        result = decode(scorer, cfg, asr_tok)
+        assert scorer.child_labels
+        assert EOS_ID not in scorer.child_labels
+        # every state built belongs to a live survivor, so exactly one later
+        # request for next-token scores consumes it: the next step's
+        # expansion, or the closing </s>
+        assert len(scorer.child_labels) == len(scorer.scored_states) - 1
+        assert set(scorer.built_states) == set(scorer.scored_states[1:])
+        assert len(scorer.child_labels) <= cfg.beam * result.counters.steps
+        assert result.counters.hyps_expanded > len(scorer.child_labels)
 
     def test_all_ended_beam_passes_through(self, asr_tok, corpus_split):
         line, em = utterances(asr_tok, corpus_split, 1, noise=0.0)[0]
@@ -459,6 +486,30 @@ class TestLabelSync:
         result = decode(em, cfg, asr_tok)
         assert all(h.tokens[-1] == EOS_ID for h in result.nbest)
         assert result.best.text == line
+
+
+class _CountingScorer:
+    """Prefix-scorer proxy that records which states are built and scored."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.T = inner.T
+        self.child_labels = []
+        self.built_states = []
+        self.scored_states = []
+
+    def root(self):
+        return self.inner.root()
+
+    def child(self, state, label):
+        self.child_labels.append(label)
+        out = self.inner.child(state, label)
+        self.built_states.append(id(out))
+        return out
+
+    def candidate_scores(self, state):
+        self.scored_states.append(id(state))
+        return self.inner.candidate_scores(state)
 
 
 class TestValidation:
@@ -476,6 +527,25 @@ class TestValidation:
     def test_beam_validation(self):
         with pytest.raises(DecodeError):
             DecodeConfig(beam=0, policy=FusionPolicy.never(), lms=[])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beam", 2.5),
+            ("beam", True),
+            ("beam", "3"),
+            ("nbest", 0),
+            ("nbest", 1.0),
+            ("max_label_steps", 2.5),
+            ("max_label_steps", 0),
+            ("max_label_steps", False),
+        ],
+    )
+    def test_counts_must_be_positive_ints(self, field, value):
+        kwargs = dict(beam=2, policy=FusionPolicy.never(), lms=[])
+        kwargs[field] = value
+        with pytest.raises(DecodeError, match=field):
+            DecodeConfig(**kwargs)
 
     def test_mode_validation(self):
         with pytest.raises(DecodeError):

@@ -25,7 +25,6 @@ from beamfuse.harness import (
     synth_dataset,
     wer,
 )
-from beamfuse.lm import score_sequence
 from beamfuse.tokenization import BOS_ID, EOS_ID
 
 
@@ -196,7 +195,7 @@ class TestBench:
             rescored = []
             for hyp in result.nbest:
                 lm_ids = (BOS_ID,) + tuple(assets.lm_tok.encode(hyp.text)) + (EOS_ID,)
-                comb = hyp.e2e_score + cfg.lm_weight * score_sequence(assets.scorer, lm_ids)
+                comb = hyp.e2e_score + cfg.lm_weight * assets.scorer.sequence_logprob(lm_ids)
                 rescored.append((comb, hyp.tokens, hyp.text))
             rescored.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
             best_text = rescored[0][2]

@@ -11,7 +11,6 @@ from beamfuse.lm import (
     PrefixCacheEntry,
     ScoreRequest,
     read_arpa,
-    score_sequence,
     train_ngram,
     wrap_with_latency,
     write_arpa,
@@ -102,16 +101,16 @@ def _reference_conditional(counts, uni_total, uni_types, vsize, discount):
 
 class TestScoring:
     def test_bos_alone_scores_zero(self, trigram):
-        assert score_sequence(trigram, (BOS_ID,)) == 0.0
+        assert trigram.sequence_logprob((BOS_ID,)) == 0.0
 
     def test_requires_bos(self, trigram):
         with pytest.raises(LMError):
-            score_sequence(trigram, (5, 6))
+            trigram.sequence_logprob((5, 6))
 
     def test_chain_rule(self, trigram, lm_tok, corpus_split):
         _, eval_lines = corpus_split
         seq = tuple(lm_tok.encode(eval_lines[0])) + (EOS_ID,)
-        total = score_sequence(trigram, (BOS_ID,) + seq)
+        total = trigram.sequence_logprob((BOS_ID,) + seq)
         stepwise = 0.0
         ctx = trigram.fresh_cache().context
         for token in seq:
@@ -144,7 +143,7 @@ class TestScoring:
             for token in seq:
                 expected += math.log(ref(ctx[-2:], token))
                 ctx = ctx + (token,)
-            got = score_sequence(model, (BOS_ID,) + seq)
+            got = model.sequence_logprob((BOS_ID,) + seq)
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_nonincreasing(self, trigram, lm_tok, corpus_split):
@@ -175,7 +174,7 @@ class TestBatchIncremental:
         _, eval_lines = corpus_split
         seq = tuple(lm_tok.encode(eval_lines[2])) + (EOS_ID,)
         res = trigram.score_batch_incremental([ScoreRequest(seq, trigram.fresh_cache())])[0]
-        assert res.cum_logprob == score_sequence(trigram, (BOS_ID,) + seq)
+        assert res.cum_logprob == trigram.sequence_logprob((BOS_ID,) + seq)
         assert res.cache.scored_len == len(seq)
 
     def test_rounds_match_from_scratch(self, trigram, lm_tok, corpus_split):
@@ -193,7 +192,7 @@ class TestBatchIncremental:
                 caches.append(res.cache)
                 cum = res.cum_logprob
             assert cum == pytest.approx(
-                score_sequence(trigram, (BOS_ID,) + seq), abs=1e-9
+                trigram.sequence_logprob((BOS_ID,) + seq), abs=1e-9
             )
 
     def test_results_in_request_order(self, trigram, lm_tok, corpus_split):
@@ -202,14 +201,17 @@ class TestBatchIncremental:
         requests = [ScoreRequest(s, trigram.fresh_cache()) for s in seqs]
         results = trigram.score_batch_incremental(requests)
         for seq, res in zip(seqs, results):
-            assert res.cum_logprob == score_sequence(trigram, (BOS_ID,) + seq)
+            assert res.cum_logprob == trigram.sequence_logprob((BOS_ID,) + seq)
 
     def test_cache_sequence_mismatch_rejected(self, trigram):
-        first = trigram.score_batch_incremental(
-            [ScoreRequest((5, 6, 7), trigram.fresh_cache())]
-        )[0]
-        with pytest.raises(LMError):
-            trigram.score_batch_incremental([ScoreRequest((5, 9, 7, 8), first.cache)])
+        # the second pair shares the cached context tail (20, 30) but not
+        # the sequence the cache was built for
+        for scored, submitted in [((5, 6, 7), (5, 9, 7, 8)), ((10, 20, 30), (40, 20, 30, 50))]:
+            first = trigram.score_batch_incremental(
+                [ScoreRequest(scored, trigram.fresh_cache())]
+            )[0]
+            with pytest.raises(LMError):
+                trigram.score_batch_incremental([ScoreRequest(submitted, first.cache)])
 
     def test_cache_longer_than_sequence_rejected(self, trigram):
         bad = PrefixCacheEntry(5, -1.0, (6, 7))
@@ -270,7 +272,7 @@ class TestArpa:
             seq = (BOS_ID,) + tuple(
                 int(x) for x in rng.integers(4, trigram.vocab.size, size=12)
             ) + (EOS_ID,)
-            worst = max(worst, abs(score_sequence(trigram, seq) - score_sequence(loaded, seq)))
+            worst = max(worst, abs(trigram.sequence_logprob(seq) - loaded.sequence_logprob(seq)))
         assert worst < 1e-9
 
     def test_empty_unigram_section(self, tmp_path):

@@ -10,13 +10,11 @@ from beamfuse.tokenization import (
     VocabularyError,
     build_vocab,
     read_vocab,
-    retokenize_prefix,
-    shortest_retokenized_len,
     tokenizable_prefix_len,
     write_vocab,
 )
 
-from conftest import make_vocab
+from conftest import advanced_view, make_vocab
 
 
 class TestBuildVocab:
@@ -173,15 +171,17 @@ class TestTokenizablePrefix:
 
 
 class TestRetokenize:
+    """Re-tokenization as the decoder does it, through ``advance_views``."""
+
     def test_empty(self, asr_tok, lm_tok):
-        out = retokenize_prefix([], asr_tok, lm_tok)
-        assert (out.source_len, out.lm_tokens, out.text) == (0, (), "")
+        view = advanced_view([], asr_tok, lm_tok)
+        assert (view.consumed, view.lm_tokens) == (0, ())
 
     def test_identity_tokenizers(self, asr_tok, corpus_split):
         _, eval_lines = corpus_split
         ids = asr_tok.encode(eval_lines[0])
-        out = retokenize_prefix(ids, asr_tok, asr_tok)
-        assert list(out.lm_tokens) == ids[: out.source_len]
+        view = advanced_view(ids, asr_tok, asr_tok)
+        assert list(view.lm_tokens) == ids[: view.consumed]
 
     def test_full_sentence_with_sentinel(self, asr_tok, lm_tok, corpus_split):
         _, eval_lines = corpus_split
@@ -191,9 +191,9 @@ class TestRetokenize:
             sentinel = next(
                 i for i in asr_tok.vocab.real_ids() if asr_tok.vocab.is_word_begin(i)
             )
-            out = retokenize_prefix(ids + [sentinel], asr_tok, lm_tok)
-            assert list(out.lm_tokens) == lm_tok.encode(sentence)
-            assert out.text == sentence
+            view = advanced_view(ids + [sentinel], asr_tok, lm_tok)
+            assert list(view.lm_tokens) == lm_tok.encode(sentence)
+            assert asr_tok.decode(ids[: view.consumed]) == sentence
 
     def test_prefix_stability(self, asr_tok, lm_tok):
         rng = np.random.default_rng(23)
@@ -202,11 +202,13 @@ class TestRetokenize:
             n = int(rng.integers(1, 16))
             ids = [real[int(i)] for i in rng.integers(0, len(real), size=n)]
             cut = int(rng.integers(0, n))
-            short = retokenize_prefix(ids[:cut], asr_tok, lm_tok).lm_tokens
-            long = retokenize_prefix(ids, asr_tok, lm_tok).lm_tokens
-            assert long[: len(short)] == short
+            short = advanced_view(ids[:cut], asr_tok, lm_tok).lm_tokens
+            whole = advanced_view(ids, asr_tok, lm_tok)
+            stepwise = advanced_view(ids, asr_tok, lm_tok, stepwise=True)
+            assert whole.lm_tokens[: len(short)] == short
+            assert (stepwise.consumed, stepwise.lm_tokens) == (whole.consumed, whole.lm_tokens)
 
-    def test_boundary_correctness(self, asr_tok):
+    def test_boundary_correctness(self, asr_tok, lm_tok):
         rng = np.random.default_rng(29)
         real = list(asr_tok.vocab.real_ids())
         for _ in range(200):
@@ -216,28 +218,6 @@ class TestRetokenize:
             assert k <= len(ids)
             # everything after the cut belongs to one final word
             assert not any(asr_tok.vocab.is_word_begin(t) for t in ids[k + 1 :])
-
-
-class TestShortestRetokenized:
-    def test_single_empty_hypothesis(self, asr_tok, lm_tok):
-        assert shortest_retokenized_len([[]], asr_tok, lm_tok) == 0
-
-    def test_minimum_of_lengths(self, asr_tok, lm_tok, corpus_split):
-        _, eval_lines = corpus_split
-        hyps = [asr_tok.encode(" ".join(eval_lines[i].split()[: 3 + i])) for i in range(3)]
-        lens = [len(retokenize_prefix(h, asr_tok, lm_tok).lm_tokens) for h in hyps]
-        assert shortest_retokenized_len(hyps, asr_tok, lm_tok) == min(lens)
-
-    def test_brute_force_minimum(self, asr_tok, lm_tok):
-        rng = np.random.default_rng(31)
-        real = list(asr_tok.vocab.real_ids())
-        hyps = [
-            [real[int(i)] for i in rng.integers(0, len(real), size=int(rng.integers(1, 12)))]
-            for _ in range(8)
-        ]
-        expected = min(len(retokenize_prefix(h, asr_tok, lm_tok).lm_tokens) for h in hyps)
-        assert shortest_retokenized_len(hyps, asr_tok, lm_tok) == expected
-
-    def test_empty_list_rejected(self, asr_tok, lm_tok):
-        with pytest.raises(ValueError):
-            shortest_retokenized_len([], asr_tok, lm_tok)
+            view = advanced_view(ids, asr_tok, lm_tok)
+            assert view.consumed == k
+            assert list(view.lm_tokens) == lm_tok.encode(asr_tok.decode(ids[:k]))
