@@ -376,7 +376,7 @@ def read_emissions(path: str) -> EmissionMatrix:
     """Read and re-normalize rows; a row off by more than 1e-3 is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(x.isdigit() for x in header):
             raise EmissionError(f"bad emissions header in {path}")
         T, V = int(header[0]), int(header[1])
         rows = []
@@ -384,7 +384,10 @@ def read_emissions(path: str) -> EmissionMatrix:
             fields = fh.readline().split()
             if len(fields) != V:
                 raise EmissionError(f"frame {t}: expected {V} values, got {len(fields)}")
-            rows.append([float(x) for x in fields])
+            try:
+                rows.append([float(x) for x in fields])
+            except ValueError as exc:
+                raise EmissionError(f"frame {t}: {exc}") from None
     arr = np.asarray(rows, dtype=np.float64)
     if arr.shape != (T, V):
         raise EmissionError(f"expected {T} frames, got {arr.shape[0]}")

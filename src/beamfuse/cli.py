@@ -7,8 +7,18 @@ import json
 import sys
 
 from . import acoustic, harness, lm
-from .decoder import DecodeConfig, FusionPolicy, LMSpec, decode
-from .tokenization import Tokenizer, build_vocab, read_vocab, write_vocab
+from .decoder import DecodeConfig, DecodeError, FusionPolicy, LMSpec, decode
+from .tokenization import Tokenizer, VocabularyError, build_vocab, read_vocab, write_vocab
+
+# errors that report bad input or configuration, not a bug
+_INPUT_ERRORS = (
+    DecodeError,
+    acoustic.EmissionError,
+    lm.ArpaFormatError,
+    VocabularyError,
+    lm.LMError,
+    harness.HarnessError,
+)
 
 
 def _cmd_build_vocab(args) -> int:
@@ -192,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

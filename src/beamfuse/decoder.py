@@ -20,9 +20,12 @@ Policies:
 What differs between the modes lives in a small step object:
 
 * ``_FrameStep`` (mode ``ctc``) advances one acoustic frame per step.
-  ``extend_frame`` keeps the blank/non-blank score pair per collapsed label
-  prefix and merges duplicate prefixes; ``prune_frame_candidates`` keeps
-  the best.
+  ``extend_frame`` computes the CTC prefix recursion for the whole beam as
+  arrays: each hypothesis's blank/non-blank stay pair plus a (beam, ordinary
+  tokens) block of extension scores, with duplicate prefixes folded into
+  the stay pair of the beam entry they equal.  ``prune_frame_candidates``
+  finds the k-th best combined score with ``np.partition``, sorts only the
+  candidates at or above it, and builds hypotheses for the survivors only.
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
   CTC prefix scorer, so all live hypotheses share a length.  It builds
   prefix-scorer states for survivors only and closes unfinished
@@ -228,14 +231,75 @@ def make_root_hypothesis(lms: Sequence[LMSpec], mode: str) -> Hypothesis:
 # -- frame-synchronous expansion ---------------------------------------------
 
 
-class _Cand:
-    __slots__ = ("log_blank", "log_nonblank", "views", "views_key")
+@dataclass(slots=True, eq=False)
+class FrameCandidates:
+    """One frame's candidates: a stay pair per hypothesis and a (B, R) extension block.
 
-    def __init__(self, log_blank, log_nonblank, views, views_key):
-        self.log_blank = log_blank
-        self.log_nonblank = log_nonblank
-        self.views = views
-        self.views_key = views_key
+    Candidate ``i`` (``i < B``) is ``beam[i]`` absorbing a blank or a repeat of
+    its last label, with pair ``(stay_blank[i], stay_nonblank[i])`` and LM views
+    ``stay_views[i]``.  Candidate ``B + i * R + col`` is ``beam[i]`` extended by
+    ``real_ids[col]``: non-blank score ``ext[i, col]``, blank score -inf, and the
+    views of ``beam[i]``.  Extensions listed in ``folded`` equal another beam
+    entry and live in that entry's stay pair instead.
+    """
+
+    beam: Sequence[Hypothesis]
+    real_ids: np.ndarray
+    stay_blank: list[float]
+    stay_nonblank: list[float]
+    stay_views: list[list[LMView]]
+    ext: np.ndarray
+    # (column, score) of each row's repeat extension, or None
+    repeat: list[tuple[int, float] | None]
+    folded: list[int]
+
+    def __len__(self) -> int:
+        return len(self.beam) * (1 + len(self.real_ids)) - len(self.folded)
+
+    def indices(self) -> list[int]:
+        """Every candidate, stays first, then the extension block row by row."""
+        folded = set(self.folded)
+        return [j for j in range(self.ext.size + len(self.beam)) if j not in folded]
+
+    def extension(self, i: int, col: int) -> float:
+        # the repeat column keeps the scalar it was computed as; the rest are floats
+        rep = self.repeat[i]
+        return rep[1] if rep is not None and rep[0] == col else self.ext.item(i, col)
+
+    def tokens(self, j: int) -> tuple[int, ...]:
+        n = len(self.beam)
+        if j < n:
+            return self.beam[j].tokens
+        i, col = divmod(j - n, len(self.real_ids))
+        return self.beam[i].tokens + (self.real_ids.item(col),)
+
+    def hypothesis(self, j: int) -> Hypothesis:
+        n = len(self.beam)
+        if j < n:
+            log_blank, log_nonblank = self.stay_blank[j], self.stay_nonblank[j]
+            views = self.stay_views[j]
+        else:
+            i, col = divmod(j - n, len(self.real_ids))
+            log_blank, log_nonblank = NEG_INF, self.extension(i, col)
+            views = self.beam[i].views
+        return Hypothesis(
+            self.tokens(j),
+            log_blank=log_blank,
+            log_nonblank=log_nonblank,
+            views=[v.clone() for v in views],
+        )
+
+    def scores(self, weights: Sequence[float]) -> np.ndarray:
+        """Acoustic plus weighted LM score of every index, -inf where folded."""
+        stay = np.array([lse2(b, nb) for b, nb in zip(self.stay_blank, self.stay_nonblank)])
+        ext = self.ext
+        for k, w in enumerate(weights):
+            stay = stay + w * np.array([views[k].cache.cum_logprob for views in self.stay_views])
+            lm = w * np.array([h.views[k].cache.cum_logprob for h in self.beam])
+            ext = ext + lm[:, None]
+        scores = np.concatenate([stay, ext.ravel()])
+        scores[self.folded] = NEG_INF
+        return scores
 
 
 def _views_key(views: Sequence[LMView]) -> tuple:
@@ -243,44 +307,56 @@ def _views_key(views: Sequence[LMView]) -> tuple:
 
 
 def extend_frame(
-    beam: Sequence[Hypothesis], frame: np.ndarray, real_ids: Sequence[int]
-) -> dict[tuple[int, ...], _Cand]:
-    """One frame of candidate generation with duplicate-prefix merging.
+    beam: Sequence[Hypothesis],
+    frame: np.ndarray,
+    real_ids: np.ndarray,
+    columns: dict[int, int],
+) -> FrameCandidates:
+    """One frame of the CTC prefix recursion over the whole beam at once.
 
-    Every hypothesis contributes its stay case (blank or repeated last
-    label) plus one extension per ordinary token; candidates that collapse
-    to the same prefix are merged by log-sum, keeping the freshest LM view.
+    ``columns`` maps each id in ``real_ids`` to its position.  Row ``i`` of
+    the extension block is ``tot_i + frame[real_ids]``, except that the last
+    label's column holds ``pb_i + frame[last]``: only blank-ending paths can
+    emit a label twice.  An extension that equals another beam entry is
+    folded into that entry's stay pair by log-sum and masked out, and the
+    merged candidate keeps the views with the larger ``_views_key`` (the lower
+    beam index on a tie).
     """
-    cands: dict[tuple[int, ...], _Cand] = {}
-    real_list = list(real_ids)
-    frame_real = frame[np.asarray(real_list)]
-    for hyp in beam:
-        pb, pnb = hyp.log_blank, hyp.log_nonblank
-        tot = lse2(pb, pnb)
-        last = hyp.tokens[-1] if len(hyp.tokens) > 1 else None
-        vkey = _views_key(hyp.views)
+    tots = [lse2(h.log_blank, h.log_nonblank) for h in beam]
+    ext = np.add.outer(tots, frame[real_ids])
+    blank = frame[BLANK_ID]
+    stay_blank, stay_nonblank, repeat = [], [], []
+    for i, (tot, hyp) in enumerate(zip(tots, beam)):
+        stay_blank.append(tot + blank)
+        rep = None
+        if len(hyp.tokens) > 1:
+            last = hyp.tokens[-1]
+            stay_nonblank.append(hyp.log_nonblank + frame[last])
+            col = columns.get(last)
+            if col is not None:
+                rep = (col, hyp.log_blank + frame[last])
+                ext[i, col] = rep[1]
+        else:
+            stay_nonblank.append(NEG_INF)
+        repeat.append(rep)
 
-        stay_b = tot + frame[BLANK_ID]
-        stay_nb = pnb + frame[last] if last is not None else NEG_INF
-        _merge(cands, hyp.tokens, stay_b, stay_nb, hyp.views, vkey)
-
-        ext = (tot + frame_real).tolist()
-        for pos, c in enumerate(real_list):
-            val = ext[pos] if c != last else pb + frame[last]
-            _merge(cands, hyp.tokens + (c,), NEG_INF, val, hyp.views, vkey)
+    stay_views = [h.views for h in beam]
+    folded = []
+    cands = FrameCandidates(
+        beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, repeat, folded
+    )
+    parents = {h.tokens: i for i, h in enumerate(beam)}
+    for j, hyp in enumerate(beam):
+        i = parents.get(hyp.tokens[:-1]) if len(hyp.tokens) > 1 else None
+        col = columns.get(hyp.tokens[-1])
+        if i is None or col is None:
+            continue
+        stay_blank[j] = lse2(stay_blank[j], NEG_INF)
+        stay_nonblank[j] = lse2(stay_nonblank[j], cands.extension(i, col))
+        if (_views_key(beam[i].views), -i) > (_views_key(hyp.views), -j):
+            stay_views[j] = beam[i].views
+        folded.append(len(beam) + i * len(real_ids) + col)
     return cands
-
-
-def _merge(cands, key, log_blank, log_nonblank, views, views_key) -> None:
-    rec = cands.get(key)
-    if rec is None:
-        cands[key] = _Cand(log_blank, log_nonblank, views, views_key)
-        return
-    rec.log_blank = lse2(rec.log_blank, log_blank)
-    rec.log_nonblank = lse2(rec.log_nonblank, log_nonblank)
-    if views_key > rec.views_key:
-        rec.views = views
-        rec.views_key = views_key
 
 
 def _select_top(entries: list, beam_size: int | None) -> list:
@@ -291,28 +367,27 @@ def _select_top(entries: list, beam_size: int | None) -> list:
     return entries[:beam_size]
 
 
-def _frame_hypothesis(tokens: tuple[int, ...], rec: _Cand) -> Hypothesis:
-    return Hypothesis(
-        tokens,
-        log_blank=rec.log_blank,
-        log_nonblank=rec.log_nonblank,
-        views=[v.clone() for v in rec.views],
-    )
-
-
 def prune_frame_candidates(
-    cands: dict[tuple[int, ...], _Cand],
+    cands: FrameCandidates,
     beam_size: int | None,
     weights: Sequence[float],
 ) -> list[Hypothesis]:
-    entries = []
-    for tokens, rec in cands.items():
-        comb = lse2(rec.log_blank, rec.log_nonblank)
-        for w, view in zip(weights, rec.views):
-            comb += w * view.cache.cum_logprob
-        entries.append((comb, tokens, rec))
-    kept = _select_top(entries, beam_size)
-    return [_frame_hypothesis(tokens, rec) for _, tokens, rec in kept]
+    """Keep the ``beam_size`` best candidates by acoustic plus weighted LM score.
+
+    ``np.partition`` finds the k-th best score; only the candidates at or
+    above it (every tie included) are sorted by ``_select_top``'s key and
+    built into hypotheses.
+    """
+    scores = cands.scores(weights)
+    if beam_size is None or beam_size >= len(cands):
+        kept = cands.indices()
+    else:
+        cut = scores.size - beam_size
+        threshold = np.partition(scores, cut)[cut]
+        folded = set(cands.folded)
+        kept = [j for j in np.flatnonzero(scores >= threshold).tolist() if j not in folded]
+    entries = [(scores.item(j), cands.tokens(j), j) for j in kept]
+    return [cands.hypothesis(j) for _, _, j in _select_top(entries, beam_size)]
 
 
 # -- LM bookkeeping ------------------------------------------------------------
@@ -394,7 +469,8 @@ class _FrameStep:
             )
         self.rows = em.log_probs
         self.limit = em.num_frames
-        self.real_ids = list(asr_tok.vocab.real_ids())
+        self.real_ids = np.asarray(asr_tok.vocab.real_ids())
+        self.columns = {c: col for col, c in enumerate(asr_tok.vocab.real_ids())}
         self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
@@ -403,13 +479,13 @@ class _FrameStep:
         return make_root_hypothesis(self.lms, "ctc")
 
     def expand(self, beam, t):
-        return extend_frame(beam, self.rows[t - 1], self.real_ids)
+        return extend_frame(beam, self.rows[t - 1], self.real_ids, self.columns)
 
     def prune(self, cands) -> list[Hypothesis]:
         return prune_frame_candidates(cands, self.beam_size, self.weights)
 
     def hypotheses(self, cands) -> list[tuple[Hypothesis, None]]:
-        return [(_frame_hypothesis(tokens, rec), None) for tokens, rec in cands.items()]
+        return [(cands.hypothesis(j), None) for j in cands.indices()]
 
     def survivor(self, hyp: Hypothesis, parent: None) -> Hypothesis:
         return hyp

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamfuse.acoustic import CTCScorePair, ctc_step_extend, lse2
 from beamfuse.decoder import Hypothesis, LMSpec, LMView, advance_views
 from beamfuse.harness import generate_corpus, split_corpus
 from beamfuse.lm import train_ngram
@@ -63,3 +64,66 @@ def advanced_view(ids, asr_tok: Tokenizer, lm_tok: Tokenizer, stepwise: bool = F
         hyp.tokens = (BOS_ID, *ids[:end])
         advance_views(hyp, asr_tok, [spec])
     return hyp.views[0]
+
+
+class _RefCand:
+    __slots__ = ("log_blank", "log_nonblank", "views", "views_key")
+
+    def __init__(self, log_blank, log_nonblank, views, views_key):
+        self.log_blank = log_blank
+        self.log_nonblank = log_nonblank
+        self.views = views
+        self.views_key = views_key
+
+
+def _merge(cands, key, pair, views, views_key) -> None:
+    rec = cands.get(key)
+    if rec is None:
+        cands[key] = _RefCand(pair.log_blank, pair.log_nonblank, views, views_key)
+        return
+    rec.log_blank = lse2(rec.log_blank, pair.log_blank)
+    rec.log_nonblank = lse2(rec.log_nonblank, pair.log_nonblank)
+    if views_key > rec.views_key:
+        rec.views = views
+        rec.views_key = views_key
+
+
+def reference_frame_candidates(beam, frame, real_ids) -> dict:
+    """The frame step one (hypothesis, token) pair at a time: tokens -> merged record.
+
+    Each hypothesis adds its stay case and one extension per ordinary token,
+    in beam order; a prefix reached twice is merged by log-sum and keeps the
+    views with the larger (scored_len, consumed) key, the first one on a tie.
+    """
+    cands: dict = {}
+    for hyp in beam:
+        pair = CTCScorePair(hyp.log_blank, hyp.log_nonblank)
+        last = hyp.tokens[-1] if len(hyp.tokens) > 1 else None
+        vkey = tuple((v.cache.scored_len, v.consumed) for v in hyp.views)
+        _merge(cands, hyp.tokens, ctc_step_extend(pair, frame, last, None), hyp.views, vkey)
+        for c in real_ids:
+            ext = ctc_step_extend(pair, frame, last, c)
+            _merge(cands, hyp.tokens + (c,), ext, hyp.views, vkey)
+    return cands
+
+
+def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypothesis]:
+    """Reference for ``extend_frame`` + ``prune_frame_candidates``: full sort of every candidate."""
+    entries = []
+    for tokens, rec in reference_frame_candidates(beam, frame, real_ids).items():
+        comb = lse2(rec.log_blank, rec.log_nonblank)
+        for w, view in zip(weights, rec.views):
+            comb += w * view.cache.cum_logprob
+        entries.append((comb, tokens, rec))
+    entries.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
+    if beam_size is not None:
+        entries = entries[:beam_size]
+    return [
+        Hypothesis(
+            tokens,
+            log_blank=rec.log_blank,
+            log_nonblank=rec.log_nonblank,
+            views=[v.clone() for v in rec.views],
+        )
+        for _, tokens, rec in entries
+    ]

@@ -152,6 +152,48 @@ class TestPipeline:
         assert "does not match" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--policy", "never", "--beam", "0"], "beam must be an int >= 1"),
+            (["--policy", "interval", "--interval", "0"], "interval policy needs interval >= 1"),
+        ],
+        ids=["beam-0", "interval-0"],
+    )
+    def test_invalid_config_reports_error(self, workspace, capsys, extra, message):
+        argv = [
+            "decode",
+            "--emissions", str(workspace / "data" / "utt0000.em"),
+            "--asr-vocab", str(workspace / "asr.vocab"),
+            "--lm", str(workspace / "lm.arpa"),
+            "--lm-vocab", str(workspace / "lm.vocab"),
+            *extra,
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content",
+        ["not an emission file\n", "two 5\n", "1 5\n-1 -2 x -3 -4\n"],
+        ids=["bad-header", "non-integer-header", "non-numeric-value"],
+    )
+    def test_malformed_emissions_reports_error(self, workspace, capsys, content):
+        bad = workspace / "bad.em"
+        bad.write_text(content)
+        argv = [
+            "decode",
+            "--emissions", str(bad),
+            "--asr-vocab", str(workspace / "asr.vocab"),
+            "--lm", str(workspace / "lm.arpa"),
+            "--lm-vocab", str(workspace / "lm.vocab"),
+            "--policy", "never",
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestOracle:
     def test_ctc_oracle_agrees(self, workspace, capsys):
         from beamfuse.acoustic import synth_emissions, write_emissions

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from beamfuse.acoustic import NEG_INF, CtcPrefixScorer, EmissionMatrix, synth_emissions
+from beamfuse.acoustic import NEG_INF, CtcPrefixScorer, EmissionMatrix, lse2, synth_emissions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from beamfuse.decoder import (
     DecodeConfig,
     DecodeError,
+    FrameCandidates,
     FusionPolicy,
     Hypothesis,
     LMSpec,
     LMView,
-    _Cand,
     _PolicyState,
     apply_lm_scores,
     decode,
@@ -22,9 +25,14 @@ from beamfuse.decoder import (
 )
 from beamfuse.harness import wer
 from beamfuse.lm import PrefixCacheEntry, train_ngram, wrap_with_latency
-from beamfuse.tokenization import BOS_ID, EOS_ID, UNK_ID, Tokenizer
+from beamfuse.tokenization import BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
 
-from conftest import make_vocab, random_emissions
+from conftest import (
+    make_vocab,
+    random_emissions,
+    reference_frame_candidates,
+    reference_frame_step,
+)
 
 MODES = ("ctc", "labelsync")
 
@@ -57,12 +65,21 @@ class TestGreedyCleanDecode:
             assert result.best.text == line
 
 
+def _extend(beam, frame, real_ids):
+    real_ids = list(real_ids)
+    return extend_frame(beam, frame, np.asarray(real_ids), {c: j for j, c in enumerate(real_ids)})
+
+
+def _by_tokens(cands: FrameCandidates) -> dict:
+    return {cands.tokens(j): cands.hypothesis(j) for j in cands.indices()}
+
+
 class TestExtend:
     def test_candidate_count(self, tiny):
         tok, _ = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(0), 1, tok.vocab.size))
         beam = [make_root_hypothesis([], "ctc")]
-        cands = extend_frame(beam, em.log_probs[0], list(tok.vocab.real_ids()))
+        cands = _extend(beam, em.log_probs[0], tok.vocab.real_ids())
         assert len(cands) == 4  # stay + one extension per ordinary token
 
     def test_duplicate_prefixes_merged(self, tiny):
@@ -72,10 +89,10 @@ class TestExtend:
         a = tok.vocab.token_id("▁a")
         root = make_root_hypothesis([], "ctc")
         grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0)
-        cands = extend_frame([root, grown], em.log_probs[0], list(tok.vocab.real_ids()))
+        cands = _extend([root, grown], em.log_probs[0], tok.vocab.real_ids())
         # raw expansion is 2 * 4 = 8; (bos, a) appears as both stay and extension
         assert len(cands) == 7
-        merged = cands[(BOS_ID, a)]
+        merged = _by_tokens(cands)[(BOS_ID, a)]
         stay = -1.0  # contributions below reconstruct the merge by hand
         row = em.log_probs[0]
         stay_blank = math.log(math.exp(-1.0) + math.exp(-2.0)) + row[0]
@@ -88,20 +105,32 @@ class TestExtend:
 
 
 class TestPrune:
-    def _cand(self, tokens, log_nonblank):
-        return tokens, _Cand(NEG_INF, log_nonblank, [], ())
+    def _cands(self, entries):
+        """Stay-only candidates: (tokens, log_blank, log_nonblank) each, no LM views."""
+        beam = [Hypothesis(tokens) for tokens, _, _ in entries]
+        n = len(beam)
+        return FrameCandidates(
+            beam,
+            np.array([], dtype=int),
+            [b for _, b, _ in entries],
+            [nb for _, _, nb in entries],
+            [[] for _ in beam],
+            np.empty((n, 0)),
+            [None] * n,
+            [],
+        )
 
     def test_no_pruning_when_beam_large(self):
-        cands = dict(self._cand((BOS_ID, i), -float(i)) for i in range(4, 10))
+        cands = self._cands([((BOS_ID, i), NEG_INF, -float(i)) for i in range(4, 10)])
         kept = prune_frame_candidates(cands, 100, [])
         assert len(kept) == 6
 
     def test_tie_prefers_shorter_then_lexicographic(self):
-        cands = dict(
+        cands = self._cands(
             [
-                self._cand((BOS_ID, 5, 6), -1.0),
-                self._cand((BOS_ID, 5), -1.0),
-                self._cand((BOS_ID, 4, 7), -1.0),
+                ((BOS_ID, 5, 6), NEG_INF, -1.0),
+                ((BOS_ID, 5), NEG_INF, -1.0),
+                ((BOS_ID, 4, 7), NEG_INF, -1.0),
             ]
         )
         kept = prune_frame_candidates(cands, 2, [])
@@ -115,14 +144,180 @@ class TestPrune:
             tokens = (BOS_ID,) + tuple(int(x) for x in rng.integers(4, 9, size=3))
             if tokens in cands:
                 continue
-            cands[tokens] = _Cand(float(rng.normal()), float(rng.normal()), [], ())
-        kept = prune_frame_candidates(dict(cands), 10, [])
+            cands[tokens] = (float(rng.normal()), float(rng.normal()))
+        kept = prune_frame_candidates(
+            self._cands([(tokens, b, nb) for tokens, (b, nb) in cands.items()]), 10, []
+        )
         def combined(rec):
-            return math.log(math.exp(rec.log_blank) + math.exp(rec.log_nonblank))
+            return math.log(math.exp(rec[0]) + math.exp(rec[1]))
         expected = sorted(
             cands.items(), key=lambda kv: (-combined(kv[1]), len(kv[0]), kv[0])
         )[:10]
         assert [h.tokens for h in kept] == [k for k, _ in expected]
+
+
+def _random_views(rng, n_lms):
+    """Fresh cache objects, with keys drawn from a small range so they tie and differ."""
+    return [
+        LMView(
+            int(rng.integers(0, 2)),
+            (),
+            PrefixCacheEntry(int(rng.integers(0, 2)), float(rng.choice([-1.0, -2.0, -3.5])), ()),
+        )
+        for _ in range(n_lms)
+    ]
+
+
+def _random_beam(rng, vocab_size, size, n_lms, extend_share=0.5, neg_inf_share=0.0):
+    """Distinct prefixes; about ``extend_share`` of them extend another entry by one token."""
+    real = range(NUM_SPECIALS, vocab_size)
+    seen: dict = {}
+    while len(seen) < size:
+        if seen and rng.random() < extend_share:
+            base = list(seen)[int(rng.integers(len(seen)))]
+        else:
+            base = (BOS_ID,) + tuple(int(c) for c in rng.choice(real, size=int(rng.integers(0, 3))))
+        tokens = base + (int(rng.choice(real)),) if base in seen else base
+        seen.setdefault(tokens, None)
+    beam = []
+    for tokens in seen:
+        # few distinct score levels, so combined scores tie exactly
+        pb, pnb = (float(x) for x in rng.choice([-1.0, -2.0, -4.0], size=2))
+        if rng.random() < neg_inf_share:
+            pnb = NEG_INF
+            if rng.random() < 0.5:
+                pb = NEG_INF
+        beam.append(Hypothesis(tokens, pb, pnb, views=_random_views(rng, n_lms)))
+    return beam
+
+
+def _tied_frame(rng, vocab_size):
+    """A normalized row whose ordinary tokens share a few exactly equal values."""
+    logits = rng.choice([0.0, 1.0, 2.5], size=vocab_size)
+    return logits - np.log(np.exp(logits).sum())
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def assert_same_step(beam, frame, real_ids, beam_size, weights):
+    """The array step and the reference keep the same survivors, bit for bit."""
+    real_ids = list(real_ids)
+    cands = _extend(beam, frame, real_ids)
+    assert len(cands) == len(reference_frame_candidates(beam, frame, real_ids))
+    got = prune_frame_candidates(cands, beam_size, weights)
+    want = reference_frame_step(beam, frame, real_ids, beam_size, weights)
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    for g, w in zip(got, want):
+        assert _bits(g.log_blank) == _bits(w.log_blank)
+        assert _bits(g.log_nonblank) == _bits(w.log_nonblank)
+        assert [(v.consumed, v.lm_tokens) for v in g.views] == [
+            (v.consumed, v.lm_tokens) for v in w.views
+        ]
+        assert len(g.views) == len(w.views)
+        assert all(a.cache is b.cache for a, b in zip(g.views, w.views))
+    return cands
+
+
+class TestFrameStepMatchesReference:
+    VOCAB = 9
+
+    def test_merges(self):
+        rng = np.random.default_rng(10)
+        merged = 0
+        for seed in range(30):
+            beam = _random_beam(rng, self.VOCAB, 12, 1, extend_share=0.8)
+            frame = random_emissions(rng, 1, self.VOCAB)[0]
+            cands = assert_same_step(beam, frame, range(NUM_SPECIALS, self.VOCAB), 6, [0.5])
+            merged += len(cands.folded)
+        assert merged > 30
+
+    def test_ties_at_the_cut(self):
+        rng = np.random.default_rng(11)
+        ties = 0
+        for _ in range(40):
+            beam = _random_beam(rng, self.VOCAB, 8, 0)
+            frame = _tied_frame(rng, self.VOCAB)
+            real_ids = range(NUM_SPECIALS, self.VOCAB)
+            for k in (3, 7, 12):
+                assert_same_step(beam, frame, real_ids, k, [])
+                scores = sorted(
+                    lse2(rec.log_blank, rec.log_nonblank)
+                    for rec in reference_frame_candidates(beam, frame, real_ids).values()
+                )[::-1]
+                ties += scores[k - 1] == scores[k]
+        assert ties > 20
+
+    def test_neg_inf_stay_scores(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            beam = _random_beam(rng, self.VOCAB, 10, 1, neg_inf_share=0.6)
+            frame = _tied_frame(rng, self.VOCAB)
+            assert_same_step(beam, frame, range(NUM_SPECIALS, self.VOCAB), 5, [0.3])
+            # a beam that keeps everything also keeps the -inf candidates
+            assert_same_step(beam, frame, range(NUM_SPECIALS, self.VOCAB), None, [0.3])
+
+    def test_beam_one_and_beam_covering_all_candidates(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            beam = _random_beam(rng, self.VOCAB, 6, 1)
+            frame = random_emissions(rng, 1, self.VOCAB)[0]
+            real_ids = range(NUM_SPECIALS, self.VOCAB)
+            count = len(reference_frame_candidates(beam, frame, real_ids))
+            for k in (1, count - 1, count, count + 5, None):
+                assert_same_step(beam, frame, real_ids, k, [0.7])
+
+    @pytest.mark.parametrize("n_lms", [0, 1, 2])
+    def test_lm_views_with_different_keys(self, n_lms):
+        rng = np.random.default_rng(14 + n_lms)
+        weights = [0.5, -0.25][:n_lms]
+        for _ in range(30):
+            beam = _random_beam(rng, self.VOCAB, 10, n_lms, extend_share=0.7)
+            frame = _tied_frame(rng, self.VOCAB)
+            assert_same_step(beam, frame, range(NUM_SPECIALS, self.VOCAB), 7, weights)
+
+
+_scores = st.sampled_from([0.0, -1.0, -2.5, float("-inf")]) | st.floats(-40.0, 0.0)
+
+
+@st.composite
+def _frame_steps(draw):
+    real = draw(st.integers(1, 4))
+    vocab_size = NUM_SPECIALS + real
+    prefixes = draw(
+        st.lists(
+            st.lists(st.integers(NUM_SPECIALS, vocab_size - 1), max_size=3).map(tuple),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    n_lms = draw(st.integers(0, 2))
+    beam = []
+    for prefix in prefixes:
+        views = [
+            LMView(
+                draw(st.integers(0, 2)),
+                (),
+                PrefixCacheEntry(draw(st.integers(0, 2)), draw(st.floats(-20.0, 0.0)), ()),
+            )
+            for _ in range(n_lms)
+        ]
+        beam.append(Hypothesis((BOS_ID,) + prefix, draw(_scores), draw(_scores), views=views))
+    logits = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=vocab_size, max_size=vocab_size)))
+    m = logits.max()
+    frame = logits - (m + np.log(np.exp(logits - m).sum()))
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n_lms, max_size=n_lms))
+    beam_size = draw(st.none() | st.integers(1, len(beam) * (1 + real) + 2))
+    return beam, frame, range(NUM_SPECIALS, vocab_size), beam_size, weights
+
+
+class TestFrameStepProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_frame_steps())
+    def test_array_step_equals_reference(self, case):
+        assert_same_step(*case)
 
 
 def _view_hyp(scored_len, lm_len, cum=-1.0):
