@@ -10,8 +10,14 @@ from . import acoustic, harness, lm
 from .decoder import DecodeConfig, DecodeError, FusionPolicy, LMSpec, decode
 from .tokenization import Tokenizer, VocabularyError, build_vocab, read_vocab, write_vocab
 
+
+class CommandError(ValueError):
+    """Raised for command-line arguments that parse but cannot be used."""
+
+
 # errors that report bad input or configuration, not a bug
 _INPUT_ERRORS = (
+    CommandError,
     DecodeError,
     acoustic.EmissionError,
     lm.ArpaFormatError,
@@ -123,7 +129,15 @@ def _cmd_oracle(args) -> int:
         print(f"unknown oracle {args.which!r}", file=sys.stderr)
         return 2
     em = acoustic.read_emissions(args.emissions)
-    labels = [int(x) for x in args.labels.split()]
+    try:
+        labels = [int(x) for x in args.labels.split()]
+    except ValueError:
+        raise CommandError(
+            f"--labels must be space-separated integer ids, got {args.labels!r}"
+        ) from None
+    for label in labels:
+        if not 0 < label < em.vocab_size:
+            raise CommandError(f"--labels: id {label} is not a label in 1..{em.vocab_size - 1}")
     enumerated = acoustic.brute_force_ctc(em, labels)
     forward = acoustic.forward_ctc(em, labels)
     delta = abs(enumerated - forward)

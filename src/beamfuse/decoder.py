@@ -27,9 +27,13 @@ What differs between the modes lives in a small step object:
   finds the k-th best combined score with ``np.partition``, sorts only the
   candidates at or above it, and builds hypotheses for the survivors only.
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
-  CTC prefix scorer, so all live hypotheses share a length.  It builds
-  prefix-scorer states for survivors only and closes unfinished
-  hypotheses with ``</s>``.
+  CTC prefix scorer, so all live hypotheses share a length.  ``expand``
+  returns ``LabelCandidates``: ended hypotheses carried over as single
+  candidates, and one (live hypotheses, ordinary tokens + ``</s>``) block
+  of combined scores with the impossible extensions masked out.  Pruning
+  uses the frame step's ``np.partition`` cut; prefix-scorer states are
+  built for survivors only, and unfinished hypotheses are closed with
+  ``</s>``.
 
 The shallow baseline replaces the prune for both modes alike: every
 candidate is materialized, scored from scratch, and only then pruned.
@@ -256,10 +260,15 @@ class FrameCandidates:
     def __len__(self) -> int:
         return len(self.beam) * (1 + len(self.real_ids)) - len(self.folded)
 
+    def valid(self) -> np.ndarray:
+        """Flat mask of the indices that are candidates: all but the folded ones."""
+        mask = np.ones(len(self.beam) + self.ext.size, dtype=bool)
+        mask[self.folded] = False
+        return mask
+
     def indices(self) -> list[int]:
         """Every candidate, stays first, then the extension block row by row."""
-        folded = set(self.folded)
-        return [j for j in range(self.ext.size + len(self.beam)) if j not in folded]
+        return np.flatnonzero(self.valid()).tolist()
 
     def extension(self, i: int, col: int) -> float:
         # the repeat column keeps the scalar it was computed as; the rest are floats
@@ -367,6 +376,23 @@ def _select_top(entries: list, beam_size: int | None) -> list:
     return entries[:beam_size]
 
 
+def _top_k(scores: np.ndarray, valid: np.ndarray, tokens, beam_size: int | None) -> list[int]:
+    """Indices of the ``beam_size`` best valid candidates, in ``_select_top`` order.
+
+    ``np.partition`` finds the k-th best score; only the valid candidates at
+    or above it (every tie included) are sorted, and only their tokens are
+    built.
+    """
+    if beam_size is None or beam_size >= np.count_nonzero(valid):
+        kept = np.flatnonzero(valid)
+    else:
+        cut = scores.size - beam_size
+        threshold = np.partition(scores, cut)[cut]
+        kept = np.flatnonzero(valid & (scores >= threshold))
+    entries = [(scores.item(j), tokens(j), j) for j in kept.tolist()]
+    return [j for _, _, j in _select_top(entries, beam_size)]
+
+
 def prune_frame_candidates(
     cands: FrameCandidates,
     beam_size: int | None,
@@ -374,20 +400,64 @@ def prune_frame_candidates(
 ) -> list[Hypothesis]:
     """Keep the ``beam_size`` best candidates by acoustic plus weighted LM score.
 
-    ``np.partition`` finds the k-th best score; only the candidates at or
-    above it (every tie included) are sorted by ``_select_top``'s key and
-    built into hypotheses.
+    Hypotheses are built for the survivors only.
     """
-    scores = cands.scores(weights)
-    if beam_size is None or beam_size >= len(cands):
-        kept = cands.indices()
-    else:
-        cut = scores.size - beam_size
-        threshold = np.partition(scores, cut)[cut]
-        folded = set(cands.folded)
-        kept = [j for j in np.flatnonzero(scores >= threshold).tolist() if j not in folded]
-    entries = [(scores.item(j), cands.tokens(j), j) for j in kept]
-    return [cands.hypothesis(j) for _, _, j in _select_top(entries, beam_size)]
+    kept = _top_k(cands.scores(weights), cands.valid(), cands.tokens, beam_size)
+    return [cands.hypothesis(j) for j in kept]
+
+
+# -- label-synchronous expansion ---------------------------------------------
+
+
+@dataclass(slots=True, eq=False)
+class LabelCandidates:
+    """One label step's candidates: ended hypotheses and an (L, C) extension block.
+
+    Candidate ``i`` (``i < E``) is the ended hypothesis ``ended[i]``, carried
+    over as itself.  Candidate ``E + r * C + col`` is live hypothesis
+    ``live[r]`` extended by ``ids[col]`` with label score
+    ``label_scores[r, col]``.  ``scores`` holds every index's stale combined
+    score: ``e2e + LM`` for an ended hypothesis, ``e2e + label score + LM``
+    for an extension.  Extensions whose label score is -inf are not
+    candidates, and ``valid`` masks them out.
+    """
+
+    ids: list[int]
+    ended: list[Hypothesis]
+    live: list[Hypothesis]
+    label_scores: np.ndarray
+    scores: np.ndarray
+    valid: np.ndarray
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.valid))
+
+    def indices(self) -> list[int]:
+        """Every candidate, ended hypotheses first, then the block row by row."""
+        return np.flatnonzero(self.valid).tolist()
+
+    def tokens(self, j: int) -> tuple[int, ...]:
+        n = len(self.ended)
+        if j < n:
+            return self.ended[j].tokens
+        r, col = divmod(j - n, len(self.ids))
+        return self.live[r].tokens + (self.ids[col],)
+
+    def candidate(self, j: int) -> tuple[Hypothesis, Hypothesis | None]:
+        """Candidate ``j`` as (hypothesis, parent); an ended one has no parent."""
+        n = len(self.ended)
+        if j < n:
+            return self.ended[j], None
+        r, col = divmod(j - n, len(self.ids))
+        parent = self.live[r]
+        label = self.ids[col]
+        child = Hypothesis(
+            parent.tokens + (label,),
+            e2e=parent.e2e + self.label_scores.item(r, col),
+            ended=label == EOS_ID,
+            views=[v.clone() for v in parent.views],
+        )
+        return child, parent
 
 
 # -- LM bookkeeping ------------------------------------------------------------
@@ -497,9 +567,9 @@ class _FrameStep:
 class _LabelStep:
     """Label-synchronous search: one label per step from a CTC prefix scorer.
 
-    Candidates are entries ``(stale combined score, tokens, (parent, label
-    score))``; an ended hypothesis is carried over as itself with label
-    score ``None``.  Prefix-scorer states are built for survivors only.
+    ``expand`` gathers each live hypothesis's next-token scores into one
+    ``LabelCandidates`` block; prefix-scorer states are built for survivors
+    only.
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
@@ -521,6 +591,7 @@ class _LabelStep:
         self.scorer = scorer
         self.limit = limit
         self.candidate_ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
+        self.id_index = np.asarray(self.candidate_ids)
         self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
@@ -530,41 +601,30 @@ class _LabelStep:
         root.state = self.scorer.root()
         return root
 
-    def expand(self, beam, t) -> list:
-        entries = []
-        for hyp in beam:
-            base_lm = hyp.lm_combined(self.weights)
-            if hyp.ended:
-                entries.append((hyp.e2e + base_lm, hyp.tokens, (hyp, None)))
-                continue
-            scores = self.scorer.candidate_scores(hyp.state)
-            for c in self.candidate_ids:
-                s = float(scores[c])
-                if s == NEG_INF:
-                    continue
-                entries.append((hyp.e2e + s + base_lm, hyp.tokens + (c,), (hyp, s)))
-        return entries
-
-    def prune(self, entries) -> list[Hypothesis]:
-        return [
-            self.survivor(*self._hypothesis(entry))
-            for entry in _select_top(entries, self.beam_size)
-        ]
-
-    def hypotheses(self, entries) -> list[tuple[Hypothesis, Hypothesis | None]]:
-        return [self._hypothesis(entry) for entry in entries]
-
-    def _hypothesis(self, entry) -> tuple[Hypothesis, Hypothesis | None]:
-        _, tokens, (parent, s) = entry
-        if s is None:
-            return parent, None
-        child = Hypothesis(
-            tokens,
-            e2e=parent.e2e + s,
-            ended=tokens[-1] == EOS_ID,
-            views=[v.clone() for v in parent.views],
+    def expand(self, beam, t) -> LabelCandidates:
+        ended = [h for h in beam if h.ended]
+        live = [h for h in beam if not h.ended]
+        label_scores = np.empty((len(live), len(self.candidate_ids)))
+        for r, hyp in enumerate(live):
+            label_scores[r] = self.scorer.candidate_scores(hyp.state)[self.id_index]
+        e2e = np.array([h.e2e for h in live])
+        base_lm = np.array([h.lm_combined(self.weights) for h in live])
+        # the same operation order as e2e + label score + LM, one candidate at a time
+        block = e2e[:, None] + label_scores + base_lm[:, None]
+        scores = np.concatenate(
+            [[h.e2e + h.lm_combined(self.weights) for h in ended], block.ravel()]
         )
-        return child, parent
+        valid = np.concatenate(
+            [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
+        )
+        return LabelCandidates(self.candidate_ids, ended, live, label_scores, scores, valid)
+
+    def prune(self, cands: LabelCandidates) -> list[Hypothesis]:
+        kept = _top_k(cands.scores, cands.valid, cands.tokens, self.beam_size)
+        return [self.survivor(*cands.candidate(j)) for j in kept]
+
+    def hypotheses(self, cands) -> list[tuple[Hypothesis, Hypothesis | None]]:
+        return [cands.candidate(j) for j in cands.indices()]
 
     def survivor(self, hyp: Hypothesis, parent: Hypothesis | None) -> Hypothesis:
         if parent is not None and not hyp.ended:

@@ -1,11 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
-from beamfuse.acoustic import CTCScorePair, ctc_step_extend, lse2
-from beamfuse.decoder import Hypothesis, LMSpec, LMView, advance_views
+from beamfuse.acoustic import (
+    BLANK_ID,
+    NEG_INF,
+    CTCScorePair,
+    PrefixState,
+    ctc_step_extend,
+    lse2,
+)
+from beamfuse.decoder import Hypothesis, LMSpec, LMView, _select_top, advance_views
 from beamfuse.harness import generate_corpus, split_corpus
 from beamfuse.lm import train_ngram
-from beamfuse.tokenization import BOS_ID, SPECIAL_TOKENS, Tokenizer, Vocabulary, build_vocab
+from beamfuse.tokenization import (
+    BOS_ID,
+    EOS_ID,
+    SPECIAL_TOKENS,
+    Tokenizer,
+    Vocabulary,
+    build_vocab,
+)
 
 
 @pytest.fixture(scope="session")
@@ -127,3 +143,91 @@ def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypo
         )
         for _, tokens, rec in entries
     ]
+
+
+def reference_child(scorer, state: PrefixState, label: int) -> PrefixState:
+    """``CtcPrefixScorer.child`` as the frame-by-frame recursion over T."""
+    if label == state.last_label:
+        phi = state.r_blank[:-1]
+    else:
+        phi = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
+    emit = scorer.frames[:, label]
+    r_nb = np.full(scorer.T + 1, NEG_INF)
+    r_b = np.full(scorer.T + 1, NEG_INF)
+    for t in range(1, scorer.T + 1):
+        r_nb[t] = emit[t - 1] + lse2(float(phi[t - 1]), float(r_nb[t - 1]))
+        r_b[t] = scorer.frames[t - 1, BLANK_ID] + lse2(float(r_b[t - 1]), float(r_nb[t - 1]))
+    acc = phi + emit
+    m = float(acc.max())
+    pp = m + math.log(np.exp(acc - m).sum()) if m > NEG_INF else NEG_INF
+    return PrefixState(r_nb, r_b, pp, label)
+
+
+def reference_candidate_scores(scorer, state: PrefixState) -> np.ndarray:
+    """``CtcPrefixScorer.candidate_scores`` over the full (T, V) matrix of every frame."""
+    if state.prefix_logprob == NEG_INF:
+        return np.full(scorer.V, NEG_INF)
+    both = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
+    phi = np.broadcast_to(both[:, None], (scorer.T, scorer.V)).copy()
+    if state.last_label is not None:
+        phi[:, state.last_label] = state.r_blank[:-1]
+    acc = phi + scorer.frames
+    m = acc.max(axis=0)
+    safe_m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        pp_new = safe_m + np.log(np.exp(acc - safe_m).sum(axis=0))
+    pp_new[~np.isfinite(m)] = NEG_INF
+    scores = pp_new - state.prefix_logprob
+    scores[scorer.eos_id] = (
+        lse2(float(state.r_nonblank[scorer.T]), float(state.r_blank[scorer.T]))
+        - state.prefix_logprob
+    )
+    scores[scorer._banned] = NEG_INF
+    return scores
+
+
+def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
+    """The label step one (hypothesis, token) pair at a time.
+
+    Entries are ``(stale combined score, tokens, (parent, label score))``; an
+    ended hypothesis is carried over as itself with label score ``None``, and
+    an extension whose label score is -inf is no candidate.
+    """
+    entries = []
+    for hyp in beam:
+        base_lm = hyp.lm_combined(weights)
+        if hyp.ended:
+            entries.append((hyp.e2e + base_lm, hyp.tokens, (hyp, None)))
+            continue
+        scores = scorer.candidate_scores(hyp.state)
+        for c in candidate_ids:
+            s = float(scores[c])
+            if s == NEG_INF:
+                continue
+            entries.append((hyp.e2e + s + base_lm, hyp.tokens + (c,), (hyp, s)))
+    return entries
+
+
+def reference_label_step(scorer, beam, candidate_ids, beam_size, weights) -> list:
+    """Reference for the label step's expand + prune: full sort of every entry.
+
+    Returns ``(survivor, parent)`` pairs; a carried-over ended hypothesis is
+    its own survivor with parent ``None``, and only live survivors get a
+    prefix-scorer state.
+    """
+    out = []
+    entries = reference_label_entries(scorer, beam, candidate_ids, weights)
+    for _, tokens, (parent, s) in _select_top(entries, beam_size):
+        if s is None:
+            out.append((parent, None))
+            continue
+        hyp = Hypothesis(
+            tokens,
+            e2e=parent.e2e + s,
+            ended=tokens[-1] == EOS_ID,
+            views=[v.clone() for v in parent.views],
+        )
+        if not hyp.ended:
+            hyp.state = scorer.child(parent.state, tokens[-1])
+        out.append((hyp, parent))
+    return out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfuse.acoustic import (
     BLANK_ID,
@@ -24,7 +26,7 @@ from beamfuse.acoustic import (
     write_emissions,
 )
 
-from conftest import random_emissions
+from conftest import random_emissions, reference_candidate_scores, reference_child
 
 
 def prefix_dp(em: EmissionMatrix) -> dict[tuple[int, ...], CTCScorePair]:
@@ -193,6 +195,147 @@ class TestLabelSyncScorer:
         assert scorer.candidate_scores(scorer.root())[BLANK_ID] == NEG_INF
         with pytest.raises(ValueError):
             scorer.child(scorer.root(), BLANK_ID)
+
+
+def _peaked_emissions(rng, frames, vocab, peak=700.0):
+    """Normalized rows with one token per frame ahead by ``peak``: the rest near -peak."""
+    logits = rng.normal(size=(frames, vocab))
+    logits[np.arange(frames), rng.integers(0, vocab, size=frames)] += peak
+    m = logits.max(axis=1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+
+
+def _label_chain(rng, labels, depth):
+    """``depth`` labels drawn from ``labels``; every third one repeats its predecessor."""
+    out = []
+    for i in range(depth):
+        out.append(out[-1] if out and i % 3 == 2 else int(rng.choice(labels)))
+    return out
+
+
+def _same_neg_inf(a, b) -> bool:
+    return np.array_equal(a == NEG_INF, b == NEG_INF)
+
+
+def _drift(got, want) -> float:
+    """Largest |got - want| over the finite entries, relative to max(1, |want|)."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    finite = want > NEG_INF
+    if not finite.any():
+        return 0.0
+    return float(np.max(np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))))
+
+
+class TestScorerMatchesReference:
+    """The closed-form ``child`` and trimmed ``candidate_scores`` against the loops."""
+
+    def test_candidate_scores_bit_equal_at_every_depth(self):
+        rng = np.random.default_rng(20)
+        dead = 0
+        for frames in (1, 2, 3, 5, 9):
+            em = EmissionMatrix(random_emissions(rng, frames, 6))
+            scorer = CtcPrefixScorer(em, 5, disallowed=(4,))
+            for _ in range(4):
+                # deeper than T, so the chain reaches -inf prefix probabilities
+                state = scorer.root()
+                for label in [None] + _label_chain(rng, [1, 2, 3], frames + 2):
+                    if label is not None:
+                        state = scorer.child(state, label)
+                    got = scorer.candidate_scores(state)
+                    want = reference_candidate_scores(scorer, state)
+                    assert got.tobytes() == want.tobytes()
+                    dead += state.prefix_logprob == NEG_INF
+        assert dead > 0
+
+    def test_candidate_scores_bit_equal_on_reference_states(self):
+        rng = np.random.default_rng(21)
+        em = EmissionMatrix(random_emissions(rng, 12, 7))
+        scorer = CtcPrefixScorer(em, 6)
+        for _ in range(10):
+            state = scorer.root()
+            for label in _label_chain(rng, [1, 2, 3, 4, 5], 8):
+                state = reference_child(scorer, state, label)
+                got = scorer.candidate_scores(state)
+                assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
+
+    def test_repeat_with_no_blank_ending_path_is_impossible(self):
+        # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
+        em = EmissionMatrix(random_emissions(np.random.default_rng(22), 1, 4))
+        scorer = CtcPrefixScorer(em, 3)
+        state = scorer.child(scorer.child(scorer.root(), 1), 1)
+        assert state.prefix_logprob == NEG_INF
+        got = scorer.candidate_scores(state)
+        assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
+        assert np.all(got == NEG_INF)
+
+    @pytest.mark.parametrize("frames", [1, 2, 60, 200, 1000])
+    @pytest.mark.parametrize("peaked", [False, True], ids=["random", "peaked"])
+    def test_child_agrees_with_loop(self, frames, peaked):
+        rng = np.random.default_rng(23 + frames)
+        vocab = 8
+        rows = _peaked_emissions(rng, frames, vocab) if peaked else random_emissions(
+            rng, frames, vocab
+        )
+        if peaked:
+            assert rows.min() < -690
+        scorer = CtcPrefixScorer(EmissionMatrix(rows), vocab - 1)
+        for _ in range(3):
+            got = want = scorer.root()
+            for label in _label_chain(rng, range(1, vocab - 1), min(frames + 1, 12)):
+                got = scorer.child(got, label)
+                want = reference_child(scorer, want, label)
+                for a, b in (
+                    (got.r_nonblank, want.r_nonblank),
+                    (got.r_blank, want.r_blank),
+                    (got.prefix_logprob, want.prefix_logprob),
+                ):
+                    assert _same_neg_inf(a, b)
+                    # rounding grows with the magnitude of the sums, so the
+                    # bound is relative above 1 (values reach -7e5 when peaked)
+                    assert _drift(a, b) <= 1e-9
+
+
+@st.composite
+def _chains(draw):
+    frames = draw(st.integers(1, 40))
+    vocab = draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([0.5, 1.0, 4.0, 12.0]))
+    logits = scale * np.random.default_rng(seed).normal(size=(frames, vocab))
+    m = logits.max(axis=1, keepdims=True)
+    rows = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+    # ids 1 .. vocab-2 are labels, vocab-1 is </s>; few labels force repeats
+    labels = draw(st.lists(st.integers(1, vocab - 2), max_size=min(frames + 1, 8)))
+    return EmissionMatrix(rows), labels
+
+
+class TestScorerProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_chains())
+    def test_closed_form_chain_matches_loop_and_forward(self, case):
+        em, labels = case
+        eos = em.vocab_size - 1
+        scorer = CtcPrefixScorer(em, eos)
+        got = want = scorer.root()
+        total = 0.0
+        for label in labels:
+            total += float(scorer.candidate_scores(got)[label])
+            got = scorer.child(got, label)
+            want = reference_child(scorer, want, label)
+            for a, b in (
+                (got.r_nonblank, want.r_nonblank),
+                (got.r_blank, want.r_blank),
+                (got.prefix_logprob, want.prefix_logprob),
+            ):
+                assert _same_neg_inf(a, b)
+                finite = np.atleast_1d(b) > NEG_INF
+                assert np.all(np.abs(np.atleast_1d(a)[finite] - np.atleast_1d(b)[finite]) <= 1e-9)
+        total += float(scorer.candidate_scores(got)[eos])
+        expected = forward_ctc(em, labels)
+        if expected == NEG_INF:
+            assert total == NEG_INF
+        else:
+            assert total == pytest.approx(expected, abs=1e-9)
 
 
 class TestSynthEmissions:

@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from beamfuse.cli import main
 from beamfuse.harness import generate_corpus
 from beamfuse.lm import read_arpa
 from beamfuse.tokenization import read_vocab
+
+from conftest import random_emissions
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,26 @@ class TestOracle:
         assert main(["oracle", "ctc", "--emissions", str(path), "--labels", "1 2"]) == 0
         out = capsys.readouterr().out
         assert "enumeration" in out and "forward DP" in out
+
+    @pytest.mark.parametrize(
+        "frames, vocab, labels, message",
+        [
+            (16, 10, "1 2", "too large for enumeration: T=16, V=10"),
+            (4, 5, "x", "--labels must be space-separated integer ids"),
+            (4, 5, "1 5", "id 5 is not a label in 1..4"),
+        ],
+        ids=["too-large", "non-integer-labels", "label-out-of-range"],
+    )
+    def test_bad_input_reports_error(self, workspace, capsys, frames, vocab, labels, message):
+        from beamfuse.acoustic import EmissionMatrix, write_emissions
+
+        em = EmissionMatrix(random_emissions(np.random.default_rng(3), frames, vocab))
+        path = workspace / f"oracle_{frames}x{vocab}.em"
+        write_emissions(em, str(path))
+        assert main(["oracle", "ctc", "--emissions", str(path), "--labels", labels]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestBenchCommand:

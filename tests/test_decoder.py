@@ -15,6 +15,7 @@ from beamfuse.decoder import (
     Hypothesis,
     LMSpec,
     LMView,
+    _LabelStep,
     _PolicyState,
     apply_lm_scores,
     decode,
@@ -32,6 +33,8 @@ from conftest import (
     random_emissions,
     reference_frame_candidates,
     reference_frame_step,
+    reference_label_entries,
+    reference_label_step,
 )
 
 MODES = ("ctc", "labelsync")
@@ -318,6 +321,144 @@ class TestFrameStepProperty:
     @given(_frame_steps())
     def test_array_step_equals_reference(self, case):
         assert_same_step(*case)
+
+
+def _label_setup(rng, frames, n_pieces, tie=False):
+    """A tokenizer and a counting scorer; ``tie`` copies one token's emission column."""
+    tok = Tokenizer(make_vocab(*(f"▁p{i}" for i in range(n_pieces))))
+    logits = rng.normal(size=(frames, tok.vocab.size))
+    if tie:
+        # two ordinary tokens with identical emissions score identically
+        logits[:, NUM_SPECIALS + 1] = logits[:, NUM_SPECIALS]
+    m = logits.max(axis=1, keepdims=True)
+    rows = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+    em = EmissionMatrix(rows)
+    scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
+    return tok, scorer
+
+
+def _label_beams(rng, tok, scorer, n_lms, steps, width=8):
+    """Beams reached by the reference step, with fresh LM caches of a few tying values."""
+    ids = list(tok.vocab.real_ids()) + [EOS_ID]
+    root = Hypothesis((BOS_ID,), e2e=0.0, state=scorer.root())
+    root.views = _random_views(rng, n_lms)
+    beam = [root]
+    for _ in range(steps):
+        yield beam
+        pairs = reference_label_step(scorer, beam, ids, None, [0.5, -0.25][:n_lms])
+        if not pairs:
+            return
+        pick = sorted(rng.choice(len(pairs), size=min(width, len(pairs)), replace=False))
+        beam = []
+        for j in pick:
+            hyp = pairs[int(j)][0]
+            if not hyp.ended:
+                hyp.views = _random_views(rng, n_lms)
+            beam.append(hyp)
+
+
+def assert_same_label_step(tok, scorer, beam, beam_size, weights):
+    """The array label step and the reference keep the same survivors, bit for bit."""
+    lms = [LMSpec(None, tok, w) for w in weights]
+    cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy.never(), lms=lms, mode="labelsync")
+    step = _LabelStep(scorer, cfg, tok)
+    ids = step.candidate_ids
+
+    cands = step.expand(beam, 1)
+    entries = reference_label_entries(scorer, beam, ids, weights)
+    assert len(cands) == len(entries)
+    # every candidate, as the shallow path materializes it, matches one entry
+    want_entries = {tokens: (score, p, s) for score, tokens, (p, s) in entries}
+    got_entries = {}
+    for j, (hyp, parent) in zip(cands.indices(), step.hypotheses(cands)):
+        assert hyp.tokens == cands.tokens(j)
+        got_entries[hyp.tokens] = (cands.scores[j], hyp, parent)
+    assert got_entries.keys() == want_entries.keys()
+    for tokens, (score, hyp, parent) in got_entries.items():
+        want_score, want_parent, s = want_entries[tokens]
+        assert _bits(score) == _bits(want_score)
+        if s is None:
+            assert hyp is want_parent and parent is None
+        else:
+            assert parent is want_parent and _bits(hyp.e2e) == _bits(want_parent.e2e + s)
+
+    def children():
+        # (parent state, label) of each child built since the last call
+        out = list(zip(scorer.parent_states, scorer.child_labels))
+        scorer.parent_states.clear()
+        scorer.child_labels.clear()
+        return out
+
+    children()
+    got = step.prune(cands)
+    got_children = children()
+    want = reference_label_step(scorer, beam, ids, beam_size, weights)
+    assert children() == got_children
+    assert [h.tokens for h in got] == [h.tokens for h, _ in want]
+    for g, (w, parent) in zip(got, want):
+        if parent is None:
+            assert g is w
+            continue
+        assert _bits(g.e2e) == _bits(w.e2e)
+        assert type(g.e2e) is type(w.e2e)
+        assert g.ended == w.ended
+        assert (g.state is None) == (w.state is None)
+        assert len(g.views) == len(w.views)
+        assert all(a.cache is b.cache for a, b in zip(g.views, w.views))
+        assert all(a.cache is b.cache for a, b in zip(g.views, parent.views))
+    return cands
+
+
+class TestLabelStepMatchesReference:
+    PIECES = 5
+
+    @pytest.mark.parametrize("n_lms", [0, 1, 2])
+    def test_random_beams(self, n_lms):
+        rng = np.random.default_rng(30 + n_lms)
+        weights = [0.5, -0.25][:n_lms]
+        ended = 0
+        for _ in range(6):
+            tok, scorer = _label_setup(rng, int(rng.integers(3, 9)), self.PIECES)
+            for beam in _label_beams(rng, tok, scorer, n_lms, steps=6):
+                ended += sum(h.ended for h in beam)
+                assert_same_label_step(tok, scorer, beam, 5, weights)
+        assert ended > 10
+
+    def test_ties_at_the_cut(self):
+        rng = np.random.default_rng(33)
+        ties = 0
+        for _ in range(10):
+            tok, scorer = _label_setup(rng, 6, self.PIECES, tie=True)
+            ids = list(tok.vocab.real_ids()) + [EOS_ID]
+            for beam in _label_beams(rng, tok, scorer, 1, steps=4):
+                entries = reference_label_entries(scorer, beam, ids, [0.5])
+                scores = sorted((e[0] for e in entries), reverse=True)
+                for k in (1, 3, 6):
+                    assert_same_label_step(tok, scorer, beam, k, [0.5])
+                    ties += k < len(scores) and scores[k - 1] == scores[k]
+        assert ties > 10
+
+    def test_neg_inf_candidates(self):
+        rng = np.random.default_rng(34)
+        masked = 0
+        for _ in range(10):
+            # few frames: deep prefixes and repeats run out of paths
+            tok, scorer = _label_setup(rng, 3, self.PIECES)
+            for beam in _label_beams(rng, tok, scorer, 1, steps=5):
+                cands = assert_same_label_step(tok, scorer, beam, 4, [0.5])
+                masked += cands.valid.size - len(cands)
+                assert_same_label_step(tok, scorer, beam, None, [0.5])
+        assert masked > 20
+
+    def test_beam_one_none_and_covering_all_candidates(self):
+        rng = np.random.default_rng(35)
+        for _ in range(6):
+            tok, scorer = _label_setup(rng, 7, self.PIECES)
+            ids = list(tok.vocab.real_ids()) + [EOS_ID]
+            for beam in _label_beams(rng, tok, scorer, 2, steps=4):
+                count = len(reference_label_entries(scorer, beam, ids, [0.5, -0.25]))
+                for k in (1, max(1, count - 1), count, count + 5, None):
+                    assert_same_label_step(tok, scorer, beam, k, [0.5, -0.25])
 
 
 def _view_hyp(scored_len, lm_len, cum=-1.0):
@@ -690,6 +831,7 @@ class _CountingScorer:
         self.inner = inner
         self.T = inner.T
         self.child_labels = []
+        self.parent_states = []
         self.built_states = []
         self.scored_states = []
 
@@ -698,6 +840,7 @@ class _CountingScorer:
 
     def child(self, state, label):
         self.child_labels.append(label)
+        self.parent_states.append(id(state))
         out = self.inner.child(state, label)
         self.built_states.append(id(out))
         return out
