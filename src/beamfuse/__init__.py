@@ -32,13 +32,13 @@ from .decoder import (
 )
 from .harness import BenchConfig, generate_corpus, run_bench, split_corpus, wer
 from .lm import (
+    LatencyLMScorer,
     NGramModel,
     PrefixCacheEntry,
     ScoreRequest,
     ScoreResult,
     read_arpa,
     train_ngram,
-    wrap_with_latency,
     write_arpa,
 )
 from .tokenization import (

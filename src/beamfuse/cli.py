@@ -70,9 +70,6 @@ def _cmd_decode(args) -> int:
     asr_tok = Tokenizer(read_vocab(args.asr_vocab))
     model = lm.read_arpa(args.lm)
     lm_tok = Tokenizer(read_vocab(args.lm_vocab))
-    if lm_tok.vocab.tokens != model.vocab.tokens:
-        print("error: --lm-vocab does not match the tokens stored in --lm", file=sys.stderr)
-        return 2
     lms = [LMSpec(model, lm_tok, args.lm_weight)]
     if args.second_lm:
         second = lm.read_arpa(args.second_lm)

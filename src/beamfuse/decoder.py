@@ -17,26 +17,28 @@ Policies:
 * ``interval``  — fuse every I steps if any hypothesis has unscored words
 * ``shallow``   — reference baseline: score every candidate before pruning
 
-What differs between the modes lives in a small step object:
+Both modes prune through one cut, ``_top_k``: ``np.partition`` finds the
+k-th best combined score, only the candidates at or above it (every tie) are
+sorted, and hypotheses are built for the survivors only.  What differs
+between the modes lives in a small step object:
 
 * ``_FrameStep`` (mode ``ctc``) advances one acoustic frame per step.
   ``extend_frame`` computes the CTC prefix recursion for the whole beam as
   arrays: each hypothesis's blank/non-blank stay pair plus a (beam, ordinary
   tokens) block of extension scores, with duplicate prefixes folded into
-  the stay pair of the beam entry they equal.  ``prune_frame_candidates``
-  finds the k-th best combined score with ``np.partition``, sorts only the
-  candidates at or above it, and builds hypotheses for the survivors only.
+  the stay pair of the beam entry they equal.
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
   CTC prefix scorer, so all live hypotheses share a length.  ``expand``
   returns ``LabelCandidates``: ended hypotheses carried over as single
   candidates, and one (live hypotheses, ordinary tokens + ``</s>``) block
-  of combined scores with the impossible extensions masked out.  Pruning
-  uses the frame step's ``np.partition`` cut; prefix-scorer states are
-  built for survivors only, and unfinished hypotheses are closed with
-  ``</s>``.
+  of combined scores with the impossible extensions masked out.
+  Prefix-scorer states are built for survivors only, and unfinished
+  hypotheses are closed with ``</s>``.
 
-The shallow baseline replaces the prune for both modes alike: every
-candidate is materialized, scored from scratch, and only then pruned.
+Both candidate blocks answer ``valid``, ``tokens(j)`` and ``views(j)`` for a
+flat candidate index ``j``.  The shallow baseline is one more score term on
+the same cut: every valid candidate's full current content is scored from
+scratch, and those scores are added before the prune.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class DecodeError(ValueError):
     """Raised for invalid decode configurations or inputs."""
 
 
+def _is_count(value) -> bool:
+    """An ``int`` (not a ``bool``) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class FusionPolicy:
     kind: str
@@ -72,8 +79,10 @@ class FusionPolicy:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise DecodeError(f"unknown policy {self.kind!r}, expected one of {POLICY_KINDS}")
-        if self.kind == "interval" and self.interval < 1:
-            raise DecodeError("interval policy needs interval >= 1")
+        if self.kind == "interval" and not _is_count(self.interval):
+            raise DecodeError(
+                f"interval policy needs interval >= 1 (an int), got {self.interval!r}"
+            )
 
     @classmethod
     def always(cls) -> "FusionPolicy":
@@ -119,15 +128,19 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         for name in ("beam", "nbest", "max_label_steps"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if value is not None and not _is_count(value):
                 raise DecodeError(f"{name} must be an int >= 1 or None, got {value!r}")
         if self.mode not in ("ctc", "labelsync"):
             raise DecodeError(f"unknown mode {self.mode!r}")
-        for spec in self.lms:
+        for i, spec in enumerate(self.lms):
             if not np.isfinite(spec.weight):
                 raise DecodeError("LM weights must be finite")
+            # scorers without a vocabulary (proxies, test doubles) are not checked
+            vocab = getattr(spec.scorer, "vocab", None)
+            if vocab is not None and spec.tokenizer.vocab.tokens != vocab.tokens:
+                raise DecodeError(
+                    f"LM {i}: the tokenizer's vocabulary does not match the scorer's"
+                )
 
 
 @dataclass
@@ -243,8 +256,8 @@ class FrameCandidates:
     its last label, with pair ``(stay_blank[i], stay_nonblank[i])`` and LM views
     ``stay_views[i]``.  Candidate ``B + i * R + col`` is ``beam[i]`` extended by
     ``real_ids[col]``: non-blank score ``ext[i, col]``, blank score -inf, and the
-    views of ``beam[i]``.  Extensions listed in ``folded`` equal another beam
-    entry and live in that entry's stay pair instead.
+    views of ``beam[i]``.  An extension that equals another beam entry lives in
+    that entry's stay pair instead, and ``valid`` masks it out.
     """
 
     beam: Sequence[Hypothesis]
@@ -255,20 +268,10 @@ class FrameCandidates:
     ext: np.ndarray
     # (column, score) of each row's repeat extension, or None
     repeat: list[tuple[int, float] | None]
-    folded: list[int]
+    valid: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.beam) * (1 + len(self.real_ids)) - len(self.folded)
-
-    def valid(self) -> np.ndarray:
-        """Flat mask of the indices that are candidates: all but the folded ones."""
-        mask = np.ones(len(self.beam) + self.ext.size, dtype=bool)
-        mask[self.folded] = False
-        return mask
-
-    def indices(self) -> list[int]:
-        """Every candidate, stays first, then the extension block row by row."""
-        return np.flatnonzero(self.valid()).tolist()
+        return int(np.count_nonzero(self.valid))
 
     def extension(self, i: int, col: int) -> float:
         # the repeat column keeps the scalar it was computed as; the rest are floats
@@ -281,6 +284,10 @@ class FrameCandidates:
             return self.beam[j].tokens
         i, col = divmod(j - n, len(self.real_ids))
         return self.beam[i].tokens + (self.real_ids.item(col),)
+
+    def views(self, j: int) -> list[LMView]:
+        n = len(self.beam)
+        return self.stay_views[j] if j < n else self.beam[(j - n) // len(self.real_ids)].views
 
     def hypothesis(self, j: int) -> Hypothesis:
         n = len(self.beam)
@@ -299,7 +306,7 @@ class FrameCandidates:
         )
 
     def scores(self, weights: Sequence[float]) -> np.ndarray:
-        """Acoustic plus weighted LM score of every index, -inf where folded."""
+        """Acoustic plus weighted LM score of every index, -inf where not valid."""
         stay = np.array([lse2(b, nb) for b, nb in zip(self.stay_blank, self.stay_nonblank)])
         ext = self.ext
         for k, w in enumerate(weights):
@@ -307,7 +314,7 @@ class FrameCandidates:
             lm = w * np.array([h.views[k].cache.cum_logprob for h in self.beam])
             ext = ext + lm[:, None]
         scores = np.concatenate([stay, ext.ravel()])
-        scores[self.folded] = NEG_INF
+        scores[~self.valid] = NEG_INF
         return scores
 
 
@@ -350,9 +357,9 @@ def extend_frame(
         repeat.append(rep)
 
     stay_views = [h.views for h in beam]
-    folded = []
+    valid = np.ones(len(beam) + ext.size, dtype=bool)
     cands = FrameCandidates(
-        beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, repeat, folded
+        beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, repeat, valid
     )
     parents = {h.tokens: i for i, h in enumerate(beam)}
     for j, hyp in enumerate(beam):
@@ -364,7 +371,7 @@ def extend_frame(
         stay_nonblank[j] = lse2(stay_nonblank[j], cands.extension(i, col))
         if (_views_key(beam[i].views), -i) > (_views_key(hyp.views), -j):
             stay_views[j] = beam[i].views
-        folded.append(len(beam) + i * len(real_ids) + col)
+        valid[len(beam) + i * len(real_ids) + col] = False
     return cands
 
 
@@ -376,19 +383,24 @@ def _select_top(entries: list, beam_size: int | None) -> list:
     return entries[:beam_size]
 
 
-def _top_k(scores: np.ndarray, valid: np.ndarray, tokens, beam_size: int | None) -> list[int]:
+def _top_k(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[int]:
     """Indices of the ``beam_size`` best valid candidates, in ``_select_top`` order.
 
+    ``extra`` (the shallow LM scores, or None) is added to ``scores`` first.
     ``np.partition`` finds the k-th best score; only the valid candidates at
     or above it (every tie included) are sorted, and only their tokens are
     built.
     """
+    if extra is not None:
+        scores = scores + extra
+    valid = cands.valid
     if beam_size is None or beam_size >= np.count_nonzero(valid):
         kept = np.flatnonzero(valid)
     else:
         cut = scores.size - beam_size
         threshold = np.partition(scores, cut)[cut]
         kept = np.flatnonzero(valid & (scores >= threshold))
+    tokens = cands.tokens
     entries = [(scores.item(j), tokens(j), j) for j in kept.tolist()]
     return [j for _, _, j in _select_top(entries, beam_size)]
 
@@ -397,12 +409,13 @@ def prune_frame_candidates(
     cands: FrameCandidates,
     beam_size: int | None,
     weights: Sequence[float],
+    extra: np.ndarray | None = None,
 ) -> list[Hypothesis]:
     """Keep the ``beam_size`` best candidates by acoustic plus weighted LM score.
 
     Hypotheses are built for the survivors only.
     """
-    kept = _top_k(cands.scores(weights), cands.valid(), cands.tokens, beam_size)
+    kept = _top_k(cands, cands.scores(weights), extra, beam_size)
     return [cands.hypothesis(j) for j in kept]
 
 
@@ -432,16 +445,16 @@ class LabelCandidates:
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
 
-    def indices(self) -> list[int]:
-        """Every candidate, ended hypotheses first, then the block row by row."""
-        return np.flatnonzero(self.valid).tolist()
-
     def tokens(self, j: int) -> tuple[int, ...]:
         n = len(self.ended)
         if j < n:
             return self.ended[j].tokens
         r, col = divmod(j - n, len(self.ids))
         return self.live[r].tokens + (self.ids[col],)
+
+    def views(self, j: int) -> list[LMView]:
+        n = len(self.ended)
+        return self.ended[j].views if j < n else self.live[(j - n) // len(self.ids)].views
 
     def candidate(self, j: int) -> tuple[Hypothesis, Hypothesis | None]:
         """Candidate ``j`` as (hypothesis, parent); an ended one has no parent."""
@@ -519,11 +532,11 @@ def apply_lm_scores(beam: Sequence[Hypothesis], lms: Sequence[LMSpec]) -> None:
 
 # -- per-mode steps ---------------------------------------------------------------
 #
+# ``root`` is the first beam's hypothesis and ``limit`` the step count cap.
 # ``expand`` returns a step's candidates, sized by the step's expansion count;
-# ``prune`` keeps the best by the stale combined score.  For the shallow
-# baseline, ``hypotheses`` materializes every candidate as a (hypothesis,
-# parent) pair and ``survivor`` completes a pair that survived.  ``close``
-# finishes the last beam.
+# ``prune(cands, extra)`` keeps the best by the stale combined score plus
+# ``extra`` (the shallow LM scores, or None) and builds the survivors.
+# ``close`` finishes the last beam.
 
 
 class _FrameStep:
@@ -551,14 +564,8 @@ class _FrameStep:
     def expand(self, beam, t):
         return extend_frame(beam, self.rows[t - 1], self.real_ids, self.columns)
 
-    def prune(self, cands) -> list[Hypothesis]:
-        return prune_frame_candidates(cands, self.beam_size, self.weights)
-
-    def hypotheses(self, cands) -> list[tuple[Hypothesis, None]]:
-        return [(cands.hypothesis(j), None) for j in cands.indices()]
-
-    def survivor(self, hyp: Hypothesis, parent: None) -> Hypothesis:
-        return hyp
+    def prune(self, cands, extra) -> list[Hypothesis]:
+        return prune_frame_candidates(cands, self.beam_size, self.weights, extra)
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
         return beam
@@ -568,8 +575,8 @@ class _LabelStep:
     """Label-synchronous search: one label per step from a CTC prefix scorer.
 
     ``expand`` gathers each live hypothesis's next-token scores into one
-    ``LabelCandidates`` block; prefix-scorer states are built for survivors
-    only.
+    ``LabelCandidates`` block; ``prune`` builds prefix-scorer states for the
+    survivors only.
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
@@ -619,17 +626,14 @@ class _LabelStep:
         )
         return LabelCandidates(self.candidate_ids, ended, live, label_scores, scores, valid)
 
-    def prune(self, cands: LabelCandidates) -> list[Hypothesis]:
-        kept = _top_k(cands.scores, cands.valid, cands.tokens, self.beam_size)
-        return [self.survivor(*cands.candidate(j)) for j in kept]
-
-    def hypotheses(self, cands) -> list[tuple[Hypothesis, Hypothesis | None]]:
-        return [cands.candidate(j) for j in cands.indices()]
-
-    def survivor(self, hyp: Hypothesis, parent: Hypothesis | None) -> Hypothesis:
-        if parent is not None and not hyp.ended:
-            hyp.state = self.scorer.child(parent.state, hyp.tokens[-1])
-        return hyp
+    def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
+        survivors = []
+        for j in _top_k(cands, cands.scores, extra, self.beam_size):
+            hyp, parent = cands.candidate(j)
+            if parent is not None and not hyp.ended:
+                hyp.state = self.scorer.child(parent.state, hyp.tokens[-1])
+            survivors.append(hyp)
+        return survivors
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
         """End every unfinished hypothesis with its ``</s>`` score."""
@@ -670,7 +674,7 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
 
 
 def _search(step, config, asr_tok, counters):
-    """The search loop of both modes: expand, prune, advance views, fuse, trace."""
+    """The search loop of every policy: expand, prune, advance views, fuse, trace."""
     beam = [step.root()]
     state = _PolicyState()
     trace: list[StepTrace] = []
@@ -680,68 +684,51 @@ def _search(step, config, asr_tok, counters):
         cands = step.expand(beam, t)
         counters.steps += 1
         counters.hyps_expanded += len(cands)
-
-        if shallow:
-            beam = _shallow_prune(step, cands, config, asr_tok)
-        else:
-            beam = step.prune(cands)
-            for hyp in beam:
-                advance_views(hyp, asr_tok, config.lms)
-            fired = bool(config.lms) and fusable(config.policy, beam, t, state)
-            if fired:
-                apply_lm_scores(beam, config.lms)
-            if config.keep_trace:
-                trace.append(_trace_step(t, fired, beam, config))
+        extra = _shallow_scores(cands, config.lms, asr_tok) if shallow else None
+        beam = step.prune(cands, extra)
         # free the candidates before the next expansion builds new ones
         del cands
+        for hyp in beam:
+            advance_views(hyp, asr_tok, config.lms)
+        fired = bool(config.lms) and fusable(config.policy, beam, t, state)
+        if fired:
+            apply_lm_scores(beam, config.lms)
+        if config.keep_trace and not shallow:
+            trace.append(_trace_step(t, fired, beam, config))
         # only label-synchronous hypotheses ever end
         if all(h.ended for h in beam):
             break
     return step.close(beam), trace
 
 
-def _shallow_prune(step, cands, config, asr_tok) -> list[Hypothesis]:
-    """Reference baseline: score every candidate before pruning.
+def _shallow_scores(cands, lms: Sequence[LMSpec], asr_tok: Tokenizer) -> np.ndarray:
+    """Reference baseline: weighted LM scores of every valid candidate, 0 elsewhere.
 
     Classic shallow fusion charges each candidate token as it is emitted,
     which across mismatched vocabularies means re-tokenizing and scoring the
     candidate's entire current content from scratch every step — including
     the still-growing final word, whose tokenization is tentative.  Nothing
-    is cached, so the LM cost counters reflect the full price of pre-pruning
-    fusion.
+    is cached (the views' caches stay fresh, so the stale LM term in the
+    candidate scores is 0), and the LM cost counters reflect the full price
+    of pre-pruning fusion.  A candidate's views are its parent's and end at
+    a word boundary, so its LM tokens are theirs plus the re-tokenized rest.
     """
-    items = step.hypotheses(cands)
-    hyps = [hyp for hyp, _ in items]
-    for hyp in hyps:
-        advance_views(hyp, asr_tok, config.lms)
-    lm_totals = _shallow_scores(hyps, config.lms, asr_tok)
-    ranked = [
-        (hyp.e2e_total(config.mode) + lm_totals[j], hyp.tokens, items[j])
-        for j, hyp in enumerate(hyps)
-    ]
-    return [step.survivor(*item) for _, _, item in _select_top(ranked, config.beam)]
-
-
-def _shallow_scores(
-    items: Sequence[Hypothesis], lms: Sequence[LMSpec], asr_tok: Tokenizer
-) -> list[float]:
-    """Weighted LM scores of each candidate's full current content, uncached."""
-    totals = [0.0] * len(items)
+    kept = np.flatnonzero(cands.valid).tolist()
+    extra = np.zeros(cands.valid.size)
     for i, spec in enumerate(lms):
         requests = []
-        for hyp in items:
-            view = hyp.views[i]
+        for j in kept:
+            view = cands.views(j)[i]
             full = view.lm_tokens
-            tail = hyp.tokens[1 + view.consumed :]
+            tail = cands.tokens(j)[1 + view.consumed :]
             if tail:
                 tail_text = asr_tok.decode(tail)
                 if tail_text:
                     full = full + tuple(spec.tokenizer.encode(tail_text))
             requests.append(ScoreRequest(full, view.cache))
         results = spec.scorer.score_batch_incremental(requests)
-        for j, res in enumerate(results):
-            totals[j] += spec.weight * res.cum_logprob
-    return totals
+        extra[kept] += spec.weight * np.array([res.cum_logprob for res in results])
+    return extra
 
 
 def _trace_step(t, fired, beam, config) -> StepTrace:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .acoustic import EmissionMatrix, synth_emissions, write_emissions
 from .decoder import DecodeConfig, FusionPolicy, LMSpec, decode
-from .lm import train_ngram, wrap_with_latency
+from .lm import LatencyLMScorer, train_ngram
 from .tokenization import Tokenizer, build_vocab
 
 
@@ -242,6 +242,11 @@ class BenchConfig:
             raise HarnessError("utterances must be >= 1")
         if not self.policies:
             raise HarnessError("at least one policy required")
+        lo, hi = self.frames_per_token
+        if not 1 <= lo <= hi:
+            raise HarnessError(
+                f"frames_per_token must be lo:hi with 1 <= lo <= hi, got {lo}:{hi}"
+            )
 
 
 CSV_COLUMNS = [
@@ -346,8 +351,8 @@ def prepare_bench(cfg: BenchConfig) -> BenchAssets:
     )
     scorer, asr_scorer = model, asr_model
     if cfg.per_call_ms > 0 or cfg.per_token_ms > 0:
-        scorer = wrap_with_latency(model, cfg.per_call_ms, cfg.per_token_ms)
-        asr_scorer = wrap_with_latency(asr_model, cfg.per_call_ms, cfg.per_token_ms)
+        scorer = LatencyLMScorer(model, cfg.per_call_ms, cfg.per_token_ms)
+        asr_scorer = LatencyLMScorer(asr_model, cfg.per_call_ms, cfg.per_token_ms)
     utts = synth_dataset(
         eval_lines, asr_tok, cfg.utterances, cfg.noise, cfg.frames_per_token, cfg.seed
     )
@@ -450,24 +455,33 @@ def parse_bench_config(path: str) -> BenchConfig:
             key, _, value = text.partition("=")
             raw[key.strip()] = value.strip()
 
+    def convert(key, conv, text):
+        try:
+            return conv(text)
+        except ValueError:
+            raise HarnessError(
+                f"{path}: {key} = {raw[key]!r}: expected {conv.__name__} values"
+            ) from None
+
     def get_int(key, default):
-        return int(raw[key]) if key in raw else default
+        return convert(key, int, raw[key]) if key in raw else default
 
     def get_float(key, default):
-        return float(raw[key]) if key in raw else default
+        return convert(key, float, raw[key]) if key in raw else default
 
     def get_list(key, default, conv):
         if key not in raw:
             return default
-        return tuple(conv(part.strip()) for part in raw[key].split(",") if part.strip())
+        parts = [part.strip() for part in raw[key].split(",")]
+        return tuple(convert(key, conv, part) for part in parts if part)
 
     def get_range(key, default):
         if key not in raw:
             return default
         lo, _, hi = raw[key].partition(":")
-        return (int(lo), int(hi or lo))
+        return (convert(key, int, lo), convert(key, int, hi or lo))
 
-    return BenchConfig(
+    fields = dict(
         seed=get_int("seed", 0),
         corpus_path=raw.get("corpus") or None,
         corpus_sentences=get_int("corpus_sentences", 2000),
@@ -487,3 +501,7 @@ def parse_bench_config(path: str) -> BenchConfig:
         per_token_ms=get_float("per_token_ms", 0.0),
         mode=raw.get("mode", "ctc"),
     )
+    try:
+        return BenchConfig(**fields)
+    except HarnessError as exc:
+        raise HarnessError(f"{path}: {exc}") from None

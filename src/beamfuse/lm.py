@@ -283,10 +283,6 @@ class LatencyLMScorer:
         self.emulated_seconds = 0.0
 
 
-def wrap_with_latency(model, per_call_ms: float, per_token_ms: float) -> LatencyLMScorer:
-    return LatencyLMScorer(model, per_call_ms, per_token_ms)
-
-
 # -- ARPA serialization ----------------------------------------------------
 
 

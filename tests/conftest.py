@@ -21,6 +21,7 @@ from beamfuse.tokenization import (
     Tokenizer,
     Vocabulary,
     build_vocab,
+    tokenizable_prefix_len,
 )
 
 
@@ -231,3 +232,52 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights) -> lis
             hyp.state = scorer.child(parent.state, tokens[-1])
         out.append((hyp, parent))
     return out
+
+
+def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
+    """Reference for one shallow-fusion step: expand, score from scratch, sort, advance.
+
+    ``source`` is the emission row (``ctc``) or the prefix scorer
+    (``labelsync``).  Every candidate's LM score is the from-scratch
+    ``sequence_logprob`` of its whole re-tokenized text, added to its stale
+    combined score before a full sort.  Returns the survivors, whose views
+    are re-tokenized from scratch over their complete words and keep the
+    cache they inherited, and each LM's expected (calls, hypotheses, tokens)
+    counter delta.
+    """
+    weights = [spec.weight for spec in lms]
+    entries = []
+    if mode == "ctc":
+        real_ids = asr_tok.vocab.real_ids()
+        for tokens, rec in reference_frame_candidates(beam, source, real_ids).items():
+            comb = lse2(rec.log_blank, rec.log_nonblank)
+            for w, view in zip(weights, rec.views):
+                comb += w * view.cache.cum_logprob
+            hyp = Hypothesis(tokens, rec.log_blank, rec.log_nonblank, views=rec.views)
+            entries.append((comb, tokens, hyp))
+    else:
+        ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
+        for comb, tokens, (parent, s) in reference_label_entries(source, beam, ids, weights):
+            e2e = parent.e2e if s is None else parent.e2e + s
+            hyp = Hypothesis(tokens, e2e=e2e, ended=tokens[-1] == EOS_ID, views=parent.views)
+            entries.append((comb, tokens, hyp))
+
+    lm_totals = [0.0] * len(entries)
+    deltas = []
+    for spec in lms:
+        seqs = [tuple(spec.tokenizer.encode(asr_tok.decode(tokens))) for _, tokens, _ in entries]
+        for j, seq in enumerate(seqs):
+            lm_totals[j] += spec.weight * spec.scorer.sequence_logprob((BOS_ID, *seq))
+        deltas.append((1, sum(1 for seq in seqs if seq), sum(len(seq) for seq in seqs)))
+    ranked = [(comb + lm, tokens, hyp) for (comb, tokens, hyp), lm in zip(entries, lm_totals)]
+
+    survivors = []
+    for _, tokens, hyp in _select_top(ranked, beam_size):
+        k = tokenizable_prefix_len(tokens, asr_tok.vocab)
+        text = asr_tok.decode(tokens[1 : 1 + k])
+        hyp.views = [
+            LMView(k, tuple(spec.tokenizer.encode(text)), view.cache)
+            for spec, view in zip(lms, hyp.views)
+        ]
+        survivors.append(hyp)
+    return survivors, deltas

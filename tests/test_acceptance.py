@@ -33,10 +33,10 @@ from beamfuse.harness import (
     wer,
 )
 from beamfuse.lm import (
+    LatencyLMScorer,
     ScoreRequest,
     read_arpa,
     train_ngram,
-    wrap_with_latency,
     write_arpa,
 )
 from beamfuse.tokenization import (
@@ -264,7 +264,7 @@ def test_c05_call_bounds(world):
 
 
 def test_c06_work_reduction_vs_shallow(world):
-    wrapped = wrap_with_latency(world.asr_lm, 5.0, 0.1)
+    wrapped = LatencyLMScorer(world.asr_lm, 5.0, 0.1)
     utts = world.utterances(20, seed=606, words=3, frames=(1, 1))
     stats = {}
     for kind in ("shallow", "shortest"):

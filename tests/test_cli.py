@@ -247,3 +247,23 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("policy,beam,interval")
         assert len(lines) == 4  # header + baseline + shallow + never
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("beams = ten", "beams = 'ten': expected int values"),
+            ("noise = loud", "noise = 'loud': expected float values"),
+            ("frames_per_token = 1:x", "frames_per_token = '1:x': expected int values"),
+            ("frames_per_token = 2:1", "1 <= lo <= hi, got 2:1"),
+            ("frames_per_token = 0:2", "1 <= lo <= hi, got 0:2"),
+        ],
+        ids=["beams-not-int", "noise-not-float", "range-not-int", "range-reversed", "range-zero"],
+    )
+    def test_bad_config_reports_error(self, workspace, capsys, line, message):
+        cfg = workspace / "bad_bench.cfg"
+        cfg.write_text("utterances = 2\n" + line + "\n")
+        argv = ["bench", "--config", str(cfg), "--out", str(workspace / "bad.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and message in err
+        assert "Traceback" not in err

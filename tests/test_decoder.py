@@ -15,8 +15,11 @@ from beamfuse.decoder import (
     Hypothesis,
     LMSpec,
     LMView,
+    _FrameStep,
     _LabelStep,
     _PolicyState,
+    _shallow_scores,
+    advance_views,
     apply_lm_scores,
     decode,
     extend_frame,
@@ -25,8 +28,15 @@ from beamfuse.decoder import (
     prune_frame_candidates,
 )
 from beamfuse.harness import wer
-from beamfuse.lm import PrefixCacheEntry, train_ngram, wrap_with_latency
-from beamfuse.tokenization import BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
+from beamfuse.lm import LatencyLMScorer, PrefixCacheEntry, train_ngram
+from beamfuse.tokenization import (
+    BOS_ID,
+    EOS_ID,
+    NUM_SPECIALS,
+    UNK_ID,
+    Tokenizer,
+    tokenizable_prefix_len,
+)
 
 from conftest import (
     make_vocab,
@@ -35,6 +45,7 @@ from conftest import (
     reference_frame_step,
     reference_label_entries,
     reference_label_step,
+    reference_shallow_step,
 )
 
 MODES = ("ctc", "labelsync")
@@ -74,7 +85,7 @@ def _extend(beam, frame, real_ids):
 
 
 def _by_tokens(cands: FrameCandidates) -> dict:
-    return {cands.tokens(j): cands.hypothesis(j) for j in cands.indices()}
+    return {cands.tokens(j): cands.hypothesis(j) for j in np.flatnonzero(cands.valid).tolist()}
 
 
 class TestExtend:
@@ -120,7 +131,7 @@ class TestPrune:
             [[] for _ in beam],
             np.empty((n, 0)),
             [None] * n,
-            [],
+            np.ones(n, dtype=bool),
         )
 
     def test_no_pruning_when_beam_large(self):
@@ -233,7 +244,7 @@ class TestFrameStepMatchesReference:
             beam = _random_beam(rng, self.VOCAB, 12, 1, extend_share=0.8)
             frame = random_emissions(rng, 1, self.VOCAB)[0]
             cands = assert_same_step(beam, frame, range(NUM_SPECIALS, self.VOCAB), 6, [0.5])
-            merged += len(cands.folded)
+            merged += cands.valid.size - len(cands)
         assert merged > 30
 
     def test_ties_at_the_cut(self):
@@ -370,7 +381,8 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     # every candidate, as the shallow path materializes it, matches one entry
     want_entries = {tokens: (score, p, s) for score, tokens, (p, s) in entries}
     got_entries = {}
-    for j, (hyp, parent) in zip(cands.indices(), step.hypotheses(cands)):
+    for j in np.flatnonzero(cands.valid).tolist():
+        hyp, parent = cands.candidate(j)
         assert hyp.tokens == cands.tokens(j)
         got_entries[hyp.tokens] = (cands.scores[j], hyp, parent)
     assert got_entries.keys() == want_entries.keys()
@@ -390,7 +402,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
         return out
 
     children()
-    got = step.prune(cands)
+    got = step.prune(cands, None)
     got_children = children()
     want = reference_label_step(scorer, beam, ids, beam_size, weights)
     assert children() == got_children
@@ -461,6 +473,136 @@ class TestLabelStepMatchesReference:
                     assert_same_label_step(tok, scorer, beam, k, [0.5, -0.25])
 
 
+@pytest.fixture(scope="module")
+def shallow_world():
+    """An ASR tokenizer and its LM sets: matched, cross-vocabulary, and both.
+
+    Neither LM has seen ``x`` or ``y``, so extensions by ``▁x`` and ``▁y``
+    score alike and tie wherever their emissions do.
+    """
+    tok = Tokenizer(make_vocab("▁a", "▁b", "c", "▁x", "▁y"))
+    cross_tok = Tokenizer(make_vocab("▁a", "▁b", "▁c", "a", "b", "c", "▁ac"))
+    corpus = ["a b", "ac b a", "b ac", "a", "b a", "c"] * 3
+    matched = train_ngram([tok.encode(s) for s in corpus], tok.vocab, 2, 0.4)
+    cross = train_ngram([cross_tok.encode(s) for s in corpus], cross_tok.vocab, 2, 0.4)
+    matched_spec, cross_spec = LMSpec(matched, tok, 0.5), LMSpec(cross, cross_tok, -0.25)
+    return tok, {
+        "matched": [matched_spec],
+        "cross": [cross_spec],
+        "both": [matched_spec, cross_spec],
+    }
+
+
+def _shallow_views(hyp, tok, lms):
+    """Views as a shallow search leaves them: advanced over ``hyp``, caches fresh."""
+    k = tokenizable_prefix_len(hyp.tokens, tok.vocab)
+    text = tok.decode(hyp.tokens[1 : 1 + k])
+    return [
+        LMView(k, tuple(spec.tokenizer.encode(text)), spec.scorer.fresh_cache()) for spec in lms
+    ]
+
+
+def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
+    """One shallow step of the search loop equals the from-scratch reference, bit for bit."""
+    for hyp in beam:
+        hyp.views = _shallow_views(hyp, tok, lms)
+    cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy.shallow(), lms=lms, mode=mode)
+    if mode == "ctc":
+        step = _FrameStep(EmissionMatrix(source[None, :]), cfg, tok)
+    else:
+        step = _LabelStep(source, cfg, tok)
+    want, want_deltas = reference_shallow_step(mode, source, beam, tok, lms, beam_size)
+
+    before = [spec.scorer.counters.snapshot() for spec in lms]
+    cands = step.expand(beam, 1)
+    got = step.prune(cands, _shallow_scores(cands, lms, tok))
+    for hyp in got:
+        advance_views(hyp, tok, lms)
+    deltas = [
+        tuple(a - b for a, b in zip(spec.scorer.counters.snapshot(), snap))
+        for spec, snap in zip(lms, before)
+    ]
+
+    assert deltas == want_deltas
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    for g, w in zip(got, want):
+        assert _bits(g.log_blank) == _bits(w.log_blank)
+        assert _bits(g.log_nonblank) == _bits(w.log_nonblank)
+        assert _bits(g.e2e) == _bits(w.e2e)
+        assert g.ended == w.ended
+        assert [(v.consumed, v.lm_tokens) for v in g.views] == [
+            (v.consumed, v.lm_tokens) for v in w.views
+        ]
+        assert all(a.cache is b.cache for a, b in zip(g.views, w.views))
+    return cands
+
+
+def _shallow_ties(mode, source, beam, tok, lms) -> list[int]:
+    """Cuts ``k`` at which the full shallow scores of the k-th and (k+1)-th candidates tie."""
+    for hyp in beam:
+        hyp.views = _shallow_views(hyp, tok, lms)
+    ranked, _ = reference_shallow_step(mode, source, beam, tok, lms, None)
+    scores = [
+        (lse2(h.log_blank, h.log_nonblank) if mode == "ctc" else h.e2e)
+        + sum(
+            spec.weight
+            * spec.scorer.sequence_logprob((BOS_ID, *spec.tokenizer.encode(tok.decode(h.tokens))))
+            for spec in lms
+        )
+        for h in ranked
+    ]
+    return [k for k in range(1, len(scores)) if scores[k - 1] == scores[k] > NEG_INF]
+
+
+class TestShallowStepMatchesReference:
+    """The shallow score term on the shared cut equals scoring every candidate from scratch."""
+
+    LM_SETS = ("matched", "cross", "both")
+
+    @pytest.mark.parametrize("lm_set", LM_SETS)
+    def test_frame_step(self, shallow_world, lm_set):
+        tok, lm_sets = shallow_world
+        lms = lm_sets[lm_set]
+        rng = np.random.default_rng(40)
+        ties = merged = 0
+        for _ in range(15):
+            beam = _random_beam(rng, tok.vocab.size, 6, 0, extend_share=0.7, neg_inf_share=0.3)
+            frame = _tied_frame(rng, tok.vocab.size)
+            count = len(reference_frame_candidates(beam, frame, tok.vocab.real_ids()))
+            tied = _shallow_ties("ctc", frame, beam, tok, lms)
+            ties += len(tied)
+            for k in (1, 3, count, count + 4, None, *tied):
+                cands = assert_same_shallow_step("ctc", frame, beam, tok, lms, k)
+            merged += cands.valid.size - len(cands)
+        assert merged > 10
+        assert ties > 10
+
+    @pytest.mark.parametrize("lm_set", LM_SETS)
+    def test_label_step(self, shallow_world, lm_set):
+        tok, lm_sets = shallow_world
+        lms = lm_sets[lm_set]
+        rng = np.random.default_rng(41)
+        ids = list(tok.vocab.real_ids()) + [EOS_ID]
+        x, y = tok.vocab.token_id("▁x"), tok.vocab.token_id("▁y")
+        ended = masked = ties = 0
+        for frames in (2, 3, 5, 7):
+            rows = random_emissions(rng, frames, tok.vocab.size)
+            rows[:, y] = rows[:, x]
+            rows -= np.logaddexp.reduce(rows, axis=1, keepdims=True)
+            scorer = CtcPrefixScorer(EmissionMatrix(rows), EOS_ID, disallowed=(BOS_ID, UNK_ID))
+            for beam in _label_beams(rng, tok, scorer, 0, steps=5):
+                ended += sum(h.ended for h in beam)
+                count = len(reference_label_entries(scorer, beam, ids, []))
+                tied = _shallow_ties("labelsync", scorer, beam, tok, lms)
+                ties += len(tied)
+                for k in (1, 3, count, count + 4, None, *tied):
+                    cands = assert_same_shallow_step("labelsync", scorer, beam, tok, lms, k)
+                masked += cands.valid.size - len(cands)
+        assert ended > 5
+        assert masked > 5
+        assert ties > 10
+
+
 def _view_hyp(scored_len, lm_len, cum=-1.0):
     view = LMView(0, tuple(range(100, 100 + lm_len)), PrefixCacheEntry(scored_len, cum, ()))
     return Hypothesis((BOS_ID,), views=[view])
@@ -502,6 +644,10 @@ class TestFusable:
             FusionPolicy.fixed_interval(0)
         with pytest.raises(DecodeError):
             FusionPolicy("bogus")
+        for bad in ("3", 2.5, True, False, -1, None):
+            with pytest.raises(DecodeError, match="interval policy needs interval >= 1"):
+                FusionPolicy("interval", bad)
+        assert FusionPolicy("interval", 3).interval == 3
 
 
 class TestApplyLmScores:
@@ -692,7 +838,7 @@ class TestCallBehaviour:
         assert totals["shortest"][2] < totals["shallow"][2]
 
     def test_latency_wrapper_orders_wall_time(self, asr_tok, asr_trigram, corpus_split):
-        wrapped = wrap_with_latency(asr_trigram, 2.0, 0.01)
+        wrapped = LatencyLMScorer(asr_trigram, 2.0, 0.01)
         walls = {}
         for kind in ("shallow", "shortest"):
             total = 0.0
@@ -888,6 +1034,19 @@ class TestValidation:
     def test_mode_validation(self):
         with pytest.raises(DecodeError):
             DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=[], mode="nope")
+
+    def test_lm_vocab_must_match_scorer(self, tiny, asr_tok):
+        tok, model = tiny
+        def config(scorer, lm_tok):
+            lms = [LMSpec(scorer, lm_tok, 0.5)]
+            return DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=lms)
+
+        for scorer in (model, LatencyLMScorer(model, 0.0, 0.0)):
+            with pytest.raises(DecodeError, match="does not match"):
+                config(scorer, asr_tok)
+            config(scorer, tok)
+        # a scorer without a vocabulary is not checked
+        config(None, asr_tok)
 
     def test_weight_validation(self, tiny):
         tok, model = tiny

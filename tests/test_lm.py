@@ -7,12 +7,12 @@ import pytest
 
 from beamfuse.lm import (
     ArpaFormatError,
+    LatencyLMScorer,
     LMError,
     PrefixCacheEntry,
     ScoreRequest,
     read_arpa,
     train_ngram,
-    wrap_with_latency,
     write_arpa,
 )
 from beamfuse.tokenization import BOS_ID, EOS_ID
@@ -234,13 +234,13 @@ class TestBatchIncremental:
 class TestLatencyWrapper:
     def test_zero_cost_adds_nothing(self, corpus_split, lm_tok):
         model = fresh_trigram(corpus_split, lm_tok)
-        wrapped = wrap_with_latency(model, 0.0, 0.0)
+        wrapped = LatencyLMScorer(model, 0.0, 0.0)
         wrapped.score_batch_incremental([ScoreRequest((5, 6), wrapped.fresh_cache())])
         assert wrapped.emulated_seconds == 0.0
 
     def test_per_call_cost_lower_bound(self, corpus_split, lm_tok):
         model = fresh_trigram(corpus_split, lm_tok)
-        wrapped = wrap_with_latency(model, 10.0, 0.0)
+        wrapped = LatencyLMScorer(model, 10.0, 0.0)
         started = time.perf_counter()
         for _ in range(7):
             wrapped.score_batch_incremental([ScoreRequest((5,), wrapped.fresh_cache())])
@@ -250,14 +250,14 @@ class TestLatencyWrapper:
 
     def test_counters_live_on_inner(self, corpus_split, lm_tok):
         model = fresh_trigram(corpus_split, lm_tok)
-        wrapped = wrap_with_latency(model, 0.0, 0.0)
+        wrapped = LatencyLMScorer(model, 0.0, 0.0)
         wrapped.score_batch_incremental([ScoreRequest((5, 6), wrapped.fresh_cache())])
         assert model.counters.calls == 1
         assert wrapped.counters is model.counters
 
     def test_negative_cost_rejected(self, trigram):
         with pytest.raises(LMError):
-            wrap_with_latency(trigram, -1.0, 0.0)
+            LatencyLMScorer(trigram, -1.0, 0.0)
 
 
 class TestArpa:
