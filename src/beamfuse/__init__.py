@@ -9,12 +9,10 @@ alongside LM cost counters.
 """
 
 from .acoustic import (
-    CTCScorePair,
     CtcPrefixScorer,
     EmissionMatrix,
     brute_force_ctc,
     brute_force_ctc_prefix,
-    ctc_step_extend,
     forward_ctc,
     greedy_labels,
     read_emissions,
@@ -32,7 +30,6 @@ from .decoder import (
 )
 from .harness import BenchConfig, generate_corpus, run_bench, split_corpus, wer
 from .lm import (
-    LatencyLMScorer,
     NGramModel,
     PrefixCacheEntry,
     ScoreRequest,

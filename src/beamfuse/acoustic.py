@@ -1,11 +1,12 @@
-"""Emission matrices, the CTC prefix-score recursion, and exact oracles.
+"""Emission matrices, the label-synchronous CTC prefix scorer, and exact oracles.
 
 All scores are natural-log probabilities.  Impossible events are IEEE -inf;
 the two-way log-sum is guarded so -inf never produces a NaN.  Blank is id 0
 everywhere.
 
-Two independent oracles back the recursion on small instances: exhaustive
-path enumeration and the classic interleaved-blank forward algorithm.  The
+Two independent oracles back the CTC prefix recursion (frame by frame in
+``decoder.extend_frame``) on small instances: exhaustive path enumeration
+and the classic interleaved-blank forward algorithm.  The
 label-synchronous scorer turns the same recursion into next-token scores by
 tracking, per prefix, the probability that the full utterance's labelling
 starts with that prefix.  It computes a child prefix's forward variables
@@ -75,49 +76,6 @@ class EmissionMatrix:
 def _logsumexp_rows(arr: np.ndarray) -> np.ndarray:
     m = arr.max(axis=1, keepdims=True)
     return (m + np.log(np.exp(arr - m).sum(axis=1, keepdims=True))).ravel()
-
-
-@dataclass(frozen=True)
-class CTCScorePair:
-    """Path probabilities for one prefix, split by blank / non-blank ending."""
-
-    log_blank: float
-    log_nonblank: float
-
-    def total(self) -> float:
-        return lse2(self.log_blank, self.log_nonblank)
-
-
-EMPTY_PREFIX_PAIR = CTCScorePair(0.0, NEG_INF)
-
-
-def ctc_step_extend(
-    pair: CTCScorePair,
-    frame: Sequence[float],
-    last_label: int | None,
-    new_label: int | None,
-) -> CTCScorePair:
-    """One frame of the prefix recursion.
-
-    ``new_label=None`` is the stay case: the prefix absorbs a blank or a
-    repeat of its last label.  Otherwise the prefix is extended by
-    ``new_label``; extending by the same label again is only possible from
-    blank-ending paths.
-    """
-    if new_label is None:
-        log_blank = pair.total() + frame[BLANK_ID]
-        if last_label is None:
-            log_nonblank = NEG_INF
-        else:
-            log_nonblank = pair.log_nonblank + frame[last_label]
-        return CTCScorePair(log_blank, log_nonblank)
-    if not 0 < new_label < len(frame):
-        raise ValueError(f"invalid label id {new_label}")
-    if new_label == last_label:
-        log_nonblank = pair.log_blank + frame[new_label]
-    else:
-        log_nonblank = pair.total() + frame[new_label]
-    return CTCScorePair(NEG_INF, log_nonblank)
 
 
 # -- exact oracles (exponential; small instances only) -----------------------

@@ -61,7 +61,7 @@ def _cmd_gen_data(args) -> int:
 
 def _policy_from_args(args) -> FusionPolicy:
     if args.policy == "interval":
-        return FusionPolicy.fixed_interval(args.interval)
+        return FusionPolicy("interval", args.interval)
     return FusionPolicy(args.policy)
 
 

@@ -5,9 +5,13 @@ prunes the candidates to the beam size by the combined score (acoustic plus
 weighted LM scores, the LM part possibly stale), advances the survivors' LM
 views over their newly completed words, and — if the fusion policy fires —
 re-scores those words with one batched LM call per model.  Finalization
-re-tokenizes every full hypothesis, charges the LM for whatever it has not
+re-tokenizes every full hypothesis, asks the LM for whatever it has not
 seen yet plus ``</s>``, and selects the best hypothesis using only the
 scorers flagged for final selection.
+
+The decoder counts the LM work it requests: every LM call goes through
+``_score``, which adds it to the decode's own ``DecodeCounters``.  Scorers
+count nothing.
 
 Policies:
 
@@ -84,26 +88,6 @@ class FusionPolicy:
                 f"interval policy needs interval >= 1 (an int), got {self.interval!r}"
             )
 
-    @classmethod
-    def always(cls) -> "FusionPolicy":
-        return cls("always")
-
-    @classmethod
-    def never(cls) -> "FusionPolicy":
-        return cls("never")
-
-    @classmethod
-    def shortest(cls) -> "FusionPolicy":
-        return cls("shortest")
-
-    @classmethod
-    def fixed_interval(cls, interval: int) -> "FusionPolicy":
-        return cls("interval", interval)
-
-    @classmethod
-    def shallow(cls) -> "FusionPolicy":
-        return cls("shallow")
-
 
 @dataclass
 class LMSpec:
@@ -145,6 +129,15 @@ class DecodeConfig:
 
 @dataclass
 class DecodeCounters:
+    """What one decode did, counted by the decoder itself.
+
+    ``lm_calls`` counts every LM call, finalization's included, and
+    ``lm_calls_final`` those alone.  ``lm_hypotheses`` and ``lm_tokens``
+    count the requests that carried tokens their cache had not scored, and
+    those tokens: the work the decoder asked for, whatever the scorer does
+    to serve it.  A scorer shared with another decode does not change them.
+    """
+
     steps: int = 0
     hyps_expanded: int = 0
     lm_calls: int = 0
@@ -152,7 +145,6 @@ class DecodeCounters:
     lm_hypotheses: int = 0
     lm_tokens: int = 0
     wall_seconds: float = 0.0
-    lm_emulated_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -521,11 +513,27 @@ def fusable(
     )
 
 
-def apply_lm_scores(beam: Sequence[Hypothesis], lms: Sequence[LMSpec]) -> None:
+def _score(spec: LMSpec, requests: list[ScoreRequest], counters: DecodeCounters) -> list:
+    """One batched LM call, counted after it returns.
+
+    The call counts once; each request with tokens past its cache's
+    ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
+    """
+    results = spec.scorer.score_batch_incremental(requests)
+    new = [n for n in (len(r.tokens) - r.cache.scored_len for r in requests) if n > 0]
+    counters.lm_calls += 1
+    counters.lm_hypotheses += len(new)
+    counters.lm_tokens += sum(new)
+    return results
+
+
+def apply_lm_scores(
+    beam: Sequence[Hypothesis], lms: Sequence[LMSpec], counters: DecodeCounters
+) -> None:
     """One batched incremental call per LM over the current hypotheses."""
     for i, spec in enumerate(lms):
         requests = [ScoreRequest(h.views[i].lm_tokens, h.views[i].cache) for h in beam]
-        results = spec.scorer.score_batch_incremental(requests)
+        results = _score(spec, requests, counters)
         for hyp, res in zip(beam, results):
             hyp.views[i].cache = res.cache
 
@@ -653,20 +661,9 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     """Run beam search over emissions (or a label-sync scorer) and finalize."""
     counters = DecodeCounters()
     started = time.perf_counter()
-    snap_counts = [spec.scorer.counters.snapshot() for spec in config.lms]
-    snap_emul = [getattr(spec.scorer, "emulated_seconds", 0.0) for spec in config.lms]
-
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
     beam, trace = _search(step_type(source, config, asr_tok), config, asr_tok, counters)
     nbest = finalize_beam(beam, config, asr_tok, counters)
-
-    for snap, spec in zip(snap_counts, config.lms):
-        calls, hyps, toks = spec.scorer.counters.snapshot()
-        counters.lm_calls += calls - snap[0]
-        counters.lm_hypotheses += hyps - snap[1]
-        counters.lm_tokens += toks - snap[2]
-    for snap, spec in zip(snap_emul, config.lms):
-        counters.lm_emulated_seconds += getattr(spec.scorer, "emulated_seconds", 0.0) - snap
     counters.wall_seconds = time.perf_counter() - started
 
     best = nbest[0]
@@ -684,7 +681,7 @@ def _search(step, config, asr_tok, counters):
         cands = step.expand(beam, t)
         counters.steps += 1
         counters.hyps_expanded += len(cands)
-        extra = _shallow_scores(cands, config.lms, asr_tok) if shallow else None
+        extra = _shallow_scores(cands, config.lms, asr_tok, counters) if shallow else None
         beam = step.prune(cands, extra)
         # free the candidates before the next expansion builds new ones
         del cands
@@ -692,7 +689,7 @@ def _search(step, config, asr_tok, counters):
             advance_views(hyp, asr_tok, config.lms)
         fired = bool(config.lms) and fusable(config.policy, beam, t, state)
         if fired:
-            apply_lm_scores(beam, config.lms)
+            apply_lm_scores(beam, config.lms, counters)
         if config.keep_trace and not shallow:
             trace.append(_trace_step(t, fired, beam, config))
         # only label-synchronous hypotheses ever end
@@ -701,7 +698,9 @@ def _search(step, config, asr_tok, counters):
     return step.close(beam), trace
 
 
-def _shallow_scores(cands, lms: Sequence[LMSpec], asr_tok: Tokenizer) -> np.ndarray:
+def _shallow_scores(
+    cands, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters: DecodeCounters
+) -> np.ndarray:
     """Reference baseline: weighted LM scores of every valid candidate, 0 elsewhere.
 
     Classic shallow fusion charges each candidate token as it is emitted,
@@ -709,9 +708,10 @@ def _shallow_scores(cands, lms: Sequence[LMSpec], asr_tok: Tokenizer) -> np.ndar
     candidate's entire current content from scratch every step — including
     the still-growing final word, whose tokenization is tentative.  Nothing
     is cached (the views' caches stay fresh, so the stale LM term in the
-    candidate scores is 0), and the LM cost counters reflect the full price
-    of pre-pruning fusion.  A candidate's views are its parent's and end at
-    a word boundary, so its LM tokens are theirs plus the re-tokenized rest.
+    candidate scores is 0), and the decoder's LM counters reflect the full
+    price of pre-pruning fusion.  A candidate's views are its parent's and
+    end at a word boundary, so its LM tokens are theirs plus the re-tokenized
+    rest.
     """
     kept = np.flatnonzero(cands.valid).tolist()
     extra = np.zeros(cands.valid.size)
@@ -726,7 +726,7 @@ def _shallow_scores(cands, lms: Sequence[LMSpec], asr_tok: Tokenizer) -> np.ndar
                 if tail_text:
                     full = full + tuple(spec.tokenizer.encode(tail_text))
             requests.append(ScoreRequest(full, view.cache))
-        results = spec.scorer.score_batch_incremental(requests)
+        results = _score(spec, requests, counters)
         extra[kept] += spec.weight * np.array([res.cum_logprob for res in results])
     return extra
 
@@ -755,7 +755,7 @@ def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
         for hyp, text in zip(beam, texts):
             full = tuple(spec.tokenizer.encode(text)) + (EOS_ID,)
             requests.append(ScoreRequest(full, hyp.views[i].cache))
-        results = spec.scorer.score_batch_incremental(requests)
+        results = _score(spec, requests, counters)
         counters.lm_calls_final += 1
         for j, res in enumerate(results):
             raws[j][i] = res.cum_logprob

@@ -4,7 +4,8 @@ Everything runs hermetically from a seeded synthetic corpus when no corpus
 file is supplied: the generator produces English-like sentences from a
 seeded Markov chain, which gives the n-gram model enough structure to
 actually disambiguate noisy acoustics.  Results land in a fixed-schema CSV;
-only the two time columns vary between identical runs.
+only ``decode_seconds``, the measured compute, varies between identical runs.
+``lm_emulated_seconds`` is a remote LM's latency modelled from the LM counts.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .acoustic import EmissionMatrix, synth_emissions, write_emissions
-from .decoder import DecodeConfig, FusionPolicy, LMSpec, decode
-from .lm import LatencyLMScorer, train_ngram
+from .decoder import DecodeConfig, FusionPolicy, LMSpec, _is_count, decode
+from .lm import train_ngram
 from .tokenization import Tokenizer, build_vocab
 
 
@@ -218,6 +219,8 @@ def read_manifest(path: str) -> list[tuple[str, str, str]]:
 
 @dataclass
 class BenchConfig:
+    """One sweep.  ``per_call_ms`` and ``per_token_ms`` price a remote LM; nothing sleeps."""
+
     seed: int = 0
     corpus_path: str | None = None
     corpus_sentences: int = 2000
@@ -242,6 +245,17 @@ class BenchConfig:
             raise HarnessError("utterances must be >= 1")
         if not self.policies:
             raise HarnessError("at least one policy required")
+        if not self.beams:
+            raise HarnessError("at least one beam required")
+        for name in ("beams", "intervals"):
+            bad = [v for v in getattr(self, name) if not _is_count(v)]
+            if bad:
+                raise HarnessError(f"{name} must be ints >= 1, got {bad[0]!r}")
+        if self.mode not in ("ctc", "labelsync"):
+            raise HarnessError(f"mode must be ctc or labelsync, got {self.mode!r}")
+        for name in ("per_call_ms", "per_token_ms"):
+            if not getattr(self, name) >= 0:
+                raise HarnessError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         lo, hi = self.frames_per_token
         if not 1 <= lo <= hi:
             raise HarnessError(
@@ -349,14 +363,10 @@ def prepare_bench(cfg: BenchConfig) -> BenchAssets:
         order=cfg.lm_order,
         discount=cfg.lm_discount,
     )
-    scorer, asr_scorer = model, asr_model
-    if cfg.per_call_ms > 0 or cfg.per_token_ms > 0:
-        scorer = LatencyLMScorer(model, cfg.per_call_ms, cfg.per_token_ms)
-        asr_scorer = LatencyLMScorer(asr_model, cfg.per_call_ms, cfg.per_token_ms)
     utts = synth_dataset(
         eval_lines, asr_tok, cfg.utterances, cfg.noise, cfg.frames_per_token, cfg.seed
     )
-    return BenchAssets(asr_tok, lm_tok, scorer, asr_scorer, utts, train_lines, eval_lines)
+    return BenchAssets(asr_tok, lm_tok, model, asr_model, utts, train_lines, eval_lines)
 
 
 def _cells(cfg: BenchConfig) -> list[tuple[str, int, int | None]]:
@@ -375,16 +385,23 @@ def _cells(cfg: BenchConfig) -> list[tuple[str, int, int | None]]:
     return cells
 
 
+def emulated_lm_seconds(
+    calls: int, tokens: int, per_call_ms: float, per_token_ms: float
+) -> float:
+    """Modelled latency of a remote LM: a cost per call plus a cost per new token."""
+    return (per_call_ms * calls + per_token_ms * tokens) / 1000.0
+
+
 def run_cell(
     assets: BenchAssets, cfg: BenchConfig, policy: str, beam: int, interval: int | None
 ) -> BenchRow:
     row = BenchRow(policy, beam, interval, len(assets.utts))
     if policy == "baseline":
         lms = []
-        fusion = FusionPolicy.never()
+        fusion = FusionPolicy("never")
     elif policy == "shallow":
         lms = [LMSpec(assets.asr_scorer, assets.asr_tok, cfg.lm_weight)]
-        fusion = FusionPolicy.shallow()
+        fusion = FusionPolicy("shallow")
     else:
         lms = [LMSpec(assets.scorer, assets.lm_tok, cfg.lm_weight)]
         fusion = FusionPolicy(policy, interval or 0)
@@ -402,8 +419,10 @@ def run_cell(
         row.lm_calls += result.counters.lm_calls
         row.lm_tokens += result.counters.lm_tokens
         row.lm_hypotheses += result.counters.lm_hypotheses
-        row.lm_emulated_seconds += result.counters.lm_emulated_seconds
     row.decode_seconds = time.perf_counter() - started
+    row.lm_emulated_seconds = emulated_lm_seconds(
+        row.lm_calls, row.lm_tokens, cfg.per_call_ms, cfg.per_token_ms
+    )
     errors = row.substitutions + row.insertions + row.deletions
     row.wer = errors / max(1, row.ref_words)
     return row
@@ -443,7 +462,7 @@ def bench_csv_text(rows: Sequence[BenchRow]) -> str:
 
 
 def parse_bench_config(path: str) -> BenchConfig:
-    """Parse a key = value file (one pair per line, # comments)."""
+    """Parse a key = value file (one pair per line, # comments); unknown keys are errors."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -455,6 +474,12 @@ def parse_bench_config(path: str) -> BenchConfig:
             key, _, value = text.partition("=")
             raw[key.strip()] = value.strip()
 
+    read: set[str] = set()
+
+    def present(key):
+        read.add(key)
+        return key in raw
+
     def convert(key, conv, text):
         try:
             return conv(text)
@@ -463,27 +488,30 @@ def parse_bench_config(path: str) -> BenchConfig:
                 f"{path}: {key} = {raw[key]!r}: expected {conv.__name__} values"
             ) from None
 
+    def get_str(key, default):
+        return raw[key] if present(key) else default
+
     def get_int(key, default):
-        return convert(key, int, raw[key]) if key in raw else default
+        return convert(key, int, raw[key]) if present(key) else default
 
     def get_float(key, default):
-        return convert(key, float, raw[key]) if key in raw else default
+        return convert(key, float, raw[key]) if present(key) else default
 
     def get_list(key, default, conv):
-        if key not in raw:
+        if not present(key):
             return default
         parts = [part.strip() for part in raw[key].split(",")]
         return tuple(convert(key, conv, part) for part in parts if part)
 
     def get_range(key, default):
-        if key not in raw:
+        if not present(key):
             return default
         lo, _, hi = raw[key].partition(":")
         return (convert(key, int, lo), convert(key, int, hi or lo))
 
     fields = dict(
         seed=get_int("seed", 0),
-        corpus_path=raw.get("corpus") or None,
+        corpus_path=get_str("corpus", None) or None,
         corpus_sentences=get_int("corpus_sentences", 2000),
         corpus_vocabulary=get_int("corpus_vocabulary", 180),
         utterances=get_int("utterances", 50),
@@ -499,8 +527,11 @@ def parse_bench_config(path: str) -> BenchConfig:
         lm_weight=get_float("lm_weight", 0.5),
         per_call_ms=get_float("per_call_ms", 0.0),
         per_token_ms=get_float("per_token_ms", 0.0),
-        mode=raw.get("mode", "ctc"),
+        mode=get_str("mode", "ctc"),
     )
+    unknown = sorted(set(raw) - read)
+    if unknown:
+        raise HarnessError(f"{path}: unknown key(s): {', '.join(unknown)}")
     try:
         return BenchConfig(**fields)
     except HarnessError as exc:

@@ -2,20 +2,19 @@
 
 The scorer interface is what the decoder fuses against: a batch of
 (token sequence, cache) requests comes in, only the unscored suffix of each
-sequence is charged, and the returned caches let the next round resume where
+sequence is scored, and the returned caches let the next round resume where
 this one stopped.  The n-gram realization keeps that contract exact: the
 chain rule makes any incremental partition of a sequence sum to the same
 total as scoring it from scratch.
 
-A latency wrapper emulates an expensive remote model by sleeping per call
-and per newly scored token, so call-pattern differences between fusion
-policies become measurable wall-time differences.
+Scorers keep no counters and add no latency.  The decoder counts the work it
+requests (calls, requests with unscored tokens, and those tokens), and the
+benchmark models a remote model's latency from those counts.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -63,18 +62,6 @@ class ScoreResult:
     cache: PrefixCacheEntry
 
 
-@dataclass
-class ScorerCounters:
-    """Cumulative instrumentation; hypotheses/tokens count only new work."""
-
-    calls: int = 0
-    hypotheses: int = 0
-    tokens: int = 0
-
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.calls, self.hypotheses, self.tokens)
-
-
 class NGramModel:
     """Absolute-discounting backoff model over a closed vocabulary.
 
@@ -94,7 +81,6 @@ class NGramModel:
         self.vocab = vocab
         self._probs = probs
         self._backoffs = backoffs
-        self.counters = ScorerCounters()
 
     # -- core scoring ---------------------------------------------------
 
@@ -140,7 +126,6 @@ class NGramModel:
 
     def score_batch_incremental(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
         """Score the unscored suffix of every request; results in request order."""
-        self.counters.calls += 1
         results = []
         for req in requests:
             tokens = tuple(req.tokens)
@@ -156,18 +141,11 @@ class NGramModel:
                 )
             cum = cache.cum_logprob
             ctx = cache.context
-            new = tokens[cache.scored_len:]
-            for token in new:
+            for token in tokens[cache.scored_len:]:
                 cum += self.logprob(ctx, token)
                 ctx = self._push(ctx, token)
-            if new:
-                self.counters.hypotheses += 1
-                self.counters.tokens += len(new)
             results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx, tokens)))
         return results
-
-    def reset(self) -> None:
-        self.counters = ScorerCounters()
 
 
 def train_ngram(
@@ -237,50 +215,6 @@ def train_ngram(
             backoffs[ctx] = math.log(released / denom)
 
     return NGramModel(order, vocab, probs, backoffs)
-
-
-class LatencyLMScorer:
-    """Delegating scorer that charges wall time per call and per new token.
-
-    Costs are in milliseconds.  Counters live on the inner scorer; the
-    wrapper only adds sleep and tracks the emulated seconds it spent.
-    """
-
-    def __init__(self, inner, per_call_ms: float, per_token_ms: float):
-        if per_call_ms < 0 or per_token_ms < 0:
-            raise LMError("latency costs must be non-negative")
-        self.inner = inner
-        self.per_call_ms = per_call_ms
-        self.per_token_ms = per_token_ms
-        self.emulated_seconds = 0.0
-
-    @property
-    def counters(self) -> ScorerCounters:
-        return self.inner.counters
-
-    @property
-    def vocab(self) -> Vocabulary:
-        return self.inner.vocab
-
-    def fresh_cache(self) -> PrefixCacheEntry:
-        return self.inner.fresh_cache()
-
-    def sequence_logprob(self, seq: Sequence[int]) -> float:
-        return self.inner.sequence_logprob(seq)
-
-    def score_batch_incremental(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        before = self.inner.counters.tokens
-        results = self.inner.score_batch_incremental(requests)
-        new_tokens = self.inner.counters.tokens - before
-        delay = (self.per_call_ms + self.per_token_ms * new_tokens) / 1000.0
-        if delay > 0:
-            time.sleep(delay)
-        self.emulated_seconds += delay
-        return results
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self.emulated_seconds = 0.0
 
 
 # -- ARPA serialization ----------------------------------------------------

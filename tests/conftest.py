@@ -1,16 +1,11 @@
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from beamfuse.acoustic import (
-    BLANK_ID,
-    NEG_INF,
-    CTCScorePair,
-    PrefixState,
-    ctc_step_extend,
-    lse2,
-)
+from beamfuse.acoustic import BLANK_ID, NEG_INF, PrefixState, lse2
 from beamfuse.decoder import Hypothesis, LMSpec, LMView, _select_top, advance_views
 from beamfuse.harness import generate_corpus, split_corpus
 from beamfuse.lm import train_ngram
@@ -67,6 +62,87 @@ def random_emissions(rng: np.random.Generator, frames: int, vocab: int) -> np.nd
     logits = rng.normal(size=(frames, vocab))
     m = logits.max(axis=1, keepdims=True)
     return logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+
+
+class CountingScorer:
+    """LM scorer double that counts at the scorer boundary what it is asked to do.
+
+    ``calls`` counts batches; ``hypotheses`` the requests with tokens past
+    their cache's ``scored_len``, and ``tokens`` those tokens.  ``on_call``,
+    if set, runs before each call is served with the call's number (from 1).
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.on_call = None
+        self.calls = self.hypotheses = self.tokens = 0
+
+    def counts(self) -> tuple[int, int, int]:
+        return (self.calls, self.hypotheses, self.tokens)
+
+    def fresh_cache(self):
+        return self.inner.fresh_cache()
+
+    def sequence_logprob(self, seq):
+        return self.inner.sequence_logprob(seq)
+
+    def score_batch_incremental(self, requests):
+        self.calls += 1
+        if self.on_call is not None:
+            self.on_call(self.calls)
+        for req in requests:
+            new = len(req.tokens) - req.cache.scored_len
+            if new > 0:
+                self.hypotheses += 1
+                self.tokens += new
+        return self.inner.score_batch_incremental(requests)
+
+
+# -- the CTC prefix recursion, one (prefix, label) pair at a time ---------------
+
+
+@dataclass(frozen=True)
+class CTCScorePair:
+    """Path probabilities for one prefix, split by blank / non-blank ending."""
+
+    log_blank: float
+    log_nonblank: float
+
+    def total(self) -> float:
+        return lse2(self.log_blank, self.log_nonblank)
+
+
+EMPTY_PREFIX_PAIR = CTCScorePair(0.0, NEG_INF)
+
+
+def ctc_step_extend(
+    pair: CTCScorePair,
+    frame: Sequence[float],
+    last_label: int | None,
+    new_label: int | None,
+) -> CTCScorePair:
+    """One frame of the prefix recursion.
+
+    ``new_label=None`` is the stay case: the prefix absorbs a blank or a
+    repeat of its last label.  Otherwise the prefix is extended by
+    ``new_label``; extending by the same label again is only possible from
+    blank-ending paths.
+    """
+    if new_label is None:
+        log_blank = pair.total() + frame[BLANK_ID]
+        if last_label is None:
+            log_nonblank = NEG_INF
+        else:
+            log_nonblank = pair.log_nonblank + frame[last_label]
+        return CTCScorePair(log_blank, log_nonblank)
+    if not 0 < new_label < len(frame):
+        raise ValueError(f"invalid label id {new_label}")
+    if new_label == last_label:
+        log_nonblank = pair.log_blank + frame[new_label]
+    else:
+        log_nonblank = pair.total() + frame[new_label]
+    return CTCScorePair(NEG_INF, log_nonblank)
 
 
 def advanced_view(ids, asr_tok: Tokenizer, lm_tok: Tokenizer, stepwise: bool = False) -> LMView:

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from beamfuse.acoustic import (
     BLANK_ID,
-    EMPTY_PREFIX_PAIR,
     NEG_INF,
-    CTCScorePair,
     CtcPrefixScorer,
     EmissionError,
     EmissionMatrix,
     brute_force_ctc,
     brute_force_ctc_prefix,
     collapse_path,
-    ctc_step_extend,
     enumerate_collapse_table,
     forward_ctc,
     greedy_labels,
@@ -26,7 +23,14 @@ from beamfuse.acoustic import (
     write_emissions,
 )
 
-from conftest import random_emissions, reference_candidate_scores, reference_child
+from conftest import (
+    EMPTY_PREFIX_PAIR,
+    CTCScorePair,
+    ctc_step_extend,
+    random_emissions,
+    reference_candidate_scores,
+    reference_child,
+)
 
 
 def prefix_dp(em: EmissionMatrix) -> dict[tuple[int, ...], CTCScorePair]:

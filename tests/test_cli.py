@@ -256,8 +256,26 @@ class TestBenchCommand:
             ("frames_per_token = 1:x", "frames_per_token = '1:x': expected int values"),
             ("frames_per_token = 2:1", "1 <= lo <= hi, got 2:1"),
             ("frames_per_token = 0:2", "1 <= lo <= hi, got 0:2"),
+            ("beam = 5", "unknown key(s): beam"),
+            ("beams = ,", "at least one beam required"),
+            ("beams = 0", "beams must be ints >= 1, got 0"),
+            ("intervals = 16, 0", "intervals must be ints >= 1, got 0"),
+            ("mode = frame", "mode must be ctc or labelsync, got 'frame'"),
+            ("per_call_ms = -5", "per_call_ms must be >= 0, got -5.0"),
         ],
-        ids=["beams-not-int", "noise-not-float", "range-not-int", "range-reversed", "range-zero"],
+        ids=[
+            "beams-not-int",
+            "noise-not-float",
+            "range-not-int",
+            "range-reversed",
+            "range-zero",
+            "unknown-key",
+            "beams-empty",
+            "beams-zero",
+            "interval-zero",
+            "unknown-mode",
+            "negative-call-cost",
+        ],
     )
     def test_bad_config_reports_error(self, workspace, capsys, line, message):
         cfg = workspace / "bad_bench.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from beamfuse.decoder import (
     DecodeConfig,
+    DecodeCounters,
     DecodeError,
     FrameCandidates,
     FusionPolicy,
@@ -27,8 +29,8 @@ from beamfuse.decoder import (
     make_root_hypothesis,
     prune_frame_candidates,
 )
-from beamfuse.harness import wer
-from beamfuse.lm import LatencyLMScorer, PrefixCacheEntry, train_ngram
+from beamfuse.harness import emulated_lm_seconds, wer
+from beamfuse.lm import PrefixCacheEntry, train_ngram
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
@@ -39,6 +41,7 @@ from beamfuse.tokenization import (
 )
 
 from conftest import (
+    CountingScorer,
     make_vocab,
     random_emissions,
     reference_frame_candidates,
@@ -71,10 +74,14 @@ def utterances(asr_tok, corpus_split, count, noise, seed0=500):
     return out
 
 
+def _lm_counts(counters: DecodeCounters) -> tuple[int, int, int]:
+    return (counters.lm_calls, counters.lm_hypotheses, counters.lm_tokens)
+
+
 class TestGreedyCleanDecode:
     def test_recovers_reference(self, asr_tok, corpus_split):
         for line, em in utterances(asr_tok, corpus_split, 5, noise=0.0):
-            cfg = DecodeConfig(beam=1, policy=FusionPolicy.never(), lms=[], mode="ctc")
+            cfg = DecodeConfig(beam=1, policy=FusionPolicy("never"), lms=[], mode="ctc")
             result = decode(em, cfg, asr_tok)
             assert result.best.text == line
 
@@ -371,7 +378,7 @@ def _label_beams(rng, tok, scorer, n_lms, steps, width=8):
 def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     """The array label step and the reference keep the same survivors, bit for bit."""
     lms = [LMSpec(None, tok, w) for w in weights]
-    cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy.never(), lms=lms, mode="labelsync")
+    cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("never"), lms=lms, mode="labelsync")
     step = _LabelStep(scorer, cfg, tok)
     ids = step.candidate_ids
 
@@ -504,26 +511,25 @@ def _shallow_views(hyp, tok, lms):
 
 def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
     """One shallow step of the search loop equals the from-scratch reference, bit for bit."""
+    lms = [dataclasses.replace(spec, scorer=CountingScorer(spec.scorer)) for spec in lms]
     for hyp in beam:
         hyp.views = _shallow_views(hyp, tok, lms)
-    cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy.shallow(), lms=lms, mode=mode)
+    cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("shallow"), lms=lms, mode=mode)
     if mode == "ctc":
         step = _FrameStep(EmissionMatrix(source[None, :]), cfg, tok)
     else:
         step = _LabelStep(source, cfg, tok)
     want, want_deltas = reference_shallow_step(mode, source, beam, tok, lms, beam_size)
 
-    before = [spec.scorer.counters.snapshot() for spec in lms]
+    counters = DecodeCounters()
     cands = step.expand(beam, 1)
-    got = step.prune(cands, _shallow_scores(cands, lms, tok))
+    got = step.prune(cands, _shallow_scores(cands, lms, tok, counters))
     for hyp in got:
         advance_views(hyp, tok, lms)
-    deltas = [
-        tuple(a - b for a, b in zip(spec.scorer.counters.snapshot(), snap))
-        for spec, snap in zip(lms, before)
-    ]
+    deltas = [spec.scorer.counts() for spec in lms]
 
     assert deltas == want_deltas
+    assert _lm_counts(counters) == tuple(map(sum, zip(*deltas)))
     assert [h.tokens for h in got] == [h.tokens for h in want]
     for g, w in zip(got, want):
         assert _bits(g.log_blank) == _bits(w.log_blank)
@@ -611,26 +617,26 @@ def _view_hyp(scored_len, lm_len, cum=-1.0):
 class TestFusable:
     def test_never_and_shallow(self):
         beam = [_view_hyp(0, 3)]
-        assert not fusable(FusionPolicy.never(), beam, 5, _PolicyState())
-        assert not fusable(FusionPolicy.shallow(), beam, 5, _PolicyState())
+        assert not fusable(FusionPolicy("never"), beam, 5, _PolicyState())
+        assert not fusable(FusionPolicy("shallow"), beam, 5, _PolicyState())
 
     def test_always(self):
-        assert fusable(FusionPolicy.always(), [_view_hyp(0, 0)], 1, _PolicyState())
+        assert fusable(FusionPolicy("always"), [_view_hyp(0, 0)], 1, _PolicyState())
 
     def test_fixed_interval_grid(self):
-        policy = FusionPolicy.fixed_interval(4)
+        policy = FusionPolicy("interval", 4)
         state = _PolicyState()
         beam = [_view_hyp(scored_len=0, lm_len=2)]  # always has unscored words
         fired = [t for t in range(1, 17) if fusable(policy, beam, t, state)]
         assert fired == [4, 8, 12, 16]
 
     def test_fixed_interval_requires_change(self):
-        policy = FusionPolicy.fixed_interval(4)
+        policy = FusionPolicy("interval", 4)
         beam = [_view_hyp(scored_len=2, lm_len=2)]  # fully scored
         assert not fusable(policy, beam, 4, _PolicyState())
 
     def test_shortest_fires_on_growth_only(self):
-        policy = FusionPolicy.shortest()
+        policy = FusionPolicy("shortest")
         state = _PolicyState()
         lengths = [0, 0, 1, 1, 2, 2, 2, 4]
         fired = [
@@ -641,7 +647,7 @@ class TestFusable:
 
     def test_interval_validation(self):
         with pytest.raises(DecodeError):
-            FusionPolicy.fixed_interval(0)
+            FusionPolicy("interval", 0)
         with pytest.raises(DecodeError):
             FusionPolicy("bogus")
         for bad in ("3", 2.5, True, False, -1, None):
@@ -655,11 +661,9 @@ class TestApplyLmScores:
         tok, model = tiny
         spec = LMSpec(model, tok, 0.5)
         hyp = make_root_hypothesis([spec], "ctc")
-        before = model.counters.snapshot()
-        apply_lm_scores([hyp], [spec])
-        after = model.counters.snapshot()
-        assert after[0] == before[0] + 1
-        assert after[2] == before[2]  # zero tokens
+        counters = DecodeCounters()
+        apply_lm_scores([hyp], [spec], counters)
+        assert _lm_counts(counters) == (1, 0, 0)  # one call, zero hypotheses and tokens
 
     def test_scores_cover_current_words(self, tiny):
         tok, model = tiny
@@ -668,7 +672,9 @@ class TestApplyLmScores:
         hyp = Hypothesis(
             (BOS_ID, a, b), views=[LMView(1, (a,), model.fresh_cache())]
         )
-        apply_lm_scores([hyp], [spec])
+        counters = DecodeCounters()
+        apply_lm_scores([hyp], [spec], counters)
+        assert _lm_counts(counters) == (1, 1, 1)
         view = hyp.views[0]
         assert view.cache.scored_len == 1
         assert view.cache.cum_logprob == pytest.approx(
@@ -682,7 +688,7 @@ class TestPolicyEquivalences:
         em = EmissionMatrix(random_emissions(np.random.default_rng(3), 5, tok.vocab.size))
         for mode in MODES:
             cfg = DecodeConfig(
-                beam=None, policy=FusionPolicy.always(), lms=[LMSpec(model, tok, 0.5)],
+                beam=None, policy=FusionPolicy("always"), lms=[LMSpec(model, tok, 0.5)],
                 mode=mode,
             )
             result = decode(em, cfg, tok)
@@ -696,11 +702,11 @@ class TestPolicyEquivalences:
         for line, em in utterances(asr_tok, corpus_split, 3, noise=0.45):
             fused = decode(
                 em,
-                DecodeConfig(beam=5, policy=FusionPolicy.never(), lms=[spec]),
+                DecodeConfig(beam=5, policy=FusionPolicy("never"), lms=[spec]),
                 asr_tok,
             )
             plain = decode(
-                em, DecodeConfig(beam=5, policy=FusionPolicy.never(), lms=[]), asr_tok
+                em, DecodeConfig(beam=5, policy=FusionPolicy("never"), lms=[]), asr_tok
             )
             rescored = []
             for hyp in plain.nbest:
@@ -718,7 +724,7 @@ class TestPolicyEquivalences:
         for _, em in utterances(asr_tok, corpus_split, 3, noise=0.4):
             result = decode(
                 em,
-                DecodeConfig(beam=5, policy=FusionPolicy.shortest(), lms=[spec]),
+                DecodeConfig(beam=5, policy=FusionPolicy("shortest"), lms=[spec]),
                 asr_tok,
             )
             for hyp in result.nbest:
@@ -734,7 +740,7 @@ class TestTwoLMs:
         em = EmissionMatrix(random_emissions(np.random.default_rng(4), 4, tok.vocab.size))
         specs = [LMSpec(model, tok, 0.15), LMSpec(model, tok, 0.15)]
         result = decode(
-            em, DecodeConfig(beam=None, policy=FusionPolicy.always(), lms=specs), tok
+            em, DecodeConfig(beam=None, policy=FusionPolicy("always"), lms=specs), tok
         )
         for hyp in result.nbest:
             lm_ids = (BOS_ID,) + tuple(tok.encode(hyp.text)) + (EOS_ID,)
@@ -753,7 +759,7 @@ class TestTwoLMs:
                 LMSpec(model, tok, 0.4),
                 LMSpec(model, tok, second_weight, use_in_final=False),
             ]
-            cfg = DecodeConfig(beam=None, policy=FusionPolicy.always(), lms=specs)
+            cfg = DecodeConfig(beam=None, policy=FusionPolicy("always"), lms=specs)
             return decode(em, cfg, tok)
 
         small, large = run(0.05), run(0.9)
@@ -770,7 +776,7 @@ class TestStaleScores:
         for mode in MODES:
             cfg = DecodeConfig(
                 beam=5,
-                policy=FusionPolicy.fixed_interval(5),
+                policy=FusionPolicy("interval", 5),
                 lms=[spec],
                 mode=mode,
                 keep_trace=True,
@@ -789,7 +795,7 @@ class TestStaleScores:
 
     def test_trace_disabled_by_default(self, asr_tok, corpus_split):
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.3)[0]
-        cfg = DecodeConfig(beam=4, policy=FusionPolicy.never(), lms=[])
+        cfg = DecodeConfig(beam=4, policy=FusionPolicy("never"), lms=[])
         assert decode(em, cfg, asr_tok).trace is None
 
 
@@ -797,7 +803,7 @@ class TestDeterminism:
     def test_identical_runs(self, asr_tok, lm_tok, trigram, corpus_split):
         spec = LMSpec(trigram, lm_tok, 0.5)
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.5)[0]
-        cfg = DecodeConfig(beam=6, policy=FusionPolicy.shortest(), lms=[spec])
+        cfg = DecodeConfig(beam=6, policy=FusionPolicy("shortest"), lms=[spec])
         first = decode(em, cfg, asr_tok)
         second = decode(em, cfg, asr_tok)
         assert [h.tokens for h in first.nbest] == [h.tokens for h in second.nbest]
@@ -813,7 +819,7 @@ class TestCallBehaviour:
     ):
         spec = LMSpec(trigram, lm_tok, 0.5)
         for _, em in utterances(asr_tok, corpus_split, 5, noise=0.5):
-            cfg = DecodeConfig(beam=5, policy=FusionPolicy.shortest(), lms=[spec])
+            cfg = DecodeConfig(beam=5, policy=FusionPolicy("shortest"), lms=[spec])
             result = decode(em, cfg, asr_tok)
             loop_calls = result.counters.lm_calls - result.counters.lm_calls_final
             shortest_final = min(len(lm_tok.encode(h.text)) + 1 for h in result.nbest)
@@ -838,23 +844,85 @@ class TestCallBehaviour:
         assert totals["shortest"][2] < totals["shallow"][2]
 
     def test_latency_wrapper_orders_wall_time(self, asr_tok, asr_trigram, corpus_split):
-        wrapped = LatencyLMScorer(asr_trigram, 2.0, 0.01)
+        # compute plus a remote LM's latency (2 ms per call, 0.01 ms per token)
         walls = {}
         for kind in ("shallow", "shortest"):
             total = 0.0
             for _, em in utterances(asr_tok, corpus_split, 2, noise=0.5):
                 cfg = DecodeConfig(
-                    beam=4, policy=FusionPolicy(kind), lms=[LMSpec(wrapped, asr_tok, 0.5)]
+                    beam=4, policy=FusionPolicy(kind), lms=[LMSpec(asr_trigram, asr_tok, 0.5)]
                 )
-                total += decode(em, cfg, asr_tok).counters.wall_seconds
+                c = decode(em, cfg, asr_tok).counters
+                total += c.wall_seconds + emulated_lm_seconds(c.lm_calls, c.lm_tokens, 2.0, 0.01)
             walls[kind] = total
         assert walls["shortest"] < walls["shallow"]
+
+
+class TestDecoderCounters:
+    """The decoder's LM counters equal what a counting double sees at the scorer boundary."""
+
+    POLICIES = (
+        FusionPolicy("always"),
+        FusionPolicy("never"),
+        FusionPolicy("shortest"),
+        FusionPolicy("interval", 3),
+        FusionPolicy("shallow"),
+    )
+
+    @staticmethod
+    def _lm_sets(asr_tok, lm_tok, trigram, asr_trigram):
+        return {
+            "matched": [(asr_trigram, asr_tok, 0.5)],
+            "cross": [(trigram, lm_tok, 0.5)],
+            "both": [(trigram, lm_tok, 0.5), (asr_trigram, asr_tok, 0.3)],
+        }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_counts_equal_scorer_boundary(
+        self, mode, asr_tok, lm_tok, trigram, asr_trigram, corpus_split
+    ):
+        lm_sets = self._lm_sets(asr_tok, lm_tok, trigram, asr_trigram)
+        utts = utterances(asr_tok, corpus_split, 2, noise=0.5, seed0=1300)
+        for policy in self.POLICIES:
+            for name, specs in lm_sets.items():
+                for _, em in utts:
+                    lms = [LMSpec(CountingScorer(m), tok, w) for m, tok, w in specs]
+                    cfg = DecodeConfig(beam=4, policy=policy, lms=lms, mode=mode)
+                    counters = decode(em, cfg, asr_tok).counters
+                    seen = [spec.scorer.counts() for spec in lms]
+                    assert _lm_counts(counters) == tuple(map(sum, zip(*seen))), (
+                        policy,
+                        name,
+                    )
+                    assert counters.lm_calls_final == len(lms)
+                    assert counters.lm_tokens > 0
+
+    @pytest.mark.parametrize("kind", ["shortest", "shallow"])
+    def test_nested_decode_on_shared_scorer(self, kind, asr_tok, asr_trigram, corpus_split):
+        _, em = utterances(asr_tok, corpus_split, 1, noise=0.5)[0]
+
+        def config(scorer):
+            return DecodeConfig(
+                beam=4, policy=FusionPolicy(kind), lms=[LMSpec(scorer, asr_tok, 0.5)]
+            )
+
+        alone = decode(em, config(CountingScorer(asr_trigram)), asr_tok).counters
+        inner = []
+        shared = CountingScorer(asr_trigram)
+        # the first call on the shared scorer runs a whole second decode on it
+        shared.on_call = lambda n: n == 1 and inner.append(decode(em, config(shared), asr_tok))
+        outer = decode(em, config(shared), asr_tok).counters
+
+        assert len(inner) == 1
+        assert _lm_counts(outer) == _lm_counts(alone)
+        assert _lm_counts(inner[0].counters) == _lm_counts(alone)
+        assert shared.counts() == tuple(2 * n for n in _lm_counts(alone))
 
 
 class TestLabelSync:
     def test_clean_decode_recovers_reference(self, asr_tok, corpus_split):
         for line, em in utterances(asr_tok, corpus_split, 3, noise=0.0):
-            cfg = DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=[], mode="labelsync")
+            cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode="labelsync")
             result = decode(em, cfg, asr_tok)
             assert result.best.text == line
 
@@ -868,13 +936,13 @@ class TestLabelSync:
             words += len(ref)
             plain = decode(
                 em,
-                DecodeConfig(beam=4, policy=FusionPolicy.never(), lms=[], mode="labelsync"),
+                DecodeConfig(beam=4, policy=FusionPolicy("never"), lms=[], mode="labelsync"),
                 asr_tok,
             )
             fused = decode(
                 em,
                 DecodeConfig(
-                    beam=4, policy=FusionPolicy.shortest(), lms=[spec], mode="labelsync"
+                    beam=4, policy=FusionPolicy("shortest"), lms=[spec], mode="labelsync"
                 ),
                 asr_tok,
             )
@@ -884,7 +952,7 @@ class TestLabelSync:
 
     def test_ended_hypotheses_terminate_loop(self, asr_tok, corpus_split):
         line, em = utterances(asr_tok, corpus_split, 1, noise=0.0)[0]
-        cfg = DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=[], mode="labelsync")
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode="labelsync")
         result = decode(em, cfg, asr_tok)
         # the loop must exit on the all-ended condition, well before the cap
         assert result.counters.steps < em.num_frames
@@ -894,7 +962,7 @@ class TestLabelSync:
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.4)[0]
         cfg = DecodeConfig(
             beam=3,
-            policy=FusionPolicy.never(),
+            policy=FusionPolicy("never"),
             lms=[],
             mode="labelsync",
             max_label_steps=2,
@@ -909,12 +977,12 @@ class TestLabelSync:
         em = EmissionMatrix(random_emissions(rng, 5, tok.vocab.size))
         spec = LMSpec(model, tok, 0.5)
         frame = decode(
-            em, DecodeConfig(beam=None, policy=FusionPolicy.never(), lms=[spec]), tok
+            em, DecodeConfig(beam=None, policy=FusionPolicy("never"), lms=[spec]), tok
         )
         label = decode(
             em,
             DecodeConfig(
-                beam=None, policy=FusionPolicy.never(), lms=[spec], mode="labelsync"
+                beam=None, policy=FusionPolicy("never"), lms=[spec], mode="labelsync"
             ),
             tok,
         )
@@ -947,7 +1015,7 @@ class TestLabelSync:
         scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
         cfg = DecodeConfig(
             beam=4,
-            policy=FusionPolicy.shallow(),
+            policy=FusionPolicy("shallow"),
             lms=[LMSpec(asr_trigram, asr_tok, 0.5)],
             mode="labelsync",
         )
@@ -964,7 +1032,7 @@ class TestLabelSync:
 
     def test_all_ended_beam_passes_through(self, asr_tok, corpus_split):
         line, em = utterances(asr_tok, corpus_split, 1, noise=0.0)[0]
-        cfg = DecodeConfig(beam=3, policy=FusionPolicy.never(), lms=[], mode="labelsync")
+        cfg = DecodeConfig(beam=3, policy=FusionPolicy("never"), lms=[], mode="labelsync")
         result = decode(em, cfg, asr_tok)
         assert all(h.tokens[-1] == EOS_ID for h in result.nbest)
         assert result.best.text == line
@@ -999,18 +1067,18 @@ class _CountingScorer:
 class TestValidation:
     def test_vocab_size_mismatch(self, asr_tok):
         em = EmissionMatrix(random_emissions(np.random.default_rng(7), 3, 8))
-        cfg = DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=[])
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[])
         with pytest.raises(DecodeError, match="vocabulary"):
             decode(em, cfg, asr_tok)
 
     def test_frame_mode_requires_emissions(self, asr_tok):
-        cfg = DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=[])
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[])
         with pytest.raises(DecodeError):
             decode(object(), cfg, asr_tok)
 
     def test_beam_validation(self):
         with pytest.raises(DecodeError):
-            DecodeConfig(beam=0, policy=FusionPolicy.never(), lms=[])
+            DecodeConfig(beam=0, policy=FusionPolicy("never"), lms=[])
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1026,22 +1094,22 @@ class TestValidation:
         ],
     )
     def test_counts_must_be_positive_ints(self, field, value):
-        kwargs = dict(beam=2, policy=FusionPolicy.never(), lms=[])
+        kwargs = dict(beam=2, policy=FusionPolicy("never"), lms=[])
         kwargs[field] = value
         with pytest.raises(DecodeError, match=field):
             DecodeConfig(**kwargs)
 
     def test_mode_validation(self):
         with pytest.raises(DecodeError):
-            DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=[], mode="nope")
+            DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode="nope")
 
     def test_lm_vocab_must_match_scorer(self, tiny, asr_tok):
         tok, model = tiny
         def config(scorer, lm_tok):
             lms = [LMSpec(scorer, lm_tok, 0.5)]
-            return DecodeConfig(beam=2, policy=FusionPolicy.never(), lms=lms)
+            return DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=lms)
 
-        for scorer in (model, LatencyLMScorer(model, 0.0, 0.0)):
+        for scorer in (model, CountingScorer(model)):
             with pytest.raises(DecodeError, match="does not match"):
                 config(scorer, asr_tok)
             config(scorer, tok)
@@ -1053,6 +1121,6 @@ class TestValidation:
         with pytest.raises(DecodeError):
             DecodeConfig(
                 beam=2,
-                policy=FusionPolicy.never(),
+                policy=FusionPolicy("never"),
                 lms=[LMSpec(model, tok, float("nan"))],
             )

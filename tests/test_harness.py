@@ -14,6 +14,7 @@ from beamfuse.harness import (
     BenchConfig,
     HarnessError,
     bench_csv_text,
+    emulated_lm_seconds,
     gen_dataset,
     generate_corpus,
     parse_bench_config,
@@ -26,6 +27,8 @@ from beamfuse.harness import (
     wer,
 )
 from beamfuse.tokenization import BOS_ID, EOS_ID
+
+from conftest import CountingScorer
 
 
 def _reference_wer(reference, hypothesis):
@@ -189,7 +192,7 @@ class TestBench:
         row = run_cell(assets, cfg, "never", 4, None)
 
         errors = words = 0
-        plain = DecodeConfig(beam=4, policy=FusionPolicy.never(), lms=[])
+        plain = DecodeConfig(beam=4, policy=FusionPolicy("never"), lms=[])
         for utt in assets.utts:
             result = decode(utt.emissions, plain, assets.asr_tok)
             rescored = []
@@ -219,9 +222,9 @@ class TestBench:
     def test_counter_audit(self):
         cfg = _tiny_cfg(policies=("shortest",))
         assets = prepare_bench(cfg)
-        before = assets.scorer.counters.calls
+        assets.scorer = CountingScorer(assets.scorer)
         row = run_cell(assets, cfg, "shortest", 4, None)
-        assert assets.scorer.counters.calls - before == row.lm_calls
+        assert assets.scorer.counts() == (row.lm_calls, row.lm_hypotheses, row.lm_tokens)
 
     def test_failed_cell_recorded_without_aborting(self):
         rows = run_bench(_tiny_cfg(policies=("bogus", "never")))
@@ -235,6 +238,19 @@ class TestBench:
         with pytest.raises(HarnessError):
             BenchConfig(policies=())
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # direct construction; tests/test_cli.py covers the config-file spellings
+            ("beams", (True,), "beams must be ints >= 1, got True"),
+            ("intervals", (16, 2.5), "intervals must be ints >= 1, got 2.5"),
+            ("per_token_ms", float("nan"), "per_token_ms must be >= 0"),
+        ],
+    )
+    def test_sweep_validation(self, field, value, message):
+        with pytest.raises(HarnessError, match=message):
+            BenchConfig(**{field: value})
+
     def test_prepare_bench_reads_corpus_file(self, tmp_path):
         lines = generate_corpus(3, 300, 80)
         path = tmp_path / "corpus.txt"
@@ -244,12 +260,39 @@ class TestBench:
         assert len(assets.utts) == 3
 
 
+class TestEmulatedLatency:
+    """A remote LM's latency is modelled from the counts; nothing sleeps."""
+
+    def test_zero_cost_adds_nothing(self):
+        assert emulated_lm_seconds(7, 300, 0.0, 0.0) == 0.0
+
+    def test_per_call_and_per_token_cost(self):
+        assert emulated_lm_seconds(7, 0, 10.0, 0.0) == pytest.approx(0.070)
+        assert emulated_lm_seconds(7, 300, 10.0, 0.5) == pytest.approx(0.220)
+
+    def test_bench_row_prices_its_counts(self):
+        cfg = _tiny_cfg(policies=("shortest",), per_call_ms=5.0, per_token_ms=0.1)
+        assets = prepare_bench(cfg)
+        free = _tiny_cfg(policies=("shortest",))
+        for policy in ("baseline", "shallow", "shortest"):
+            row = run_cell(assets, cfg, policy, 4, None)
+            expected = (5.0 * row.lm_calls + 0.1 * row.lm_tokens) / 1000
+            assert row.lm_emulated_seconds == pytest.approx(expected, rel=1e-12)
+            assert (row.lm_emulated_seconds > 0) == (policy != "baseline")
+            assert run_cell(assets, free, policy, 4, None).lm_emulated_seconds == 0.0
+
+    def test_negative_cost_rejected(self):
+        for field in ("per_call_ms", "per_token_ms"):
+            with pytest.raises(HarnessError, match=field):
+                BenchConfig(**{field: -1.0})
+
+
 class TestOperatingPoint:
     def test_noise_half_gives_usable_error_rate(self, asr_tok, corpus_split):
         # calibration: at noise 0.5 the no-LM decode is degraded but not broken
         _, eval_lines = corpus_split
         utts = synth_dataset(eval_lines, asr_tok, 100, 0.5, (1, 2), 77)
-        cfg = DecodeConfig(beam=6, policy=FusionPolicy.never(), lms=[])
+        cfg = DecodeConfig(beam=6, policy=FusionPolicy("never"), lms=[])
         errors = words = 0
         for utt in utts:
             ref = utt.reference.split()
@@ -307,3 +350,26 @@ class TestBenchConfigFile:
         path.write_text("seed 9\n")
         with pytest.raises(HarnessError):
             parse_bench_config(str(path))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("seed = 9\nbeam = 5\nfrequency = 3\n")
+        with pytest.raises(HarnessError, match="unknown key\\(s\\): beam, frequency"):
+            parse_bench_config(str(path))
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        path = tmp_path / "full.cfg"
+        path.write_text(
+            "seed = 1\ncorpus =\ncorpus_sentences = 300\ncorpus_vocabulary = 80\n"
+            "utterances = 2\nnoise = 0.4\nframes_per_token = 1:2\npolicies = never\n"
+            "beams = 3\nintervals = 8\nasr_vocab_size = 64\nlm_vocab_size = 96\n"
+            "lm_order = 2\nlm_discount = 0.3\nlm_weight = 0.4\nper_call_ms = 5\n"
+            "per_token_ms = 0.1\nmode = labelsync\n"
+        )
+        cfg = parse_bench_config(str(path))
+        assert (cfg.lm_order, cfg.per_call_ms, cfg.per_token_ms, cfg.mode) == (
+            2,
+            5.0,
+            0.1,
+            "labelsync",
+        )

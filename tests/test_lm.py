@@ -1,5 +1,4 @@
 import math
-import time
 from collections import defaultdict
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 
 from beamfuse.lm import (
     ArpaFormatError,
-    LatencyLMScorer,
     LMError,
     PrefixCacheEntry,
     ScoreRequest,
@@ -17,7 +15,7 @@ from beamfuse.lm import (
 )
 from beamfuse.tokenization import BOS_ID, EOS_ID
 
-from conftest import make_vocab
+from conftest import CountingScorer, make_vocab
 
 
 def fresh_trigram(corpus_split, lm_tok):
@@ -163,12 +161,9 @@ class TestBatchIncremental:
         model = fresh_trigram(corpus_split, lm_tok)
         seq = (5, 6, 7)
         full = model.score_batch_incremental([ScoreRequest(seq, model.fresh_cache())])[0]
-        before = model.counters.snapshot()
         again = model.score_batch_incremental([ScoreRequest(seq, full.cache)])[0]
-        after = model.counters.snapshot()
         assert again.cum_logprob == full.cum_logprob
-        assert after[0] == before[0] + 1  # one call
-        assert after[1:] == before[1:]  # zero hypotheses, zero tokens
+        assert again.cache == full.cache
 
     def test_single_fresh_request_equals_from_scratch(self, trigram, lm_tok, corpus_split):
         _, eval_lines = corpus_split
@@ -219,45 +214,15 @@ class TestBatchIncremental:
             trigram.score_batch_incremental([ScoreRequest((5,), bad)])
 
     def test_counters_match_scored_lengths(self, corpus_split, lm_tok):
-        model = fresh_trigram(corpus_split, lm_tok)
+        # the new tokens of successive requests add up to what the cache covers
+        model = CountingScorer(fresh_trigram(corpus_split, lm_tok))
         _, eval_lines = corpus_split
         seq = tuple(lm_tok.encode(eval_lines[3]))
         cache = model.fresh_cache()
         for end in (2, 5, len(seq)):
             cache = model.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0].cache
-        assert model.counters.tokens == cache.scored_len == len(seq)
-        assert model.counters.calls == 3
-        model.reset()
-        assert model.counters.snapshot() == (0, 0, 0)
-
-
-class TestLatencyWrapper:
-    def test_zero_cost_adds_nothing(self, corpus_split, lm_tok):
-        model = fresh_trigram(corpus_split, lm_tok)
-        wrapped = LatencyLMScorer(model, 0.0, 0.0)
-        wrapped.score_batch_incremental([ScoreRequest((5, 6), wrapped.fresh_cache())])
-        assert wrapped.emulated_seconds == 0.0
-
-    def test_per_call_cost_lower_bound(self, corpus_split, lm_tok):
-        model = fresh_trigram(corpus_split, lm_tok)
-        wrapped = LatencyLMScorer(model, 10.0, 0.0)
-        started = time.perf_counter()
-        for _ in range(7):
-            wrapped.score_batch_incremental([ScoreRequest((5,), wrapped.fresh_cache())])
-        elapsed = time.perf_counter() - started
-        assert elapsed >= 0.070
-        assert wrapped.emulated_seconds == pytest.approx(0.070)
-
-    def test_counters_live_on_inner(self, corpus_split, lm_tok):
-        model = fresh_trigram(corpus_split, lm_tok)
-        wrapped = LatencyLMScorer(model, 0.0, 0.0)
-        wrapped.score_batch_incremental([ScoreRequest((5, 6), wrapped.fresh_cache())])
-        assert model.counters.calls == 1
-        assert wrapped.counters is model.counters
-
-    def test_negative_cost_rejected(self, trigram):
-        with pytest.raises(LMError):
-            LatencyLMScorer(trigram, -1.0, 0.0)
+        assert model.tokens == cache.scored_len == len(seq)
+        assert model.counts() == (3, 3, len(seq))
 
 
 class TestArpa:
