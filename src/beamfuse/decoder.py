@@ -710,21 +710,26 @@ def _shallow_scores(
     is cached (the views' caches stay fresh, so the stale LM term in the
     candidate scores is 0), and the decoder's LM counters reflect the full
     price of pre-pruning fusion.  A candidate's views are its parent's and
-    end at a word boundary, so its LM tokens are theirs plus the re-tokenized
-    rest.
+    end at a word boundary, so its LM tokens are theirs plus the rest's
+    words, each encoded on its own; that is ``encode(decode(rest))``, and the
+    siblings of one parent share most of those words, so each distinct word
+    is encoded once per call and LM.
     """
     kept = np.flatnonzero(cands.valid).tolist()
     extra = np.zeros(cands.valid.size)
     for i, spec in enumerate(lms):
+        encoded: dict[str, tuple[int, ...]] = {}
         requests = []
         for j in kept:
             view = cands.views(j)[i]
             full = view.lm_tokens
             tail = cands.tokens(j)[1 + view.consumed :]
             if tail:
-                tail_text = asr_tok.decode(tail)
-                if tail_text:
-                    full = full + tuple(spec.tokenizer.encode(tail_text))
+                for word in asr_tok.decode(tail).split():
+                    pieces = encoded.get(word)
+                    if pieces is None:
+                        pieces = encoded[word] = tuple(spec.tokenizer.encode_word(word))
+                    full = full + pieces
             requests.append(ScoreRequest(full, view.cache))
         results = _score(spec, requests, counters)
         extra[kept] += spec.weight * np.array([res.cum_logprob for res in results])

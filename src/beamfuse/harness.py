@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .acoustic import EmissionMatrix, synth_emissions, write_emissions
-from .decoder import DecodeConfig, FusionPolicy, LMSpec, _is_count, decode
+from .decoder import POLICY_KINDS, DecodeConfig, FusionPolicy, LMSpec, _is_count, decode
 from .lm import train_ngram
 from .tokenization import Tokenizer, build_vocab
 
@@ -251,6 +251,15 @@ class BenchConfig:
             bad = [v for v in getattr(self, name) if not _is_count(v)]
             if bad:
                 raise HarnessError(f"{name} must be ints >= 1, got {bad[0]!r}")
+        if "interval" in self.policies and not self.intervals:
+            raise HarnessError("policy interval needs at least one interval")
+        # a repeat would decode the same cell twice; unknown policies fail per cell
+        known = [p for p in self.policies if p in POLICY_KINDS or p == "baseline"]
+        sweep = (("beams", self.beams), ("intervals", self.intervals), ("policies", known))
+        for name, values in sweep:
+            repeated = next((v for v in values if values.count(v) > 1), None)
+            if repeated is not None:
+                raise HarnessError(f"{name} lists {repeated} more than once")
         if self.mode not in ("ctc", "labelsync"):
             raise HarnessError(f"mode must be ctc or labelsync, got {self.mode!r}")
         for name in ("per_call_ms", "per_token_ms"):

@@ -7,9 +7,16 @@ this one stopped.  The n-gram realization keeps that contract exact: the
 chain rule makes any incremental partition of a sequence sum to the same
 total as scoring it from scratch.
 
+Within one call, requests that resume from the same cache object share the
+work on their common prefix, as an LLM server shares KV-cache blocks across
+requests with a common prefix: each (prefix, next token) pair is scored
+once, and its running sum is the same left-to-right addition a lone request
+would make, so every result is bit-identical.  Nothing is kept between calls.
+
 Scorers keep no counters and add no latency.  The decoder counts the work it
-requests (calls, requests with unscored tokens, and those tokens), and the
-benchmark models a remote model's latency from those counts.
+requests (calls, requests with unscored tokens, and those tokens), not what
+prefix sharing saves, so the counts stand for a model without it and the
+benchmark models a remote model's latency from them.
 """
 
 from __future__ import annotations
@@ -125,7 +132,15 @@ class NGramModel:
     # -- batch interface --------------------------------------------------
 
     def score_batch_incremental(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Score the unscored suffix of every request; results in request order."""
+        """Score the unscored suffix of every request; results in request order.
+
+        The requests resuming from one cache object walk a token trie that
+        lives for this call only; a node is ``(children, cum, context)``
+        after the tokens on its path, so a prefix shared by several requests
+        is scored once.
+        """
+        # id(cache) -> (cache, root); holding the cache keeps its id unique
+        roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
         results = []
         for req in requests:
             tokens = tuple(req.tokens)
@@ -139,11 +154,18 @@ class NGramModel:
                     "cached prefix is not a prefix of the submitted sequence "
                     f"({cache.tokens} vs {tokens[: cache.scored_len]})"
                 )
-            cum = cache.cum_logprob
-            ctx = cache.context
+            root = roots.get(id(cache))
+            if root is None:
+                root = roots[id(cache)] = (cache, ({}, cache.cum_logprob, cache.context))
+            node = root[1]
             for token in tokens[cache.scored_len:]:
-                cum += self.logprob(ctx, token)
-                ctx = self._push(ctx, token)
+                child = node[0].get(token)
+                if child is None:
+                    _, cum, ctx = node
+                    child = ({}, cum + self.logprob(ctx, token), self._push(ctx, token))
+                    node[0][token] = child
+                node = child
+            _, cum, ctx = node
             results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx, tokens)))
         return results
 

@@ -187,13 +187,15 @@ class Tokenizer:
         return out
 
     def decode(self, ids: Sequence[int]) -> str:
+        tokens = self.vocab.tokens
+        size = len(tokens)
         parts = []
         for token_id in ids:
-            if not 0 <= token_id < self.vocab.size:
+            if not 0 <= token_id < size:
                 raise VocabularyError(f"token id {token_id} out of range")
             if token_id < NUM_SPECIALS:
                 continue
-            parts.append(self.vocab.tokens[token_id])
+            parts.append(tokens[token_id])
         return "".join(parts).replace(self.vocab.marker, " ").strip()
 
 

@@ -8,7 +8,7 @@ import pytest
 from beamfuse.acoustic import BLANK_ID, NEG_INF, PrefixState, lse2
 from beamfuse.decoder import Hypothesis, LMSpec, LMView, _select_top, advance_views
 from beamfuse.harness import generate_corpus, split_corpus
-from beamfuse.lm import train_ngram
+from beamfuse.lm import LMError, PrefixCacheEntry, ScoreResult, train_ngram
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
@@ -70,6 +70,7 @@ class CountingScorer:
     ``calls`` counts batches; ``hypotheses`` the requests with tokens past
     their cache's ``scored_len``, and ``tokens`` those tokens.  ``on_call``,
     if set, runs before each call is served with the call's number (from 1).
+    ``last_requests`` are the requests of the latest call.
     """
 
     def __init__(self, inner):
@@ -77,6 +78,7 @@ class CountingScorer:
         self.vocab = inner.vocab
         self.on_call = None
         self.calls = self.hypotheses = self.tokens = 0
+        self.last_requests = []
 
     def counts(self) -> tuple[int, int, int]:
         return (self.calls, self.hypotheses, self.tokens)
@@ -89,6 +91,7 @@ class CountingScorer:
 
     def score_batch_incremental(self, requests):
         self.calls += 1
+        self.last_requests = list(requests)
         if self.on_call is not None:
             self.on_call(self.calls)
         for req in requests:
@@ -97,6 +100,29 @@ class CountingScorer:
                 self.hypotheses += 1
                 self.tokens += new
         return self.inner.score_batch_incremental(requests)
+
+
+def reference_score_batch(model, requests) -> list:
+    """``NGramModel.score_batch_incremental`` one request at a time, nothing shared.
+
+    Each request is checked, then its unscored suffix is scored token by
+    token from its own cache.
+    """
+    results = []
+    for req in requests:
+        tokens = tuple(req.tokens)
+        cache = req.cache
+        if cache.scored_len > len(tokens):
+            raise LMError(f"cache covers {cache.scored_len} tokens but sequence has {len(tokens)}")
+        if tokens[: cache.scored_len] != cache.tokens:
+            raise LMError("cached prefix is not a prefix of the submitted sequence")
+        cum = cache.cum_logprob
+        ctx = cache.context
+        for token in tokens[cache.scored_len :]:
+            cum += model.logprob(ctx, token)
+            ctx = model._push(ctx, token)
+        results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx, tokens)))
+    return results
 
 
 # -- the CTC prefix recursion, one (prefix, label) pair at a time ---------------

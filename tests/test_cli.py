@@ -262,6 +262,10 @@ class TestBenchCommand:
             ("intervals = 16, 0", "intervals must be ints >= 1, got 0"),
             ("mode = frame", "mode must be ctc or labelsync, got 'frame'"),
             ("per_call_ms = -5", "per_call_ms must be >= 0, got -5.0"),
+            ("policies = interval\nintervals = ,", "policy interval needs at least one interval"),
+            ("beams = 5, 5", "beams lists 5 more than once"),
+            ("intervals = 8, 16, 8", "intervals lists 8 more than once"),
+            ("policies = never, never", "policies lists never more than once"),
         ],
         ids=[
             "beams-not-int",
@@ -275,6 +279,10 @@ class TestBenchCommand:
             "interval-zero",
             "unknown-mode",
             "negative-call-cost",
+            "interval-without-intervals",
+            "beams-repeated",
+            "intervals-repeated",
+            "policies-repeated",
         ],
     )
     def test_bad_config_reports_error(self, workspace, capsys, line, message):

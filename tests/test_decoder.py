@@ -530,6 +530,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     assert deltas == want_deltas
     assert _lm_counts(counters) == tuple(map(sum, zip(*deltas)))
+    assert_requests_retokenize(cands, lms, tok)
     assert [h.tokens for h in got] == [h.tokens for h in want]
     for g, w in zip(got, want):
         assert _bits(g.log_blank) == _bits(w.log_blank)
@@ -541,6 +542,27 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
         ]
         assert all(a.cache is b.cache for a, b in zip(g.views, w.views))
     return cands
+
+
+def assert_requests_retokenize(cands, lms, tok) -> int:
+    """Each LM's last requests are its views plus ``encode(decode(tail))``, in candidate order.
+
+    That equals re-tokenizing the candidate's whole content, because views
+    end at a word boundary.  Returns the most words any tail held.
+    """
+    kept = np.flatnonzero(cands.valid).tolist()
+    most = 0
+    for i, spec in enumerate(lms):
+        requests = spec.scorer.last_requests
+        assert len(requests) == len(kept)
+        for j, req in zip(kept, requests):
+            view = cands.views(j)[i]
+            tail = tok.decode(cands.tokens(j)[1 + view.consumed :])
+            assert req.cache is view.cache
+            assert req.tokens == view.lm_tokens + tuple(spec.tokenizer.encode(tail))
+            assert req.tokens == tuple(spec.tokenizer.encode(tok.decode(cands.tokens(j))))
+            most = max(most, len(tail.split()))
+    return most
 
 
 def _shallow_ties(mode, source, beam, tok, lms) -> list[int]:
@@ -607,6 +629,38 @@ class TestShallowStepMatchesReference:
         assert ended > 5
         assert masked > 5
         assert ties > 10
+
+
+class TestShallowRequests:
+    @pytest.mark.parametrize("lm_set", TestShallowStepMatchesReference.LM_SETS)
+    def test_multi_word_tails(self, shallow_world, lm_set):
+        # views that lag several words behind leave multi-word tails to re-tokenize
+        tok, lm_sets = shallow_world
+        lms = [dataclasses.replace(s, scorer=CountingScorer(s.scorer)) for s in lm_sets[lm_set]]
+        cfg = DecodeConfig(beam=4, policy=FusionPolicy("shallow"), lms=lms)
+        real = list(tok.vocab.real_ids())
+        rng = np.random.default_rng(43)
+        most = 0
+        for _ in range(20):
+            prefixes = {
+                (BOS_ID, *(int(c) for c in rng.choice(real, size=int(rng.integers(0, 10)))))
+                for _ in range(5)
+            }
+            beam = []
+            for tokens in sorted(prefixes):
+                cut = 1 + int(rng.integers(0, len(tokens)))
+                k = tokenizable_prefix_len(tokens[:cut], tok.vocab)
+                text = tok.decode(tokens[1 : 1 + k])
+                views = [
+                    LMView(k, tuple(spec.tokenizer.encode(text)), spec.scorer.fresh_cache())
+                    for spec in lms
+                ]
+                beam.append(Hypothesis(tokens, -1.0, -2.0, views=views))
+            step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
+            cands = step.expand(beam, 1)
+            _shallow_scores(cands, lms, tok, DecodeCounters())
+            most = max(most, assert_requests_retokenize(cands, lms, tok))
+        assert most >= 4
 
 
 def _view_hyp(scored_len, lm_len, cum=-1.0):

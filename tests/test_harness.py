@@ -245,11 +245,20 @@ class TestBench:
             ("beams", (True,), "beams must be ints >= 1, got True"),
             ("intervals", (16, 2.5), "intervals must be ints >= 1, got 2.5"),
             ("per_token_ms", float("nan"), "per_token_ms must be >= 0"),
+            ("beams", (5, 10, 5), "beams lists 5 more than once"),
+            ("intervals", (16, 16), "intervals lists 16 more than once"),
+            ("policies", ("never", "shortest", "never"), "policies lists never more than once"),
+            ("policies", ("shallow", "shallow"), "policies lists shallow more than once"),
         ],
     )
     def test_sweep_validation(self, field, value, message):
         with pytest.raises(HarnessError, match=message):
             BenchConfig(**{field: value})
+
+    def test_interval_policy_needs_intervals(self):
+        with pytest.raises(HarnessError, match="policy interval needs at least one interval"):
+            BenchConfig(policies=("interval",), intervals=())
+        BenchConfig(policies=("never",), intervals=())  # unused intervals may be empty
 
     def test_prepare_bench_reads_corpus_file(self, tmp_path):
         lines = generate_corpus(3, 300, 80)

@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfuse.lm import (
     ArpaFormatError,
@@ -13,9 +17,9 @@ from beamfuse.lm import (
     train_ngram,
     write_arpa,
 )
-from beamfuse.tokenization import BOS_ID, EOS_ID
+from beamfuse.tokenization import BOS_ID, EOS_ID, NUM_SPECIALS
 
-from conftest import CountingScorer, make_vocab
+from conftest import CountingScorer, make_vocab, reference_score_batch
 
 
 def fresh_trigram(corpus_split, lm_tok):
@@ -186,9 +190,7 @@ class TestBatchIncremental:
                 )[0]
                 caches.append(res.cache)
                 cum = res.cum_logprob
-            assert cum == pytest.approx(
-                trigram.sequence_logprob((BOS_ID,) + seq), abs=1e-9
-            )
+            assert cum == trigram.sequence_logprob((BOS_ID,) + seq)
 
     def test_results_in_request_order(self, trigram, lm_tok, corpus_split):
         _, eval_lines = corpus_split
@@ -213,6 +215,16 @@ class TestBatchIncremental:
         with pytest.raises(LMError):
             trigram.score_batch_incremental([ScoreRequest((5,), bad)])
 
+    def test_bad_request_after_good_one_on_the_same_cache(self, trigram):
+        # the good request creates the shared walk; the bad one must still be checked
+        cache = trigram.score_batch_incremental(
+            [ScoreRequest((5, 6, 7), trigram.fresh_cache())]
+        )[0].cache
+        good = ScoreRequest((5, 6, 7, 8), cache)
+        for bad, message in [((5, 9, 7, 8), "not a prefix"), ((5, 6), "cache covers 3 tokens")]:
+            with pytest.raises(LMError, match=message):
+                trigram.score_batch_incremental([good, ScoreRequest(bad, cache)])
+
     def test_counters_match_scored_lengths(self, corpus_split, lm_tok):
         # the new tokens of successive requests add up to what the cache covers
         model = CountingScorer(fresh_trigram(corpus_split, lm_tok))
@@ -223,6 +235,64 @@ class TestBatchIncremental:
             cache = model.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0].cache
         assert model.tokens == cache.scored_len == len(seq)
         assert model.counts() == (3, 3, len(seq))
+
+
+# a small vocabulary, so random batches share prefixes and hit stored n-grams
+_PIECES = ("▁a", "▁b", "c", "d", "▁e")
+_TOKENS = st.integers(min_value=2, max_value=NUM_SPECIALS + len(_PIECES) - 1)
+_SEQS = st.lists(_TOKENS, max_size=6).map(tuple)
+
+
+@functools.cache
+def _small_model(order):
+    vocab = make_vocab(*_PIECES)
+    a, b, c, d, e = (vocab.token_id(p) for p in _PIECES)
+    corpus = [[a, c, b], [a, b, d], [e, a, c], [b, d, e, a], [a, c, b, d]] * 2
+    return train_ngram(corpus, vocab, order, 0.4)
+
+
+class TestSharedPrefixProperty:
+    """One call's shared-prefix walk equals scoring each request on its own, exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.data())
+    def test_batch_equals_reference(self, order, data):
+        model = _small_model(order)
+        seqs = data.draw(st.lists(_SEQS, max_size=3))
+        earlier = model.score_batch_incremental(
+            [ScoreRequest(seq, model.fresh_cache()) for seq in seqs]
+        )
+        pool = [model.fresh_cache(), model.fresh_cache()]  # equal, distinct objects
+        for res in earlier:
+            pool += [res.cache, dataclasses.replace(res.cache)]
+        stems = data.draw(st.lists(_SEQS, min_size=1, max_size=3))
+        requests = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            if requests and data.draw(st.booleans()):
+                requests.append(data.draw(st.sampled_from(requests)))  # a duplicate
+                continue
+            cache = data.draw(st.sampled_from(pool))
+            suffix = data.draw(st.sampled_from(stems + [()])) + tuple(
+                data.draw(st.lists(_TOKENS, max_size=2))
+            )
+            requests.append(ScoreRequest(cache.tokens + suffix, cache))
+        got = model.score_batch_incremental(requests)
+        want = reference_score_batch(model, requests)
+        assert [(r.cum_logprob, r.cache) for r in got] == [(r.cum_logprob, r.cache) for r in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), _SEQS, st.lists(st.integers(0, 6), max_size=4), _SEQS)
+    def test_any_split_equals_from_scratch(self, order, seq, cuts, sibling):
+        # each round also carries a sibling request that shares the round's cache
+        model = _small_model(order)
+        cache = model.fresh_cache()
+        for end in sorted(min(c, len(seq)) for c in cuts) + [len(seq)]:
+            res, _ = model.score_batch_incremental(
+                [ScoreRequest(seq[:end], cache), ScoreRequest(cache.tokens + sibling, cache)]
+            )
+            cache = res.cache
+        assert res.cum_logprob == model.sequence_logprob((BOS_ID, *seq))
+        assert cache.tokens == seq
 
 
 class TestArpa:

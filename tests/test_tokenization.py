@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamfuse.decoder import Hypothesis, LMSpec, LMView, advance_views
 from beamfuse.tokenization import (
     BOS_ID,
     SPECIAL_TOKENS,
@@ -221,3 +224,21 @@ class TestRetokenize:
             view = advanced_view(ids, asr_tok, lm_tok)
             assert view.consumed == k
             assert list(view.lm_tokens) == lm_tok.encode(asr_tok.decode(ids[:k]))
+
+    @pytest.mark.parametrize("lm", ["matched", "cross"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_growing_equals_from_scratch(self, asr_tok, lm_tok, lm, data):
+        # ordinary pieces plus </s> and <unk>, which decode to nothing
+        ids = data.draw(st.lists(st.integers(2, asr_tok.vocab.size - 1), max_size=24))
+        spec = LMSpec(None, asr_tok if lm == "matched" else lm_tok, 1.0)
+        hyp = Hypothesis((BOS_ID,), views=[LMView(0, (), None)])
+        for token in ids:
+            hyp.tokens += (token,)
+            advance_views(hyp, asr_tok, [spec])
+            k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
+            view = hyp.views[0]
+            assert view.consumed == k
+            assert view.lm_tokens == tuple(
+                spec.tokenizer.encode(asr_tok.decode(hyp.tokens[1 : 1 + k]))
+            )
