@@ -362,10 +362,12 @@ def write_emissions(em: EmissionMatrix, path: str) -> None:
 def read_emissions(path: str) -> EmissionMatrix:
     """Read and re-normalize rows; a row off by more than 1e-3 is an error."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(x.isdigit() for x in header):
-            raise EmissionError(f"bad emissions header in {path}")
-        T, V = int(header[0]), int(header[1])
+        try:
+            T, V = (int(x) for x in fh.readline().split())
+        except ValueError:
+            raise EmissionError(f"bad emissions header in {path}") from None
+        if T < 1 or V < 2:
+            raise EmissionError(f"emissions need T >= 1 frames and V >= 2 tokens, got {T} {V}")
         rows = []
         for t in range(T):
             fields = fh.readline().split()

@@ -65,6 +65,15 @@ def _policy_from_args(args) -> FusionPolicy:
     return FusionPolicy(args.policy)
 
 
+def _hypothesis_json(hyp) -> dict:
+    return {
+        "text": hyp.text,
+        "e2e": hyp.e2e_score,
+        "lm_raw": list(hyp.lm_scores),
+        "combined": hyp.combined_score,
+    }
+
+
 def _cmd_decode(args) -> int:
     emissions = acoustic.read_emissions(args.emissions)
     asr_tok = Tokenizer(read_vocab(args.asr_vocab))
@@ -81,28 +90,14 @@ def _cmd_decode(args) -> int:
                 use_in_final=args.second_final == "yes",
             )
         )
-    mode = "ctc" if args.mode == "ctc" else "labelsync"
     config = DecodeConfig(
-        beam=args.beam, policy=_policy_from_args(args), lms=lms, mode=mode
+        beam=args.beam, policy=_policy_from_args(args), lms=lms, mode=args.mode
     )
     result = decode(emissions, config, asr_tok)
     if args.json:
         payload = {
-            "best": {
-                "text": result.best.text,
-                "e2e": result.best.e2e_score,
-                "lm_raw": list(result.best.lm_scores),
-                "combined": result.best.combined_score,
-            },
-            "nbest": [
-                {
-                    "text": h.text,
-                    "e2e": h.e2e_score,
-                    "lm_raw": list(h.lm_scores),
-                    "combined": h.combined_score,
-                }
-                for h in result.nbest
-            ],
+            "best": _hypothesis_json(result.best),
+            "nbest": [_hypothesis_json(h) for h in result.nbest],
             "counters": result.counters.as_dict(),
         }
         print(json.dumps(payload, indent=2))
@@ -122,9 +117,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.which != "ctc":
-        print(f"unknown oracle {args.which!r}", file=sys.stderr)
-        return 2
     em = acoustic.read_emissions(args.emissions)
     try:
         labels = [int(x) for x in args.labels.split()]

@@ -42,14 +42,21 @@ between the modes lives in a small step object:
 Both candidate blocks answer ``valid``, ``tokens(j)`` and ``views(j)`` for a
 flat candidate index ``j``.  The shallow baseline is one more score term on
 the same cut: every valid candidate's full current content is scored from
-scratch, and those scores are added before the prune.
+scratch, and those scores are added before the prune.  The step objects own
+every other mode difference too: the root hypothesis, the step count, and
+closing the last beam with each hypothesis's end-to-end score ``e2e``.
+
+Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
+a view list is never changed in place: a candidate and its survivor share
+their parent's list, and advancing or fusing assigns the hypothesis a new
+one.  No beam entry can change another's LM state, so nothing is copied.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,15 +112,11 @@ class DecodeConfig:
     policy: FusionPolicy
     lms: list[LMSpec] = field(default_factory=list)
     mode: str = "ctc"
-    max_label_steps: int | None = None
-    nbest: int | None = None
     keep_trace: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("beam", "nbest", "max_label_steps"):
-            value = getattr(self, name)
-            if value is not None and not _is_count(value):
-                raise DecodeError(f"{name} must be an int >= 1 or None, got {value!r}")
+        if self.beam is not None and not _is_count(self.beam):
+            raise DecodeError(f"beam must be an int >= 1 or None, got {self.beam!r}")
         if self.mode not in ("ctc", "labelsync"):
             raise DecodeError(f"unknown mode {self.mode!r}")
         for i, spec in enumerate(self.lms):
@@ -171,28 +174,26 @@ class ScoredHypothesis:
 
 @dataclass
 class DecodeResult:
+    """``nbest`` is the whole final beam, best first; ``best`` is its head."""
+
     best: ScoredHypothesis
     nbest: list[ScoredHypothesis]
     counters: DecodeCounters
     trace: list[StepTrace] | None = None
 
 
-class LMView:
-    """A hypothesis's re-tokenized complete-word prefix for one LM.
+class LMView(NamedTuple):
+    """A hypothesis's re-tokenized complete-word prefix for one LM, as a value.
 
     ``consumed`` source tokens map to ``lm_tokens``; ``cache`` records how
-    many of those the LM has actually scored.
+    many of those the LM has actually scored.  Views are immutable, so a
+    child shares its parent's views until it advances or fuses, and a stale
+    cache is inherited without a copy.
     """
 
-    __slots__ = ("consumed", "lm_tokens", "cache")
-
-    def __init__(self, consumed: int, lm_tokens: tuple[int, ...], cache):
-        self.consumed = consumed
-        self.lm_tokens = lm_tokens
-        self.cache = cache
-
-    def clone(self) -> "LMView":
-        return LMView(self.consumed, self.lm_tokens, self.cache)
+    consumed: int
+    lm_tokens: tuple[int, ...]
+    cache: object
 
 
 class Hypothesis:
@@ -218,23 +219,11 @@ class Hypothesis:
         self.views = views if views is not None else []
         self.state = state
 
-    def e2e_total(self, mode: str) -> float:
-        if mode == "ctc":
-            return lse2(self.log_blank, self.log_nonblank)
-        return self.e2e
-
     def lm_combined(self, weights: Sequence[float]) -> float:
         total = 0.0
         for w, view in zip(weights, self.views):
             total += w * view.cache.cum_logprob
         return total
-
-
-def make_root_hypothesis(lms: Sequence[LMSpec], mode: str) -> Hypothesis:
-    views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
-    if mode == "ctc":
-        return Hypothesis((BOS_ID,), log_blank=0.0, log_nonblank=NEG_INF, views=views)
-    return Hypothesis((BOS_ID,), e2e=0.0, views=views)
 
 
 # -- frame-synchronous expansion ---------------------------------------------
@@ -258,17 +247,10 @@ class FrameCandidates:
     stay_nonblank: list[float]
     stay_views: list[list[LMView]]
     ext: np.ndarray
-    # (column, score) of each row's repeat extension, or None
-    repeat: list[tuple[int, float] | None]
     valid: np.ndarray
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
-
-    def extension(self, i: int, col: int) -> float:
-        # the repeat column keeps the scalar it was computed as; the rest are floats
-        rep = self.repeat[i]
-        return rep[1] if rep is not None and rep[0] == col else self.ext.item(i, col)
 
     def tokens(self, j: int) -> tuple[int, ...]:
         n = len(self.beam)
@@ -282,20 +264,13 @@ class FrameCandidates:
         return self.stay_views[j] if j < n else self.beam[(j - n) // len(self.real_ids)].views
 
     def hypothesis(self, j: int) -> Hypothesis:
+        """Candidate ``j`` as a new hypothesis sharing its parent's views."""
         n = len(self.beam)
         if j < n:
             log_blank, log_nonblank = self.stay_blank[j], self.stay_nonblank[j]
-            views = self.stay_views[j]
         else:
-            i, col = divmod(j - n, len(self.real_ids))
-            log_blank, log_nonblank = NEG_INF, self.extension(i, col)
-            views = self.beam[i].views
-        return Hypothesis(
-            self.tokens(j),
-            log_blank=log_blank,
-            log_nonblank=log_nonblank,
-            views=[v.clone() for v in views],
-        )
+            log_blank, log_nonblank = NEG_INF, self.ext.item(*divmod(j - n, len(self.real_ids)))
+        return Hypothesis(self.tokens(j), log_blank, log_nonblank, views=self.views(j))
 
     def scores(self, weights: Sequence[float]) -> np.ndarray:
         """Acoustic plus weighted LM score of every index, -inf where not valid."""
@@ -333,26 +308,21 @@ def extend_frame(
     tots = [lse2(h.log_blank, h.log_nonblank) for h in beam]
     ext = np.add.outer(tots, frame[real_ids])
     blank = frame[BLANK_ID]
-    stay_blank, stay_nonblank, repeat = [], [], []
+    stay_blank, stay_nonblank = [], []
     for i, (tot, hyp) in enumerate(zip(tots, beam)):
         stay_blank.append(tot + blank)
-        rep = None
         if len(hyp.tokens) > 1:
             last = hyp.tokens[-1]
             stay_nonblank.append(hyp.log_nonblank + frame[last])
             col = columns.get(last)
             if col is not None:
-                rep = (col, hyp.log_blank + frame[last])
-                ext[i, col] = rep[1]
+                ext[i, col] = hyp.log_blank + frame[last]
         else:
             stay_nonblank.append(NEG_INF)
-        repeat.append(rep)
 
     stay_views = [h.views for h in beam]
     valid = np.ones(len(beam) + ext.size, dtype=bool)
-    cands = FrameCandidates(
-        beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, repeat, valid
-    )
+    cands = FrameCandidates(beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, valid)
     parents = {h.tokens: i for i, h in enumerate(beam)}
     for j, hyp in enumerate(beam):
         i = parents.get(hyp.tokens[:-1]) if len(hyp.tokens) > 1 else None
@@ -360,7 +330,7 @@ def extend_frame(
         if i is None or col is None:
             continue
         stay_blank[j] = lse2(stay_blank[j], NEG_INF)
-        stay_nonblank[j] = lse2(stay_nonblank[j], cands.extension(i, col))
+        stay_nonblank[j] = lse2(stay_nonblank[j], ext.item(i, col))
         if (_views_key(beam[i].views), -i) > (_views_key(hyp.views), -j):
             stay_views[j] = beam[i].views
         valid[len(beam) + i * len(real_ids) + col] = False
@@ -449,7 +419,10 @@ class LabelCandidates:
         return self.ended[j].views if j < n else self.live[(j - n) // len(self.ids)].views
 
     def candidate(self, j: int) -> tuple[Hypothesis, Hypothesis | None]:
-        """Candidate ``j`` as (hypothesis, parent); an ended one has no parent."""
+        """Candidate ``j`` as (hypothesis, parent); an ended one is itself, with no parent.
+
+        An extension is a new hypothesis sharing its parent's views.
+        """
         n = len(self.ended)
         if j < n:
             return self.ended[j], None
@@ -460,7 +433,7 @@ class LabelCandidates:
             parent.tokens + (label,),
             e2e=parent.e2e + self.label_scores.item(r, col),
             ended=label == EOS_ID,
-            views=[v.clone() for v in parent.views],
+            views=parent.views,
         )
         return child, parent
 
@@ -469,20 +442,23 @@ class LabelCandidates:
 
 
 def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
-    """Extend each LM view with the hypothesis's newly completed words.
+    """Give the hypothesis new LM views extended by its newly completed words.
 
     Only complete words are mapped, and each word encodes on its own, so
     advancing a growing hypothesis step by step gives the same LM tokens as
-    re-tokenizing its whole complete-word prefix at once.
+    re-tokenizing its whole complete-word prefix at once.  The old views,
+    which other hypotheses may share, are left as they are.
     """
     if not lms:
         return
     k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
+    views = []
     for view, spec in zip(hyp.views, lms):
         if k > view.consumed:
             text = asr_tok.decode(hyp.tokens[1 + view.consumed : 1 + k])
-            view.lm_tokens = view.lm_tokens + tuple(spec.tokenizer.encode(text))
-            view.consumed = k
+            view = LMView(k, view.lm_tokens + tuple(spec.tokenizer.encode(text)), view.cache)
+        views.append(view)
+    hyp.views = views
 
 
 class _PolicyState:
@@ -530,12 +506,13 @@ def _score(spec: LMSpec, requests: list[ScoreRequest], counters: DecodeCounters)
 def apply_lm_scores(
     beam: Sequence[Hypothesis], lms: Sequence[LMSpec], counters: DecodeCounters
 ) -> None:
-    """One batched incremental call per LM over the current hypotheses."""
+    """One batched incremental call per LM; each hypothesis gets views with the new caches."""
+    caches = []
     for i, spec in enumerate(lms):
         requests = [ScoreRequest(h.views[i].lm_tokens, h.views[i].cache) for h in beam]
-        results = _score(spec, requests, counters)
-        for hyp, res in zip(beam, results):
-            hyp.views[i].cache = res.cache
+        caches.append([res.cache for res in _score(spec, requests, counters)])
+    for hyp, new in zip(beam, zip(*caches)):
+        hyp.views = [LMView(v.consumed, v.lm_tokens, cache) for v, cache in zip(hyp.views, new)]
 
 
 # -- per-mode steps ---------------------------------------------------------------
@@ -543,8 +520,9 @@ def apply_lm_scores(
 # ``root`` is the first beam's hypothesis and ``limit`` the step count cap.
 # ``expand`` returns a step's candidates, sized by the step's expansion count;
 # ``prune(cands, extra)`` keeps the best by the stale combined score plus
-# ``extra`` (the shallow LM scores, or None) and builds the survivors.
-# ``close`` finishes the last beam.
+# ``extra`` (the shallow LM scores, or None) and builds the survivors as new
+# hypotheses.  ``close`` finishes the last beam: each hypothesis's ``e2e``
+# becomes its end-to-end score.
 
 
 class _FrameStep:
@@ -567,7 +545,8 @@ class _FrameStep:
         self.weights = [spec.weight for spec in config.lms]
 
     def root(self) -> Hypothesis:
-        return make_root_hypothesis(self.lms, "ctc")
+        views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
+        return Hypothesis((BOS_ID,), log_blank=0.0, views=views)
 
     def expand(self, beam, t):
         return extend_frame(beam, self.rows[t - 1], self.real_ids, self.columns)
@@ -576,6 +555,8 @@ class _FrameStep:
         return prune_frame_candidates(cands, self.beam_size, self.weights, extra)
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
+        for hyp in beam:
+            hyp.e2e = lse2(hyp.log_blank, hyp.log_nonblank)
         return beam
 
 
@@ -595,16 +576,8 @@ class _LabelStep:
             if source.vocab_size != asr_tok.vocab.size:
                 raise DecodeError("emissions do not match the vocabulary size")
             scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
-        limit = config.max_label_steps
-        cap = getattr(scorer, "T", None)
-        if limit is None:
-            limit = cap
-        elif cap is not None:
-            limit = min(limit, cap)
-        if limit is None:
-            raise DecodeError("label-synchronous decoding needs max_label_steps")
         self.scorer = scorer
-        self.limit = limit
+        self.limit = scorer.T
         self.candidate_ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
         self.id_index = np.asarray(self.candidate_ids)
         self.lms = config.lms
@@ -612,9 +585,8 @@ class _LabelStep:
         self.weights = [spec.weight for spec in config.lms]
 
     def root(self) -> Hypothesis:
-        root = make_root_hypothesis(self.lms, "labelsync")
-        root.state = self.scorer.root()
-        return root
+        views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
+        return Hypothesis((BOS_ID,), views=views, state=self.scorer.root())
 
     def expand(self, beam, t) -> LabelCandidates:
         ended = [h for h in beam if h.ended]
@@ -666,8 +638,7 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     nbest = finalize_beam(beam, config, asr_tok, counters)
     counters.wall_seconds = time.perf_counter() - started
 
-    best = nbest[0]
-    return DecodeResult(best, nbest, counters, trace if config.keep_trace else None)
+    return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
 def _search(step, config, asr_tok, counters):
@@ -721,16 +692,15 @@ def _shallow_scores(
         encoded: dict[str, tuple[int, ...]] = {}
         requests = []
         for j in kept:
-            view = cands.views(j)[i]
-            full = view.lm_tokens
-            tail = cands.tokens(j)[1 + view.consumed :]
+            consumed, full, cache = cands.views(j)[i]
+            tail = cands.tokens(j)[1 + consumed :]
             if tail:
                 for word in asr_tok.decode(tail).split():
                     pieces = encoded.get(word)
                     if pieces is None:
                         pieces = encoded[word] = tuple(spec.tokenizer.encode_word(word))
                     full = full + pieces
-            requests.append(ScoreRequest(full, view.cache))
+            requests.append(ScoreRequest(full, cache))
         results = _score(spec, requests, counters)
         extra[kept] += spec.weight * np.array([res.cum_logprob for res in results])
     return extra
@@ -749,36 +719,29 @@ def _trace_step(t, fired, beam, config) -> StepTrace:
 
 
 def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
-    """Full re-tokenization, one last LM pass with ``</s>``, final selection."""
+    """Full re-tokenization, one last LM pass with ``</s>``, the whole beam ranked."""
     if not beam:
         raise DecodeError("empty beam at finalization")
     texts = [asr_tok.decode(h.tokens) for h in beam]
-    e2e = [h.e2e_total(config.mode) for h in beam]
     raws = [[0.0] * len(config.lms) for _ in beam]
     for i, spec in enumerate(config.lms):
-        requests = []
-        for hyp, text in zip(beam, texts):
-            full = tuple(spec.tokenizer.encode(text)) + (EOS_ID,)
-            requests.append(ScoreRequest(full, hyp.views[i].cache))
+        requests = [
+            ScoreRequest(tuple(spec.tokenizer.encode(text)) + (EOS_ID,), hyp.views[i].cache)
+            for hyp, text in zip(beam, texts)
+        ]
         results = _score(spec, requests, counters)
         counters.lm_calls_final += 1
-        for j, res in enumerate(results):
-            raws[j][i] = res.cum_logprob
+        for raw, res in zip(raws, results):
+            raw[i] = res.cum_logprob
 
-    combined = []
-    for j in range(len(beam)):
-        total = e2e[j]
-        for i, spec in enumerate(config.lms):
+    entries = []
+    for j, hyp in enumerate(beam):
+        total = hyp.e2e
+        for spec, raw in zip(config.lms, raws[j]):
             if spec.use_in_final:
-                total += spec.weight * raws[j][i]
-        combined.append(total)
-
-    order = sorted(
-        range(len(beam)), key=lambda j: (-combined[j], len(beam[j].tokens), beam[j].tokens)
-    )
-    scored = [
-        ScoredHypothesis(texts[j], beam[j].tokens, e2e[j], tuple(raws[j]), combined[j])
-        for j in order
+                total += spec.weight * raw
+        entries.append((total, hyp.tokens, j))
+    return [
+        ScoredHypothesis(texts[j], tokens, beam[j].e2e, tuple(raws[j]), total)
+        for total, tokens, j in _select_top(entries, None)
     ]
-    limit = config.nbest if config.nbest is not None else len(scored)
-    return scored[:limit]

@@ -11,6 +11,7 @@ only ``decode_seconds``, the measured compute, varies between identical runs.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import random
 import time
@@ -197,10 +198,15 @@ def gen_dataset(
         path = out / f"{utt.utt_id}.em"
         write_emissions(utt.emissions, str(path))
         rows.append((utt.utt_id, str(path), utt.reference))
-    with open(out / "manifest.tsv", "w", encoding="utf-8") as fh:
+    write_manifest(rows, str(out / "manifest.tsv"))
+    return rows
+
+
+def write_manifest(rows: Sequence[tuple[str, str, str]], path: str) -> None:
+    """One ``id <TAB> emission path <TAB> reference`` line per utterance."""
+    with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write("\t".join(row) + "\n")
-    return rows
 
 
 def read_manifest(path: str) -> list[tuple[str, str, str]]:
@@ -272,27 +278,6 @@ class BenchConfig:
             )
 
 
-CSV_COLUMNS = [
-    "policy",
-    "beam",
-    "interval",
-    "utterances",
-    "ref_words",
-    "wer",
-    "substitutions",
-    "insertions",
-    "deletions",
-    "lm_calls",
-    "lm_tokens",
-    "lm_hypotheses",
-    "decode_seconds",
-    "lm_emulated_seconds",
-    "status",
-]
-
-TIME_COLUMNS = ("decode_seconds", "lm_emulated_seconds")
-
-
 @dataclass
 class BenchRow:
     policy: str
@@ -312,23 +297,18 @@ class BenchRow:
     status: str = "ok"
 
     def as_csv(self) -> list[str]:
-        return [
-            self.policy,
-            str(self.beam),
-            "" if self.interval is None else str(self.interval),
-            str(self.utterances),
-            str(self.ref_words),
-            f"{self.wer:.6f}",
-            str(self.substitutions),
-            str(self.insertions),
-            str(self.deletions),
-            str(self.lm_calls),
-            str(self.lm_tokens),
-            str(self.lm_hypotheses),
-            f"{self.decode_seconds:.4f}",
-            f"{self.lm_emulated_seconds:.4f}",
-            self.status,
-        ]
+        return [_CSV_FORMATS.get(name, str)(getattr(self, name)) for name in CSV_COLUMNS]
+
+
+# the CSV has one column per ``BenchRow`` field, in field order
+CSV_COLUMNS = [f.name for f in dataclasses.fields(BenchRow)]
+TIME_COLUMNS = ("decode_seconds", "lm_emulated_seconds")
+_CSV_FORMATS = {
+    "interval": lambda value: "" if value is None else str(value),
+    "wer": "{:.6f}".format,
+    "decode_seconds": "{:.4f}".format,
+    "lm_emulated_seconds": "{:.4f}".format,
+}
 
 
 @dataclass

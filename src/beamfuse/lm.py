@@ -212,15 +212,8 @@ def train_ngram(
         p = floor + (c - discount) / total if c > 0 else floor
         probs[(token,)] = math.log(p)
 
-    def cond_logprob(ctx: tuple[int, ...], token: int) -> float:
-        acc = 0.0
-        while True:
-            p = probs.get(ctx + (token,))
-            if p is not None:
-                return acc + p
-            acc += backoffs.get(ctx, 0.0)
-            ctx = ctx[1:]
-
+    # the model reads the tables as they fill: order k's backoffs need k-1's scores
+    model = NGramModel(order, vocab, probs, backoffs)
     for k in range(2, order + 1):
         by_context: dict[tuple[int, ...], list[tuple[int, int]]] = defaultdict(list)
         for gram, c in counts[k].items():
@@ -230,13 +223,12 @@ def train_ngram(
             for token, c in continuations:
                 probs[ctx + (token,)] = math.log((c - discount) / ctx_total)
             released = discount * len(continuations) / ctx_total
-            lower = sum(math.exp(cond_logprob(ctx[1:], token)) for token, _ in continuations)
+            lower = sum(math.exp(model.logprob(ctx[1:], token)) for token, _ in continuations)
             denom = 1.0 - lower
             if denom <= 0.0:
                 raise LMError(f"degenerate backoff mass for context {ctx}")
             backoffs[ctx] = math.log(released / denom)
-
-    return NGramModel(order, vocab, probs, backoffs)
+    return model
 
 
 # -- ARPA serialization ----------------------------------------------------
@@ -271,6 +263,14 @@ def write_arpa(model: NGramModel, path: str) -> None:
         fh.write("\\end\\\n")
 
 
+def _arpa_number(kind, text: str, line: str):
+    """``kind(text)``, or an ``ArpaFormatError`` naming the line it came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ArpaFormatError(f"expected {kind.__name__} {text!r} in line {line!r}") from None
+
+
 def read_arpa(path: str) -> NGramModel:
     """Read an ARPA file back into a model that scores identically."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -288,11 +288,11 @@ def read_arpa(path: str) -> NGramModel:
         if not part.startswith("ngram "):
             raise ArpaFormatError(f"bad header line: {part!r}")
         spec, _, count = part[len("ngram "):].partition("=")
-        header[int(spec)] = int(count)
+        header[_arpa_number(int, spec, part)] = _arpa_number(int, count, part)
         i += 1
     if not header:
         raise ArpaFormatError("header lists no n-gram orders")
-    order = max(header)
+    order = len(header)
     if sorted(header) != list(range(1, order + 1)):
         raise ArpaFormatError(f"header orders not contiguous: {sorted(header)}")
 
@@ -306,7 +306,7 @@ def read_arpa(path: str) -> NGramModel:
             current = None
             continue
         if text.startswith("\\") and text.endswith("-grams:"):
-            current = int(text[1:-len("-grams:")])
+            current = _arpa_number(int, text[1:-len("-grams:")], text)
             if current not in sections:
                 raise ArpaFormatError(f"unexpected section for order {current}")
             continue
@@ -315,12 +315,12 @@ def read_arpa(path: str) -> NGramModel:
         fields = text.split()
         want = current + 1
         if len(fields) == want:
-            logp, toks, bow = float(fields[0]), fields[1:], None
+            toks, bow = fields[1:], None
         elif len(fields) == want + 1:
-            logp, toks, bow = float(fields[0]), fields[1:-1], float(fields[-1])
+            toks, bow = fields[1:-1], _arpa_number(float, fields[-1], text)
         else:
             raise ArpaFormatError(f"bad {current}-gram line: {text!r}")
-        sections[current].append((logp, toks, bow))
+        sections[current].append((_arpa_number(float, fields[0], text), toks, bow))
 
     for k, count in header.items():
         if len(sections[k]) != count:

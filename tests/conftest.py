@@ -238,12 +238,7 @@ def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypo
     if beam_size is not None:
         entries = entries[:beam_size]
     return [
-        Hypothesis(
-            tokens,
-            log_blank=rec.log_blank,
-            log_nonblank=rec.log_nonblank,
-            views=[v.clone() for v in rec.views],
-        )
+        Hypothesis(tokens, log_blank=rec.log_blank, log_nonblank=rec.log_nonblank, views=rec.views)
         for _, tokens, rec in entries
     ]
 
@@ -328,7 +323,7 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights) -> lis
             tokens,
             e2e=parent.e2e + s,
             ended=tokens[-1] == EOS_ID,
-            views=[v.clone() for v in parent.views],
+            views=parent.views,
         )
         if not hyp.ended:
             hyp.state = scorer.child(parent.state, tokens[-1])

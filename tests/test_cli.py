@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,12 +180,18 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "content",
-        ["not an emission file\n", "two 5\n", "1 5\n-1 -2 x -3 -4\n"],
-        ids=["bad-header", "non-integer-header", "non-numeric-value"],
+        [
+            "not an emission file\n",
+            "two 5\n",
+            "1 5\n-1 -2 x -3 -4\n",
+            "1 0\n\n",
+            "\u00b2 2\n-0.7 -0.7\n",
+        ],
+        ids=["bad-header", "non-integer-header", "non-numeric-value", "no-columns", "superscript-digit"],
     )
     def test_malformed_emissions_reports_error(self, workspace, capsys, content):
         bad = workspace / "bad.em"
-        bad.write_text(content)
+        bad.write_text(content, encoding="utf-8")
         argv = [
             "decode",
             "--emissions", str(bad),
@@ -195,6 +202,35 @@ class TestPipeline:
         ]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, message",
+        [
+            (r"ngram 1=", "ngram 1=x", "expected int 'x"),
+            (r"\\2-grams:", r"\\two-grams:", "expected int 'two'"),
+            (r"(\\1-grams:\n)[^\t]+", r"\1abc", "expected float 'abc'"),
+            (r"ngram 1=", "ngram 99999999999=1\nngram 1=", "orders not contiguous"),
+        ],
+        ids=["non-integer-count", "non-integer-section", "non-numeric-probability", "huge-order"],
+    )
+    def test_malformed_arpa_reports_error(self, workspace, capsys, pattern, replacement, message):
+        text = (workspace / "lm.arpa").read_text(encoding="utf-8")
+        text, edits = re.subn(pattern, replacement, text, count=1)
+        assert edits == 1
+        bad = workspace / "bad.arpa"
+        bad.write_text(text, encoding="utf-8")
+        argv = [
+            "decode",
+            "--emissions", str(workspace / "data" / "utt0000.em"),
+            "--asr-vocab", str(workspace / "asr.vocab"),
+            "--lm", str(bad),
+            "--lm-vocab", str(workspace / "lm.vocab"),
+            "--policy", "never",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestOracle:

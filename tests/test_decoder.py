@@ -26,7 +26,6 @@ from beamfuse.decoder import (
     decode,
     extend_frame,
     fusable,
-    make_root_hypothesis,
     prune_frame_candidates,
 )
 from beamfuse.harness import emulated_lm_seconds, wer
@@ -99,7 +98,7 @@ class TestExtend:
     def test_candidate_count(self, tiny):
         tok, _ = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(0), 1, tok.vocab.size))
-        beam = [make_root_hypothesis([], "ctc")]
+        beam = [Hypothesis((BOS_ID,), log_blank=0.0)]
         cands = _extend(beam, em.log_probs[0], tok.vocab.real_ids())
         assert len(cands) == 4  # stay + one extension per ordinary token
 
@@ -108,7 +107,7 @@ class TestExtend:
         rng = np.random.default_rng(1)
         em = EmissionMatrix(random_emissions(rng, 1, tok.vocab.size))
         a = tok.vocab.token_id("▁a")
-        root = make_root_hypothesis([], "ctc")
+        root = Hypothesis((BOS_ID,), log_blank=0.0)
         grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0)
         cands = _extend([root, grown], em.log_probs[0], tok.vocab.real_ids())
         # raw expansion is 2 * 4 = 8; (bos, a) appears as both stay and extension
@@ -137,7 +136,6 @@ class TestPrune:
             [nb for _, _, nb in entries],
             [[] for _ in beam],
             np.empty((n, 0)),
-            [None] * n,
             np.ones(n, dtype=bool),
         )
 
@@ -710,11 +708,83 @@ class TestFusable:
         assert FusionPolicy("interval", 3).interval == 3
 
 
+def _fusing_step(step, beam, t, tok, lms, counters):
+    """One full search step: expand, prune, advance every survivor, fuse."""
+    survivors = step.prune(step.expand(beam, t), None)
+    for hyp in survivors:
+        advance_views(hyp, tok, lms)
+    apply_lm_scores(survivors, lms, counters)
+    return survivors
+
+
+def _fields(views) -> list[tuple]:
+    return [(v.consumed, v.lm_tokens, v.cache) for v in views]
+
+
+class TestValueSemantics:
+    """LM views are shared values: nothing that updates one hypothesis touches another."""
+
+    def test_lm_view_fields_cannot_be_assigned(self):
+        view = LMView(0, (), None)
+        for name in ("consumed", "lm_tokens", "cache"):
+            with pytest.raises(AttributeError):
+                setattr(view, name, 1)
+
+    def _pair(self, tiny):
+        tok, model = tiny
+        a, b = tok.vocab.token_id("▁a"), tok.vocab.token_id("▁b")
+        views = [LMView(0, (), model.fresh_cache())]
+        first, second = (Hypothesis((BOS_ID, a, b), views=views) for _ in range(2))
+        return LMSpec(model, tok, 0.5), views, _fields(views), first, second
+
+    def test_advance_views_leaves_a_sharing_hypothesis_alone(self, tiny):
+        spec, views, before, first, second = self._pair(tiny)
+        advance_views(first, spec.tokenizer, [spec])
+        assert first.views[0].consumed == 1
+        assert second.views is views and _fields(views) == before
+
+    def test_apply_lm_scores_leaves_a_sharing_hypothesis_alone(self, tiny):
+        spec, views, before, first, second = self._pair(tiny)
+        advance_views(first, spec.tokenizer, [spec])
+        second.views = first.views
+        shared, advanced = first.views, _fields(first.views)
+        apply_lm_scores([first], [spec], DecodeCounters())
+        assert first.views[0].cache.scored_len == 1
+        assert second.views is shared and _fields(shared) == advanced
+
+    @pytest.mark.parametrize("step_type", [_FrameStep, _LabelStep])
+    def test_a_full_step_leaves_its_input_beam_alone(self, tiny, step_type):
+        tok, model = tiny
+        lms = [LMSpec(model, tok, 0.5)]
+        em = EmissionMatrix(random_emissions(np.random.default_rng(12), 8, tok.vocab.size))
+        mode = "ctc" if step_type is _FrameStep else "labelsync"
+        step = step_type(em, DecodeConfig(beam=4, policy=FusionPolicy("always"), lms=lms, mode=mode), tok)
+        counters = DecodeCounters()
+        beam = [step.root()]
+        for t in range(1, 4):
+            beam = _fusing_step(step, beam, t, tok, lms, counters)
+        snapshot = [(h, h.views, _fields(h.views)) for h in beam]
+
+        survivors = step.prune(step.expand(beam, 4), None)
+        # survivors share their parents' view lists: nothing was copied
+        assert any(s.views is h.views for s in survivors for h in beam if s is not h)
+        for hyp in survivors:
+            advance_views(hyp, tok, lms)
+        apply_lm_scores(survivors, lms, counters)
+
+        assert any(s.views[0].cache.scored_len > 0 for s in survivors)
+        carried = {id(s) for s in survivors}  # ended label-sync hypotheses carry over as themselves
+        for hyp, views, before in snapshot:
+            assert _fields(views) == before
+            if id(hyp) not in carried:
+                assert hyp.views is views
+
+
 class TestApplyLmScores:
     def test_nothing_new_scores_no_tokens(self, tiny):
         tok, model = tiny
         spec = LMSpec(model, tok, 0.5)
-        hyp = make_root_hypothesis([spec], "ctc")
+        hyp = Hypothesis((BOS_ID,), log_blank=0.0, views=[LMView(0, (), model.fresh_cache())])
         counters = DecodeCounters()
         apply_lm_scores([hyp], [spec], counters)
         assert _lm_counts(counters) == (1, 0, 0)  # one call, zero hypotheses and tokens
@@ -1012,19 +1082,6 @@ class TestLabelSync:
         assert result.counters.steps < em.num_frames
         assert result.best.tokens[-1] == EOS_ID
 
-    def test_max_label_steps_cap(self, asr_tok, corpus_split):
-        _, em = utterances(asr_tok, corpus_split, 1, noise=0.4)[0]
-        cfg = DecodeConfig(
-            beam=3,
-            policy=FusionPolicy("never"),
-            lms=[],
-            mode="labelsync",
-            max_label_steps=2,
-        )
-        result = decode(em, cfg, asr_tok)
-        assert result.counters.steps <= 2
-        assert all(h.tokens[-1] == EOS_ID for h in result.nbest)
-
     def test_full_beam_matches_frame_sync_argmax(self, tiny):
         tok, model = tiny
         rng = np.random.default_rng(6)
@@ -1140,11 +1197,6 @@ class TestValidation:
             ("beam", 2.5),
             ("beam", True),
             ("beam", "3"),
-            ("nbest", 0),
-            ("nbest", 1.0),
-            ("max_label_steps", 2.5),
-            ("max_label_steps", 0),
-            ("max_label_steps", False),
         ],
     )
     def test_counts_must_be_positive_ints(self, field, value):
