@@ -33,7 +33,6 @@ from .lm import (
     NGramModel,
     PrefixCacheEntry,
     ScoreRequest,
-    ScoreResult,
     read_arpa,
     train_ngram,
     write_arpa,

@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import acoustic, harness, lm
-from .decoder import DecodeConfig, DecodeError, FusionPolicy, LMSpec, decode
+from .decoder import MODES, POLICY_KINDS, DecodeConfig, DecodeError, FusionPolicy, LMSpec, decode
 from .tokenization import Tokenizer, VocabularyError, build_vocab, read_vocab, write_vocab
 
 
@@ -174,18 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--asr-vocab", required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--lm-vocab", required=True)
-    p.add_argument(
-        "--policy",
-        required=True,
-        choices=["shallow", "never", "shortest", "interval", "always"],
-    )
+    p.add_argument("--policy", required=True, choices=POLICY_KINDS)
     p.add_argument("--interval", type=int, default=16)
     p.add_argument("--beam", type=int, default=10)
     p.add_argument("--lm-weight", type=float, default=0.5)
     p.add_argument("--second-lm")
     p.add_argument("--second-weight", type=float, default=0.5)
     p.add_argument("--second-final", choices=["yes", "no"], default="yes")
-    p.add_argument("--mode", choices=["ctc", "labelsync"], default="ctc")
+    p.add_argument("--mode", choices=MODES, default="ctc")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decode)
 

@@ -4,10 +4,10 @@ One search loop serves both decoding modes.  Each step it expands the beam,
 prunes the candidates to the beam size by the combined score (acoustic plus
 weighted LM scores, the LM part possibly stale), advances the survivors' LM
 views over their newly completed words, and — if the fusion policy fires —
-re-scores those words with one batched LM call per model.  Finalization
-re-tokenizes every full hypothesis, asks the LM for whatever it has not
-seen yet plus ``</s>``, and selects the best hypothesis using only the
-scorers flagged for final selection.
+scores those words with one batched LM call per model: the delayed pass.
+The whole-hypothesis pass (``_score_whole``) scores each hypothesis's views
+plus its re-tokenized rest; finalization runs it on the last beam with
+``</s>`` and ranks by the scorers flagged for final selection.
 
 The decoder counts the LM work it requests: every LM call goes through
 ``_score``, which adds it to the decode's own ``DecodeCounters``.  Scorers
@@ -41,10 +41,10 @@ between the modes lives in a small step object:
 
 Both candidate blocks answer ``valid``, ``tokens(j)`` and ``views(j)`` for a
 flat candidate index ``j``.  The shallow baseline is one more score term on
-the same cut: every valid candidate's full current content is scored from
-scratch, and those scores are added before the prune.  The step objects own
-every other mode difference too: the root hypothesis, the step count, and
-closing the last beam with each hypothesis's end-to-end score ``e2e``.
+the same cut: the whole-hypothesis pass scores every valid candidate, and
+those scores are added before the prune.  The step objects own every other
+mode difference too: the root hypothesis, the step count, and closing the
+last beam with each hypothesis's end-to-end score ``e2e``.
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -71,6 +71,7 @@ from .lm import ScoreRequest
 from .tokenization import BOS_ID, EOS_ID, UNK_ID, Tokenizer, tokenizable_prefix_len
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
+MODES = ("ctc", "labelsync")
 
 
 class DecodeError(ValueError):
@@ -117,7 +118,7 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.beam is not None and not _is_count(self.beam):
             raise DecodeError(f"beam must be an int >= 1 or None, got {self.beam!r}")
-        if self.mode not in ("ctc", "labelsync"):
+        if self.mode not in MODES:
             raise DecodeError(f"unknown mode {self.mode!r}")
         for i, spec in enumerate(self.lms):
             if not np.isfinite(spec.weight):
@@ -307,16 +308,17 @@ def extend_frame(
     """
     tots = [lse2(h.log_blank, h.log_nonblank) for h in beam]
     ext = np.add.outer(tots, frame[real_ids])
-    blank = frame[BLANK_ID]
+    row = frame.tolist()  # Python floats, as ``ext.item`` gives the extensions
+    blank = row[BLANK_ID]
     stay_blank, stay_nonblank = [], []
     for i, (tot, hyp) in enumerate(zip(tots, beam)):
         stay_blank.append(tot + blank)
         if len(hyp.tokens) > 1:
             last = hyp.tokens[-1]
-            stay_nonblank.append(hyp.log_nonblank + frame[last])
+            stay_nonblank.append(hyp.log_nonblank + row[last])
             col = columns.get(last)
             if col is not None:
-                ext[i, col] = hyp.log_blank + frame[last]
+                ext[i, col] = hyp.log_blank + row[last]
         else:
             stay_nonblank.append(NEG_INF)
 
@@ -329,7 +331,6 @@ def extend_frame(
         col = columns.get(hyp.tokens[-1])
         if i is None or col is None:
             continue
-        stay_blank[j] = lse2(stay_blank[j], NEG_INF)
         stay_nonblank[j] = lse2(stay_nonblank[j], ext.item(i, col))
         if (_views_key(beam[i].views), -i) > (_views_key(hyp.views), -j):
             stay_views[j] = beam[i].views
@@ -441,13 +442,26 @@ class LabelCandidates:
 # -- LM bookkeeping ------------------------------------------------------------
 
 
+def _retokenize(view: LMView, tokens, end, asr_tok: Tokenizer, lm_tok: Tokenizer, memo) -> tuple:
+    """The view's LM tokens plus the words of ``tokens[1 + view.consumed : end]``, encoded.
+
+    The decoder's one map from ASR to LM tokens.  ``memo`` holds each word's
+    pieces; a view ends at a word boundary, so this re-tokenizes ``tokens[1:end]``.
+    """
+    lm_tokens = view.lm_tokens
+    for word in asr_tok.decode(tokens[1 + view.consumed : end]).split():
+        if word not in memo:
+            memo[word] = tuple(lm_tok.encode_word(word))
+        lm_tokens += memo[word]
+    return lm_tokens
+
+
 def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
     """Give the hypothesis new LM views extended by its newly completed words.
 
-    Only complete words are mapped, and each word encodes on its own, so
-    advancing a growing hypothesis step by step gives the same LM tokens as
-    re-tokenizing its whole complete-word prefix at once.  The old views,
-    which other hypotheses may share, are left as they are.
+    Only complete words are mapped, so advancing a growing hypothesis step by step
+    gives the same LM tokens as re-tokenizing its whole complete-word prefix at
+    once.  The old views, which other hypotheses may share, are left as they are.
     """
     if not lms:
         return
@@ -455,8 +469,8 @@ def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) ->
     views = []
     for view, spec in zip(hyp.views, lms):
         if k > view.consumed:
-            text = asr_tok.decode(hyp.tokens[1 + view.consumed : 1 + k])
-            view = LMView(k, view.lm_tokens + tuple(spec.tokenizer.encode(text)), view.cache)
+            lm_tokens = _retokenize(view, hyp.tokens, 1 + k, asr_tok, spec.tokenizer, {})
+            view = LMView(k, lm_tokens, view.cache)
         views.append(view)
     hyp.views = views
 
@@ -490,17 +504,17 @@ def fusable(
 
 
 def _score(spec: LMSpec, requests: list[ScoreRequest], counters: DecodeCounters) -> list:
-    """One batched LM call, counted after it returns.
+    """One batched LM call, counted after it returns; the new caches, in request order.
 
     The call counts once; each request with tokens past its cache's
     ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
     """
-    results = spec.scorer.score_batch_incremental(requests)
+    caches = spec.scorer.score_batch_incremental(requests)
     new = [n for n in (len(r.tokens) - r.cache.scored_len for r in requests) if n > 0]
     counters.lm_calls += 1
     counters.lm_hypotheses += len(new)
     counters.lm_tokens += sum(new)
-    return results
+    return caches
 
 
 def apply_lm_scores(
@@ -510,7 +524,7 @@ def apply_lm_scores(
     caches = []
     for i, spec in enumerate(lms):
         requests = [ScoreRequest(h.views[i].lm_tokens, h.views[i].cache) for h in beam]
-        caches.append([res.cache for res in _score(spec, requests, counters)])
+        caches.append(_score(spec, requests, counters))
     for hyp, new in zip(beam, zip(*caches)):
         hyp.views = [LMView(v.consumed, v.lm_tokens, cache) for v, cache in zip(hyp.views, new)]
 
@@ -676,34 +690,32 @@ def _shallow_scores(
 
     Classic shallow fusion charges each candidate token as it is emitted,
     which across mismatched vocabularies means re-tokenizing and scoring the
-    candidate's entire current content from scratch every step — including
-    the still-growing final word, whose tokenization is tentative.  Nothing
-    is cached (the views' caches stay fresh, so the stale LM term in the
+    candidate's entire current content every step — including the
+    still-growing final word, whose tokenization is tentative.  Nothing is
+    cached (the views' caches stay fresh, so the stale LM term in the
     candidate scores is 0), and the decoder's LM counters reflect the full
-    price of pre-pruning fusion.  A candidate's views are its parent's and
-    end at a word boundary, so its LM tokens are theirs plus the rest's
-    words, each encoded on its own; that is ``encode(decode(rest))``, and the
-    siblings of one parent share most of those words, so each distinct word
-    is encoded once per call and LM.
+    price of pre-pruning fusion.
     """
     kept = np.flatnonzero(cands.valid).tolist()
     extra = np.zeros(cands.valid.size)
-    for i, spec in enumerate(lms):
-        encoded: dict[str, tuple[int, ...]] = {}
-        requests = []
-        for j in kept:
-            consumed, full, cache = cands.views(j)[i]
-            tail = cands.tokens(j)[1 + consumed :]
-            if tail:
-                for word in asr_tok.decode(tail).split():
-                    pieces = encoded.get(word)
-                    if pieces is None:
-                        pieces = encoded[word] = tuple(spec.tokenizer.encode_word(word))
-                    full = full + pieces
-            requests.append(ScoreRequest(full, cache))
-        results = _score(spec, requests, counters)
-        extra[kept] += spec.weight * np.array([res.cum_logprob for res in results])
+    items = ((cands.tokens(j), cands.views(j)) for j in kept)
+    for spec, raw in zip(lms, _score_whole(items, lms, asr_tok, counters)):
+        extra[kept] += spec.weight * np.array(raw)
     return extra
+
+
+def _score_whole(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, close=()) -> list:
+    """Each LM's raw scores of every item's whole content plus ``close``, in item order.
+
+    ``items`` yields ``(tokens, views)``, read once; one call per LM resumes each view's cache.
+    """
+    memos, requests = [{} for _ in lms], [[] for _ in lms]
+    for tokens, views in items:
+        for spec, view, memo, reqs in zip(lms, views, memos, requests):
+            lm_tokens = _retokenize(view, tokens, None, asr_tok, spec.tokenizer, memo)
+            reqs.append(ScoreRequest(lm_tokens + close, view.cache))
+    caches = [_score(spec, reqs, counters) for spec, reqs in zip(lms, requests)]
+    return [[cache.cum_logprob for cache in per_lm] for per_lm in caches]
 
 
 def _trace_step(t, fired, beam, config) -> StepTrace:
@@ -719,29 +731,22 @@ def _trace_step(t, fired, beam, config) -> StepTrace:
 
 
 def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
-    """Full re-tokenization, one last LM pass with ``</s>``, the whole beam ranked."""
+    """One last LM pass over every whole hypothesis with ``</s>``; the whole beam ranked."""
     if not beam:
         raise DecodeError("empty beam at finalization")
-    texts = [asr_tok.decode(h.tokens) for h in beam]
-    raws = [[0.0] * len(config.lms) for _ in beam]
-    for i, spec in enumerate(config.lms):
-        requests = [
-            ScoreRequest(tuple(spec.tokenizer.encode(text)) + (EOS_ID,), hyp.views[i].cache)
-            for hyp, text in zip(beam, texts)
-        ]
-        results = _score(spec, requests, counters)
-        counters.lm_calls_final += 1
-        for raw, res in zip(raws, results):
-            raw[i] = res.cum_logprob
+    items = ((h.tokens, h.views) for h in beam)
+    raws = _score_whole(items, config.lms, asr_tok, counters, (EOS_ID,))
+    counters.lm_calls_final += len(config.lms)
 
     entries = []
     for j, hyp in enumerate(beam):
+        lm_scores = tuple(raw[j] for raw in raws)
         total = hyp.e2e
-        for spec, raw in zip(config.lms, raws[j]):
+        for spec, raw in zip(config.lms, lm_scores):
             if spec.use_in_final:
                 total += spec.weight * raw
-        entries.append((total, hyp.tokens, j))
+        entries.append((total, hyp.tokens, lm_scores, hyp.e2e))
     return [
-        ScoredHypothesis(texts[j], tokens, beam[j].e2e, tuple(raws[j]), total)
-        for total, tokens, j in _select_top(entries, None)
+        ScoredHypothesis(asr_tok.decode(tokens), tokens, e2e, lm_scores, total)
+        for total, tokens, lm_scores, e2e in _select_top(entries, None)
     ]

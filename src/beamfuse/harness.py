@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .acoustic import EmissionMatrix, synth_emissions, write_emissions
-from .decoder import POLICY_KINDS, DecodeConfig, FusionPolicy, LMSpec, _is_count, decode
+from .decoder import MODES, POLICY_KINDS, DecodeConfig, FusionPolicy, LMSpec, _is_count, decode
 from .lm import train_ngram
 from .tokenization import Tokenizer, build_vocab
 
@@ -266,8 +266,8 @@ class BenchConfig:
             repeated = next((v for v in values if values.count(v) > 1), None)
             if repeated is not None:
                 raise HarnessError(f"{name} lists {repeated} more than once")
-        if self.mode not in ("ctc", "labelsync"):
-            raise HarnessError(f"mode must be ctc or labelsync, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise HarnessError(f"mode must be {' or '.join(MODES)}, got {self.mode!r}")
         for name in ("per_call_ms", "per_token_ms"):
             if not getattr(self, name) >= 0:
                 raise HarnessError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -463,11 +463,14 @@ def parse_bench_config(path: str) -> BenchConfig:
             key, _, value = text.partition("=")
             raw[key.strip()] = value.strip()
 
-    read: set[str] = set()
-
-    def present(key):
-        read.add(key)
-        return key in raw
+    # a key is a field's name, but ``corpus`` sets ``corpus_path``
+    fields = {
+        "corpus" if f.name == "corpus_path" else f.name: f
+        for f in dataclasses.fields(BenchConfig)
+    }
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise HarnessError(f"{path}: unknown key(s): {', '.join(unknown)}")
 
     def convert(key, conv, text):
         try:
@@ -477,51 +480,24 @@ def parse_bench_config(path: str) -> BenchConfig:
                 f"{path}: {key} = {raw[key]!r}: expected {conv.__name__} values"
             ) from None
 
-    def get_str(key, default):
-        return raw[key] if present(key) else default
-
-    def get_int(key, default):
-        return convert(key, int, raw[key]) if present(key) else default
-
-    def get_float(key, default):
-        return convert(key, float, raw[key]) if present(key) else default
-
-    def get_list(key, default, conv):
-        if not present(key):
-            return default
-        parts = [part.strip() for part in raw[key].split(",")]
-        return tuple(convert(key, conv, part) for part in parts if part)
-
-    def get_range(key, default):
-        if not present(key):
-            return default
-        lo, _, hi = raw[key].partition(":")
-        return (convert(key, int, lo), convert(key, int, hi or lo))
-
-    fields = dict(
-        seed=get_int("seed", 0),
-        corpus_path=get_str("corpus", None) or None,
-        corpus_sentences=get_int("corpus_sentences", 2000),
-        corpus_vocabulary=get_int("corpus_vocabulary", 180),
-        utterances=get_int("utterances", 50),
-        noise=get_float("noise", 0.5),
-        frames_per_token=get_range("frames_per_token", (1, 3)),
-        policies=get_list("policies", ("never", "shortest"), str),
-        beams=get_list("beams", (10,), int),
-        intervals=get_list("intervals", (16, 32, 64), int),
-        asr_vocab_size=get_int("asr_vocab_size", 64),
-        lm_vocab_size=get_int("lm_vocab_size", 160),
-        lm_order=get_int("lm_order", 3),
-        lm_discount=get_float("lm_discount", 0.4),
-        lm_weight=get_float("lm_weight", 0.5),
-        per_call_ms=get_float("per_call_ms", 0.0),
-        per_token_ms=get_float("per_token_ms", 0.0),
-        mode=get_str("mode", "ctc"),
-    )
-    unknown = sorted(set(raw) - read)
-    if unknown:
-        raise HarnessError(f"{path}: unknown key(s): {', '.join(unknown)}")
+    # each value takes its field default's type; lists split on commas
+    values = {}
+    for key, f in fields.items():
+        if key not in raw:
+            continue
+        text = raw[key]
+        if key == "corpus":
+            value = text or None
+        elif key == "frames_per_token":
+            lo, _, hi = text.partition(":")
+            value = (convert(key, int, lo), convert(key, int, hi or lo))
+        elif isinstance(f.default, tuple):
+            parts = (part.strip() for part in text.split(","))
+            value = tuple(convert(key, type(f.default[0]), part) for part in parts if part)
+        else:
+            value = convert(key, type(f.default), text)
+        values[f.name] = value
     try:
-        return BenchConfig(**fields)
+        return BenchConfig(**values)
     except HarnessError as exc:
         raise HarnessError(f"{path}: {exc}") from None

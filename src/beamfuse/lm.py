@@ -2,10 +2,12 @@
 
 The scorer interface is what the decoder fuses against: a batch of
 (token sequence, cache) requests comes in, only the unscored suffix of each
-sequence is scored, and the returned caches let the next round resume where
-this one stopped.  The n-gram realization keeps that contract exact: the
-chain rule makes any incremental partition of a sequence sum to the same
-total as scoring it from scratch.
+sequence is scored, and the new caches are the whole answer: each holds its
+sequence's score and lets the next round resume where this one stopped, as
+an incremental LLM server answers with the new KV-cache state.  The n-gram
+realization keeps that contract exact: the chain rule makes any
+incremental partition of a sequence sum to the same total as scoring it
+from scratch.
 
 Within one call, requests that resume from the same cache object share the
 work on their common prefix, as an LLM server shares KV-cache blocks across
@@ -60,12 +62,6 @@ class ScoreRequest:
     """A full token sequence (no leading ``<s>``) plus its inherited cache."""
 
     tokens: tuple[int, ...]
-    cache: PrefixCacheEntry
-
-
-@dataclass(frozen=True)
-class ScoreResult:
-    cum_logprob: float
     cache: PrefixCacheEntry
 
 
@@ -131,17 +127,17 @@ class NGramModel:
 
     # -- batch interface --------------------------------------------------
 
-    def score_batch_incremental(self, requests: Sequence[ScoreRequest]) -> list[ScoreResult]:
-        """Score the unscored suffix of every request; results in request order.
+    def score_batch_incremental(self, requests: Sequence[ScoreRequest]) -> list[PrefixCacheEntry]:
+        """Score the unscored suffix of every request; the new caches, in request order.
 
-        The requests resuming from one cache object walk a token trie that
-        lives for this call only; a node is ``(children, cum, context)``
-        after the tokens on its path, so a prefix shared by several requests
-        is scored once.
+        A request's score is its new cache's ``cum_logprob``.  The requests
+        resuming from one cache object walk a token trie that lives for this
+        call only; a node is ``(children, cum, context)`` after the tokens on
+        its path, so a prefix shared by several requests is scored once.
         """
         # id(cache) -> (cache, root); holding the cache keeps its id unique
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
-        results = []
+        caches = []
         for req in requests:
             tokens = tuple(req.tokens)
             cache = req.cache
@@ -166,8 +162,8 @@ class NGramModel:
                     node[0][token] = child
                 node = child
             _, cum, ctx = node
-            results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx, tokens)))
-        return results
+            caches.append(PrefixCacheEntry(len(tokens), cum, ctx, tokens))
+        return caches
 
 
 def train_ngram(

@@ -8,7 +8,7 @@ import pytest
 from beamfuse.acoustic import BLANK_ID, NEG_INF, PrefixState, lse2
 from beamfuse.decoder import Hypothesis, LMSpec, LMView, _select_top, advance_views
 from beamfuse.harness import generate_corpus, split_corpus
-from beamfuse.lm import LMError, PrefixCacheEntry, ScoreResult, train_ngram
+from beamfuse.lm import LMError, PrefixCacheEntry, train_ngram
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
@@ -106,9 +106,9 @@ def reference_score_batch(model, requests) -> list:
     """``NGramModel.score_batch_incremental`` one request at a time, nothing shared.
 
     Each request is checked, then its unscored suffix is scored token by
-    token from its own cache.
+    token from its own cache.  Returns the new caches.
     """
-    results = []
+    caches = []
     for req in requests:
         tokens = tuple(req.tokens)
         cache = req.cache
@@ -121,8 +121,8 @@ def reference_score_batch(model, requests) -> list:
         for token in tokens[cache.scored_len :]:
             cum += model.logprob(ctx, token)
             ctx = model._push(ctx, token)
-        results.append(ScoreResult(cum, PrefixCacheEntry(len(tokens), cum, ctx, tokens)))
-    return results
+        caches.append(PrefixCacheEntry(len(tokens), cum, ctx, tokens))
+    return caches
 
 
 # -- the CTC prefix recursion, one (prefix, label) pair at a time ---------------

@@ -213,8 +213,8 @@ def test_c04_incremental_cache_exactness(world):
         cache = world.lm.fresh_cache()
         cum = 0.0
         for end in rounds + [len(seq)]:
-            res = world.lm.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
-            cache, cum = res.cache, res.cum_logprob
+            cache = world.lm.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
+            cum = cache.cum_logprob
         reference = world.lm.sequence_logprob((BOS_ID,) + seq)
         worst = max(worst, abs(cum - reference))
         assert worst < 1e-9

@@ -293,6 +293,7 @@ class TestBenchCommand:
             ("frames_per_token = 2:1", "1 <= lo <= hi, got 2:1"),
             ("frames_per_token = 0:2", "1 <= lo <= hi, got 0:2"),
             ("beam = 5", "unknown key(s): beam"),
+            ("beams = ten\nbeam = 5", "unknown key(s): beam"),
             ("beams = ,", "at least one beam required"),
             ("beams = 0", "beams must be ints >= 1, got 0"),
             ("intervals = 16, 0", "intervals must be ints >= 1, got 0"),
@@ -310,6 +311,7 @@ class TestBenchCommand:
             "range-reversed",
             "range-zero",
             "unknown-key",
+            "unknown-key-before-bad-value",
             "beams-empty",
             "beams-zero",
             "interval-zero",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamfuse.decoder import (
+    MODES,
+    POLICY_KINDS,
     DecodeConfig,
     DecodeCounters,
     DecodeError,
@@ -49,8 +52,6 @@ from conftest import (
     reference_label_step,
     reference_shallow_step,
 )
-
-MODES = ("ctc", "labelsync")
 
 
 @pytest.fixture(scope="module")
@@ -659,6 +660,60 @@ class TestShallowRequests:
             _shallow_scores(cands, lms, tok, DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
+
+
+def _every_policy() -> list[FusionPolicy]:
+    return [FusionPolicy(kind, 2 if kind == "interval" else 0) for kind in POLICY_KINDS]
+
+
+class TestFinalization:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("lm_set", TestShallowStepMatchesReference.LM_SETS)
+    def test_requests_equal_from_scratch_retokenization(self, shallow_world, lm_set, mode):
+        # the final pass resumes from each hypothesis's views, yet must request
+        # exactly what re-tokenizing the whole hypothesis from scratch gives
+        tok, lm_sets = shallow_world
+        rng = np.random.default_rng(44)
+        resumed = long = 0
+        for policy in _every_policy():
+            for beam, frames in ((1, 6), (4, 9), (6, 14)):
+                lms = [
+                    dataclasses.replace(spec, scorer=CountingScorer(spec.scorer))
+                    for spec in lm_sets[lm_set]
+                ]
+                em = EmissionMatrix(random_emissions(rng, frames, tok.vocab.size))
+                result = decode(em, DecodeConfig(beam, policy, lms, mode=mode), tok)
+                for spec in lms:
+                    requests = spec.scorer.last_requests
+                    want = [
+                        tuple(spec.tokenizer.encode(tok.decode(h.tokens))) + (EOS_ID,)
+                        for h in result.nbest
+                    ]
+                    assert Counter(req.tokens for req in requests) == Counter(want)
+                    resumed += sum(req.cache.scored_len > 0 for req in requests)
+                long += sum(len(h.text.split()) >= 3 for h in result.nbest)
+        assert resumed > 10
+        assert long > 10
+
+
+class TestPythonFloats:
+    def test_scores_and_survivor_pairs(self, shallow_world):
+        # a numpy scalar would leak from the emission row into the stay pairs
+        tok, lm_sets = shallow_world
+        em = EmissionMatrix(random_emissions(np.random.default_rng(45), 10, tok.vocab.size))
+        for mode in MODES:
+            for policy in _every_policy():
+                for beam in (1, 5):
+                    cfg = DecodeConfig(beam, policy, lm_sets["both"], mode=mode)
+                    for hyp in decode(em, cfg, tok).nbest:
+                        for x in (hyp.e2e_score, hyp.combined_score, *hyp.lm_scores):
+                            assert type(x) is float
+        step = _FrameStep(em, DecodeConfig(5, FusionPolicy("never"), lm_sets["both"]), tok)
+        beam = [step.root()]
+        for t in range(1, step.limit + 1):
+            beam = step.prune(step.expand(beam, t), None)
+            for hyp in beam:
+                assert type(hyp.log_blank) is float and type(hyp.log_nonblank) is float
 
 
 def _view_hyp(scored_len, lm_len, cum=-1.0):

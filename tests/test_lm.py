@@ -157,7 +157,7 @@ class TestScoring:
             res = trigram.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
             assert res.cum_logprob < prev
             prev = res.cum_logprob
-            cache = res.cache
+            cache = res
 
 
 class TestBatchIncremental:
@@ -165,16 +165,15 @@ class TestBatchIncremental:
         model = fresh_trigram(corpus_split, lm_tok)
         seq = (5, 6, 7)
         full = model.score_batch_incremental([ScoreRequest(seq, model.fresh_cache())])[0]
-        again = model.score_batch_incremental([ScoreRequest(seq, full.cache)])[0]
-        assert again.cum_logprob == full.cum_logprob
-        assert again.cache == full.cache
+        again = model.score_batch_incremental([ScoreRequest(seq, full)])[0]
+        assert again == full
 
     def test_single_fresh_request_equals_from_scratch(self, trigram, lm_tok, corpus_split):
         _, eval_lines = corpus_split
         seq = tuple(lm_tok.encode(eval_lines[2])) + (EOS_ID,)
         res = trigram.score_batch_incremental([ScoreRequest(seq, trigram.fresh_cache())])[0]
         assert res.cum_logprob == trigram.sequence_logprob((BOS_ID,) + seq)
-        assert res.cache.scored_len == len(seq)
+        assert res.scored_len == len(seq)
 
     def test_rounds_match_from_scratch(self, trigram, lm_tok, corpus_split):
         _, eval_lines = corpus_split
@@ -188,7 +187,7 @@ class TestBatchIncremental:
                 res = trigram.score_batch_incremental(
                     [ScoreRequest(seq[:end], caches[-1])]
                 )[0]
-                caches.append(res.cache)
+                caches.append(res)
                 cum = res.cum_logprob
             assert cum == trigram.sequence_logprob((BOS_ID,) + seq)
 
@@ -208,7 +207,7 @@ class TestBatchIncremental:
                 [ScoreRequest(scored, trigram.fresh_cache())]
             )[0]
             with pytest.raises(LMError):
-                trigram.score_batch_incremental([ScoreRequest(submitted, first.cache)])
+                trigram.score_batch_incremental([ScoreRequest(submitted, first)])
 
     def test_cache_longer_than_sequence_rejected(self, trigram):
         bad = PrefixCacheEntry(5, -1.0, (6, 7))
@@ -219,7 +218,7 @@ class TestBatchIncremental:
         # the good request creates the shared walk; the bad one must still be checked
         cache = trigram.score_batch_incremental(
             [ScoreRequest((5, 6, 7), trigram.fresh_cache())]
-        )[0].cache
+        )[0]
         good = ScoreRequest((5, 6, 7, 8), cache)
         for bad, message in [((5, 9, 7, 8), "not a prefix"), ((5, 6), "cache covers 3 tokens")]:
             with pytest.raises(LMError, match=message):
@@ -232,7 +231,7 @@ class TestBatchIncremental:
         seq = tuple(lm_tok.encode(eval_lines[3]))
         cache = model.fresh_cache()
         for end in (2, 5, len(seq)):
-            cache = model.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0].cache
+            cache = model.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
         assert model.tokens == cache.scored_len == len(seq)
         assert model.counts() == (3, 3, len(seq))
 
@@ -264,7 +263,7 @@ class TestSharedPrefixProperty:
         )
         pool = [model.fresh_cache(), model.fresh_cache()]  # equal, distinct objects
         for res in earlier:
-            pool += [res.cache, dataclasses.replace(res.cache)]
+            pool += [res, dataclasses.replace(res)]
         stems = data.draw(st.lists(_SEQS, min_size=1, max_size=3))
         requests = []
         for _ in range(data.draw(st.integers(1, 12))):
@@ -278,7 +277,7 @@ class TestSharedPrefixProperty:
             requests.append(ScoreRequest(cache.tokens + suffix, cache))
         got = model.score_batch_incremental(requests)
         want = reference_score_batch(model, requests)
-        assert [(r.cum_logprob, r.cache) for r in got] == [(r.cum_logprob, r.cache) for r in want]
+        assert got == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 2, 3]), _SEQS, st.lists(st.integers(0, 6), max_size=4), _SEQS)
@@ -290,7 +289,7 @@ class TestSharedPrefixProperty:
             res, _ = model.score_batch_incremental(
                 [ScoreRequest(seq[:end], cache), ScoreRequest(cache.tokens + sibling, cache)]
             )
-            cache = res.cache
+            cache = res
         assert res.cum_logprob == model.sequence_logprob((BOS_ID, *seq))
         assert cache.tokens == seq
 
