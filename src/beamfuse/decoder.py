@@ -442,14 +442,16 @@ class LabelCandidates:
 # -- LM bookkeeping ------------------------------------------------------------
 
 
-def _retokenize(view: LMView, tokens, end, asr_tok: Tokenizer, lm_tok: Tokenizer, memo) -> tuple:
-    """The view's LM tokens plus the words of ``tokens[1 + view.consumed : end]``, encoded.
+def _retokenize(view: LMView, words, lm_tok: Tokenizer, memo) -> tuple:
+    """The view's LM tokens plus ``words``, each encoded once per ``memo``.
 
-    The decoder's one map from ASR to LM tokens.  ``memo`` holds each word's
-    pieces; a view ends at a word boundary, so this re-tokenizes ``tokens[1:end]``.
+    The decoder's one map from ASR to LM tokens, given the words of
+    ``asr_tok.decode(tokens[1 + view.consumed : end])``: a view ends at a word
+    boundary, so this re-tokenizes ``tokens[1:end]``.  A hypothesis's views
+    advance together and share ``consumed``, so callers decode once for every LM.
     """
     lm_tokens = view.lm_tokens
-    for word in asr_tok.decode(tokens[1 + view.consumed : end]).split():
+    for word in words:
         if word not in memo:
             memo[word] = tuple(lm_tok.encode_word(word))
         lm_tokens += memo[word]
@@ -466,13 +468,10 @@ def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) ->
     if not lms:
         return
     k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
-    views = []
-    for view, spec in zip(hyp.views, lms):
-        if k > view.consumed:
-            lm_tokens = _retokenize(view, hyp.tokens, 1 + k, asr_tok, spec.tokenizer, {})
-            view = LMView(k, lm_tokens, view.cache)
-        views.append(view)
-    hyp.views = views
+    if k > hyp.views[0].consumed:
+        words = asr_tok.decode(hyp.tokens[1 + hyp.views[0].consumed : 1 + k]).split()
+        new = [_retokenize(v, words, spec.tokenizer, {}) for v, spec in zip(hyp.views, lms)]
+        hyp.views = [LMView(k, lm_tokens, v.cache) for v, lm_tokens in zip(hyp.views, new)]
 
 
 class _PolicyState:
@@ -577,9 +576,8 @@ class _FrameStep:
 class _LabelStep:
     """Label-synchronous search: one label per step from a CTC prefix scorer.
 
-    ``expand`` gathers each live hypothesis's next-token scores into one
-    ``LabelCandidates`` block; ``prune`` builds prefix-scorer states for the
-    survivors only.
+    ``expand``, ``prune`` and ``close`` each make at most one prefix-scorer
+    call for the whole beam; ``prune`` builds states for live survivors only.
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
@@ -605,9 +603,7 @@ class _LabelStep:
     def expand(self, beam, t) -> LabelCandidates:
         ended = [h for h in beam if h.ended]
         live = [h for h in beam if not h.ended]
-        label_scores = np.empty((len(live), len(self.candidate_ids)))
-        for r, hyp in enumerate(live):
-            label_scores[r] = self.scorer.candidate_scores(hyp.state)[self.id_index]
+        label_scores = self.scorer.candidate_scores([h.state for h in live])[:, self.id_index]
         e2e = np.array([h.e2e for h in live])
         base_lm = np.array([h.lm_combined(self.weights) for h in live])
         # the same operation order as e2e + label score + LM, one candidate at a time
@@ -621,19 +617,21 @@ class _LabelStep:
         return LabelCandidates(self.candidate_ids, ended, live, label_scores, scores, valid)
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
-        survivors = []
-        for j in _top_k(cands, cands.scores, extra, self.beam_size):
-            hyp, parent = cands.candidate(j)
-            if parent is not None and not hyp.ended:
-                hyp.state = self.scorer.child(parent.state, hyp.tokens[-1])
-            survivors.append(hyp)
-        return survivors
+        pairs = [cands.candidate(j) for j in _top_k(cands, cands.scores, extra, self.beam_size)]
+        growing = [(h, p.state) for h, p in pairs if p is not None and not h.ended]
+        if growing:
+            hyps, parents = zip(*growing)
+            for hyp, state in zip(hyps, self.scorer.child(parents, [h.tokens[-1] for h in hyps])):
+                hyp.state = state
+        return [h for h, _ in pairs]
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
         """End every unfinished hypothesis with its ``</s>`` score."""
-        for hyp in beam:
-            if not hyp.ended:
-                hyp.e2e += float(self.scorer.candidate_scores(hyp.state)[EOS_ID])
+        live = [h for h in beam if not h.ended]
+        if live:
+            ends = self.scorer.candidate_scores([h.state for h in live])[:, EOS_ID].tolist()
+            for hyp, end in zip(live, ends):
+                hyp.e2e += end
                 hyp.tokens = hyp.tokens + (EOS_ID,)
                 hyp.ended = True
                 hyp.state = None
@@ -711,8 +709,9 @@ def _score_whole(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, clo
     """
     memos, requests = [{} for _ in lms], [[] for _ in lms]
     for tokens, views in items:
+        words = asr_tok.decode(tokens[1 + views[0].consumed :]).split() if lms else ()
         for spec, view, memo, reqs in zip(lms, views, memos, requests):
-            lm_tokens = _retokenize(view, tokens, None, asr_tok, spec.tokenizer, memo)
+            lm_tokens = _retokenize(view, words, spec.tokenizer, memo)
             reqs.append(ScoreRequest(lm_tokens + close, view.cache))
     caches = [_score(spec, reqs, counters) for spec, reqs in zip(lms, requests)]
     return [[cache.cum_logprob for cache in per_lm] for per_lm in caches]

@@ -261,8 +261,41 @@ def reference_child(scorer, state: PrefixState, label: int) -> PrefixState:
     return PrefixState(r_nb, r_b, pp, label)
 
 
+def _cumsum0(column: np.ndarray) -> np.ndarray:
+    """Cumulative sums of ``column`` with a leading 0: entry t sums the first t values."""
+    out = np.empty(column.size + 1)
+    out[0] = 0.0
+    np.cumsum(column, out=out[1:])
+    return out
+
+
+def closed_form_child(scorer, state: PrefixState, label: int) -> PrefixState:
+    """``CtcPrefixScorer.child`` for one state: the same closed form over 1-D arrays.
+
+    The batched rows must equal this bit for bit; ``reference_child`` is the
+    loop it drifts from by rounding only.
+    """
+    if label == state.last_label:
+        phi = state.r_blank[:-1]
+    else:
+        phi = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
+    emit = scorer.frames[:, label]
+    cum = _cumsum0(emit)
+    bc = _cumsum0(scorer.frames[:, BLANK_ID])
+    r_nb = np.empty(scorer.T + 1)
+    r_nb[0] = NEG_INF
+    r_nb[1:] = cum[1:] + np.logaddexp.accumulate(phi - cum[:-1])
+    r_b = np.empty(scorer.T + 1)
+    r_b[0] = NEG_INF
+    r_b[1:] = bc[1:] + np.logaddexp.accumulate(r_nb[:-1] - bc[:-1])
+    acc = phi + emit
+    m = float(acc.max())
+    pp = m + math.log(np.exp(acc - m).sum()) if m > NEG_INF else NEG_INF
+    return PrefixState(r_nb, r_b, pp, label)
+
+
 def reference_candidate_scores(scorer, state: PrefixState) -> np.ndarray:
-    """``CtcPrefixScorer.candidate_scores`` over the full (T, V) matrix of every frame."""
+    """One state's row of ``CtcPrefixScorer.candidate_scores``, over every frame's (T, V) matrix."""
     if state.prefix_logprob == NEG_INF:
         return np.full(scorer.V, NEG_INF)
     both = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
@@ -297,7 +330,7 @@ def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
         if hyp.ended:
             entries.append((hyp.e2e + base_lm, hyp.tokens, (hyp, None)))
             continue
-        scores = scorer.candidate_scores(hyp.state)
+        scores = scorer.candidate_scores([hyp.state])[0]
         for c in candidate_ids:
             s = float(scores[c])
             if s == NEG_INF:
@@ -326,7 +359,7 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights) -> lis
             views=parent.views,
         )
         if not hyp.ended:
-            hyp.state = scorer.child(parent.state, tokens[-1])
+            hyp.state = scorer.child([parent.state], [tokens[-1]])[0]
         out.append((hyp, parent))
     return out
 

@@ -11,6 +11,7 @@ from beamfuse.acoustic import (
     CtcPrefixScorer,
     EmissionError,
     EmissionMatrix,
+    PrefixState,
     brute_force_ctc,
     brute_force_ctc_prefix,
     collapse_path,
@@ -26,6 +27,7 @@ from beamfuse.acoustic import (
 from conftest import (
     EMPTY_PREFIX_PAIR,
     CTCScorePair,
+    closed_form_child,
     ctc_step_extend,
     random_emissions,
     reference_candidate_scores,
@@ -149,7 +151,7 @@ class TestLabelSyncScorer:
         em = EmissionMatrix(random_emissions(rng, 5, 4))
         eos = 3
         scorer = CtcPrefixScorer(em, eos)
-        score = float(scorer.candidate_scores(scorer.root())[eos])
+        score = float(scorer.candidate_scores([scorer.root()])[0, eos])
         assert score == pytest.approx(float(em.log_probs[:, BLANK_ID].sum()), abs=1e-9)
 
     def test_telescoping_to_full_ctc_probability(self):
@@ -162,9 +164,9 @@ class TestLabelSyncScorer:
             state = scorer.root()
             total = 0.0
             for c in seq:
-                total += float(scorer.candidate_scores(state)[c])
-                state = scorer.child(state, c)
-            total += float(scorer.candidate_scores(state)[eos])
+                total += float(scorer.candidate_scores([state])[0, c])
+                state = scorer.child([state], [c])[0]
+            total += float(scorer.candidate_scores([state])[0, eos])
             assert total == pytest.approx(brute_force_ctc(em, seq), abs=1e-9)
 
     def test_prefix_probability_matches_oracle(self):
@@ -176,7 +178,7 @@ class TestLabelSyncScorer:
             state = scorer.root()
             prefix = []
             for c in [int(x) for x in rng.integers(1, 3, size=2)]:
-                state = scorer.child(state, c)
+                state = scorer.child([state], [c])[0]
                 prefix.append(c)
                 assert state.prefix_logprob == pytest.approx(
                     brute_force_ctc_prefix(em, prefix), abs=1e-9
@@ -186,8 +188,8 @@ class TestLabelSyncScorer:
         rng = np.random.default_rng(12)
         em = EmissionMatrix(random_emissions(rng, 5, 5))
         scorer = CtcPrefixScorer(em, 4)
-        state = scorer.child(scorer.root(), 1)
-        scores = scorer.candidate_scores(state)
+        state = scorer.child([scorer.root()], [1])[0]
+        scores = scorer.candidate_scores([state])[0]
         finite = scores[np.isfinite(scores)]
         total = float(np.log(np.exp(finite - finite.max()).sum()) + finite.max())
         assert total <= 1e-9
@@ -196,9 +198,9 @@ class TestLabelSyncScorer:
         rng = np.random.default_rng(14)
         em = EmissionMatrix(random_emissions(rng, 3, 4))
         scorer = CtcPrefixScorer(em, 3)
-        assert scorer.candidate_scores(scorer.root())[BLANK_ID] == NEG_INF
+        assert scorer.candidate_scores([scorer.root()])[0, BLANK_ID] == NEG_INF
         with pytest.raises(ValueError):
-            scorer.child(scorer.root(), BLANK_ID)
+            scorer.child([scorer.root()], [BLANK_ID])
 
 
 def _peaked_emissions(rng, frames, vocab, peak=700.0):
@@ -244,8 +246,8 @@ class TestScorerMatchesReference:
                 state = scorer.root()
                 for label in [None] + _label_chain(rng, [1, 2, 3], frames + 2):
                     if label is not None:
-                        state = scorer.child(state, label)
-                    got = scorer.candidate_scores(state)
+                        state = scorer.child([state], [label])[0]
+                    got = scorer.candidate_scores([state])[0]
                     want = reference_candidate_scores(scorer, state)
                     assert got.tobytes() == want.tobytes()
                     dead += state.prefix_logprob == NEG_INF
@@ -259,16 +261,16 @@ class TestScorerMatchesReference:
             state = scorer.root()
             for label in _label_chain(rng, [1, 2, 3, 4, 5], 8):
                 state = reference_child(scorer, state, label)
-                got = scorer.candidate_scores(state)
+                got = scorer.candidate_scores([state])[0]
                 assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
 
     def test_repeat_with_no_blank_ending_path_is_impossible(self):
         # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
         em = EmissionMatrix(random_emissions(np.random.default_rng(22), 1, 4))
         scorer = CtcPrefixScorer(em, 3)
-        state = scorer.child(scorer.child(scorer.root(), 1), 1)
+        state = scorer.child(scorer.child([scorer.root()], [1]), [1])[0]
         assert state.prefix_logprob == NEG_INF
-        got = scorer.candidate_scores(state)
+        got = scorer.candidate_scores([state])[0]
         assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
         assert np.all(got == NEG_INF)
 
@@ -286,7 +288,7 @@ class TestScorerMatchesReference:
         for _ in range(3):
             got = want = scorer.root()
             for label in _label_chain(rng, range(1, vocab - 1), min(frames + 1, 12)):
-                got = scorer.child(got, label)
+                got = scorer.child([got], [label])[0]
                 want = reference_child(scorer, want, label)
                 for a, b in (
                     (got.r_nonblank, want.r_nonblank),
@@ -297,6 +299,122 @@ class TestScorerMatchesReference:
                     # rounding grows with the magnitude of the sums, so the
                     # bound is relative above 1 (values reach -7e5 when peaked)
                     assert _drift(a, b) <= 1e-9
+
+
+def _ragged_beam(rng, scorer, size, max_depth=10):
+    """States of mixed depths, hence mixed start frames, with repeats and one dead row."""
+    labels = range(1, scorer.V - 1)
+    beam = []
+    for _ in range(size):
+        state = scorer.root()
+        depth = int(rng.integers(0, min(scorer.T + 2, max_depth) + 1))
+        for label in _label_chain(rng, labels, depth):
+            state = closed_form_child(scorer, state, label)
+        beam.append(state)
+    dead = np.full(scorer.T + 1, NEG_INF)
+    last = int(rng.choice(labels))
+    beam.insert(int(rng.integers(0, size + 1)), PrefixState(dead, dead.copy(), NEG_INF, last))
+    return beam
+
+
+def _next_labels(rng, beam, labels):
+    """One label per state; about a third repeat the state's last label."""
+    out = []
+    for state in beam:
+        repeat = state.last_label is not None and rng.random() < 1 / 3
+        out.append(state.last_label if repeat else int(rng.choice(labels)))
+    return out
+
+
+def _start(state) -> int:
+    reached = np.flatnonzero(np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1]) > NEG_INF)
+    return int(reached[0]) if reached.size else len(state.r_blank) - 1
+
+
+def _f64(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_batch_rows_equal_references(scorer, beam, labels):
+    """Every batched row equals its state scored alone, bit for bit."""
+    got = scorer.candidate_scores(beam)
+    assert got.shape == (len(beam), scorer.V)
+    for row, state in zip(got, beam):
+        assert row.tobytes() == reference_candidate_scores(scorer, state).tobytes()
+    children = scorer.child(beam, labels)
+    assert len(children) == len(beam)
+    for child, state, label in zip(children, beam, labels):
+        want = closed_form_child(scorer, state, label)
+        assert child.r_nonblank.tobytes() == want.r_nonblank.tobytes()
+        assert child.r_blank.tobytes() == want.r_blank.tobytes()
+        assert _f64(child.prefix_logprob) == _f64(want.prefix_logprob)
+        assert child.last_label == label
+    return children
+
+
+class TestBatchedScorer:
+    """One call over a beam gives, row by row, what each state gives alone."""
+
+    @pytest.mark.parametrize("frames", [1, 60, 129, 1000])
+    def test_ragged_beams_bit_equal(self, frames):
+        rng = np.random.default_rng(50 + frames)
+        vocab = 8
+        em = EmissionMatrix(random_emissions(rng, frames, vocab))
+        scorer = CtcPrefixScorer(em, vocab - 1, disallowed=(vocab - 2,))
+        labels = range(1, vocab - 2)
+        starts = repeats = 0
+        for _ in range(4):
+            beam = _ragged_beam(rng, scorer, 7)
+            for _ in range(3):
+                nxt = _next_labels(rng, beam, labels)
+                starts = max(starts, len({_start(s) for s in beam if s.prefix_logprob > NEG_INF}))
+                repeats += sum(s.last_label == c for s, c in zip(beam, nxt))
+                beam = assert_batch_rows_equal_references(scorer, beam, nxt)
+        assert repeats > 0
+        assert starts > (1 if frames == 1 else 3)
+
+    def test_empty_batch(self):
+        em = EmissionMatrix(random_emissions(np.random.default_rng(51), 4, 5))
+        scorer = CtcPrefixScorer(em, 4)
+        assert scorer.candidate_scores([]).shape == (0, 5)
+        assert scorer.child([], []) == []
+
+    def test_dead_rows_are_neg_inf(self):
+        # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
+        em = EmissionMatrix(random_emissions(np.random.default_rng(52), 1, 4))
+        scorer = CtcPrefixScorer(em, 3)
+        root = scorer.root()
+        one = scorer.child([root], [1])[0]
+        beam = [root, scorer.child([one], [1])[0], one]
+        assert beam[1].prefix_logprob == NEG_INF
+        assert_batch_rows_equal_references(scorer, beam, [2, 2, 2])
+        got = scorer.candidate_scores(beam)
+        assert np.all(got[1] == NEG_INF) and np.any(got[0] > NEG_INF)
+
+    def test_invalid_label_anywhere_in_the_batch(self):
+        em = EmissionMatrix(random_emissions(np.random.default_rng(53), 3, 5))
+        scorer = CtcPrefixScorer(em, 4)
+        root = scorer.root()
+        for bad in (BLANK_ID, 4, 5, -1):
+            with pytest.raises(ValueError, match="invalid extension label"):
+                scorer.child([root, root], [1, bad])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=st.sampled_from([1, 2, 3, 7, 40, 129, 130]),
+        size=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.5, 1.0, 4.0, 12.0]),
+    )
+    def test_random_beams_bit_equal(self, frames, size, seed, scale):
+        rng = np.random.default_rng(seed)
+        logits = scale * rng.normal(size=(frames, 6))
+        rows = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        scorer = CtcPrefixScorer(EmissionMatrix(rows), 5)
+        beam = _ragged_beam(rng, scorer, size)
+        for _ in range(2):
+            labels = _next_labels(rng, beam, [1, 2, 3, 4])
+            beam = assert_batch_rows_equal_references(scorer, beam, labels)
 
 
 @st.composite
@@ -323,8 +441,8 @@ class TestScorerProperty:
         got = want = scorer.root()
         total = 0.0
         for label in labels:
-            total += float(scorer.candidate_scores(got)[label])
-            got = scorer.child(got, label)
+            total += float(scorer.candidate_scores([got])[0, label])
+            got = scorer.child([got], [label])[0]
             want = reference_child(scorer, want, label)
             for a, b in (
                 (got.r_nonblank, want.r_nonblank),
@@ -334,7 +452,7 @@ class TestScorerProperty:
                 assert _same_neg_inf(a, b)
                 finite = np.atleast_1d(b) > NEG_INF
                 assert np.all(np.abs(np.atleast_1d(a)[finite] - np.atleast_1d(b)[finite]) <= 1e-9)
-        total += float(scorer.candidate_scores(got)[eos])
+        total += float(scorer.candidate_scores([got])[0, eos])
         expected = forward_ctc(em, labels)
         if expected == NEG_INF:
             assert total == NEG_INF

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from beamfuse.decoder import (
     _FrameStep,
     _LabelStep,
     _PolicyState,
+    _score_whole,
     _shallow_scores,
     advance_views,
     apply_lm_scores,
@@ -662,6 +664,44 @@ class TestShallowRequests:
         assert most >= 4
 
 
+class TestRetokenizeDecodesOnce:
+    """A hypothesis's views share ``consumed``, so its rest is decoded once for every LM."""
+
+    def test_one_decode_per_item_with_two_lms(self, shallow_world, monkeypatch):
+        tok, lm_sets = shallow_world
+        lms = lm_sets["both"]
+        decoded = []
+        plain_decode = tok.decode
+        monkeypatch.setattr(tok, "decode", lambda ids: decoded.append(ids) or plain_decode(ids))
+        rng = np.random.default_rng(44)
+        real = list(tok.vocab.real_ids())
+        beam = []
+        for size in (3, 5, 8, 8):
+            views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
+            beam.append(Hypothesis((BOS_ID, *rng.choice(real, size=size).tolist()), views=views))
+
+        items = [(h.tokens, h.views) for h in beam]
+        raws = _score_whole(iter(items), lms, tok, DecodeCounters(), (EOS_ID,))
+        assert len(decoded) == len(beam)
+        for spec, raw in zip(lms, raws):
+            assert raw == _score_whole(iter(items), [spec], tok, DecodeCounters(), (EOS_ID,))[0]
+
+        decoded.clear()
+        advanced = 0
+        for hyp in beam:
+            alone = []
+            for i, spec in enumerate(lms):
+                single = Hypothesis(hyp.tokens, views=[hyp.views[i]])
+                advance_views(single, tok, [spec])
+                alone.append(single.views[0])
+            decoded.clear()
+            advance_views(hyp, tok, lms)
+            assert hyp.views == alone
+            assert len(decoded) == (hyp.views[0].consumed > 0)
+            advanced += len(decoded)
+        assert advanced >= 3
+
+
 def _every_policy() -> list[FusionPolicy]:
     return [FusionPolicy(kind, 2 if kind == "interval" else 0) for kind in POLICY_KINDS]
 
@@ -1196,6 +1236,29 @@ class TestLabelSync:
         assert len(scorer.child_labels) <= cfg.beam * result.counters.steps
         assert result.counters.hyps_expanded > len(scorer.child_labels)
 
+    @pytest.mark.parametrize("kind", ["never", "shortest", "shallow"])
+    def test_one_scorer_call_per_step(self, asr_tok, asr_trigram, corpus_split, kind):
+        # expand scores the beam in one call and prune builds the live
+        # survivors' states in at most one; close scores what is left in one
+        ems = [em for _, em in utterances(asr_tok, corpus_split, 3, noise=0.5)]
+        # random emissions leave hypotheses unfinished at the step cap
+        rng = np.random.default_rng(12)
+        ems += [EmissionMatrix(random_emissions(rng, 6, asr_tok.vocab.size)) for _ in range(2)]
+        closed = batched = 0
+        for em in ems:
+            scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
+            lms = [LMSpec(asr_trigram, asr_tok, 0.5)]
+            cfg = DecodeConfig(beam=6, policy=FusionPolicy(kind), lms=lms, mode="labelsync")
+            steps = decode(scorer, cfg, asr_tok).counters.steps
+            calls = "".join("s" if name == "candidate_scores" else "c" for name, _ in scorer.calls)
+            assert re.fullmatch("(sc?)+", calls)
+            assert calls.count("s") - steps in (0, 1)
+            assert all(size > 0 for name, size in scorer.calls if name == "child")
+            closed += calls.count("s") - steps
+            batched += max(size for _, size in scorer.calls) > 1
+        assert closed > 0
+        assert batched == len(ems)
+
     def test_all_ended_beam_passes_through(self, asr_tok, corpus_split):
         line, em = utterances(asr_tok, corpus_split, 1, noise=0.0)[0]
         cfg = DecodeConfig(beam=3, policy=FusionPolicy("never"), lms=[], mode="labelsync")
@@ -1205,11 +1268,12 @@ class TestLabelSync:
 
 
 class _CountingScorer:
-    """Prefix-scorer proxy that records which states are built and scored."""
+    """Prefix-scorer proxy that records each call and which states are built and scored."""
 
     def __init__(self, inner):
         self.inner = inner
         self.T = inner.T
+        self.calls = []
         self.child_labels = []
         self.parent_states = []
         self.built_states = []
@@ -1218,16 +1282,18 @@ class _CountingScorer:
     def root(self):
         return self.inner.root()
 
-    def child(self, state, label):
-        self.child_labels.append(label)
-        self.parent_states.append(id(state))
-        out = self.inner.child(state, label)
-        self.built_states.append(id(out))
+    def child(self, states, labels):
+        self.calls.append(("child", len(states)))
+        self.child_labels.extend(labels)
+        self.parent_states.extend(map(id, states))
+        out = self.inner.child(states, labels)
+        self.built_states.extend(map(id, out))
         return out
 
-    def candidate_scores(self, state):
-        self.scored_states.append(id(state))
-        return self.inner.candidate_scores(state)
+    def candidate_scores(self, states):
+        self.calls.append(("candidate_scores", len(states)))
+        self.scored_states.extend(map(id, states))
+        return self.inner.candidate_scores(states)
 
 
 class TestValidation:

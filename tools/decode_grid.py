@@ -4,8 +4,8 @@ Run from the repository root:  PYTHONPATH=src python3 tools/decode_grid.py
 
 The grid decodes 8 seeded utterances in both modes under every fusion
 policy, with no LM, the matched LM, the cross-vocabulary LM and both, at
-ctc beams 1/5/10/20/40 and label-sync beams 1/5/10, keeping the step trace:
-1,280 decodes.  Each result is reduced to plain values (``wall_seconds``
+ctc beams 1/5/10/20/40 and label-sync beams 1/5/10/20, keeping the step
+trace: 1,440 decodes.  Each result is reduced to plain values (``wall_seconds``
 zeroed, numpy floats turned into Python floats) and the ``repr`` of the
 list is hashed, so two checkouts print the same line exactly when every
 hypothesis, score, counter and trace entry is bit-identical.
@@ -21,7 +21,7 @@ import numpy as np
 from beamfuse.decoder import POLICY_KINDS, DecodeConfig, FusionPolicy, LMSpec, decode
 from beamfuse.harness import BenchConfig, prepare_bench
 
-BEAMS = {"ctc": (1, 5, 10, 20, 40), "labelsync": (1, 5, 10)}
+BEAMS = {"ctc": (1, 5, 10, 20, 40), "labelsync": (1, 5, 10, 20)}
 INTERVAL = 3
 
 
