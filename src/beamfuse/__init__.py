@@ -12,9 +12,7 @@ from .acoustic import (
     CtcPrefixScorer,
     EmissionMatrix,
     brute_force_ctc,
-    brute_force_ctc_prefix,
     forward_ctc,
-    greedy_labels,
     read_emissions,
     synth_emissions,
     write_emissions,

@@ -131,17 +131,6 @@ def brute_force_ctc(em: EmissionMatrix, labels: Sequence[int]) -> float:
     return table.get(tuple(labels), NEG_INF)
 
 
-def brute_force_ctc_prefix(em: EmissionMatrix, prefix: Sequence[int]) -> float:
-    """log P(paths collapsing to any labelling that starts with ``prefix``)."""
-    table = enumerate_collapse_table(em)
-    want = tuple(prefix)
-    acc = NEG_INF
-    for key, logp in table.items():
-        if key[: len(want)] == want:
-            acc = lse2(acc, logp)
-    return acc
-
-
 def forward_ctc(em: EmissionMatrix, labels: Sequence[int]) -> float:
     """log P(collapse == labels) via the interleaved-blank forward trellis.
 
@@ -352,11 +341,6 @@ def synth_emissions(
         emit(token, int(rng.integers(lo, hi + 1)))
         prev = token
     return EmissionMatrix(np.vstack(rows))
-
-
-def greedy_labels(em: EmissionMatrix) -> tuple[int, ...]:
-    """Collapse of the per-frame argmax."""
-    return collapse_path(np.argmax(em.log_probs, axis=1).tolist())
 
 
 # -- file format ---------------------------------------------------------------

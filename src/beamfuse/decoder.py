@@ -40,11 +40,15 @@ between the modes lives in a small step object:
   hypotheses are closed with ``</s>``.
 
 Both candidate blocks answer ``valid``, ``tokens(j)`` and ``views(j)`` for a
-flat candidate index ``j``.  The shallow baseline is one more score term on
-the same cut: the whole-hypothesis pass scores every valid candidate, and
-those scores are added before the prune.  The step objects own every other
-mode difference too: the root hypothesis, the step count, and closing the
-last beam with each hypothesis's end-to-end score ``e2e``.
+flat candidate index ``j``, and ``families(kept)`` groups the extension
+block by parent.  The shallow baseline is one more score term on the same
+cut: every valid candidate's whole content is scored, and those scores are
+added before the prune.  Its requests are built once per parent
+(``_ShallowRequests``): the parent's rest is decoded and re-tokenized once
+and each child adds only its piece, with one word memo per LM that lives
+for one decode.  The step objects own every other mode difference too: the
+root hypothesis, the step count, and closing the last beam with each
+hypothesis's end-to-end score ``e2e``.
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -68,7 +72,7 @@ from .acoustic import (
     lse2,
 )
 from .lm import ScoreRequest
-from .tokenization import BOS_ID, EOS_ID, UNK_ID, Tokenizer, tokenizable_prefix_len
+from .tokenization import BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer, tokenizable_prefix_len
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
 MODES = ("ctc", "labelsync")
@@ -264,6 +268,10 @@ class FrameCandidates:
         n = len(self.beam)
         return self.stay_views[j] if j < n else self.beam[(j - n) // len(self.real_ids)].views
 
+    def families(self, kept: np.ndarray) -> tuple[list[int], list]:
+        """The stay indices in ``kept``, and its extensions as ``(parent, labels)``."""
+        return _families(kept, len(self.beam), self.beam, self.real_ids)
+
     def hypothesis(self, j: int) -> Hypothesis:
         """Candidate ``j`` as a new hypothesis sharing its parent's views."""
         n = len(self.beam)
@@ -288,6 +296,25 @@ class FrameCandidates:
 
 def _views_key(views: Sequence[LMView]) -> tuple:
     return tuple((v.cache.scored_len, v.consumed) for v in views)
+
+
+def _families(kept: np.ndarray, n: int, parents: Sequence[Hypothesis], ids: np.ndarray):
+    """Split ascending candidate indices into single items and per-parent families.
+
+    Indices below ``n`` are single items; index ``n + r * len(ids) + col`` is
+    ``parents[r]`` extended by ``ids[col]``.  Returns the single indices and
+    ``(parent, labels)`` for each parent with a kept extension, so the singles
+    followed by each family's labels in turn are ``kept`` in order.
+    """
+    split = int(np.searchsorted(kept, n))
+    rows, cols = np.divmod(kept[split:] - n, len(ids))
+    labels = ids[cols].tolist()
+    families, start = [], 0
+    for parent, count in zip(parents, np.bincount(rows, minlength=len(parents)).tolist()):
+        if count:
+            families.append((parent, labels[start : start + count]))
+            start += count
+    return kept[:split].tolist(), families
 
 
 def extend_frame(
@@ -419,6 +446,10 @@ class LabelCandidates:
         n = len(self.ended)
         return self.ended[j].views if j < n else self.live[(j - n) // len(self.ids)].views
 
+    def families(self, kept: np.ndarray) -> tuple[list[int], list]:
+        """The ended indices in ``kept``, and its extensions as ``(parent, labels)``."""
+        return _families(kept, len(self.ended), self.live, np.asarray(self.ids))
+
     def candidate(self, j: int) -> tuple[Hypothesis, Hypothesis | None]:
         """Candidate ``j`` as (hypothesis, parent); an ended one is itself, with no parent.
 
@@ -442,15 +473,15 @@ class LabelCandidates:
 # -- LM bookkeeping ------------------------------------------------------------
 
 
-def _retokenize(view: LMView, words, lm_tok: Tokenizer, memo) -> tuple:
-    """The view's LM tokens plus ``words``, each encoded once per ``memo``.
+def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer, memo) -> tuple:
+    """``lm_tokens`` plus ``words``, each encoded once per ``memo``.
 
-    The decoder's one map from ASR to LM tokens, given the words of
-    ``asr_tok.decode(tokens[1 + view.consumed : end])``: a view ends at a word
-    boundary, so this re-tokenizes ``tokens[1:end]``.  A hypothesis's views
-    advance together and share ``consumed``, so callers decode once for every LM.
+    The decoder's one map from ASR to LM tokens.  Given a view's LM tokens
+    and the words of ``asr_tok.decode(tokens[1 + view.consumed : end])``, it
+    re-tokenizes ``tokens[1:end]``, since a view ends at a word boundary.  A
+    hypothesis's views advance together and share ``consumed``, so callers
+    decode once for every LM.
     """
-    lm_tokens = view.lm_tokens
     for word in words:
         if word not in memo:
             memo[word] = tuple(lm_tok.encode_word(word))
@@ -470,30 +501,24 @@ def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) ->
     k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
     if k > hyp.views[0].consumed:
         words = asr_tok.decode(hyp.tokens[1 + hyp.views[0].consumed : 1 + k]).split()
-        new = [_retokenize(v, words, spec.tokenizer, {}) for v, spec in zip(hyp.views, lms)]
+        new = [_retokenize(v.lm_tokens, words, s.tokenizer, {}) for v, s in zip(hyp.views, lms)]
         hyp.views = [LMView(k, lm_tokens, v.cache) for v, lm_tokens in zip(hyp.views, new)]
 
 
-class _PolicyState:
-    __slots__ = ("prev_shortest",)
-
-    def __init__(self):
-        self.prev_shortest = 0
-
-
 def fusable(
-    policy: FusionPolicy, beam: Sequence[Hypothesis], t: int, state: _PolicyState
+    policy: FusionPolicy, beam: Sequence[Hypothesis], t: int, shortest: int, prev_shortest: int
 ) -> bool:
-    """Decide whether this step triggers LM scoring (views must be current)."""
+    """Decide whether this step triggers LM scoring (views must be current).
+
+    ``shortest`` is the beam's shortest LM-token prefix now and
+    ``prev_shortest`` the one the search saw at its previous step (0 at first).
+    """
     if policy.kind == "always":
         return True
     if policy.kind in ("never", "shallow"):
         return False
     if policy.kind == "shortest":
-        shortest = min(len(h.views[0].lm_tokens) for h in beam)
-        fire = shortest > state.prev_shortest
-        state.prev_shortest = shortest
-        return fire
+        return shortest > prev_shortest
     # interval: fire on the grid, but only if someone has unscored words
     if t % policy.interval != 0:
         return False
@@ -656,34 +681,101 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
 def _search(step, config, asr_tok, counters):
     """The search loop of every policy: expand, prune, advance views, fuse, trace."""
     beam = [step.root()]
-    state = _PolicyState()
+    prev_shortest = 0
     trace: list[StepTrace] = []
-    shallow = config.policy.kind == "shallow" and bool(config.lms)
+    shallow = None
+    if config.policy.kind == "shallow" and config.lms:
+        shallow = _ShallowRequests(config.lms, asr_tok)
 
     for t in range(1, step.limit + 1):
         cands = step.expand(beam, t)
         counters.steps += 1
         counters.hyps_expanded += len(cands)
-        extra = _shallow_scores(cands, config.lms, asr_tok, counters) if shallow else None
+        extra = None if shallow is None else _shallow_scores(cands, shallow, counters)
         beam = step.prune(cands, extra)
         # free the candidates before the next expansion builds new ones
         del cands
         for hyp in beam:
             advance_views(hyp, asr_tok, config.lms)
-        fired = bool(config.lms) and fusable(config.policy, beam, t, state)
+        fired, shortest = False, None
+        if config.lms:
+            shortest = min((len(h.views[0].lm_tokens) for h in beam), default=0)
+            fired = fusable(config.policy, beam, t, shortest, prev_shortest)
+            prev_shortest = shortest
         if fired:
             apply_lm_scores(beam, config.lms, counters)
-        if config.keep_trace and not shallow:
-            trace.append(_trace_step(t, fired, beam, config))
+        if config.keep_trace and shallow is None:
+            trace.append(_trace_step(t, fired, shortest, beam))
         # only label-synchronous hypotheses ever end
         if all(h.ended for h in beam):
             break
     return step.close(beam), trace
 
 
-def _shallow_scores(
-    cands, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters: DecodeCounters
-) -> np.ndarray:
+def _piece_words(asr_tok: Tokenizer) -> list[tuple]:
+    """Per ASR id, ``(glue, words, opens)`` for its piece's text, markers read as spaces.
+
+    ``words`` are the text's words, ``glue`` the first of them if it joins the
+    word before it, and ``opens`` whether text ending with it ends inside a
+    word.  Reserved ids decode to nothing.  With a one-character marker,
+    ``decode`` is these texts concatenated, stripped.
+    """
+    table = []
+    for c, piece in enumerate(asr_tok.vocab.tokens):
+        text = "" if c < NUM_SPECIALS else piece.replace(asr_tok.vocab.marker, " ")
+        words = tuple(text.split())
+        glue = words[0] if words and not text[0].isspace() else None
+        table.append((glue, words, bool(text) and not text[-1].isspace()))
+    return table
+
+
+class _ShallowRequests:
+    """Shallow fusion's LM requests, built once per parent.
+
+    ``_search`` makes one per decode, so its word memos (one per LM) encode
+    each distinct word once per decode and keep nothing between decodes.
+    """
+
+    def __init__(self, lms: Sequence[LMSpec], asr_tok: Tokenizer):
+        self.lms = lms
+        self.asr_tok = asr_tok
+        self.memos = [{} for _ in lms]
+        self.pieces = _piece_words(asr_tok)
+
+    def __call__(self, cands, kept: np.ndarray) -> list[list[ScoreRequest]]:
+        """Each LM's requests for the candidates ``kept``, in their order.
+
+        Single items go through ``_whole_requests``.  Per family, the parent's
+        tail is decoded once into ``words`` and an open ``last`` word (None if
+        the tail ends between words), re-tokenized once per LM as ``base`` and
+        ``closed``.  A child whose piece joins ``last`` gets ``base`` plus the
+        joined word, any other ``closed`` plus its piece's words: either way
+        the words of ``decode(tail + (c,))``.
+        """
+        lms, asr_tok, memos, pieces = self.lms, self.asr_tok, self.memos, self.pieces
+        singles, families = cands.families(kept)
+        items = ((cands.tokens(j), cands.views(j)) for j in singles)
+        requests = _whole_requests(items, lms, asr_tok, memos)
+        for parent, labels in families:
+            tail = parent.tokens[1 + parent.views[0].consumed :]
+            words = asr_tok.decode(tail).split()
+            # a parent's tail holds ordinary ids only: ``</s>`` ends a hypothesis
+            last = words.pop() if tail and pieces[tail[-1]][2] else None
+            for view, spec, memo, reqs in zip(parent.views, lms, memos, requests):
+                lm_tok, cache = spec.tokenizer, view.cache
+                base = _retokenize(view.lm_tokens, words, lm_tok, memo)
+                closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
+                for c in labels:
+                    glue, more, _ = pieces[c]
+                    if glue is None or last is None:
+                        lm_tokens = _retokenize(closed, more, lm_tok, memo)
+                    else:
+                        lm_tokens = _retokenize(base, (last + glue, *more[1:]), lm_tok, memo)
+                    reqs.append(ScoreRequest(lm_tokens, cache))
+        return requests
+
+
+def _shallow_scores(cands, shallow: _ShallowRequests, counters: DecodeCounters) -> np.ndarray:
     """Reference baseline: weighted LM scores of every valid candidate, 0 elsewhere.
 
     Classic shallow fusion charges each candidate token as it is emitted,
@@ -692,40 +784,49 @@ def _shallow_scores(
     still-growing final word, whose tokenization is tentative.  Nothing is
     cached (the views' caches stay fresh, so the stale LM term in the
     candidate scores is 0), and the decoder's LM counters reflect the full
-    price of pre-pruning fusion.
+    price of pre-pruning fusion.  ``shallow`` builds the same requests, in
+    the same order, as ``_whole_requests`` over every candidate would.
     """
-    kept = np.flatnonzero(cands.valid).tolist()
+    kept = np.flatnonzero(cands.valid)
     extra = np.zeros(cands.valid.size)
-    items = ((cands.tokens(j), cands.views(j)) for j in kept)
-    for spec, raw in zip(lms, _score_whole(items, lms, asr_tok, counters)):
+    lms = shallow.lms
+    for spec, raw in zip(lms, _raw_scores(lms, shallow(cands, kept), counters)):
         extra[kept] += spec.weight * np.array(raw)
     return extra
 
 
-def _score_whole(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, close=()) -> list:
-    """Each LM's raw scores of every item's whole content plus ``close``, in item order.
+def _whole_requests(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, memos, close=()) -> list:
+    """Each LM's requests for every item's whole content plus ``close``, in item order.
 
-    ``items`` yields ``(tokens, views)``, read once; one call per LM resumes each view's cache.
+    ``items`` yields ``(tokens, views)``, read once; each request resumes its view's cache.
     """
-    memos, requests = [{} for _ in lms], [[] for _ in lms]
+    requests = [[] for _ in lms]
     for tokens, views in items:
         words = asr_tok.decode(tokens[1 + views[0].consumed :]).split() if lms else ()
         for spec, view, memo, reqs in zip(lms, views, memos, requests):
-            lm_tokens = _retokenize(view, words, spec.tokenizer, memo)
+            lm_tokens = _retokenize(view.lm_tokens, words, spec.tokenizer, memo)
             reqs.append(ScoreRequest(lm_tokens + close, view.cache))
+    return requests
+
+
+def _raw_scores(lms: Sequence[LMSpec], requests: list, counters) -> list:
+    """One counted call per LM; each LM's raw scores, in request order."""
     caches = [_score(spec, reqs, counters) for spec, reqs in zip(lms, requests)]
     return [[cache.cum_logprob for cache in per_lm] for per_lm in caches]
 
 
-def _trace_step(t, fired, beam, config) -> StepTrace:
-    if config.lms:
-        shortest = min(len(h.views[0].lm_tokens) for h in beam)
+def _score_whole(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, close=()) -> list:
+    """Each LM's raw scores of every item's whole content plus ``close``, in item order."""
+    requests = _whole_requests(items, lms, asr_tok, [{} for _ in lms], close)
+    return _raw_scores(lms, requests, counters)
+
+
+def _trace_step(t, fired, shortest, beam) -> StepTrace:
+    lm_state = ()
+    if shortest is not None:
         lm_state = tuple(
             (h.views[0].cache.scored_len, h.views[0].cache.cum_logprob) for h in beam
         )
-    else:
-        shortest = None
-        lm_state = ()
     return StepTrace(t, fired, shortest, lm_state)
 
 

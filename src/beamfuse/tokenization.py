@@ -50,6 +50,10 @@ class Vocabulary:
             raise VocabularyError(
                 f"tokens 1..3 must be {SPECIAL_TOKENS[1:]}, got {self.tokens[1:NUM_SPECIALS]}"
             )
+        if len(self.marker) != 1:
+            # the decoder builds decoded text piece by piece, which needs a
+            # marker that no two pieces can form together
+            raise VocabularyError(f"marker must be one character, got {self.marker!r}")
         if len(set(self.tokens)) != len(self.tokens):
             raise VocabularyError("token strings must be unique")
         for tok in self.tokens[NUM_SPECIALS:]:

@@ -5,8 +5,23 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from beamfuse.acoustic import BLANK_ID, NEG_INF, PrefixState, lse2
-from beamfuse.decoder import Hypothesis, LMSpec, LMView, _select_top, advance_views
+from beamfuse.acoustic import (
+    BLANK_ID,
+    NEG_INF,
+    EmissionMatrix,
+    PrefixState,
+    collapse_path,
+    enumerate_collapse_table,
+    lse2,
+)
+from beamfuse.decoder import (
+    Hypothesis,
+    LMSpec,
+    LMView,
+    _retokenize,
+    _select_top,
+    advance_views,
+)
 from beamfuse.harness import generate_corpus, split_corpus
 from beamfuse.lm import LMError, PrefixCacheEntry, train_ngram
 from beamfuse.tokenization import (
@@ -123,6 +138,25 @@ def reference_score_batch(model, requests) -> list:
             ctx = model._push(ctx, token)
         caches.append(PrefixCacheEntry(len(tokens), cum, ctx, tokens))
     return caches
+
+
+# -- test-only CTC oracles -----------------------------------------------------
+
+
+def brute_force_ctc_prefix(em: EmissionMatrix, prefix: Sequence[int]) -> float:
+    """log P(paths collapsing to any labelling that starts with ``prefix``)."""
+    table = enumerate_collapse_table(em)
+    want = tuple(prefix)
+    acc = NEG_INF
+    for key, logp in table.items():
+        if key[: len(want)] == want:
+            acc = lse2(acc, logp)
+    return acc
+
+
+def greedy_labels(em: EmissionMatrix) -> tuple[int, ...]:
+    """Collapse of the per-frame argmax."""
+    return collapse_path(np.argmax(em.log_probs, axis=1).tolist())
 
 
 # -- the CTC prefix recursion, one (prefix, label) pair at a time ---------------
@@ -411,3 +445,20 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
         ]
         survivors.append(hyp)
     return survivors, deltas
+
+
+def reference_shallow_requests(cands, lms, asr_tok) -> list:
+    """Each LM's shallow requests built one flat candidate at a time.
+
+    Every valid candidate ``j``, in index order, is decoded from its views'
+    ``consumed`` on and re-tokenized with ``_retokenize``: the request builder
+    as it was before requests were built per parent.  Returns each LM's
+    ``(lm_tokens, cache)`` pairs.
+    """
+    out = [[] for _ in lms]
+    for j in np.flatnonzero(cands.valid).tolist():
+        tokens, views = cands.tokens(j), cands.views(j)
+        words = asr_tok.decode(tokens[1 + views[0].consumed :]).split()
+        for spec, view, reqs in zip(lms, views, out):
+            reqs.append((_retokenize(view.lm_tokens, words, spec.tokenizer, {}), view.cache))
+    return out

@@ -13,11 +13,9 @@ from beamfuse.acoustic import (
     EmissionMatrix,
     PrefixState,
     brute_force_ctc,
-    brute_force_ctc_prefix,
     collapse_path,
     enumerate_collapse_table,
     forward_ctc,
-    greedy_labels,
     lse2,
     read_emissions,
     synth_emissions,
@@ -27,8 +25,10 @@ from beamfuse.acoustic import (
 from conftest import (
     EMPTY_PREFIX_PAIR,
     CTCScorePair,
+    brute_force_ctc_prefix,
     closed_form_child,
     ctc_step_extend,
+    greedy_labels,
     random_emissions,
     reference_candidate_scores,
     reference_child,

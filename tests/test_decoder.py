@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import beamfuse.decoder as decoder_mod
 from beamfuse.acoustic import NEG_INF, CtcPrefixScorer, EmissionMatrix, lse2, synth_emissions
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +21,14 @@ from beamfuse.decoder import (
     FrameCandidates,
     FusionPolicy,
     Hypothesis,
+    LabelCandidates,
     LMSpec,
     LMView,
     _FrameStep,
     _LabelStep,
-    _PolicyState,
     _score_whole,
     _shallow_scores,
+    _ShallowRequests,
     advance_views,
     apply_lm_scores,
     decode,
@@ -52,6 +55,7 @@ from conftest import (
     reference_frame_step,
     reference_label_entries,
     reference_label_step,
+    reference_shallow_requests,
     reference_shallow_step,
 )
 
@@ -524,7 +528,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(beam, 1)
-    got = step.prune(cands, _shallow_scores(cands, lms, tok, counters))
+    got = step.prune(cands, _shallow_scores(cands, _ShallowRequests(lms, tok), counters))
     for hyp in got:
         advance_views(hyp, tok, lms)
     deltas = [spec.scorer.counts() for spec in lms]
@@ -659,9 +663,194 @@ class TestShallowRequests:
                 beam.append(Hypothesis(tokens, -1.0, -2.0, views=views))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            _shallow_scores(cands, lms, tok, DecodeCounters())
+            _shallow_scores(cands, _ShallowRequests(lms, tok), DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
+
+
+def _request_beam(pick, tok, lms) -> list[Hypothesis]:
+    """Distinct prefixes, some extending another entry, with views lagging by a drawn cut.
+
+    ``pick(n)`` draws an int in ``range(n)``.  Each hypothesis gets its own
+    cache objects, with a drawn ``scored_len`` that decides which views a
+    merged stay keeps.
+    """
+    real = list(tok.vocab.real_ids())
+    seen: dict = {}
+    for _ in range(1 + pick(6)):
+        if seen and pick(2):
+            tokens = list(seen)[pick(len(seen))] + (real[pick(len(real))],)
+        else:
+            tokens = (BOS_ID, *(real[pick(len(real))] for _ in range(pick(8))))
+        seen.setdefault(tokens, None)
+    beam = []
+    for tokens in seen:
+        k = tokenizable_prefix_len(tokens[: 1 + pick(len(tokens))], tok.vocab)
+        text = tok.decode(tokens[1 : 1 + k])
+        views = [
+            LMView(k, tuple(spec.tokenizer.encode(text)), PrefixCacheEntry(pick(3), 0.0, ()))
+            for spec in lms
+        ]
+        beam.append(Hypothesis(tokens, -1.0, -2.0, views=views))
+    return beam
+
+
+def _request_blocks(pick, tok, beam) -> list:
+    """The beam's frame block and a label block over it, about a quarter masked out."""
+    mask = np.random.default_rng(pick(2**16))
+    frame = _extend(beam, np.full(tok.vocab.size, -math.log(tok.vocab.size)), tok.vocab.real_ids())
+    frame.valid &= mask.random(frame.valid.size) < 0.75
+    ids = list(tok.vocab.real_ids()) + [EOS_ID]
+    ends = [pick(3) == 0 for _ in beam]
+    ended = [
+        Hypothesis(h.tokens + (EOS_ID,), e2e=-1.0, ended=True, views=h.views)
+        for h, end in zip(beam, ends)
+        if end
+    ]
+    live = [h for h, end in zip(beam, ends) if not end]
+    label_scores = np.where(mask.random((len(live), len(ids))) < 0.75, -1.0, NEG_INF)
+    valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
+    label = LabelCandidates(ids, ended, live, label_scores, np.zeros(valid.size), valid)
+    return [frame, label]
+
+
+def _request_shapes(cands, tok) -> Counter:
+    """What the block asks of the builder: foreign stay views, and each child's kind of piece."""
+    singles, families = cands.families(np.flatnonzero(cands.valid))
+    shapes = Counter()
+    if isinstance(cands, FrameCandidates):
+        shapes["stay with another entry's views"] += sum(
+            cands.stay_views[j] is not cands.beam[j].views for j in singles
+        )
+    for parent, labels in families:
+        empty = len(parent.tokens) == 1 + parent.views[0].consumed
+        for c in labels:
+            if c == EOS_ID:
+                kind = "</s>"
+            elif tok.vocab.is_word_begin(c):
+                kind = "word begin"
+            else:
+                kind = "continuation"
+            shapes[kind + (" after an empty tail" if empty else "")] += 1
+    return shapes
+
+
+def assert_requests_match_reference(cands, lms, tok, shallow) -> None:
+    """The per-parent requests are the flat reference's: tokens, cache objects and order."""
+    got = shallow(cands, np.flatnonzero(cands.valid))
+    want = reference_shallow_requests(cands, lms, tok)
+    assert len(got) == len(want) == len(lms)
+    for reqs, ref in zip(got, want):
+        assert [r.tokens for r in reqs] == [tokens for tokens, _ in ref]
+        assert all(r.cache is cache for r, (_, cache) in zip(reqs, ref))
+
+
+@pytest.fixture(scope="module")
+def request_worlds(shallow_world):
+    """LM sets by name over two ASR tokenizers: the shallow world's and an odd one.
+
+    The odd vocabulary has a marker-only piece, pieces with spaces inside,
+    before and after (one a non-ASCII space), and unmarked pieces that
+    continue a word.  Only the LM tokenizers matter to the builder.
+    """
+    tok, lm_sets = shallow_world
+    odd = Tokenizer(make_vocab("▁a", "b", "▁", "c d", "▁e f", "g\u3000", " h", "▁ab", "i"))
+    cross = lm_sets["cross"][0].tokenizer
+    odd_sets = {
+        "matched": [LMSpec(None, odd, 0.5)],
+        "cross": [LMSpec(None, cross, -0.25)],
+        "both": [LMSpec(None, odd, 0.5), LMSpec(None, cross, -0.25)],
+    }
+    return {"world": (tok, lm_sets), "odd": (odd, odd_sets)}
+
+
+class TestShallowRequestsPerParent:
+    """Requests built once per parent equal the flat one-candidate-at-a-time builder."""
+
+    @pytest.mark.parametrize("world", ("world", "odd"))
+    @pytest.mark.parametrize("lm_set", TestShallowStepMatchesReference.LM_SETS)
+    def test_every_shape(self, request_worlds, world, lm_set):
+        tok, lm_sets = request_worlds[world]
+        lms = lm_sets[lm_set]
+        rng = np.random.default_rng(48)
+        shallow = _ShallowRequests(lms, tok)  # one memo across every block, as in a decode
+        shapes = Counter()
+        for _ in range(40):
+            beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
+            for cands in _request_blocks(lambda n: int(rng.integers(n)), tok, beam):
+                assert_requests_match_reference(cands, lms, tok, shallow)
+                shapes += _request_shapes(cands, tok)
+        for kind in ("word begin", "continuation", "</s>"):
+            assert shapes[kind] > 10 and shapes[kind + " after an empty tail"] > 0
+        assert shapes["stay with another entry's views"] > 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), world=st.sampled_from(("world", "odd")),
+           lm_set=st.sampled_from(TestShallowStepMatchesReference.LM_SETS))
+    def test_fuzzed_beams(self, request_worlds, data, world, lm_set):
+        tok, lm_sets = request_worlds[world]
+        lms = lm_sets[lm_set]
+        pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
+        shallow = _ShallowRequests(lms, tok)
+        for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
+            assert_requests_match_reference(cands, lms, tok, shallow)
+
+
+def _deep_len(value, seen) -> int:
+    """Entries in ``value`` and in every dict, list, set or tuple inside it."""
+    if not isinstance(value, (dict, list, set, tuple)) or id(value) in seen:
+        return 0
+    seen.add(id(value))
+    items = [*value.keys(), *value.values()] if isinstance(value, dict) else value
+    return len(value) + sum(_deep_len(item, seen) for item in items)
+
+
+def _decoder_containers() -> dict:
+    """Sizes of the containers the decoder module keeps between calls.
+
+    Module globals, class attributes and default arguments, counted deeply:
+    where a memo that outlives a decode would live.
+    """
+    sizes = {}
+    for name, value in vars(decoder_mod).items():
+        places = {name: value}
+        if inspect.isclass(value):
+            places.update((f"{name}.{k}", v) for k, v in vars(value).items())
+        if inspect.isfunction(value):
+            places.update((f"{name}()", v) for v in value.__defaults__ or ())
+        for key, v in places.items():
+            if not key.startswith("__"):
+                sizes[key] = _deep_len(v, set())
+    return sizes
+
+
+class TestWordMemoPerDecode:
+    def test_decode_order_does_not_matter(self):
+        # a memo kept between decodes could make one decode depend on another;
+        # letters no other test uses keep a process-wide memo from being full already
+        tok = Tokenizer(make_vocab("▁m", "▁n", "o", "▁p"))
+        cross_tok = Tokenizer(make_vocab("▁m", "▁n", "▁o", "m", "n", "o", "p", "▁mo"))
+        corpus = ["m n", "mo n m", "n mo", "p", "m p o", "o"] * 3
+        matched = train_ngram([tok.encode(s) for s in corpus], tok.vocab, 2, 0.4)
+        cross = train_ngram([cross_tok.encode(s) for s in corpus], cross_tok.vocab, 2, 0.4)
+        specs = [LMSpec(matched, tok, 0.5), LMSpec(cross, cross_tok, -0.25)]
+        lm_sets = {"matched": specs[:1], "cross": specs[1:], "both": specs}
+        rng = np.random.default_rng(49)
+        ems = [EmissionMatrix(random_emissions(rng, frames, tok.vocab.size)) for frames in (9, 14)]
+        before = _decoder_containers()
+        for mode in MODES:
+            for lm_set in TestShallowStepMatchesReference.LM_SETS:
+                cfg = DecodeConfig(4, FusionPolicy("shallow"), lm_sets[lm_set], mode=mode)
+                runs = []
+                for order in ((0, 1), (1, 0)):
+                    results = {}
+                    for i in order:
+                        result = decode(ems[i], cfg, tok)
+                        result.counters.wall_seconds = 0.0
+                        results[i] = repr(result)
+                    runs.append(results)
+                assert runs[0] == runs[1]
+        assert _decoder_containers() == before
 
 
 class TestRetokenizeDecodesOnce:
@@ -764,33 +953,47 @@ def _view_hyp(scored_len, lm_len, cum=-1.0):
 class TestFusable:
     def test_never_and_shallow(self):
         beam = [_view_hyp(0, 3)]
-        assert not fusable(FusionPolicy("never"), beam, 5, _PolicyState())
-        assert not fusable(FusionPolicy("shallow"), beam, 5, _PolicyState())
+        assert not fusable(FusionPolicy("never"), beam, 5, 3, 0)
+        assert not fusable(FusionPolicy("shallow"), beam, 5, 3, 0)
 
     def test_always(self):
-        assert fusable(FusionPolicy("always"), [_view_hyp(0, 0)], 1, _PolicyState())
+        assert fusable(FusionPolicy("always"), [_view_hyp(0, 0)], 1, 0, 0)
 
     def test_fixed_interval_grid(self):
         policy = FusionPolicy("interval", 4)
-        state = _PolicyState()
         beam = [_view_hyp(scored_len=0, lm_len=2)]  # always has unscored words
-        fired = [t for t in range(1, 17) if fusable(policy, beam, t, state)]
+        fired = [t for t in range(1, 17) if fusable(policy, beam, t, 2, 2)]
         assert fired == [4, 8, 12, 16]
 
     def test_fixed_interval_requires_change(self):
         policy = FusionPolicy("interval", 4)
         beam = [_view_hyp(scored_len=2, lm_len=2)]  # fully scored
-        assert not fusable(policy, beam, 4, _PolicyState())
+        assert not fusable(policy, beam, 4, 2, 0)
 
     def test_shortest_fires_on_growth_only(self):
         policy = FusionPolicy("shortest")
-        state = _PolicyState()
         lengths = [0, 0, 1, 1, 2, 2, 2, 4]
         fired = [
-            fusable(policy, [_view_hyp(0, n)], t, state)
-            for t, n in enumerate(lengths, start=1)
+            fusable(policy, [_view_hyp(0, n)], t, n, prev)
+            for t, (prev, n) in enumerate(zip([0, *lengths], lengths), start=1)
         ]
         assert fired == [False, False, True, False, True, False, False, True]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_search_carries_the_shortest_prefix(self, shallow_world, mode):
+        # the loop passes each step the beam's shortest prefix and the one before it
+        tok, lm_sets = shallow_world
+        rng = np.random.default_rng(46)
+        fired = 0
+        for frames in (8, 12, 16):
+            em = EmissionMatrix(random_emissions(rng, frames, tok.vocab.size))
+            cfg = DecodeConfig(4, FusionPolicy("shortest"), lm_sets["both"], mode, keep_trace=True)
+            prev = 0
+            for step in decode(em, cfg, tok).trace:
+                assert step.fused == (step.shortest_len > prev)
+                prev = step.shortest_len
+                fired += step.fused
+        assert fired >= 3
 
     def test_interval_validation(self):
         with pytest.raises(DecodeError):

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from beamfuse.acoustic import greedy_labels, read_emissions
+from beamfuse.acoustic import read_emissions
 from beamfuse.decoder import DecodeConfig, FusionPolicy, LMSpec, decode
 from beamfuse.harness import (
     CSV_COLUMNS,
@@ -28,7 +28,7 @@ from beamfuse.harness import (
 )
 from beamfuse.tokenization import BOS_ID, EOS_ID
 
-from conftest import CountingScorer
+from conftest import CountingScorer, greedy_labels
 
 
 def _reference_wer(reference, hypothesis):

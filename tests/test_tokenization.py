@@ -113,6 +113,14 @@ class TestVocabularyValidation:
         with pytest.raises(VocabularyError):
             make_vocab("a▁b")
 
+    @pytest.mark.parametrize("marker", ("", "@@"))
+    def test_marker_must_be_one_character(self, marker):
+        # with "@@", pieces "a@" and "@b" would decode to "a b", not "a@" + "@b"
+        with pytest.raises(VocabularyError, match="marker must be one character"):
+            Vocabulary(("<blank>", "<s>", "</s>", "<unk>", "a@", "@b"), marker)
+        with pytest.raises(VocabularyError, match="marker must be one character"):
+            build_vocab(["ab ba"], 20, marker)
+
     def test_specials_enforced(self):
         with pytest.raises(VocabularyError):
             Vocabulary(("<blank>", "<s>", "</s>", "oops", "x"))
