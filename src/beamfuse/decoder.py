@@ -54,10 +54,20 @@ Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
 their parent's list, and advancing or fusing assigns the hypothesis a new
 one.  No beam entry can change another's LM state, so nothing is copied.
+
+A hypothesis also carries ``k``, the length of its complete-word prefix, set
+in O(1) by the step that builds it from a per-id word-begin table.  An
+extension by a word-begin piece has its parent's length less ``<s>``; a
+continuation or ``</s>`` keeps its parent's ``k``; a stay, and an ended
+hypothesis carried over, keep their own.  ``advance_views`` re-tokenizes
+only when ``k`` passed the views' ``consumed``, so no survivor is rescanned.
+Every re-tokenization of one decode shares one word memo per LM.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -122,11 +132,14 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.beam is not None and not _is_count(self.beam):
             raise DecodeError(f"beam must be an int >= 1 or None, got {self.beam!r}")
+        if not isinstance(self.policy, FusionPolicy):
+            raise DecodeError(f"policy must be a FusionPolicy, got {self.policy!r}")
         if self.mode not in MODES:
             raise DecodeError(f"unknown mode {self.mode!r}")
         for i, spec in enumerate(self.lms):
-            if not np.isfinite(spec.weight):
-                raise DecodeError("LM weights must be finite")
+            w = spec.weight
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
+                raise DecodeError(f"LM {i}: weight must be a finite real number, got {w!r}")
             # scorers without a vocabulary (proxies, test doubles) are not checked
             vocab = getattr(spec.scorer, "vocab", None)
             if vocab is not None and spec.tokenizer.vocab.tokens != vocab.tokens:
@@ -202,9 +215,14 @@ class LMView(NamedTuple):
 
 
 class Hypothesis:
-    """One beam entry; ``tokens`` starts at ``<s>``."""
+    """One beam entry; ``tokens`` starts at ``<s>``.
 
-    __slots__ = ("tokens", "log_blank", "log_nonblank", "e2e", "ended", "views", "state")
+    ``k`` is the complete-word source length, ``<s>`` not counted: what
+    ``tokenizable_prefix_len(tokens)`` gives.  The step that builds a
+    hypothesis sets it; a hand-built one may leave it None.
+    """
+
+    __slots__ = ("tokens", "log_blank", "log_nonblank", "e2e", "ended", "views", "state", "k")
 
     def __init__(
         self,
@@ -215,6 +233,7 @@ class Hypothesis:
         ended: bool = False,
         views: list[LMView] | None = None,
         state=None,
+        k: int | None = None,
     ):
         self.tokens = tokens
         self.log_blank = log_blank
@@ -223,6 +242,7 @@ class Hypothesis:
         self.ended = ended
         self.views = views if views is not None else []
         self.state = state
+        self.k = k
 
     def lm_combined(self, weights: Sequence[float]) -> float:
         total = 0.0
@@ -243,7 +263,9 @@ class FrameCandidates:
     ``stay_views[i]``.  Candidate ``B + i * R + col`` is ``beam[i]`` extended by
     ``real_ids[col]``: non-blank score ``ext[i, col]``, blank score -inf, and the
     views of ``beam[i]``.  An extension that equals another beam entry lives in
-    that entry's stay pair instead, and ``valid`` masks it out.
+    that entry's stay pair instead, and ``valid`` masks it out.  ``begins``,
+    the per-id word-begin table, sets each extension's ``k``; without it an
+    extension's ``k`` is None unless its label begins a word.
     """
 
     beam: Sequence[Hypothesis]
@@ -253,6 +275,7 @@ class FrameCandidates:
     stay_views: list[list[LMView]]
     ext: np.ndarray
     valid: np.ndarray
+    begins: Sequence[bool] | None = None
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
@@ -272,14 +295,27 @@ class FrameCandidates:
         """The stay indices in ``kept``, and its extensions as ``(parent, labels)``."""
         return _families(kept, len(self.beam), self.beam, self.real_ids)
 
-    def hypothesis(self, j: int) -> Hypothesis:
-        """Candidate ``j`` as a new hypothesis sharing its parent's views."""
+    def hypothesis(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
+        """Candidate ``j``, whose tokens are ``tokens``, as a new hypothesis.
+
+        It shares its parent's views.  A stay keeps its own entry's ``k``,
+        even when a merge gave it another entry's views.
+        """
         n = len(self.beam)
         if j < n:
             log_blank, log_nonblank = self.stay_blank[j], self.stay_nonblank[j]
-        else:
-            log_blank, log_nonblank = NEG_INF, self.ext.item(*divmod(j - n, len(self.real_ids)))
-        return Hypothesis(self.tokens(j), log_blank, log_nonblank, views=self.views(j))
+            return Hypothesis(
+                tokens, log_blank, log_nonblank, views=self.stay_views[j], k=self.beam[j].k
+            )
+        i, col = divmod(j - n, len(self.real_ids))
+        parent = self.beam[i]
+        return Hypothesis(
+            tokens,
+            NEG_INF,
+            self.ext.item(i, col),
+            views=parent.views,
+            k=_extended_k(parent, tokens[-1], self.begins),
+        )
 
     def scores(self, weights: Sequence[float]) -> np.ndarray:
         """Acoustic plus weighted LM score of every index, -inf where not valid."""
@@ -292,6 +328,23 @@ class FrameCandidates:
         scores = np.concatenate([stay, ext.ravel()])
         scores[~self.valid] = NEG_INF
         return scores
+
+
+def _extended_k(parent: Hypothesis, label: int, begins: Sequence[bool] | None) -> int | None:
+    """``k`` of ``parent`` extended by ``label``, from the word-begin table ``begins``.
+
+    A word-begin label closes the parent's last word; a continuation or
+    ``</s>`` keeps the parent's ``k``.  None where that is unknown: no table,
+    or a continuation of a parent without ``k``.
+    """
+    if begins is None:
+        return None
+    return len(parent.tokens) - 1 if begins[label] else parent.k
+
+
+def _word_begins(asr_tok: Tokenizer) -> list[bool]:
+    """Whether each ASR id begins a word; reserved ids, ``</s>`` among them, never do."""
+    return [asr_tok.vocab.is_word_begin(c) for c in range(asr_tok.vocab.size)]
 
 
 def _views_key(views: Sequence[LMView]) -> tuple:
@@ -322,11 +375,13 @@ def extend_frame(
     frame: np.ndarray,
     real_ids: np.ndarray,
     columns: dict[int, int],
+    begins: Sequence[bool] | None = None,
 ) -> FrameCandidates:
     """One frame of the CTC prefix recursion over the whole beam at once.
 
-    ``columns`` maps each id in ``real_ids`` to its position.  Row ``i`` of
-    the extension block is ``tot_i + frame[real_ids]``, except that the last
+    ``columns`` maps each id in ``real_ids`` to its position, and ``begins``
+    is the word-begin table the candidates set ``k`` from.  Row ``i`` of the
+    extension block is ``tot_i + frame[real_ids]``, except that the last
     label's column holds ``pb_i + frame[last]``: only blank-ending paths can
     emit a label twice.  An extension that equals another beam entry is
     folded into that entry's stay pair by log-sum and masked out, and the
@@ -351,7 +406,9 @@ def extend_frame(
 
     stay_views = [h.views for h in beam]
     valid = np.ones(len(beam) + ext.size, dtype=bool)
-    cands = FrameCandidates(beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, valid)
+    cands = FrameCandidates(
+        beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, valid, begins
+    )
     parents = {h.tokens: i for i, h in enumerate(beam)}
     for j, hyp in enumerate(beam):
         i = parents.get(hyp.tokens[:-1]) if len(hyp.tokens) > 1 else None
@@ -373,13 +430,13 @@ def _select_top(entries: list, beam_size: int | None) -> list:
     return entries[:beam_size]
 
 
-def _top_k(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[int]:
-    """Indices of the ``beam_size`` best valid candidates, in ``_select_top`` order.
+def _top_k(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[tuple]:
+    """``(index, tokens)`` of the ``beam_size`` best valid candidates, in ``_select_top`` order.
 
     ``extra`` (the shallow LM scores, or None) is added to ``scores`` first.
     ``np.partition`` finds the k-th best score; only the valid candidates at
     or above it (every tie included) are sorted, and only their tokens are
-    built.
+    built, once: the survivors are built from them.
     """
     if extra is not None:
         scores = scores + extra
@@ -392,7 +449,7 @@ def _top_k(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[int]
         kept = np.flatnonzero(valid & (scores >= threshold))
     tokens = cands.tokens
     entries = [(scores.item(j), tokens(j), j) for j in kept.tolist()]
-    return [j for _, _, j in _select_top(entries, beam_size)]
+    return [(j, tokens) for _, tokens, j in _select_top(entries, beam_size)]
 
 
 def prune_frame_candidates(
@@ -406,7 +463,7 @@ def prune_frame_candidates(
     Hypotheses are built for the survivors only.
     """
     kept = _top_k(cands, cands.scores(weights), extra, beam_size)
-    return [cands.hypothesis(j) for j in kept]
+    return [cands.hypothesis(j, tokens) for j, tokens in kept]
 
 
 # -- label-synchronous expansion ---------------------------------------------
@@ -422,7 +479,8 @@ class LabelCandidates:
     ``label_scores[r, col]``.  ``scores`` holds every index's stale combined
     score: ``e2e + LM`` for an ended hypothesis, ``e2e + label score + LM``
     for an extension.  Extensions whose label score is -inf are not
-    candidates, and ``valid`` masks them out.
+    candidates, and ``valid`` masks them out.  ``begins`` is the word-begin
+    table, as in ``FrameCandidates``.
     """
 
     ids: list[int]
@@ -431,6 +489,7 @@ class LabelCandidates:
     label_scores: np.ndarray
     scores: np.ndarray
     valid: np.ndarray
+    begins: Sequence[bool] | None = None
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
@@ -450,22 +509,24 @@ class LabelCandidates:
         """The ended indices in ``kept``, and its extensions as ``(parent, labels)``."""
         return _families(kept, len(self.ended), self.live, np.asarray(self.ids))
 
-    def candidate(self, j: int) -> tuple[Hypothesis, Hypothesis | None]:
-        """Candidate ``j`` as (hypothesis, parent); an ended one is itself, with no parent.
+    def candidate(self, j: int, tokens: tuple[int, ...]) -> tuple[Hypothesis, Hypothesis | None]:
+        """Candidate ``j``, whose tokens are ``tokens``, as (hypothesis, parent).
 
-        An extension is a new hypothesis sharing its parent's views.
+        An ended candidate is itself, with its own ``k``, and no parent.  An
+        extension is a new hypothesis sharing its parent's views.
         """
         n = len(self.ended)
         if j < n:
             return self.ended[j], None
         r, col = divmod(j - n, len(self.ids))
         parent = self.live[r]
-        label = self.ids[col]
+        label = tokens[-1]
         child = Hypothesis(
-            parent.tokens + (label,),
+            tokens,
             e2e=parent.e2e + self.label_scores.item(r, col),
             ended=label == EOS_ID,
             views=parent.views,
+            k=_extended_k(parent, label, self.begins),
         )
         return child, parent
 
@@ -489,19 +550,34 @@ def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer, memo) -> tuple:
     return lm_tokens
 
 
-def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
+def advance_views(
+    hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec], memos=None
+) -> None:
     """Give the hypothesis new LM views extended by its newly completed words.
 
     Only complete words are mapped, so advancing a growing hypothesis step by step
     gives the same LM tokens as re-tokenizing its whole complete-word prefix at
-    once.  The old views, which other hypotheses may share, are left as they are.
+    once.  The words end at ``hyp.k``, which the step that built the hypothesis
+    set, so nothing is rescanned; only a hand-built hypothesis without ``k``
+    is scanned with ``tokenizable_prefix_len``, and the result is not kept,
+    since such a caller may change ``tokens`` between calls.  ``memos`` are
+    the decode's word memos, one per LM (fresh ones if omitted).  The old
+    views, which other hypotheses may share, are left as they are.
     """
     if not lms:
         return
-    k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
-    if k > hyp.views[0].consumed:
-        words = asr_tok.decode(hyp.tokens[1 + hyp.views[0].consumed : 1 + k]).split()
-        new = [_retokenize(v.lm_tokens, words, s.tokenizer, {}) for v, s in zip(hyp.views, lms)]
+    k = hyp.k
+    if k is None:
+        k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
+    consumed = hyp.views[0].consumed
+    if k > consumed:
+        words = asr_tok.decode(hyp.tokens[1 + consumed : 1 + k]).split()
+        if memos is None:
+            memos = [{} for _ in lms]
+        new = [
+            _retokenize(v.lm_tokens, words, s.tokenizer, memo)
+            for v, s, memo in zip(hyp.views, lms, memos)
+        ]
         hyp.views = [LMView(k, lm_tokens, v.cache) for v, lm_tokens in zip(hyp.views, new)]
 
 
@@ -578,16 +654,17 @@ class _FrameStep:
         self.limit = em.num_frames
         self.real_ids = np.asarray(asr_tok.vocab.real_ids())
         self.columns = {c: col for col, c in enumerate(asr_tok.vocab.real_ids())}
+        self.begins = _word_begins(asr_tok)
         self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
 
     def root(self) -> Hypothesis:
         views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
-        return Hypothesis((BOS_ID,), log_blank=0.0, views=views)
+        return Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)
 
     def expand(self, beam, t):
-        return extend_frame(beam, self.rows[t - 1], self.real_ids, self.columns)
+        return extend_frame(beam, self.rows[t - 1], self.real_ids, self.columns, self.begins)
 
     def prune(self, cands, extra) -> list[Hypothesis]:
         return prune_frame_candidates(cands, self.beam_size, self.weights, extra)
@@ -617,13 +694,14 @@ class _LabelStep:
         self.limit = scorer.T
         self.candidate_ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
         self.id_index = np.asarray(self.candidate_ids)
+        self.begins = _word_begins(asr_tok)
         self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
 
     def root(self) -> Hypothesis:
         views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
-        return Hypothesis((BOS_ID,), views=views, state=self.scorer.root())
+        return Hypothesis((BOS_ID,), views=views, state=self.scorer.root(), k=0)
 
     def expand(self, beam, t) -> LabelCandidates:
         ended = [h for h in beam if h.ended]
@@ -639,10 +717,13 @@ class _LabelStep:
         valid = np.concatenate(
             [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
         )
-        return LabelCandidates(self.candidate_ids, ended, live, label_scores, scores, valid)
+        return LabelCandidates(
+            self.candidate_ids, ended, live, label_scores, scores, valid, self.begins
+        )
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
-        pairs = [cands.candidate(j) for j in _top_k(cands, cands.scores, extra, self.beam_size)]
+        kept = _top_k(cands, cands.scores, extra, self.beam_size)
+        pairs = [cands.candidate(j, tokens) for j, tokens in kept]
         growing = [(h, p.state) for h, p in pairs if p is not None and not h.ended]
         if growing:
             hyps, parents = zip(*growing)
@@ -671,21 +752,26 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     counters = DecodeCounters()
     started = time.perf_counter()
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
-    beam, trace = _search(step_type(source, config, asr_tok), config, asr_tok, counters)
-    nbest = finalize_beam(beam, config, asr_tok, counters)
+    # one word memo per LM for every re-tokenization of this decode
+    memos = [{} for _ in config.lms]
+    beam, trace = _search(step_type(source, config, asr_tok), config, asr_tok, counters, memos)
+    nbest = finalize_beam(beam, config, asr_tok, counters, memos)
     counters.wall_seconds = time.perf_counter() - started
 
     return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
-def _search(step, config, asr_tok, counters):
-    """The search loop of every policy: expand, prune, advance views, fuse, trace."""
+def _search(step, config, asr_tok, counters, memos):
+    """The search loop of every policy: expand, prune, advance views, fuse, trace.
+
+    ``memos`` are the decode's word memos, one per LM.
+    """
     beam = [step.root()]
     prev_shortest = 0
     trace: list[StepTrace] = []
     shallow = None
     if config.policy.kind == "shallow" and config.lms:
-        shallow = _ShallowRequests(config.lms, asr_tok)
+        shallow = _ShallowRequests(config.lms, asr_tok, memos)
 
     for t in range(1, step.limit + 1):
         cands = step.expand(beam, t)
@@ -696,7 +782,7 @@ def _search(step, config, asr_tok, counters):
         # free the candidates before the next expansion builds new ones
         del cands
         for hyp in beam:
-            advance_views(hyp, asr_tok, config.lms)
+            advance_views(hyp, asr_tok, config.lms, memos)
         fired, shortest = False, None
         if config.lms:
             shortest = min((len(h.views[0].lm_tokens) for h in beam), default=0)
@@ -732,14 +818,15 @@ def _piece_words(asr_tok: Tokenizer) -> list[tuple]:
 class _ShallowRequests:
     """Shallow fusion's LM requests, built once per parent.
 
-    ``_search`` makes one per decode, so its word memos (one per LM) encode
-    each distinct word once per decode and keep nothing between decodes.
+    ``_search`` makes one per decode and hands it the decode's word memos,
+    one per LM, so each distinct word is encoded once per decode and nothing
+    is kept between decodes.
     """
 
-    def __init__(self, lms: Sequence[LMSpec], asr_tok: Tokenizer):
+    def __init__(self, lms: Sequence[LMSpec], asr_tok: Tokenizer, memos: list[dict]):
         self.lms = lms
         self.asr_tok = asr_tok
-        self.memos = [{} for _ in lms]
+        self.memos = memos
         self.pieces = _piece_words(asr_tok)
 
     def __call__(self, cands, kept: np.ndarray) -> list[list[ScoreRequest]]:
@@ -815,9 +902,11 @@ def _raw_scores(lms: Sequence[LMSpec], requests: list, counters) -> list:
     return [[cache.cum_logprob for cache in per_lm] for per_lm in caches]
 
 
-def _score_whole(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, close=()) -> list:
+def _score_whole(
+    items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, memos, close=()
+) -> list:
     """Each LM's raw scores of every item's whole content plus ``close``, in item order."""
-    requests = _whole_requests(items, lms, asr_tok, [{} for _ in lms], close)
+    requests = _whole_requests(items, lms, asr_tok, memos, close)
     return _raw_scores(lms, requests, counters)
 
 
@@ -830,12 +919,15 @@ def _trace_step(t, fired, shortest, beam) -> StepTrace:
     return StepTrace(t, fired, shortest, lm_state)
 
 
-def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
-    """One last LM pass over every whole hypothesis with ``</s>``; the whole beam ranked."""
+def finalize_beam(beam, config, asr_tok, counters, memos) -> list[ScoredHypothesis]:
+    """One last LM pass over every whole hypothesis with ``</s>``; the whole beam ranked.
+
+    ``memos`` are the decode's word memos, one per LM.
+    """
     if not beam:
         raise DecodeError("empty beam at finalization")
     items = ((h.tokens, h.views) for h in beam)
-    raws = _score_whole(items, config.lms, asr_tok, counters, (EOS_ID,))
+    raws = _score_whole(items, config.lms, asr_tok, counters, memos, (EOS_ID,))
     counters.lm_calls_final += len(config.lms)
 
     entries = []

@@ -4,9 +4,12 @@ Two tokenizers over different vocabularies create the mismatch this package
 resolves at decode time: hypothesis prefixes produced with one inventory are
 mapped into another by detokenizing the longest complete-word prefix
 (``tokenizable_prefix_len``) and re-encoding it, which the decoder does
-incrementally in ``advance_views``.  Everything here is deterministic: the
-same corpus always yields the same vocabulary file, and every word always
-encodes to the same piece sequence.
+incrementally in ``advance_views``.  The decoder does not scan for that
+prefix: the step that builds a hypothesis sets its length in O(1) from the
+parent's and whether the new piece begins a word, and
+``tokenizable_prefix_len`` defines what that length must be.  Everything
+here is deterministic: the same corpus always yields the same vocabulary
+file, and every word always encodes to the same piece sequence.
 """
 
 from __future__ import annotations

@@ -98,7 +98,8 @@ def _extend(beam, frame, real_ids):
 
 
 def _by_tokens(cands: FrameCandidates) -> dict:
-    return {cands.tokens(j): cands.hypothesis(j) for j in np.flatnonzero(cands.valid).tolist()}
+    valid = np.flatnonzero(cands.valid).tolist()
+    return {t: cands.hypothesis(j, t) for j, t in zip(valid, map(cands.tokens, valid))}
 
 
 class TestExtend:
@@ -394,8 +395,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     want_entries = {tokens: (score, p, s) for score, tokens, (p, s) in entries}
     got_entries = {}
     for j in np.flatnonzero(cands.valid).tolist():
-        hyp, parent = cands.candidate(j)
-        assert hyp.tokens == cands.tokens(j)
+        hyp, parent = cands.candidate(j, cands.tokens(j))
         got_entries[hyp.tokens] = (cands.scores[j], hyp, parent)
     assert got_entries.keys() == want_entries.keys()
     for tokens, (score, hyp, parent) in got_entries.items():
@@ -528,7 +528,8 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(beam, 1)
-    got = step.prune(cands, _shallow_scores(cands, _ShallowRequests(lms, tok), counters))
+    shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
+    got = step.prune(cands, _shallow_scores(cands, shallow, counters))
     for hyp in got:
         advance_views(hyp, tok, lms)
     deltas = [spec.scorer.counts() for spec in lms]
@@ -663,7 +664,8 @@ class TestShallowRequests:
                 beam.append(Hypothesis(tokens, -1.0, -2.0, views=views))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            _shallow_scores(cands, _ShallowRequests(lms, tok), DecodeCounters())
+            shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
+            _shallow_scores(cands, shallow, DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -773,7 +775,8 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         rng = np.random.default_rng(48)
-        shallow = _ShallowRequests(lms, tok)  # one memo across every block, as in a decode
+        # one memo per LM across every block, as in a decode
+        shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
@@ -791,7 +794,7 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        shallow = _ShallowRequests(lms, tok)
+        shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
             assert_requests_match_reference(cands, lms, tok, shallow)
 
@@ -870,10 +873,11 @@ class TestRetokenizeDecodesOnce:
             beam.append(Hypothesis((BOS_ID, *rng.choice(real, size=size).tolist()), views=views))
 
         items = [(h.tokens, h.views) for h in beam]
-        raws = _score_whole(iter(items), lms, tok, DecodeCounters(), (EOS_ID,))
+        raws = _score_whole(iter(items), lms, tok, DecodeCounters(), [{}, {}], (EOS_ID,))
         assert len(decoded) == len(beam)
         for spec, raw in zip(lms, raws):
-            assert raw == _score_whole(iter(items), [spec], tok, DecodeCounters(), (EOS_ID,))[0]
+            alone = _score_whole(iter(items), [spec], tok, DecodeCounters(), [{}], (EOS_ID,))
+            assert raw == alone[0]
 
         decoded.clear()
         advanced = 0
@@ -893,6 +897,144 @@ class TestRetokenizeDecodesOnce:
 
 def _every_policy() -> list[FusionPolicy]:
     return [FusionPolicy(kind, 2 if kind == "interval" else 0) for kind in POLICY_KINDS]
+
+
+def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
+    """One frame step and one label step, keeping every candidate, over a drawn beam.
+
+    The beam's ``k`` are right.  Returns the survivors of both steps and
+    counts of the cases a wrong rule would get wrong: each kind of extension,
+    merged stays holding another entry's views whose ``k`` differs, and
+    ended hypotheses carried over as themselves.
+    """
+    beam = _request_beam(pick, tok, lms)
+    for hyp in beam:
+        hyp.k = tokenizable_prefix_len(hyp.tokens, tok.vocab)
+    rows = random_emissions(np.random.default_rng(pick(2**16)), 12, tok.vocab.size)
+    shapes = Counter()
+
+    never = FusionPolicy("never")
+    frame_step = _FrameStep(EmissionMatrix(rows), DecodeConfig(None, never, lms), tok)
+    cands = frame_step.expand(beam, 1)
+    survivors = frame_step.prune(cands, None)
+    by_tokens = {h.tokens: h for h in beam}
+    for j, hyp in enumerate(beam):
+        partner = by_tokens.get(hyp.tokens[:-1])
+        if cands.stay_views[j] is not hyp.views and partner.k != hyp.k:
+            shapes["stay with another entry's views and k"] += 1
+
+    scorer = CtcPrefixScorer(EmissionMatrix(rows), EOS_ID, disallowed=(BOS_ID, UNK_ID))
+    label_step = _LabelStep(scorer, DecodeConfig(None, never, lms, "labelsync"), tok)
+    for hyp in beam:
+        hyp.state = scorer.root()
+        for c in hyp.tokens[1:]:
+            hyp.state = scorer.child([hyp.state], [c])[0]
+        if pick(3) == 0:
+            hyp.tokens += (EOS_ID,)
+            hyp.ended = True
+    labelled = label_step.prune(label_step.expand(beam, 1), None)
+    shapes["carried ended"] += sum(h in beam for h in labelled)
+    extensions = [h for h in survivors if h.tokens not in by_tokens]
+    for c in (h.tokens[-1] for h in extensions + [h for h in labelled if h not in beam]):
+        word_begin = tok.vocab.is_word_begin(c)
+        shapes["</s>" if c == EOS_ID else "word begin" if word_begin else "continuation"] += 1
+    return survivors + labelled, shapes
+
+
+class TestCarriedWordLength:
+    """Every hypothesis's ``k``, set by the step that builds it, equals the scan of its tokens."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_survivor_of_real_decodes(self, shallow_world, mode, monkeypatch):
+        # checked where the search hands each survivor to ``advance_views`` and
+        # the final beam to ``finalize_beam``
+        tok, lm_sets = shallow_world
+        seen = Counter()
+        advance, finalize = decoder_mod.advance_views, decoder_mod.finalize_beam
+        label_prune = _LabelStep.prune
+        frame_prune = decoder_mod.prune_frame_candidates
+
+        def check(hyp):
+            assert hyp.k == tokenizable_prefix_len(hyp.tokens, tok.vocab), hyp.tokens
+            seen["checked"] += 1
+
+        def checked_advance(hyp, *args):
+            check(hyp)
+            return advance(hyp, *args)
+
+        def checked_finalize(beam, *args):
+            for hyp in beam:
+                check(hyp)
+            return finalize(beam, *args)
+
+        def counted_frame_prune(cands, *args):
+            survivors = frame_prune(cands, *args)
+            stays = {h.tokens: j for j, h in enumerate(cands.beam)}
+            for hyp in survivors:
+                j = stays.get(hyp.tokens)
+                foreign = j is not None and cands.stay_views[j] is not cands.beam[j].views
+                seen["stay with another entry's views"] += foreign
+            return survivors
+
+        def counted_label_prune(step, cands, extra):
+            survivors = label_prune(step, cands, extra)
+            seen["carried ended"] += sum(any(h is e for e in cands.ended) for h in survivors)
+            return survivors
+
+        monkeypatch.setattr(decoder_mod, "advance_views", checked_advance)
+        monkeypatch.setattr(decoder_mod, "finalize_beam", checked_finalize)
+        monkeypatch.setattr(decoder_mod, "prune_frame_candidates", counted_frame_prune)
+        monkeypatch.setattr(_LabelStep, "prune", counted_label_prune)
+        rng = np.random.default_rng(47)
+        ems = [EmissionMatrix(random_emissions(rng, frames, tok.vocab.size)) for frames in (7, 12)]
+        for policy in _every_policy():
+            for lms in ([], *lm_sets.values()):
+                for beam in (3, 8):
+                    for em in ems:
+                        decode(em, DecodeConfig(beam, policy, lms, mode=mode), tok)
+        assert seen["checked"] > 1000
+        if mode == "ctc":
+            assert seen["stay with another entry's views"] > 10
+        else:
+            assert seen["carried ended"] > 10
+
+    @pytest.mark.parametrize("world", ("world", "odd"))
+    def test_drawn_beams(self, request_worlds, world):
+        tok, lm_sets = request_worlds[world]
+        rng = np.random.default_rng(50)
+        shapes = Counter()
+        for lms in ([], *lm_sets.values()):
+            for _ in range(25):
+                survivors, more = _one_step_each_mode(lambda n: int(rng.integers(n)), tok, lms)
+                for hyp in survivors:
+                    assert hyp.k == tokenizable_prefix_len(hyp.tokens, tok.vocab)
+                shapes += more
+        for kind in ("word begin", "continuation", "</s>", "carried ended"):
+            assert shapes[kind] > 10
+        assert shapes["stay with another entry's views and k"] > 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), world=st.sampled_from(("world", "odd")),
+           lm_set=st.sampled_from(("none", *TestShallowStepMatchesReference.LM_SETS)))
+    def test_fuzzed_beams(self, request_worlds, data, world, lm_set):
+        tok, lm_sets = request_worlds[world]
+        pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
+        survivors, _ = _one_step_each_mode(pick, tok, lm_sets.get(lm_set, []))
+        for hyp in survivors:
+            assert hyp.k == tokenizable_prefix_len(hyp.tokens, tok.vocab)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_decodes_never_scan(self, shallow_world, mode, monkeypatch):
+        tok, lm_sets = shallow_world
+        calls = []
+        monkeypatch.setattr(decoder_mod, "tokenizable_prefix_len", lambda *a: calls.append(a))
+        em = EmissionMatrix(random_emissions(np.random.default_rng(48), 12, tok.vocab.size))
+        fused = 0
+        for policy in _every_policy():
+            result = decode(em, DecodeConfig(5, policy, lm_sets["both"], mode=mode), tok)
+            fused += result.counters.lm_calls
+        assert fused > 10
+        assert calls == []
 
 
 class TestFinalization:
@@ -1554,3 +1696,24 @@ class TestValidation:
                 policy=FusionPolicy("never"),
                 lms=[LMSpec(model, tok, float("nan"))],
             )
+
+    @pytest.mark.parametrize("policy", ["never", None, ("shortest", 0), FusionPolicy])
+    def test_policy_must_be_a_fusion_policy(self, policy):
+        # a policy name used to pass here and fail inside decode
+        with pytest.raises(DecodeError, match="policy must be a FusionPolicy"):
+            DecodeConfig(beam=2, policy=policy, lms=[])
+
+    @pytest.mark.parametrize("weight", ["x", "0.5", None, True, False, 1j, float("inf"), [0.5]])
+    def test_weight_must_be_a_finite_real_number(self, tiny, weight):
+        tok, model = tiny
+        with pytest.raises(DecodeError, match="LM 1: weight must be a finite real number"):
+            DecodeConfig(
+                beam=2,
+                policy=FusionPolicy("never"),
+                lms=[LMSpec(model, tok, 0.5), LMSpec(model, tok, weight)],
+            )
+
+    @pytest.mark.parametrize("weight", [0, 1, -0.25, np.float64(0.5), np.int64(2)])
+    def test_real_weights_are_accepted(self, tiny, weight):
+        tok, model = tiny
+        DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[LMSpec(model, tok, weight)])
