@@ -264,8 +264,7 @@ class FrameCandidates:
     ``real_ids[col]``: non-blank score ``ext[i, col]``, blank score -inf, and the
     views of ``beam[i]``.  An extension that equals another beam entry lives in
     that entry's stay pair instead, and ``valid`` masks it out.  ``begins``,
-    the per-id word-begin table, sets each extension's ``k``; without it an
-    extension's ``k`` is None unless its label begins a word.
+    the per-id word-begin table, sets each extension's ``k``.
     """
 
     beam: Sequence[Hypothesis]
@@ -275,7 +274,7 @@ class FrameCandidates:
     stay_views: list[list[LMView]]
     ext: np.ndarray
     valid: np.ndarray
-    begins: Sequence[bool] | None = None
+    begins: Sequence[bool]
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))
@@ -330,15 +329,12 @@ class FrameCandidates:
         return scores
 
 
-def _extended_k(parent: Hypothesis, label: int, begins: Sequence[bool] | None) -> int | None:
+def _extended_k(parent: Hypothesis, label: int, begins: Sequence[bool]) -> int | None:
     """``k`` of ``parent`` extended by ``label``, from the word-begin table ``begins``.
 
     A word-begin label closes the parent's last word; a continuation or
-    ``</s>`` keeps the parent's ``k``.  None where that is unknown: no table,
-    or a continuation of a parent without ``k``.
+    ``</s>`` keeps the parent's ``k``, None for a parent without one.
     """
-    if begins is None:
-        return None
     return len(parent.tokens) - 1 if begins[label] else parent.k
 
 
@@ -375,7 +371,7 @@ def extend_frame(
     frame: np.ndarray,
     real_ids: np.ndarray,
     columns: dict[int, int],
-    begins: Sequence[bool] | None = None,
+    begins: Sequence[bool],
 ) -> FrameCandidates:
     """One frame of the CTC prefix recursion over the whole beam at once.
 
@@ -489,7 +485,7 @@ class LabelCandidates:
     label_scores: np.ndarray
     scores: np.ndarray
     valid: np.ndarray
-    begins: Sequence[bool] | None = None
+    begins: Sequence[bool]
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.valid))

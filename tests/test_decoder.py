@@ -29,6 +29,7 @@ from beamfuse.decoder import (
     _score_whole,
     _shallow_scores,
     _ShallowRequests,
+    _word_begins,
     advance_views,
     apply_lm_scores,
     decode,
@@ -92,9 +93,10 @@ class TestGreedyCleanDecode:
             assert result.best.text == line
 
 
-def _extend(beam, frame, real_ids):
+def _extend(beam, frame, real_ids, begins):
     real_ids = list(real_ids)
-    return extend_frame(beam, frame, np.asarray(real_ids), {c: j for j, c in enumerate(real_ids)})
+    columns = {c: j for j, c in enumerate(real_ids)}
+    return extend_frame(beam, frame, np.asarray(real_ids), columns, begins)
 
 
 def _by_tokens(cands: FrameCandidates) -> dict:
@@ -107,7 +109,7 @@ class TestExtend:
         tok, _ = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(0), 1, tok.vocab.size))
         beam = [Hypothesis((BOS_ID,), log_blank=0.0)]
-        cands = _extend(beam, em.log_probs[0], tok.vocab.real_ids())
+        cands = _extend(beam, em.log_probs[0], tok.vocab.real_ids(), _word_begins(tok))
         assert len(cands) == 4  # stay + one extension per ordinary token
 
     def test_duplicate_prefixes_merged(self, tiny):
@@ -117,7 +119,7 @@ class TestExtend:
         a = tok.vocab.token_id("▁a")
         root = Hypothesis((BOS_ID,), log_blank=0.0)
         grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0)
-        cands = _extend([root, grown], em.log_probs[0], tok.vocab.real_ids())
+        cands = _extend([root, grown], em.log_probs[0], tok.vocab.real_ids(), _word_begins(tok))
         # raw expansion is 2 * 4 = 8; (bos, a) appears as both stay and extension
         assert len(cands) == 7
         merged = _by_tokens(cands)[(BOS_ID, a)]
@@ -145,6 +147,7 @@ class TestPrune:
             [[] for _ in beam],
             np.empty((n, 0)),
             np.ones(n, dtype=bool),
+            [],  # no extensions, so no word-begin lookups
         )
 
     def test_no_pruning_when_beam_large(self):
@@ -231,7 +234,8 @@ def _bits(x: float) -> str:
 def assert_same_step(beam, frame, real_ids, beam_size, weights):
     """The array step and the reference keep the same survivors, bit for bit."""
     real_ids = list(real_ids)
-    cands = _extend(beam, frame, real_ids)
+    # these beams have no tokenizer; no id begins a word, and ``k`` is not checked here
+    cands = _extend(beam, frame, real_ids, [False] * len(frame))
     assert len(cands) == len(reference_frame_candidates(beam, frame, real_ids))
     got = prune_frame_candidates(cands, beam_size, weights)
     want = reference_frame_step(beam, frame, real_ids, beam_size, weights)
@@ -700,7 +704,8 @@ def _request_beam(pick, tok, lms) -> list[Hypothesis]:
 def _request_blocks(pick, tok, beam) -> list:
     """The beam's frame block and a label block over it, about a quarter masked out."""
     mask = np.random.default_rng(pick(2**16))
-    frame = _extend(beam, np.full(tok.vocab.size, -math.log(tok.vocab.size)), tok.vocab.real_ids())
+    uniform = np.full(tok.vocab.size, -math.log(tok.vocab.size))
+    frame = _extend(beam, uniform, tok.vocab.real_ids(), _word_begins(tok))
     frame.valid &= mask.random(frame.valid.size) < 0.75
     ids = list(tok.vocab.real_ids()) + [EOS_ID]
     ends = [pick(3) == 0 for _ in beam]
@@ -712,7 +717,9 @@ def _request_blocks(pick, tok, beam) -> list:
     live = [h for h, end in zip(beam, ends) if not end]
     label_scores = np.where(mask.random((len(live), len(ids))) < 0.75, -1.0, NEG_INF)
     valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
-    label = LabelCandidates(ids, ended, live, label_scores, np.zeros(valid.size), valid)
+    label = LabelCandidates(
+        ids, ended, live, label_scores, np.zeros(valid.size), valid, _word_begins(tok)
+    )
     return [frame, label]
 
 

@@ -12,10 +12,13 @@ Pair ``i`` runs the parent first when ``i`` is even and the change first
 when it is odd.  After the claimed workload, every other workload named in
 ``BENCHMARK.json`` gets ``--other-pairs`` pairs at the same seed.  With
 ``--grid`` both checkouts also fingerprint ``tools/decode_grid.py``'s decode
-grid.  The records go to ``BENCH_<pr>.json`` in the change's checkout, with
-``ms_per_frame`` as the claimed metric; a summary per workload and
-end-to-end metric (medians, the parent's quartile spread, the pairs the
-change won) is printed.
+grid, labelled with the decode count it prints.  The records go to
+``BENCH_<pr>.json`` in the change's checkout, with ``ms_per_frame`` as the
+claimed metric.  An existing file is never overwritten: with ``--append``
+the runs are added to its ``batches`` list as one more batch, and without it
+the script stops before running anything.  A summary of the runs just made,
+per workload and end-to-end metric (medians, the parent's quartile spread,
+the pairs the change won), is printed.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ def run_pairs(sides: dict, workload: str, seed: int, seconds: float, pairs: int)
     return records
 
 
-def grid_hash(checkout: Path) -> str:
+def grid_hash(checkout: Path) -> tuple[str, str]:
+    """``tools/decode_grid.py`` in ``checkout``: its ``<n> decodes`` label and its digest."""
     proc = subprocess.run([sys.executable, "tools/decode_grid.py"], cwd=checkout,
                           env={**_env(), "PYTHONPATH": "src"}, capture_output=True, text=True,
                           check=True)
-    return proc.stdout.split()[-1]
+    label, digest = proc.stdout.strip().splitlines()[-1].split(" sha256 ")
+    return f"tools/decode_grid.py: {label}", digest
 
 
 def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
@@ -112,32 +117,47 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--change", default="", help="one sentence on what the change does")
     parser.add_argument("--grid", action="store_true", help="also hash the decode grid")
+    parser.add_argument("--append", action="store_true",
+                        help="add the runs to an existing BENCH_<pr>.json as one more batch")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
     for checkout in sides.values():
         if not (checkout / "perfbench" / "run.py").is_file():
             raise SystemExit(f"no perfbench/run.py under {checkout}")
+    path = sides["change"] / f"BENCH_{args.pr}.json"
+    if path.exists() != args.append:
+        raise SystemExit(f"{path} exists; pass --append to add a batch to it" if path.exists()
+                         else f"--append needs an existing {path}")
+    if args.append and args.grid:
+        raise SystemExit("--grid records the decode grid with the first batch only")
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     others = [w["name"] for w in bench["workloads"] if w["name"] != args.workload]
 
-    records = run_pairs(sides, args.workload, args.seed, args.seconds, args.pairs)
-    for workload in others:
-        records += run_pairs(sides, workload, args.seed, args.seconds, args.other_pairs)
-    out = {
-        "change": args.change,
-        "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
-                    " --trace 0, run in a checkout of the parent and of the change,"
-                    " one process at a time"),
-        "nproc": os.cpu_count(),
-        "order": ORDER,
-        "claimed": {"metric": "ms_per_frame", "workload": args.workload, "seed": args.seed,
-                    "pairs": args.pairs, "records": records},
-    }
+    pairs = {args.workload: args.pairs, **{w: args.other_pairs for w in others}}
+    records = []
+    for workload, count in pairs.items():
+        records += run_pairs(sides, workload, args.seed, args.seconds, count)
+    if args.append:
+        out = json.loads(path.read_text())
+        out.setdefault("batches", []).append(
+            {"seed": args.seed, "seconds": args.seconds, "pairs": pairs, "records": records})
+    else:
+        out = {
+            "change": args.change,
+            "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+                        " --trace 0, run in a checkout of the parent and of the change,"
+                        " one process at a time"),
+            "nproc": os.cpu_count(),
+            "order": ORDER,
+            "claimed": {"metric": "ms_per_frame", "workload": args.workload, "seed": args.seed,
+                        "pairs": args.pairs, "records": records},
+        }
     if args.grid:
-        out["decode_grid"] = {"labelsync beams 1/5/10/20 (1,440 decodes)": {
-            side: grid_hash(checkout) for side, checkout in sides.items()}}
-    path = sides["change"] / f"BENCH_{args.pr}.json"
+        out["decode_grid"] = {}
+        for side, checkout in sides.items():
+            label, digest = grid_hash(checkout)
+            out["decode_grid"].setdefault(label, {})[side] = digest
     path.write_text(json.dumps(out, indent=1) + "\n")
     print("\n".join(summarize(records, bench["end_to_end"])))
     print(f"wrote {path}")
