@@ -182,6 +182,21 @@ class PrefixState:
     last_label: int | None
 
 
+def end_scores(states: Sequence[PrefixState]) -> np.ndarray:
+    """Each state's ``</s>`` score: the exact-labelling log-probability minus ``prefix_logprob``.
+
+    The ``</s>`` column of ``CtcPrefixScorer.candidate_scores``, bit for
+    bit, read from the states alone; a dead state (``prefix_logprob``
+    -inf) scores -inf.
+    """
+    ends = np.array([lse2(float(s.r_nonblank[-1]), float(s.r_blank[-1])) for s in states])
+    prefix = np.array([s.prefix_logprob for s in states])
+    with np.errstate(invalid="ignore"):
+        scores = ends - prefix
+    scores[prefix == NEG_INF] = NEG_INF
+    return scores
+
+
 class CtcPrefixScorer:
     """Next-token log-scores over the vocabulary from CTC emissions, a batch at a time.
 
@@ -244,13 +259,12 @@ class CtcPrefixScorer:
         acc[rows, :, lasts] = r_b[rows, start:-1] + self.frames[start:, lasts].T
         m = acc.max(axis=1, initial=NEG_INF)
         safe_m = np.where(np.isfinite(m), m, 0.0)
-        ends = [lse2(a, b) for a, b in zip(r_nb[:, -1].tolist(), r_b[:, -1].tolist())]
         acc -= safe_m[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             pp_new = safe_m + np.log(np.exp(acc, out=acc).sum(axis=1))
             pp_new[~np.isfinite(m)] = NEG_INF
             scores = pp_new - prefix[:, None]
-            scores[:, self.eos_id] = np.array(ends) - prefix
+        scores[:, self.eos_id] = end_scores(states)
         scores[:, self._banned] = NEG_INF
         scores[prefix == NEG_INF] = NEG_INF
         return scores
@@ -355,7 +369,11 @@ def write_emissions(em: EmissionMatrix, path: str) -> None:
 
 
 def read_emissions(path: str) -> EmissionMatrix:
-    """Read and re-normalize rows; a row off by more than 1e-3 is an error."""
+    """Read and re-normalize rows; a row off by more than 1e-3 is an error.
+
+    The header's frame count is exact: a missing row, or any non-blank line
+    after the last row, is an ``EmissionError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             T, V = (int(x) for x in fh.readline().split())
@@ -372,9 +390,9 @@ def read_emissions(path: str) -> EmissionMatrix:
                 rows.append([float(x) for x in fields])
             except ValueError as exc:
                 raise EmissionError(f"frame {t}: {exc}") from None
+        if any(line.strip() for line in fh):
+            raise EmissionError(f"more rows than the header's {T} frames")
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape != (T, V):
-        raise EmissionError(f"expected {T} frames, got {arr.shape[0]}")
     lse = _logsumexp_rows(arr)
     worst = float(np.max(np.abs(lse)))
     if worst > 1e-3:

@@ -79,6 +79,7 @@ from .acoustic import (
     NEG_INF,
     CtcPrefixScorer,
     EmissionMatrix,
+    end_scores,
     lse2,
 )
 from .lm import ScoreRequest
@@ -674,8 +675,9 @@ class _FrameStep:
 class _LabelStep:
     """Label-synchronous search: one label per step from a CTC prefix scorer.
 
-    ``expand``, ``prune`` and ``close`` each make at most one prefix-scorer
-    call for the whole beam; ``prune`` builds states for live survivors only.
+    ``expand`` and ``prune`` each make at most one prefix-scorer call for
+    the whole beam; ``prune`` builds states for live survivors only, and
+    ``close`` reads the ``</s>`` scores from the states with ``end_scores``.
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
@@ -731,7 +733,7 @@ class _LabelStep:
         """End every unfinished hypothesis with its ``</s>`` score."""
         live = [h for h in beam if not h.ended]
         if live:
-            ends = self.scorer.candidate_scores([h.state for h in live])[:, EOS_ID].tolist()
+            ends = end_scores([h.state for h in live]).tolist()
             for hyp, end in zip(live, ends):
                 hyp.e2e += end
                 hyp.tokens = hyp.tokens + (EOS_ID,)

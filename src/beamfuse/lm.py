@@ -7,13 +7,18 @@ sequence's score and lets the next round resume where this one stopped, as
 an incremental LLM server answers with the new KV-cache state.  The n-gram
 realization keeps that contract exact: the chain rule makes any
 incremental partition of a sequence sum to the same total as scoring it
-from scratch.
+from scratch.  Requests and caches are immutable ``NamedTuple`` values,
+cheap to build by the hundred thousand.
 
 Within one call, requests that resume from the same cache object share the
 work on their common prefix, as an LLM server shares KV-cache blocks across
 requests with a common prefix: each (prefix, next token) pair is scored
 once, and its running sum is the same left-to-right addition a lone request
-would make, so every result is bit-identical.  Nothing is kept between calls.
+would make, so every result is bit-identical.  Shallow fusion sends its
+candidates as runs of siblings that differ only in their last token, so a
+request that resumes the previous request's cache and repeats its
+``tokens[:-1]`` steps one token from where that request's walk stood.
+Nothing is kept between calls.
 
 Scorers keep no counters and add no latency.  The decoder counts the work it
 requests (calls, requests with unscored tokens, and those tokens), not what
@@ -25,8 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
@@ -41,8 +45,7 @@ class ArpaFormatError(ValueError):
     """Raised when an ARPA file is malformed."""
 
 
-@dataclass(frozen=True)
-class PrefixCacheEntry:
+class PrefixCacheEntry(NamedTuple):
     """Per-hypothesis record of how much of its sequence is already scored.
 
     ``cum_logprob`` always equals the from-scratch log-probability of the
@@ -57,8 +60,7 @@ class PrefixCacheEntry:
     tokens: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScoreRequest:
+class ScoreRequest(NamedTuple):
     """A full token sequence (no leading ``<s>``) plus its inherited cache."""
 
     tokens: tuple[int, ...]
@@ -89,41 +91,43 @@ class NGramModel:
 
     def logprob(self, context: Sequence[int], token: int) -> float:
         """log P(token | context), backing off until a stored entry is hit."""
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        return self._next(self._context(context), token)[0]
+
+    def _context(self, context: Sequence[int]) -> tuple[int, ...]:
+        """The last order-1 ids of ``context`` as a tuple: what the model conditions on."""
+        return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+
+    def _next(self, ctx: tuple[int, ...], token: int) -> tuple[float, tuple[int, ...]]:
+        """``(log P(token | ctx), the context after token)``; ``ctx`` holds at most order-1 ids.
+
+        The backoff walk adds each backoff weight left to right and the
+        stored log-probability last, dropping the oldest id on each miss.
+        """
+        key = ctx + (token,)
+        after = key[1:] if len(key) == self.order else key
         acc = 0.0
         while True:
-            p = self._probs.get(ctx + (token,))
+            p = self._probs.get(key)
             if p is not None:
-                return acc + p
-            if not ctx:
+                return acc + p, after
+            if len(key) == 1:
                 raise LMError(f"token id {token} missing from unigram table")
-            acc += self._backoffs.get(ctx, 0.0)
-            ctx = ctx[1:]
-
-    def _context_after(self, tokens: Sequence[int]) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        full = (BOS_ID, *tokens)
-        return full[-(self.order - 1):]
+            acc += self._backoffs.get(key[:-1], 0.0)
+            key = key[1:]
 
     def fresh_cache(self) -> PrefixCacheEntry:
-        return PrefixCacheEntry(0, 0.0, self._context_after(()))
+        return PrefixCacheEntry(0, 0.0, self._context((BOS_ID,)))
 
     def sequence_logprob(self, seq: Sequence[int]) -> float:
         """From-scratch log-probability of a sequence starting with ``<s>``."""
         if not seq or seq[0] != BOS_ID:
             raise LMError("sequence must start with <s>")
         cum = 0.0
-        ctx = self._context_after(())
+        ctx = self._context((BOS_ID,))
         for token in seq[1:]:
-            cum += self.logprob(ctx, token)
-            ctx = self._push(ctx, token)
+            lp, ctx = self._next(ctx, token)
+            cum += lp
         return cum
-
-    def _push(self, ctx: tuple[int, ...], token: int) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        return (ctx + (token,))[-(self.order - 1):]
 
     # -- batch interface --------------------------------------------------
 
@@ -133,36 +137,52 @@ class NGramModel:
         A request's score is its new cache's ``cum_logprob``.  The requests
         resuming from one cache object walk a token trie that lives for this
         call only; a node is ``(children, cum, context)`` after the tokens on
-        its path, so a prefix shared by several requests is scored once.
+        its path, so a prefix shared by several requests is scored once.  A
+        cache's ``context`` is read as its last order-1 ids, as ``logprob``
+        reads a context, and every new cache holds that tuple.
+
+        Sibling shortcut: the call remembers the previous request's root,
+        its ``tokens[:-1]`` and the node at that point.  A request on the
+        same root object whose ``tokens[:-1]`` is equal steps its last token
+        from that node instead of walking from the root; its checks still
+        run first.
         """
+        step = self._next
         # id(cache) -> (cache, root); holding the cache keeps its id unique
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
+        last_root = last_stem = last_node = None
         caches = []
-        for req in requests:
-            tokens = tuple(req.tokens)
-            cache = req.cache
-            if cache.scored_len > len(tokens):
-                raise LMError(
-                    f"cache covers {cache.scored_len} tokens but sequence has {len(tokens)}"
-                )
-            if tokens[: cache.scored_len] != cache.tokens:
+        for tokens, cache in requests:
+            tokens = tuple(tokens)
+            start = cache.scored_len
+            if start > len(tokens):
+                raise LMError(f"cache covers {start} tokens but sequence has {len(tokens)}")
+            if tokens[:start] != cache.tokens:
                 raise LMError(
                     "cached prefix is not a prefix of the submitted sequence "
-                    f"({cache.tokens} vs {tokens[: cache.scored_len]})"
+                    f"({cache.tokens} vs {tokens[:start]})"
                 )
-            root = roots.get(id(cache))
-            if root is None:
-                root = roots[id(cache)] = (cache, ({}, cache.cum_logprob, cache.context))
-            node = root[1]
-            for token in tokens[cache.scored_len:]:
+            entry = roots.get(id(cache))
+            if entry is None:
+                root = ({}, cache.cum_logprob, self._context(cache.context))
+                entry = roots[id(cache)] = (cache, root)
+            root = entry[1]
+            stem = tokens[:-1]
+            if root is last_root and stem == last_stem:
+                node, new = last_node, tokens[-1:]
+            else:
+                node, new = root, tokens[start:]
+            parent = None
+            for token in new:
+                parent = node
                 child = node[0].get(token)
                 if child is None:
-                    _, cum, ctx = node
-                    child = ({}, cum + self.logprob(ctx, token), self._push(ctx, token))
-                    node[0][token] = child
+                    lp, ctx = step(node[2], token)
+                    child = node[0][token] = ({}, node[1] + lp, ctx)
                 node = child
-            _, cum, ctx = node
-            caches.append(PrefixCacheEntry(len(tokens), cum, ctx, tokens))
+            if parent is not None:
+                last_root, last_stem, last_node = root, stem, parent
+            caches.append(PrefixCacheEntry(len(tokens), node[1], node[2], tokens))
         return caches
 
 

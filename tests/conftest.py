@@ -121,8 +121,14 @@ def reference_score_batch(model, requests) -> list:
     """``NGramModel.score_batch_incremental`` one request at a time, nothing shared.
 
     Each request is checked, then its unscored suffix is scored token by
-    token from its own cache.  Returns the new caches.
+    token from its own cache with ``logprob``.  A context is read as its
+    last order-1 ids, a tuple, before the first token and after each one.
+    Returns the new caches.
     """
+
+    def last(ids) -> tuple:
+        return tuple(ids)[-(model.order - 1) :] if model.order > 1 else ()
+
     caches = []
     for req in requests:
         tokens = tuple(req.tokens)
@@ -132,10 +138,10 @@ def reference_score_batch(model, requests) -> list:
         if tokens[: cache.scored_len] != cache.tokens:
             raise LMError("cached prefix is not a prefix of the submitted sequence")
         cum = cache.cum_logprob
-        ctx = cache.context
+        ctx = last(cache.context)
         for token in tokens[cache.scored_len :]:
             cum += model.logprob(ctx, token)
-            ctx = model._push(ctx, token)
+            ctx = last(ctx + (token,))
         caches.append(PrefixCacheEntry(len(tokens), cum, ctx, tokens))
     return caches
 

@@ -14,6 +14,7 @@ from beamfuse.acoustic import (
     PrefixState,
     brute_force_ctc,
     collapse_path,
+    end_scores,
     enumerate_collapse_table,
     forward_ctc,
     lse2,
@@ -390,6 +391,19 @@ class TestBatchedScorer:
         assert_batch_rows_equal_references(scorer, beam, [2, 2, 2])
         got = scorer.candidate_scores(beam)
         assert np.all(got[1] == NEG_INF) and np.any(got[0] > NEG_INF)
+
+    @pytest.mark.parametrize("frames", [1, 5, 60])
+    def test_end_scores_equal_the_eos_column(self, frames):
+        # the root, live states of several depths and a dead state, bit for bit
+        rng = np.random.default_rng(54 + frames)
+        scorer = CtcPrefixScorer(EmissionMatrix(random_emissions(rng, frames, 6)), 5, (4,))
+        beam = [scorer.root()] + _ragged_beam(rng, scorer, 6)
+        got = end_scores(beam)
+        assert got.tobytes() == scorer.candidate_scores(beam)[:, 5].tobytes()
+        dead = [s.prefix_logprob == NEG_INF for s in beam]
+        assert any(dead) and not all(dead)
+        assert np.all(got[dead] == NEG_INF) and got[0] > NEG_INF
+        assert end_scores([]).shape == (0,)
 
     def test_invalid_label_anywhere_in_the_batch(self):
         em = EmissionMatrix(random_emissions(np.random.default_rng(53), 3, 5))

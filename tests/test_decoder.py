@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import beamfuse.decoder as decoder_mod
-from beamfuse.acoustic import NEG_INF, CtcPrefixScorer, EmissionMatrix, lse2, synth_emissions
+from beamfuse.acoustic import (
+    NEG_INF,
+    CtcPrefixScorer,
+    EmissionMatrix,
+    end_scores,
+    lse2,
+    synth_emissions,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1567,10 +1574,11 @@ class TestLabelSync:
             assert runs["shallow"].counters.lm_tokens > runs["never"].counters.lm_tokens
 
     def test_shallow_label_sync_builds_states_for_survivors_only(
-        self, asr_tok, asr_trigram, corpus_split
+        self, asr_tok, asr_trigram, corpus_split, monkeypatch
     ):
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.5)[0]
         scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
+        monkeypatch.setattr(decoder_mod, "end_scores", scorer.end_scores)
         cfg = DecodeConfig(
             beam=4,
             policy=FusionPolicy("shallow"),
@@ -1582,16 +1590,17 @@ class TestLabelSync:
         assert EOS_ID not in scorer.child_labels
         # every state built belongs to a live survivor, so exactly one later
         # request for next-token scores consumes it: the next step's
-        # expansion, or the closing </s>
+        # expansion, or the closing </s> scores
         assert len(scorer.child_labels) == len(scorer.scored_states) - 1
         assert set(scorer.built_states) == set(scorer.scored_states[1:])
         assert len(scorer.child_labels) <= cfg.beam * result.counters.steps
         assert result.counters.hyps_expanded > len(scorer.child_labels)
 
     @pytest.mark.parametrize("kind", ["never", "shortest", "shallow"])
-    def test_one_scorer_call_per_step(self, asr_tok, asr_trigram, corpus_split, kind):
+    def test_one_scorer_call_per_step(self, asr_tok, asr_trigram, corpus_split, kind, monkeypatch):
         # expand scores the beam in one call and prune builds the live
-        # survivors' states in at most one; close scores what is left in one
+        # survivors' states in at most one; close scores what is left with
+        # one end_scores call, never a full candidate_scores block
         ems = [em for _, em in utterances(asr_tok, corpus_split, 3, noise=0.5)]
         # random emissions leave hypotheses unfinished at the step cap
         rng = np.random.default_rng(12)
@@ -1599,14 +1608,16 @@ class TestLabelSync:
         closed = batched = 0
         for em in ems:
             scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
+            monkeypatch.setattr(decoder_mod, "end_scores", scorer.end_scores)
             lms = [LMSpec(asr_trigram, asr_tok, 0.5)]
             cfg = DecodeConfig(beam=6, policy=FusionPolicy(kind), lms=lms, mode="labelsync")
             steps = decode(scorer, cfg, asr_tok).counters.steps
-            calls = "".join("s" if name == "candidate_scores" else "c" for name, _ in scorer.calls)
-            assert re.fullmatch("(sc?)+", calls)
-            assert calls.count("s") - steps in (0, 1)
-            assert all(size > 0 for name, size in scorer.calls if name == "child")
-            closed += calls.count("s") - steps
+            letter = {"candidate_scores": "s", "child": "c", "end_scores": "e"}
+            calls = "".join(letter[name] for name, _ in scorer.calls)
+            assert re.fullmatch("(sc?)+e?", calls)
+            assert calls.count("s") == steps
+            assert all(size > 0 for name, size in scorer.calls if name != "candidate_scores")
+            closed += calls.count("e")
             batched += max(size for _, size in scorer.calls) > 1
         assert closed > 0
         assert batched == len(ems)
@@ -1646,6 +1657,12 @@ class _CountingScorer:
         self.calls.append(("candidate_scores", len(states)))
         self.scored_states.extend(map(id, states))
         return self.inner.candidate_scores(states)
+
+    def end_scores(self, states):
+        """Stands in for ``decoder.end_scores``, which reads the states alone."""
+        self.calls.append(("end_scores", len(states)))
+        self.scored_states.extend(map(id, states))
+        return end_scores(states)
 
 
 class TestValidation:

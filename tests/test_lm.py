@@ -1,11 +1,10 @@
-import dataclasses
 import functools
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamfuse.lm import (
@@ -263,7 +262,7 @@ class TestSharedPrefixProperty:
         )
         pool = [model.fresh_cache(), model.fresh_cache()]  # equal, distinct objects
         for res in earlier:
-            pool += [res, dataclasses.replace(res)]
+            pool += [res, res._replace()]
         stems = data.draw(st.lists(_SEQS, min_size=1, max_size=3))
         requests = []
         for _ in range(data.draw(st.integers(1, 12))):
@@ -292,6 +291,86 @@ class TestSharedPrefixProperty:
             cache = res
         assert res.cum_logprob == model.sequence_logprob((BOS_ID, *seq))
         assert cache.tokens == seq
+
+
+def _bits(caches) -> list[tuple]:
+    """Every field of every cache, floats by ``repr``: equal only when bit-identical."""
+    return [
+        (c.scored_len, repr(c.cum_logprob), type(c.context), c.context, c.tokens) for c in caches
+    ]
+
+
+@st.composite
+def _sibling_batches(draw):
+    """``(order, requests)``: runs of siblings sharing ``tokens[:-1]`` over a mixed cache pool.
+
+    The pool holds equal but distinct fresh and scored caches, and
+    hand-built ones whose context is a list or longer than order-1 and
+    which share ``cum_logprob`` and context while their scored prefixes
+    differ.  Runs are mixed with duplicates, requests with no new tokens
+    and empty requests.
+    """
+    order = draw(st.sampled_from([1, 2, 3]))
+    model = _small_model(order)
+    earlier = model.score_batch_incremental(
+        [ScoreRequest(seq, model.fresh_cache()) for seq in draw(st.lists(_SEQS, max_size=3))]
+    )
+    fresh = [model.fresh_cache(), model.fresh_cache()]
+    pool = fresh + [c for res in earlier for c in (res, res._replace())]
+    ids = draw(st.lists(_TOKENS | st.just(BOS_ID), min_size=order, max_size=order + 2))
+    context = draw(st.sampled_from([ids, tuple(ids)]))
+    cum = draw(st.floats(-20.0, 0.0))
+    for prefix in draw(st.lists(_SEQS, max_size=3)):
+        pool.append(PrefixCacheEntry(len(prefix), cum, context, prefix))
+    requests = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["run", "run", "duplicate", "nothing new", "empty"]))
+        if kind == "duplicate" and requests:
+            requests.append(draw(st.sampled_from(requests)))
+        elif kind == "empty":
+            requests.append(ScoreRequest((), draw(st.sampled_from(fresh))))
+        else:
+            cache = draw(st.sampled_from(pool))
+            stem = cache.tokens + tuple(draw(st.lists(_TOKENS, max_size=3)))
+            if kind == "nothing new":
+                requests.append(ScoreRequest(cache.tokens, cache))
+            for last in draw(st.lists(_TOKENS, min_size=1, max_size=6)):
+                requests.append(ScoreRequest(stem + (last,), cache))
+    return order, requests
+
+
+# Two caches with equal cum and context but different scored prefixes grow
+# equal tries: B's root equals A's root, though it is another root, when
+# B's third request repeats the stem A's request left behind.
+_X, _Y, _Z, _W = range(NUM_SPECIALS, NUM_SPECIALS + 4)
+_A = PrefixCacheEntry(1, -1.0, (_X,), (_X,))
+_B = PrefixCacheEntry(2, -1.0, (_X,), (_X, _Y))
+_EQUAL_ROOTS = [
+    ScoreRequest((_X, _Y, _Y, _Z), _B),
+    ScoreRequest((_X, _Y, _Z), _A),
+    ScoreRequest((_X, _Y, _W), _B),
+]
+
+
+class TestSiblingShortcut:
+    """The sibling shortcut gives what one request at a time gives, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sibling_batches())
+    @example((3, _EQUAL_ROOTS))
+    def test_batch_equals_reference(self, batch):
+        order, requests = batch
+        model = _small_model(order)
+        got = model.score_batch_incremental(requests)
+        assert _bits(got) == _bits(reference_score_batch(model, requests))
+        assert all(type(c.context) is tuple and len(c.context) <= order - 1 for c in got)
+
+    def test_carriers_are_immutable(self):
+        cache = PrefixCacheEntry(0, 0.0, ())
+        request = ScoreRequest((), cache)
+        for carrier, name in [(cache, "scored_len"), (cache, "context"), (request, "cache")]:
+            with pytest.raises(AttributeError):
+                setattr(carrier, name, getattr(carrier, name))
 
 
 class TestArpa:

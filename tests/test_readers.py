@@ -119,6 +119,22 @@ class TestEmissions:
         # nine significant digits on disk, re-normalized on reading
         assert np.allclose(loaded.log_probs, em.log_probs, rtol=1e-8, atol=1e-8)
 
+    @settings(max_examples=50, deadline=None)
+    @given(_emissions(), st.data())
+    def test_duplicated_row_rejected(self, scratch, em, data):
+        # a row past the header's frame count used to be dropped silently
+        write_emissions(em, str(scratch))
+        lines = scratch.read_text(encoding="utf-8").splitlines()
+        i = data.draw(st.integers(1, len(lines) - 1))
+        lines.insert(i, lines[i])
+        scratch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(EmissionError, match="more rows than"):
+            read_emissions(str(scratch))
+
+    def test_trailing_blank_lines_allowed(self, scratch):
+        scratch.write_text("1 2\n-0.5 -0.9327521295671886\n\n  \n", encoding="utf-8")
+        assert read_emissions(str(scratch)).num_frames == 1
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_edited_or_arbitrary_text(self, scratch, data):
