@@ -215,7 +215,6 @@ class CtcPrefixScorer:
     """
 
     def __init__(self, em: EmissionMatrix, eos_id: int, disallowed: Sequence[int] = ()):
-        self.em = em
         self.eos_id = eos_id
         self.frames = em.log_probs
         self.T = em.num_frames

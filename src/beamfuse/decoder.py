@@ -5,9 +5,10 @@ prunes the candidates to the beam size by the combined score (acoustic plus
 weighted LM scores, the LM part possibly stale), advances the survivors' LM
 views over their newly completed words, and — if the fusion policy fires —
 scores those words with one batched LM call per model: the delayed pass.
-The whole-hypothesis pass (``_score_whole``) scores each hypothesis's views
-plus its re-tokenized rest; finalization runs it on the last beam with
-``</s>`` and ranks by the scorers flagged for final selection.
+The whole-hypothesis requests (``_whole_requests``) resume each
+hypothesis's views with its re-tokenized rest; finalization scores them for
+the last beam with ``</s>`` and ranks by the scorers flagged for final
+selection.
 
 The decoder counts the LM work it requests: every LM call goes through
 ``_score``, which adds it to the decode's own ``DecodeCounters``.  Scorers
@@ -39,9 +40,9 @@ between the modes lives in a small step object:
   Prefix-scorer states are built for survivors only, and unfinished
   hypotheses are closed with ``</s>``.
 
-Both candidate blocks answer ``valid``, ``tokens(j)`` and ``views(j)`` for a
-flat candidate index ``j``, and ``families(kept)`` groups the extension
-block by parent.  The shallow baseline is one more score term on the same
+Both candidate blocks are ``Candidates``, single items then one extension
+block, answering ``valid``, ``tokens(j)`` and ``views(j)`` for a flat index
+``j``; ``families(kept)`` groups the extension block by parent.  The shallow baseline is one more score term on the same
 cut: every valid candidate's whole content is scored, and those scores are
 added before the prune.  Its requests are built once per parent
 (``_ShallowRequests``): the parent's rest is decoded and re-tokenized once
@@ -69,7 +70,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +84,9 @@ from .acoustic import (
     lse2,
 )
 from .lm import ScoreRequest
+# tokenizable_prefix_len is not called here: perfbench/layertrace.py patches
+# ``decoder.tokenizable_prefix_len`` and perfbench/tests/test_reconcile.py reads it
+# (ROADMAP item 7)
 from .tokenization import BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer, tokenizable_prefix_len
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
@@ -215,35 +219,24 @@ class LMView(NamedTuple):
     cache: object
 
 
+@dataclass(slots=True, eq=False)
 class Hypothesis:
     """One beam entry; ``tokens`` starts at ``<s>``.
 
     ``k`` is the complete-word source length, ``<s>`` not counted: what
-    ``tokenizable_prefix_len(tokens)`` gives.  The step that builds a
-    hypothesis sets it; a hand-built one may leave it None.
+    ``tokenizable_prefix_len(tokens)`` gives.  It is required: a step sets
+    it in O(1) for each hypothesis it builds, and a hand-built one passes it.
     """
 
-    __slots__ = ("tokens", "log_blank", "log_nonblank", "e2e", "ended", "views", "state", "k")
-
-    def __init__(
-        self,
-        tokens: tuple[int, ...],
-        log_blank: float = NEG_INF,
-        log_nonblank: float = NEG_INF,
-        e2e: float = 0.0,
-        ended: bool = False,
-        views: list[LMView] | None = None,
-        state=None,
-        k: int | None = None,
-    ):
-        self.tokens = tokens
-        self.log_blank = log_blank
-        self.log_nonblank = log_nonblank
-        self.e2e = e2e
-        self.ended = ended
-        self.views = views if views is not None else []
-        self.state = state
-        self.k = k
+    tokens: tuple[int, ...]
+    log_blank: float = NEG_INF
+    log_nonblank: float = NEG_INF
+    e2e: float = 0.0
+    ended: bool = False
+    views: list[LMView] = field(default_factory=list)
+    state: object = None
+    _: KW_ONLY
+    k: int
 
     def lm_combined(self, weights: Sequence[float]) -> float:
         total = 0.0
@@ -252,28 +245,25 @@ class Hypothesis:
         return total
 
 
-# -- frame-synchronous expansion ---------------------------------------------
+# -- candidate blocks ----------------------------------------------------------
 
 
 @dataclass(slots=True, eq=False)
-class FrameCandidates:
-    """One frame's candidates: a stay pair per hypothesis and a (B, R) extension block.
+class Candidates:
+    """One step's candidates: single items, then a (P, C) extension block.
 
-    Candidate ``i`` (``i < B``) is ``beam[i]`` absorbing a blank or a repeat of
-    its last label, with pair ``(stay_blank[i], stay_nonblank[i])`` and LM views
-    ``stay_views[i]``.  Candidate ``B + i * R + col`` is ``beam[i]`` extended by
-    ``real_ids[col]``: non-blank score ``ext[i, col]``, blank score -inf, and the
-    views of ``beam[i]``.  An extension that equals another beam entry lives in
-    that entry's stay pair instead, and ``valid`` masks it out.  ``begins``,
-    the per-id word-begin table, sets each extension's ``k``.
+    Candidate ``i`` (``i < S``) is ``singles[i]`` with LM views
+    ``single_views[i]``.  Candidate ``S + r * C + col`` is ``parents[r]``
+    extended by ``ids[col]``, with the views of ``parents[r]``.  ``valid``
+    masks out the indices that are no candidates, and ``begins``, the per-id
+    word-begin table, sets each extension's ``k``.  Each mode adds its
+    scores and builds its hypotheses.
     """
 
-    beam: Sequence[Hypothesis]
-    real_ids: np.ndarray
-    stay_blank: list[float]
-    stay_nonblank: list[float]
-    stay_views: list[list[LMView]]
-    ext: np.ndarray
+    singles: Sequence[Hypothesis]
+    single_views: Sequence[list[LMView]]
+    parents: Sequence[Hypothesis]
+    ids: np.ndarray
     valid: np.ndarray
     begins: Sequence[bool]
 
@@ -281,19 +271,65 @@ class FrameCandidates:
         return int(np.count_nonzero(self.valid))
 
     def tokens(self, j: int) -> tuple[int, ...]:
-        n = len(self.beam)
+        n = len(self.singles)
         if j < n:
-            return self.beam[j].tokens
-        i, col = divmod(j - n, len(self.real_ids))
-        return self.beam[i].tokens + (self.real_ids.item(col),)
+            return self.singles[j].tokens
+        r, col = divmod(j - n, len(self.ids))
+        return self.parents[r].tokens + (self.ids.item(col),)
 
     def views(self, j: int) -> list[LMView]:
-        n = len(self.beam)
-        return self.stay_views[j] if j < n else self.beam[(j - n) // len(self.real_ids)].views
+        n = len(self.singles)
+        return self.single_views[j] if j < n else self.parents[(j - n) // len(self.ids)].views
 
     def families(self, kept: np.ndarray) -> tuple[list[int], list]:
-        """The stay indices in ``kept``, and its extensions as ``(parent, labels)``."""
-        return _families(kept, len(self.beam), self.beam, self.real_ids)
+        """Split ascending candidate indices into single items and per-parent families.
+
+        Returns the single indices in ``kept`` and ``(parent, labels)`` for
+        each parent with a kept extension, so the singles followed by each
+        family's labels in turn are ``kept`` in order.
+        """
+        n, ids, parents = len(self.singles), self.ids, self.parents
+        split = int(np.searchsorted(kept, n))
+        rows, cols = np.divmod(kept[split:] - n, len(ids))
+        labels = ids[cols].tolist()
+        families, start = [], 0
+        for parent, count in zip(parents, np.bincount(rows, minlength=len(parents)).tolist()):
+            if count:
+                families.append((parent, labels[start : start + count]))
+                start += count
+        return kept[:split].tolist(), families
+
+    def _extension(self, j: int, tokens: tuple[int, ...]) -> tuple[Hypothesis, int, int, int]:
+        """Extension ``j``, whose tokens are ``tokens``: parent, block row, column and ``k``.
+
+        A word-begin label closes the parent's last word; a continuation or
+        ``</s>`` keeps the parent's ``k``.
+        """
+        r, col = divmod(j - len(self.singles), len(self.ids))
+        parent = self.parents[r]
+        k = len(parent.tokens) - 1 if self.begins[tokens[-1]] else parent.k
+        return parent, r, col, k
+
+
+# -- frame-synchronous expansion ---------------------------------------------
+
+
+@dataclass(slots=True, eq=False)
+class FrameCandidates(Candidates):
+    """One frame's candidates: a stay pair per hypothesis and a (B, R) extension block.
+
+    The singles and the parents are both the beam.  Candidate ``i``
+    (``i < B``) is ``beam[i]`` absorbing a blank or a repeat of its last
+    label, with pair ``(stay_blank[i], stay_nonblank[i])``.  Candidate
+    ``B + i * R + col`` is ``beam[i]`` extended by the ordinary token
+    ``ids[col]``: non-blank score ``ext[i, col]`` and blank score -inf.  An
+    extension that equals another beam entry lives in that entry's stay pair
+    instead, and ``valid`` masks it out.
+    """
+
+    stay_blank: list[float]
+    stay_nonblank: list[float]
+    ext: np.ndarray
 
     def hypothesis(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
         """Candidate ``j``, whose tokens are ``tokens``, as a new hypothesis.
@@ -301,42 +337,25 @@ class FrameCandidates:
         It shares its parent's views.  A stay keeps its own entry's ``k``,
         even when a merge gave it another entry's views.
         """
-        n = len(self.beam)
-        if j < n:
+        if j < len(self.singles):
             log_blank, log_nonblank = self.stay_blank[j], self.stay_nonblank[j]
             return Hypothesis(
-                tokens, log_blank, log_nonblank, views=self.stay_views[j], k=self.beam[j].k
+                tokens, log_blank, log_nonblank, views=self.single_views[j], k=self.singles[j].k
             )
-        i, col = divmod(j - n, len(self.real_ids))
-        parent = self.beam[i]
-        return Hypothesis(
-            tokens,
-            NEG_INF,
-            self.ext.item(i, col),
-            views=parent.views,
-            k=_extended_k(parent, tokens[-1], self.begins),
-        )
+        parent, i, col, k = self._extension(j, tokens)
+        return Hypothesis(tokens, NEG_INF, self.ext.item(i, col), views=parent.views, k=k)
 
     def scores(self, weights: Sequence[float]) -> np.ndarray:
         """Acoustic plus weighted LM score of every index, -inf where not valid."""
         stay = np.array([lse2(b, nb) for b, nb in zip(self.stay_blank, self.stay_nonblank)])
         ext = self.ext
         for k, w in enumerate(weights):
-            stay = stay + w * np.array([views[k].cache.cum_logprob for views in self.stay_views])
-            lm = w * np.array([h.views[k].cache.cum_logprob for h in self.beam])
+            stay = stay + w * np.array([views[k].cache.cum_logprob for views in self.single_views])
+            lm = w * np.array([h.views[k].cache.cum_logprob for h in self.parents])
             ext = ext + lm[:, None]
         scores = np.concatenate([stay, ext.ravel()])
         scores[~self.valid] = NEG_INF
         return scores
-
-
-def _extended_k(parent: Hypothesis, label: int, begins: Sequence[bool]) -> int | None:
-    """``k`` of ``parent`` extended by ``label``, from the word-begin table ``begins``.
-
-    A word-begin label closes the parent's last word; a continuation or
-    ``</s>`` keeps the parent's ``k``, None for a parent without one.
-    """
-    return len(parent.tokens) - 1 if begins[label] else parent.k
 
 
 def _word_begins(asr_tok: Tokenizer) -> list[bool]:
@@ -346,25 +365,6 @@ def _word_begins(asr_tok: Tokenizer) -> list[bool]:
 
 def _views_key(views: Sequence[LMView]) -> tuple:
     return tuple((v.cache.scored_len, v.consumed) for v in views)
-
-
-def _families(kept: np.ndarray, n: int, parents: Sequence[Hypothesis], ids: np.ndarray):
-    """Split ascending candidate indices into single items and per-parent families.
-
-    Indices below ``n`` are single items; index ``n + r * len(ids) + col`` is
-    ``parents[r]`` extended by ``ids[col]``.  Returns the single indices and
-    ``(parent, labels)`` for each parent with a kept extension, so the singles
-    followed by each family's labels in turn are ``kept`` in order.
-    """
-    split = int(np.searchsorted(kept, n))
-    rows, cols = np.divmod(kept[split:] - n, len(ids))
-    labels = ids[cols].tolist()
-    families, start = [], 0
-    for parent, count in zip(parents, np.bincount(rows, minlength=len(parents)).tolist()):
-        if count:
-            families.append((parent, labels[start : start + count]))
-            start += count
-    return kept[:split].tolist(), families
 
 
 def extend_frame(
@@ -404,7 +404,7 @@ def extend_frame(
     stay_views = [h.views for h in beam]
     valid = np.ones(len(beam) + ext.size, dtype=bool)
     cands = FrameCandidates(
-        beam, real_ids, stay_blank, stay_nonblank, stay_views, ext, valid, begins
+        beam, stay_views, beam, real_ids, valid, begins, stay_blank, stay_nonblank, ext
     )
     parents = {h.tokens: i for i, h in enumerate(beam)}
     for j, hyp in enumerate(beam):
@@ -467,44 +467,19 @@ def prune_frame_candidates(
 
 
 @dataclass(slots=True, eq=False)
-class LabelCandidates:
+class LabelCandidates(Candidates):
     """One label step's candidates: ended hypotheses and an (L, C) extension block.
 
-    Candidate ``i`` (``i < E``) is the ended hypothesis ``ended[i]``, carried
-    over as itself.  Candidate ``E + r * C + col`` is live hypothesis
-    ``live[r]`` extended by ``ids[col]`` with label score
+    The singles are the ended hypotheses, each carried over as itself, and
+    the parents are the live ones.  Extension ``(r, col)`` has label score
     ``label_scores[r, col]``.  ``scores`` holds every index's stale combined
     score: ``e2e + LM`` for an ended hypothesis, ``e2e + label score + LM``
     for an extension.  Extensions whose label score is -inf are not
-    candidates, and ``valid`` masks them out.  ``begins`` is the word-begin
-    table, as in ``FrameCandidates``.
+    candidates, and ``valid`` masks them out.
     """
 
-    ids: list[int]
-    ended: list[Hypothesis]
-    live: list[Hypothesis]
     label_scores: np.ndarray
     scores: np.ndarray
-    valid: np.ndarray
-    begins: Sequence[bool]
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.valid))
-
-    def tokens(self, j: int) -> tuple[int, ...]:
-        n = len(self.ended)
-        if j < n:
-            return self.ended[j].tokens
-        r, col = divmod(j - n, len(self.ids))
-        return self.live[r].tokens + (self.ids[col],)
-
-    def views(self, j: int) -> list[LMView]:
-        n = len(self.ended)
-        return self.ended[j].views if j < n else self.live[(j - n) // len(self.ids)].views
-
-    def families(self, kept: np.ndarray) -> tuple[list[int], list]:
-        """The ended indices in ``kept``, and its extensions as ``(parent, labels)``."""
-        return _families(kept, len(self.ended), self.live, np.asarray(self.ids))
 
     def candidate(self, j: int, tokens: tuple[int, ...]) -> tuple[Hypothesis, Hypothesis | None]:
         """Candidate ``j``, whose tokens are ``tokens``, as (hypothesis, parent).
@@ -512,18 +487,15 @@ class LabelCandidates:
         An ended candidate is itself, with its own ``k``, and no parent.  An
         extension is a new hypothesis sharing its parent's views.
         """
-        n = len(self.ended)
-        if j < n:
-            return self.ended[j], None
-        r, col = divmod(j - n, len(self.ids))
-        parent = self.live[r]
-        label = tokens[-1]
+        if j < len(self.singles):
+            return self.singles[j], None
+        parent, r, col, k = self._extension(j, tokens)
         child = Hypothesis(
             tokens,
             e2e=parent.e2e + self.label_scores.item(r, col),
-            ended=label == EOS_ID,
+            ended=tokens[-1] == EOS_ID,
             views=parent.views,
-            k=_extended_k(parent, label, self.begins),
+            k=k,
         )
         return child, parent
 
@@ -555,17 +527,13 @@ def advance_views(
     Only complete words are mapped, so advancing a growing hypothesis step by step
     gives the same LM tokens as re-tokenizing its whole complete-word prefix at
     once.  The words end at ``hyp.k``, which the step that built the hypothesis
-    set, so nothing is rescanned; only a hand-built hypothesis without ``k``
-    is scanned with ``tokenizable_prefix_len``, and the result is not kept,
-    since such a caller may change ``tokens`` between calls.  ``memos`` are
-    the decode's word memos, one per LM (fresh ones if omitted).  The old
-    views, which other hypotheses may share, are left as they are.
+    set, so nothing is rescanned.  ``memos`` are the decode's word memos, one
+    per LM (fresh ones if omitted).  The old views, which other hypotheses
+    may share, are left as they are.
     """
     if not lms:
         return
     k = hyp.k
-    if k is None:
-        k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
     consumed = hyp.views[0].consumed
     if k > consumed:
         words = asr_tok.decode(hyp.tokens[1 + consumed : 1 + k]).split()
@@ -690,8 +658,7 @@ class _LabelStep:
             scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
         self.scorer = scorer
         self.limit = scorer.T
-        self.candidate_ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
-        self.id_index = np.asarray(self.candidate_ids)
+        self.id_index = np.asarray([*asr_tok.vocab.real_ids(), EOS_ID])
         self.begins = _word_begins(asr_tok)
         self.lms = config.lms
         self.beam_size = config.beam
@@ -715,8 +682,9 @@ class _LabelStep:
         valid = np.concatenate(
             [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
         )
+        ended_views = [h.views for h in ended]
         return LabelCandidates(
-            self.candidate_ids, ended, live, label_scores, scores, valid, self.begins
+            ended, ended_views, live, self.id_index, valid, self.begins, label_scores, scores
         )
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
@@ -874,9 +842,9 @@ def _shallow_scores(cands, shallow: _ShallowRequests, counters: DecodeCounters) 
     """
     kept = np.flatnonzero(cands.valid)
     extra = np.zeros(cands.valid.size)
-    lms = shallow.lms
-    for spec, raw in zip(lms, _raw_scores(lms, shallow(cands, kept), counters)):
-        extra[kept] += spec.weight * np.array(raw)
+    for spec, requests in zip(shallow.lms, shallow(cands, kept)):
+        caches = _score(spec, requests, counters)
+        extra[kept] += spec.weight * np.array([cache.cum_logprob for cache in caches])
     return extra
 
 
@@ -892,20 +860,6 @@ def _whole_requests(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, memos, clo
             lm_tokens = _retokenize(view.lm_tokens, words, spec.tokenizer, memo)
             reqs.append(ScoreRequest(lm_tokens + close, view.cache))
     return requests
-
-
-def _raw_scores(lms: Sequence[LMSpec], requests: list, counters) -> list:
-    """One counted call per LM; each LM's raw scores, in request order."""
-    caches = [_score(spec, reqs, counters) for spec, reqs in zip(lms, requests)]
-    return [[cache.cum_logprob for cache in per_lm] for per_lm in caches]
-
-
-def _score_whole(
-    items, lms: Sequence[LMSpec], asr_tok: Tokenizer, counters, memos, close=()
-) -> list:
-    """Each LM's raw scores of every item's whole content plus ``close``, in item order."""
-    requests = _whole_requests(items, lms, asr_tok, memos, close)
-    return _raw_scores(lms, requests, counters)
 
 
 def _trace_step(t, fired, shortest, beam) -> StepTrace:
@@ -925,12 +879,13 @@ def finalize_beam(beam, config, asr_tok, counters, memos) -> list[ScoredHypothes
     if not beam:
         raise DecodeError("empty beam at finalization")
     items = ((h.tokens, h.views) for h in beam)
-    raws = _score_whole(items, config.lms, asr_tok, counters, memos, (EOS_ID,))
+    requests = _whole_requests(items, config.lms, asr_tok, memos, (EOS_ID,))
+    caches = [_score(spec, reqs, counters) for spec, reqs in zip(config.lms, requests)]
     counters.lm_calls_final += len(config.lms)
 
     entries = []
     for j, hyp in enumerate(beam):
-        lm_scores = tuple(raw[j] for raw in raws)
+        lm_scores = tuple(per_lm[j].cum_logprob for per_lm in caches)
         total = hyp.e2e
         for spec, raw in zip(config.lms, lm_scores):
             if spec.use_in_final:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -94,6 +95,9 @@ def generate_corpus(
     wordpiece alphabet.  Sentences are distinct, making disjoint train/eval
     splits trivial.
     """
+    if vocabulary < 4:
+        # the starter and successor draws take up to 4 distinct words
+        raise HarnessError(f"corpus vocabulary must be >= 4 words, got {vocabulary}")
     rng = random.Random(seed)
     words: list[str] = []
     seen = set()
@@ -163,6 +167,10 @@ def synth_dataset(
         raise HarnessError(
             f"corpus too small: {len(sentences)} sentences for {count} utterances"
         )
+    if seed < 0:
+        raise HarnessError(f"seed must be >= 0, got {seed}")
+    if not (noise >= 0 and math.isfinite(noise)):
+        raise HarnessError(f"noise must be a finite number >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(sentences), size=count, replace=False)
     out = []

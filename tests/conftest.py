@@ -218,9 +218,10 @@ def advanced_view(ids, asr_tok: Tokenizer, lm_tok: Tokenizer, stepwise: bool = F
     hypothesis grows; otherwise the view is advanced once over all of ``ids``.
     """
     spec = LMSpec(None, lm_tok, 1.0)
-    hyp = Hypothesis((BOS_ID,), views=[LMView(0, (), None)])
+    hyp = Hypothesis((BOS_ID,), views=[LMView(0, (), None)], k=0)
     for end in range(1, len(ids) + 1) if stepwise else [len(ids)]:
         hyp.tokens = (BOS_ID, *ids[:end])
+        hyp.k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
         advance_views(hyp, asr_tok, [spec])
     return hyp.views[0]
 
@@ -267,7 +268,10 @@ def reference_frame_candidates(beam, frame, real_ids) -> dict:
 
 
 def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypothesis]:
-    """Reference for ``extend_frame`` + ``prune_frame_candidates``: full sort of every candidate."""
+    """Reference for ``extend_frame`` + ``prune_frame_candidates``: full sort of every candidate.
+
+    Its beams have no word-begin ids, so every survivor's ``k`` is 0.
+    """
     entries = []
     for tokens, rec in reference_frame_candidates(beam, frame, real_ids).items():
         comb = lse2(rec.log_blank, rec.log_nonblank)
@@ -278,7 +282,9 @@ def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypo
     if beam_size is not None:
         entries = entries[:beam_size]
     return [
-        Hypothesis(tokens, log_blank=rec.log_blank, log_nonblank=rec.log_nonblank, views=rec.views)
+        Hypothesis(
+            tokens, log_blank=rec.log_blank, log_nonblank=rec.log_nonblank, views=rec.views, k=0
+        )
         for _, tokens, rec in entries
     ]
 
@@ -379,12 +385,12 @@ def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
     return entries
 
 
-def reference_label_step(scorer, beam, candidate_ids, beam_size, weights) -> list:
+def reference_label_step(scorer, beam, candidate_ids, beam_size, weights, vocab) -> list:
     """Reference for the label step's expand + prune: full sort of every entry.
 
     Returns ``(survivor, parent)`` pairs; a carried-over ended hypothesis is
     its own survivor with parent ``None``, and only live survivors get a
-    prefix-scorer state.
+    prefix-scorer state.  A new survivor's ``k`` is scanned over ``vocab``.
     """
     out = []
     entries = reference_label_entries(scorer, beam, candidate_ids, weights)
@@ -397,6 +403,7 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights) -> lis
             e2e=parent.e2e + s,
             ended=tokens[-1] == EOS_ID,
             views=parent.views,
+            k=tokenizable_prefix_len(tokens, vocab),
         )
         if not hyp.ended:
             hyp.state = scorer.child([parent.state], [tokens[-1]])[0]
@@ -423,13 +430,15 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
             comb = lse2(rec.log_blank, rec.log_nonblank)
             for w, view in zip(weights, rec.views):
                 comb += w * view.cache.cum_logprob
-            hyp = Hypothesis(tokens, rec.log_blank, rec.log_nonblank, views=rec.views)
+            k = tokenizable_prefix_len(tokens, asr_tok.vocab)
+            hyp = Hypothesis(tokens, rec.log_blank, rec.log_nonblank, views=rec.views, k=k)
             entries.append((comb, tokens, hyp))
     else:
         ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
         for comb, tokens, (parent, s) in reference_label_entries(source, beam, ids, weights):
             e2e = parent.e2e if s is None else parent.e2e + s
-            hyp = Hypothesis(tokens, e2e=e2e, ended=tokens[-1] == EOS_ID, views=parent.views)
+            k = tokenizable_prefix_len(tokens, asr_tok.vocab)
+            hyp = Hypothesis(tokens, e2e=e2e, ended=tokens[-1] == EOS_ID, views=parent.views, k=k)
             entries.append((comb, tokens, hyp))
 
     lm_totals = [0.0] * len(entries)

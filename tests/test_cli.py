@@ -331,3 +331,43 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("noise = -1", "noise must be a finite number >= 0, got -1.0"),
+            ("noise = nan", "noise must be a finite number >= 0, got nan"),
+            ("corpus_vocabulary = 3", "corpus vocabulary must be >= 4 words, got 3"),
+        ],
+        ids=["negative-seed", "negative-noise", "nan-noise", "three-word-corpus"],
+    )
+    def test_bad_data_settings_report_error(self, workspace, capsys, line, message):
+        cfg = workspace / "bad_data.cfg"
+        cfg.write_text("corpus_sentences = 300\ncorpus_vocabulary = 80\nutterances = 2\n"
+                       + line + "\n")
+        argv = ["bench", "--config", str(cfg), "--out", str(workspace / "bad.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+class TestGenDataCommand:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", -1, "seed must be >= 0, got -1"),
+            ("--noise", -1, "noise must be a finite number >= 0, got -1.0"),
+        ],
+        ids=["negative-seed", "negative-noise"],
+    )
+    def test_bad_values_report_error(self, workspace, capsys, flag, value, message):
+        args = {"--count": 2, "--noise": 0.4, "--seed": 9, flag: value}
+        argv = ["gen-data", "--corpus", workspace / "eval.txt", "--vocab", workspace / "asr.vocab",
+                "--out", workspace / "bad_data", *(str(x) for kv in args.items() for x in kv)]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (workspace / "bad_data").exists()

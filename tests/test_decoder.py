@@ -33,9 +33,9 @@ from beamfuse.decoder import (
     LMView,
     _FrameStep,
     _LabelStep,
-    _score_whole,
     _shallow_scores,
     _ShallowRequests,
+    _whole_requests,
     _word_begins,
     advance_views,
     apply_lm_scores,
@@ -115,7 +115,7 @@ class TestExtend:
     def test_candidate_count(self, tiny):
         tok, _ = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(0), 1, tok.vocab.size))
-        beam = [Hypothesis((BOS_ID,), log_blank=0.0)]
+        beam = [Hypothesis((BOS_ID,), log_blank=0.0, k=0)]
         cands = _extend(beam, em.log_probs[0], tok.vocab.real_ids(), _word_begins(tok))
         assert len(cands) == 4  # stay + one extension per ordinary token
 
@@ -124,8 +124,9 @@ class TestExtend:
         rng = np.random.default_rng(1)
         em = EmissionMatrix(random_emissions(rng, 1, tok.vocab.size))
         a = tok.vocab.token_id("▁a")
-        root = Hypothesis((BOS_ID,), log_blank=0.0)
-        grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0)
+        root = Hypothesis((BOS_ID,), log_blank=0.0, k=0)
+        k = tokenizable_prefix_len((BOS_ID, a), tok.vocab)
+        grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0, k=k)
         cands = _extend([root, grown], em.log_probs[0], tok.vocab.real_ids(), _word_begins(tok))
         # raw expansion is 2 * 4 = 8; (bos, a) appears as both stay and extension
         assert len(cands) == 7
@@ -143,18 +144,22 @@ class TestExtend:
 
 class TestPrune:
     def _cands(self, entries):
-        """Stay-only candidates: (tokens, log_blank, log_nonblank) each, no LM views."""
-        beam = [Hypothesis(tokens) for tokens, _, _ in entries]
+        """Stay-only candidates: (tokens, log_blank, log_nonblank) each, no LM views.
+
+        With no extensions, each ``k`` only passes to its stay; it is 0.
+        """
+        beam = [Hypothesis(tokens, k=0) for tokens, _, _ in entries]
         n = len(beam)
         return FrameCandidates(
             beam,
-            np.array([], dtype=int),
-            [b for _, b, _ in entries],
-            [nb for _, _, nb in entries],
             [[] for _ in beam],
-            np.empty((n, 0)),
+            beam,
+            np.array([], dtype=int),
             np.ones(n, dtype=bool),
             [],  # no extensions, so no word-begin lookups
+            [b for _, b, _ in entries],
+            [nb for _, _, nb in entries],
+            np.empty((n, 0)),
         )
 
     def test_no_pruning_when_beam_large(self):
@@ -206,7 +211,11 @@ def _random_views(rng, n_lms):
 
 
 def _random_beam(rng, vocab_size, size, n_lms, extend_share=0.5, neg_inf_share=0.0):
-    """Distinct prefixes; about ``extend_share`` of them extend another entry by one token."""
+    """Distinct prefixes; about ``extend_share`` of them extend another entry by one token.
+
+    Every ``k`` is 0, right for a word-begin table in which no id begins a
+    word; a caller with a tokenizer sets ``k`` itself.
+    """
     real = range(NUM_SPECIALS, vocab_size)
     seen: dict = {}
     while len(seen) < size:
@@ -224,7 +233,7 @@ def _random_beam(rng, vocab_size, size, n_lms, extend_share=0.5, neg_inf_share=0
             pnb = NEG_INF
             if rng.random() < 0.5:
                 pb = NEG_INF
-        beam.append(Hypothesis(tokens, pb, pnb, views=_random_views(rng, n_lms)))
+        beam.append(Hypothesis(tokens, pb, pnb, views=_random_views(rng, n_lms), k=0))
     return beam
 
 
@@ -342,7 +351,10 @@ def _frame_steps(draw):
             )
             for _ in range(n_lms)
         ]
-        beam.append(Hypothesis((BOS_ID,) + prefix, draw(_scores), draw(_scores), views=views))
+        # no id begins a word in the table ``assert_same_step`` passes, so ``k`` is 0
+        beam.append(
+            Hypothesis((BOS_ID,) + prefix, draw(_scores), draw(_scores), views=views, k=0)
+        )
     logits = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=vocab_size, max_size=vocab_size)))
     m = logits.max()
     frame = logits - (m + np.log(np.exp(logits - m).sum()))
@@ -375,12 +387,12 @@ def _label_setup(rng, frames, n_pieces, tie=False):
 def _label_beams(rng, tok, scorer, n_lms, steps, width=8):
     """Beams reached by the reference step, with fresh LM caches of a few tying values."""
     ids = list(tok.vocab.real_ids()) + [EOS_ID]
-    root = Hypothesis((BOS_ID,), e2e=0.0, state=scorer.root())
+    root = Hypothesis((BOS_ID,), e2e=0.0, state=scorer.root(), k=0)
     root.views = _random_views(rng, n_lms)
     beam = [root]
     for _ in range(steps):
         yield beam
-        pairs = reference_label_step(scorer, beam, ids, None, [0.5, -0.25][:n_lms])
+        pairs = reference_label_step(scorer, beam, ids, None, [0.5, -0.25][:n_lms], tok.vocab)
         if not pairs:
             return
         pick = sorted(rng.choice(len(pairs), size=min(width, len(pairs)), replace=False))
@@ -397,7 +409,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     lms = [LMSpec(None, tok, w) for w in weights]
     cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("never"), lms=lms, mode="labelsync")
     step = _LabelStep(scorer, cfg, tok)
-    ids = step.candidate_ids
+    ids = step.id_index.tolist()
 
     cands = step.expand(beam, 1)
     entries = reference_label_entries(scorer, beam, ids, weights)
@@ -427,7 +439,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     children()
     got = step.prune(cands, None)
     got_children = children()
-    want = reference_label_step(scorer, beam, ids, beam_size, weights)
+    want = reference_label_step(scorer, beam, ids, beam_size, weights, tok.vocab)
     assert children() == got_children
     assert [h.tokens for h in got] == [h.tokens for h, _ in want]
     for g, (w, parent) in zip(got, want):
@@ -437,6 +449,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
         assert _bits(g.e2e) == _bits(w.e2e)
         assert type(g.e2e) is type(w.e2e)
         assert g.ended == w.ended
+        assert g.k == w.k
         assert (g.state is None) == (w.state is None)
         assert len(g.views) == len(w.views)
         assert all(a.cache is b.cache for a, b in zip(g.views, w.views))
@@ -517,8 +530,11 @@ def shallow_world():
 
 
 def _shallow_views(hyp, tok, lms):
-    """Views as a shallow search leaves them: advanced over ``hyp``, caches fresh."""
-    k = tokenizable_prefix_len(hyp.tokens, tok.vocab)
+    """Views as a shallow search leaves them: advanced over ``hyp``, caches fresh.
+
+    Sets ``hyp.k`` too.
+    """
+    k = hyp.k = tokenizable_prefix_len(hyp.tokens, tok.vocab)
     text = tok.decode(hyp.tokens[1 : 1 + k])
     return [
         LMView(k, tuple(spec.tokenizer.encode(text)), spec.scorer.fresh_cache()) for spec in lms
@@ -672,7 +688,8 @@ class TestShallowRequests:
                     LMView(k, tuple(spec.tokenizer.encode(text)), spec.scorer.fresh_cache())
                     for spec in lms
                 ]
-                beam.append(Hypothesis(tokens, -1.0, -2.0, views=views))
+                k = tokenizable_prefix_len(tokens, tok.vocab)
+                beam.append(Hypothesis(tokens, -1.0, -2.0, views=views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
             shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
@@ -704,7 +721,8 @@ def _request_beam(pick, tok, lms) -> list[Hypothesis]:
             LMView(k, tuple(spec.tokenizer.encode(text)), PrefixCacheEntry(pick(3), 0.0, ()))
             for spec in lms
         ]
-        beam.append(Hypothesis(tokens, -1.0, -2.0, views=views))
+        k = tokenizable_prefix_len(tokens, tok.vocab)
+        beam.append(Hypothesis(tokens, -1.0, -2.0, views=views, k=k))
     return beam
 
 
@@ -717,7 +735,13 @@ def _request_blocks(pick, tok, beam) -> list:
     ids = list(tok.vocab.real_ids()) + [EOS_ID]
     ends = [pick(3) == 0 for _ in beam]
     ended = [
-        Hypothesis(h.tokens + (EOS_ID,), e2e=-1.0, ended=True, views=h.views)
+        Hypothesis(
+            h.tokens + (EOS_ID,),
+            e2e=-1.0,
+            ended=True,
+            views=h.views,
+            k=tokenizable_prefix_len(h.tokens + (EOS_ID,), tok.vocab),
+        )
         for h, end in zip(beam, ends)
         if end
     ]
@@ -725,7 +749,14 @@ def _request_blocks(pick, tok, beam) -> list:
     label_scores = np.where(mask.random((len(live), len(ids))) < 0.75, -1.0, NEG_INF)
     valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
     label = LabelCandidates(
-        ids, ended, live, label_scores, np.zeros(valid.size), valid, _word_begins(tok)
+        ended,
+        [h.views for h in ended],
+        live,
+        np.asarray(ids),
+        valid,
+        _word_begins(tok),
+        label_scores,
+        np.zeros(valid.size),
     )
     return [frame, label]
 
@@ -734,10 +765,9 @@ def _request_shapes(cands, tok) -> Counter:
     """What the block asks of the builder: foreign stay views, and each child's kind of piece."""
     singles, families = cands.families(np.flatnonzero(cands.valid))
     shapes = Counter()
-    if isinstance(cands, FrameCandidates):
-        shapes["stay with another entry's views"] += sum(
-            cands.stay_views[j] is not cands.beam[j].views for j in singles
-        )
+    shapes["stay with another entry's views"] += sum(
+        cands.single_views[j] is not cands.singles[j].views for j in singles
+    )
     for parent, labels in families:
         empty = len(parent.tokens) == 1 + parent.views[0].consumed
         for c in labels:
@@ -884,21 +914,23 @@ class TestRetokenizeDecodesOnce:
         beam = []
         for size in (3, 5, 8, 8):
             views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
-            beam.append(Hypothesis((BOS_ID, *rng.choice(real, size=size).tolist()), views=views))
+            tokens = (BOS_ID, *rng.choice(real, size=size).tolist())
+            k = tokenizable_prefix_len(tokens, tok.vocab)
+            beam.append(Hypothesis(tokens, views=views, k=k))
 
         items = [(h.tokens, h.views) for h in beam]
-        raws = _score_whole(iter(items), lms, tok, DecodeCounters(), [{}, {}], (EOS_ID,))
+        requests = _whole_requests(iter(items), lms, tok, [{}, {}], (EOS_ID,))
         assert len(decoded) == len(beam)
-        for spec, raw in zip(lms, raws):
-            alone = _score_whole(iter(items), [spec], tok, DecodeCounters(), [{}], (EOS_ID,))
-            assert raw == alone[0]
+        for spec, reqs in zip(lms, requests):
+            alone = _whole_requests(iter(items), [spec], tok, [{}], (EOS_ID,))
+            assert reqs == alone[0]
 
         decoded.clear()
         advanced = 0
         for hyp in beam:
             alone = []
             for i, spec in enumerate(lms):
-                single = Hypothesis(hyp.tokens, views=[hyp.views[i]])
+                single = Hypothesis(hyp.tokens, views=[hyp.views[i]], k=hyp.k)
                 advance_views(single, tok, [spec])
                 alone.append(single.views[0])
             decoded.clear()
@@ -922,8 +954,6 @@ def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
     ended hypotheses carried over as themselves.
     """
     beam = _request_beam(pick, tok, lms)
-    for hyp in beam:
-        hyp.k = tokenizable_prefix_len(hyp.tokens, tok.vocab)
     rows = random_emissions(np.random.default_rng(pick(2**16)), 12, tok.vocab.size)
     shapes = Counter()
 
@@ -934,7 +964,7 @@ def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
     by_tokens = {h.tokens: h for h in beam}
     for j, hyp in enumerate(beam):
         partner = by_tokens.get(hyp.tokens[:-1])
-        if cands.stay_views[j] is not hyp.views and partner.k != hyp.k:
+        if cands.single_views[j] is not hyp.views and partner.k != hyp.k:
             shapes["stay with another entry's views and k"] += 1
 
     scorer = CtcPrefixScorer(EmissionMatrix(rows), EOS_ID, disallowed=(BOS_ID, UNK_ID))
@@ -983,16 +1013,16 @@ class TestCarriedWordLength:
 
         def counted_frame_prune(cands, *args):
             survivors = frame_prune(cands, *args)
-            stays = {h.tokens: j for j, h in enumerate(cands.beam)}
+            stays = {h.tokens: j for j, h in enumerate(cands.singles)}
             for hyp in survivors:
                 j = stays.get(hyp.tokens)
-                foreign = j is not None and cands.stay_views[j] is not cands.beam[j].views
+                foreign = j is not None and cands.single_views[j] is not cands.singles[j].views
                 seen["stay with another entry's views"] += foreign
             return survivors
 
         def counted_label_prune(step, cands, extra):
             survivors = label_prune(step, cands, extra)
-            seen["carried ended"] += sum(any(h is e for e in cands.ended) for h in survivors)
+            seen["carried ended"] += sum(any(h is e for e in cands.singles) for h in survivors)
             return survivors
 
         monkeypatch.setattr(decoder_mod, "advance_views", checked_advance)
@@ -1103,7 +1133,7 @@ class TestPythonFloats:
 
 def _view_hyp(scored_len, lm_len, cum=-1.0):
     view = LMView(0, tuple(range(100, 100 + lm_len)), PrefixCacheEntry(scored_len, cum, ()))
-    return Hypothesis((BOS_ID,), views=[view])
+    return Hypothesis((BOS_ID,), views=[view], k=0)
 
 
 class TestFusable:
@@ -1188,7 +1218,8 @@ class TestValueSemantics:
         tok, model = tiny
         a, b = tok.vocab.token_id("▁a"), tok.vocab.token_id("▁b")
         views = [LMView(0, (), model.fresh_cache())]
-        first, second = (Hypothesis((BOS_ID, a, b), views=views) for _ in range(2))
+        k = tokenizable_prefix_len((BOS_ID, a, b), tok.vocab)
+        first, second = (Hypothesis((BOS_ID, a, b), views=views, k=k) for _ in range(2))
         return LMSpec(model, tok, 0.5), views, _fields(views), first, second
 
     def test_advance_views_leaves_a_sharing_hypothesis_alone(self, tiny):
@@ -1234,11 +1265,31 @@ class TestValueSemantics:
                 assert hyp.views is views
 
 
+class TestHypothesisCarrier:
+    def test_k_is_required(self):
+        with pytest.raises(TypeError):
+            Hypothesis((BOS_ID,))
+        with pytest.raises(TypeError):
+            Hypothesis((BOS_ID,), 0.0, NEG_INF, 0.0, False, [], None, 0)  # k is keyword-only
+
+    def test_identity_equality_and_slots(self):
+        # beam code tells entries apart by identity: ``h in beam``, ``s is not h``
+        views = [LMView(0, (), None)]
+        first, second = (Hypothesis((BOS_ID, 5), -1.0, -2.0, views=views, k=0) for _ in range(2))
+        assert first != second and first == first
+        assert len({first, second}) == 2
+        assert first in [first] and first not in [second]
+        assert not hasattr(first, "__dict__")
+        with pytest.raises(AttributeError):
+            first.label = 5
+
+
 class TestApplyLmScores:
     def test_nothing_new_scores_no_tokens(self, tiny):
         tok, model = tiny
         spec = LMSpec(model, tok, 0.5)
-        hyp = Hypothesis((BOS_ID,), log_blank=0.0, views=[LMView(0, (), model.fresh_cache())])
+        views = [LMView(0, (), model.fresh_cache())]
+        hyp = Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)
         counters = DecodeCounters()
         apply_lm_scores([hyp], [spec], counters)
         assert _lm_counts(counters) == (1, 0, 0)  # one call, zero hypotheses and tokens
@@ -1248,7 +1299,9 @@ class TestApplyLmScores:
         spec = LMSpec(model, tok, 0.5)
         a, b = tok.vocab.token_id("▁a"), tok.vocab.token_id("▁b")
         hyp = Hypothesis(
-            (BOS_ID, a, b), views=[LMView(1, (a,), model.fresh_cache())]
+            (BOS_ID, a, b),
+            views=[LMView(1, (a,), model.fresh_cache())],
+            k=tokenizable_prefix_len((BOS_ID, a, b), tok.vocab),
         )
         counters = DecodeCounters()
         apply_lm_scores([hyp], [spec], counters)

@@ -240,11 +240,11 @@ class TestRetokenize:
         # ordinary pieces plus </s> and <unk>, which decode to nothing
         ids = data.draw(st.lists(st.integers(2, asr_tok.vocab.size - 1), max_size=24))
         spec = LMSpec(None, asr_tok if lm == "matched" else lm_tok, 1.0)
-        hyp = Hypothesis((BOS_ID,), views=[LMView(0, (), None)])
+        hyp = Hypothesis((BOS_ID,), views=[LMView(0, (), None)], k=0)
         for token in ids:
             hyp.tokens += (token,)
+            k = hyp.k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
             advance_views(hyp, asr_tok, [spec])
-            k = tokenizable_prefix_len(hyp.tokens, asr_tok.vocab)
             view = hyp.views[0]
             assert view.consumed == k
             assert view.lm_tokens == tuple(

@@ -10,13 +10,15 @@ Each run is one ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` process in one checkout, and only one process runs at a time.
 Pair ``i`` runs the parent first when ``i`` is even and the change first
 when it is odd.  After the claimed workload, every other workload named in
-``BENCHMARK.json`` gets ``--other-pairs`` pairs at the same seed.  With
-``--grid`` both checkouts also fingerprint ``tools/decode_grid.py``'s decode
-grid, labelled with the decode count it prints.  The records go to
+``BENCHMARK.json`` gets ``--other-pairs`` pairs at the same seed.  Without
+``--workload`` nothing is claimed: every workload gets ``--pairs`` pairs.
+With ``--grid`` both checkouts also fingerprint ``tools/decode_grid.py``'s
+decode grid, labelled with the decode count it prints.  The records go to
 ``BENCH_<pr>.json`` in the change's checkout, with ``ms_per_frame`` as the
-claimed metric.  An existing file is never overwritten: with ``--append``
-the runs are added to its ``batches`` list as one more batch, and without it
-the script stops before running anything.  A summary of the runs just made,
+claimed metric, or ``"claimed": null`` and the records at the top level
+when nothing is claimed.  An existing file is never overwritten: with
+``--append`` the runs are added to its ``batches`` list as one more batch,
+and without it the script stops before running anything.  A summary of the runs just made,
 per workload and end-to-end metric (medians, the parent's quartile spread,
 the pairs the change won), is printed.
 """
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
-    parser.add_argument("--workload", required=True, help="the workload the gain is claimed on")
+    parser.add_argument("--workload", help="the workload the gain is claimed on (default: none)")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--other-pairs", type=int, default=1)
@@ -134,7 +136,10 @@ def main(argv=None) -> int:
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     others = [w["name"] for w in bench["workloads"] if w["name"] != args.workload]
 
-    pairs = {args.workload: args.pairs, **{w: args.other_pairs for w in others}}
+    if args.workload is None:
+        pairs = {w: args.pairs for w in others}
+    else:
+        pairs = {args.workload: args.pairs, **{w: args.other_pairs for w in others}}
     records = []
     for workload, count in pairs.items():
         records += run_pairs(sides, workload, args.seed, args.seconds, count)
@@ -150,9 +155,12 @@ def main(argv=None) -> int:
                         " one process at a time"),
             "nproc": os.cpu_count(),
             "order": ORDER,
-            "claimed": {"metric": "ms_per_frame", "workload": args.workload, "seed": args.seed,
-                        "pairs": args.pairs, "records": records},
         }
+        if args.workload is None:
+            out.update(claimed=None, seed=args.seed, pairs=pairs, records=records)
+        else:
+            out["claimed"] = {"metric": "ms_per_frame", "workload": args.workload,
+                              "seed": args.seed, "pairs": args.pairs, "records": records}
     if args.grid:
         out["decode_grid"] = {}
         for side, checkout in sides.items():
