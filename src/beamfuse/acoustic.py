@@ -2,7 +2,7 @@
 
 All scores are natural-log probabilities.  Impossible events are IEEE -inf;
 the two-way log-sum is guarded so -inf never produces a NaN.  Blank is id 0
-everywhere.
+everywhere, as the reserved-id layout in ``tokenization`` defines it.
 
 Two independent oracles back the CTC prefix recursion (frame by frame in
 ``decoder.extend_frame``) on small instances: exhaustive path enumeration
@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-BLANK_ID = 0
+from .tokenization import BLANK_ID
+
 NEG_INF = float("-inf")
 
 

@@ -29,27 +29,28 @@ between the modes lives in a small step object:
 
 * ``_FrameStep`` (mode ``ctc``) advances one acoustic frame per step.
   ``extend_frame`` computes the CTC prefix recursion for the whole beam as
-  arrays: each hypothesis's blank/non-blank stay pair plus a (beam, ordinary
-  tokens) block of extension scores, with duplicate prefixes folded into
-  the stay pair of the beam entry they equal.
+  arrays: each hypothesis's blank/non-blank stay pair plus a (beam, vocabulary)
+  block of extension scores, with the reserved ids masked out and duplicate
+  prefixes folded into the stay pair of the beam entry they equal.
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
   CTC prefix scorer, so all live hypotheses share a length.  ``expand``
   returns ``LabelCandidates``: ended hypotheses carried over as single
-  candidates, and one (live hypotheses, ordinary tokens + ``</s>``) block
-  of combined scores with the impossible extensions masked out.
-  Prefix-scorer states are built for survivors only, and unfinished
-  hypotheses are closed with ``</s>``.
+  candidates, and one (live hypotheses, vocabulary) block of combined
+  scores with the impossible extensions masked out.  Prefix-scorer states
+  are built for survivors only, and unfinished hypotheses are closed with
+  ``</s>``.
 
 Both candidate blocks are ``Candidates``, single items then one extension
-block, answering ``valid``, ``tokens(j)`` and ``views(j)`` for a flat index
-``j``; ``families(kept)`` groups the extension block by parent.  The shallow baseline is one more score term on the same
-cut: every valid candidate's whole content is scored, and those scores are
-added before the prune.  Its requests are built once per parent
-(``_ShallowRequests``): the parent's rest is decoded and re-tokenized once
-and each child adds only its piece, with one word memo per LM that lives
-for one decode.  The step objects own every other mode difference too: the
-root hypothesis, the step count, and closing the last beam with each
-hypothesis's end-to-end score ``e2e``.
+block whose column ``c`` extends by token id ``c``, answering ``valid``,
+``tokens(j)`` and ``views(j)`` for a flat index ``j``; ``families(kept)``
+groups the extension block by parent.  The shallow
+baseline is one more score term on the same cut: every valid candidate's
+whole content is scored, and those scores are added before the prune.  Its
+requests are built once per parent (``_shallow_requests``): the parent's
+rest is decoded and re-tokenized once and each child adds only its piece,
+with one word memo per LM that lives for one decode.  The step objects own
+every other mode difference too: the root hypothesis, the step count, and
+closing the last beam with each hypothesis's end-to-end score ``e2e``.
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -57,12 +58,12 @@ their parent's list, and advancing or fusing assigns the hypothesis a new
 one.  No beam entry can change another's LM state, so nothing is copied.
 
 A hypothesis also carries ``k``, the length of its complete-word prefix, set
-in O(1) by the step that builds it from a per-id word-begin table.  An
-extension by a word-begin piece has its parent's length less ``<s>``; a
-continuation or ``</s>`` keeps its parent's ``k``; a stay, and an ended
-hypothesis carried over, keep their own.  ``advance_views`` re-tokenizes
-only when ``k`` passed the views' ``consumed``, so no survivor is rescanned.
-Every re-tokenization of one decode shares one word memo per LM.
+in O(1) by the step that builds it from ``Tokenizer.begins``.  An extension
+by a word-begin piece has its parent's length less ``<s>``; a continuation
+or ``</s>`` keeps its parent's ``k``; a stay, and an ended hypothesis
+carried over, keep their own.  ``advance_views`` re-tokenizes only when
+``k`` passed the views' ``consumed``, so no survivor is rescanned.  Every
+re-tokenization of one decode shares one word memo per LM.
 """
 
 from __future__ import annotations
@@ -250,20 +251,18 @@ class Hypothesis:
 
 @dataclass(slots=True, eq=False)
 class Candidates:
-    """One step's candidates: single items, then a (P, C) extension block.
+    """One step's candidates: single items, then a (P, V) extension block.
 
     Candidate ``i`` (``i < S``) is ``singles[i]`` with LM views
-    ``single_views[i]``.  Candidate ``S + r * C + col`` is ``parents[r]``
-    extended by ``ids[col]``, with the views of ``parents[r]``.  ``valid``
-    masks out the indices that are no candidates, and ``begins``, the per-id
-    word-begin table, sets each extension's ``k``.  Each mode adds its
-    scores and builds its hypotheses.
+    ``single_views[i]``.  Candidate ``S + r * V + c`` is ``parents[r]``, with
+    its views, extended by id ``c``; ``V`` is ``len(begins)``, the per-id
+    word-begin table that sets each extension's ``k``.  ``valid`` masks out
+    the indices that are no candidates.  Each mode adds scores and hypotheses.
     """
 
     singles: Sequence[Hypothesis]
     single_views: Sequence[list[LMView]]
     parents: Sequence[Hypothesis]
-    ids: np.ndarray
     valid: np.ndarray
     begins: Sequence[bool]
 
@@ -274,12 +273,12 @@ class Candidates:
         n = len(self.singles)
         if j < n:
             return self.singles[j].tokens
-        r, col = divmod(j - n, len(self.ids))
-        return self.parents[r].tokens + (self.ids.item(col),)
+        r, c = divmod(j - n, len(self.begins))
+        return self.parents[r].tokens + (c,)
 
     def views(self, j: int) -> list[LMView]:
         n = len(self.singles)
-        return self.single_views[j] if j < n else self.parents[(j - n) // len(self.ids)].views
+        return self.single_views[j] if j < n else self.parents[(j - n) // len(self.begins)].views
 
     def families(self, kept: np.ndarray) -> tuple[list[int], list]:
         """Split ascending candidate indices into single items and per-parent families.
@@ -288,10 +287,10 @@ class Candidates:
         each parent with a kept extension, so the singles followed by each
         family's labels in turn are ``kept`` in order.
         """
-        n, ids, parents = len(self.singles), self.ids, self.parents
+        n, parents = len(self.singles), self.parents
         split = int(np.searchsorted(kept, n))
-        rows, cols = np.divmod(kept[split:] - n, len(ids))
-        labels = ids[cols].tolist()
+        rows, labels = np.divmod(kept[split:] - n, len(self.begins))
+        labels = labels.tolist()
         families, start = [], 0
         for parent, count in zip(parents, np.bincount(rows, minlength=len(parents)).tolist()):
             if count:
@@ -299,16 +298,16 @@ class Candidates:
                 start += count
         return kept[:split].tolist(), families
 
-    def _extension(self, j: int, tokens: tuple[int, ...]) -> tuple[Hypothesis, int, int, int]:
-        """Extension ``j``, whose tokens are ``tokens``: parent, block row, column and ``k``.
+    def _extension(self, j: int) -> tuple[Hypothesis, int, int, int]:
+        """Extension ``j``: its parent, block row, label and ``k``.
 
         A word-begin label closes the parent's last word; a continuation or
         ``</s>`` keeps the parent's ``k``.
         """
-        r, col = divmod(j - len(self.singles), len(self.ids))
+        r, c = divmod(j - len(self.singles), len(self.begins))
         parent = self.parents[r]
-        k = len(parent.tokens) - 1 if self.begins[tokens[-1]] else parent.k
-        return parent, r, col, k
+        k = len(parent.tokens) - 1 if self.begins[c] else parent.k
+        return parent, r, c, k
 
 
 # -- frame-synchronous expansion ---------------------------------------------
@@ -316,15 +315,15 @@ class Candidates:
 
 @dataclass(slots=True, eq=False)
 class FrameCandidates(Candidates):
-    """One frame's candidates: a stay pair per hypothesis and a (B, R) extension block.
+    """One frame's candidates: a stay pair per hypothesis and a (B, V) extension block.
 
     The singles and the parents are both the beam.  Candidate ``i``
     (``i < B``) is ``beam[i]`` absorbing a blank or a repeat of its last
     label, with pair ``(stay_blank[i], stay_nonblank[i])``.  Candidate
-    ``B + i * R + col`` is ``beam[i]`` extended by the ordinary token
-    ``ids[col]``: non-blank score ``ext[i, col]`` and blank score -inf.  An
-    extension that equals another beam entry lives in that entry's stay pair
-    instead, and ``valid`` masks it out.
+    ``B + i * V + c`` is ``beam[i]`` extended by token id ``c``: non-blank
+    score ``ext[i, c]`` and blank score -inf.  Reserved ids are no
+    extensions, and an extension that equals another beam entry lives in
+    that entry's stay pair instead; ``valid`` masks both out.
     """
 
     stay_blank: list[float]
@@ -342,8 +341,8 @@ class FrameCandidates(Candidates):
             return Hypothesis(
                 tokens, log_blank, log_nonblank, views=self.single_views[j], k=self.singles[j].k
             )
-        parent, i, col, k = self._extension(j, tokens)
-        return Hypothesis(tokens, NEG_INF, self.ext.item(i, col), views=parent.views, k=k)
+        parent, i, c, k = self._extension(j)
+        return Hypothesis(tokens, NEG_INF, self.ext.item(i, c), views=parent.views, k=k)
 
     def scores(self, weights: Sequence[float]) -> np.ndarray:
         """Acoustic plus weighted LM score of every index, -inf where not valid."""
@@ -358,27 +357,17 @@ class FrameCandidates(Candidates):
         return scores
 
 
-def _word_begins(asr_tok: Tokenizer) -> list[bool]:
-    """Whether each ASR id begins a word; reserved ids, ``</s>`` among them, never do."""
-    return [asr_tok.vocab.is_word_begin(c) for c in range(asr_tok.vocab.size)]
-
-
 def _views_key(views: Sequence[LMView]) -> tuple:
     return tuple((v.cache.scored_len, v.consumed) for v in views)
 
 
 def extend_frame(
-    beam: Sequence[Hypothesis],
-    frame: np.ndarray,
-    real_ids: np.ndarray,
-    columns: dict[int, int],
-    begins: Sequence[bool],
+    beam: Sequence[Hypothesis], frame: np.ndarray, begins: Sequence[bool]
 ) -> FrameCandidates:
     """One frame of the CTC prefix recursion over the whole beam at once.
 
-    ``columns`` maps each id in ``real_ids`` to its position, and ``begins``
-    is the word-begin table the candidates set ``k`` from.  Row ``i`` of the
-    extension block is ``tot_i + frame[real_ids]``, except that the last
+    ``begins`` is the word-begin table the candidates set ``k`` from.  Row
+    ``i`` of the extension block is ``tot_i + frame``, except that the last
     label's column holds ``pb_i + frame[last]``: only blank-ending paths can
     emit a label twice.  An extension that equals another beam entry is
     folded into that entry's stay pair by log-sum and masked out, and the
@@ -386,7 +375,7 @@ def extend_frame(
     beam index on a tie).
     """
     tots = [lse2(h.log_blank, h.log_nonblank) for h in beam]
-    ext = np.add.outer(tots, frame[real_ids])
+    ext = np.add.outer(tots, frame)
     row = frame.tolist()  # Python floats, as ``ext.item`` gives the extensions
     blank = row[BLANK_ID]
     stay_blank, stay_nonblank = [], []
@@ -395,27 +384,24 @@ def extend_frame(
         if len(hyp.tokens) > 1:
             last = hyp.tokens[-1]
             stay_nonblank.append(hyp.log_nonblank + row[last])
-            col = columns.get(last)
-            if col is not None:
-                ext[i, col] = hyp.log_blank + row[last]
+            ext[i, last] = hyp.log_blank + row[last]
         else:
             stay_nonblank.append(NEG_INF)
 
     stay_views = [h.views for h in beam]
     valid = np.ones(len(beam) + ext.size, dtype=bool)
-    cands = FrameCandidates(
-        beam, stay_views, beam, real_ids, valid, begins, stay_blank, stay_nonblank, ext
-    )
+    valid[len(beam) :].reshape(ext.shape)[:, :NUM_SPECIALS] = False  # reserved ids: no extensions
+    cands = FrameCandidates(beam, stay_views, beam, valid, begins, stay_blank, stay_nonblank, ext)
     parents = {h.tokens: i for i, h in enumerate(beam)}
     for j, hyp in enumerate(beam):
         i = parents.get(hyp.tokens[:-1]) if len(hyp.tokens) > 1 else None
-        col = columns.get(hyp.tokens[-1])
-        if i is None or col is None:
+        if i is None:
             continue
-        stay_nonblank[j] = lse2(stay_nonblank[j], ext.item(i, col))
+        last = hyp.tokens[-1]
+        stay_nonblank[j] = lse2(stay_nonblank[j], ext.item(i, last))
         if (_views_key(beam[i].views), -i) > (_views_key(hyp.views), -j):
             stay_views[j] = beam[i].views
-        valid[len(beam) + i * len(real_ids) + col] = False
+        valid[len(beam) + i * len(frame) + last] = False
     return cands
 
 
@@ -468,14 +454,14 @@ def prune_frame_candidates(
 
 @dataclass(slots=True, eq=False)
 class LabelCandidates(Candidates):
-    """One label step's candidates: ended hypotheses and an (L, C) extension block.
+    """One label step's candidates: ended hypotheses and an (L, V) extension block.
 
     The singles are the ended hypotheses, each carried over as itself, and
-    the parents are the live ones.  Extension ``(r, col)`` has label score
-    ``label_scores[r, col]``.  ``scores`` holds every index's stale combined
-    score: ``e2e + LM`` for an ended hypothesis, ``e2e + label score + LM``
-    for an extension.  Extensions whose label score is -inf are not
-    candidates, and ``valid`` masks them out.
+    the parents are the live ones.  Extension ``(r, c)`` has the prefix
+    scorer's label score ``label_scores[r, c]``.  ``scores`` holds every
+    index's stale combined score: ``e2e + LM`` for an ended hypothesis,
+    ``e2e + label score + LM`` for an extension.  Extensions whose label
+    score is -inf are not candidates, and ``valid`` masks them out.
     """
 
     label_scores: np.ndarray
@@ -489,10 +475,10 @@ class LabelCandidates(Candidates):
         """
         if j < len(self.singles):
             return self.singles[j], None
-        parent, r, col, k = self._extension(j, tokens)
+        parent, r, c, k = self._extension(j)
         child = Hypothesis(
             tokens,
-            e2e=parent.e2e + self.label_scores.item(r, col),
+            e2e=parent.e2e + self.label_scores.item(r, c),
             ended=tokens[-1] == EOS_ID,
             views=parent.views,
             k=k,
@@ -617,9 +603,7 @@ class _FrameStep:
             )
         self.rows = em.log_probs
         self.limit = em.num_frames
-        self.real_ids = np.asarray(asr_tok.vocab.real_ids())
-        self.columns = {c: col for col, c in enumerate(asr_tok.vocab.real_ids())}
-        self.begins = _word_begins(asr_tok)
+        self.begins = asr_tok.begins
         self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
@@ -629,7 +613,7 @@ class _FrameStep:
         return Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)
 
     def expand(self, beam, t):
-        return extend_frame(beam, self.rows[t - 1], self.real_ids, self.columns, self.begins)
+        return extend_frame(beam, self.rows[t - 1], self.begins)
 
     def prune(self, cands, extra) -> list[Hypothesis]:
         return prune_frame_candidates(cands, self.beam_size, self.weights, extra)
@@ -646,6 +630,8 @@ class _LabelStep:
     ``expand`` and ``prune`` each make at most one prefix-scorer call for
     the whole beam; ``prune`` builds states for live survivors only, and
     ``close`` reads the ``</s>`` scores from the states with ``end_scores``.
+    The scorer's rows hold one score per ASR id, -inf for an id that cannot
+    be a label, as ``CtcPrefixScorer`` does; another width is a ``DecodeError``.
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
@@ -658,8 +644,7 @@ class _LabelStep:
             scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
         self.scorer = scorer
         self.limit = scorer.T
-        self.id_index = np.asarray([*asr_tok.vocab.real_ids(), EOS_ID])
-        self.begins = _word_begins(asr_tok)
+        self.begins = asr_tok.begins
         self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
@@ -671,7 +656,11 @@ class _LabelStep:
     def expand(self, beam, t) -> LabelCandidates:
         ended = [h for h in beam if h.ended]
         live = [h for h in beam if not h.ended]
-        label_scores = self.scorer.candidate_scores([h.state for h in live])[:, self.id_index]
+        label_scores = self.scorer.candidate_scores([h.state for h in live])
+        if label_scores.shape[1] != len(self.begins):
+            raise DecodeError(
+                f"prefix scorer rows have {label_scores.shape[1]} scores, not {len(self.begins)}"
+            )
         e2e = np.array([h.e2e for h in live])
         base_lm = np.array([h.lm_combined(self.weights) for h in live])
         # the same operation order as e2e + label score + LM, one candidate at a time
@@ -683,9 +672,7 @@ class _LabelStep:
             [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
         )
         ended_views = [h.views for h in ended]
-        return LabelCandidates(
-            ended, ended_views, live, self.id_index, valid, self.begins, label_scores, scores
-        )
+        return LabelCandidates(ended, ended_views, live, valid, self.begins, label_scores, scores)
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
         kept = _top_k(cands, cands.scores, extra, self.beam_size)
@@ -735,15 +722,13 @@ def _search(step, config, asr_tok, counters, memos):
     beam = [step.root()]
     prev_shortest = 0
     trace: list[StepTrace] = []
-    shallow = None
-    if config.policy.kind == "shallow" and config.lms:
-        shallow = _ShallowRequests(config.lms, asr_tok, memos)
+    shallow = config.policy.kind == "shallow" and bool(config.lms)
 
     for t in range(1, step.limit + 1):
         cands = step.expand(beam, t)
         counters.steps += 1
         counters.hyps_expanded += len(cands)
-        extra = None if shallow is None else _shallow_scores(cands, shallow, counters)
+        extra = _shallow_scores(cands, config.lms, asr_tok, memos, counters) if shallow else None
         beam = step.prune(cands, extra)
         # free the candidates before the next expansion builds new ones
         del cands
@@ -756,7 +741,7 @@ def _search(step, config, asr_tok, counters, memos):
             prev_shortest = shortest
         if fired:
             apply_lm_scores(beam, config.lms, counters)
-        if config.keep_trace and shallow is None:
+        if config.keep_trace and not shallow:
             trace.append(_trace_step(t, fired, shortest, beam))
         # only label-synchronous hypotheses ever end
         if all(h.ended for h in beam):
@@ -764,71 +749,43 @@ def _search(step, config, asr_tok, counters, memos):
     return step.close(beam), trace
 
 
-def _piece_words(asr_tok: Tokenizer) -> list[tuple]:
-    """Per ASR id, ``(glue, words, opens)`` for its piece's text, markers read as spaces.
+def _shallow_requests(cands, kept, lms, asr_tok, memos) -> list[list[ScoreRequest]]:
+    """Shallow fusion's LM requests for the candidates ``kept``, built once per parent.
 
-    ``words`` are the text's words, ``glue`` the first of them if it joins the
-    word before it, and ``opens`` whether text ending with it ends inside a
-    word.  Reserved ids decode to nothing.  With a one-character marker,
-    ``decode`` is these texts concatenated, stripped.
+    Each LM's requests come in ``kept`` order.  ``memos`` are the decode's
+    word memos, one per LM, so each distinct word is encoded once per decode
+    and nothing is kept between decodes.  Single items go through
+    ``_whole_requests``.  Per family, the parent's tail is decoded once into
+    ``words`` and an open ``last`` word (None if the tail ends between
+    words), re-tokenized once per LM as ``base`` and ``closed``.  A child
+    whose piece joins ``last`` gets ``base`` plus the joined word, any other
+    ``closed`` plus its piece's words (``Tokenizer.pieces``): either way the
+    words of ``decode(tail + (c,))``.
     """
-    table = []
-    for c, piece in enumerate(asr_tok.vocab.tokens):
-        text = "" if c < NUM_SPECIALS else piece.replace(asr_tok.vocab.marker, " ")
-        words = tuple(text.split())
-        glue = words[0] if words and not text[0].isspace() else None
-        table.append((glue, words, bool(text) and not text[-1].isspace()))
-    return table
+    pieces = asr_tok.pieces
+    singles, families = cands.families(kept)
+    items = ((cands.tokens(j), cands.views(j)) for j in singles)
+    requests = _whole_requests(items, lms, asr_tok, memos)
+    for parent, labels in families:
+        tail = parent.tokens[1 + parent.views[0].consumed :]
+        words = asr_tok.decode(tail).split()
+        # a parent's tail holds ordinary ids only: ``</s>`` ends a hypothesis
+        last = words.pop() if tail and pieces[tail[-1]][2] else None
+        for view, spec, memo, reqs in zip(parent.views, lms, memos, requests):
+            lm_tok, cache = spec.tokenizer, view.cache
+            base = _retokenize(view.lm_tokens, words, lm_tok, memo)
+            closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
+            for c in labels:
+                glue, more, _ = pieces[c]
+                if glue is None or last is None:
+                    lm_tokens = _retokenize(closed, more, lm_tok, memo)
+                else:
+                    lm_tokens = _retokenize(base, (last + glue, *more[1:]), lm_tok, memo)
+                reqs.append(ScoreRequest(lm_tokens, cache))
+    return requests
 
 
-class _ShallowRequests:
-    """Shallow fusion's LM requests, built once per parent.
-
-    ``_search`` makes one per decode and hands it the decode's word memos,
-    one per LM, so each distinct word is encoded once per decode and nothing
-    is kept between decodes.
-    """
-
-    def __init__(self, lms: Sequence[LMSpec], asr_tok: Tokenizer, memos: list[dict]):
-        self.lms = lms
-        self.asr_tok = asr_tok
-        self.memos = memos
-        self.pieces = _piece_words(asr_tok)
-
-    def __call__(self, cands, kept: np.ndarray) -> list[list[ScoreRequest]]:
-        """Each LM's requests for the candidates ``kept``, in their order.
-
-        Single items go through ``_whole_requests``.  Per family, the parent's
-        tail is decoded once into ``words`` and an open ``last`` word (None if
-        the tail ends between words), re-tokenized once per LM as ``base`` and
-        ``closed``.  A child whose piece joins ``last`` gets ``base`` plus the
-        joined word, any other ``closed`` plus its piece's words: either way
-        the words of ``decode(tail + (c,))``.
-        """
-        lms, asr_tok, memos, pieces = self.lms, self.asr_tok, self.memos, self.pieces
-        singles, families = cands.families(kept)
-        items = ((cands.tokens(j), cands.views(j)) for j in singles)
-        requests = _whole_requests(items, lms, asr_tok, memos)
-        for parent, labels in families:
-            tail = parent.tokens[1 + parent.views[0].consumed :]
-            words = asr_tok.decode(tail).split()
-            # a parent's tail holds ordinary ids only: ``</s>`` ends a hypothesis
-            last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for view, spec, memo, reqs in zip(parent.views, lms, memos, requests):
-                lm_tok, cache = spec.tokenizer, view.cache
-                base = _retokenize(view.lm_tokens, words, lm_tok, memo)
-                closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
-                for c in labels:
-                    glue, more, _ = pieces[c]
-                    if glue is None or last is None:
-                        lm_tokens = _retokenize(closed, more, lm_tok, memo)
-                    else:
-                        lm_tokens = _retokenize(base, (last + glue, *more[1:]), lm_tok, memo)
-                    reqs.append(ScoreRequest(lm_tokens, cache))
-        return requests
-
-
-def _shallow_scores(cands, shallow: _ShallowRequests, counters: DecodeCounters) -> np.ndarray:
+def _shallow_scores(cands, lms, asr_tok, memos, counters: DecodeCounters) -> np.ndarray:
     """Reference baseline: weighted LM scores of every valid candidate, 0 elsewhere.
 
     Classic shallow fusion charges each candidate token as it is emitted,
@@ -837,12 +794,13 @@ def _shallow_scores(cands, shallow: _ShallowRequests, counters: DecodeCounters) 
     still-growing final word, whose tokenization is tentative.  Nothing is
     cached (the views' caches stay fresh, so the stale LM term in the
     candidate scores is 0), and the decoder's LM counters reflect the full
-    price of pre-pruning fusion.  ``shallow`` builds the same requests, in
-    the same order, as ``_whole_requests`` over every candidate would.
+    price of pre-pruning fusion.  ``_shallow_requests`` builds the same
+    requests, in the same order, as ``_whole_requests`` over every candidate
+    would.  ``memos`` are the decode's word memos, one per LM.
     """
     kept = np.flatnonzero(cands.valid)
     extra = np.zeros(cands.valid.size)
-    for spec, requests in zip(shallow.lms, shallow(cands, kept)):
+    for spec, requests in zip(lms, _shallow_requests(cands, kept, lms, asr_tok, memos)):
         caches = _score(spec, requests, counters)
         extra[kept] += spec.weight * np.array([cache.cum_logprob for cache in caches])
     return extra

@@ -279,6 +279,9 @@ class BenchConfig:
         for name in ("per_call_ms", "per_token_ms"):
             if not getattr(self, name) >= 0:
                 raise HarnessError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # every LM cell would fail at decode time, after the assets and the baseline
+        if not math.isfinite(self.lm_weight):
+            raise HarnessError(f"lm_weight must be a finite number, got {self.lm_weight!r}")
         lo, hi = self.frames_per_token
         if not 1 <= lo <= hi:
             raise HarnessError(

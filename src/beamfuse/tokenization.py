@@ -155,13 +155,30 @@ class Tokenizer:
     ``encode`` is total on whitespace-delimited text: characters outside the
     vocabulary's alphabet map to the unknown token instead of erroring.
     Each distinct word always encodes to the same piece sequence.
+
+    Two per-id tables serve the decoder, which indexes its candidates by id:
+    ``begins[c]`` is whether id ``c`` begins a word (reserved ids, ``</s>``
+    among them, never do), and ``pieces[c]`` is ``(glue, words, opens)`` for
+    the text of piece ``c``, markers read as spaces and reserved ids empty.
+    ``words`` are the text's words, ``glue`` the first of them if it joins
+    the word before it, and ``opens`` whether text ending with it ends
+    inside a word.  With a one-character marker, ``decode`` is these texts
+    concatenated, stripped.
     """
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
-        self._index = {s: i for i, s in enumerate(vocab.tokens)}
+        self._index = vocab._index  # type: ignore[attr-defined]
         real = vocab.tokens[NUM_SPECIALS:]
         self._max_piece = max((len(s) for s in real), default=1)
+        self.begins = tuple(vocab.is_word_begin(c) for c in range(vocab.size))
+        pieces = []
+        for c, piece in enumerate(vocab.tokens):
+            text = "" if c < NUM_SPECIALS else piece.replace(vocab.marker, " ")
+            words = tuple(text.split())
+            glue = words[0] if words and not text[0].isspace() else None
+            pieces.append((glue, words, bool(text) and not text[-1].isspace()))
+        self.pieces = tuple(pieces)
 
     def encode_word(self, word: str) -> list[int]:
         marker = self.vocab.marker

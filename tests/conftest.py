@@ -72,6 +72,12 @@ def make_vocab(*pieces: str) -> Vocabulary:
     return Vocabulary(SPECIAL_TOKENS + tuple(pieces))
 
 
+# An odd ASR vocabulary: a marker-only piece, pieces with spaces inside,
+# before and after (one a non-ASCII space), and unmarked pieces that
+# continue a word.
+ODD_PIECES = ("▁a", "b", "▁", "c d", "▁e f", "g\u3000", " h", "▁ab", "i")
+
+
 def random_emissions(rng: np.random.Generator, frames: int, vocab: int) -> np.ndarray:
     """Normalized random log-probability rows."""
     logits = rng.normal(size=(frames, vocab))

@@ -303,6 +303,9 @@ class TestBenchCommand:
             ("beams = 5, 5", "beams lists 5 more than once"),
             ("intervals = 8, 16, 8", "intervals lists 8 more than once"),
             ("policies = never, never", "policies lists never more than once"),
+            ("lm_weight = nan", "lm_weight must be a finite number, got nan"),
+            ("lm_weight = inf", "lm_weight must be a finite number, got inf"),
+            ("lm_weight = -inf", "lm_weight must be a finite number, got -inf"),
         ],
         ids=[
             "beams-not-int",
@@ -321,6 +324,9 @@ class TestBenchCommand:
             "beams-repeated",
             "intervals-repeated",
             "policies-repeated",
+            "nan-lm-weight",
+            "inf-lm-weight",
+            "minus-inf-lm-weight",
         ],
     )
     def test_bad_config_reports_error(self, workspace, capsys, line, message):

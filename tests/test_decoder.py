@@ -33,10 +33,9 @@ from beamfuse.decoder import (
     LMView,
     _FrameStep,
     _LabelStep,
+    _shallow_requests,
     _shallow_scores,
-    _ShallowRequests,
     _whole_requests,
-    _word_begins,
     advance_views,
     apply_lm_scores,
     decode,
@@ -47,6 +46,7 @@ from beamfuse.decoder import (
 from beamfuse.harness import emulated_lm_seconds, wer
 from beamfuse.lm import PrefixCacheEntry, train_ngram
 from beamfuse.tokenization import (
+    BLANK_ID,
     BOS_ID,
     EOS_ID,
     NUM_SPECIALS,
@@ -56,6 +56,7 @@ from beamfuse.tokenization import (
 )
 
 from conftest import (
+    ODD_PIECES,
     CountingScorer,
     make_vocab,
     random_emissions,
@@ -100,12 +101,6 @@ class TestGreedyCleanDecode:
             assert result.best.text == line
 
 
-def _extend(beam, frame, real_ids, begins):
-    real_ids = list(real_ids)
-    columns = {c: j for j, c in enumerate(real_ids)}
-    return extend_frame(beam, frame, np.asarray(real_ids), columns, begins)
-
-
 def _by_tokens(cands: FrameCandidates) -> dict:
     valid = np.flatnonzero(cands.valid).tolist()
     return {t: cands.hypothesis(j, t) for j, t in zip(valid, map(cands.tokens, valid))}
@@ -116,7 +111,7 @@ class TestExtend:
         tok, _ = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(0), 1, tok.vocab.size))
         beam = [Hypothesis((BOS_ID,), log_blank=0.0, k=0)]
-        cands = _extend(beam, em.log_probs[0], tok.vocab.real_ids(), _word_begins(tok))
+        cands = extend_frame(beam, em.log_probs[0], tok.begins)
         assert len(cands) == 4  # stay + one extension per ordinary token
 
     def test_duplicate_prefixes_merged(self, tiny):
@@ -127,7 +122,7 @@ class TestExtend:
         root = Hypothesis((BOS_ID,), log_blank=0.0, k=0)
         k = tokenizable_prefix_len((BOS_ID, a), tok.vocab)
         grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0, k=k)
-        cands = _extend([root, grown], em.log_probs[0], tok.vocab.real_ids(), _word_begins(tok))
+        cands = extend_frame([root, grown], em.log_probs[0], tok.begins)
         # raw expansion is 2 * 4 = 8; (bos, a) appears as both stay and extension
         assert len(cands) == 7
         merged = _by_tokens(cands)[(BOS_ID, a)]
@@ -142,6 +137,25 @@ class TestExtend:
         )
 
 
+class TestTokenizerTables:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_steps_hold_the_tokenizer_tables(self, asr_tok, mode):
+        # the per-id tables are built once per tokenizer, not once per decode
+        em = EmissionMatrix(random_emissions(np.random.default_rng(9), 4, asr_tok.vocab.size))
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode=mode)
+        step = (_FrameStep if mode == "ctc" else _LabelStep)(em, cfg, asr_tok)
+        cands = step.expand([step.root()], 1)
+        assert step.begins is asr_tok.begins
+        assert cands.begins is asr_tok.begins
+        # block column c extends by id c; only the reserved ids other than
+        # ``</s>`` in label mode are no extensions of the root
+        assert cands.valid.size == len(cands.singles) + len(cands.parents) * asr_tok.vocab.size
+        kept = np.flatnonzero(cands.valid).tolist()[len(cands.singles) :]
+        labels = [cands.tokens(j)[-1] for j in kept]
+        ordinary = list(asr_tok.vocab.real_ids())
+        assert labels == (ordinary if mode == "ctc" else [EOS_ID, *ordinary])
+
+
 class TestPrune:
     def _cands(self, entries):
         """Stay-only candidates: (tokens, log_blank, log_nonblank) each, no LM views.
@@ -154,9 +168,8 @@ class TestPrune:
             beam,
             [[] for _ in beam],
             beam,
-            np.array([], dtype=int),
             np.ones(n, dtype=bool),
-            [],  # no extensions, so no word-begin lookups
+            (),  # an empty table: a block of width 0, so no extensions
             [b for _, b, _ in entries],
             [nb for _, _, nb in entries],
             np.empty((n, 0)),
@@ -251,7 +264,7 @@ def assert_same_step(beam, frame, real_ids, beam_size, weights):
     """The array step and the reference keep the same survivors, bit for bit."""
     real_ids = list(real_ids)
     # these beams have no tokenizer; no id begins a word, and ``k`` is not checked here
-    cands = _extend(beam, frame, real_ids, [False] * len(frame))
+    cands = extend_frame(beam, frame, (False,) * len(frame))
     assert len(cands) == len(reference_frame_candidates(beam, frame, real_ids))
     got = prune_frame_candidates(cands, beam_size, weights)
     want = reference_frame_step(beam, frame, real_ids, beam_size, weights)
@@ -409,7 +422,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     lms = [LMSpec(None, tok, w) for w in weights]
     cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("never"), lms=lms, mode="labelsync")
     step = _LabelStep(scorer, cfg, tok)
-    ids = step.id_index.tolist()
+    ids = list(tok.vocab.real_ids()) + [EOS_ID]
 
     cands = step.expand(beam, 1)
     entries = reference_label_entries(scorer, beam, ids, weights)
@@ -555,8 +568,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(beam, 1)
-    shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
-    got = step.prune(cands, _shallow_scores(cands, shallow, counters))
+    got = step.prune(cands, _shallow_scores(cands, lms, tok, [{} for _ in lms], counters))
     for hyp in got:
         advance_views(hyp, tok, lms)
     deltas = [spec.scorer.counts() for spec in lms]
@@ -692,8 +704,7 @@ class TestShallowRequests:
                 beam.append(Hypothesis(tokens, -1.0, -2.0, views=views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
-            _shallow_scores(cands, shallow, DecodeCounters())
+            _shallow_scores(cands, lms, tok, [{} for _ in lms], DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -730,9 +741,8 @@ def _request_blocks(pick, tok, beam) -> list:
     """The beam's frame block and a label block over it, about a quarter masked out."""
     mask = np.random.default_rng(pick(2**16))
     uniform = np.full(tok.vocab.size, -math.log(tok.vocab.size))
-    frame = _extend(beam, uniform, tok.vocab.real_ids(), _word_begins(tok))
+    frame = extend_frame(beam, uniform, tok.begins)
     frame.valid &= mask.random(frame.valid.size) < 0.75
-    ids = list(tok.vocab.real_ids()) + [EOS_ID]
     ends = [pick(3) == 0 for _ in beam]
     ended = [
         Hypothesis(
@@ -746,15 +756,16 @@ def _request_blocks(pick, tok, beam) -> list:
         if end
     ]
     live = [h for h, end in zip(beam, ends) if not end]
-    label_scores = np.where(mask.random((len(live), len(ids))) < 0.75, -1.0, NEG_INF)
+    # one column per id, the ids a prefix scorer bans at -inf
+    label_scores = np.where(mask.random((len(live), tok.vocab.size)) < 0.75, -1.0, NEG_INF)
+    label_scores[:, [BLANK_ID, BOS_ID, UNK_ID]] = NEG_INF
     valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
     label = LabelCandidates(
         ended,
         [h.views for h in ended],
         live,
-        np.asarray(ids),
         valid,
-        _word_begins(tok),
+        tok.begins,
         label_scores,
         np.zeros(valid.size),
     )
@@ -781,9 +792,9 @@ def _request_shapes(cands, tok) -> Counter:
     return shapes
 
 
-def assert_requests_match_reference(cands, lms, tok, shallow) -> None:
+def assert_requests_match_reference(cands, lms, tok, memos) -> None:
     """The per-parent requests are the flat reference's: tokens, cache objects and order."""
-    got = shallow(cands, np.flatnonzero(cands.valid))
+    got = _shallow_requests(cands, np.flatnonzero(cands.valid), lms, tok, memos)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for reqs, ref in zip(got, want):
@@ -793,14 +804,12 @@ def assert_requests_match_reference(cands, lms, tok, shallow) -> None:
 
 @pytest.fixture(scope="module")
 def request_worlds(shallow_world):
-    """LM sets by name over two ASR tokenizers: the shallow world's and an odd one.
+    """LM sets by name over two ASR tokenizers: the shallow world's and one over ``ODD_PIECES``.
 
-    The odd vocabulary has a marker-only piece, pieces with spaces inside,
-    before and after (one a non-ASCII space), and unmarked pieces that
-    continue a word.  Only the LM tokenizers matter to the builder.
+    Only the LM tokenizers matter to the builder.
     """
     tok, lm_sets = shallow_world
-    odd = Tokenizer(make_vocab("▁a", "b", "▁", "c d", "▁e f", "g\u3000", " h", "▁ab", "i"))
+    odd = Tokenizer(make_vocab(*ODD_PIECES))
     cross = lm_sets["cross"][0].tokenizer
     odd_sets = {
         "matched": [LMSpec(None, odd, 0.5)],
@@ -820,12 +829,12 @@ class TestShallowRequestsPerParent:
         lms = lm_sets[lm_set]
         rng = np.random.default_rng(48)
         # one memo per LM across every block, as in a decode
-        shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
+        memos = [{} for _ in lms]
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
             for cands in _request_blocks(lambda n: int(rng.integers(n)), tok, beam):
-                assert_requests_match_reference(cands, lms, tok, shallow)
+                assert_requests_match_reference(cands, lms, tok, memos)
                 shapes += _request_shapes(cands, tok)
         for kind in ("word begin", "continuation", "</s>"):
             assert shapes[kind] > 10 and shapes[kind + " after an empty tail"] > 0
@@ -838,9 +847,9 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        shallow = _ShallowRequests(lms, tok, [{} for _ in lms])
+        memos = [{} for _ in lms]
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
-            assert_requests_match_reference(cands, lms, tok, shallow)
+            assert_requests_match_reference(cands, lms, tok, memos)
 
 
 def _deep_len(value, seen) -> int:
@@ -1719,6 +1728,20 @@ class _CountingScorer:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("extra", [2, -2])
+    def test_label_scorer_rows_must_cover_every_id(self, asr_tok, extra):
+        # block column c is id c, so a wider block would leave ids unread and
+        # a narrower one index past it; the proxy has no ``V``, as
+        # perfbench's traced scorer has none, so the block's width is checked
+        width = asr_tok.vocab.size + extra
+        em = EmissionMatrix(random_emissions(np.random.default_rng(8), 6, width))
+        scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
+        assert not hasattr(scorer, "V")
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode="labelsync")
+        message = f"prefix scorer rows have {width} scores, not {asr_tok.vocab.size}"
+        with pytest.raises(DecodeError, match=message):
+            decode(scorer, cfg, asr_tok)
+
     def test_vocab_size_mismatch(self, asr_tok):
         em = EmissionMatrix(random_emissions(np.random.default_rng(7), 3, 8))
         cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[])

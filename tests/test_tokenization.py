@@ -17,7 +17,7 @@ from beamfuse.tokenization import (
     write_vocab,
 )
 
-from conftest import advanced_view, make_vocab
+from conftest import ODD_PIECES, advanced_view, make_vocab
 
 
 class TestBuildVocab:
@@ -102,6 +102,50 @@ class TestTokenizer:
             first = asr_tok.encode_word(word)
             assert first == asr_tok.encode_word(word)
             assert asr_tok.encode(word) == first
+
+
+@st.composite
+def _tail_and_label(draw, vocab):
+    """Ordinary ids, then a last label that may be any id (``</s>`` included).
+
+    That is how the shallow request builder reads the tables: a parent's
+    tail holds ordinary ids only, and only the label may be reserved.  A
+    reserved id inside a word decodes to nothing, which the table cannot
+    tell from a marker-only piece, and the builder never meets one there.
+    """
+    tail = draw(st.lists(st.sampled_from(vocab.real_ids()), max_size=12))
+    return tail + draw(st.lists(st.integers(0, vocab.size - 1), max_size=1))
+
+
+class TestPerIdTables:
+    """``Tokenizer.begins`` and ``Tokenizer.pieces`` agree with the vocabulary and ``decode``."""
+
+    @staticmethod
+    def _check(tok, ids):
+        # each piece's text rebuilt from its row: a space unless it glues on,
+        # its words, and a space unless it ends inside a word
+        text = "".join(
+            ("" if glue is not None else " ") + " ".join(words) + ("" if opens else " ")
+            for glue, words, opens in (tok.pieces[c] for c in ids)
+        )
+        assert text.split() == tok.decode(ids).split()
+        assert len(tok.begins) == len(tok.pieces) == tok.vocab.size
+        assert all(tok.begins[c] == tok.vocab.is_word_begin(c) for c in range(tok.vocab.size))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_built_vocabulary(self, asr_tok, data):
+        self._check(asr_tok, data.draw(_tail_and_label(asr_tok.vocab)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_odd_vocabulary(self, data):
+        tok = Tokenizer(make_vocab(*ODD_PIECES))
+        self._check(tok, data.draw(_tail_and_label(tok.vocab)))
+
+    def test_tables_are_tuples_and_the_index_is_shared(self, asr_tok):
+        assert isinstance(asr_tok.begins, tuple) and isinstance(asr_tok.pieces, tuple)
+        assert asr_tok._index is asr_tok.vocab._index
 
 
 class TestVocabularyValidation:
