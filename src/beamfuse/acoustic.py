@@ -113,16 +113,11 @@ def enumerate_collapse_table(em: EmissionMatrix) -> dict[tuple[int, ...], float]
     table: dict[tuple[int, ...], float] = {}
     for path in itertools.product(range(em.vocab_size), repeat=em.num_frames):
         logp = 0.0
-        prev = -1
-        key = []
         for t, s in enumerate(path):
             logp += rows[t][s]
-            if s != prev and s != BLANK_ID:
-                key.append(s)
-            prev = s
-        tkey = tuple(key)
-        old = table.get(tkey)
-        table[tkey] = logp if old is None else lse2(old, logp)
+        key = collapse_path(path)
+        old = table.get(key)
+        table[key] = logp if old is None else lse2(old, logp)
     return table
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,7 +16,7 @@ class CommandError(ValueError):
     """Raised for command-line arguments that parse but cannot be used."""
 
 
-# errors that report bad input or configuration, not a bug
+# errors that report bad input, unreadable input files or configuration, not a bug
 _INPUT_ERRORS = (
     CommandError,
     DecodeError,
@@ -24,6 +25,8 @@ _INPUT_ERRORS = (
     VocabularyError,
     lm.LMError,
     harness.HarnessError,
+    OSError,
+    UnicodeError,
 )
 
 
@@ -98,7 +101,7 @@ def _cmd_decode(args) -> int:
         payload = {
             "best": _hypothesis_json(result.best),
             "nbest": [_hypothesis_json(h) for h in result.nbest],
-            "counters": result.counters.as_dict(),
+            "counters": dataclasses.asdict(result.counters),
         }
         print(json.dumps(payload, indent=2))
     else:

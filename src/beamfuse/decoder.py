@@ -1,6 +1,6 @@
 """Beam search with policy-timed external LM fusion.
 
-One search loop serves both decoding modes.  Each step it expands the beam,
+One search loop (``decode``) serves both modes.  Each step it expands the beam,
 prunes the candidates to the beam size by the combined score (acoustic plus
 weighted LM scores, the LM part possibly stale), advances the survivors' LM
 views over their newly completed words, and — if the fusion policy fires —
@@ -77,7 +77,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .acoustic import (
-    BLANK_ID,
     NEG_INF,
     CtcPrefixScorer,
     EmissionMatrix,
@@ -85,10 +84,10 @@ from .acoustic import (
     lse2,
 )
 from .lm import ScoreRequest
-# tokenizable_prefix_len is not called here: perfbench/layertrace.py patches
-# ``decoder.tokenizable_prefix_len`` and perfbench/tests/test_reconcile.py reads it
-# (ROADMAP item 7)
-from .tokenization import BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer, tokenizable_prefix_len
+from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
+# not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
+# and perfbench/tests/test_reconcile.py reads it (ROADMAP items 5 and 7)
+from .tokenization import tokenizable_prefix_len
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
 MODES = ("ctc", "labelsync")
@@ -172,9 +171,6 @@ class DecodeCounters:
     lm_hypotheses: int = 0
     lm_tokens: int = 0
     wall_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -701,24 +697,13 @@ class _LabelStep:
 
 
 def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
-    """Run beam search over emissions (or a label-sync scorer) and finalize."""
+    """Run the search loop over emissions (or a label-sync scorer) and finalize."""
     counters = DecodeCounters()
     started = time.perf_counter()
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
+    step = step_type(source, config, asr_tok)
     # one word memo per LM for every re-tokenization of this decode
     memos = [{} for _ in config.lms]
-    beam, trace = _search(step_type(source, config, asr_tok), config, asr_tok, counters, memos)
-    nbest = finalize_beam(beam, config, asr_tok, counters, memos)
-    counters.wall_seconds = time.perf_counter() - started
-
-    return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
-
-
-def _search(step, config, asr_tok, counters, memos):
-    """The search loop of every policy: expand, prune, advance views, fuse, trace.
-
-    ``memos`` are the decode's word memos, one per LM.
-    """
     beam = [step.root()]
     prev_shortest = 0
     trace: list[StepTrace] = []
@@ -746,7 +731,9 @@ def _search(step, config, asr_tok, counters, memos):
         # only label-synchronous hypotheses ever end
         if all(h.ended for h in beam):
             break
-    return step.close(beam), trace
+    nbest = finalize_beam(step.close(beam), config, asr_tok, counters, memos)
+    counters.wall_seconds = time.perf_counter() - started
+    return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
 def _shallow_requests(cands, kept, lms, asr_tok, memos) -> list[list[ScoreRequest]]:

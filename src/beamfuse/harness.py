@@ -462,8 +462,9 @@ def bench_csv_text(rows: Sequence[BenchRow]) -> str:
 
 
 def parse_bench_config(path: str) -> BenchConfig:
-    """Parse a key = value file (one pair per line, # comments); unknown keys are errors."""
+    """Parse a key = value file (a pair per line, # comments); unknown or repeated keys fail."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
@@ -472,7 +473,11 @@ def parse_bench_config(path: str) -> BenchConfig:
             if "=" not in text:
                 raise HarnessError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = text.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise HarnessError(f"{path}: {key} is set on lines {lines[key]} and {lineno}")
+            raw[key] = value.strip()
+            lines[key] = lineno
 
     # a key is a field's name, but ``corpus`` sets ``corpus_path``
     fields = {

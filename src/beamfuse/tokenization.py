@@ -18,7 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-WORD_MARKER = "▁"  # "▁", prefixes every word-initial piece
+# "▁" (U+2581), SentencePiece's word marker, starts each word-initial piece; it is fixed,
+# as vocabulary files do not store it.  As one character it makes decoding a plain
+# concatenation of piece texts, which ``Tokenizer.pieces`` and ``_shallow_requests`` use.
+WORD_MARKER = "▁"
 
 BLANK_ID = 0
 BOS_ID = 1
@@ -40,11 +43,11 @@ class Vocabulary:
     Ids 0..3 are reserved: blank, ``<s>``, ``</s>``, ``<unk>``.  The blank
     slot is only meaningful on the acoustic side; language-model
     vocabularies keep it as an inert placeholder so that the file format
-    and id layout are identical on both sides.
+    and id layout are identical on both sides.  ``WORD_MARKER`` may only
+    start a piece, and such a piece begins a word.
     """
 
     tokens: tuple[str, ...]
-    marker: str = WORD_MARKER
 
     def __post_init__(self) -> None:
         if len(self.tokens) < NUM_SPECIALS:
@@ -53,14 +56,10 @@ class Vocabulary:
             raise VocabularyError(
                 f"tokens 1..3 must be {SPECIAL_TOKENS[1:]}, got {self.tokens[1:NUM_SPECIALS]}"
             )
-        if len(self.marker) != 1:
-            # the decoder builds decoded text piece by piece, which needs a
-            # marker that no two pieces can form together
-            raise VocabularyError(f"marker must be one character, got {self.marker!r}")
         if len(set(self.tokens)) != len(self.tokens):
             raise VocabularyError("token strings must be unique")
         for tok in self.tokens[NUM_SPECIALS:]:
-            if self.marker in tok[1:]:
+            if WORD_MARKER in tok[1:]:
                 raise VocabularyError(f"marker may only start a token: {tok!r}")
             if not tok:
                 raise VocabularyError("empty token string")
@@ -79,23 +78,17 @@ class Vocabulary:
         return self._index.get(token)  # type: ignore[attr-defined]
 
     def is_word_begin(self, token_id: int) -> bool:
-        return self.token(token_id).startswith(self.marker)
-
-    def real_ids(self) -> range:
-        """Ids of ordinary (non-reserved) tokens."""
-        return range(NUM_SPECIALS, len(self.tokens))
+        return self.token(token_id).startswith(WORD_MARKER)
 
 
-def build_vocab(
-    corpus: Iterable[str], target_size: int, marker: str = WORD_MARKER
-) -> Vocabulary:
+def build_vocab(corpus: Iterable[str], target_size: int) -> Vocabulary:
     """Build a wordpiece vocabulary of at most ``target_size`` tokens.
 
-    The inventory always contains the four reserved tokens plus the marked
-    and unmarked single-character variants of every character seen, so that
-    encoding corpus text never needs the unknown token.  Remaining slots go
-    to the most frequent multi-character pieces, ties broken lexically, so
-    identical corpora produce byte-identical vocabularies.
+    The inventory always contains the four reserved tokens plus every seen
+    character alone and after ``WORD_MARKER``, so that encoding corpus text
+    never needs the unknown token.  Remaining slots go to the most frequent
+    multi-character pieces, ties broken lexically, so identical corpora
+    produce byte-identical vocabularies.
     """
     word_counts: Counter[str] = Counter()
     for line in corpus:
@@ -104,7 +97,7 @@ def build_vocab(
         raise VocabularyError("empty corpus")
 
     chars = sorted({ch for word in word_counts for ch in word})
-    singles = [marker + ch for ch in chars] + chars
+    singles = [WORD_MARKER + ch for ch in chars] + chars
     required = NUM_SPECIALS + len(singles)
     if target_size < required:
         raise VocabularyError(
@@ -114,7 +107,7 @@ def build_vocab(
 
     piece_counts: Counter[str] = Counter()
     for word, count in word_counts.items():
-        marked = marker + word
+        marked = WORD_MARKER + word
         for start in range(len(marked)):
             # marked pieces carry the marker plus >= 2 characters; unmarked
             # pieces are any >= 2 character substring not touching the marker
@@ -129,7 +122,7 @@ def build_vocab(
     )
     room = target_size - required
     tokens = list(SPECIAL_TOKENS) + singles + ranked[:room]
-    return Vocabulary(tuple(tokens), marker)
+    return Vocabulary(tuple(tokens))
 
 
 def write_vocab(vocab: Vocabulary, path: str) -> None:
@@ -159,11 +152,10 @@ class Tokenizer:
     Two per-id tables serve the decoder, which indexes its candidates by id:
     ``begins[c]`` is whether id ``c`` begins a word (reserved ids, ``</s>``
     among them, never do), and ``pieces[c]`` is ``(glue, words, opens)`` for
-    the text of piece ``c``, markers read as spaces and reserved ids empty.
-    ``words`` are the text's words, ``glue`` the first of them if it joins
-    the word before it, and ``opens`` whether text ending with it ends
-    inside a word.  With a one-character marker, ``decode`` is these texts
-    concatenated, stripped.
+    the text of piece ``c``, ``WORD_MARKER`` read as a space and reserved ids
+    empty.  ``words`` are the text's words, ``glue`` the first of them if it
+    joins the word before it, and ``opens`` whether text ending with it ends
+    inside a word.  ``decode`` is these texts concatenated, stripped.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -174,15 +166,14 @@ class Tokenizer:
         self.begins = tuple(vocab.is_word_begin(c) for c in range(vocab.size))
         pieces = []
         for c, piece in enumerate(vocab.tokens):
-            text = "" if c < NUM_SPECIALS else piece.replace(vocab.marker, " ")
+            text = "" if c < NUM_SPECIALS else piece.replace(WORD_MARKER, " ")
             words = tuple(text.split())
             glue = words[0] if words and not text[0].isspace() else None
             pieces.append((glue, words, bool(text) and not text[-1].isspace()))
         self.pieces = tuple(pieces)
 
     def encode_word(self, word: str) -> list[int]:
-        marker = self.vocab.marker
-        text = marker + word
+        text = WORD_MARKER + word
         out: list[int] = []
         i = 0
         n = len(text)
@@ -198,7 +189,7 @@ class Tokenizer:
                 out.append(UNK_ID)
                 # at the word start the marker and the offending character
                 # are consumed together
-                i += 2 if text[i] == marker else 1
+                i += 2 if text[i] == WORD_MARKER else 1
             else:
                 out.append(token_id)
                 i = end
@@ -220,7 +211,7 @@ class Tokenizer:
             if token_id < NUM_SPECIALS:
                 continue
             parts.append(tokens[token_id])
-        return "".join(parts).replace(self.vocab.marker, " ").strip()
+        return "".join(parts).replace(WORD_MARKER, " ").strip()
 
 
 def tokenizable_prefix_len(ids: Sequence[int], vocab: Vocabulary) -> int:

@@ -27,6 +27,7 @@ from beamfuse.lm import LMError, PrefixCacheEntry, train_ngram
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
+    NUM_SPECIALS,
     SPECIAL_TOKENS,
     Tokenizer,
     Vocabulary,
@@ -431,7 +432,7 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
     weights = [spec.weight for spec in lms]
     entries = []
     if mode == "ctc":
-        real_ids = asr_tok.vocab.real_ids()
+        real_ids = range(NUM_SPECIALS, asr_tok.vocab.size)
         for tokens, rec in reference_frame_candidates(beam, source, real_ids).items():
             comb = lse2(rec.log_blank, rec.log_nonblank)
             for w, view in zip(weights, rec.views):
@@ -440,7 +441,7 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
             hyp = Hypothesis(tokens, rec.log_blank, rec.log_nonblank, views=rec.views, k=k)
             entries.append((comb, tokens, hyp))
     else:
-        ids = list(asr_tok.vocab.real_ids()) + [EOS_ID]
+        ids = list(range(NUM_SPECIALS, asr_tok.vocab.size)) + [EOS_ID]
         for comb, tokens, (parent, s) in reference_label_entries(source, beam, ids, weights):
             e2e = parent.e2e if s is None else parent.e2e + s
             k = tokenizable_prefix_len(tokens, asr_tok.vocab)

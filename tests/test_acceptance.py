@@ -42,6 +42,7 @@ from beamfuse.lm import (
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
+    NUM_SPECIALS,
     Tokenizer,
     build_vocab,
     tokenizable_prefix_len,
@@ -165,7 +166,7 @@ def test_c03_no_pruning_invariance():
         em = EmissionMatrix(random_emissions(rng, T, vocab.size))
 
         best = None
-        real = list(vocab.real_ids())
+        real = list(range(NUM_SPECIALS, vocab.size))
         stack = [()]
         while stack:
             seq = stack.pop()
@@ -294,7 +295,7 @@ def test_c06_work_reduction_vs_shallow(world):
 
 def test_c07_retokenization_invariants(world):
     rng = np.random.default_rng(707)
-    real = list(world.asr_tok.vocab.real_ids())
+    real = list(range(NUM_SPECIALS, world.asr_tok.vocab.size))
     for _ in range(1000):
         n = int(rng.integers(1, 18))
         ids = [real[int(i)] for i in rng.integers(0, len(real), size=n)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamfuse.cli import main
+from beamfuse.decoder import DecodeCounters
 from beamfuse.harness import generate_corpus
 from beamfuse.lm import read_arpa
 from beamfuse.tokenization import read_vocab
@@ -102,6 +104,7 @@ class TestPipeline:
         assert set(payload) == {"best", "nbest", "counters"}
         assert set(payload["best"]) == {"text", "e2e", "lm_raw", "combined"}
         assert len(payload["nbest"]) <= 5
+        assert list(payload["counters"]) == [f.name for f in dataclasses.fields(DecodeCounters)]
         assert payload["counters"]["lm_calls"] >= 1
         assert payload["counters"]["lm_calls_final"] == 1
 
@@ -294,6 +297,7 @@ class TestBenchCommand:
             ("frames_per_token = 0:2", "1 <= lo <= hi, got 0:2"),
             ("beam = 5", "unknown key(s): beam"),
             ("beams = ten\nbeam = 5", "unknown key(s): beam"),
+            ("beams = 10\nmode = ctc\nbeams = 20", "beams is set on lines 2 and 4"),
             ("beams = ,", "at least one beam required"),
             ("beams = 0", "beams must be ints >= 1, got 0"),
             ("intervals = 16, 0", "intervals must be ints >= 1, got 0"),
@@ -315,6 +319,7 @@ class TestBenchCommand:
             "range-zero",
             "unknown-key",
             "unknown-key-before-bad-value",
+            "key-repeated",
             "beams-empty",
             "beams-zero",
             "interval-zero",
@@ -350,8 +355,11 @@ class TestBenchCommand:
     )
     def test_bad_data_settings_report_error(self, workspace, capsys, line, message):
         cfg = workspace / "bad_data.cfg"
-        cfg.write_text("corpus_sentences = 300\ncorpus_vocabulary = 80\nutterances = 2\n"
-                       + line + "\n")
+        # ``line`` replaces its key's default here: a key given twice is an error
+        settings = {"corpus_sentences": "300", "corpus_vocabulary": "80", "utterances": "2"}
+        key, _, value = line.partition(" = ")
+        settings[key] = value
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
         argv = ["bench", "--config", str(cfg), "--out", str(workspace / "bad.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -377,3 +385,34 @@ class TestGenDataCommand:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not (workspace / "bad_data").exists()
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["decode", "--emissions", "{ws}/missing.em", "--asr-vocab", "{ws}/asr.vocab",
+                 "--lm", "{ws}/lm.arpa", "--lm-vocab", "{ws}/lm.vocab", "--policy", "never"],
+                "No such file or directory",
+            ),
+            (["bench", "--config", "{ws}/missing.cfg", "--out", "{ws}/bad.csv"],
+             "No such file or directory"),
+            (["build-vocab", "--corpus", "{ws}/data", "--size", "64", "--out", "{ws}/bad.vocab"],
+             "Is a directory"),
+            (["build-vocab", "--corpus", "{ws}/latin1.txt", "--size", "64",
+              "--out", "{ws}/bad.vocab"],
+             "can't decode byte 0xe9"),
+            (["bench", "--config", "{ws}/missing_corpus.cfg", "--out", "{ws}/bad.csv"],
+             "No such file or directory"),
+        ],
+        ids=["missing-emissions", "missing-config", "directory-corpus", "non-utf8-corpus",
+             "missing-bench-corpus"],
+    )
+    def test_reports_error(self, workspace, capsys, argv, message):
+        (workspace / "latin1.txt").write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+        (workspace / "missing_corpus.cfg").write_text(f"corpus = {workspace / 'missing.txt'}\n")
+        assert main([a.format(ws=workspace) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err

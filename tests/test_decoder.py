@@ -152,7 +152,7 @@ class TestTokenizerTables:
         assert cands.valid.size == len(cands.singles) + len(cands.parents) * asr_tok.vocab.size
         kept = np.flatnonzero(cands.valid).tolist()[len(cands.singles) :]
         labels = [cands.tokens(j)[-1] for j in kept]
-        ordinary = list(asr_tok.vocab.real_ids())
+        ordinary = list(range(NUM_SPECIALS, asr_tok.vocab.size))
         assert labels == (ordinary if mode == "ctc" else [EOS_ID, *ordinary])
 
 
@@ -399,7 +399,7 @@ def _label_setup(rng, frames, n_pieces, tie=False):
 
 def _label_beams(rng, tok, scorer, n_lms, steps, width=8):
     """Beams reached by the reference step, with fresh LM caches of a few tying values."""
-    ids = list(tok.vocab.real_ids()) + [EOS_ID]
+    ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
     root = Hypothesis((BOS_ID,), e2e=0.0, state=scorer.root(), k=0)
     root.views = _random_views(rng, n_lms)
     beam = [root]
@@ -422,7 +422,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     lms = [LMSpec(None, tok, w) for w in weights]
     cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("never"), lms=lms, mode="labelsync")
     step = _LabelStep(scorer, cfg, tok)
-    ids = list(tok.vocab.real_ids()) + [EOS_ID]
+    ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
 
     cands = step.expand(beam, 1)
     entries = reference_label_entries(scorer, beam, ids, weights)
@@ -490,7 +490,7 @@ class TestLabelStepMatchesReference:
         ties = 0
         for _ in range(10):
             tok, scorer = _label_setup(rng, 6, self.PIECES, tie=True)
-            ids = list(tok.vocab.real_ids()) + [EOS_ID]
+            ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
             for beam in _label_beams(rng, tok, scorer, 1, steps=4):
                 entries = reference_label_entries(scorer, beam, ids, [0.5])
                 scores = sorted((e[0] for e in entries), reverse=True)
@@ -515,7 +515,7 @@ class TestLabelStepMatchesReference:
         rng = np.random.default_rng(35)
         for _ in range(6):
             tok, scorer = _label_setup(rng, 7, self.PIECES)
-            ids = list(tok.vocab.real_ids()) + [EOS_ID]
+            ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
             for beam in _label_beams(rng, tok, scorer, 2, steps=4):
                 count = len(reference_label_entries(scorer, beam, ids, [0.5, -0.25]))
                 for k in (1, max(1, count - 1), count, count + 5, None):
@@ -641,7 +641,8 @@ class TestShallowStepMatchesReference:
         for _ in range(15):
             beam = _random_beam(rng, tok.vocab.size, 6, 0, extend_share=0.7, neg_inf_share=0.3)
             frame = _tied_frame(rng, tok.vocab.size)
-            count = len(reference_frame_candidates(beam, frame, tok.vocab.real_ids()))
+            real_ids = range(NUM_SPECIALS, tok.vocab.size)
+            count = len(reference_frame_candidates(beam, frame, real_ids))
             tied = _shallow_ties("ctc", frame, beam, tok, lms)
             ties += len(tied)
             for k in (1, 3, count, count + 4, None, *tied):
@@ -655,7 +656,7 @@ class TestShallowStepMatchesReference:
         tok, lm_sets = shallow_world
         lms = lm_sets[lm_set]
         rng = np.random.default_rng(41)
-        ids = list(tok.vocab.real_ids()) + [EOS_ID]
+        ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
         x, y = tok.vocab.token_id("▁x"), tok.vocab.token_id("▁y")
         ended = masked = ties = 0
         for frames in (2, 3, 5, 7):
@@ -683,7 +684,7 @@ class TestShallowRequests:
         tok, lm_sets = shallow_world
         lms = [dataclasses.replace(s, scorer=CountingScorer(s.scorer)) for s in lm_sets[lm_set]]
         cfg = DecodeConfig(beam=4, policy=FusionPolicy("shallow"), lms=lms)
-        real = list(tok.vocab.real_ids())
+        real = list(range(NUM_SPECIALS, tok.vocab.size))
         rng = np.random.default_rng(43)
         most = 0
         for _ in range(20):
@@ -716,7 +717,7 @@ def _request_beam(pick, tok, lms) -> list[Hypothesis]:
     cache objects, with a drawn ``scored_len`` that decides which views a
     merged stay keeps.
     """
-    real = list(tok.vocab.real_ids())
+    real = list(range(NUM_SPECIALS, tok.vocab.size))
     seen: dict = {}
     for _ in range(1 + pick(6)):
         if seen and pick(2):
@@ -919,7 +920,7 @@ class TestRetokenizeDecodesOnce:
         plain_decode = tok.decode
         monkeypatch.setattr(tok, "decode", lambda ids: decoded.append(ids) or plain_decode(ids))
         rng = np.random.default_rng(44)
-        real = list(tok.vocab.real_ids())
+        real = list(range(NUM_SPECIALS, tok.vocab.size))
         beam = []
         for size in (3, 5, 8, 8):
             views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
