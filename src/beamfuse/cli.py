@@ -31,9 +31,7 @@ _INPUT_ERRORS = (
 
 
 def _cmd_build_vocab(args) -> int:
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    vocab = build_vocab(lines, args.size)
+    vocab = build_vocab(harness.read_corpus(args.corpus), args.size)
     write_vocab(vocab, args.out)
     print(f"wrote {vocab.size} tokens to {args.out}")
     return 0
@@ -42,8 +40,7 @@ def _cmd_build_vocab(args) -> int:
 def _cmd_train_lm(args) -> int:
     vocab = read_vocab(args.vocab)
     tok = Tokenizer(vocab)
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        sequences = [tok.encode(line) for line in fh if line.strip()]
+    sequences = [tok.encode(line) for line in harness.read_corpus(args.corpus)]
     model = lm.train_ngram(sequences, vocab, order=args.order, discount=args.discount)
     lm.write_arpa(model, args.out)
     print(f"trained order-{args.order} model on {len(sequences)} sentences -> {args.out}")
@@ -53,19 +50,12 @@ def _cmd_train_lm(args) -> int:
 def _cmd_gen_data(args) -> int:
     vocab = read_vocab(args.vocab)
     tok = Tokenizer(vocab)
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = harness.read_corpus(args.corpus)
     rows = harness.gen_dataset(
         lines, tok, args.out, args.count, args.noise, (1, 3), args.seed
     )
     print(f"wrote {len(rows)} utterances and manifest.tsv under {args.out}")
     return 0
-
-
-def _policy_from_args(args) -> FusionPolicy:
-    if args.policy == "interval":
-        return FusionPolicy("interval", args.interval)
-    return FusionPolicy(args.policy)
 
 
 def _hypothesis_json(hyp) -> dict:
@@ -80,22 +70,16 @@ def _hypothesis_json(hyp) -> dict:
 def _cmd_decode(args) -> int:
     emissions = acoustic.read_emissions(args.emissions)
     asr_tok = Tokenizer(read_vocab(args.asr_vocab))
-    model = lm.read_arpa(args.lm)
-    lm_tok = Tokenizer(read_vocab(args.lm_vocab))
-    lms = [LMSpec(model, lm_tok, args.lm_weight)]
+    # an ARPA file lists its whole vocabulary in id order: each LM's tokenizer comes from it
+    sources = [(args.lm, args.lm_weight, True)]
     if args.second_lm:
-        second = lm.read_arpa(args.second_lm)
-        lms.append(
-            LMSpec(
-                second,
-                Tokenizer(second.vocab),
-                args.second_weight,
-                use_in_final=args.second_final == "yes",
-            )
-        )
-    config = DecodeConfig(
-        beam=args.beam, policy=_policy_from_args(args), lms=lms, mode=args.mode
-    )
+        sources.append((args.second_lm, args.second_weight, args.second_final == "yes"))
+    lms = []
+    for path, weight, use_in_final in sources:
+        model = lm.read_arpa(path)
+        lms.append(LMSpec(model, Tokenizer(model.vocab), weight, use_in_final=use_in_final))
+    policy = FusionPolicy(args.policy, args.interval)
+    config = DecodeConfig(beam=args.beam, policy=policy, lms=lms, mode=args.mode)
     result = decode(emissions, config, asr_tok)
     if args.json:
         payload = {
@@ -176,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emissions", required=True)
     p.add_argument("--asr-vocab", required=True)
     p.add_argument("--lm", required=True)
-    p.add_argument("--lm-vocab", required=True)
     p.add_argument("--policy", required=True, choices=POLICY_KINDS)
     p.add_argument("--interval", type=int, default=16)
     p.add_argument("--beam", type=int, default=10)

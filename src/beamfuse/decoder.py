@@ -589,14 +589,7 @@ def apply_lm_scores(
 class _FrameStep:
     """Frame-synchronous CTC prefix search: one emission row per step."""
 
-    def __init__(self, em, config: DecodeConfig, asr_tok: Tokenizer):
-        if not isinstance(em, EmissionMatrix):
-            raise DecodeError("frame-synchronous decoding needs an EmissionMatrix")
-        if em.vocab_size != asr_tok.vocab.size:
-            raise DecodeError(
-                f"emissions have {em.vocab_size} columns but the vocabulary "
-                f"has {asr_tok.vocab.size} tokens"
-            )
+    def __init__(self, em: EmissionMatrix, config: DecodeConfig, asr_tok: Tokenizer):
         self.rows = em.log_probs
         self.limit = em.num_frames
         self.begins = asr_tok.begins
@@ -631,15 +624,10 @@ class _LabelStep:
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
-        scorer = source if hasattr(source, "candidate_scores") else None
-        if scorer is None:
-            if not isinstance(source, EmissionMatrix):
-                raise DecodeError("label-synchronous decoding needs emissions or a scorer")
-            if source.vocab_size != asr_tok.vocab.size:
-                raise DecodeError("emissions do not match the vocabulary size")
-            scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
-        self.scorer = scorer
-        self.limit = scorer.T
+        if isinstance(source, EmissionMatrix):
+            source = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
+        self.scorer = source
+        self.limit = source.T
         self.begins = asr_tok.begins
         self.lms = config.lms
         self.beam_size = config.beam
@@ -698,6 +686,14 @@ class _LabelStep:
 
 def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     """Run the search loop over emissions (or a label-sync scorer) and finalize."""
+    if isinstance(source, EmissionMatrix):
+        if source.vocab_size != asr_tok.vocab.size:
+            raise DecodeError(
+                f"emissions have {source.vocab_size} columns but the vocabulary "
+                f"has {asr_tok.vocab.size} tokens"
+            )
+    elif not (config.mode == "labelsync" and hasattr(source, "candidate_scores")):
+        raise DecodeError(f"mode {config.mode} needs emissions or, in labelsync, a prefix scorer")
     counters = DecodeCounters()
     started = time.perf_counter()
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep

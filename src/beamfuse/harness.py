@@ -15,6 +15,7 @@ import dataclasses
 import io
 import math
 import random
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,6 +135,12 @@ def generate_corpus(
             used.add(line)
             out.append(line)
     return out
+
+
+def read_corpus(path: str) -> list[str]:
+    """A corpus file's sentences: its stripped non-blank lines, which split into the same words."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
 
 
 def split_corpus(lines: Sequence[str], eval_fraction: float = 0.2) -> tuple[list[str], list[str]]:
@@ -343,8 +350,7 @@ class BenchAssets:
 
 def prepare_bench(cfg: BenchConfig) -> BenchAssets:
     if cfg.corpus_path:
-        with open(cfg.corpus_path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+        lines = read_corpus(cfg.corpus_path)
     else:
         lines = generate_corpus(cfg.seed, cfg.corpus_sentences, cfg.corpus_vocabulary)
     train_lines, eval_lines = split_corpus(lines)
@@ -467,7 +473,8 @@ def parse_bench_config(path: str) -> BenchConfig:
     lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
+            # a comment starts at a ``#`` that begins the line or follows whitespace
+            text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not text:
                 continue
             if "=" not in text:

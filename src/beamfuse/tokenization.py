@@ -56,6 +56,10 @@ class Vocabulary:
             raise VocabularyError(
                 f"tokens 1..3 must be {SPECIAL_TOKENS[1:]}, got {self.tokens[1:NUM_SPECIALS]}"
             )
+        # a vocabulary file holds one token per line, and reading it splits at \n and \r
+        broken = [tok for tok in self.tokens if "\n" in tok or "\r" in tok]
+        if broken:
+            raise VocabularyError(f"a token may not contain a line break: {broken[0]!r}")
         if len(set(self.tokens)) != len(self.tokens):
             raise VocabularyError("token strings must be unique")
         for tok in self.tokens[NUM_SPECIALS:]:

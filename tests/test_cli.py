@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from beamfuse.cli import main
-from beamfuse.decoder import DecodeCounters
+from beamfuse.acoustic import read_emissions
+from beamfuse.decoder import DecodeConfig, DecodeCounters, FusionPolicy, LMSpec, decode
 from beamfuse.harness import generate_corpus
 from beamfuse.lm import read_arpa
-from beamfuse.tokenization import read_vocab
+from beamfuse.tokenization import Tokenizer, read_vocab
 
 from conftest import random_emissions
 
@@ -71,7 +72,6 @@ class TestPipeline:
                     "--emissions", str(workspace / "data" / "utt0000.em"),
                     "--asr-vocab", str(workspace / "asr.vocab"),
                     "--lm", str(workspace / "lm.arpa"),
-                    "--lm-vocab", str(workspace / "lm.vocab"),
                     "--policy", "shortest",
                     "--beam", "8",
                     "--lm-weight", "0.5",
@@ -91,7 +91,6 @@ class TestPipeline:
             "--emissions", str(workspace / "data" / "utt0000.em"),
             "--asr-vocab", str(workspace / "asr.vocab"),
             "--lm", str(workspace / "lm.arpa"),
-            "--lm-vocab", str(workspace / "lm.vocab"),
             "--policy", "interval",
             "--interval", "8",
             "--beam", "5",
@@ -114,7 +113,6 @@ class TestPipeline:
             "--emissions", str(workspace / "data" / "utt0001.em"),
             "--asr-vocab", str(workspace / "asr.vocab"),
             "--lm", str(workspace / "lm.arpa"),
-            "--lm-vocab", str(workspace / "lm.vocab"),
             "--policy", "shortest",
             "--beam", "5",
             "--lm-weight", "0.3",
@@ -128,13 +126,63 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["best"]["lm_raw"]) == 2
 
+    @pytest.mark.parametrize("mode", ["ctc", "labelsync"])
+    def test_lm_tokenizers_come_from_the_arpa_files(self, workspace, capsys, mode):
+        # the tokenizer read from lm.arpa decodes as the one read from lm.vocab
+        argv = [
+            "decode",
+            "--emissions", str(workspace / "data" / "utt0001.em"),
+            "--asr-vocab", str(workspace / "asr.vocab"),
+            "--lm", str(workspace / "lm.arpa"),
+            "--policy", "shortest",
+            "--beam", "5",
+            "--lm-weight", "0.3",
+            "--second-lm", str(workspace / "second.arpa"),
+            "--second-weight", "0.4",
+            "--second-final", "no",
+            "--mode", mode,
+            "--json",
+        ]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+
+        second = read_arpa(str(workspace / "second.arpa"))
+        lms = [
+            LMSpec(
+                read_arpa(str(workspace / "lm.arpa")),
+                Tokenizer(read_vocab(str(workspace / "lm.vocab"))),
+                0.3,
+            ),
+            LMSpec(second, Tokenizer(second.vocab), 0.4, use_in_final=False),
+        ]
+        config = DecodeConfig(beam=5, policy=FusionPolicy("shortest"), lms=lms, mode=mode)
+        result = decode(
+            read_emissions(str(workspace / "data" / "utt0001.em")),
+            config,
+            Tokenizer(read_vocab(str(workspace / "asr.vocab"))),
+        )
+
+        def as_json(hyp):
+            return {
+                "text": hyp.text,
+                "e2e": hyp.e2e_score,
+                "lm_raw": list(hyp.lm_scores),
+                "combined": hyp.combined_score,
+            }
+
+        # floats survive the JSON round trip exactly; only the wall time differs
+        assert payload["best"] == as_json(result.best)
+        assert payload["nbest"] == [as_json(h) for h in result.nbest]
+        counters = dataclasses.asdict(result.counters)
+        del counters["wall_seconds"], payload["counters"]["wall_seconds"]
+        assert payload["counters"] == counters
+
     def test_decode_labelsync(self, workspace, capsys):
         argv = [
             "decode",
             "--emissions", str(workspace / "data" / "utt0000.em"),
             "--asr-vocab", str(workspace / "asr.vocab"),
             "--lm", str(workspace / "lm.arpa"),
-            "--lm-vocab", str(workspace / "lm.vocab"),
             "--policy", "never",
             "--beam", "4",
             "--lm-weight", "0.5",
@@ -142,22 +190,6 @@ class TestPipeline:
         ]
         assert main(argv) == 0
         assert capsys.readouterr().out.strip()
-
-    def test_lm_vocab_mismatch_rejected(self, workspace, capsys):
-        argv = [
-            "decode",
-            "--emissions", str(workspace / "data" / "utt0000.em"),
-            "--asr-vocab", str(workspace / "asr.vocab"),
-            "--lm", str(workspace / "lm.arpa"),
-            "--lm-vocab", str(workspace / "asr.vocab"),
-            "--policy", "never",
-            "--beam", "4",
-            "--lm-weight", "0.5",
-            "--mode", "ctc",
-        ]
-        assert main(argv) == 2
-        assert "does not match" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -173,7 +205,6 @@ class TestPipeline:
             "--emissions", str(workspace / "data" / "utt0000.em"),
             "--asr-vocab", str(workspace / "asr.vocab"),
             "--lm", str(workspace / "lm.arpa"),
-            "--lm-vocab", str(workspace / "lm.vocab"),
             *extra,
         ]
         assert main(argv) == 2
@@ -200,7 +231,6 @@ class TestPipeline:
             "--emissions", str(bad),
             "--asr-vocab", str(workspace / "asr.vocab"),
             "--lm", str(workspace / "lm.arpa"),
-            "--lm-vocab", str(workspace / "lm.vocab"),
             "--policy", "never",
         ]
         assert main(argv) == 2
@@ -227,7 +257,6 @@ class TestPipeline:
             "--emissions", str(workspace / "data" / "utt0000.em"),
             "--asr-vocab", str(workspace / "asr.vocab"),
             "--lm", str(bad),
-            "--lm-vocab", str(workspace / "lm.vocab"),
             "--policy", "never",
         ]
         assert main(argv) == 2
@@ -393,7 +422,7 @@ class TestUnreadableInput:
         [
             (
                 ["decode", "--emissions", "{ws}/missing.em", "--asr-vocab", "{ws}/asr.vocab",
-                 "--lm", "{ws}/lm.arpa", "--lm-vocab", "{ws}/lm.vocab", "--policy", "never"],
+                 "--lm", "{ws}/lm.arpa", "--policy", "never"],
                 "No such file or directory",
             ),
             (["bench", "--config", "{ws}/missing.cfg", "--out", "{ws}/bad.csv"],

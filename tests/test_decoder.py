@@ -1743,16 +1743,22 @@ class TestValidation:
         with pytest.raises(DecodeError, match=message):
             decode(scorer, cfg, asr_tok)
 
-    def test_vocab_size_mismatch(self, asr_tok):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_vocab_size_mismatch(self, asr_tok, mode):
         em = EmissionMatrix(random_emissions(np.random.default_rng(7), 3, 8))
-        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[])
-        with pytest.raises(DecodeError, match="vocabulary"):
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode=mode)
+        message = f"emissions have 8 columns but the vocabulary has {asr_tok.vocab.size} tokens"
+        with pytest.raises(DecodeError, match=message):
             decode(em, cfg, asr_tok)
 
     def test_frame_mode_requires_emissions(self, asr_tok):
-        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[])
-        with pytest.raises(DecodeError):
-            decode(object(), cfg, asr_tok)
+        # neither mode takes a source that is no emissions; ctc takes no prefix scorer
+        em = EmissionMatrix(random_emissions(np.random.default_rng(7), 3, asr_tok.vocab.size))
+        scorer = CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID))
+        for mode, source in (("ctc", object()), ("labelsync", object()), ("ctc", scorer)):
+            cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode=mode)
+            with pytest.raises(DecodeError, match=f"mode {mode} needs emissions"):
+                decode(source, cfg, asr_tok)
 
     def test_beam_validation(self):
         with pytest.raises(DecodeError):

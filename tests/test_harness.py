@@ -19,6 +19,7 @@ from beamfuse.harness import (
     generate_corpus,
     parse_bench_config,
     prepare_bench,
+    read_corpus,
     read_manifest,
     run_bench,
     run_cell,
@@ -103,6 +104,11 @@ class TestCorpus:
         train, eval_lines = split_corpus(generate_corpus(5, 200, 60))
         assert not set(train) & set(eval_lines)
         assert train and eval_lines
+
+    def test_read_corpus_strips_and_drops_blank_lines(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"  ka lo \r\n\r\n\tmi  su\r\n   \r\nne\n\n")
+        assert read_corpus(str(path)) == ["ka lo", "mi  su", "ne"]
 
 
 class TestDataset:
@@ -353,6 +359,18 @@ class TestBenchConfigFile:
         assert cfg.beams == (5, 10)
         assert cfg.intervals == (16, 32, 64)
         assert cfg.lm_weight == pytest.approx(0.6)
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a comment starts at a "#" that begins the line or follows whitespace
+        path = tmp_path / "hash.cfg"
+        path.write_text(
+            "  # indented comment\n"
+            "corpus = /data/run#2/corpus.txt  # an inline comment\n"
+            "seed = 9\t# a tab before it\n"
+        )
+        cfg = parse_bench_config(str(path))
+        assert cfg.corpus_path == "/data/run#2/corpus.txt"
+        assert cfg.seed == 9
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -167,6 +167,28 @@ class TestVocabularyValidation:
         write_vocab(asr_tok.vocab, str(path))
         assert read_vocab(str(path)).tokens == asr_tok.vocab.tokens
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            SPECIAL_TOKENS + ("▁a", "b\nc"),
+            SPECIAL_TOKENS + ("▁a\r",),
+            SPECIAL_TOKENS + ("x\r\ny",),
+            ("<blank>\n",) + SPECIAL_TOKENS[1:] + ("▁a",),
+        ],
+        ids=["newline", "carriage-return", "crlf", "slot-0"],
+    )
+    def test_line_break_in_token_rejected(self, tokens):
+        # the file holds one token per line: "b\nc" would read back as "b" and "c"
+        with pytest.raises(VocabularyError, match="may not contain a line break"):
+            Vocabulary(tokens)
+
+    def test_odd_pieces_round_trip(self, tmp_path):
+        # spaces, a non-ASCII one too, are no line breaks
+        vocab = make_vocab(*ODD_PIECES)
+        path = tmp_path / "odd.vocab"
+        write_vocab(vocab, str(path))
+        assert read_vocab(str(path)).tokens == vocab.tokens
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.vocab"
         path.write_text("")
