@@ -22,10 +22,10 @@ Policies:
 * ``interval``  — fuse every I steps if any hypothesis has unscored words
 * ``shallow``   — reference baseline: score every candidate before pruning
 
-Both modes prune through one cut, ``_top_k``: ``np.partition`` finds the
+Both modes prune through one cut, ``_survivors``: ``np.partition`` finds the
 k-th best combined score, only the candidates at or above it (every tie) are
-sorted, and hypotheses are built for the survivors only.  What differs
-between the modes lives in a small step object:
+sorted, and the block's ``survivor`` builds hypotheses for the survivors only.
+What differs between the modes lives in a small step object:
 
 * ``_FrameStep`` (mode ``ctc``) advances one acoustic frame per step.
   ``extend_frame`` computes the CTC prefix recursion for the whole beam as
@@ -35,22 +35,23 @@ between the modes lives in a small step object:
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
   CTC prefix scorer, so all live hypotheses share a length.  ``expand``
   returns ``LabelCandidates``: ended hypotheses carried over as single
-  candidates, and one (live hypotheses, vocabulary) block of combined
-  scores with the impossible extensions masked out.  Prefix-scorer states
-  are built for survivors only, and unfinished hypotheses are closed with
-  ``</s>``.
+  candidates, and one (live hypotheses, vocabulary) block of label scores
+  with the impossible extensions masked out.  A live survivor holds its
+  parent's prefix-scorer state until ``prune`` builds the survivors' own
+  in one call, and unfinished hypotheses are closed with ``</s>``.
 
 Both candidate blocks are ``Candidates``, single items then one extension
 block whose column ``c`` extends by token id ``c``, answering ``valid``,
-``tokens(j)`` and ``views(j)`` for a flat index ``j``; ``families(kept)``
-groups the extension block by parent.  The shallow
-baseline is one more score term on the same cut: every valid candidate's
-whole content is scored, and those scores are added before the prune.  Its
-requests are built once per parent (``_shallow_requests``): the parent's
-rest is decoded and re-tokenized once and each child adds only its piece,
-with one word memo per LM that lives for one decode.  The step objects own
-every other mode difference too: the root hypothesis, the step count, and
-closing the last beam with each hypothesis's end-to-end score ``e2e``.
+``scores(weights)``, and ``tokens(j)``, ``views(j)`` and ``survivor(j, tokens)``
+for a flat index ``j``; ``families(kept)`` groups the extension block by
+parent.  The shallow baseline is one more score term on the same cut: every
+valid candidate's whole content is scored, and those scores are added
+before the prune.  Its requests are built once per parent
+(``_shallow_requests``): the parent's rest is decoded and re-tokenized once
+and each child adds only its piece, with one word memo per LM that lives
+for one decode.  The step objects own every other mode difference too: the
+root hypothesis, the step count, and closing the last beam with each
+hypothesis's end-to-end score ``e2e``.
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -218,7 +219,7 @@ class LMView(NamedTuple):
 
 @dataclass(slots=True, eq=False)
 class Hypothesis:
-    """One beam entry; ``tokens`` starts at ``<s>``.
+    """One beam entry; ``tokens`` starts at ``<s>``, and ``ended`` says if they end at ``</s>``.
 
     ``k`` is the complete-word source length, ``<s>`` not counted: what
     ``tokenizable_prefix_len(tokens)`` gives.  It is required: a step sets
@@ -229,11 +230,14 @@ class Hypothesis:
     log_blank: float = NEG_INF
     log_nonblank: float = NEG_INF
     e2e: float = 0.0
-    ended: bool = False
     views: list[LMView] = field(default_factory=list)
     state: object = None
     _: KW_ONLY
     k: int
+
+    @property
+    def ended(self) -> bool:
+        return self.tokens[-1] == EOS_ID
 
     def lm_combined(self, weights: Sequence[float]) -> float:
         total = 0.0
@@ -253,7 +257,8 @@ class Candidates:
     ``single_views[i]``.  Candidate ``S + r * V + c`` is ``parents[r]``, with
     its views, extended by id ``c``; ``V`` is ``len(begins)``, the per-id
     word-begin table that sets each extension's ``k``.  ``valid`` masks out
-    the indices that are no candidates.  Each mode adds scores and hypotheses.
+    the indices that are no candidates.  Each mode answers ``scores(weights)``
+    and ``survivor(j, tokens)``, so one cut (``_survivors``) serves both.
     """
 
     singles: Sequence[Hypothesis]
@@ -326,7 +331,7 @@ class FrameCandidates(Candidates):
     stay_nonblank: list[float]
     ext: np.ndarray
 
-    def hypothesis(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
+    def survivor(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
         """Candidate ``j``, whose tokens are ``tokens``, as a new hypothesis.
 
         It shares its parent's views.  A stay keeps its own entry's ``k``,
@@ -409,8 +414,8 @@ def _select_top(entries: list, beam_size: int | None) -> list:
     return entries[:beam_size]
 
 
-def _top_k(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[tuple]:
-    """``(index, tokens)`` of the ``beam_size`` best valid candidates, in ``_select_top`` order.
+def _survivors(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[Hypothesis]:
+    """The ``beam_size`` best valid candidates as ``cands.survivor``, in ``_select_top`` order.
 
     ``extra`` (the shallow LM scores, or None) is added to ``scores`` first.
     ``np.partition`` finds the k-th best score; only the valid candidates at
@@ -426,9 +431,8 @@ def _top_k(cands, scores: np.ndarray, extra, beam_size: int | None) -> list[tupl
         cut = scores.size - beam_size
         threshold = np.partition(scores, cut)[cut]
         kept = np.flatnonzero(valid & (scores >= threshold))
-    tokens = cands.tokens
-    entries = [(scores.item(j), tokens(j), j) for j in kept.tolist()]
-    return [(j, tokens) for _, tokens, j in _select_top(entries, beam_size)]
+    entries = [(scores.item(j), cands.tokens(j), j) for j in kept.tolist()]
+    return [cands.survivor(j, tokens) for _, tokens, j in _select_top(entries, beam_size)]
 
 
 def prune_frame_candidates(
@@ -437,12 +441,8 @@ def prune_frame_candidates(
     weights: Sequence[float],
     extra: np.ndarray | None = None,
 ) -> list[Hypothesis]:
-    """Keep the ``beam_size`` best candidates by acoustic plus weighted LM score.
-
-    Hypotheses are built for the survivors only.
-    """
-    kept = _top_k(cands, cands.scores(weights), extra, beam_size)
-    return [cands.hypothesis(j, tokens) for j, tokens in kept]
+    """Keep the ``beam_size`` best candidates by acoustic plus weighted LM score."""
+    return _survivors(cands, cands.scores(weights), extra, beam_size)
 
 
 # -- label-synchronous expansion ---------------------------------------------
@@ -454,32 +454,38 @@ class LabelCandidates(Candidates):
 
     The singles are the ended hypotheses, each carried over as itself, and
     the parents are the live ones.  Extension ``(r, c)`` has the prefix
-    scorer's label score ``label_scores[r, c]``.  ``scores`` holds every
-    index's stale combined score: ``e2e + LM`` for an ended hypothesis,
-    ``e2e + label score + LM`` for an extension.  Extensions whose label
+    scorer's label score ``label_scores[r, c]``.  Extensions whose label
     score is -inf are not candidates, and ``valid`` masks them out.
     """
 
     label_scores: np.ndarray
-    scores: np.ndarray
 
-    def candidate(self, j: int, tokens: tuple[int, ...]) -> tuple[Hypothesis, Hypothesis | None]:
-        """Candidate ``j``, whose tokens are ``tokens``, as (hypothesis, parent).
+    def survivor(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
+        """Candidate ``j``, whose tokens are ``tokens``, as a survivor.
 
-        An ended candidate is itself, with its own ``k``, and no parent.  An
-        extension is a new hypothesis sharing its parent's views.
+        An ended candidate is itself, with its own ``k``.  An extension is a
+        new hypothesis with its parent's views and, if live, its parent's
+        prefix-scorer state, which the prune replaces with its own.
         """
         if j < len(self.singles):
-            return self.singles[j], None
+            return self.singles[j]
         parent, r, c, k = self._extension(j)
-        child = Hypothesis(
+        return Hypothesis(
             tokens,
             e2e=parent.e2e + self.label_scores.item(r, c),
-            ended=tokens[-1] == EOS_ID,
             views=parent.views,
+            state=None if c == EOS_ID else parent.state,
             k=k,
         )
-        return child, parent
+
+    def scores(self, weights: Sequence[float]) -> np.ndarray:
+        """Stale combined scores: ``e2e + LM`` if ended, else ``e2e + label score + LM``."""
+        e2e = np.array([h.e2e for h in self.parents])
+        base_lm = np.array([h.lm_combined(weights) for h in self.parents])
+        # the same operation order as e2e + label score + LM, one candidate at a time
+        block = e2e[:, None] + self.label_scores + base_lm[:, None]
+        ended = [h.e2e + h.lm_combined(weights) for h in self.singles]
+        return np.concatenate([ended, block.ravel()])
 
 
 # -- LM bookkeeping ------------------------------------------------------------
@@ -645,28 +651,21 @@ class _LabelStep:
             raise DecodeError(
                 f"prefix scorer rows have {label_scores.shape[1]} scores, not {len(self.begins)}"
             )
-        e2e = np.array([h.e2e for h in live])
-        base_lm = np.array([h.lm_combined(self.weights) for h in live])
-        # the same operation order as e2e + label score + LM, one candidate at a time
-        block = e2e[:, None] + label_scores + base_lm[:, None]
-        scores = np.concatenate(
-            [[h.e2e + h.lm_combined(self.weights) for h in ended], block.ravel()]
-        )
         valid = np.concatenate(
             [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
         )
         ended_views = [h.views for h in ended]
-        return LabelCandidates(ended, ended_views, live, valid, self.begins, label_scores, scores)
+        return LabelCandidates(ended, ended_views, live, valid, self.begins, label_scores)
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
-        kept = _top_k(cands, cands.scores, extra, self.beam_size)
-        pairs = [cands.candidate(j, tokens) for j, tokens in kept]
-        growing = [(h, p.state) for h, p in pairs if p is not None and not h.ended]
-        if growing:
-            hyps, parents = zip(*growing)
-            for hyp, state in zip(hyps, self.scorer.child(parents, [h.tokens[-1] for h in hyps])):
+        survivors = _survivors(cands, cands.scores(self.weights), extra, self.beam_size)
+        # every live survivor is a new extension, holding its parent's state
+        live = [h for h in survivors if not h.ended]
+        if live:
+            states = self.scorer.child([h.state for h in live], [h.tokens[-1] for h in live])
+            for hyp, state in zip(live, states):
                 hyp.state = state
-        return [h for h, _ in pairs]
+        return survivors
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
         """End every unfinished hypothesis with its ``</s>`` score."""
@@ -676,7 +675,6 @@ class _LabelStep:
             for hyp, end in zip(live, ends):
                 hyp.e2e += end
                 hyp.tokens = hyp.tokens + (EOS_ID,)
-                hyp.ended = True
                 hyp.state = None
         return beam
 

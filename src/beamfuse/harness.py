@@ -167,7 +167,7 @@ def synth_dataset(
     frames_per_token: tuple[int, int],
     seed: int,
 ) -> list[Utterance]:
-    """Sample sentences and synthesize one emission matrix per utterance."""
+    """Sample sentences, words single-spaced as a manifest needs, and synthesize emissions."""
     if count < 1:
         raise HarnessError("count must be >= 1")
     if count > len(sentences):
@@ -182,7 +182,7 @@ def synth_dataset(
     picks = rng.choice(len(sentences), size=count, replace=False)
     out = []
     for i, idx in enumerate(picks):
-        reference = sentences[int(idx)]
+        reference = " ".join(sentences[int(idx)].split())
         ids = asr_tok.encode(reference)
         em = synth_emissions(
             ids,
@@ -219,6 +219,9 @@ def gen_dataset(
 
 def write_manifest(rows: Sequence[tuple[str, str, str]], path: str) -> None:
     """One ``id <TAB> emission path <TAB> reference`` line per utterance."""
+    for row in rows:
+        if any(ch in value for value in row for ch in "\t\r\n"):
+            raise HarnessError(f"a manifest field cannot hold a tab or a line break: {row!r}")
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write("\t".join(row) + "\n")
@@ -344,7 +347,6 @@ class BenchAssets:
     scorer: object
     asr_scorer: object
     utts: list[Utterance]
-    train_lines: list[str]
     eval_lines: list[str]
 
 
@@ -372,7 +374,7 @@ def prepare_bench(cfg: BenchConfig) -> BenchAssets:
     utts = synth_dataset(
         eval_lines, asr_tok, cfg.utterances, cfg.noise, cfg.frames_per_token, cfg.seed
     )
-    return BenchAssets(asr_tok, lm_tok, model, asr_model, utts, train_lines, eval_lines)
+    return BenchAssets(asr_tok, lm_tok, model, asr_model, utts, eval_lines)
 
 
 def _cells(cfg: BenchConfig) -> list[tuple[str, int, int | None]]:

@@ -8,6 +8,7 @@ import pytest
 from beamfuse.acoustic import (
     BLANK_ID,
     NEG_INF,
+    CtcPrefixScorer,
     EmissionMatrix,
     PrefixState,
     collapse_path,
@@ -15,20 +16,25 @@ from beamfuse.acoustic import (
     lse2,
 )
 from beamfuse.decoder import (
+    DecodeCounters,
+    DecodeResult,
     Hypothesis,
     LMSpec,
     LMView,
+    ScoredHypothesis,
+    StepTrace,
     _retokenize,
     _select_top,
     advance_views,
 )
 from beamfuse.harness import generate_corpus, split_corpus
-from beamfuse.lm import LMError, PrefixCacheEntry, train_ngram
+from beamfuse.lm import LMError, PrefixCacheEntry, ScoreRequest, train_ngram
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
     NUM_SPECIALS,
     SPECIAL_TOKENS,
+    UNK_ID,
     Tokenizer,
     Vocabulary,
     build_vocab,
@@ -406,11 +412,7 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights, vocab)
             out.append((parent, None))
             continue
         hyp = Hypothesis(
-            tokens,
-            e2e=parent.e2e + s,
-            ended=tokens[-1] == EOS_ID,
-            views=parent.views,
-            k=tokenizable_prefix_len(tokens, vocab),
+            tokens, e2e=parent.e2e + s, views=parent.views, k=tokenizable_prefix_len(tokens, vocab)
         )
         if not hyp.ended:
             hyp.state = scorer.child([parent.state], [tokens[-1]])[0]
@@ -445,7 +447,7 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
         for comb, tokens, (parent, s) in reference_label_entries(source, beam, ids, weights):
             e2e = parent.e2e if s is None else parent.e2e + s
             k = tokenizable_prefix_len(tokens, asr_tok.vocab)
-            hyp = Hypothesis(tokens, e2e=e2e, ended=tokens[-1] == EOS_ID, views=parent.views, k=k)
+            hyp = Hypothesis(tokens, e2e=e2e, views=parent.views, k=k)
             entries.append((comb, tokens, hyp))
 
     lm_totals = [0.0] * len(entries)
@@ -484,3 +486,165 @@ def reference_shallow_requests(cands, lms, asr_tok) -> list:
         for spec, view, reqs in zip(lms, views, out):
             reqs.append((_retokenize(view.lm_tokens, words, spec.tokenizer, {}), view.cache))
     return out
+
+
+# -- a whole decode, one candidate at a time -------------------------------------
+
+
+def _count_requests(counters, requests) -> None:
+    """One LM call: each request with tokens past its cache's ``scored_len``, and those tokens."""
+    new = [len(r.tokens) - r.cache.scored_len for r in requests]
+    counters.lm_calls += 1
+    counters.lm_hypotheses += sum(1 for n in new if n > 0)
+    counters.lm_tokens += sum(n for n in new if n > 0)
+
+
+def _reference_fires(policy, beam, t, shortest, prev_shortest) -> bool:
+    """Each policy's definition: whether the delayed pass runs after step ``t``."""
+    if policy.kind == "always":
+        return True
+    if policy.kind == "shortest":
+        return shortest > prev_shortest
+    if policy.kind == "interval":
+        unscored = any(v.cache.scored_len < len(v.lm_tokens) for h in beam for v in h.views)
+        return t % policy.interval == 0 and unscored
+    return False  # never, shallow
+
+
+def _reference_label_survivors(scorer, beam, ids, beam_size, weights) -> list:
+    """The label step's survivors from ``reference_label_entries`` and a full sort, ``k`` unset.
+
+    An ended hypothesis is carried over as itself; an extension gets its
+    parent's views and its own state from ``closed_form_child`` if it is live.
+    """
+    survivors = []
+    entries = reference_label_entries(scorer, beam, ids, weights)
+    for _, tokens, (parent, s) in _select_top(entries, beam_size):
+        if s is None:
+            survivors.append(parent)
+            continue
+        hyp = Hypothesis(tokens, e2e=parent.e2e + s, views=parent.views, k=0)
+        if not hyp.ended:
+            hyp.state = closed_form_child(scorer, parent.state, tokens[-1])
+        survivors.append(hyp)
+    return survivors
+
+
+def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
+    """``decode`` composed from the per-step references, one candidate at a time.
+
+    ``source`` is an ``EmissionMatrix``, and every scorer is an ``NGramModel``.
+    Each step expands and prunes with ``reference_frame_step`` or
+    ``reference_label_entries`` (``reference_shallow_step`` for shallow
+    fusion) and sets each survivor's ``k`` with ``tokenizable_prefix_len``.
+    Views are advanced from scratch with ``lm_tok.encode(asr_tok.decode(...))``.
+    Fusion is decided from each policy's definition and scored with
+    ``reference_score_batch``.  Label-sync children get ``closed_form_child``
+    states, and the last beam is closed with ``reference_candidate_scores``'s
+    ``</s>`` column.  Finalization scores every whole hypothesis plus
+    ``</s>`` from a fresh cache.
+    """
+    lms, beam_size = config.lms, config.beam
+    weights = [spec.weight for spec in lms]
+    vocab = asr_tok.vocab
+    real_ids = range(NUM_SPECIALS, vocab.size)
+    shallow = config.policy.kind == "shallow" and bool(lms)
+    views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
+    if config.mode == "ctc":
+        limit = source.num_frames
+        beam = [Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)]
+    else:
+        scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
+        limit = scorer.T
+        beam = [Hypothesis((BOS_ID,), views=views, state=scorer.root(), k=0)]
+    counters = DecodeCounters()
+    trace = []
+    prev_shortest = 0
+    for t in range(1, limit + 1):
+        counters.steps += 1
+        if config.mode == "ctc":
+            frame = source.log_probs[t - 1]
+            counters.hyps_expanded += len(reference_frame_candidates(beam, frame, real_ids))
+            if shallow:
+                survivors, deltas = reference_shallow_step(
+                    "ctc", frame, beam, asr_tok, lms, beam_size
+                )
+            else:
+                survivors = reference_frame_step(beam, frame, real_ids, beam_size, weights)
+        else:
+            ids = [*real_ids, EOS_ID]
+            counters.hyps_expanded += len(reference_label_entries(scorer, beam, ids, weights))
+            if shallow:
+                parents = {h.tokens: h for h in beam}
+                survivors, deltas = reference_shallow_step(
+                    "labelsync", scorer, beam, asr_tok, lms, beam_size
+                )
+                for hyp in survivors:
+                    if not hyp.ended:
+                        parent = parents[hyp.tokens[:-1]]
+                        hyp.state = closed_form_child(scorer, parent.state, hyp.tokens[-1])
+            else:
+                survivors = _reference_label_survivors(scorer, beam, ids, beam_size, weights)
+        if shallow:
+            for calls, hyps, tokens in deltas:
+                counters.lm_calls += calls
+                counters.lm_hypotheses += hyps
+                counters.lm_tokens += tokens
+        beam = survivors
+        for hyp in beam:
+            hyp.k = k = tokenizable_prefix_len(hyp.tokens, vocab)
+            text = asr_tok.decode(hyp.tokens[1 : 1 + k])
+            hyp.views = [
+                LMView(k, tuple(spec.tokenizer.encode(text)), view.cache)
+                for spec, view in zip(lms, hyp.views)
+            ]
+        fired, shortest = False, None
+        if lms:
+            shortest = min(len(h.views[0].lm_tokens) for h in beam)
+            fired = _reference_fires(config.policy, beam, t, shortest, prev_shortest)
+            prev_shortest = shortest
+        if fired:
+            for i, spec in enumerate(lms):
+                requests = [ScoreRequest(h.views[i].lm_tokens, h.views[i].cache) for h in beam]
+                _count_requests(counters, requests)
+                for hyp, cache in zip(beam, reference_score_batch(spec.scorer, requests)):
+                    view = hyp.views[i]
+                    hyp.views = [*hyp.views[:i], view._replace(cache=cache), *hyp.views[i + 1 :]]
+        if config.keep_trace and not shallow:
+            lm_state = ()
+            if lms:
+                caches = [h.views[0].cache for h in beam]
+                lm_state = tuple((c.scored_len, c.cum_logprob) for c in caches)
+            trace.append(StepTrace(t, fired, shortest, lm_state))
+        if all(h.ended for h in beam):
+            break
+
+    for hyp in beam:
+        if config.mode == "ctc":
+            hyp.e2e = lse2(hyp.log_blank, hyp.log_nonblank)
+        elif not hyp.ended:
+            hyp.e2e += float(reference_candidate_scores(scorer, hyp.state)[EOS_ID])
+            hyp.tokens += (EOS_ID,)
+    entries = []
+    lm_scores = [[] for _ in beam]
+    for i, spec in enumerate(lms):
+        requests = []
+        for hyp, scores in zip(beam, lm_scores):
+            seq = (*spec.tokenizer.encode(asr_tok.decode(hyp.tokens)), EOS_ID)
+            fresh = ScoreRequest(seq, spec.scorer.fresh_cache())
+            (cache,) = reference_score_batch(spec.scorer, [fresh])
+            scores.append(cache.cum_logprob)
+            requests.append(ScoreRequest(seq, hyp.views[i].cache))
+        _count_requests(counters, requests)
+        counters.lm_calls_final += 1
+    for hyp, scores in zip(beam, lm_scores):
+        total = hyp.e2e
+        for spec, raw in zip(lms, scores):
+            if spec.use_in_final:
+                total += spec.weight * raw
+        entries.append((total, hyp.tokens, tuple(scores), hyp.e2e))
+    nbest = [
+        ScoredHypothesis(asr_tok.decode(tokens), tokens, e2e, scores, total)
+        for total, tokens, scores, e2e in _select_top(entries, None)
+    ]
+    return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)

@@ -52,6 +52,7 @@ from beamfuse.tokenization import (
     NUM_SPECIALS,
     UNK_ID,
     Tokenizer,
+    build_vocab,
     tokenizable_prefix_len,
 )
 
@@ -60,6 +61,7 @@ from conftest import (
     CountingScorer,
     make_vocab,
     random_emissions,
+    reference_decode,
     reference_frame_candidates,
     reference_frame_step,
     reference_label_entries,
@@ -103,7 +105,7 @@ class TestGreedyCleanDecode:
 
 def _by_tokens(cands: FrameCandidates) -> dict:
     valid = np.flatnonzero(cands.valid).tolist()
-    return {t: cands.hypothesis(j, t) for j, t in zip(valid, map(cands.tokens, valid))}
+    return {t: cands.survivor(j, t) for j, t in zip(valid, map(cands.tokens, valid))}
 
 
 class TestExtend:
@@ -429,18 +431,21 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     assert len(cands) == len(entries)
     # every candidate, as the shallow path materializes it, matches one entry
     want_entries = {tokens: (score, p, s) for score, tokens, (p, s) in entries}
+    scores = cands.scores(weights)
     got_entries = {}
     for j in np.flatnonzero(cands.valid).tolist():
-        hyp, parent = cands.candidate(j, cands.tokens(j))
-        got_entries[hyp.tokens] = (cands.scores[j], hyp, parent)
+        hyp = cands.survivor(j, cands.tokens(j))
+        got_entries[hyp.tokens] = (scores[j], hyp)
     assert got_entries.keys() == want_entries.keys()
-    for tokens, (score, hyp, parent) in got_entries.items():
+    for tokens, (score, hyp) in got_entries.items():
         want_score, want_parent, s = want_entries[tokens]
         assert _bits(score) == _bits(want_score)
         if s is None:
-            assert hyp is want_parent and parent is None
+            assert hyp is want_parent
         else:
-            assert parent is want_parent and _bits(hyp.e2e) == _bits(want_parent.e2e + s)
+            # a new survivor holds its parent's views and, if live, its parent's state
+            assert hyp.views is want_parent.views and _bits(hyp.e2e) == _bits(want_parent.e2e + s)
+            assert hyp.state is (None if hyp.ended else want_parent.state)
 
     def children():
         # (parent state, label) of each child built since the last call
@@ -749,7 +754,6 @@ def _request_blocks(pick, tok, beam) -> list:
         Hypothesis(
             h.tokens + (EOS_ID,),
             e2e=-1.0,
-            ended=True,
             views=h.views,
             k=tokenizable_prefix_len(h.tokens + (EOS_ID,), tok.vocab),
         )
@@ -761,15 +765,7 @@ def _request_blocks(pick, tok, beam) -> list:
     label_scores = np.where(mask.random((len(live), tok.vocab.size)) < 0.75, -1.0, NEG_INF)
     label_scores[:, [BLANK_ID, BOS_ID, UNK_ID]] = NEG_INF
     valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
-    label = LabelCandidates(
-        ended,
-        [h.views for h in ended],
-        live,
-        valid,
-        tok.begins,
-        label_scores,
-        np.zeros(valid.size),
-    )
+    label = LabelCandidates(ended, [h.views for h in ended], live, valid, tok.begins, label_scores)
     return [frame, label]
 
 
@@ -851,6 +847,85 @@ class TestShallowRequestsPerParent:
         memos = [{} for _ in lms]
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
             assert_requests_match_reference(cands, lms, tok, memos)
+
+
+@pytest.fixture(scope="module")
+def decode_worlds() -> dict:
+    """Two small ASR tokenizers by name, each with a matched and a cross-vocabulary LM.
+
+    ``built`` is a ``build_vocab`` vocabulary over a four-letter corpus;
+    ``odd`` is ``ODD_PIECES``, whose LM corpus is decoded random id
+    sequences.  Both are small enough for exhaustive beams at T <= 3.
+    """
+    corpus = ["ab ba", "cab d", "bad ab", "dc ba ab", "a b c", "dab", "ca ad bc"] * 2
+    odd = Tokenizer(make_vocab(*ODD_PIECES))
+    rng = np.random.default_rng(61)
+    ids = rng.integers(NUM_SPECIALS, odd.vocab.size, size=(40, 6)).tolist()
+    odd_corpus = [text for text in map(odd.decode, ids) if text.split()]
+    worlds = {}
+    for name, tok, texts, cross_size in (
+        ("built", Tokenizer(build_vocab(corpus, 16)), corpus, 22),
+        ("odd", odd, odd_corpus, 28),
+    ):
+        cross_tok = Tokenizer(build_vocab(texts, cross_size))
+        matched = train_ngram([tok.encode(t) for t in texts], tok.vocab, 2, 0.4)
+        cross = train_ngram([cross_tok.encode(t) for t in texts], cross_tok.vocab, 3, 0.4)
+        worlds[name] = (tok, {"matched": (matched, tok), "cross": (cross, cross_tok)})
+    return worlds
+
+
+def _result_record(result) -> tuple:
+    """A decode result as plain values, every float as its hex; ``wall_seconds`` left out."""
+    def hexes(values):
+        return tuple(float(x).hex() for x in values)
+
+    assert result.best is result.nbest[0]
+    nbest = [
+        (h.text, h.tokens, hexes([h.e2e_score, h.combined_score]), hexes(h.lm_scores))
+        for h in result.nbest
+    ]
+    counters = dataclasses.replace(result.counters, wall_seconds=0.0)
+    trace = [
+        (s.step, s.fused, s.shortest_len, [(n, float(cum).hex()) for n, cum in s.lm_state])
+        for s in result.trace
+    ]
+    return nbest, counters, trace
+
+
+class TestDecodeMatchesReference:
+    """``decode`` equals ``conftest.reference_decode`` exactly on drawn small worlds.
+
+    The reference composes the per-step references one candidate at a time,
+    so this checks how ``decode``'s loop composes its steps: expand, prune,
+    view advance, the policy, the delayed pass, the trace, the all-ended exit
+    and finalization.
+    """
+
+    LM_SETS = ((), ("matched",), ("cross",), ("matched", "cross"), ("cross", "matched"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_decode_equals_reference(self, decode_worlds, data):
+        draw = data.draw
+        tok, models = decode_worlds[draw(st.sampled_from(("built", "odd")))]
+        frames = draw(st.integers(1, 10))
+        beam = draw(st.integers(1, 6) | (st.none() if frames <= 3 else st.nothing()))
+        kind = draw(st.sampled_from(POLICY_KINDS))
+        policy = FusionPolicy(kind, draw(st.integers(1, 3)) if kind == "interval" else 0)
+        lms = [
+            LMSpec(*models[name], draw(st.sampled_from([0.5, 1.5, 3.0])), draw(st.booleans()))
+            for name in draw(st.sampled_from(self.LM_SETS))
+        ]
+        mode = draw(st.sampled_from(MODES))
+        # sharper emissions end label-sync hypotheses early and make longer words
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        logits = rng.normal(size=(frames, tok.vocab.size)) * draw(st.sampled_from([1.0, 4.0]))
+        m = logits.max(axis=1, keepdims=True)
+        em = EmissionMatrix(logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))))
+
+        config = DecodeConfig(beam, policy, lms, mode=mode, keep_trace=True)
+        got = _result_record(decode(em, config, tok))
+        assert got == _result_record(reference_decode(em, config, tok))
 
 
 def _deep_len(value, seen) -> int:
@@ -985,7 +1060,6 @@ def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
             hyp.state = scorer.child([hyp.state], [c])[0]
         if pick(3) == 0:
             hyp.tokens += (EOS_ID,)
-            hyp.ended = True
     labelled = label_step.prune(label_step.expand(beam, 1), None)
     shapes["carried ended"] += sum(h in beam for h in labelled)
     extensions = [h for h in survivors if h.tokens not in by_tokens]
@@ -1280,7 +1354,7 @@ class TestHypothesisCarrier:
         with pytest.raises(TypeError):
             Hypothesis((BOS_ID,))
         with pytest.raises(TypeError):
-            Hypothesis((BOS_ID,), 0.0, NEG_INF, 0.0, False, [], None, 0)  # k is keyword-only
+            Hypothesis((BOS_ID,), 0.0, NEG_INF, 0.0, [], None, 0)  # k is keyword-only
 
     def test_identity_equality_and_slots(self):
         # beam code tells entries apart by identity: ``h in beam``, ``s is not h``
@@ -1292,6 +1366,17 @@ class TestHypothesisCarrier:
         assert not hasattr(first, "__dict__")
         with pytest.raises(AttributeError):
             first.label = 5
+
+    def test_ended_is_read_from_the_tokens(self):
+        # nothing can set ``ended`` apart from the tokens it describes
+        hyp = Hypothesis((BOS_ID, 5, EOS_ID), k=0)
+        assert hyp.ended
+        assert not Hypothesis((BOS_ID,), k=0).ended
+        assert not Hypothesis((BOS_ID, 5), k=0).ended
+        with pytest.raises(AttributeError):
+            hyp.ended = False
+        hyp.tokens = (BOS_ID, 5)
+        assert not hyp.ended
 
 
 class TestApplyLmScores:

@@ -26,6 +26,7 @@ from beamfuse.harness import (
     split_corpus,
     synth_dataset,
     wer,
+    write_manifest,
 )
 from beamfuse.tokenization import BOS_ID, EOS_ID
 
@@ -140,6 +141,26 @@ class TestDataset:
     def test_count_too_large(self, asr_tok):
         with pytest.raises(HarnessError, match="too small"):
             synth_dataset(["a b"], asr_tok, 5, 0.2, (1, 2), 0)
+
+    def test_inner_tabs_read_back(self, asr_tok, corpus_split, tmp_path):
+        # ``read_corpus`` strips a line's ends but keeps the whitespace inside it
+        _, eval_lines = corpus_split
+        sentences = [line.replace(" ", "\t", 1) for line in eval_lines[:4]]
+        rows = gen_dataset(sentences, asr_tok, str(tmp_path / "d"), 4, 0.4, (1, 2), 9)
+        assert read_manifest(str(tmp_path / "d" / "manifest.tsv")) == rows
+        words = {tuple(line.split()) for line in sentences}
+        assert {tuple(ref.split()) for _, _, ref in rows} == words
+        assert all(ref == " ".join(ref.split()) for _, _, ref in rows)
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_manifest_field_with_a_tab_or_line_break_rejected(self, tmp_path, bad, column):
+        row = ["utt0000", "d/utt0000.em", "ka lo"]
+        row[column] = bad
+        path = tmp_path / "manifest.tsv"
+        with pytest.raises(HarnessError, match="cannot hold a tab or a line break"):
+            write_manifest([("utt0001", "d/utt0001.em", "mi"), tuple(row)], str(path))
+        assert not path.exists()
 
     def test_emission_files_load(self, asr_tok, corpus_split, tmp_path):
         _, eval_lines = corpus_split
@@ -271,7 +292,7 @@ class TestBench:
         path = tmp_path / "corpus.txt"
         path.write_text("\n".join(lines) + "\n")
         assets = prepare_bench(_tiny_cfg(corpus_path=str(path)))
-        assert assets.train_lines == list(lines[: len(assets.train_lines)])
+        assert assets.eval_lines == split_corpus(lines)[1]
         assert len(assets.utts) == 3
 
 
