@@ -15,7 +15,11 @@ rather than a loop over frames.  The two differ by rounding only: 1.4e-13
 at T=60, 8.0e-13 at T=200 and 6.8e-12 at T=1,000 on benchmark emissions.
 With emissions down to -700 the sums reach -5e5 at T=1,000 and differ by
 up to 1.3e-9 (2.3e-15 relative); the loop is as far from the exact value
-there.
+there.  Next-token scores for a whole beam come from one product of
+rescaled probabilities, (states, T) by (T, V), with a log-space sum for
+any entry whose product falls below 1e-250; they differ from a log-space
+sum over frames by rounding only: at most 1.1e-13 relative, over 15,442
+random rows with T up to 1,000, logit scales up to 30 and V from 4 to 65.
 
 The scorer works on a whole beam per call, one row per state, and each
 row is bit-identical to its state scored alone (see ``CtcPrefixScorer``).
@@ -78,8 +82,11 @@ class EmissionMatrix:
 
 
 def _logsumexp_rows(arr: np.ndarray) -> np.ndarray:
-    m = arr.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(arr - m).sum(axis=1, keepdims=True))).ravel()
+    """log(sum(exp(row))) for each row of a 2-D block; a row of -inf gives -inf."""
+    m = arr.max(axis=1)
+    safe_m = np.where(m > NEG_INF, m, 0.0)
+    with np.errstate(divide="ignore"):
+        return safe_m + np.log(np.exp(arr - safe_m[:, None]).sum(axis=1))
 
 
 # -- exact oracles (exponential; small instances only) -----------------------
@@ -203,12 +210,15 @@ class CtcPrefixScorer:
     total CTC log-probability.
 
     Both methods take a batch of states and return one row per state, so a
-    label step makes one call of each whatever the beam size.  A row holds
-    -inf on frames its prefix cannot reach yet, which ``exp`` turns into
-    exact zeros, and each sum over frames runs along the row's contiguous
-    frames or adds frames in order, as for one state; so every row is
+    label step makes one call of each whatever the beam size.  Every sum
+    over frames is taken per row, all T frames in an order that does not
+    depend on the batch: along the row's contiguous frames, or as the
+    ``np.einsum`` product of ``candidate_scores``; so every row is
     bit-identical to its state scored alone.
     """
+
+    # a product below this is recomputed in log space (see candidate_scores)
+    PRODUCT_FLOOR = 1e-250
 
     def __init__(self, em: EmissionMatrix, eos_id: int, disallowed: Sequence[int] = ()):
         self.eos_id = eos_id
@@ -222,6 +232,9 @@ class CtcPrefixScorer:
         self._cum = np.zeros((self.V, self.T + 1))
         np.cumsum(self.frames.T, axis=1, out=self._cum[:, 1:])
         self._blank_cum = self._cum[BLANK_ID]
+        # each emission column scaled by its max: frames == _col_max + log(_exp_frames)
+        self._col_max = self.frames.max(axis=0)
+        self._exp_frames = np.exp(self.frames - self._col_max)
 
     def root(self) -> PrefixState:
         r_nb = np.full(self.T + 1, NEG_INF)
@@ -236,28 +249,45 @@ class CtcPrefixScorer:
     def candidate_scores(self, states: Sequence[PrefixState]) -> np.ndarray:
         """One (len(states), V) block of next-token scores; disallowed ids are -inf.
 
-        Frames before the first one any path of the batch can reach
-        contribute exact zeros to every sum, so they are skipped; a row that
-        starts later holds -inf on the frames before its own start.  A dead
-        state (``prefix_logprob`` -inf) gets a row of -inf.
+        With ``both[s, t]`` the log-probability that state ``s``'s prefix is
+        complete after t frames, the starts-with probability of ``s``
+        extended by ``c`` is ``sum_t exp(both[s, t] + F[t, c])``.  Each row
+        of ``both`` is scaled by its max ``m_s`` and each emission column
+        by its max ``M_c`` (once, in ``__init__``), so it is
+        ``m_s + M_c + log(sum_t exp(both[s, t] - m_s) * exp(F[t, c] - M_c))``:
+        one (S, T) x (T, V) product of numbers in [0, 1], as Graves et al.
+        rescale the CTC forward-backward.  The column of a state's last
+        label, which only a blank-ending path may extend, is one gathered
+        log-space sum over ``r_blank``.
+
+        A term lost to underflow in the product is below e^-745 (5e-324)
+        relative to ``e^(m_s + M_c)``; once the sum is at least 1e-250,
+        each lost term is below 5e-74 of the sum, so their total is
+        negligible next to its rounding.  An entry whose product is
+        smaller (zero included) is recomputed in log space.
+
+        The product is ``np.einsum``, which sums every output entry over
+        the row's frames in the same order whatever the batch, where a
+        BLAS ``@`` may not; so every row is bit-identical to its state
+        scored alone.  A dead state (``prefix_logprob`` -inf) gets a row of
+        -inf.
         """
         r_b, r_nb = self._stack(states)
         prefix = np.array([s.prefix_logprob for s in states])
         both = np.logaddexp(r_b[:, :-1], r_nb[:, :-1])
-        reached = np.flatnonzero((both > NEG_INF).any(axis=0))
-        start = reached[0] if reached.size else self.T
-        # a new label at frame t follows any path of the prefix, or only a
-        # blank-ending one when it repeats the last label
-        acc = both[:, start:, None] + self.frames[start:]
+        m = both.max(axis=1, initial=NEG_INF)
+        safe_m = np.where(m > NEG_INF, m, 0.0)
+        product = np.einsum("st,tv->sv", np.exp(both - safe_m[:, None]), self._exp_frames)
+        with np.errstate(divide="ignore"):
+            pp_new = (safe_m[:, None] + self._col_max) + np.log(product)
+        low_r, low_c = np.nonzero(product < self.PRODUCT_FLOOR)
+        if low_r.size:  # rare: underflow, or a row complete at no frame before T
+            pp_new[low_r, low_c] = _logsumexp_rows(both[low_r] + self.frames[:, low_c].T)
+        # repeating the last label extends only the paths that end in blank
         rows = [r for r, s in enumerate(states) if s.last_label is not None]
         lasts = [states[r].last_label for r in rows]
-        acc[rows, :, lasts] = r_b[rows, start:-1] + self.frames[start:, lasts].T
-        m = acc.max(axis=1, initial=NEG_INF)
-        safe_m = np.where(np.isfinite(m), m, 0.0)
-        acc -= safe_m[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pp_new = safe_m + np.log(np.exp(acc, out=acc).sum(axis=1))
-            pp_new[~np.isfinite(m)] = NEG_INF
+        pp_new[rows, lasts] = _logsumexp_rows(r_b[rows, :-1] + self.frames[:, lasts].T)
+        with np.errstate(invalid="ignore"):
             scores = pp_new - prefix[:, None]
         scores[:, self.eos_id] = end_scores(states)
         scores[:, self._banned] = NEG_INF

@@ -233,8 +233,22 @@ def _drift(got, want) -> float:
     return float(np.max(np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))))
 
 
+def assert_scores_match_reference(scorer, states):
+    """Each batched row is bit-equal to its state scored alone, which is within
+    1e-9·max(1, |ref|) of the log-space reference with the same -inf entries."""
+    got = scorer.candidate_scores(states)
+    assert got.shape == (len(states), scorer.V)
+    for row, state in zip(got, states):
+        alone = scorer.candidate_scores([state])[0]
+        assert row.tobytes() == alone.tobytes()
+        want = reference_candidate_scores(scorer, state)
+        assert not np.isnan(alone).any() and _same_neg_inf(alone, want)
+        assert _drift(alone, want) <= 1e-9
+    return got
+
+
 class TestScorerMatchesReference:
-    """The closed-form ``child`` and trimmed ``candidate_scores`` against the loops."""
+    """The closed-form ``child`` and exp-space ``candidate_scores`` against the loops."""
 
     def test_candidate_scores_bit_equal_at_every_depth(self):
         rng = np.random.default_rng(20)
@@ -244,14 +258,12 @@ class TestScorerMatchesReference:
             scorer = CtcPrefixScorer(em, 5, disallowed=(4,))
             for _ in range(4):
                 # deeper than T, so the chain reaches -inf prefix probabilities
-                state = scorer.root()
-                for label in [None] + _label_chain(rng, [1, 2, 3], frames + 2):
-                    if label is not None:
-                        state = scorer.child([state], [label])[0]
-                    got = scorer.candidate_scores([state])[0]
-                    want = reference_candidate_scores(scorer, state)
-                    assert got.tobytes() == want.tobytes()
-                    dead += state.prefix_logprob == NEG_INF
+                chain = [scorer.root()]
+                for label in _label_chain(rng, [1, 2, 3], frames + 2):
+                    chain.append(scorer.child([chain[-1]], [label])[0])
+                # every depth in one batch, each row as scored alone
+                assert_scores_match_reference(scorer, chain)
+                dead += sum(state.prefix_logprob == NEG_INF for state in chain)
         assert dead > 0
 
     def test_candidate_scores_bit_equal_on_reference_states(self):
@@ -259,11 +271,10 @@ class TestScorerMatchesReference:
         em = EmissionMatrix(random_emissions(rng, 12, 7))
         scorer = CtcPrefixScorer(em, 6)
         for _ in range(10):
-            state = scorer.root()
+            chain = [scorer.root()]
             for label in _label_chain(rng, [1, 2, 3, 4, 5], 8):
-                state = reference_child(scorer, state, label)
-                got = scorer.candidate_scores([state])[0]
-                assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
+                chain.append(reference_child(scorer, chain[-1], label))
+            assert_scores_match_reference(scorer, chain)
 
     def test_repeat_with_no_blank_ending_path_is_impossible(self):
         # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
@@ -274,6 +285,20 @@ class TestScorerMatchesReference:
         got = scorer.candidate_scores([state])[0]
         assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
         assert np.all(got == NEG_INF)
+
+    def test_underflowed_product_is_recomputed_in_log_space(self):
+        # root, c = 2: both = (0, -800) over the two frames and F[:, 2] =
+        # (-900, ~0), so each term of the scaled product underflows to 0
+        # while the true score is log(e^-900 + e^-800), about -800
+        rows = np.array([[-800.0, 0.0, -900.0, -50.0], [-40.0, -40.0, 0.0, -40.0]])
+        rows -= np.logaddexp.reduce(rows, axis=1, keepdims=True)
+        scorer = CtcPrefixScorer(EmissionMatrix(rows), 3)
+        root = scorer.root()
+        beam = [root, scorer.child([root], [1])[0], root]
+        got = assert_scores_match_reference(scorer, beam)
+        want = reference_candidate_scores(scorer, root)[2]
+        assert -801 < want < -799
+        assert np.isfinite(got[0, 2]) and _drift(got[0, 2], want) <= 1e-9
 
     @pytest.mark.parametrize("frames", [1, 2, 60, 200, 1000])
     @pytest.mark.parametrize("peaked", [False, True], ids=["random", "peaked"])
@@ -337,11 +362,9 @@ def _f64(x) -> bytes:
 
 
 def assert_batch_rows_equal_references(scorer, beam, labels):
-    """Every batched row equals its state scored alone, bit for bit."""
-    got = scorer.candidate_scores(beam)
-    assert got.shape == (len(beam), scorer.V)
-    for row, state in zip(got, beam):
-        assert row.tobytes() == reference_candidate_scores(scorer, state).tobytes()
+    """Every batched row equals its state scored alone, bit for bit, and is
+    within 1e-9 of the reference; each child equals the closed form exactly."""
+    assert_scores_match_reference(scorer, beam)
     children = scorer.child(beam, labels)
     assert len(children) == len(beam)
     for child, state, label in zip(children, beam, labels):

@@ -9,12 +9,30 @@ trace: 1,440 decodes.  Each result is reduced to plain values (``wall_seconds``
 zeroed, numpy floats turned into Python floats) and the ``repr`` of the
 list is hashed, so two checkouts print the same line exactly when every
 hypothesis, score, counter and trace entry is bit-identical.
+
+A change that moves scores by rounding changes the hash, so the records can
+also be kept and compared with a tolerance:
+
+    PYTHONPATH=src python3 tools/decode_grid.py --save grid.json      # in the parent
+    PYTHONPATH=src python3 tools/decode_grid.py --against grid.json   # in the change
+
+``--save`` writes the plain records as JSON.  ``--against`` compares them
+record by record: every value that is not a float (n-best tokens and texts,
+counters, trace lengths, ``scored_len``, ...) must be equal, and every
+float within ``TOLERANCE``·max(1, |ref|), infinities equal.  It prints how
+many decodes were compared and how many are bit-identical, and the worst
+drift; the exit status is 1 when any record differs beyond that.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +41,7 @@ from beamfuse.harness import BenchConfig, prepare_bench
 
 BEAMS = {"ctc": (1, 5, 10, 20, 40), "labelsync": (1, 5, 10, 20)}
 INTERVAL = 3
+TOLERANCE = 1e-9
 
 
 def plain(value):
@@ -44,7 +63,8 @@ def lm_sets(assets) -> dict[str, list[LMSpec]]:
     return {"none": [], "matched": [matched], "cross": [cross], "both": [matched, second]}
 
 
-def main() -> None:
+def grid_records() -> list[tuple]:
+    """``(mode, policy kind, LM set, beam, plain result)`` for every decode of the grid."""
     assets = prepare_bench(BenchConfig(seed=7, utterances=8, noise=0.47, frames_per_token=(1, 2)))
     records = []
     for mode, beams in BEAMS.items():
@@ -57,9 +77,77 @@ def main() -> None:
                         result = decode(utt.emissions, config, assets.asr_tok)
                         result.counters.wall_seconds = 0.0
                         records.append((mode, kind, name, beam, plain(dataclasses.asdict(result))))
+    return records
+
+
+def drift(got, ref, path: str = "") -> float:
+    """The largest float drift between two plain values, relative to max(1, |ref|).
+
+    Raises ``ValueError`` naming the first path where they differ in
+    anything but float rounding within ``TOLERANCE``.
+    """
+    if isinstance(ref, float) and isinstance(got, float):
+        if got == ref:
+            return 0.0
+        if math.isfinite(ref) and math.isfinite(got):
+            d = abs(got - ref) / max(1.0, abs(ref))
+            if d <= TOLERANCE:
+                return d
+        raise ValueError(f"{path}: {got!r} against {ref!r}")
+    if isinstance(ref, dict) and isinstance(got, dict):
+        if got.keys() != ref.keys():
+            raise ValueError(f"{path}: keys {sorted(got)} against {sorted(ref)}")
+        return max((drift(got[k], ref[k], f"{path}.{k}") for k in ref), default=0.0)
+    if isinstance(ref, (list, tuple)) and isinstance(got, (list, tuple)):
+        if len(got) != len(ref):
+            raise ValueError(f"{path}: length {len(got)} against {len(ref)}")
+        return max((drift(g, r, f"{path}[{i}]") for i, (g, r) in enumerate(zip(got, ref))),
+                   default=0.0)
+    if type(got) is not type(ref) or got != ref:
+        raise ValueError(f"{path}: {got!r} against {ref!r}")
+    return 0.0
+
+
+def compare(records: list, refs: list) -> tuple[list[str], list[float | None]]:
+    """Each record against its reference: the mismatches, and each record's drift or None."""
+    if len(records) != len(refs):
+        return [f"{len(records)} decodes against {len(refs)}"], [None] * len(records)
+    problems, drifts = [], []
+    for i, (got, ref) in enumerate(zip(records, refs)):
+        try:
+            drifts.append(drift(got, ref, f"decode {i} {tuple(ref[:4])}"))
+        except ValueError as exc:
+            problems.append(str(exc))
+            drifts.append(None)
+    return problems, drifts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", type=Path, help="write the plain records to this JSON file")
+    parser.add_argument("--against", type=Path,
+                        help="compare the records with a file written by --save")
+    args = parser.parse_args(argv)
+    records = grid_records()
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     print(f"{len(records)} decodes sha256 {digest}")
+    if args.save:
+        args.save.write_text(json.dumps(records) + "\n")
+    if args.against is None:
+        return 0
+    # JSON keeps floats exactly and turns tuples into lists, which compare as equal
+    problems, drifts = compare(records, json.loads(args.against.read_text()))
+    for line in problems[:10]:
+        print(f"differs: {line}")
+    exact = {mode: 0 for mode in BEAMS}
+    for (mode, *_), d in zip(records, drifts):
+        exact[mode] += d == 0.0
+    identical = ", ".join(f"{n} {mode}" for mode, n in exact.items())
+    worst = max((d for d in drifts if d is not None), default=0.0)
+    print(f"compared {len(records)} decodes against {args.against}: {len(problems)} differ,"
+          f" bit-identical {identical}, worst drift {worst:.3g}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
