@@ -25,33 +25,39 @@ Policies:
 Both modes prune through one cut, ``_survivors``: ``np.partition`` finds the
 k-th best combined score, only the candidates at or above it (every tie) are
 sorted, and the block's ``survivor`` builds hypotheses for the survivors only.
-What differs between the modes lives in a small step object:
+A hypothesis has one shape in both modes: ``e2e`` is its acoustic score so
+far and ``state`` the mode's recursion state.  What differs between the
+modes lives in a small step object:
 
 * ``_FrameStep`` (mode ``ctc``) advances one acoustic frame per step.
   ``extend_frame`` computes the CTC prefix recursion for the whole beam as
   arrays: each hypothesis's blank/non-blank stay pair plus a (beam, vocabulary)
   block of extension scores, with the reserved ids masked out and duplicate
-  prefixes folded into the stay pair of the beam entry they equal.
+  prefixes folded into the stay pair of the beam entry they equal.  The
+  state is the blank/non-blank pair, and ``e2e`` their total.
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
   CTC prefix scorer, so all live hypotheses share a length.  ``expand``
   returns ``LabelCandidates``: ended hypotheses carried over as single
-  candidates, and one (live hypotheses, vocabulary) block of label scores
-  with the impossible extensions masked out.  A live survivor holds its
-  parent's prefix-scorer state until ``prune`` builds the survivors' own
-  in one call, and unfinished hypotheses are closed with ``</s>``.
+  candidates, and one (live hypotheses, vocabulary) block of each parent's
+  ``e2e`` plus its label scores, with the impossible extensions masked out.
+  A live survivor holds its parent's prefix-scorer state until ``prune``
+  builds the survivors' own in one call, and unfinished hypotheses are
+  closed with ``</s>``.
 
-Both candidate blocks are ``Candidates``, single items then one extension
-block whose column ``c`` extends by token id ``c``, answering ``valid``,
+Both candidate blocks are ``Candidates``: single items, each with its own
+acoustic score and state, then one block of acoustic extension scores
+whose column ``c`` extends by token id ``c``.  The base answers ``valid``,
 ``scores(weights)``, and ``tokens(j)``, ``views(j)`` and ``survivor(j, tokens)``
 for a flat index ``j``; ``families(kept)`` groups the extension block by
-parent.  The shallow baseline is one more score term on the same cut: every
+parent.  A mode's block supplies only the state an extension grows.  The
+shallow baseline is one more score term on the same cut: every
 valid candidate's whole content is scored, and those scores are added
 before the prune.  Its requests are built once per parent
 (``_shallow_requests``): the parent's rest is decoded and re-tokenized once
 and each child adds only its piece, with one word memo per LM that lives
 for one decode.  The step objects own every other mode difference too: the
-root hypothesis, the step count, and closing the last beam with each
-hypothesis's end-to-end score ``e2e``.
+root hypothesis, the step count, and closing the last beam (label-sync
+hypotheses end with ``</s>``).
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -221,14 +227,17 @@ class LMView(NamedTuple):
 class Hypothesis:
     """One beam entry; ``tokens`` starts at ``<s>``, and ``ended`` says if they end at ``</s>``.
 
-    ``k`` is the complete-word source length, ``<s>`` not counted: what
+    Both modes give it one shape.  ``e2e`` is its acoustic log-probability
+    so far: in ``ctc`` the prefix total ``lse2(*state)``, in ``labelsync``
+    the sum of its label scores.  ``state`` is the mode's recursion state:
+    the ``(log_blank, log_nonblank)`` pair in ``ctc``, the prefix scorer's
+    ``PrefixState`` in ``labelsync`` (None once ended).  ``k`` is the
+    complete-word source length, ``<s>`` not counted: what
     ``tokenizable_prefix_len(tokens)`` gives.  It is required: a step sets
     it in O(1) for each hypothesis it builds, and a hand-built one passes it.
     """
 
     tokens: tuple[int, ...]
-    log_blank: float = NEG_INF
-    log_nonblank: float = NEG_INF
     e2e: float = 0.0
     views: list[LMView] = field(default_factory=list)
     state: object = None
@@ -239,12 +248,6 @@ class Hypothesis:
     def ended(self) -> bool:
         return self.tokens[-1] == EOS_ID
 
-    def lm_combined(self, weights: Sequence[float]) -> float:
-        total = 0.0
-        for w, view in zip(weights, self.views):
-            total += w * view.cache.cum_logprob
-        return total
-
 
 # -- candidate blocks ----------------------------------------------------------
 
@@ -254,16 +257,22 @@ class Candidates:
     """One step's candidates: single items, then a (P, V) extension block.
 
     Candidate ``i`` (``i < S``) is ``singles[i]`` with LM views
-    ``single_views[i]``.  Candidate ``S + r * V + c`` is ``parents[r]``, with
-    its views, extended by id ``c``; ``V`` is ``len(begins)``, the per-id
-    word-begin table that sets each extension's ``k``.  ``valid`` masks out
-    the indices that are no candidates.  Each mode answers ``scores(weights)``
-    and ``survivor(j, tokens)``, so one cut (``_survivors``) serves both.
+    ``single_views[i]``, acoustic score ``single_scores[i]`` and recursion
+    state ``single_states[i]``.  Candidate ``S + r * V + c`` is
+    ``parents[r]``, with its views, extended by id ``c``, with acoustic
+    score ``block[r, c]``; ``V`` is ``len(begins)``, the per-id word-begin
+    table that sets each extension's ``k``.  ``valid`` masks out the indices
+    that are no candidates.  Each mode supplies only ``_grown``, the state
+    an extension grows, so one ``scores`` and one ``survivor`` serve the one
+    cut (``_survivors``) of both.
     """
 
     singles: Sequence[Hypothesis]
     single_views: Sequence[list[LMView]]
+    single_scores: list[float]
+    single_states: Sequence
     parents: Sequence[Hypothesis]
+    block: np.ndarray
     valid: np.ndarray
     begins: Sequence[bool]
 
@@ -299,16 +308,38 @@ class Candidates:
                 start += count
         return kept[:split].tolist(), families
 
-    def _extension(self, j: int) -> tuple[Hypothesis, int, int, int]:
-        """Extension ``j``: its parent, block row, label and ``k``.
+    def scores(self, weights: Sequence[float]) -> np.ndarray:
+        """Acoustic plus weighted LM score of every index, -inf where not valid.
 
-        A word-begin label closes the parent's last word; a continuation or
-        ``</s>`` keeps the parent's ``k``.
+        The LM part is stale: each LM's weighted ``cum_logprob`` of the
+        candidate's views, added one LM at a time in LM order.
         """
-        r, c = divmod(j - len(self.singles), len(self.begins))
+        single, block = np.array(self.single_scores), self.block
+        for k, w in enumerate(weights):
+            single = single + w * np.array([v[k].cache.cum_logprob for v in self.single_views])
+            lm = w * np.array([h.views[k].cache.cum_logprob for h in self.parents])
+            block = block + lm[:, None]
+        scores = np.concatenate([single, block.ravel()])
+        scores[~self.valid] = NEG_INF
+        return scores
+
+    def survivor(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
+        """Candidate ``j``, whose tokens are ``tokens``, as a new hypothesis.
+
+        A single item keeps its own entry's ``k``, even when a merge gave it
+        another entry's views.  An extension shares its parent's views; a
+        word-begin label closes the parent's last word, and a continuation
+        or ``</s>`` keeps the parent's ``k``.
+        """
+        n = len(self.singles)
+        if j < n:
+            views, state = self.single_views[j], self.single_states[j]
+            return Hypothesis(tokens, self.single_scores[j], views, state, k=self.singles[j].k)
+        r, c = divmod(j - n, len(self.begins))
         parent = self.parents[r]
         k = len(parent.tokens) - 1 if self.begins[c] else parent.k
-        return parent, r, c, k
+        score = self.block.item(r, c)
+        return Hypothesis(tokens, score, parent.views, self._grown(parent, c, score), k=k)
 
 
 # -- frame-synchronous expansion ---------------------------------------------
@@ -320,42 +351,16 @@ class FrameCandidates(Candidates):
 
     The singles and the parents are both the beam.  Candidate ``i``
     (``i < B``) is ``beam[i]`` absorbing a blank or a repeat of its last
-    label, with pair ``(stay_blank[i], stay_nonblank[i])``.  Candidate
-    ``B + i * V + c`` is ``beam[i]`` extended by token id ``c``: non-blank
-    score ``ext[i, c]`` and blank score -inf.  Reserved ids are no
-    extensions, and an extension that equals another beam entry lives in
-    that entry's stay pair instead; ``valid`` masks both out.
+    label: its state is its stay pair ``(log_blank, log_nonblank)`` and its
+    score their total.  Candidate ``B + i * V + c`` is ``beam[i]`` extended
+    by token id ``c``: non-blank score ``block[i, c]`` and blank score -inf.
+    Reserved ids are no extensions, and an extension that equals another
+    beam entry lives in that entry's stay pair instead; ``valid`` masks both
+    out.
     """
 
-    stay_blank: list[float]
-    stay_nonblank: list[float]
-    ext: np.ndarray
-
-    def survivor(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
-        """Candidate ``j``, whose tokens are ``tokens``, as a new hypothesis.
-
-        It shares its parent's views.  A stay keeps its own entry's ``k``,
-        even when a merge gave it another entry's views.
-        """
-        if j < len(self.singles):
-            log_blank, log_nonblank = self.stay_blank[j], self.stay_nonblank[j]
-            return Hypothesis(
-                tokens, log_blank, log_nonblank, views=self.single_views[j], k=self.singles[j].k
-            )
-        parent, i, c, k = self._extension(j)
-        return Hypothesis(tokens, NEG_INF, self.ext.item(i, c), views=parent.views, k=k)
-
-    def scores(self, weights: Sequence[float]) -> np.ndarray:
-        """Acoustic plus weighted LM score of every index, -inf where not valid."""
-        stay = np.array([lse2(b, nb) for b, nb in zip(self.stay_blank, self.stay_nonblank)])
-        ext = self.ext
-        for k, w in enumerate(weights):
-            stay = stay + w * np.array([views[k].cache.cum_logprob for views in self.single_views])
-            lm = w * np.array([h.views[k].cache.cum_logprob for h in self.parents])
-            ext = ext + lm[:, None]
-        scores = np.concatenate([stay, ext.ravel()])
-        scores[~self.valid] = NEG_INF
-        return scores
+    def _grown(self, parent: Hypothesis, c: int, score: float) -> tuple[float, float]:
+        return (NEG_INF, score)
 
 
 def _views_key(views: Sequence[LMView]) -> tuple:
@@ -375,7 +380,7 @@ def extend_frame(
     merged candidate keeps the views with the larger ``_views_key`` (the lower
     beam index on a tie).
     """
-    tots = [lse2(h.log_blank, h.log_nonblank) for h in beam]
+    tots = [h.e2e for h in beam]
     ext = np.add.outer(tots, frame)
     row = frame.tolist()  # Python floats, as ``ext.item`` gives the extensions
     blank = row[BLANK_ID]
@@ -384,15 +389,15 @@ def extend_frame(
         stay_blank.append(tot + blank)
         if len(hyp.tokens) > 1:
             last = hyp.tokens[-1]
-            stay_nonblank.append(hyp.log_nonblank + row[last])
-            ext[i, last] = hyp.log_blank + row[last]
+            log_blank, log_nonblank = hyp.state
+            stay_nonblank.append(log_nonblank + row[last])
+            ext[i, last] = log_blank + row[last]
         else:
             stay_nonblank.append(NEG_INF)
 
     stay_views = [h.views for h in beam]
     valid = np.ones(len(beam) + ext.size, dtype=bool)
     valid[len(beam) :].reshape(ext.shape)[:, :NUM_SPECIALS] = False  # reserved ids: no extensions
-    cands = FrameCandidates(beam, stay_views, beam, valid, begins, stay_blank, stay_nonblank, ext)
     parents = {h.tokens: i for i, h in enumerate(beam)}
     for j, hyp in enumerate(beam):
         i = parents.get(hyp.tokens[:-1]) if len(hyp.tokens) > 1 else None
@@ -403,7 +408,9 @@ def extend_frame(
         if (_views_key(beam[i].views), -i) > (_views_key(hyp.views), -j):
             stay_views[j] = beam[i].views
         valid[len(beam) + i * len(frame) + last] = False
-    return cands
+    stays = list(zip(stay_blank, stay_nonblank))
+    stay_scores = [lse2(*pair) for pair in stays]
+    return FrameCandidates(beam, stay_views, stay_scores, stays, beam, ext, valid, begins)
 
 
 def _select_top(entries: list, beam_size: int | None) -> list:
@@ -452,40 +459,16 @@ def prune_frame_candidates(
 class LabelCandidates(Candidates):
     """One label step's candidates: ended hypotheses and an (L, V) extension block.
 
-    The singles are the ended hypotheses, each carried over as itself, and
-    the parents are the live ones.  Extension ``(r, c)`` has the prefix
-    scorer's label score ``label_scores[r, c]``.  Extensions whose label
-    score is -inf are not candidates, and ``valid`` masks them out.
+    The singles are the ended hypotheses, each carried over with its own
+    score, views and state, and the parents are the live ones.  Extension
+    ``(r, c)`` scores ``block[r, c]``, its parent's ``e2e`` plus the prefix
+    scorer's label score.  Extensions whose label score is -inf are not
+    candidates, and ``valid`` masks them out.
     """
 
-    label_scores: np.ndarray
-
-    def survivor(self, j: int, tokens: tuple[int, ...]) -> Hypothesis:
-        """Candidate ``j``, whose tokens are ``tokens``, as a survivor.
-
-        An ended candidate is itself, with its own ``k``.  An extension is a
-        new hypothesis with its parent's views and, if live, its parent's
-        prefix-scorer state, which the prune replaces with its own.
-        """
-        if j < len(self.singles):
-            return self.singles[j]
-        parent, r, c, k = self._extension(j)
-        return Hypothesis(
-            tokens,
-            e2e=parent.e2e + self.label_scores.item(r, c),
-            views=parent.views,
-            state=None if c == EOS_ID else parent.state,
-            k=k,
-        )
-
-    def scores(self, weights: Sequence[float]) -> np.ndarray:
-        """Stale combined scores: ``e2e + LM`` if ended, else ``e2e + label score + LM``."""
-        e2e = np.array([h.e2e for h in self.parents])
-        base_lm = np.array([h.lm_combined(weights) for h in self.parents])
-        # the same operation order as e2e + label score + LM, one candidate at a time
-        block = e2e[:, None] + self.label_scores + base_lm[:, None]
-        ended = [h.e2e + h.lm_combined(weights) for h in self.singles]
-        return np.concatenate([ended, block.ravel()])
+    def _grown(self, parent: Hypothesis, c: int, score: float) -> object:
+        # a live extension holds its parent's state until the prune builds its own
+        return None if c == EOS_ID else parent.state
 
 
 # -- LM bookkeeping ------------------------------------------------------------
@@ -588,8 +571,9 @@ def apply_lm_scores(
 # ``expand`` returns a step's candidates, sized by the step's expansion count;
 # ``prune(cands, extra)`` keeps the best by the stale combined score plus
 # ``extra`` (the shallow LM scores, or None) and builds the survivors as new
-# hypotheses.  ``close`` finishes the last beam: each hypothesis's ``e2e``
-# becomes its end-to-end score.
+# hypotheses.  ``close`` finishes the last beam, whose ``e2e`` then is each
+# hypothesis's end-to-end score: a frame beam's already is, and a label
+# beam's unfinished hypotheses end with ``</s>``.
 
 
 class _FrameStep:
@@ -605,7 +589,7 @@ class _FrameStep:
 
     def root(self) -> Hypothesis:
         views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
-        return Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)
+        return Hypothesis((BOS_ID,), 0.0, views, (0.0, NEG_INF), k=0)
 
     def expand(self, beam, t):
         return extend_frame(beam, self.rows[t - 1], self.begins)
@@ -614,8 +598,7 @@ class _FrameStep:
         return prune_frame_candidates(cands, self.beam_size, self.weights, extra)
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
-        for hyp in beam:
-            hyp.e2e = lse2(hyp.log_blank, hyp.log_nonblank)
+        """Nothing to do: each hypothesis's ``e2e`` is already its prefix total."""
         return beam
 
 
@@ -654,8 +637,9 @@ class _LabelStep:
         valid = np.concatenate(
             [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
         )
-        ended_views = [h.views for h in ended]
-        return LabelCandidates(ended, ended_views, live, valid, self.begins, label_scores)
+        block = np.array([h.e2e for h in live])[:, None] + label_scores
+        singles = ([h.views for h in ended], [h.e2e for h in ended], [h.state for h in ended])
+        return LabelCandidates(ended, *singles, live, block, valid, self.begins)
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
         survivors = _survivors(cands, cands.scores(self.weights), extra, self.beam_size)

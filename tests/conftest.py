@@ -195,6 +195,18 @@ class CTCScorePair:
 EMPTY_PREFIX_PAIR = CTCScorePair(0.0, NEG_INF)
 
 
+def ctc_hypothesis(tokens, log_blank, log_nonblank, views, *, k) -> Hypothesis:
+    """A ``ctc`` hypothesis: state ``(log_blank, log_nonblank)``, ``e2e`` their total."""
+    return Hypothesis(tokens, lse2(log_blank, log_nonblank), views, (log_blank, log_nonblank), k=k)
+
+
+def plus_stale_lm(score: float, weights, views) -> float:
+    """``score`` plus each LM's ``weight * cum_logprob``, added one LM at a time in LM order."""
+    for w, view in zip(weights, views):
+        score += w * view.cache.cum_logprob
+    return score
+
+
 def ctc_step_extend(
     pair: CTCScorePair,
     frame: Sequence[float],
@@ -270,7 +282,7 @@ def reference_frame_candidates(beam, frame, real_ids) -> dict:
     """
     cands: dict = {}
     for hyp in beam:
-        pair = CTCScorePair(hyp.log_blank, hyp.log_nonblank)
+        pair = CTCScorePair(*hyp.state)
         last = hyp.tokens[-1] if len(hyp.tokens) > 1 else None
         vkey = tuple((v.cache.scored_len, v.consumed) for v in hyp.views)
         _merge(cands, hyp.tokens, ctc_step_extend(pair, frame, last, None), hyp.views, vkey)
@@ -287,17 +299,13 @@ def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypo
     """
     entries = []
     for tokens, rec in reference_frame_candidates(beam, frame, real_ids).items():
-        comb = lse2(rec.log_blank, rec.log_nonblank)
-        for w, view in zip(weights, rec.views):
-            comb += w * view.cache.cum_logprob
+        comb = plus_stale_lm(lse2(rec.log_blank, rec.log_nonblank), weights, rec.views)
         entries.append((comb, tokens, rec))
     entries.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
     if beam_size is not None:
         entries = entries[:beam_size]
     return [
-        Hypothesis(
-            tokens, log_blank=rec.log_blank, log_nonblank=rec.log_nonblank, views=rec.views, k=0
-        )
+        ctc_hypothesis(tokens, rec.log_blank, rec.log_nonblank, rec.views, k=0)
         for _, tokens, rec in entries
     ]
 
@@ -381,20 +389,21 @@ def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
 
     Entries are ``(stale combined score, tokens, (parent, label score))``; an
     ended hypothesis is carried over as itself with label score ``None``, and
-    an extension whose label score is -inf is no candidate.
+    an extension whose label score is -inf is no candidate.  The stale
+    combined score is the acoustic score plus ``plus_stale_lm``'s LM terms.
     """
     entries = []
     for hyp in beam:
-        base_lm = hyp.lm_combined(weights)
         if hyp.ended:
-            entries.append((hyp.e2e + base_lm, hyp.tokens, (hyp, None)))
+            entries.append((plus_stale_lm(hyp.e2e, weights, hyp.views), hyp.tokens, (hyp, None)))
             continue
         scores = scorer.candidate_scores([hyp.state])[0]
         for c in candidate_ids:
             s = float(scores[c])
             if s == NEG_INF:
                 continue
-            entries.append((hyp.e2e + s + base_lm, hyp.tokens + (c,), (hyp, s)))
+            comb = plus_stale_lm(hyp.e2e + s, weights, hyp.views)
+            entries.append((comb, hyp.tokens + (c,), (hyp, s)))
     return entries
 
 
@@ -436,11 +445,9 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
     if mode == "ctc":
         real_ids = range(NUM_SPECIALS, asr_tok.vocab.size)
         for tokens, rec in reference_frame_candidates(beam, source, real_ids).items():
-            comb = lse2(rec.log_blank, rec.log_nonblank)
-            for w, view in zip(weights, rec.views):
-                comb += w * view.cache.cum_logprob
+            comb = plus_stale_lm(lse2(rec.log_blank, rec.log_nonblank), weights, rec.views)
             k = tokenizable_prefix_len(tokens, asr_tok.vocab)
-            hyp = Hypothesis(tokens, rec.log_blank, rec.log_nonblank, views=rec.views, k=k)
+            hyp = ctc_hypothesis(tokens, rec.log_blank, rec.log_nonblank, rec.views, k=k)
             entries.append((comb, tokens, hyp))
     else:
         ids = list(range(NUM_SPECIALS, asr_tok.vocab.size)) + [EOS_ID]
@@ -552,7 +559,7 @@ def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
     views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
     if config.mode == "ctc":
         limit = source.num_frames
-        beam = [Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)]
+        beam = [ctc_hypothesis((BOS_ID,), 0.0, NEG_INF, views, k=0)]
     else:
         scorer = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
         limit = scorer.T
@@ -621,7 +628,7 @@ def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
 
     for hyp in beam:
         if config.mode == "ctc":
-            hyp.e2e = lse2(hyp.log_blank, hyp.log_nonblank)
+            hyp.e2e = lse2(*hyp.state)
         elif not hyp.ended:
             hyp.e2e += float(reference_candidate_scores(scorer, hyp.state)[EOS_ID])
             hyp.tokens += (EOS_ID,)

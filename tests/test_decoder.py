@@ -59,6 +59,7 @@ from beamfuse.tokenization import (
 from conftest import (
     ODD_PIECES,
     CountingScorer,
+    ctc_hypothesis,
     make_vocab,
     random_emissions,
     reference_decode,
@@ -112,7 +113,7 @@ class TestExtend:
     def test_candidate_count(self, tiny):
         tok, _ = tiny
         em = EmissionMatrix(random_emissions(np.random.default_rng(0), 1, tok.vocab.size))
-        beam = [Hypothesis((BOS_ID,), log_blank=0.0, k=0)]
+        beam = [ctc_hypothesis((BOS_ID,), 0.0, NEG_INF, [], k=0)]
         cands = extend_frame(beam, em.log_probs[0], tok.begins)
         assert len(cands) == 4  # stay + one extension per ordinary token
 
@@ -121,9 +122,9 @@ class TestExtend:
         rng = np.random.default_rng(1)
         em = EmissionMatrix(random_emissions(rng, 1, tok.vocab.size))
         a = tok.vocab.token_id("▁a")
-        root = Hypothesis((BOS_ID,), log_blank=0.0, k=0)
+        root = ctc_hypothesis((BOS_ID,), 0.0, NEG_INF, [], k=0)
         k = tokenizable_prefix_len((BOS_ID, a), tok.vocab)
-        grown = Hypothesis((BOS_ID, a), log_blank=-1.0, log_nonblank=-2.0, k=k)
+        grown = ctc_hypothesis((BOS_ID, a), -1.0, -2.0, [], k=k)
         cands = extend_frame([root, grown], em.log_probs[0], tok.begins)
         # raw expansion is 2 * 4 = 8; (bos, a) appears as both stay and extension
         assert len(cands) == 7
@@ -133,10 +134,12 @@ class TestExtend:
         stay_blank = math.log(math.exp(-1.0) + math.exp(-2.0)) + row[0]
         stay_nonblank = -2.0 + row[a]
         ext_nonblank = 0.0 + row[a]  # root total is log(1)
-        assert merged.log_blank == pytest.approx(stay_blank, abs=1e-12)
-        assert merged.log_nonblank == pytest.approx(
+        log_blank, log_nonblank = merged.state
+        assert log_blank == pytest.approx(stay_blank, abs=1e-12)
+        assert log_nonblank == pytest.approx(
             math.log(math.exp(stay_nonblank) + math.exp(ext_nonblank)), abs=1e-12
         )
+        assert merged.e2e == lse2(log_blank, log_nonblank)
 
 
 class TestTokenizerTables:
@@ -166,15 +169,16 @@ class TestPrune:
         """
         beam = [Hypothesis(tokens, k=0) for tokens, _, _ in entries]
         n = len(beam)
+        stays = [(b, nb) for _, b, nb in entries]
         return FrameCandidates(
             beam,
             [[] for _ in beam],
+            [lse2(*pair) for pair in stays],
+            stays,
             beam,
+            np.empty((n, 0)),
             np.ones(n, dtype=bool),
             (),  # an empty table: a block of width 0, so no extensions
-            [b for _, b, _ in entries],
-            [nb for _, _, nb in entries],
-            np.empty((n, 0)),
         )
 
     def test_no_pruning_when_beam_large(self):
@@ -248,7 +252,7 @@ def _random_beam(rng, vocab_size, size, n_lms, extend_share=0.5, neg_inf_share=0
             pnb = NEG_INF
             if rng.random() < 0.5:
                 pb = NEG_INF
-        beam.append(Hypothesis(tokens, pb, pnb, views=_random_views(rng, n_lms), k=0))
+        beam.append(ctc_hypothesis(tokens, pb, pnb, _random_views(rng, n_lms), k=0))
     return beam
 
 
@@ -272,8 +276,8 @@ def assert_same_step(beam, frame, real_ids, beam_size, weights):
     want = reference_frame_step(beam, frame, real_ids, beam_size, weights)
     assert [h.tokens for h in got] == [h.tokens for h in want]
     for g, w in zip(got, want):
-        assert _bits(g.log_blank) == _bits(w.log_blank)
-        assert _bits(g.log_nonblank) == _bits(w.log_nonblank)
+        assert list(map(_bits, g.state)) == list(map(_bits, w.state))
+        assert _bits(g.e2e) == _bits(w.e2e)
         assert [(v.consumed, v.lm_tokens) for v in g.views] == [
             (v.consumed, v.lm_tokens) for v in w.views
         ]
@@ -367,9 +371,7 @@ def _frame_steps(draw):
             for _ in range(n_lms)
         ]
         # no id begins a word in the table ``assert_same_step`` passes, so ``k`` is 0
-        beam.append(
-            Hypothesis((BOS_ID,) + prefix, draw(_scores), draw(_scores), views=views, k=0)
-        )
+        beam.append(ctc_hypothesis((BOS_ID,) + prefix, draw(_scores), draw(_scores), views, k=0))
     logits = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=vocab_size, max_size=vocab_size)))
     m = logits.max()
     frame = logits - (m + np.log(np.exp(logits - m).sum()))
@@ -419,6 +421,13 @@ def _label_beams(rng, tok, scorer, n_lms, steps, width=8):
             beam.append(hyp)
 
 
+def assert_carried(got, ended):
+    """``got`` is the ended hypothesis ``ended`` carried over: a new one with its fields."""
+    assert got is not ended
+    assert got.tokens == ended.tokens and _bits(got.e2e) == _bits(ended.e2e)
+    assert got.views is ended.views and got.state is ended.state and got.k == ended.k
+
+
 def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     """The array label step and the reference keep the same survivors, bit for bit."""
     lms = [LMSpec(None, tok, w) for w in weights]
@@ -441,7 +450,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
         want_score, want_parent, s = want_entries[tokens]
         assert _bits(score) == _bits(want_score)
         if s is None:
-            assert hyp is want_parent
+            assert_carried(hyp, want_parent)
         else:
             # a new survivor holds its parent's views and, if live, its parent's state
             assert hyp.views is want_parent.views and _bits(hyp.e2e) == _bits(want_parent.e2e + s)
@@ -462,7 +471,7 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     assert [h.tokens for h in got] == [h.tokens for h, _ in want]
     for g, (w, parent) in zip(got, want):
         if parent is None:
-            assert g is w
+            assert_carried(g, w)
             continue
         assert _bits(g.e2e) == _bits(w.e2e)
         assert type(g.e2e) is type(w.e2e)
@@ -583,8 +592,8 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
     assert_requests_retokenize(cands, lms, tok)
     assert [h.tokens for h in got] == [h.tokens for h in want]
     for g, w in zip(got, want):
-        assert _bits(g.log_blank) == _bits(w.log_blank)
-        assert _bits(g.log_nonblank) == _bits(w.log_nonblank)
+        if mode == "ctc":
+            assert list(map(_bits, g.state)) == list(map(_bits, w.state))
         assert _bits(g.e2e) == _bits(w.e2e)
         assert g.ended == w.ended
         assert [(v.consumed, v.lm_tokens) for v in g.views] == [
@@ -621,7 +630,7 @@ def _shallow_ties(mode, source, beam, tok, lms) -> list[int]:
         hyp.views = _shallow_views(hyp, tok, lms)
     ranked, _ = reference_shallow_step(mode, source, beam, tok, lms, None)
     scores = [
-        (lse2(h.log_blank, h.log_nonblank) if mode == "ctc" else h.e2e)
+        h.e2e
         + sum(
             spec.weight
             * spec.scorer.sequence_logprob((BOS_ID, *spec.tokenizer.encode(tok.decode(h.tokens))))
@@ -707,7 +716,7 @@ class TestShallowRequests:
                     for spec in lms
                 ]
                 k = tokenizable_prefix_len(tokens, tok.vocab)
-                beam.append(Hypothesis(tokens, -1.0, -2.0, views=views, k=k))
+                beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
             _shallow_scores(cands, lms, tok, [{} for _ in lms], DecodeCounters())
@@ -739,7 +748,7 @@ def _request_beam(pick, tok, lms) -> list[Hypothesis]:
             for spec in lms
         ]
         k = tokenizable_prefix_len(tokens, tok.vocab)
-        beam.append(Hypothesis(tokens, -1.0, -2.0, views=views, k=k))
+        beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
     return beam
 
 
@@ -765,7 +774,9 @@ def _request_blocks(pick, tok, beam) -> list:
     label_scores = np.where(mask.random((len(live), tok.vocab.size)) < 0.75, -1.0, NEG_INF)
     label_scores[:, [BLANK_ID, BOS_ID, UNK_ID]] = NEG_INF
     valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
-    label = LabelCandidates(ended, [h.views for h in ended], live, valid, tok.begins, label_scores)
+    block = np.array([h.e2e for h in live])[:, None] + label_scores
+    ended_fields = [h.views for h in ended], [h.e2e for h in ended], [h.state for h in ended]
+    label = LabelCandidates(ended, *ended_fields, live, block, valid, tok.begins)
     return [frame, label]
 
 
@@ -1036,7 +1047,7 @@ def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
     The beam's ``k`` are right.  Returns the survivors of both steps and
     counts of the cases a wrong rule would get wrong: each kind of extension,
     merged stays holding another entry's views whose ``k`` differs, and
-    ended hypotheses carried over as themselves.
+    ended hypotheses carried over.
     """
     beam = _request_beam(pick, tok, lms)
     rows = random_emissions(np.random.default_rng(pick(2**16)), 12, tok.vocab.size)
@@ -1061,9 +1072,10 @@ def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
         if pick(3) == 0:
             hyp.tokens += (EOS_ID,)
     labelled = label_step.prune(label_step.expand(beam, 1), None)
-    shapes["carried ended"] += sum(h in beam for h in labelled)
+    ended = {h.tokens for h in beam if h.ended}
+    shapes["carried ended"] += sum(h.tokens in ended for h in labelled)
     extensions = [h for h in survivors if h.tokens not in by_tokens]
-    for c in (h.tokens[-1] for h in extensions + [h for h in labelled if h not in beam]):
+    for c in (h.tokens[-1] for h in extensions + [h for h in labelled if h.tokens not in ended]):
         word_begin = tok.vocab.is_word_begin(c)
         shapes["</s>" if c == EOS_ID else "word begin" if word_begin else "continuation"] += 1
     return survivors + labelled, shapes
@@ -1084,6 +1096,10 @@ class TestCarriedWordLength:
 
         def check(hyp):
             assert hyp.k == tokenizable_prefix_len(hyp.tokens, tok.vocab), hyp.tokens
+            if mode == "ctc":
+                # ``e2e`` is the total of the state pair, bit for bit, as Python floats
+                assert all(type(x) is float for x in (hyp.e2e, *hyp.state))
+                assert _bits(hyp.e2e) == _bits(lse2(*hyp.state)), hyp.tokens
             seen["checked"] += 1
 
         def checked_advance(hyp, *args):
@@ -1105,8 +1121,21 @@ class TestCarriedWordLength:
             return survivors
 
         def counted_label_prune(step, cands, extra):
+            # the expansion's label scores, from the same batch of states
+            label_scores = step.scorer.candidate_scores([h.state for h in cands.parents])
             survivors = label_prune(step, cands, extra)
-            seen["carried ended"] += sum(any(h is e for e in cands.singles) for h in survivors)
+            ended = {e.tokens: e for e in cands.singles}
+            parents = {h.tokens: r for r, h in enumerate(cands.parents)}
+            for hyp in survivors:
+                if hyp.tokens in ended:
+                    seen["carried ended"] += 1
+                    assert _bits(hyp.e2e) == _bits(ended[hyp.tokens].e2e)
+                    continue
+                # a live extension's ``e2e`` is its parent's plus its label score
+                r = parents[hyp.tokens[:-1]]
+                want = cands.parents[r].e2e + label_scores.item(r, hyp.tokens[-1])
+                assert _bits(hyp.e2e) == _bits(want), hyp.tokens
+                seen["extension"] += 1
             return survivors
 
         monkeypatch.setattr(decoder_mod, "advance_views", checked_advance)
@@ -1124,7 +1153,7 @@ class TestCarriedWordLength:
         if mode == "ctc":
             assert seen["stay with another entry's views"] > 10
         else:
-            assert seen["carried ended"] > 10
+            assert seen["carried ended"] > 10 and seen["extension"] > 1000
 
     @pytest.mark.parametrize("world", ("world", "odd"))
     def test_drawn_beams(self, request_worlds, world):
@@ -1212,7 +1241,7 @@ class TestPythonFloats:
         for t in range(1, step.limit + 1):
             beam = step.prune(step.expand(beam, t), None)
             for hyp in beam:
-                assert type(hyp.log_blank) is float and type(hyp.log_nonblank) is float
+                assert all(type(x) is float for x in (hyp.e2e, *hyp.state))
 
 
 def _view_hyp(scored_len, lm_len, cum=-1.0):
@@ -1342,11 +1371,11 @@ class TestValueSemantics:
         apply_lm_scores(survivors, lms, counters)
 
         assert any(s.views[0].cache.scored_len > 0 for s in survivors)
-        carried = {id(s) for s in survivors}  # ended label-sync hypotheses carry over as themselves
+        # every survivor is a new hypothesis, an ended label-sync one carried over too
+        assert not any(s is h for s in survivors for h in beam)
         for hyp, views, before in snapshot:
             assert _fields(views) == before
-            if id(hyp) not in carried:
-                assert hyp.views is views
+            assert hyp.views is views
 
 
 class TestHypothesisCarrier:
@@ -1354,18 +1383,23 @@ class TestHypothesisCarrier:
         with pytest.raises(TypeError):
             Hypothesis((BOS_ID,))
         with pytest.raises(TypeError):
-            Hypothesis((BOS_ID,), 0.0, NEG_INF, 0.0, [], None, 0)  # k is keyword-only
+            Hypothesis((BOS_ID,), 0.0, [], None, 0)  # k is keyword-only
 
     def test_identity_equality_and_slots(self):
         # beam code tells entries apart by identity: ``h in beam``, ``s is not h``
         views = [LMView(0, (), None)]
-        first, second = (Hypothesis((BOS_ID, 5), -1.0, -2.0, views=views, k=0) for _ in range(2))
+        first, second = (ctc_hypothesis((BOS_ID, 5), -1.0, -2.0, views, k=0) for _ in range(2))
         assert first != second and first == first
         assert len({first, second}) == 2
         assert first in [first] and first not in [second]
         assert not hasattr(first, "__dict__")
         with pytest.raises(AttributeError):
             first.label = 5
+
+    def test_one_shape_for_both_modes(self):
+        # the acoustic score and the mode's recursion state, nothing per mode beside them
+        names = [f.name for f in dataclasses.fields(Hypothesis)]
+        assert names == ["tokens", "e2e", "views", "state", "k"]
 
     def test_ended_is_read_from_the_tokens(self):
         # nothing can set ``ended`` apart from the tokens it describes
@@ -1384,7 +1418,7 @@ class TestApplyLmScores:
         tok, model = tiny
         spec = LMSpec(model, tok, 0.5)
         views = [LMView(0, (), model.fresh_cache())]
-        hyp = Hypothesis((BOS_ID,), log_blank=0.0, views=views, k=0)
+        hyp = Hypothesis((BOS_ID,), views=views, k=0)
         counters = DecodeCounters()
         apply_lm_scores([hyp], [spec], counters)
         assert _lm_counts(counters) == (1, 0, 0)  # one call, zero hypotheses and tokens
