@@ -83,3 +83,29 @@ def test_differences_are_reported(change):
 def test_a_missing_decode_is_reported():
     problems, drifts = decode_grid.compare([_record()], _saved([_record(), _record()]))
     assert problems == ["1 decodes against 2"] and drifts == [None]
+
+
+def test_the_origin_keys_each_decode_by_its_utterance():
+    other_beam = (*_record()[:3], 10, _record()[4])
+    keys = [tuple(r[:5]) for r in decode_grid.origin([_record(), _record(), other_beam])]
+    assert keys == [("labelsync", "shortest", "both", 5, 0), ("labelsync", "shortest", "both", 5, 1),
+                    ("labelsync", "shortest", "both", 10, 0)]
+    assert decode_grid.origin([_record()])[0][5] == {k: _record()[4][k] for k in ("best", "counters")}
+
+
+def test_origin_round_trip(tmp_path):
+    path = tmp_path / "origin.json.gz"
+    decode_grid.write_records(path, [_record()])
+    problems, drifts = decode_grid.compare(decode_grid.origin([_record()]),
+                                           decode_grid.read_records(path))
+    assert problems == [] and drifts == [0.0]
+
+
+def test_slice_matches_the_committed_origin():
+    # 2 utterances x both modes x every policy x every LM set at beam 10: 80 decodes
+    records = decode_grid.grid_records({"ctc": (10,), "labelsync": (10,)}, utterances=2)
+    got = decode_grid.origin(records)
+    refs = {tuple(r[:5]): r for r in decode_grid.read_records(decode_grid.ORIGIN)}
+    assert len(refs) == 1440 and len(got) == 80
+    problems, _ = decode_grid.compare(got, [refs[tuple(g[:5])] for g in got])
+    assert problems == []

@@ -21,12 +21,28 @@ when nothing is claimed.  An existing file is never overwritten: with
 and without it the script stops before running anything.  A summary of the runs just made,
 per workload and end-to-end metric (medians, the parent's quartile spread,
 the pairs the change won), is printed.
+
+A claimed gain also gets the claim rule's verdict (``verdict``), written
+into the file with the inputs it was decided on.  The rule: at least
+``MIN_PAIRS`` pairs of the claimed workload; the change wins at least
+``MIN_WIN_SHARE`` of them; its median beats the parent's by more than the
+parent's quartile spread; every run is correct, and on every workload no
+end-to-end metric's median is worse than the parent's by more than its
+``BENCHMARK.json`` bound.  The verdict of a committed file's records is
+printed without running anything by
+
+    python3 tools/bench_pairs.py --verdict BENCH_19.json [--workload W]
+
+A seed that a committed ``BENCH_*.json`` records, or one of
+``UNRECORDED_SEEDS``, is refused: a gain is claimed on a workload no
+earlier run was tuned against.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -35,6 +51,13 @@ import time
 from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10
+MIN_WIN_SHARE = 0.9
+CLAIMED_METRIC = "ms_per_frame"
+# seeds used for benchmarks before every run was recorded in a BENCH_*.json
+UNRECORDED_SEEDS = frozenset(
+    [*range(1, 18), 71, 229, 419, 421, 431, 433, 439, 991, 999, 1001, 1002, 1103, 1201, 5003]
+)
 ORDER = (
     "pair i runs the parent first when i is even and the change first when i is odd; "
     "'position' is 0 for the side that ran first, 'started' is the Unix start time"
@@ -82,6 +105,89 @@ def grid_hash(checkout: Path) -> tuple[str, str]:
     return f"tools/decode_grid.py: {label}", digest
 
 
+def _seeds(value) -> set[int]:
+    """Every ``seed`` recorded anywhere in a BENCH file's JSON."""
+    if isinstance(value, dict):
+        found = {value["seed"]} if isinstance(value.get("seed"), int) else set()
+        return found.union(*(_seeds(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(_seeds(v) for v in value))
+    return set()
+
+
+def used_seeds(root: Path) -> set[int]:
+    """The seeds the ``BENCH_*.json`` files under ``root`` record, and ``UNRECORDED_SEEDS``."""
+    seeds = set(UNRECORDED_SEEDS)
+    for path in root.glob("BENCH_*.json"):
+        seeds |= _seeds(json.loads(path.read_text()))
+    return seeds
+
+
+def _paired(records: list[dict], workload: str, metric: str) -> tuple[list, list]:
+    """The parent's and the change's values of ``metric`` on ``workload``, in pair order."""
+    runs = {(r["pair"], r["side"]): r["result"]["metrics"][metric]["value"]
+            for r in records if r["workload"] == workload}
+    pairs = sorted(p for p, side in runs if side == "parent" and (p, "change") in runs)
+    return [runs[(p, "parent")] for p in pairs], [runs[(p, "change")] for p in pairs]
+
+
+def _spread(values: list[float]) -> float:
+    """The distance between the quartiles, 0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(records: list[dict], workload: str, end_to_end: list[dict]) -> dict:
+    """The claim rule on ``records`` for a lower ``CLAIMED_METRIC`` on ``workload``.
+
+    Returns ``{"verdict": "claimed" | "not claimed", "checks": ...}``, each
+    check with its inputs and ``ok``.  ``end_to_end`` is ``BENCHMARK.json``'s
+    list of metrics with their ``better`` direction and relative ``bound``.
+    """
+    parent, change = _paired(records, workload, CLAIMED_METRIC)
+    wins = sum(c < p for p, c in zip(parent, change))
+    p_med = statistics.median(parent) if parent else None
+    c_med = statistics.median(change) if change else None
+    gain = p_med - c_med if parent else None
+    spread = _spread(parent)
+    worse = []
+    for name in dict.fromkeys(r["workload"] for r in records):
+        for metric in end_to_end:
+            p_vals, c_vals = _paired(records, name, metric["name"])
+            if not p_vals:
+                continue
+            p, c = statistics.median(p_vals), statistics.median(c_vals)
+            sign = 1 if metric["better"] == "lower" else -1
+            loss = sign * (c - p)
+            rel = loss / abs(p) if p else (math.inf if loss > 0 else 0.0)
+            if rel > metric["bound"]:
+                worse.append({"workload": name, "metric": metric["name"], "parent": p,
+                              "change": c, "relative": rel, "bound": metric["bound"]})
+    failed = sum(not r["result"]["correct"] for r in records)
+    checks = {
+        "pairs": {"pairs": len(parent), "min": MIN_PAIRS, "ok": len(parent) >= MIN_PAIRS},
+        "wins": {"wins": wins, "pairs": len(parent), "min_share": MIN_WIN_SHARE,
+                 "ok": bool(parent) and wins >= MIN_WIN_SHARE * len(parent)},
+        "margin": {"parent_median": p_med, "change_median": c_med, "gain": gain,
+                   "parent_quartile_spread": spread, "ok": gain is not None and gain > spread},
+        "bounds": {"beyond_bound": worse, "incorrect_runs": failed,
+                   "ok": not worse and failed == 0},
+    }
+    ok = all(check["ok"] for check in checks.values())
+    return {"workload": workload, "metric": CLAIMED_METRIC,
+            "verdict": "claimed" if ok else "not claimed", "checks": checks}
+
+
+def file_records(bench: dict) -> tuple[str | None, list[dict]]:
+    """A BENCH file's claimed workload (or None) and its first batch of records."""
+    claimed = bench.get("claimed")
+    if claimed:
+        return claimed["workload"], claimed["records"]
+    return None, bench["records"]
+
+
 def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
     """Per workload and metric: medians, the parent's quartile spread, pairs won."""
     lines = []
@@ -110,10 +216,10 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
-    parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    parser.add_argument("--parent", type=Path, help="checkout of the parent")
+    parser.add_argument("--pr", type=int, help="writes BENCH_<pr>.json")
     parser.add_argument("--workload", help="the workload the gain is claimed on (default: none)")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--other-pairs", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -121,8 +227,23 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", action="store_true", help="also hash the decode grid")
     parser.add_argument("--append", action="store_true",
                         help="add the runs to an existing BENCH_<pr>.json as one more batch")
+    parser.add_argument("--verdict", type=Path,
+                        help="print the claim rule's verdict on this BENCH file's records and stop")
     args = parser.parse_args(argv)
+    bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
 
+    if args.verdict is not None:
+        claimed, records = file_records(json.loads(args.verdict.read_text()))
+        workload = args.workload or claimed
+        if workload is None:
+            raise SystemExit(f"{args.verdict} claims nothing; name a --workload")
+        print(json.dumps(verdict(records, workload, bench["end_to_end"]), indent=1))
+        return 0
+    if args.parent is None or args.pr is None or args.seed is None:
+        parser.error("--parent, --pr and --seed are required unless --verdict is given")
+    if args.seed in used_seeds(CHANGE):
+        raise SystemExit(f"seed {args.seed} is used: a BENCH_*.json records it, or it is one of"
+                         " bench_pairs.UNRECORDED_SEEDS")
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
     for checkout in sides.values():
         if not (checkout / "perfbench" / "run.py").is_file():
@@ -133,7 +254,6 @@ def main(argv=None) -> int:
                          else f"--append needs an existing {path}")
     if args.append and args.grid:
         raise SystemExit("--grid records the decode grid with the first batch only")
-    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     others = [w["name"] for w in bench["workloads"] if w["name"] != args.workload]
 
     if args.workload is None:
@@ -159,8 +279,9 @@ def main(argv=None) -> int:
         if args.workload is None:
             out.update(claimed=None, seed=args.seed, pairs=pairs, records=records)
         else:
-            out["claimed"] = {"metric": "ms_per_frame", "workload": args.workload,
+            out["claimed"] = {"metric": CLAIMED_METRIC, "workload": args.workload,
                               "seed": args.seed, "pairs": args.pairs, "records": records}
+            out["verdict"] = verdict(records, args.workload, bench["end_to_end"])
     if args.grid:
         out["decode_grid"] = {}
         for side, checkout in sides.items():
@@ -168,6 +289,8 @@ def main(argv=None) -> int:
             out["decode_grid"].setdefault(label, {})[side] = digest
     path.write_text(json.dumps(out, indent=1) + "\n")
     print("\n".join(summarize(records, bench["end_to_end"])))
+    if "verdict" in out and not args.append:
+        print(f"verdict: {out['verdict']['verdict']}")
     print(f"wrote {path}")
     return 0
 

@@ -22,12 +22,24 @@ counters, trace lengths, ``scored_len``, ...) must be equal, and every
 float within ``TOLERANCE``·max(1, |ref|), infinities equal.  It prints how
 many decodes were compared and how many are bit-identical, and the worst
 drift; the exit status is 1 when any record differs beyond that.
+
+A path ending in ``.gz`` holds the grid's origin instead: for each decode
+its key ``(mode, policy kind, LM set, beam, utterance)``, best hypothesis
+and counters (``wall_seconds`` zeroed), gzipped.  The committed origin,
+``grid_origin.json.gz`` next to this script, bounds drift across changes
+rather than against the parent alone; ``tests/test_decode_grid.py``
+decodes a slice of the grid against it.  Regenerating it is a change of
+decoding behaviour:
+
+    PYTHONPATH=src python3 tools/decode_grid.py --save tools/grid_origin.json.gz
+    PYTHONPATH=src python3 tools/decode_grid.py --against tools/grid_origin.json.gz
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gzip
 import hashlib
 import json
 import math
@@ -42,6 +54,7 @@ from beamfuse.harness import BenchConfig, prepare_bench
 BEAMS = {"ctc": (1, 5, 10, 20, 40), "labelsync": (1, 5, 10, 20)}
 INTERVAL = 3
 TOLERANCE = 1e-9
+ORIGIN = Path(__file__).with_name("grid_origin.json.gz")
 
 
 def plain(value):
@@ -63,21 +76,47 @@ def lm_sets(assets) -> dict[str, list[LMSpec]]:
     return {"none": [], "matched": [matched], "cross": [cross], "both": [matched, second]}
 
 
-def grid_records() -> list[tuple]:
-    """``(mode, policy kind, LM set, beam, plain result)`` for every decode of the grid."""
+def grid_records(beams=BEAMS, utterances: int | None = None) -> list[tuple]:
+    """``(mode, policy kind, LM set, beam, plain result)`` for every decode of the grid.
+
+    ``beams`` and ``utterances`` (the first that many) select a slice of it.
+    """
     assets = prepare_bench(BenchConfig(seed=7, utterances=8, noise=0.47, frames_per_token=(1, 2)))
     records = []
-    for mode, beams in BEAMS.items():
+    for mode, mode_beams in beams.items():
         for kind in POLICY_KINDS:
             policy = FusionPolicy(kind, INTERVAL if kind == "interval" else 0)
             for name, lms in lm_sets(assets).items():
-                for beam in beams:
+                for beam in mode_beams:
                     config = DecodeConfig(beam, policy, lms, mode=mode, keep_trace=True)
-                    for utt in assets.utts:
+                    for utt in assets.utts[:utterances]:
                         result = decode(utt.emissions, config, assets.asr_tok)
                         result.counters.wall_seconds = 0.0
                         records.append((mode, kind, name, beam, plain(dataclasses.asdict(result))))
     return records
+
+
+def origin(records: list[tuple]) -> list[tuple]:
+    """``(mode, policy kind, LM set, beam, utterance, {best, counters})`` per grid record."""
+    out, seen = [], {}
+    for *key, result in records:
+        utt = seen[tuple(key)] = seen.get(tuple(key), -1) + 1
+        out.append((*key, utt, {"best": result["best"], "counters": result["counters"]}))
+    return out
+
+
+def write_records(path: Path, records: list[tuple]) -> None:
+    """Plain JSON, or the gzipped origin for a ``.gz`` path."""
+    if path.suffix == ".gz":
+        path.write_bytes(gzip.compress(json.dumps(origin(records)).encode(), mtime=0))
+    else:
+        path.write_text(json.dumps(records) + "\n")
+
+
+def read_records(path: Path) -> list:
+    """What ``write_records`` wrote; JSON keeps floats exactly and turns tuples into lists."""
+    raw = gzip.decompress(path.read_bytes()) if path.suffix == ".gz" else path.read_bytes()
+    return json.loads(raw)
 
 
 def drift(got, ref, path: str = "") -> float:
@@ -115,7 +154,7 @@ def compare(records: list, refs: list) -> tuple[list[str], list[float | None]]:
     problems, drifts = [], []
     for i, (got, ref) in enumerate(zip(records, refs)):
         try:
-            drifts.append(drift(got, ref, f"decode {i} {tuple(ref[:4])}"))
+            drifts.append(drift(got, ref, f"decode {i} {tuple(ref[:-1])}"))
         except ValueError as exc:
             problems.append(str(exc))
             drifts.append(None)
@@ -124,7 +163,8 @@ def compare(records: list, refs: list) -> tuple[list[str], list[float | None]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--save", type=Path, help="write the plain records to this JSON file")
+    parser.add_argument("--save", type=Path,
+                        help="write the plain records to this JSON file (.gz: the origin)")
     parser.add_argument("--against", type=Path,
                         help="compare the records with a file written by --save")
     args = parser.parse_args(argv)
@@ -132,11 +172,12 @@ def main(argv=None) -> int:
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     print(f"{len(records)} decodes sha256 {digest}")
     if args.save:
-        args.save.write_text(json.dumps(records) + "\n")
+        write_records(args.save, records)
     if args.against is None:
         return 0
-    # JSON keeps floats exactly and turns tuples into lists, which compare as equal
-    problems, drifts = compare(records, json.loads(args.against.read_text()))
+    if args.against.suffix == ".gz":
+        records = origin(records)
+    problems, drifts = compare(records, read_records(args.against))
     for line in problems[:10]:
         print(f"differs: {line}")
     exact = {mode: 0 for mode in BEAMS}
