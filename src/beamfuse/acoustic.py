@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -169,39 +169,44 @@ def forward_ctc(em: EmissionMatrix, labels: Sequence[int]) -> float:
 # -- label-synchronous prefix scoring ----------------------------------------
 
 
-@dataclass
-class PrefixState:
-    """Per-prefix forward variables for label-synchronous scoring.
+@dataclass(slots=True, eq=False)
+class PrefixBlock:
+    """Forward variables of a beam of prefixes for label-synchronous scoring, one row each.
 
-    ``r_nonblank[t]`` / ``r_blank[t]`` hold the probability that the first t
-    frames collapse to exactly this prefix, ending non-blank / blank.
-    ``prefix_logprob`` is the probability that the whole utterance's
-    labelling starts with this prefix.
+    ``r_nonblank[s, t]`` / ``r_blank[s, t]`` hold the probability that the
+    first t frames collapse to exactly prefix ``s``, ending non-blank /
+    blank.  ``prefix_logprob[s]`` is the probability that the whole
+    utterance's labelling starts with prefix ``s``, and ``last_label[s]`` its
+    last label (-1 for the root).  ``both`` is set from the others once, at
+    construction: ``logaddexp(r_blank, r_nonblank)`` over frames ``[:-1]``.
     """
 
-    r_nonblank: np.ndarray
     r_blank: np.ndarray
-    prefix_logprob: float
-    last_label: int | None
+    r_nonblank: np.ndarray
+    prefix_logprob: np.ndarray
+    last_label: np.ndarray
+    both: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.both = np.logaddexp(self.r_blank[:, :-1], self.r_nonblank[:, :-1])
 
 
-def end_scores(states: Sequence[PrefixState]) -> np.ndarray:
-    """Each state's ``</s>`` score: the exact-labelling log-probability minus ``prefix_logprob``.
+def end_scores(block: PrefixBlock) -> np.ndarray:
+    """Each row's ``</s>`` score: the exact-labelling log-probability minus ``prefix_logprob``.
 
     The ``</s>`` column of ``CtcPrefixScorer.candidate_scores``, bit for
-    bit, read from the states alone; a dead state (``prefix_logprob``
-    -inf) scores -inf.
+    bit, from one ``np.logaddexp`` over the last frame; a dead row
+    (``prefix_logprob`` -inf) scores -inf.
     """
-    ends = np.array([lse2(float(s.r_nonblank[-1]), float(s.r_blank[-1])) for s in states])
-    prefix = np.array([s.prefix_logprob for s in states])
+    prefix = block.prefix_logprob
     with np.errstate(invalid="ignore"):
-        scores = ends - prefix
+        scores = np.logaddexp(block.r_nonblank[:, -1], block.r_blank[:, -1]) - prefix
     scores[prefix == NEG_INF] = NEG_INF
     return scores
 
 
 class CtcPrefixScorer:
-    """Next-token log-scores over the vocabulary from CTC emissions, a batch at a time.
+    """Next-token log-scores over the vocabulary from CTC emissions, a beam at a time.
 
     The score of extending a prefix g with c is
     log pp(g·c) - log pp(g), where pp is the starts-with probability; the
@@ -209,12 +214,14 @@ class CtcPrefixScorer:
     probability, so the per-step scores of a finished hypothesis sum to its
     total CTC log-probability.
 
-    Both methods take a batch of states and return one row per state, so a
-    label step makes one call of each whatever the beam size.  Every sum
-    over frames is taken per row, all T frames in an order that does not
-    depend on the batch: along the row's contiguous frames, or as the
-    ``np.einsum`` product of ``candidate_scores``; so every row is
-    bit-identical to its state scored alone.
+    The beam is one ``PrefixBlock``: ``root`` gives a 1-row block,
+    ``candidate_scores`` scores every row, and ``child`` builds the next
+    block from the rows it selects, so a label step makes one call of each
+    whatever the beam size.  Every sum over frames is taken per row, all T
+    frames in an order that does not depend on the batch: along the row's
+    contiguous frames, or as the ``np.einsum`` product of
+    ``candidate_scores``; so every row is bit-identical to that row scored
+    alone.
     """
 
     # a product below this is recomputed in log space (see candidate_scores)
@@ -236,29 +243,25 @@ class CtcPrefixScorer:
         self._col_max = self.frames.max(axis=0)
         self._exp_frames = np.exp(self.frames - self._col_max)
 
-    def root(self) -> PrefixState:
-        r_nb = np.full(self.T + 1, NEG_INF)
-        return PrefixState(r_nb, self._blank_cum.copy(), 0.0, None)
+    def root(self) -> PrefixBlock:
+        """The empty prefix as a 1-row block."""
+        r_nb = np.full((1, self.T + 1), NEG_INF)
+        return PrefixBlock(self._blank_cum[None].copy(), r_nb, np.zeros(1), np.full(1, -1))
 
-    def _stack(self, states: Sequence[PrefixState]) -> tuple[np.ndarray, np.ndarray]:
-        """The states' blank and non-blank forward variables as two (S, T + 1) blocks."""
-        shape = (len(states), self.T + 1)
-        r_b = np.array([s.r_blank for s in states]).reshape(shape)
-        return r_b, np.array([s.r_nonblank for s in states]).reshape(shape)
+    def candidate_scores(self, block: PrefixBlock) -> np.ndarray:
+        """One (rows, V) block of next-token scores; disallowed ids are -inf.
 
-    def candidate_scores(self, states: Sequence[PrefixState]) -> np.ndarray:
-        """One (len(states), V) block of next-token scores; disallowed ids are -inf.
-
-        With ``both[s, t]`` the log-probability that state ``s``'s prefix is
+        With ``both[s, t]`` the log-probability that row ``s``'s prefix is
         complete after t frames, the starts-with probability of ``s``
         extended by ``c`` is ``sum_t exp(both[s, t] + F[t, c])``.  Each row
         of ``both`` is scaled by its max ``m_s`` and each emission column
         by its max ``M_c`` (once, in ``__init__``), so it is
         ``m_s + M_c + log(sum_t exp(both[s, t] - m_s) * exp(F[t, c] - M_c))``:
         one (S, T) x (T, V) product of numbers in [0, 1], as Graves et al.
-        rescale the CTC forward-backward.  The column of a state's last
+        rescale the CTC forward-backward.  The column of a row's last
         label, which only a blank-ending path may extend, is one gathered
-        log-space sum over ``r_blank``.
+        log-space sum over ``r_blank``.  ``both`` is the block's own, set
+        when the block was built.
 
         A term lost to underflow in the product is below e^-745 (5e-324)
         relative to ``e^(m_s + M_c)``; once the sum is at least 1e-250,
@@ -268,13 +271,11 @@ class CtcPrefixScorer:
 
         The product is ``np.einsum``, which sums every output entry over
         the row's frames in the same order whatever the batch, where a
-        BLAS ``@`` may not; so every row is bit-identical to its state
-        scored alone.  A dead state (``prefix_logprob`` -inf) gets a row of
+        BLAS ``@`` may not; so every row is bit-identical to that row
+        scored alone.  A dead row (``prefix_logprob`` -inf) gets a row of
         -inf.
         """
-        r_b, r_nb = self._stack(states)
-        prefix = np.array([s.prefix_logprob for s in states])
-        both = np.logaddexp(r_b[:, :-1], r_nb[:, :-1])
+        r_b, both, prefix = block.r_blank, block.both, block.prefix_logprob
         m = both.max(axis=1, initial=NEG_INF)
         safe_m = np.where(m > NEG_INF, m, 0.0)
         product = np.einsum("st,tv->sv", np.exp(both - safe_m[:, None]), self._exp_frames)
@@ -284,37 +285,39 @@ class CtcPrefixScorer:
         if low_r.size:  # rare: underflow, or a row complete at no frame before T
             pp_new[low_r, low_c] = _logsumexp_rows(both[low_r] + self.frames[:, low_c].T)
         # repeating the last label extends only the paths that end in blank
-        rows = [r for r, s in enumerate(states) if s.last_label is not None]
-        lasts = [states[r].last_label for r in rows]
+        rows = np.flatnonzero(block.last_label >= 0)
+        lasts = block.last_label[rows]
         pp_new[rows, lasts] = _logsumexp_rows(r_b[rows, :-1] + self.frames[:, lasts].T)
         with np.errstate(invalid="ignore"):
             scores = pp_new - prefix[:, None]
-        scores[:, self.eos_id] = end_scores(states)
+        scores[:, self.eos_id] = end_scores(block)
         scores[:, self._banned] = NEG_INF
         scores[prefix == NEG_INF] = NEG_INF
         return scores
 
-    def child(self, states: Sequence[PrefixState], labels: Sequence[int]) -> list[PrefixState]:
-        """Forward variables for each prefix ``states[i]`` extended by ``labels[i]``.
+    def child(self, block: PrefixBlock, rows: Sequence[int], labels: Sequence[int]) -> PrefixBlock:
+        """The block whose row ``i`` is ``block``'s row ``rows[i]`` extended by ``labels[i]``.
 
         The recursion ``r_nb[t] = emit[t-1] + lse(phi[t-1], r_nb[t-1])`` and
         ``r_b[t] = blank[t-1] + lse(r_b[t-1], r_nb[t-1])`` is computed in
         closed form, one (S, T) block for the whole batch: with ``E`` the
         cumulative sum of ``emit`` (``E[0] = 0``),
         ``r_nb[1:] = E[1:] + logaddexp.accumulate(phi - E[:-1])``, and the
-        same with the cumulative blank column for ``r_b``.  The sums drift
-        from the frame-by-frame loop by rounding only: at most 1.4e-13 at
-        T=60, 8.0e-13 at T=200 and 6.8e-12 at T=1,000 on benchmark
-        emissions.
+        same with the cumulative blank column for ``r_b``.  ``phi`` is the
+        parent's ``both`` row, gathered, or its ``r_blank`` for a repeated
+        label.  The sums drift from the frame-by-frame loop by rounding
+        only: at most 1.4e-13 at T=60, 8.0e-13 at T=200 and 6.8e-12 at
+        T=1,000 on benchmark emissions.
         """
-        labels = list(labels)
-        if not all(0 < c < self.V and c != self.eos_id for c in labels):
-            raise ValueError(f"invalid extension label in {labels}")
-        r_b, r_nb = self._stack(states)
-        repeat = np.array([s.last_label == c for s, c in zip(states, labels)], dtype=bool)
-        phi = np.where(repeat[:, None], r_b[:, :-1], np.logaddexp(r_b[:, :-1], r_nb[:, :-1]))
+        labels = np.array(labels, dtype=np.intp)
+        if not np.all((labels > 0) & (labels < self.V) & (labels != self.eos_id)):
+            raise ValueError(f"invalid extension label in {labels.tolist()}")
+        rows = np.array(rows, dtype=np.intp)
+        phi = block.both[rows]
+        repeat = np.flatnonzero(block.last_label[rows] == labels)
+        phi[repeat] = block.r_blank[rows[repeat], :-1]
         cum, bc = self._cum[labels], self._blank_cum
-        new_nb, new_b = np.full((2, *r_b.shape), NEG_INF)
+        new_nb, new_b = np.full((2, len(rows), self.T + 1), NEG_INF)
         new_nb[:, 1:] = cum[:, 1:] + np.logaddexp.accumulate(phi - cum[:, :-1], axis=1)
         new_b[:, 1:] = bc[1:] + np.logaddexp.accumulate(new_nb[:, :-1] - bc[:-1], axis=1)
         acc = phi + self.frames.T[labels]
@@ -323,7 +326,7 @@ class CtcPrefixScorer:
             sums = np.exp(acc - m[:, None]).sum(axis=1).tolist()
         # math.log per row, as np.log can differ from it in the last bit
         pp = [a + math.log(b) if a > NEG_INF else NEG_INF for a, b in zip(m.tolist(), sums)]
-        return [PrefixState(*row) for row in zip(new_nb, new_b, pp, labels)]
+        return PrefixBlock(new_b, new_nb, np.array(pp), labels)
 
 
 # -- synthetic emissions ------------------------------------------------------

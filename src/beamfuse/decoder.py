@@ -40,9 +40,10 @@ modes lives in a small step object:
   returns ``LabelCandidates``: ended hypotheses carried over as single
   candidates, and one (live hypotheses, vocabulary) block of each parent's
   ``e2e`` plus its label scores, with the impossible extensions masked out.
-  A live survivor holds its parent's prefix-scorer state until ``prune``
-  builds the survivors' own in one call, and unfinished hypotheses are
-  closed with ``</s>``.
+  The step holds the live beam's forward variables as one
+  ``PrefixBlock``, and a live hypothesis's state is its row there.  A live
+  survivor holds its parent's row until ``prune`` builds the survivors'
+  block in one call, and unfinished hypotheses are closed with ``</s>``.
 
 Both candidate blocks are ``Candidates``: single items, each with its own
 acoustic score and state, then one block of acoustic extension scores
@@ -230,8 +231,8 @@ class Hypothesis:
     Both modes give it one shape.  ``e2e`` is its acoustic log-probability
     so far: in ``ctc`` the prefix total ``lse2(*state)``, in ``labelsync``
     the sum of its label scores.  ``state`` is the mode's recursion state:
-    the ``(log_blank, log_nonblank)`` pair in ``ctc``, the prefix scorer's
-    ``PrefixState`` in ``labelsync`` (None once ended).  ``k`` is the
+    the ``(log_blank, log_nonblank)`` pair in ``ctc``, in ``labelsync`` the
+    hypothesis's row in the label step's ``PrefixBlock`` (None once ended).  ``k`` is the
     complete-word source length, ``<s>`` not counted: what
     ``tokenizable_prefix_len(tokens)`` gives.  It is required: a step sets
     it in O(1) for each hypothesis it builds, and a hand-built one passes it.
@@ -466,8 +467,8 @@ class LabelCandidates(Candidates):
     candidates, and ``valid`` masks them out.
     """
 
-    def _grown(self, parent: Hypothesis, c: int, score: float) -> object:
-        # a live extension holds its parent's state until the prune builds its own
+    def _grown(self, parent: Hypothesis, c: int, score: float) -> int | None:
+        # a live extension holds its parent's row until the prune builds its own
         return None if c == EOS_ID else parent.state
 
 
@@ -605,17 +606,21 @@ class _FrameStep:
 class _LabelStep:
     """Label-synchronous search: one label per step from a CTC prefix scorer.
 
-    ``expand`` and ``prune`` each make at most one prefix-scorer call for
-    the whole beam; ``prune`` builds states for live survivors only, and
-    ``close`` reads the ``</s>`` scores from the states with ``end_scores``.
-    The scorer's rows hold one score per ASR id, -inf for an id that cannot
-    be a label, as ``CtcPrefixScorer`` does; another width is a ``DecodeError``.
+    ``block`` holds the live beam's forward variables, and each live
+    hypothesis's ``state`` is its row, in beam order.  ``expand`` and
+    ``prune`` each make at most one prefix-scorer call for the whole beam:
+    ``prune`` builds the next block with one row per live survivor, which
+    it numbers 0..n-1, and ``close`` reads the ``</s>`` scores from the
+    block with ``end_scores``.  The scorer's rows hold one score per ASR
+    id, -inf for an id that cannot be a label, as ``CtcPrefixScorer`` does;
+    another width is a ``DecodeError``.
     """
 
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
         if isinstance(source, EmissionMatrix):
             source = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
         self.scorer = source
+        self.block = source.root()
         self.limit = source.T
         self.begins = asr_tok.begins
         self.lms = config.lms
@@ -624,12 +629,12 @@ class _LabelStep:
 
     def root(self) -> Hypothesis:
         views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
-        return Hypothesis((BOS_ID,), views=views, state=self.scorer.root(), k=0)
+        return Hypothesis((BOS_ID,), views=views, state=0, k=0)
 
     def expand(self, beam, t) -> LabelCandidates:
         ended = [h for h in beam if h.ended]
         live = [h for h in beam if not h.ended]
-        label_scores = self.scorer.candidate_scores([h.state for h in live])
+        label_scores = self.scorer.candidate_scores(self.block)
         if label_scores.shape[1] != len(self.begins):
             raise DecodeError(
                 f"prefix scorer rows have {label_scores.shape[1]} scores, not {len(self.begins)}"
@@ -643,21 +648,22 @@ class _LabelStep:
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
         survivors = _survivors(cands, cands.scores(self.weights), extra, self.beam_size)
-        # every live survivor is a new extension, holding its parent's state
+        # every live survivor is a new extension, holding its parent's row
         live = [h for h in survivors if not h.ended]
         if live:
-            states = self.scorer.child([h.state for h in live], [h.tokens[-1] for h in live])
-            for hyp, state in zip(live, states):
-                hyp.state = state
+            rows, labels = [h.state for h in live], [h.tokens[-1] for h in live]
+            self.block = self.scorer.child(self.block, rows, labels)
+            for row, hyp in enumerate(live):
+                hyp.state = row
         return survivors
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
         """End every unfinished hypothesis with its ``</s>`` score."""
         live = [h for h in beam if not h.ended]
         if live:
-            ends = end_scores([h.state for h in live]).tolist()
-            for hyp, end in zip(live, ends):
-                hyp.e2e += end
+            ends = end_scores(self.block).tolist()
+            for hyp in live:
+                hyp.e2e += ends[hyp.state]
                 hyp.tokens = hyp.tokens + (EOS_ID,)
                 hyp.state = None
         return beam

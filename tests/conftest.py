@@ -10,7 +10,7 @@ from beamfuse.acoustic import (
     NEG_INF,
     CtcPrefixScorer,
     EmissionMatrix,
-    PrefixState,
+    PrefixBlock,
     collapse_path,
     enumerate_collapse_table,
     lse2,
@@ -310,12 +310,40 @@ def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypo
     ]
 
 
-def reference_child(scorer, state: PrefixState, label: int) -> PrefixState:
-    """``CtcPrefixScorer.child`` as the frame-by-frame recursion over T."""
-    if label == state.last_label:
-        phi = state.r_blank[:-1]
+def block_rows(block: PrefixBlock, idx) -> PrefixBlock:
+    """The rows ``idx`` of ``block``, in that order, as a block of their own."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return PrefixBlock(
+        block.r_blank[idx], block.r_nonblank[idx], block.prefix_logprob[idx], block.last_label[idx]
+    )
+
+
+def join_blocks(blocks: Sequence[PrefixBlock]) -> PrefixBlock:
+    """The rows of ``blocks``, in order, as one block: a beam of single-row states."""
+    fields = ("r_blank", "r_nonblank", "prefix_logprob", "last_label")
+    return PrefixBlock(*(np.concatenate([getattr(b, f) for b in blocks]) for f in fields))
+
+
+def one_row(r_blank, r_nonblank, prefix_logprob: float, last_label: int) -> PrefixBlock:
+    """A 1-row block from one prefix's 1-D forward variables."""
+    return PrefixBlock(
+        r_blank[None], r_nonblank[None], np.array([prefix_logprob]), np.array([last_label])
+    )
+
+
+def _single(state: PrefixBlock) -> tuple:
+    """A 1-row block's 1-D ``r_blank`` and ``r_nonblank``, ``prefix_logprob`` and ``last_label``."""
+    (r_blank,), (r_nonblank,) = state.r_blank, state.r_nonblank
+    return r_blank, r_nonblank, float(state.prefix_logprob[0]), int(state.last_label[0])
+
+
+def reference_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
+    """``CtcPrefixScorer.child`` of a 1-row block as the frame-by-frame recursion over T."""
+    r_blank, r_nonblank, _, last = _single(state)
+    if label == last:
+        phi = r_blank[:-1]
     else:
-        phi = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
+        phi = np.logaddexp(r_blank[:-1], r_nonblank[:-1])
     emit = scorer.frames[:, label]
     r_nb = np.full(scorer.T + 1, NEG_INF)
     r_b = np.full(scorer.T + 1, NEG_INF)
@@ -325,7 +353,7 @@ def reference_child(scorer, state: PrefixState, label: int) -> PrefixState:
     acc = phi + emit
     m = float(acc.max())
     pp = m + math.log(np.exp(acc - m).sum()) if m > NEG_INF else NEG_INF
-    return PrefixState(r_nb, r_b, pp, label)
+    return one_row(r_b, r_nb, pp, label)
 
 
 def _cumsum0(column: np.ndarray) -> np.ndarray:
@@ -336,16 +364,17 @@ def _cumsum0(column: np.ndarray) -> np.ndarray:
     return out
 
 
-def closed_form_child(scorer, state: PrefixState, label: int) -> PrefixState:
-    """``CtcPrefixScorer.child`` for one state: the same closed form over 1-D arrays.
+def closed_form_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
+    """``CtcPrefixScorer.child`` for a 1-row block: the same closed form over 1-D arrays.
 
     The batched rows must equal this bit for bit; ``reference_child`` is the
     loop it drifts from by rounding only.
     """
-    if label == state.last_label:
-        phi = state.r_blank[:-1]
+    r_blank, r_nonblank, _, last = _single(state)
+    if label == last:
+        phi = r_blank[:-1]
     else:
-        phi = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
+        phi = np.logaddexp(r_blank[:-1], r_nonblank[:-1])
     emit = scorer.frames[:, label]
     cum = _cumsum0(emit)
     bc = _cumsum0(scorer.frames[:, BLANK_ID])
@@ -358,27 +387,27 @@ def closed_form_child(scorer, state: PrefixState, label: int) -> PrefixState:
     acc = phi + emit
     m = float(acc.max())
     pp = m + math.log(np.exp(acc - m).sum()) if m > NEG_INF else NEG_INF
-    return PrefixState(r_nb, r_b, pp, label)
+    return one_row(r_b, r_nb, pp, label)
 
 
-def reference_candidate_scores(scorer, state: PrefixState) -> np.ndarray:
-    """One state's row of ``CtcPrefixScorer.candidate_scores``, over every frame's (T, V) matrix."""
-    if state.prefix_logprob == NEG_INF:
+def reference_candidate_scores(scorer, state: PrefixBlock) -> np.ndarray:
+    """A 1-row block's ``CtcPrefixScorer.candidate_scores`` row, over every frame's (T, V) matrix."""
+    r_blank, r_nonblank, prefix_logprob, last = _single(state)
+    if prefix_logprob == NEG_INF:
         return np.full(scorer.V, NEG_INF)
-    both = np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1])
+    both = np.logaddexp(r_blank[:-1], r_nonblank[:-1])
     phi = np.broadcast_to(both[:, None], (scorer.T, scorer.V)).copy()
-    if state.last_label is not None:
-        phi[:, state.last_label] = state.r_blank[:-1]
+    if last >= 0:
+        phi[:, last] = r_blank[:-1]
     acc = phi + scorer.frames
     m = acc.max(axis=0)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         pp_new = safe_m + np.log(np.exp(acc - safe_m).sum(axis=0))
     pp_new[~np.isfinite(m)] = NEG_INF
-    scores = pp_new - state.prefix_logprob
+    scores = pp_new - prefix_logprob
     scores[scorer.eos_id] = (
-        lse2(float(state.r_nonblank[scorer.T]), float(state.r_blank[scorer.T]))
-        - state.prefix_logprob
+        lse2(float(r_nonblank[scorer.T]), float(r_blank[scorer.T])) - prefix_logprob
     )
     scores[scorer._banned] = NEG_INF
     return scores
@@ -387,8 +416,9 @@ def reference_candidate_scores(scorer, state: PrefixState) -> np.ndarray:
 def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
     """The label step one (hypothesis, token) pair at a time.
 
-    Entries are ``(stale combined score, tokens, (parent, label score))``; an
-    ended hypothesis is carried over as itself with label score ``None``, and
+    Each live hypothesis's state is its own 1-row block.  Entries are
+    ``(stale combined score, tokens, (parent, label score))``; an ended
+    hypothesis is carried over as itself with label score ``None``, and
     an extension whose label score is -inf is no candidate.  The stale
     combined score is the acoustic score plus ``plus_stale_lm``'s LM terms.
     """
@@ -397,7 +427,7 @@ def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
         if hyp.ended:
             entries.append((plus_stale_lm(hyp.e2e, weights, hyp.views), hyp.tokens, (hyp, None)))
             continue
-        scores = scorer.candidate_scores([hyp.state])[0]
+        scores = scorer.candidate_scores(hyp.state)[0]
         for c in candidate_ids:
             s = float(scores[c])
             if s == NEG_INF:
@@ -412,7 +442,8 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights, vocab)
 
     Returns ``(survivor, parent)`` pairs; a carried-over ended hypothesis is
     its own survivor with parent ``None``, and only live survivors get a
-    prefix-scorer state.  A new survivor's ``k`` is scanned over ``vocab``.
+    prefix-scorer state, a 1-row block from ``scorer.child``.  A new
+    survivor's ``k`` is scanned over ``vocab``.
     """
     out = []
     entries = reference_label_entries(scorer, beam, candidate_ids, weights)
@@ -424,7 +455,7 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights, vocab)
             tokens, e2e=parent.e2e + s, views=parent.views, k=tokenizable_prefix_len(tokens, vocab)
         )
         if not hyp.ended:
-            hyp.state = scorer.child([parent.state], [tokens[-1]])[0]
+            hyp.state = scorer.child(parent.state, [0], [tokens[-1]])
         out.append((hyp, parent))
     return out
 
@@ -546,8 +577,8 @@ def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
     fusion) and sets each survivor's ``k`` with ``tokenizable_prefix_len``.
     Views are advanced from scratch with ``lm_tok.encode(asr_tok.decode(...))``.
     Fusion is decided from each policy's definition and scored with
-    ``reference_score_batch``.  Label-sync children get ``closed_form_child``
-    states, and the last beam is closed with ``reference_candidate_scores``'s
+    ``reference_score_batch``.  A label-sync state is a 1-row block, each
+    child's from ``closed_form_child``, and the last beam is closed with ``reference_candidate_scores``'s
     ``</s>`` column.  Finalization scores every whole hypothesis plus
     ``</s>`` from a fresh cache.
     """

@@ -11,7 +11,6 @@ from beamfuse.acoustic import (
     CtcPrefixScorer,
     EmissionError,
     EmissionMatrix,
-    PrefixState,
     brute_force_ctc,
     collapse_path,
     end_scores,
@@ -27,9 +26,12 @@ from conftest import (
     EMPTY_PREFIX_PAIR,
     CTCScorePair,
     brute_force_ctc_prefix,
+    block_rows,
     closed_form_child,
     ctc_step_extend,
     greedy_labels,
+    join_blocks,
+    one_row,
     random_emissions,
     reference_candidate_scores,
     reference_child,
@@ -152,7 +154,7 @@ class TestLabelSyncScorer:
         em = EmissionMatrix(random_emissions(rng, 5, 4))
         eos = 3
         scorer = CtcPrefixScorer(em, eos)
-        score = float(scorer.candidate_scores([scorer.root()])[0, eos])
+        score = float(scorer.candidate_scores(scorer.root())[0, eos])
         assert score == pytest.approx(float(em.log_probs[:, BLANK_ID].sum()), abs=1e-9)
 
     def test_telescoping_to_full_ctc_probability(self):
@@ -165,9 +167,9 @@ class TestLabelSyncScorer:
             state = scorer.root()
             total = 0.0
             for c in seq:
-                total += float(scorer.candidate_scores([state])[0, c])
-                state = scorer.child([state], [c])[0]
-            total += float(scorer.candidate_scores([state])[0, eos])
+                total += float(scorer.candidate_scores(state)[0, c])
+                state = scorer.child(state, [0], [c])
+            total += float(scorer.candidate_scores(state)[0, eos])
             assert total == pytest.approx(brute_force_ctc(em, seq), abs=1e-9)
 
     def test_prefix_probability_matches_oracle(self):
@@ -179,9 +181,9 @@ class TestLabelSyncScorer:
             state = scorer.root()
             prefix = []
             for c in [int(x) for x in rng.integers(1, 3, size=2)]:
-                state = scorer.child([state], [c])[0]
+                state = scorer.child(state, [0], [c])
                 prefix.append(c)
-                assert state.prefix_logprob == pytest.approx(
+                assert state.prefix_logprob[0] == pytest.approx(
                     brute_force_ctc_prefix(em, prefix), abs=1e-9
                 )
 
@@ -189,8 +191,8 @@ class TestLabelSyncScorer:
         rng = np.random.default_rng(12)
         em = EmissionMatrix(random_emissions(rng, 5, 5))
         scorer = CtcPrefixScorer(em, 4)
-        state = scorer.child([scorer.root()], [1])[0]
-        scores = scorer.candidate_scores([state])[0]
+        state = scorer.child(scorer.root(), [0], [1])
+        scores = scorer.candidate_scores(state)[0]
         finite = scores[np.isfinite(scores)]
         total = float(np.log(np.exp(finite - finite.max()).sum()) + finite.max())
         assert total <= 1e-9
@@ -199,9 +201,9 @@ class TestLabelSyncScorer:
         rng = np.random.default_rng(14)
         em = EmissionMatrix(random_emissions(rng, 3, 4))
         scorer = CtcPrefixScorer(em, 3)
-        assert scorer.candidate_scores([scorer.root()])[0, BLANK_ID] == NEG_INF
+        assert scorer.candidate_scores(scorer.root())[0, BLANK_ID] == NEG_INF
         with pytest.raises(ValueError):
-            scorer.child([scorer.root()], [BLANK_ID])
+            scorer.child(scorer.root(), [0], [BLANK_ID])
 
 
 def _peaked_emissions(rng, frames, vocab, peak=700.0):
@@ -233,13 +235,14 @@ def _drift(got, want) -> float:
     return float(np.max(np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))))
 
 
-def assert_scores_match_reference(scorer, states):
-    """Each batched row is bit-equal to its state scored alone, which is within
+def assert_scores_match_reference(scorer, block):
+    """Each batched row is bit-equal to that row scored alone, which is within
     1e-9·max(1, |ref|) of the log-space reference with the same -inf entries."""
-    got = scorer.candidate_scores(states)
-    assert got.shape == (len(states), scorer.V)
-    for row, state in zip(got, states):
-        alone = scorer.candidate_scores([state])[0]
+    got = scorer.candidate_scores(block)
+    assert got.shape == (len(block.prefix_logprob), scorer.V)
+    for i, row in enumerate(got):
+        state = block_rows(block, [i])
+        alone = scorer.candidate_scores(state)[0]
         assert row.tobytes() == alone.tobytes()
         want = reference_candidate_scores(scorer, state)
         assert not np.isnan(alone).any() and _same_neg_inf(alone, want)
@@ -260,10 +263,10 @@ class TestScorerMatchesReference:
                 # deeper than T, so the chain reaches -inf prefix probabilities
                 chain = [scorer.root()]
                 for label in _label_chain(rng, [1, 2, 3], frames + 2):
-                    chain.append(scorer.child([chain[-1]], [label])[0])
+                    chain.append(scorer.child(chain[-1], [0], [label]))
                 # every depth in one batch, each row as scored alone
-                assert_scores_match_reference(scorer, chain)
-                dead += sum(state.prefix_logprob == NEG_INF for state in chain)
+                assert_scores_match_reference(scorer, join_blocks(chain))
+                dead += sum(state.prefix_logprob[0] == NEG_INF for state in chain)
         assert dead > 0
 
     def test_candidate_scores_bit_equal_on_reference_states(self):
@@ -274,15 +277,15 @@ class TestScorerMatchesReference:
             chain = [scorer.root()]
             for label in _label_chain(rng, [1, 2, 3, 4, 5], 8):
                 chain.append(reference_child(scorer, chain[-1], label))
-            assert_scores_match_reference(scorer, chain)
+            assert_scores_match_reference(scorer, join_blocks(chain))
 
     def test_repeat_with_no_blank_ending_path_is_impossible(self):
         # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
         em = EmissionMatrix(random_emissions(np.random.default_rng(22), 1, 4))
         scorer = CtcPrefixScorer(em, 3)
-        state = scorer.child(scorer.child([scorer.root()], [1]), [1])[0]
-        assert state.prefix_logprob == NEG_INF
-        got = scorer.candidate_scores([state])[0]
+        state = scorer.child(scorer.child(scorer.root(), [0], [1]), [0], [1])
+        assert state.prefix_logprob[0] == NEG_INF
+        got = scorer.candidate_scores(state)[0]
         assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
         assert np.all(got == NEG_INF)
 
@@ -294,7 +297,7 @@ class TestScorerMatchesReference:
         rows -= np.logaddexp.reduce(rows, axis=1, keepdims=True)
         scorer = CtcPrefixScorer(EmissionMatrix(rows), 3)
         root = scorer.root()
-        beam = [root, scorer.child([root], [1])[0], root]
+        beam = join_blocks([root, scorer.child(root, [0], [1]), root])
         got = assert_scores_match_reference(scorer, beam)
         want = reference_candidate_scores(scorer, root)[2]
         assert -801 < want < -799
@@ -314,7 +317,7 @@ class TestScorerMatchesReference:
         for _ in range(3):
             got = want = scorer.root()
             for label in _label_chain(rng, range(1, vocab - 1), min(frames + 1, 12)):
-                got = scorer.child([got], [label])[0]
+                got = scorer.child(got, [0], [label])
                 want = reference_child(scorer, want, label)
                 for a, b in (
                     (got.r_nonblank, want.r_nonblank),
@@ -328,7 +331,7 @@ class TestScorerMatchesReference:
 
 
 def _ragged_beam(rng, scorer, size, max_depth=10):
-    """States of mixed depths, hence mixed start frames, with repeats and one dead row."""
+    """A block of mixed depths, hence mixed start frames, with repeats and one dead row."""
     labels = range(1, scorer.V - 1)
     beam = []
     for _ in range(size):
@@ -339,40 +342,49 @@ def _ragged_beam(rng, scorer, size, max_depth=10):
         beam.append(state)
     dead = np.full(scorer.T + 1, NEG_INF)
     last = int(rng.choice(labels))
-    beam.insert(int(rng.integers(0, size + 1)), PrefixState(dead, dead.copy(), NEG_INF, last))
-    return beam
+    beam.insert(int(rng.integers(0, size + 1)), one_row(dead, dead.copy(), NEG_INF, last))
+    return join_blocks(beam)
 
 
 def _next_labels(rng, beam, labels):
-    """One label per state; about a third repeat the state's last label."""
+    """One label per row; about a third repeat the row's last label."""
     out = []
-    for state in beam:
-        repeat = state.last_label is not None and rng.random() < 1 / 3
-        out.append(state.last_label if repeat else int(rng.choice(labels)))
+    for last in beam.last_label.tolist():
+        repeat = last >= 0 and rng.random() < 1 / 3
+        out.append(last if repeat else int(rng.choice(labels)))
     return out
 
 
-def _start(state) -> int:
-    reached = np.flatnonzero(np.logaddexp(state.r_blank[:-1], state.r_nonblank[:-1]) > NEG_INF)
-    return int(reached[0]) if reached.size else len(state.r_blank) - 1
+def _starts(beam) -> set[int]:
+    """The first frame each live row's prefix is complete at."""
+    out = set()
+    for both, prefix in zip(beam.both, beam.prefix_logprob.tolist()):
+        reached = np.flatnonzero(both > NEG_INF)
+        if prefix > NEG_INF:
+            out.add(int(reached[0]) if reached.size else len(both))
+    return out
 
 
 def _f64(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-def assert_batch_rows_equal_references(scorer, beam, labels):
-    """Every batched row equals its state scored alone, bit for bit, and is
-    within 1e-9 of the reference; each child equals the closed form exactly."""
+def assert_batch_rows_equal_references(scorer, beam, labels, rows=None):
+    """Every batched row equals that row scored alone, bit for bit, and is
+    within 1e-9 of the reference; each child of ``beam``'s row ``rows[i]``
+    (default: row i) equals the closed form exactly, ``both`` included."""
     assert_scores_match_reference(scorer, beam)
-    children = scorer.child(beam, labels)
-    assert len(children) == len(beam)
-    for child, state, label in zip(children, beam, labels):
-        want = closed_form_child(scorer, state, label)
-        assert child.r_nonblank.tobytes() == want.r_nonblank.tobytes()
-        assert child.r_blank.tobytes() == want.r_blank.tobytes()
-        assert _f64(child.prefix_logprob) == _f64(want.prefix_logprob)
-        assert child.last_label == label
+    if rows is None:
+        rows = range(len(beam.prefix_logprob))
+    children = scorer.child(beam, rows, labels)
+    assert children.r_blank.shape == (len(labels), scorer.T + 1)
+    for i, (row, label) in enumerate(zip(rows, labels)):
+        want = closed_form_child(scorer, block_rows(beam, [row]), label)
+        assert children.r_nonblank[i].tobytes() == want.r_nonblank[0].tobytes()
+        assert children.r_blank[i].tobytes() == want.r_blank[0].tobytes()
+        assert children.both[i].tobytes() == want.both[0].tobytes()
+        assert _f64(children.prefix_logprob[i]) == _f64(want.prefix_logprob[0])
+        assert children.last_label[i] == label
     return children
 
 
@@ -391,8 +403,8 @@ class TestBatchedScorer:
             beam = _ragged_beam(rng, scorer, 7)
             for _ in range(3):
                 nxt = _next_labels(rng, beam, labels)
-                starts = max(starts, len({_start(s) for s in beam if s.prefix_logprob > NEG_INF}))
-                repeats += sum(s.last_label == c for s, c in zip(beam, nxt))
+                starts = max(starts, len(_starts(beam)))
+                repeats += int(np.sum(beam.last_label == nxt))
                 beam = assert_batch_rows_equal_references(scorer, beam, nxt)
         assert repeats > 0
         assert starts > (1 if frames == 1 else 3)
@@ -400,17 +412,20 @@ class TestBatchedScorer:
     def test_empty_batch(self):
         em = EmissionMatrix(random_emissions(np.random.default_rng(51), 4, 5))
         scorer = CtcPrefixScorer(em, 4)
-        assert scorer.candidate_scores([]).shape == (0, 5)
-        assert scorer.child([], []) == []
+        root = scorer.root()
+        assert scorer.candidate_scores(block_rows(root, [])).shape == (0, 5)
+        empty = scorer.child(root, [], [])
+        assert empty.r_blank.shape == empty.r_nonblank.shape == (0, 5)
+        assert empty.both.shape == (0, 4) and empty.prefix_logprob.shape == (0,)
 
     def test_dead_rows_are_neg_inf(self):
         # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
         em = EmissionMatrix(random_emissions(np.random.default_rng(52), 1, 4))
         scorer = CtcPrefixScorer(em, 3)
         root = scorer.root()
-        one = scorer.child([root], [1])[0]
-        beam = [root, scorer.child([one], [1])[0], one]
-        assert beam[1].prefix_logprob == NEG_INF
+        one = scorer.child(root, [0], [1])
+        beam = join_blocks([root, scorer.child(one, [0], [1]), one])
+        assert beam.prefix_logprob[1] == NEG_INF
         assert_batch_rows_equal_references(scorer, beam, [2, 2, 2])
         got = scorer.candidate_scores(beam)
         assert np.all(got[1] == NEG_INF) and np.any(got[0] > NEG_INF)
@@ -420,13 +435,13 @@ class TestBatchedScorer:
         # the root, live states of several depths and a dead state, bit for bit
         rng = np.random.default_rng(54 + frames)
         scorer = CtcPrefixScorer(EmissionMatrix(random_emissions(rng, frames, 6)), 5, (4,))
-        beam = [scorer.root()] + _ragged_beam(rng, scorer, 6)
+        beam = join_blocks([scorer.root(), _ragged_beam(rng, scorer, 6)])
         got = end_scores(beam)
         assert got.tobytes() == scorer.candidate_scores(beam)[:, 5].tobytes()
-        dead = [s.prefix_logprob == NEG_INF for s in beam]
+        dead = beam.prefix_logprob == NEG_INF
         assert any(dead) and not all(dead)
         assert np.all(got[dead] == NEG_INF) and got[0] > NEG_INF
-        assert end_scores([]).shape == (0,)
+        assert end_scores(block_rows(beam, [])).shape == (0,)
 
     def test_invalid_label_anywhere_in_the_batch(self):
         em = EmissionMatrix(random_emissions(np.random.default_rng(53), 3, 5))
@@ -434,7 +449,7 @@ class TestBatchedScorer:
         root = scorer.root()
         for bad in (BLANK_ID, 4, 5, -1):
             with pytest.raises(ValueError, match="invalid extension label"):
-                scorer.child([root, root], [1, bad])
+                scorer.child(root, [0, 0], [1, bad])
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -452,6 +467,50 @@ class TestBatchedScorer:
         for _ in range(2):
             labels = _next_labels(rng, beam, [1, 2, 3, 4])
             beam = assert_batch_rows_equal_references(scorer, beam, labels)
+
+
+class TestBlockBitIdentity:
+    """What holding the beam as one block rests on: row-wise sums equal the scalar ones."""
+
+    def test_logaddexp_equals_lse2_bit_for_bit(self):
+        # ``end_scores`` and ``both`` use np.logaddexp where the per-state
+        # code used lse2; -inf on either side, both -inf and equal arguments
+        rng = np.random.default_rng(60)
+        n = 20_000
+        a = rng.normal(scale=rng.choice([1.0, 30.0, 800.0], size=n), size=n)
+        b = a + rng.normal(scale=rng.choice([1e-12, 1.0, 40.0], size=n), size=n)
+        equal = rng.random(n) < 0.1
+        b[equal] = a[equal]
+        a[rng.random(n) < 0.1] = NEG_INF
+        b[rng.random(n) < 0.1] = NEG_INF
+        got = np.logaddexp(a, b)
+        want = np.array([lse2(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        assert got.tobytes() == want.tobytes()
+        kinds = {
+            "a -inf": (a == NEG_INF) & (b > NEG_INF),
+            "b -inf": (b == NEG_INF) & (a > NEG_INF),
+            "both -inf": (a == NEG_INF) & (b == NEG_INF),
+            "equal": (a == b) & (a > NEG_INF),
+        }
+        assert all(mask.sum() > 100 for mask in kinds.values()), kinds
+
+    @pytest.mark.parametrize("frames", [1, 7, 63, 200])
+    def test_block_rows_equal_rows_scored_alone(self, frames):
+        # candidate_scores row by row, and child over gathered rows: out of
+        # order, repeated, some parents dropped, each as its row alone
+        rng = np.random.default_rng(61 + frames)
+        scorer = CtcPrefixScorer(EmissionMatrix(random_emissions(rng, frames, 9)), 8, (7,))
+        repeats = 0
+        for _ in range(3):
+            beam = _ragged_beam(rng, scorer, 8)
+            for _ in range(3):
+                n = len(beam.prefix_logprob)
+                rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n))).tolist()
+                parents = block_rows(beam, rows)
+                labels = _next_labels(rng, parents, range(1, 7))
+                repeats += int(np.sum(parents.last_label == labels))
+                beam = assert_batch_rows_equal_references(scorer, beam, labels, rows)
+        assert repeats > 0
 
 
 @st.composite
@@ -478,8 +537,8 @@ class TestScorerProperty:
         got = want = scorer.root()
         total = 0.0
         for label in labels:
-            total += float(scorer.candidate_scores([got])[0, label])
-            got = scorer.child([got], [label])[0]
+            total += float(scorer.candidate_scores(got)[0, label])
+            got = scorer.child(got, [0], [label])
             want = reference_child(scorer, want, label)
             for a, b in (
                 (got.r_nonblank, want.r_nonblank),
@@ -489,7 +548,7 @@ class TestScorerProperty:
                 assert _same_neg_inf(a, b)
                 finite = np.atleast_1d(b) > NEG_INF
                 assert np.all(np.abs(np.atleast_1d(a)[finite] - np.atleast_1d(b)[finite]) <= 1e-9)
-        total += float(scorer.candidate_scores([got])[0, eos])
+        total += float(scorer.candidate_scores(got)[0, eos])
         expected = forward_ctc(em, labels)
         if expected == NEG_INF:
             assert total == NEG_INF

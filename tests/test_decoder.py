@@ -59,7 +59,9 @@ from beamfuse.tokenization import (
 from conftest import (
     ODD_PIECES,
     CountingScorer,
+    block_rows,
     ctc_hypothesis,
+    join_blocks,
     make_vocab,
     random_emissions,
     reference_decode,
@@ -421,6 +423,27 @@ def _label_beams(rng, tok, scorer, n_lms, steps, width=8):
             beam.append(hyp)
 
 
+def _on_step(step, beam) -> list[Hypothesis]:
+    """``beam`` as the label step holds it, for a beam whose live states are 1-row blocks.
+
+    ``step.block`` stacks the live hypotheses' blocks in beam order, and each
+    live hypothesis becomes a copy whose state is its row; an ended one is
+    itself.  The reference keeps stepping the original beam.
+    """
+    live = [h for h in beam if not h.ended]
+    step.block = join_blocks([h.state for h in live]) if live else block_rows(step.block, [])
+    rows = {id(h): r for r, h in enumerate(live)}
+    return [
+        h if h.ended else Hypothesis(h.tokens, h.e2e, h.views, rows[id(h)], k=h.k) for h in beam
+    ]
+
+
+def _row_bytes(block, r: int) -> tuple:
+    """Row ``r`` of a prefix block, every field, as bytes."""
+    fields = (block.r_blank, block.r_nonblank, block.prefix_logprob, block.last_label, block.both)
+    return tuple(f[r].tobytes() for f in fields)
+
+
 def assert_carried(got, ended):
     """``got`` is the ended hypothesis ``ended`` carried over: a new one with its fields."""
     assert got is not ended
@@ -434,8 +457,10 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("never"), lms=lms, mode="labelsync")
     step = _LabelStep(scorer, cfg, tok)
     ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
+    held = _on_step(step, beam)
+    row_of = {id(h): g.state for h, g in zip(beam, held)}
 
-    cands = step.expand(beam, 1)
+    cands = step.expand(held, 1)
     entries = reference_label_entries(scorer, beam, ids, weights)
     assert len(cands) == len(entries)
     # every candidate, as the shallow path materializes it, matches one entry
@@ -452,14 +477,14 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
         if s is None:
             assert_carried(hyp, want_parent)
         else:
-            # a new survivor holds its parent's views and, if live, its parent's state
+            # a new survivor holds its parent's views and, if live, its parent's row
             assert hyp.views is want_parent.views and _bits(hyp.e2e) == _bits(want_parent.e2e + s)
-            assert hyp.state is (None if hyp.ended else want_parent.state)
+            assert hyp.state == (None if hyp.ended else row_of[id(want_parent)])
 
     def children():
-        # (parent state, label) of each child built since the last call
-        out = list(zip(scorer.parent_states, scorer.child_labels))
-        scorer.parent_states.clear()
+        # (parent row's values, label) of each child row built since the last call
+        out = list(zip(scorer.parent_rows, scorer.child_labels))
+        scorer.parent_rows.clear()
         scorer.child_labels.clear()
         return out
 
@@ -469,6 +494,11 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     want = reference_label_step(scorer, beam, ids, beam_size, weights, tok.vocab)
     assert children() == got_children
     assert [h.tokens for h in got] == [h.tokens for h, _ in want]
+    # child builds exactly one row per live survivor, numbered in beam order
+    live = [g for g in got if not g.ended]
+    assert [g.state for g in live] == list(range(len(live)))
+    if live:
+        assert step.block.r_blank.shape[0] == len(live)
     for g, (w, parent) in zip(got, want):
         if parent is None:
             assert_carried(g, w)
@@ -478,6 +508,8 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
         assert g.ended == w.ended
         assert g.k == w.k
         assert (g.state is None) == (w.state is None)
+        if not g.ended:
+            assert _row_bytes(step.block, g.state) == _row_bytes(w.state, 0)
         assert len(g.views) == len(w.views)
         assert all(a.cache is b.cache for a, b in zip(g.views, w.views))
         assert all(a.cache is b.cache for a, b in zip(g.views, parent.views))
@@ -576,12 +608,14 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
     cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("shallow"), lms=lms, mode=mode)
     if mode == "ctc":
         step = _FrameStep(EmissionMatrix(source[None, :]), cfg, tok)
+        held = beam
     else:
         step = _LabelStep(source, cfg, tok)
+        held = _on_step(step, beam)
     want, want_deltas = reference_shallow_step(mode, source, beam, tok, lms, beam_size)
 
     counters = DecodeCounters()
-    cands = step.expand(beam, 1)
+    cands = step.expand(held, 1)
     got = step.prune(cands, _shallow_scores(cands, lms, tok, [{} for _ in lms], counters))
     for hyp in got:
         advance_views(hyp, tok, lms)
@@ -1068,10 +1102,10 @@ def _one_step_each_mode(pick, tok, lms) -> tuple[list, Counter]:
     for hyp in beam:
         hyp.state = scorer.root()
         for c in hyp.tokens[1:]:
-            hyp.state = scorer.child([hyp.state], [c])[0]
+            hyp.state = scorer.child(hyp.state, [0], [c])
         if pick(3) == 0:
             hyp.tokens += (EOS_ID,)
-    labelled = label_step.prune(label_step.expand(beam, 1), None)
+    labelled = label_step.prune(label_step.expand(_on_step(label_step, beam), 1), None)
     ended = {h.tokens for h in beam if h.ended}
     shapes["carried ended"] += sum(h.tokens in ended for h in labelled)
     extensions = [h for h in survivors if h.tokens not in by_tokens]
@@ -1121,8 +1155,8 @@ class TestCarriedWordLength:
             return survivors
 
         def counted_label_prune(step, cands, extra):
-            # the expansion's label scores, from the same batch of states
-            label_scores = step.scorer.candidate_scores([h.state for h in cands.parents])
+            # the expansion's label scores, from the same block
+            label_scores = step.scorer.candidate_scores(step.block)
             survivors = label_prune(step, cands, extra)
             ended = {e.tokens: e for e in cands.singles}
             parents = {h.tokens: r for r, h in enumerate(cands.parents)}
@@ -1761,6 +1795,14 @@ class TestLabelSync:
         _, em = utterances(asr_tok, corpus_split, 1, noise=0.5)[0]
         scorer = _CountingScorer(CtcPrefixScorer(em, EOS_ID, disallowed=(BOS_ID, UNK_ID)))
         monkeypatch.setattr(decoder_mod, "end_scores", scorer.end_scores)
+        prune, live_rows = _LabelStep.prune, []
+
+        def recorded_prune(step, cands, extra):
+            survivors = prune(step, cands, extra)
+            live_rows.append([h.state for h in survivors if not h.ended])
+            return survivors
+
+        monkeypatch.setattr(_LabelStep, "prune", recorded_prune)
         cfg = DecodeConfig(
             beam=4,
             policy=FusionPolicy("shallow"),
@@ -1770,11 +1812,16 @@ class TestLabelSync:
         result = decode(scorer, cfg, asr_tok)
         assert scorer.child_labels
         assert EOS_ID not in scorer.child_labels
-        # every state built belongs to a live survivor, so exactly one later
-        # request for next-token scores consumes it: the next step's
-        # expansion, or the closing </s> scores
-        assert len(scorer.child_labels) == len(scorer.scored_states) - 1
-        assert set(scorer.built_states) == set(scorer.scored_states[1:])
+        # states for survivors only: each prune with live survivors makes one
+        # child call, whose block has exactly one row per live survivor,
+        # numbered 0..n-1 in beam order
+        sizes = [len(rows) for rows in live_rows if rows]
+        assert all(rows == list(range(len(rows))) for rows in live_rows)
+        assert [b.r_blank.shape[0] for b in scorer.built] == sizes
+        # and exactly one later request for next-token scores reads each
+        # block: the next step's expansion, or the closing </s> scores
+        assert len(scorer.scored) == len(scorer.built) + 1
+        assert all(s is b for s, b in zip(scorer.scored[1:], scorer.built))
         assert len(scorer.child_labels) <= cfg.beam * result.counters.steps
         assert result.counters.hyps_expanded > len(scorer.child_labels)
 
@@ -1813,38 +1860,42 @@ class TestLabelSync:
 
 
 class _CountingScorer:
-    """Prefix-scorer proxy that records each call and which states are built and scored."""
+    """Prefix-scorer proxy that records each call, each child row's parent, and the blocks.
+
+    ``built`` holds the blocks ``child`` returned and ``scored`` those that
+    ``candidate_scores`` or ``end_scores`` read, in call order.
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.T = inner.T
         self.calls = []
         self.child_labels = []
-        self.parent_states = []
-        self.built_states = []
-        self.scored_states = []
+        self.parent_rows = []
+        self.built = []
+        self.scored = []
 
     def root(self):
         return self.inner.root()
 
-    def child(self, states, labels):
-        self.calls.append(("child", len(states)))
+    def child(self, block, rows, labels):
+        self.calls.append(("child", len(rows)))
         self.child_labels.extend(labels)
-        self.parent_states.extend(map(id, states))
-        out = self.inner.child(states, labels)
-        self.built_states.extend(map(id, out))
+        self.parent_rows.extend(_row_bytes(block, r) for r in rows)
+        out = self.inner.child(block, rows, labels)
+        self.built.append(out)
         return out
 
-    def candidate_scores(self, states):
-        self.calls.append(("candidate_scores", len(states)))
-        self.scored_states.extend(map(id, states))
-        return self.inner.candidate_scores(states)
+    def candidate_scores(self, block):
+        self.calls.append(("candidate_scores", len(block.prefix_logprob)))
+        self.scored.append(block)
+        return self.inner.candidate_scores(block)
 
-    def end_scores(self, states):
-        """Stands in for ``decoder.end_scores``, which reads the states alone."""
-        self.calls.append(("end_scores", len(states)))
-        self.scored_states.extend(map(id, states))
-        return end_scores(states)
+    def end_scores(self, block):
+        """Stands in for ``decoder.end_scores``, which reads the block alone."""
+        self.calls.append(("end_scores", len(block.prefix_logprob)))
+        self.scored.append(block)
+        return end_scores(block)
 
 
 class TestValidation:
