@@ -16,13 +16,16 @@ at T=60, 8.0e-13 at T=200 and 6.8e-12 at T=1,000 on benchmark emissions.
 With emissions down to -700 the sums reach -5e5 at T=1,000 and differ by
 up to 1.3e-9 (2.3e-15 relative); the loop is as far from the exact value
 there.  Next-token scores for a whole beam come from one product of
-rescaled probabilities, (states, T) by (T, V), with a log-space sum for
+rescaled probabilities, (rows, T) by (T, V), with a log-space sum for
 any entry whose product falls below 1e-250; they differ from a log-space
 sum over frames by rounding only: at most 1.1e-13 relative, over 15,442
 random rows with T up to 1,000, logit scales up to 30 and V from 4 to 65.
 
-The scorer works on a whole beam per call, one row per state, and each
-row is bit-identical to its state scored alone (see ``CtcPrefixScorer``).
+The scorer holds a whole beam as one ``PrefixBlock``, one row per prefix,
+and selects survivor rows by index, as ESPnet's ``CTCPrefixScoreTH`` does
+(Seki et al., Interspeech 2019).  Each row is bit-identical to that row
+scored alone (see ``CtcPrefixScorer``).  ``both`` and ``end_scores`` rely
+on ``np.logaddexp`` equalling ``lse2`` bit for bit, which tests pin.
 """
 
 from __future__ import annotations

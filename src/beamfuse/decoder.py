@@ -231,9 +231,9 @@ class Hypothesis:
     Both modes give it one shape.  ``e2e`` is its acoustic log-probability
     so far: in ``ctc`` the prefix total ``lse2(*state)``, in ``labelsync``
     the sum of its label scores.  ``state`` is the mode's recursion state:
-    the ``(log_blank, log_nonblank)`` pair in ``ctc``, in ``labelsync`` the
-    hypothesis's row in the label step's ``PrefixBlock`` (None once ended).  ``k`` is the
-    complete-word source length, ``<s>`` not counted: what
+    the ``(log_blank, log_nonblank)`` pair in ``ctc``, in ``labelsync`` its
+    row in the label step's ``PrefixBlock`` (None once ended).  ``k`` is
+    the complete-word source length, ``<s>`` not counted: what
     ``tokenizable_prefix_len(tokens)`` gives.  It is required: a step sets
     it in O(1) for each hypothesis it builds, and a hand-built one passes it.
     """

@@ -391,7 +391,7 @@ def closed_form_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
 
 
 def reference_candidate_scores(scorer, state: PrefixBlock) -> np.ndarray:
-    """A 1-row block's ``CtcPrefixScorer.candidate_scores`` row, over every frame's (T, V) matrix."""
+    """``CtcPrefixScorer.candidate_scores`` of a 1-row block, over every frame's (T, V) matrix."""
     r_blank, r_nonblank, prefix_logprob, last = _single(state)
     if prefix_logprob == NEG_INF:
         return np.full(scorer.V, NEG_INF)
@@ -578,9 +578,9 @@ def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
     Views are advanced from scratch with ``lm_tok.encode(asr_tok.decode(...))``.
     Fusion is decided from each policy's definition and scored with
     ``reference_score_batch``.  A label-sync state is a 1-row block, each
-    child's from ``closed_form_child``, and the last beam is closed with ``reference_candidate_scores``'s
-    ``</s>`` column.  Finalization scores every whole hypothesis plus
-    ``</s>`` from a fresh cache.
+    child's from ``closed_form_child``, and the last beam is closed with
+    ``reference_candidate_scores``'s ``</s>`` column.  Finalization scores
+    every whole hypothesis plus ``</s>`` from a fresh cache.
     """
     lms, beam_size = config.lms, config.beam
     weights = [spec.weight for spec in lms]

@@ -88,9 +88,10 @@ def test_a_missing_decode_is_reported():
 def test_the_origin_keys_each_decode_by_its_utterance():
     other_beam = (*_record()[:3], 10, _record()[4])
     keys = [tuple(r[:5]) for r in decode_grid.origin([_record(), _record(), other_beam])]
-    assert keys == [("labelsync", "shortest", "both", 5, 0), ("labelsync", "shortest", "both", 5, 1),
-                    ("labelsync", "shortest", "both", 10, 0)]
-    assert decode_grid.origin([_record()])[0][5] == {k: _record()[4][k] for k in ("best", "counters")}
+    prefix = ("labelsync", "shortest", "both")
+    assert keys == [(*prefix, 5, 0), (*prefix, 5, 1), (*prefix, 10, 0)]
+    kept = {k: _record()[4][k] for k in ("best", "counters")}
+    assert decode_grid.origin([_record()])[0][5] == kept
 
 
 def test_origin_round_trip(tmp_path):

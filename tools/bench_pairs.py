@@ -192,25 +192,16 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
     """Per workload and metric: medians, the parent's quartile spread, pairs won."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in records):
-        runs = {}
-        for r in records:
-            if r["workload"] == workload:
-                runs[(r["pair"], r["side"])] = r["result"]["metrics"]
-        pairs = sorted({pair for pair, _ in runs})
         for metric in metrics:
             name = metric["name"]
-            parent = [runs[(p, "parent")][name]["value"] for p in pairs]
-            change = [runs[(p, "change")][name]["value"] for p in pairs]
+            parent, change = _paired(records, workload, name)
             sign = 1 if metric["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-            spread = 0.0
-            if len(parent) >= 2:
-                q1, _, q3 = statistics.quantiles(parent, n=4)
-                spread = q3 - q1
             p_med, c_med = statistics.median(parent), statistics.median(change)
             rel = (c_med - p_med) / p_med if p_med else 0.0
             lines.append(f"{workload:20s} {name:14s} parent {p_med:.6g} change {c_med:.6g}"
-                         f" ({rel:+.1%}) parent IQR {spread:.3g} change wins {wins}/{len(pairs)}")
+                         f" ({rel:+.1%}) parent IQR {_spread(parent):.3g}"
+                         f" change wins {wins}/{len(parent)}")
     return lines
 
 
