@@ -7,15 +7,16 @@ everywhere, as the reserved-id layout in ``tokenization`` defines it.
 Two independent oracles back the CTC prefix recursion (frame by frame in
 ``decoder.extend_frame``) on small instances: exhaustive path enumeration
 and the classic interleaved-blank forward algorithm.  The
-label-synchronous scorer turns the same recursion into next-token scores by
-tracking, per prefix, the probability that the full utterance's labelling
-starts with that prefix.  It computes a child prefix's forward variables
-over all frames at once, in closed form with log-space cumulative sums
-rather than a loop over frames.  The two differ by rounding only: 1.4e-13
-at T=60, 8.0e-13 at T=200 and 6.8e-12 at T=1,000 on benchmark emissions.
-With emissions down to -700 the sums reach -5e5 at T=1,000 and differ by
-up to 1.3e-9 (2.3e-15 relative); the loop is as far from the exact value
-there.  Next-token scores for a whole beam come from one product of
+label-synchronous scorer turns the same recursion into prefix
+log-probabilities: for each extension c of a prefix g, log ψ(g·c), the
+probability that the full utterance's labelling starts with g·c, and for
+``</s>`` the probability that it is exactly g.  It computes a child
+prefix's forward variables over all frames at once, in closed form with
+log-space cumulative sums rather than a loop over frames.  The two differ
+by rounding only: 1.4e-13 at T=60, 8.0e-13 at T=200 and 6.8e-12 at
+T=1,000 on benchmark emissions.  With emissions down to -700 the sums
+reach -5e5 at T=1,000 and differ by up to 1.3e-9 (2.3e-15 relative); the
+loop is as far from the exact value there.  Extension scores for a whole beam come from one product of
 rescaled probabilities, (rows, T) by (T, V), with a log-space sum for
 any entry whose product falls below 1e-250; they differ from a log-space
 sum over frames by rounding only: at most 1.1e-13 relative, over 15,442
@@ -178,15 +179,15 @@ class PrefixBlock:
 
     ``r_nonblank[s, t]`` / ``r_blank[s, t]`` hold the probability that the
     first t frames collapse to exactly prefix ``s``, ending non-blank /
-    blank.  ``prefix_logprob[s]`` is the probability that the whole
-    utterance's labelling starts with prefix ``s``, and ``last_label[s]`` its
-    last label (-1 for the root).  ``both`` is set from the others once, at
-    construction: ``logaddexp(r_blank, r_nonblank)`` over frames ``[:-1]``.
+    blank, and ``last_label[s]`` is its last label (-1 for the root).  A row
+    of all -inf is a dead prefix, one no path reaches.  ``both`` is set from
+    the others once, at construction: ``logaddexp(r_blank, r_nonblank)``
+    over frames ``[:-1]``.  The prefix's own log-probability is not kept:
+    the hypothesis holds it, as the ``candidate_scores`` entry it came from.
     """
 
     r_blank: np.ndarray
     r_nonblank: np.ndarray
-    prefix_logprob: np.ndarray
     last_label: np.ndarray
     both: np.ndarray = field(init=False)
 
@@ -195,27 +196,23 @@ class PrefixBlock:
 
 
 def end_scores(block: PrefixBlock) -> np.ndarray:
-    """Each row's ``</s>`` score: the exact-labelling log-probability minus ``prefix_logprob``.
+    """Each row's ``</s>`` score: the log-probability that the labelling is exactly its prefix.
 
     The ``</s>`` column of ``CtcPrefixScorer.candidate_scores``, bit for
-    bit, from one ``np.logaddexp`` over the last frame; a dead row
-    (``prefix_logprob`` -inf) scores -inf.
+    bit, from one ``np.logaddexp`` over the last frame; a dead row scores
+    -inf.
     """
-    prefix = block.prefix_logprob
-    with np.errstate(invalid="ignore"):
-        scores = np.logaddexp(block.r_nonblank[:, -1], block.r_blank[:, -1]) - prefix
-    scores[prefix == NEG_INF] = NEG_INF
-    return scores
+    return np.logaddexp(block.r_nonblank[:, -1], block.r_blank[:, -1])
 
 
 class CtcPrefixScorer:
-    """Next-token log-scores over the vocabulary from CTC emissions, a beam at a time.
+    """Prefix log-probabilities over the vocabulary from CTC emissions, a beam at a time.
 
-    The score of extending a prefix g with c is
-    log pp(g·c) - log pp(g), where pp is the starts-with probability; the
-    end-of-sequence score closes the telescope with the exact-labelling
-    probability, so the per-step scores of a finished hypothesis sum to its
-    total CTC log-probability.
+    The score of extending a prefix g with c is log ψ(g·c), where ψ is the
+    starts-with probability (Watanabe et al., IEEE JSTSP 2017); the
+    end-of-sequence score is the exact-labelling probability of g, its total
+    CTC log-probability.  Scores are absolute, not increments, so a
+    hypothesis's acoustic score is the entry it was chosen from.
 
     The beam is one ``PrefixBlock``: ``root`` gives a 1-row block,
     ``candidate_scores`` scores every row, and ``child`` builds the next
@@ -249,16 +246,18 @@ class CtcPrefixScorer:
     def root(self) -> PrefixBlock:
         """The empty prefix as a 1-row block."""
         r_nb = np.full((1, self.T + 1), NEG_INF)
-        return PrefixBlock(self._blank_cum[None].copy(), r_nb, np.zeros(1), np.full(1, -1))
+        return PrefixBlock(self._blank_cum[None].copy(), r_nb, np.full(1, -1))
 
     def candidate_scores(self, block: PrefixBlock) -> np.ndarray:
-        """One (rows, V) block of next-token scores; disallowed ids are -inf.
+        """One (rows, V) block of prefix log-probabilities; disallowed ids are -inf.
 
-        With ``both[s, t]`` the log-probability that row ``s``'s prefix is
-        complete after t frames, the starts-with probability of ``s``
-        extended by ``c`` is ``sum_t exp(both[s, t] + F[t, c])``.  Each row
-        of ``both`` is scaled by its max ``m_s`` and each emission column
-        by its max ``M_c`` (once, in ``__init__``), so it is
+        Entry ``(s, c)`` is log ψ of row ``s``'s prefix extended by ``c``,
+        and the ``</s>`` column is ``end_scores``.  With ``both[s, t]`` the
+        log-probability that row ``s``'s prefix is complete after t frames,
+        the starts-with probability of ``s`` extended by ``c`` is
+        ``sum_t exp(both[s, t] + F[t, c])``.  Each row of ``both`` is
+        scaled by its max ``m_s`` and each emission column by its max
+        ``M_c`` (once, in ``__init__``), so it is
         ``m_s + M_c + log(sum_t exp(both[s, t] - m_s) * exp(F[t, c] - M_c))``:
         one (S, T) x (T, V) product of numbers in [0, 1], as Graves et al.
         rescale the CTC forward-backward.  The column of a row's last
@@ -275,27 +274,24 @@ class CtcPrefixScorer:
         The product is ``np.einsum``, which sums every output entry over
         the row's frames in the same order whatever the batch, where a
         BLAS ``@`` may not; so every row is bit-identical to that row
-        scored alone.  A dead row (``prefix_logprob`` -inf) gets a row of
-        -inf.
+        scored alone.  A dead row's ``both`` is all -inf, so its product is
+        0 and its log-space sums -inf: it gets a row of -inf.
         """
-        r_b, both, prefix = block.r_blank, block.both, block.prefix_logprob
+        r_b, both = block.r_blank, block.both
         m = both.max(axis=1, initial=NEG_INF)
         safe_m = np.where(m > NEG_INF, m, 0.0)
         product = np.einsum("st,tv->sv", np.exp(both - safe_m[:, None]), self._exp_frames)
         with np.errstate(divide="ignore"):
-            pp_new = (safe_m[:, None] + self._col_max) + np.log(product)
+            scores = (safe_m[:, None] + self._col_max) + np.log(product)
         low_r, low_c = np.nonzero(product < self.PRODUCT_FLOOR)
-        if low_r.size:  # rare: underflow, or a row complete at no frame before T
-            pp_new[low_r, low_c] = _logsumexp_rows(both[low_r] + self.frames[:, low_c].T)
+        if low_r.size:  # rare: underflow, a dead row, or one complete at no frame before T
+            scores[low_r, low_c] = _logsumexp_rows(both[low_r] + self.frames[:, low_c].T)
         # repeating the last label extends only the paths that end in blank
         rows = np.flatnonzero(block.last_label >= 0)
         lasts = block.last_label[rows]
-        pp_new[rows, lasts] = _logsumexp_rows(r_b[rows, :-1] + self.frames[:, lasts].T)
-        with np.errstate(invalid="ignore"):
-            scores = pp_new - prefix[:, None]
+        scores[rows, lasts] = _logsumexp_rows(r_b[rows, :-1] + self.frames[:, lasts].T)
         scores[:, self.eos_id] = end_scores(block)
         scores[:, self._banned] = NEG_INF
-        scores[prefix == NEG_INF] = NEG_INF
         return scores
 
     def child(self, block: PrefixBlock, rows: Sequence[int], labels: Sequence[int]) -> PrefixBlock:
@@ -323,13 +319,7 @@ class CtcPrefixScorer:
         new_nb, new_b = np.full((2, len(rows), self.T + 1), NEG_INF)
         new_nb[:, 1:] = cum[:, 1:] + np.logaddexp.accumulate(phi - cum[:, :-1], axis=1)
         new_b[:, 1:] = bc[1:] + np.logaddexp.accumulate(new_nb[:, :-1] - bc[:-1], axis=1)
-        acc = phi + self.frames.T[labels]
-        m = acc.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            sums = np.exp(acc - m[:, None]).sum(axis=1).tolist()
-        # math.log per row, as np.log can differ from it in the last bit
-        pp = [a + math.log(b) if a > NEG_INF else NEG_INF for a, b in zip(m.tolist(), sums)]
-        return PrefixBlock(new_b, new_nb, np.array(pp), labels)
+        return PrefixBlock(new_b, new_nb, labels)
 
 
 # -- synthetic emissions ------------------------------------------------------

@@ -38,18 +38,19 @@ modes lives in a small step object:
 * ``_LabelStep`` (mode ``labelsync``) advances one label per step from a
   CTC prefix scorer, so all live hypotheses share a length.  ``expand``
   returns ``LabelCandidates``: ended hypotheses carried over as single
-  candidates, and one (live hypotheses, vocabulary) block of each parent's
-  ``e2e`` plus its label scores, with the impossible extensions masked out.
-  The step holds the live beam's forward variables as one
+  candidates, and the scorer's (live hypotheses, vocabulary) block of each
+  extension's prefix log-probability, with the impossible extensions
+  masked out.  The step holds the live beam's forward variables as one
   ``PrefixBlock``, and a live hypothesis's state is its row there.  A live
   survivor holds its parent's row until ``prune`` builds the survivors'
-  block in one call, and unfinished hypotheses are closed with ``</s>``.
+  block in one call, and unfinished hypotheses are closed with ``</s>``,
+  whose score replaces their ``e2e``.
 
 Both candidate blocks are ``Candidates``: single items, each with its own
 acoustic score and state, then one block of acoustic extension scores
 whose column ``c`` extends by token id ``c``.  The base answers ``valid``,
 ``scores(weights)``, and ``tokens(j)``, ``views(j)`` and ``survivor(j, tokens)``
-for a flat index ``j``; ``families(kept)`` groups the extension block by
+for a flat index ``j``; ``families()`` groups the valid candidates by
 parent.  A mode's block supplies only the state an extension grows.  The
 shallow baseline is one more score term on the same cut: every
 valid candidate's whole content is scored, and those scores are added
@@ -94,7 +95,7 @@ from .acoustic import (
 from .lm import ScoreRequest
 from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
 # not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
-# and perfbench/tests/test_reconcile.py reads it (ROADMAP items 5 and 7)
+# and perfbench/tests/test_reconcile.py reads it (ROADMAP items 6 and 8)
 from .tokenization import tokenizable_prefix_len
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
@@ -230,9 +231,10 @@ class Hypothesis:
 
     Both modes give it one shape.  ``e2e`` is its acoustic log-probability
     so far: in ``ctc`` the prefix total ``lse2(*state)``, in ``labelsync``
-    the sum of its label scores.  ``state`` is the mode's recursion state:
-    the ``(log_blank, log_nonblank)`` pair in ``ctc``, in ``labelsync`` its
-    row in the label step's ``PrefixBlock`` (None once ended).  ``k`` is
+    its CTC prefix log-probability log ψ, and once ended its exact CTC
+    log-probability.  ``state`` is the mode's recursion state: the
+    ``(log_blank, log_nonblank)`` pair in ``ctc``, in ``labelsync`` its row
+    in the label step's ``PrefixBlock`` (None once ended).  ``k`` is
     the complete-word source length, ``<s>`` not counted: what
     ``tokenizable_prefix_len(tokens)`` gives.  It is required: a step sets
     it in O(1) for each hypothesis it builds, and a hand-built one passes it.
@@ -291,14 +293,15 @@ class Candidates:
         n = len(self.singles)
         return self.single_views[j] if j < n else self.parents[(j - n) // len(self.begins)].views
 
-    def families(self, kept: np.ndarray) -> tuple[list[int], list]:
-        """Split ascending candidate indices into single items and per-parent families.
+    def families(self) -> tuple[list[int], list]:
+        """Split the valid candidates into single items and per-parent families.
 
-        Returns the single indices in ``kept`` and ``(parent, labels)`` for
-        each parent with a kept extension, so the singles followed by each
-        family's labels in turn are ``kept`` in order.
+        Returns the valid single indices and ``(parent, labels)`` for each
+        parent with a valid extension, so the singles followed by each
+        family's labels in turn are the valid indices in order.
         """
         n, parents = len(self.singles), self.parents
+        kept = np.flatnonzero(self.valid)
         split = int(np.searchsorted(kept, n))
         rows, labels = np.divmod(kept[split:] - n, len(self.begins))
         labels = labels.tolist()
@@ -462,9 +465,10 @@ class LabelCandidates(Candidates):
 
     The singles are the ended hypotheses, each carried over with its own
     score, views and state, and the parents are the live ones.  Extension
-    ``(r, c)`` scores ``block[r, c]``, its parent's ``e2e`` plus the prefix
-    scorer's label score.  Extensions whose label score is -inf are not
-    candidates, and ``valid`` masks them out.
+    ``(r, c)`` scores ``block[r, c]``, the prefix scorer's log ψ of its
+    parent's prefix extended by ``c`` (for ``</s>``, the parent's exact CTC
+    log-probability).  Extensions scored -inf are not candidates, and
+    ``valid`` masks them out.
     """
 
     def _grown(self, parent: Hypothesis, c: int, score: float) -> int | None:
@@ -642,9 +646,8 @@ class _LabelStep:
         valid = np.concatenate(
             [np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()]
         )
-        block = np.array([h.e2e for h in live])[:, None] + label_scores
         singles = ([h.views for h in ended], [h.e2e for h in ended], [h.state for h in ended])
-        return LabelCandidates(ended, *singles, live, block, valid, self.begins)
+        return LabelCandidates(ended, *singles, live, label_scores, valid, self.begins)
 
     def prune(self, cands: LabelCandidates, extra) -> list[Hypothesis]:
         survivors = _survivors(cands, cands.scores(self.weights), extra, self.beam_size)
@@ -658,12 +661,12 @@ class _LabelStep:
         return survivors
 
     def close(self, beam: list[Hypothesis]) -> list[Hypothesis]:
-        """End every unfinished hypothesis with its ``</s>`` score."""
+        """End every unfinished hypothesis; its ``</s>`` score is its ``e2e``."""
         live = [h for h in beam if not h.ended]
         if live:
             ends = end_scores(self.block).tolist()
             for hyp in live:
-                hyp.e2e += ends[hyp.state]
+                hyp.e2e = ends[hyp.state]
                 hyp.tokens = hyp.tokens + (EOS_ID,)
                 hyp.state = None
         return beam
@@ -720,12 +723,12 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
-def _shallow_requests(cands, kept, lms, asr_tok, memos) -> list[list[ScoreRequest]]:
-    """Shallow fusion's LM requests for the candidates ``kept``, built once per parent.
+def _shallow_requests(cands, lms, asr_tok, memos) -> list[list[ScoreRequest]]:
+    """Shallow fusion's LM requests for the valid candidates, built once per parent.
 
-    Each LM's requests come in ``kept`` order.  ``memos`` are the decode's
-    word memos, one per LM, so each distinct word is encoded once per decode
-    and nothing is kept between decodes.  Single items go through
+    Each LM's requests come in candidate index order.  ``memos`` are the
+    decode's word memos, one per LM, so each distinct word is encoded once
+    per decode and nothing is kept between decodes.  Single items go through
     ``_whole_requests``.  Per family, the parent's tail is decoded once into
     ``words`` and an open ``last`` word (None if the tail ends between
     words), re-tokenized once per LM as ``base`` and ``closed``.  A child
@@ -734,7 +737,7 @@ def _shallow_requests(cands, kept, lms, asr_tok, memos) -> list[list[ScoreReques
     words of ``decode(tail + (c,))``.
     """
     pieces = asr_tok.pieces
-    singles, families = cands.families(kept)
+    singles, families = cands.families()
     items = ((cands.tokens(j), cands.views(j)) for j in singles)
     requests = _whole_requests(items, lms, asr_tok, memos)
     for parent, labels in families:
@@ -769,11 +772,10 @@ def _shallow_scores(cands, lms, asr_tok, memos, counters: DecodeCounters) -> np.
     requests, in the same order, as ``_whole_requests`` over every candidate
     would.  ``memos`` are the decode's word memos, one per LM.
     """
-    kept = np.flatnonzero(cands.valid)
     extra = np.zeros(cands.valid.size)
-    for spec, requests in zip(lms, _shallow_requests(cands, kept, lms, asr_tok, memos)):
+    for spec, requests in zip(lms, _shallow_requests(cands, lms, asr_tok, memos)):
         caches = _score(spec, requests, counters)
-        extra[kept] += spec.weight * np.array([cache.cum_logprob for cache in caches])
+        extra[cands.valid] += spec.weight * np.array([cache.cum_logprob for cache in caches])
     return extra
 
 

@@ -1,4 +1,3 @@
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -313,33 +312,29 @@ def reference_frame_step(beam, frame, real_ids, beam_size, weights) -> list[Hypo
 def block_rows(block: PrefixBlock, idx) -> PrefixBlock:
     """The rows ``idx`` of ``block``, in that order, as a block of their own."""
     idx = np.asarray(idx, dtype=np.intp)
-    return PrefixBlock(
-        block.r_blank[idx], block.r_nonblank[idx], block.prefix_logprob[idx], block.last_label[idx]
-    )
+    return PrefixBlock(block.r_blank[idx], block.r_nonblank[idx], block.last_label[idx])
 
 
 def join_blocks(blocks: Sequence[PrefixBlock]) -> PrefixBlock:
     """The rows of ``blocks``, in order, as one block: a beam of single-row states."""
-    fields = ("r_blank", "r_nonblank", "prefix_logprob", "last_label")
+    fields = ("r_blank", "r_nonblank", "last_label")
     return PrefixBlock(*(np.concatenate([getattr(b, f) for b in blocks]) for f in fields))
 
 
-def one_row(r_blank, r_nonblank, prefix_logprob: float, last_label: int) -> PrefixBlock:
+def one_row(r_blank, r_nonblank, last_label: int) -> PrefixBlock:
     """A 1-row block from one prefix's 1-D forward variables."""
-    return PrefixBlock(
-        r_blank[None], r_nonblank[None], np.array([prefix_logprob]), np.array([last_label])
-    )
+    return PrefixBlock(r_blank[None], r_nonblank[None], np.array([last_label]))
 
 
 def _single(state: PrefixBlock) -> tuple:
-    """A 1-row block's 1-D ``r_blank`` and ``r_nonblank``, ``prefix_logprob`` and ``last_label``."""
+    """A 1-row block's 1-D ``r_blank`` and ``r_nonblank``, and its ``last_label``."""
     (r_blank,), (r_nonblank,) = state.r_blank, state.r_nonblank
-    return r_blank, r_nonblank, float(state.prefix_logprob[0]), int(state.last_label[0])
+    return r_blank, r_nonblank, int(state.last_label[0])
 
 
 def reference_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
     """``CtcPrefixScorer.child`` of a 1-row block as the frame-by-frame recursion over T."""
-    r_blank, r_nonblank, _, last = _single(state)
+    r_blank, r_nonblank, last = _single(state)
     if label == last:
         phi = r_blank[:-1]
     else:
@@ -350,10 +345,7 @@ def reference_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
     for t in range(1, scorer.T + 1):
         r_nb[t] = emit[t - 1] + lse2(float(phi[t - 1]), float(r_nb[t - 1]))
         r_b[t] = scorer.frames[t - 1, BLANK_ID] + lse2(float(r_b[t - 1]), float(r_nb[t - 1]))
-    acc = phi + emit
-    m = float(acc.max())
-    pp = m + math.log(np.exp(acc - m).sum()) if m > NEG_INF else NEG_INF
-    return one_row(r_b, r_nb, pp, label)
+    return one_row(r_b, r_nb, label)
 
 
 def _cumsum0(column: np.ndarray) -> np.ndarray:
@@ -370,7 +362,7 @@ def closed_form_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
     The batched rows must equal this bit for bit; ``reference_child`` is the
     loop it drifts from by rounding only.
     """
-    r_blank, r_nonblank, _, last = _single(state)
+    r_blank, r_nonblank, last = _single(state)
     if label == last:
         phi = r_blank[:-1]
     else:
@@ -384,17 +376,16 @@ def closed_form_child(scorer, state: PrefixBlock, label: int) -> PrefixBlock:
     r_b = np.empty(scorer.T + 1)
     r_b[0] = NEG_INF
     r_b[1:] = bc[1:] + np.logaddexp.accumulate(r_nb[:-1] - bc[:-1])
-    acc = phi + emit
-    m = float(acc.max())
-    pp = m + math.log(np.exp(acc - m).sum()) if m > NEG_INF else NEG_INF
-    return one_row(r_b, r_nb, pp, label)
+    return one_row(r_b, r_nb, label)
 
 
 def reference_candidate_scores(scorer, state: PrefixBlock) -> np.ndarray:
-    """``CtcPrefixScorer.candidate_scores`` of a 1-row block, over every frame's (T, V) matrix."""
-    r_blank, r_nonblank, prefix_logprob, last = _single(state)
-    if prefix_logprob == NEG_INF:
-        return np.full(scorer.V, NEG_INF)
+    """``CtcPrefixScorer.candidate_scores`` of a 1-row block, over every frame's (T, V) matrix.
+
+    Column ``c`` is log ψ of the prefix extended by ``c``, the log-space sum
+    over frames, and ``</s>`` the exact-labelling log-probability by ``lse2``.
+    """
+    r_blank, r_nonblank, last = _single(state)
     both = np.logaddexp(r_blank[:-1], r_nonblank[:-1])
     phi = np.broadcast_to(both[:, None], (scorer.T, scorer.V)).copy()
     if last >= 0:
@@ -403,12 +394,9 @@ def reference_candidate_scores(scorer, state: PrefixBlock) -> np.ndarray:
     m = acc.max(axis=0)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        pp_new = safe_m + np.log(np.exp(acc - safe_m).sum(axis=0))
-    pp_new[~np.isfinite(m)] = NEG_INF
-    scores = pp_new - prefix_logprob
-    scores[scorer.eos_id] = (
-        lse2(float(r_nonblank[scorer.T]), float(r_blank[scorer.T])) - prefix_logprob
-    )
+        scores = safe_m + np.log(np.exp(acc - safe_m).sum(axis=0))
+    scores[~np.isfinite(m)] = NEG_INF
+    scores[scorer.eos_id] = lse2(float(r_nonblank[scorer.T]), float(r_blank[scorer.T]))
     scores[scorer._banned] = NEG_INF
     return scores
 
@@ -419,8 +407,9 @@ def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
     Each live hypothesis's state is its own 1-row block.  Entries are
     ``(stale combined score, tokens, (parent, label score))``; an ended
     hypothesis is carried over as itself with label score ``None``, and
-    an extension whose label score is -inf is no candidate.  The stale
-    combined score is the acoustic score plus ``plus_stale_lm``'s LM terms.
+    an extension whose label score is -inf is no candidate.  A label score
+    is the extension's acoustic score, its prefix log-probability, and the
+    stale combined score is that plus ``plus_stale_lm``'s LM terms.
     """
     entries = []
     for hyp in beam:
@@ -432,7 +421,7 @@ def reference_label_entries(scorer, beam, candidate_ids, weights) -> list:
             s = float(scores[c])
             if s == NEG_INF:
                 continue
-            comb = plus_stale_lm(hyp.e2e + s, weights, hyp.views)
+            comb = plus_stale_lm(s, weights, hyp.views)
             entries.append((comb, hyp.tokens + (c,), (hyp, s)))
     return entries
 
@@ -451,9 +440,7 @@ def reference_label_step(scorer, beam, candidate_ids, beam_size, weights, vocab)
         if s is None:
             out.append((parent, None))
             continue
-        hyp = Hypothesis(
-            tokens, e2e=parent.e2e + s, views=parent.views, k=tokenizable_prefix_len(tokens, vocab)
-        )
+        hyp = Hypothesis(tokens, e2e=s, views=parent.views, k=tokenizable_prefix_len(tokens, vocab))
         if not hyp.ended:
             hyp.state = scorer.child(parent.state, [0], [tokens[-1]])
         out.append((hyp, parent))
@@ -483,7 +470,7 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
     else:
         ids = list(range(NUM_SPECIALS, asr_tok.vocab.size)) + [EOS_ID]
         for comb, tokens, (parent, s) in reference_label_entries(source, beam, ids, weights):
-            e2e = parent.e2e if s is None else parent.e2e + s
+            e2e = parent.e2e if s is None else s
             k = tokenizable_prefix_len(tokens, asr_tok.vocab)
             hyp = Hypothesis(tokens, e2e=e2e, views=parent.views, k=k)
             entries.append((comb, tokens, hyp))
@@ -561,7 +548,7 @@ def _reference_label_survivors(scorer, beam, ids, beam_size, weights) -> list:
         if s is None:
             survivors.append(parent)
             continue
-        hyp = Hypothesis(tokens, e2e=parent.e2e + s, views=parent.views, k=0)
+        hyp = Hypothesis(tokens, e2e=s, views=parent.views, k=0)
         if not hyp.ended:
             hyp.state = closed_form_child(scorer, parent.state, tokens[-1])
         survivors.append(hyp)
@@ -578,8 +565,10 @@ def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
     Views are advanced from scratch with ``lm_tok.encode(asr_tok.decode(...))``.
     Fusion is decided from each policy's definition and scored with
     ``reference_score_batch``.  A label-sync state is a 1-row block, each
-    child's from ``closed_form_child``, and the last beam is closed with
-    ``reference_candidate_scores``'s ``</s>`` column.  Finalization scores
+    child's from ``closed_form_child``, and an extension's ``e2e`` is its
+    label score.  The last beam is closed by setting each unfinished
+    hypothesis's ``e2e`` to ``reference_candidate_scores``'s ``</s>``
+    column.  Finalization scores
     every whole hypothesis plus ``</s>`` from a fresh cache.
     """
     lms, beam_size = config.lms, config.beam
@@ -661,7 +650,7 @@ def reference_decode(source, config, asr_tok: Tokenizer) -> DecodeResult:
         if config.mode == "ctc":
             hyp.e2e = lse2(*hyp.state)
         elif not hyp.ended:
-            hyp.e2e += float(reference_candidate_scores(scorer, hyp.state)[EOS_ID])
+            hyp.e2e = float(reference_candidate_scores(scorer, hyp.state)[EOS_ID])
             hyp.tokens += (EOS_ID,)
     entries = []
     lm_scores = [[] for _ in beam]

@@ -157,7 +157,7 @@ class TestLabelSyncScorer:
         score = float(scorer.candidate_scores(scorer.root())[0, eos])
         assert score == pytest.approx(float(em.log_probs[:, BLANK_ID].sum()), abs=1e-9)
 
-    def test_telescoping_to_full_ctc_probability(self):
+    def test_eos_column_is_the_full_ctc_probability(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             em = EmissionMatrix(random_emissions(rng, 5, 5))
@@ -165,14 +165,12 @@ class TestLabelSyncScorer:
             seq = [int(x) for x in rng.integers(1, 4, size=3)]
             scorer = CtcPrefixScorer(em, eos)
             state = scorer.root()
-            total = 0.0
             for c in seq:
-                total += float(scorer.candidate_scores(state)[0, c])
                 state = scorer.child(state, [0], [c])
-            total += float(scorer.candidate_scores(state)[0, eos])
-            assert total == pytest.approx(brute_force_ctc(em, seq), abs=1e-9)
+            end = float(scorer.candidate_scores(state)[0, eos])
+            assert end == pytest.approx(brute_force_ctc(em, seq), abs=1e-9)
 
-    def test_prefix_probability_matches_oracle(self):
+    def test_extension_scores_match_prefix_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(8):
             em = EmissionMatrix(random_emissions(rng, 4, 4))
@@ -181,21 +179,23 @@ class TestLabelSyncScorer:
             state = scorer.root()
             prefix = []
             for c in [int(x) for x in rng.integers(1, 3, size=2)]:
+                assert scorer.candidate_scores(state)[0, c] == pytest.approx(
+                    brute_force_ctc_prefix(em, prefix + [c]), abs=1e-9
+                )
                 state = scorer.child(state, [0], [c])
                 prefix.append(c)
-                assert state.prefix_logprob[0] == pytest.approx(
-                    brute_force_ctc_prefix(em, prefix), abs=1e-9
-                )
 
     def test_candidate_scores_subnormalized(self):
+        # the extensions and </s> of a prefix split its own probability
         rng = np.random.default_rng(12)
         em = EmissionMatrix(random_emissions(rng, 5, 5))
         scorer = CtcPrefixScorer(em, 4)
+        parent = float(scorer.candidate_scores(scorer.root())[0, 1])
         state = scorer.child(scorer.root(), [0], [1])
         scores = scorer.candidate_scores(state)[0]
         finite = scores[np.isfinite(scores)]
         total = float(np.log(np.exp(finite - finite.max()).sum()) + finite.max())
-        assert total <= 1e-9
+        assert total <= parent + 1e-9
 
     def test_blank_disallowed(self):
         rng = np.random.default_rng(14)
@@ -204,6 +204,42 @@ class TestLabelSyncScorer:
         assert scorer.candidate_scores(scorer.root())[0, BLANK_ID] == NEG_INF
         with pytest.raises(ValueError):
             scorer.child(scorer.root(), [0], [BLANK_ID])
+
+
+def _equals_oracle(got, want) -> bool:
+    """Equal to an enumeration oracle: -inf exactly, anything else within 1e-9."""
+    return got == want if want == NEG_INF else abs(got - want) <= 1e-9
+
+
+class TestScoresArePrefixProbabilities:
+    """Every ``candidate_scores`` entry is an absolute log-probability, against enumeration."""
+
+    @pytest.mark.parametrize("frames, vocab", [(1, 4), (2, 4), (3, 5), (4, 4), (5, 5)])
+    def test_every_column_at_depths_0_to_3(self, frames, vocab):
+        rng = np.random.default_rng(30 + frames)
+        em = EmissionMatrix(random_emissions(rng, frames, vocab))
+        eos = vocab - 1
+        scorer = CtcPrefixScorer(em, eos)
+        labels = range(1, eos)
+        # every prefix of up to 3 labels: repeats, and dead ones where T is short
+        prefixes = [()]
+        for depth in range(1, 4):
+            prefixes += [p + (c,) for p in prefixes if len(p) == depth - 1 for c in labels]
+        states = {(): scorer.root()}
+        for prefix in prefixes[1:]:
+            states[prefix] = scorer.child(states[prefix[:-1]], [0], [prefix[-1]])
+        block = join_blocks([states[p] for p in prefixes])
+        got = scorer.candidate_scores(block)
+        dead = 0
+        for prefix, row in zip(prefixes, got):
+            assert row[BLANK_ID] == NEG_INF
+            for c in labels:
+                assert _equals_oracle(row[c], brute_force_ctc_prefix(em, [*prefix, c]))
+            assert _equals_oracle(row[eos], brute_force_ctc(em, prefix))
+            dead += bool(np.all(row == NEG_INF))
+        # 1, 1, 1 needs 5 frames, so only T=5 reaches every prefix
+        assert (dead > 0) == (frames < 5)
+        assert np.array_equal(_dead(block), np.all(got == NEG_INF, axis=1))
 
 
 def _peaked_emissions(rng, frames, vocab, peak=700.0):
@@ -220,6 +256,11 @@ def _label_chain(rng, labels, depth):
     for i in range(depth):
         out.append(out[-1] if out and i % 3 == 2 else int(rng.choice(labels)))
     return out
+
+
+def _dead(block) -> np.ndarray:
+    """Which rows are dead prefixes: forward variables all -inf."""
+    return np.all(block.r_blank == NEG_INF, axis=1) & np.all(block.r_nonblank == NEG_INF, axis=1)
 
 
 def _same_neg_inf(a, b) -> bool:
@@ -239,7 +280,7 @@ def assert_scores_match_reference(scorer, block):
     """Each batched row is bit-equal to that row scored alone, which is within
     1e-9·max(1, |ref|) of the log-space reference with the same -inf entries."""
     got = scorer.candidate_scores(block)
-    assert got.shape == (len(block.prefix_logprob), scorer.V)
+    assert got.shape == (len(block.last_label), scorer.V)
     for i, row in enumerate(got):
         state = block_rows(block, [i])
         alone = scorer.candidate_scores(state)[0]
@@ -266,7 +307,7 @@ class TestScorerMatchesReference:
                     chain.append(scorer.child(chain[-1], [0], [label]))
                 # every depth in one batch, each row as scored alone
                 assert_scores_match_reference(scorer, join_blocks(chain))
-                dead += sum(state.prefix_logprob[0] == NEG_INF for state in chain)
+                dead += sum(_dead(state)[0] for state in chain)
         assert dead > 0
 
     def test_candidate_scores_bit_equal_on_reference_states(self):
@@ -284,7 +325,7 @@ class TestScorerMatchesReference:
         em = EmissionMatrix(random_emissions(np.random.default_rng(22), 1, 4))
         scorer = CtcPrefixScorer(em, 3)
         state = scorer.child(scorer.child(scorer.root(), [0], [1]), [0], [1])
-        assert state.prefix_logprob[0] == NEG_INF
+        assert _dead(state)[0]
         got = scorer.candidate_scores(state)[0]
         assert got.tobytes() == reference_candidate_scores(scorer, state).tobytes()
         assert np.all(got == NEG_INF)
@@ -317,12 +358,15 @@ class TestScorerMatchesReference:
         for _ in range(3):
             got = want = scorer.root()
             for label in _label_chain(rng, range(1, vocab - 1), min(frames + 1, 12)):
+                # the child's prefix log-probability is its parent's score for it
+                score = scorer.candidate_scores(got)[0, label]
+                ref = reference_candidate_scores(scorer, want)[label]
                 got = scorer.child(got, [0], [label])
                 want = reference_child(scorer, want, label)
                 for a, b in (
                     (got.r_nonblank, want.r_nonblank),
                     (got.r_blank, want.r_blank),
-                    (got.prefix_logprob, want.prefix_logprob),
+                    (score, ref),
                 ):
                     assert _same_neg_inf(a, b)
                     # rounding grows with the magnitude of the sums, so the
@@ -342,7 +386,7 @@ def _ragged_beam(rng, scorer, size, max_depth=10):
         beam.append(state)
     dead = np.full(scorer.T + 1, NEG_INF)
     last = int(rng.choice(labels))
-    beam.insert(int(rng.integers(0, size + 1)), one_row(dead, dead.copy(), NEG_INF, last))
+    beam.insert(int(rng.integers(0, size + 1)), one_row(dead, dead.copy(), last))
     return join_blocks(beam)
 
 
@@ -358,15 +402,11 @@ def _next_labels(rng, beam, labels):
 def _starts(beam) -> set[int]:
     """The first frame each live row's prefix is complete at."""
     out = set()
-    for both, prefix in zip(beam.both, beam.prefix_logprob.tolist()):
+    for both, dead in zip(beam.both, _dead(beam).tolist()):
         reached = np.flatnonzero(both > NEG_INF)
-        if prefix > NEG_INF:
+        if not dead:
             out.add(int(reached[0]) if reached.size else len(both))
     return out
-
-
-def _f64(x) -> bytes:
-    return np.float64(x).tobytes()
 
 
 def assert_batch_rows_equal_references(scorer, beam, labels, rows=None):
@@ -375,7 +415,7 @@ def assert_batch_rows_equal_references(scorer, beam, labels, rows=None):
     (default: row i) equals the closed form exactly, ``both`` included."""
     assert_scores_match_reference(scorer, beam)
     if rows is None:
-        rows = range(len(beam.prefix_logprob))
+        rows = range(len(beam.last_label))
     children = scorer.child(beam, rows, labels)
     assert children.r_blank.shape == (len(labels), scorer.T + 1)
     for i, (row, label) in enumerate(zip(rows, labels)):
@@ -383,7 +423,6 @@ def assert_batch_rows_equal_references(scorer, beam, labels, rows=None):
         assert children.r_nonblank[i].tobytes() == want.r_nonblank[0].tobytes()
         assert children.r_blank[i].tobytes() == want.r_blank[0].tobytes()
         assert children.both[i].tobytes() == want.both[0].tobytes()
-        assert _f64(children.prefix_logprob[i]) == _f64(want.prefix_logprob[0])
         assert children.last_label[i] == label
     return children
 
@@ -416,7 +455,7 @@ class TestBatchedScorer:
         assert scorer.candidate_scores(block_rows(root, [])).shape == (0, 5)
         empty = scorer.child(root, [], [])
         assert empty.r_blank.shape == empty.r_nonblank.shape == (0, 5)
-        assert empty.both.shape == (0, 4) and empty.prefix_logprob.shape == (0,)
+        assert empty.both.shape == (0, 4) and empty.last_label.shape == (0,)
 
     def test_dead_rows_are_neg_inf(self):
         # at T=1 the prefix (1,) only ends non-blank, so (1, 1) cannot be reached
@@ -425,7 +464,7 @@ class TestBatchedScorer:
         root = scorer.root()
         one = scorer.child(root, [0], [1])
         beam = join_blocks([root, scorer.child(one, [0], [1]), one])
-        assert beam.prefix_logprob[1] == NEG_INF
+        assert _dead(beam)[1]
         assert_batch_rows_equal_references(scorer, beam, [2, 2, 2])
         got = scorer.candidate_scores(beam)
         assert np.all(got[1] == NEG_INF) and np.any(got[0] > NEG_INF)
@@ -438,7 +477,7 @@ class TestBatchedScorer:
         beam = join_blocks([scorer.root(), _ragged_beam(rng, scorer, 6)])
         got = end_scores(beam)
         assert got.tobytes() == scorer.candidate_scores(beam)[:, 5].tobytes()
-        dead = beam.prefix_logprob == NEG_INF
+        dead = _dead(beam)
         assert any(dead) and not all(dead)
         assert np.all(got[dead] == NEG_INF) and got[0] > NEG_INF
         assert end_scores(block_rows(beam, [])).shape == (0,)
@@ -504,7 +543,7 @@ class TestBlockBitIdentity:
         for _ in range(3):
             beam = _ragged_beam(rng, scorer, 8)
             for _ in range(3):
-                n = len(beam.prefix_logprob)
+                n = len(beam.last_label)
                 rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n))).tolist()
                 parents = block_rows(beam, rows)
                 labels = _next_labels(rng, parents, range(1, 7))
@@ -535,25 +574,26 @@ class TestScorerProperty:
         eos = em.vocab_size - 1
         scorer = CtcPrefixScorer(em, eos)
         got = want = scorer.root()
-        total = 0.0
         for label in labels:
-            total += float(scorer.candidate_scores(got)[0, label])
+            # the child's prefix log-probability is its parent's score for it
+            score = scorer.candidate_scores(got)[0, label]
+            ref = reference_candidate_scores(scorer, want)[label]
             got = scorer.child(got, [0], [label])
             want = reference_child(scorer, want, label)
             for a, b in (
                 (got.r_nonblank, want.r_nonblank),
                 (got.r_blank, want.r_blank),
-                (got.prefix_logprob, want.prefix_logprob),
+                (score, ref),
             ):
                 assert _same_neg_inf(a, b)
                 finite = np.atleast_1d(b) > NEG_INF
                 assert np.all(np.abs(np.atleast_1d(a)[finite] - np.atleast_1d(b)[finite]) <= 1e-9)
-        total += float(scorer.candidate_scores(got)[0, eos])
+        end = float(scorer.candidate_scores(got)[0, eos])
         expected = forward_ctc(em, labels)
         if expected == NEG_INF:
-            assert total == NEG_INF
+            assert end == NEG_INF
         else:
-            assert total == pytest.approx(expected, abs=1e-9)
+            assert end == pytest.approx(expected, abs=1e-9)
 
 
 class TestSynthEmissions:

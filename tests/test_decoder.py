@@ -13,6 +13,7 @@ from beamfuse.acoustic import (
     CtcPrefixScorer,
     EmissionMatrix,
     end_scores,
+    forward_ctc,
     lse2,
     synth_emissions,
 )
@@ -440,7 +441,7 @@ def _on_step(step, beam) -> list[Hypothesis]:
 
 def _row_bytes(block, r: int) -> tuple:
     """Row ``r`` of a prefix block, every field, as bytes."""
-    fields = (block.r_blank, block.r_nonblank, block.prefix_logprob, block.last_label, block.both)
+    fields = (block.r_blank, block.r_nonblank, block.last_label, block.both)
     return tuple(f[r].tobytes() for f in fields)
 
 
@@ -477,8 +478,9 @@ def assert_same_label_step(tok, scorer, beam, beam_size, weights):
         if s is None:
             assert_carried(hyp, want_parent)
         else:
-            # a new survivor holds its parent's views and, if live, its parent's row
-            assert hyp.views is want_parent.views and _bits(hyp.e2e) == _bits(want_parent.e2e + s)
+            # a new survivor holds its parent's views and, if live, its parent's
+            # row; its ``e2e`` is its label score
+            assert hyp.views is want_parent.views and _bits(hyp.e2e) == _bits(s)
             assert hyp.state == (None if hyp.ended else row_of[id(want_parent)])
 
     def children():
@@ -808,15 +810,14 @@ def _request_blocks(pick, tok, beam) -> list:
     label_scores = np.where(mask.random((len(live), tok.vocab.size)) < 0.75, -1.0, NEG_INF)
     label_scores[:, [BLANK_ID, BOS_ID, UNK_ID]] = NEG_INF
     valid = np.concatenate([np.ones(len(ended), dtype=bool), (label_scores > NEG_INF).ravel()])
-    block = np.array([h.e2e for h in live])[:, None] + label_scores
     ended_fields = [h.views for h in ended], [h.e2e for h in ended], [h.state for h in ended]
-    label = LabelCandidates(ended, *ended_fields, live, block, valid, tok.begins)
+    label = LabelCandidates(ended, *ended_fields, live, label_scores, valid, tok.begins)
     return [frame, label]
 
 
 def _request_shapes(cands, tok) -> Counter:
     """What the block asks of the builder: foreign stay views, and each child's kind of piece."""
-    singles, families = cands.families(np.flatnonzero(cands.valid))
+    singles, families = cands.families()
     shapes = Counter()
     shapes["stay with another entry's views"] += sum(
         cands.single_views[j] is not cands.singles[j].views for j in singles
@@ -836,7 +837,7 @@ def _request_shapes(cands, tok) -> Counter:
 
 def assert_requests_match_reference(cands, lms, tok, memos) -> None:
     """The per-parent requests are the flat reference's: tokens, cache objects and order."""
-    got = _shallow_requests(cands, np.flatnonzero(cands.valid), lms, tok, memos)
+    got = _shallow_requests(cands, lms, tok, memos)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for reqs, ref in zip(got, want):
@@ -1165,9 +1166,9 @@ class TestCarriedWordLength:
                     seen["carried ended"] += 1
                     assert _bits(hyp.e2e) == _bits(ended[hyp.tokens].e2e)
                     continue
-                # a live extension's ``e2e`` is its parent's plus its label score
+                # a live extension's ``e2e`` is its label score: its prefix log-probability
                 r = parents[hyp.tokens[:-1]]
-                want = cands.parents[r].e2e + label_scores.item(r, hyp.tokens[-1])
+                want = label_scores.item(r, hyp.tokens[-1])
                 assert _bits(hyp.e2e) == _bits(want), hyp.tokens
                 seen["extension"] += 1
             return survivors
@@ -1744,6 +1745,28 @@ class TestLabelSync:
             fused_errs += wer(ref, fused.best.text.split()).errors
         assert fused_errs <= plain_errs
 
+    @pytest.mark.parametrize("beam", [1, 5, 10])
+    def test_every_nbest_e2e_is_its_ctc_probability(
+        self, asr_tok, lm_tok, trigram, corpus_split, beam
+    ):
+        # an ended hypothesis's ``e2e`` is the exact CTC log-probability of its
+        # labels, whether it chose ``</s>`` or was closed at the frame cap
+        spec = LMSpec(trigram, lm_tok, 0.5)
+        ems = [em for _, em in utterances(asr_tok, corpus_split, 3, noise=0.5, seed0=700)]
+        rng = np.random.default_rng(beam)
+        ems += [EmissionMatrix(random_emissions(rng, 3, asr_tok.vocab.size)) for _ in range(3)]
+        sizes, capped = [], 0
+        for em in ems:
+            cfg = DecodeConfig(beam, FusionPolicy("shortest"), [spec], mode="labelsync")
+            nbest = decode(em, cfg, asr_tok).nbest
+            for hyp in nbest:
+                assert hyp.tokens[0] == BOS_ID and hyp.tokens[-1] == EOS_ID
+                want = forward_ctc(em, hyp.tokens[1:-1])
+                assert hyp.e2e_score == pytest.approx(want, abs=1e-9), hyp.tokens
+                capped += len(hyp.tokens) - 2 == em.num_frames
+            sizes.append(len(nbest))
+        assert sizes == [beam] * 6 and capped > 0
+
     def test_ended_hypotheses_terminate_loop(self, asr_tok, corpus_split):
         line, em = utterances(asr_tok, corpus_split, 1, noise=0.0)[0]
         cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode="labelsync")
@@ -1887,13 +1910,13 @@ class _CountingScorer:
         return out
 
     def candidate_scores(self, block):
-        self.calls.append(("candidate_scores", len(block.prefix_logprob)))
+        self.calls.append(("candidate_scores", len(block.last_label)))
         self.scored.append(block)
         return self.inner.candidate_scores(block)
 
     def end_scores(self, block):
         """Stands in for ``decoder.end_scores``, which reads the block alone."""
-        self.calls.append(("end_scores", len(block.prefix_logprob)))
+        self.calls.append(("end_scores", len(block.last_label)))
         self.scored.append(block)
         return end_scores(block)
 
