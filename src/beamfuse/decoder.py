@@ -551,7 +551,7 @@ def _score(spec: LMSpec, requests: list[ScoreRequest], counters: DecodeCounters)
     ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
     """
     caches = spec.scorer.score_batch_incremental(requests)
-    new = [n for n in (len(r.tokens) - r.cache.scored_len for r in requests) if n > 0]
+    new = [n for n in (len(tokens) - cache.scored_len for tokens, cache in requests) if n > 0]
     counters.lm_calls += 1
     counters.lm_hypotheses += len(new)
     counters.lm_tokens += sum(new)
@@ -731,30 +731,42 @@ def _shallow_requests(cands, lms, asr_tok, memos) -> list[list[ScoreRequest]]:
     per decode and nothing is kept between decodes.  Single items go through
     ``_whole_requests``.  Per family, the parent's tail is decoded once into
     ``words`` and an open ``last`` word (None if the tail ends between
-    words), re-tokenized once per LM as ``base`` and ``closed``.  A child
-    whose piece joins ``last`` gets ``base`` plus the joined word, any other
-    ``closed`` plus its piece's words (``Tokenizer.pieces``): either way the
-    words of ``decode(tail + (c,))``.
+    words), re-tokenized once per LM as ``base`` and ``closed``.  Per call
+    and per LM, ``table[c]`` holds piece ``c``'s glue and the LM tokens of
+    its words (``Tokenizer.pieces``), all of them and those after the first.
+    A child whose piece joins ``last`` gets ``base``, the joined word from
+    the word memo and the piece's further words; any other gets ``closed``
+    plus its piece's words.  Either way that is ``decode(tail + (c,))``.
     """
     pieces = asr_tok.pieces
     singles, families = cands.families()
     items = ((cands.tokens(j), cands.views(j)) for j in singles)
     requests = _whole_requests(items, lms, asr_tok, memos)
+    tables = [{} for _ in lms]
     for parent, labels in families:
         tail = parent.tokens[1 + parent.views[0].consumed :]
         words = asr_tok.decode(tail).split()
         # a parent's tail holds ordinary ids only: ``</s>`` ends a hypothesis
         last = words.pop() if tail and pieces[tail[-1]][2] else None
-        for view, spec, memo, reqs in zip(parent.views, lms, memos, requests):
+        for view, spec, memo, table, reqs in zip(parent.views, lms, memos, tables, requests):
             lm_tok, cache = spec.tokenizer, view.cache
             base = _retokenize(view.lm_tokens, words, lm_tok, memo)
             closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
             for c in labels:
-                glue, more, _ = pieces[c]
+                entry = table.get(c)
+                if entry is None:
+                    glue, more, _ = pieces[c]
+                    entry = table[c] = (glue, _retokenize((), more, lm_tok, memo),
+                                        _retokenize((), more[1:], lm_tok, memo))
+                glue, whole, rest = entry
                 if glue is None or last is None:
-                    lm_tokens = _retokenize(closed, more, lm_tok, memo)
+                    lm_tokens = closed + whole
                 else:
-                    lm_tokens = _retokenize(base, (last + glue, *more[1:]), lm_tok, memo)
+                    word = last + glue
+                    joined = memo.get(word)
+                    if joined is None:
+                        joined = memo[word] = tuple(lm_tok.encode_word(word))
+                    lm_tokens = base + joined + rest
                 reqs.append(ScoreRequest(lm_tokens, cache))
     return requests
 

@@ -18,7 +18,13 @@ would make, so every result is bit-identical.  Shallow fusion sends its
 candidates as runs of siblings that differ only in their last token, so a
 request that resumes the previous request's cache and repeats its
 ``tokens[:-1]`` steps one token from where that request's walk stood.
-Nothing is kept between calls.
+
+The trie lives for one call.  Only the sibling step keeps anything between
+calls: a per-model memo of its ``(context, token)`` steps, which a decode
+repeats call after call.  It is cleared at the start of a call once it holds
+more than ``_SIBLING_MEMO_LIMIT`` steps, which bounds its memory.  Nothing
+else reads or fills it: training calls ``logprob`` while its tables still
+fill, and ``logprob`` is the reference batch scoring is tested against.
 
 Scorers keep no counters and add no latency.  The decoder counts the work it
 requests (calls, requests with unscored tokens, and those tokens), not what
@@ -35,6 +41,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 LN10 = math.log(10.0)
+# the sibling memo is cleared past this many steps; 2**15 added 14% to ctc_shallow's peak RSS
+_SIBLING_MEMO_LIMIT = 2**12
 
 
 class LMError(ValueError):
@@ -86,6 +94,9 @@ class NGramModel:
         self.vocab = vocab
         self._probs = probs
         self._backoffs = backoffs
+        # context -> token -> ``_next``'s answer, for the sibling step only
+        self._sibling_memo: dict[tuple[int, ...], dict[int, tuple]] = {}
+        self._sibling_steps = 0  # the answers the memo holds
 
     # -- core scoring ---------------------------------------------------
 
@@ -141,16 +152,21 @@ class NGramModel:
         cache's ``context`` is read as its last order-1 ids, as ``logprob``
         reads a context, and every new cache holds that tuple.
 
-        Sibling shortcut: the call remembers the previous request's root,
-        its ``tokens[:-1]`` and the node at that point.  A request on the
-        same root object whose ``tokens[:-1]`` is equal steps its last token
-        from that node instead of walking from the root; its checks still
-        run first.
+        Sibling step: the call remembers the previous request's root, its
+        ``tokens[:-1]`` and the node at that point.  A non-empty request on
+        the same root object whose ``tokens[:-1]`` is equal takes its last
+        token from that node instead of walking from the root; its checks
+        still run first.  The step comes from the model's sibling memo, and
+        its cache is built from the node and the step, with no trie leaf.
         """
         step = self._next
+        memo = self._sibling_memo
+        if self._sibling_steps > _SIBLING_MEMO_LIMIT:
+            memo.clear()
+            self._sibling_steps = 0
         # id(cache) -> (cache, root); holding the cache keeps its id unique
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
-        last_root = last_stem = last_node = None
+        last_root = last_stem = last_node = last_memo = None
         caches = []
         for tokens, cache in requests:
             tokens = tuple(tokens)
@@ -168,12 +184,18 @@ class NGramModel:
                 entry = roots[id(cache)] = (cache, root)
             root = entry[1]
             stem = tokens[:-1]
-            if root is last_root and stem == last_stem:
-                node, new = last_node, tokens[-1:]
-            else:
-                node, new = root, tokens[start:]
-            parent = None
-            for token in new:
+            if root is last_root and tokens and stem == last_stem:
+                if last_memo is None:  # made here, so every context in the memo holds a step
+                    last_memo = memo.setdefault(last_node[2], {})
+                token = tokens[-1]
+                hit = last_memo.get(token)
+                if hit is None:
+                    hit = last_memo[token] = step(last_node[2], token)
+                    self._sibling_steps += 1
+                caches.append(PrefixCacheEntry(len(tokens), last_node[1] + hit[0], hit[1], tokens))
+                continue
+            node, parent = root, None
+            for token in tokens[start:]:
                 parent = node
                 child = node[0].get(token)
                 if child is None:
@@ -181,7 +203,7 @@ class NGramModel:
                     child = node[0][token] = ({}, node[1] + lp, ctx)
                 node = child
             if parent is not None:
-                last_root, last_stem, last_node = root, stem, parent
+                last_root, last_stem, last_node, last_memo = root, stem, parent, None
             caches.append(PrefixCacheEntry(len(tokens), node[1], node[2], tokens))
         return caches
 

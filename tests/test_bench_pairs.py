@@ -103,10 +103,16 @@ def test_an_incorrect_run_is_no_claim():
 @pytest.mark.parametrize("name, workload, want", [
     ("BENCH_19.json", None, "claimed"),
     ("BENCH_20.json", CLAIMED, "not claimed"),
+    ("BENCH_21.json", None, "claimed"),
+    ("BENCH_23.json", None, "claimed"),
 ])
-def test_committed_records(name, workload, want):
+def test_committed_records(name, workload, want, capsys):
     claimed, records = bench_pairs.file_records(json.loads((_ROOT / name).read_text()))
     assert bench_pairs.verdict(records, workload or claimed, END_TO_END)["verdict"] == want
+    # and as ``bench_pairs.py --verdict FILE [--workload W]`` prints it
+    argv = ["--verdict", str(_ROOT / name)] + (["--workload", workload] if workload else [])
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == want
 
 
 def test_used_seeds_are_refused():

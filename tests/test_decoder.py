@@ -816,22 +816,35 @@ def _request_blocks(pick, tok, beam) -> list:
 
 
 def _request_shapes(cands, tok) -> Counter:
-    """What the block asks of the builder: foreign stay views, and each child's kind of piece."""
+    """What the block asks of the builder: foreign stay views, and each child's kind of piece.
+
+    A continuation piece either joins the parent's open word, alone or with
+    more words after it, or brings new words: after an empty or closed tail
+    (``last`` None), or after the open word, which it leaves closed.
+    """
     singles, families = cands.families()
     shapes = Counter()
     shapes["stay with another entry's views"] += sum(
         cands.single_views[j] is not cands.singles[j].views for j in singles
     )
     for parent, labels in families:
-        empty = len(parent.tokens) == 1 + parent.views[0].consumed
+        tail = parent.tokens[1 + parent.views[0].consumed :]
+        opened = bool(tail) and tok.pieces[tail[-1]][2]
         for c in labels:
+            glue, more, _ = tok.pieces[c]
             if c == EOS_ID:
                 kind = "</s>"
             elif tok.vocab.is_word_begin(c):
                 kind = "word begin"
+            elif not opened:
+                kind = "new words after a closed tail" if tail else "new words"
+            elif glue is None:
+                kind = "new words after the open word"
+            elif len(more) > 1:
+                kind = "joins the open word with more words"
             else:
-                kind = "continuation"
-            shapes[kind + (" after an empty tail" if empty else "")] += 1
+                kind = "joins the open word"
+            shapes[kind + ("" if tail else " after an empty tail")] += 1
     return shapes
 
 
@@ -879,8 +892,14 @@ class TestShallowRequestsPerParent:
             for cands in _request_blocks(lambda n: int(rng.integers(n)), tok, beam):
                 assert_requests_match_reference(cands, lms, tok, memos)
                 shapes += _request_shapes(cands, tok)
-        for kind in ("word begin", "continuation", "</s>"):
+        for kind in ("word begin", "</s>"):
             assert shapes[kind] > 10 and shapes[kind + " after an empty tail"] > 0
+        assert shapes["joins the open word"] > 10
+        assert shapes["new words after an empty tail"] > 0
+        if world == "odd":  # only ``ODD_PIECES`` has pieces that close or span words
+            assert shapes["new words after a closed tail"] > 0
+            assert shapes["new words after the open word"] > 0
+            assert shapes["joins the open word with more words"] > 0
         assert shapes["stay with another entry's views"] > 5
 
     @settings(max_examples=150, deadline=None)

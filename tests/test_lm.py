@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import beamfuse.lm as lm_mod
 from beamfuse.lm import (
     ArpaFormatError,
     LMError,
+    NGramModel,
     PrefixCacheEntry,
     ScoreRequest,
     read_arpa,
@@ -301,16 +303,16 @@ def _bits(caches) -> list[tuple]:
 
 
 @st.composite
-def _sibling_batches(draw):
+def _sibling_batches(draw, order=None):
     """``(order, requests)``: runs of siblings sharing ``tokens[:-1]`` over a mixed cache pool.
 
-    The pool holds equal but distinct fresh and scored caches, and
-    hand-built ones whose context is a list or longer than order-1 and
-    which share ``cum_logprob`` and context while their scored prefixes
-    differ.  Runs are mixed with duplicates, requests with no new tokens
-    and empty requests.
+    ``order`` is drawn unless given.  The pool holds equal but distinct
+    fresh and scored caches, and hand-built ones whose context is a list or
+    longer than order-1 and which share ``cum_logprob`` and context while
+    their scored prefixes differ.  Runs are mixed with duplicates, requests
+    with no new tokens and empty requests.
     """
-    order = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.sampled_from([1, 2, 3])) if order is None else order
     model = _small_model(order)
     earlier = model.score_batch_incremental(
         [ScoreRequest(seq, model.fresh_cache()) for seq in draw(st.lists(_SEQS, max_size=3))]
@@ -352,12 +354,19 @@ _EQUAL_ROOTS = [
 ]
 
 
+# An empty request on the cache object a one-token request just resumed:
+# its stem, (), repeats that request's, but it has no last token to step.
+_FRESH = PrefixCacheEntry(0, 0.0, (BOS_ID,))
+_EMPTY_AFTER_ONE = [ScoreRequest((_X,), _FRESH), ScoreRequest((), _FRESH)]
+
+
 class TestSiblingShortcut:
     """The sibling shortcut gives what one request at a time gives, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(_sibling_batches())
     @example((3, _EQUAL_ROOTS))
+    @example((3, _EMPTY_AFTER_ONE))
     def test_batch_equals_reference(self, batch):
         order, requests = batch
         model = _small_model(order)
@@ -371,6 +380,75 @@ class TestSiblingShortcut:
         for carrier, name in [(cache, "scored_len"), (cache, "context"), (request, "cache")]:
             with pytest.raises(AttributeError):
                 setattr(carrier, name, getattr(carrier, name))
+
+
+def _memo_steps(model) -> int:
+    """The ``(context, token)`` steps the model's sibling memo holds."""
+    return sum(map(len, model._sibling_memo.values()))
+
+
+def _cold(order) -> NGramModel:
+    """``_small_model(order)``'s tables behind an empty sibling memo."""
+    model = _small_model(order)
+    return NGramModel(order, model.vocab, model._probs, model._backoffs)
+
+
+@st.composite
+def _memo_calls(draw):
+    """``(order, batches)``: 2-4 sibling batches for one model, the last one a repeat."""
+    order = draw(st.sampled_from([1, 2, 3]))
+    batches = [r for _, r in draw(st.lists(_sibling_batches(order), min_size=1, max_size=3))]
+    return order, batches + [draw(st.sampled_from(batches))]
+
+
+class TestSiblingMemo:
+    """The sibling memo outlives a call, stays bounded, and only the sibling step uses it."""
+
+    @pytest.mark.parametrize("limit", [None, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(calls=_memo_calls())
+    def test_calls_equal_reference(self, limit, calls):
+        order, batches = calls
+        model = _cold(order)
+        with pytest.MonkeyPatch.context() as patch:
+            if limit is not None:
+                patch.setattr(lm_mod, "_SIBLING_MEMO_LIMIT", limit)
+            bound = lm_mod._SIBLING_MEMO_LIMIT
+            for requests in batches:
+                got = model.score_batch_incremental(requests)
+                assert _bits(got) == _bits(reference_score_batch(model, requests))
+                # a call adds at most one step per request
+                assert _memo_steps(model) == model._sibling_steps <= bound + len(requests)
+        for ctx, steps in model._sibling_memo.items():
+            assert steps and all(model._next(ctx, t) == hit for t, hit in steps.items())
+
+    def test_warm_steps_are_reused_and_cleared_past_the_limit(self, monkeypatch):
+        model = _cold(2)
+        a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
+        cache = model.fresh_cache()
+        run = [ScoreRequest((a, last), cache) for last in (a, b, c)]
+        model.score_batch_incremental(run)
+        assert _memo_steps(model) == 2  # the run's first request walks from the root
+        hit = model._sibling_memo[(a,)][b]
+        model.score_batch_incremental(run)
+        assert model._sibling_memo[(a,)][b] is hit
+        monkeypatch.setattr(lm_mod, "_SIBLING_MEMO_LIMIT", 1)
+        model.score_batch_incremental([ScoreRequest((b, last), cache) for last in (a, c)])
+        assert model._sibling_memo == {(b,): {c: model._next((b,), c)}}
+
+    def test_oracles_leave_it_empty(self, tmp_path):
+        vocab = make_vocab(*_PIECES)
+        a, b, c, d, e = (vocab.token_id(p) for p in _PIECES)
+        model = train_ngram([[a, c, b], [a, b, d], [e, a, c]], vocab, 3, 0.4)
+        model.logprob((BOS_ID, a), c)
+        model.sequence_logprob((BOS_ID, a, c, b, EOS_ID))
+        # lone requests walk from the root
+        model.score_batch_incremental([ScoreRequest((a, c, b), model.fresh_cache())])
+        write_arpa(model, str(tmp_path / "lm.arpa"))
+        back = read_arpa(str(tmp_path / "lm.arpa"))
+        back.sequence_logprob((BOS_ID, b, d, EOS_ID))
+        for scorer in (model, back):
+            assert scorer._sibling_memo == {} and scorer._sibling_steps == 0
 
 
 class TestArpa:
