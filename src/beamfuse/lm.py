@@ -20,10 +20,12 @@ request that resumes the previous request's cache and repeats its
 ``tokens[:-1]`` steps one token from where that request's walk stood.
 
 The trie lives for one call.  Only the sibling step keeps anything between
-calls: a per-model memo of its ``(context, token)`` steps, which a decode
-repeats call after call.  It is cleared at the start of a call once it holds
-more than ``_SIBLING_MEMO_LIMIT`` steps, which bounds its memory.  Nothing
-else reads or fills it: training calls ``logprob`` while its tables still
+calls: one row per context it steps from, ``vocab.size`` slots long, whose
+slot ``t`` holds log P(t | context) once a sibling step has asked for it.
+An LLM gets the same row, every next token's score, from one forward pass
+per context.  The rows are cleared at the start of a call once they hold
+more than ``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else
+reads or fills them: training calls ``logprob`` while its tables still
 fill, and ``logprob`` is the reference batch scoring is tested against.
 
 Scorers keep no counters and add no latency.  The decoder counts the work it
@@ -41,8 +43,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 LN10 = math.log(10.0)
-# the sibling memo is cleared past this many steps; 2**15 added 14% to ctc_shallow's peak RSS
-_SIBLING_MEMO_LIMIT = 2**12
+# the sibling rows are cleared past this many contexts; a benchmark pool fills at most about 620
+_ROW_LIMIT = 2**10
 
 
 class LMError(ValueError):
@@ -94,9 +96,8 @@ class NGramModel:
         self.vocab = vocab
         self._probs = probs
         self._backoffs = backoffs
-        # context -> token -> ``_next``'s answer, for the sibling step only
-        self._sibling_memo: dict[tuple[int, ...], dict[int, tuple]] = {}
-        self._sibling_steps = 0  # the answers the memo holds
+        # context -> slot t holds ``_next(context, t)[0]`` or None, for the sibling step only
+        self._rows: dict[tuple[int, ...], list[float | None]] = {}
 
     # -- core scoring ---------------------------------------------------
 
@@ -152,24 +153,46 @@ class NGramModel:
         cache's ``context`` is read as its last order-1 ids, as ``logprob``
         reads a context, and every new cache holds that tuple.
 
-        Sibling step: the call remembers the previous request's root, its
-        ``tokens[:-1]`` and the node at that point.  A non-empty request on
-        the same root object whose ``tokens[:-1]`` is equal takes its last
-        token from that node instead of walking from the root; its checks
-        still run first.  The step comes from the model's sibling memo, and
-        its cache is built from the node and the step, with no trie leaf.
+        Sibling step: the call remembers the cache, ``tokens[:-1]`` and the
+        node before the last token of the previous request that walked at
+        least one token.  A request on the same cache object that has tokens
+        past its ``scored_len`` and the same ``tokens[:-1]`` takes its last
+        token from that node instead of walking from the root.  The walk ran
+        both checks on that cache and stem, so they hold and are skipped.
+        The step reads the node's context's row, filling a slot the first
+        time, and its cache is built from the node and the row, with no trie
+        leaf.  A token outside the vocabulary is stepped as the walk steps
+        it, which raises the walk's ``LMError``.
         """
         step = self._next
-        memo = self._sibling_memo
-        if self._sibling_steps > _SIBLING_MEMO_LIMIT:
-            memo.clear()
-            self._sibling_steps = 0
+        rows = self._rows
+        if len(rows) > _ROW_LIMIT:
+            rows.clear()
+        size = self.vocab.size
+        keeps = self.order > 1  # an order-1 model's context is always ()
         # id(cache) -> (cache, root); holding the cache keeps its id unique
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
-        last_root = last_stem = last_node = last_memo = None
+        last_cache = last_stem = last_node = row = None
         caches = []
         for tokens, cache in requests:
             tokens = tuple(tokens)
+            if cache is last_cache and cache.scored_len < len(tokens) and tokens[:-1] == last_stem:
+                if row is None:  # the run's first sibling
+                    ctx, cum = last_node[2], last_node[1]
+                    row = rows.get(ctx)
+                    if row is None:
+                        row = rows[ctx] = [None] * size
+                    head = ctx[1:] if len(ctx) == self.order - 1 else ctx
+                token = tokens[-1]
+                if 0 <= token < size:
+                    lp = row[token]
+                    if lp is None:
+                        lp = row[token] = step(ctx, token)[0]
+                else:
+                    lp = step(ctx, token)[0]
+                context = head + (token,) if keeps else ()
+                caches.append(PrefixCacheEntry(len(tokens), cum + lp, context, tokens))
+                continue
             start = cache.scored_len
             if start > len(tokens):
                 raise LMError(f"cache covers {start} tokens but sequence has {len(tokens)}")
@@ -182,28 +205,16 @@ class NGramModel:
             if entry is None:
                 root = ({}, cache.cum_logprob, self._context(cache.context))
                 entry = roots[id(cache)] = (cache, root)
-            root = entry[1]
-            stem = tokens[:-1]
-            if root is last_root and tokens and stem == last_stem:
-                if last_memo is None:  # made here, so every context in the memo holds a step
-                    last_memo = memo.setdefault(last_node[2], {})
-                token = tokens[-1]
-                hit = last_memo.get(token)
-                if hit is None:
-                    hit = last_memo[token] = step(last_node[2], token)
-                    self._sibling_steps += 1
-                caches.append(PrefixCacheEntry(len(tokens), last_node[1] + hit[0], hit[1], tokens))
-                continue
-            node, parent = root, None
+            node, parent = entry[1], None
             for token in tokens[start:]:
                 parent = node
                 child = node[0].get(token)
                 if child is None:
-                    lp, ctx = step(node[2], token)
-                    child = node[0][token] = ({}, node[1] + lp, ctx)
+                    lp, after = step(node[2], token)
+                    child = node[0][token] = ({}, node[1] + lp, after)
                 node = child
             if parent is not None:
-                last_root, last_stem, last_node, last_memo = root, stem, parent, None
+                last_cache, last_stem, last_node, row = cache, tokens[:-1], parent, None
             caches.append(PrefixCacheEntry(len(tokens), node[1], node[2], tokens))
         return caches
 

@@ -45,7 +45,7 @@ from beamfuse.decoder import (
     prune_frame_candidates,
 )
 from beamfuse.harness import emulated_lm_seconds, wer
-from beamfuse.lm import PrefixCacheEntry, train_ngram
+from beamfuse.lm import PrefixCacheEntry, read_arpa, train_ngram, write_arpa
 from beamfuse.tokenization import (
     BLANK_ID,
     BOS_ID,
@@ -1048,6 +1048,33 @@ class TestWordMemoPerDecode:
                     runs.append(results)
                 assert runs[0] == runs[1]
         assert _decoder_containers() == before
+
+
+class TestWarmRowsDecodeAlike:
+    """A scorer's sibling rows, kept between decodes, change no decode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_warm_and_fresh_scorers_decode_alike(
+        self, asr_tok, asr_trigram, corpus_split, tmp_path, mode
+    ):
+        # two reads of one ARPA file score bit for bit alike
+        path = str(tmp_path / "lm.arpa")
+        write_arpa(asr_trigram, path)
+        (_, em), (_, other) = utterances(asr_tok, corpus_split, 2, noise=0.4)
+
+        def record(model, emissions):
+            lms = [LMSpec(model, asr_tok, 0.5)]
+            config = DecodeConfig(10, FusionPolicy("shallow"), lms, mode=mode, keep_trace=True)
+            return _result_record(decode(emissions, config, asr_tok))
+
+        fresh = record(read_arpa(path), em)
+        scorer = read_arpa(path)
+        # another utterance fills rows first, some of them rows this one steps from
+        record(scorer, other)
+        assert scorer._rows
+        # the second decode also runs on the rows the first filled
+        assert record(scorer, em) == fresh
+        assert record(scorer, em) == fresh
 
 
 class TestRetokenizeDecodesOnce:

@@ -382,61 +382,82 @@ class TestSiblingShortcut:
                 setattr(carrier, name, getattr(carrier, name))
 
 
-def _memo_steps(model) -> int:
-    """The ``(context, token)`` steps the model's sibling memo holds."""
-    return sum(map(len, model._sibling_memo.values()))
+def _filled(model) -> int:
+    """The slots the model's sibling rows hold."""
+    return sum(slot is not None for row in model._rows.values() for slot in row)
 
 
 def _cold(order) -> NGramModel:
-    """``_small_model(order)``'s tables behind an empty sibling memo."""
+    """``_small_model(order)``'s tables behind empty sibling rows."""
     model = _small_model(order)
     return NGramModel(order, model.vocab, model._probs, model._backoffs)
 
 
 @st.composite
-def _memo_calls(draw):
+def _row_calls(draw):
     """``(order, batches)``: 2-4 sibling batches for one model, the last one a repeat."""
     order = draw(st.sampled_from([1, 2, 3]))
     batches = [r for _, r in draw(st.lists(_sibling_batches(order), min_size=1, max_size=3))]
     return order, batches + [draw(st.sampled_from(batches))]
 
 
-class TestSiblingMemo:
-    """The sibling memo outlives a call, stays bounded, and only the sibling step uses it."""
+class TestSiblingRows:
+    """The sibling rows outlive a call, stay bounded, and only the sibling step uses them."""
 
-    @pytest.mark.parametrize("limit", [None, 4])
+    @pytest.mark.parametrize("limit", [None, 1])
     @settings(max_examples=150, deadline=None)
-    @given(calls=_memo_calls())
+    @given(calls=_row_calls())
     def test_calls_equal_reference(self, limit, calls):
         order, batches = calls
         model = _cold(order)
         with pytest.MonkeyPatch.context() as patch:
             if limit is not None:
-                patch.setattr(lm_mod, "_SIBLING_MEMO_LIMIT", limit)
-            bound = lm_mod._SIBLING_MEMO_LIMIT
+                patch.setattr(lm_mod, "_ROW_LIMIT", limit)
+            bound = lm_mod._ROW_LIMIT
             for requests in batches:
                 got = model.score_batch_incremental(requests)
                 assert _bits(got) == _bits(reference_score_batch(model, requests))
-                # a call adds at most one step per request
-                assert _memo_steps(model) == model._sibling_steps <= bound + len(requests)
-        for ctx, steps in model._sibling_memo.items():
-            assert steps and all(model._next(ctx, t) == hit for t, hit in steps.items())
+                # a call adds at most one row per request
+                assert len(model._rows) <= bound + len(requests)
 
-    def test_warm_steps_are_reused_and_cleared_past_the_limit(self, monkeypatch):
+    @settings(max_examples=50, deadline=None)
+    @given(calls=_row_calls())
+    def test_every_filled_slot_is_the_step(self, calls):
+        order, batches = calls
+        model = _cold(order)
+        for requests in batches:
+            model.score_batch_incremental(requests)
+        for ctx, row in model._rows.items():
+            assert len(row) == model.vocab.size and any(slot is not None for slot in row)
+            for t, slot in enumerate(row):
+                assert slot is None or repr(slot) == repr(model._next(ctx, t)[0])
+
+    def test_a_warm_step_makes_no_next_call(self, monkeypatch):
         model = _cold(2)
         a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
         cache = model.fresh_cache()
         run = [ScoreRequest((a, last), cache) for last in (a, b, c)]
-        model.score_batch_incremental(run)
-        assert _memo_steps(model) == 2  # the run's first request walks from the root
-        hit = model._sibling_memo[(a,)][b]
-        model.score_batch_incremental(run)
-        assert model._sibling_memo[(a,)][b] is hit
-        monkeypatch.setattr(lm_mod, "_SIBLING_MEMO_LIMIT", 1)
-        model.score_batch_incremental([ScoreRequest((b, last), cache) for last in (a, c)])
-        assert model._sibling_memo == {(b,): {c: model._next((b,), c)}}
+        cold = model.score_batch_incremental(run)
+        assert list(model._rows) == [(a,)] and _filled(model) == 2  # the first request walks
+        steps, step = [], model._next
+        monkeypatch.setattr(model, "_next", lambda ctx, t: steps.append((ctx, t)) or step(ctx, t))
+        warm = model.score_batch_incremental(run)
+        assert steps == [((BOS_ID,), a), ((a,), a)]  # the walk's steps only
+        assert _bits(warm) == _bits(cold)
 
-    def test_oracles_leave_it_empty(self, tmp_path):
+    def test_the_limit_clears_the_rows(self, monkeypatch):
+        monkeypatch.setattr(lm_mod, "_ROW_LIMIT", 1)
+        model = _cold(2)
+        a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
+        cache = model.fresh_cache()
+        for first in (a, b):
+            model.score_batch_incremental([ScoreRequest((first, last), cache) for last in (a, c)])
+        assert list(model._rows) == [(a,), (b,)]  # one row was not past the limit
+        model.score_batch_incremental([ScoreRequest((c, last), cache) for last in (a, b)])
+        assert list(model._rows) == [(c,)] and _filled(model) == 1
+        assert model._rows[(c,)][b] == model._next((c,), b)[0]
+
+    def test_oracles_leave_them_empty(self, tmp_path):
         vocab = make_vocab(*_PIECES)
         a, b, c, d, e = (vocab.token_id(p) for p in _PIECES)
         model = train_ngram([[a, c, b], [a, b, d], [e, a, c]], vocab, 3, 0.4)
@@ -448,7 +469,26 @@ class TestSiblingMemo:
         back = read_arpa(str(tmp_path / "lm.arpa"))
         back.sequence_logprob((BOS_ID, b, d, EOS_ID))
         for scorer in (model, back):
-            assert scorer._sibling_memo == {} and scorer._sibling_steps == 0
+            assert scorer._rows == {}
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("outside", ["negative", "past the end"])
+    def test_a_token_outside_the_vocabulary_raises_on_either_path(self, order, outside):
+        model = _cold(order)
+        size = model.vocab.size
+        bad = -1 if outside == "negative" else size
+        a = NUM_SPECIALS
+        cache = model.fresh_cache()
+        with pytest.raises(LMError) as walked:
+            model.score_batch_incremental([ScoreRequest((a, bad), cache)])
+        with pytest.raises(LMError) as referenced:
+            reference_score_batch(model, [ScoreRequest((a, bad), cache)])
+        # the run's second request fills the last id's slot, which index -1 would read
+        run = [ScoreRequest((a, last), cache) for last in (a, size - 1, bad)]
+        with pytest.raises(LMError) as stepped:
+            model.score_batch_incremental(run)
+        assert _filled(model) == 1  # the sibling steps ran
+        assert str(stepped.value) == str(walked.value) == str(referenced.value)
 
 
 class TestArpa:
