@@ -105,6 +105,8 @@ def test_an_incorrect_run_is_no_claim():
     ("BENCH_20.json", CLAIMED, "not claimed"),
     ("BENCH_21.json", None, "claimed"),
     ("BENCH_23.json", None, "claimed"),
+    ("BENCH_24.json", None, "claimed"),
+    ("BENCH_25.json", None, "claimed"),
 ])
 def test_committed_records(name, workload, want, capsys):
     claimed, records = bench_pairs.file_records(json.loads((_ROOT / name).read_text()))
@@ -113,6 +115,20 @@ def test_committed_records(name, workload, want, capsys):
     argv = ["--verdict", str(_ROOT / name)] + (["--workload", workload] if workload else [])
     assert bench_pairs.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == want
+
+
+def test_recorded_verdicts_recompute():
+    # a verdict written into a BENCH file is what the rule gives on its records today
+    recorded = 0
+    for path in sorted(_ROOT.glob("BENCH_*.json")):
+        bench = json.loads(path.read_text())
+        if "verdict" not in bench:
+            continue
+        _, records = bench_pairs.file_records(bench)
+        got = bench_pairs.verdict(records, bench["verdict"]["workload"], END_TO_END)
+        assert json.loads(json.dumps(got)) == bench["verdict"], path.name
+        recorded += 1
+    assert recorded >= 4
 
 
 def test_used_seeds_are_refused():

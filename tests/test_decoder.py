@@ -618,7 +618,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(held, 1)
-    got = step.prune(cands, _shallow_scores(cands, lms, tok, [{} for _ in lms], counters))
+    got = step.prune(cands, _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, counters))
     for hyp in got:
         advance_views(hyp, tok, lms)
     deltas = [spec.scorer.counts() for spec in lms]
@@ -755,7 +755,7 @@ class TestShallowRequests:
                 beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            _shallow_scores(cands, lms, tok, [{} for _ in lms], DecodeCounters())
+            _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -848,29 +848,43 @@ def _request_shapes(cands, tok) -> Counter:
     return shapes
 
 
-def assert_requests_match_reference(cands, lms, tok, memos) -> None:
-    """The per-parent requests are the flat reference's: tokens, cache objects and order."""
-    got = _shallow_requests(cands, lms, tok, memos)
+def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
+    """The per-parent requests are the flat reference's: tokens, cache objects and order.
+
+    ``held`` is the builder's requests per parent, passed from block to
+    block as a decode passes it; after the call it holds exactly this
+    block's parents, each with its views.  Returns the requests.
+    """
+    got = _shallow_requests(cands, lms, tok, memos, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for reqs, ref in zip(got, want):
         assert [r.tokens for r in reqs] == [tokens for tokens, _ in ref]
         assert all(r.cache is cache for r, (_, cache) in zip(reqs, ref))
+    parents = [parent for parent, _ in cands.families()[1]]
+    assert held.keys() == {parent.tokens for parent in parents}
+    assert all(held[parent.tokens][0] is parent.views for parent in parents)
+    return got
 
 
 @pytest.fixture(scope="module")
 def request_worlds(shallow_world):
     """LM sets by name over two ASR tokenizers: the shallow world's and one over ``ODD_PIECES``.
 
-    Only the LM tokenizers matter to the builder.
+    The builder reads only the LM tokenizers; the scorers let a test decode
+    in either world.  The ``ODD_PIECES`` world's matched LM is trained on
+    decoded random id sequences.
     """
     tok, lm_sets = shallow_world
     odd = Tokenizer(make_vocab(*ODD_PIECES))
-    cross = lm_sets["cross"][0].tokenizer
+    cross = lm_sets["cross"][0]
+    ids = np.random.default_rng(62).integers(NUM_SPECIALS, odd.vocab.size, size=(40, 6))
+    texts = [text for text in map(odd.decode, ids.tolist()) if text.split()]
+    matched = train_ngram([odd.encode(t) for t in texts], odd.vocab, 2, 0.4)
     odd_sets = {
-        "matched": [LMSpec(None, odd, 0.5)],
-        "cross": [LMSpec(None, cross, -0.25)],
-        "both": [LMSpec(None, odd, 0.5), LMSpec(None, cross, -0.25)],
+        "matched": [LMSpec(matched, odd, 0.5)],
+        "cross": [cross],
+        "both": [LMSpec(matched, odd, 0.5), cross],
     }
     return {"world": (tok, lm_sets), "odd": (odd, odd_sets)}
 
@@ -884,13 +898,15 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         rng = np.random.default_rng(48)
-        # one memo per LM across every block, as in a decode
-        memos = [{} for _ in lms]
+        # one word memo per LM and one ``held`` across every block, as in a
+        # decode: a label block's live parents are its frame block's, so
+        # they reuse requests, and a new beam's equal prefixes have new views
+        memos, held = [{} for _ in lms], {}
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
             for cands in _request_blocks(lambda n: int(rng.integers(n)), tok, beam):
-                assert_requests_match_reference(cands, lms, tok, memos)
+                assert_requests_match_reference(cands, lms, tok, memos, held)
                 shapes += _request_shapes(cands, tok)
         for kind in ("word begin", "</s>"):
             assert shapes[kind] > 10 and shapes[kind + " after an empty tail"] > 0
@@ -909,9 +925,88 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        memos = [{} for _ in lms]
+        memos, held = [{} for _ in lms], {}
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
-            assert_requests_match_reference(cands, lms, tok, memos)
+            assert_requests_match_reference(cands, lms, tok, memos, held)
+
+
+def _requests_by_parent(cands, got) -> dict:
+    """Each family's requests by its parent's tokens: ``(parent, {label: per-LM requests})``."""
+    singles, families = cands.families()
+    out, start = {}, len(singles)
+    for parent, labels in families:
+        by_label = {c: [reqs[start + i] for reqs in got] for i, c in enumerate(labels)}
+        out[parent.tokens] = (parent, by_label)
+        start += len(labels)
+    return out
+
+
+class TestShallowRequestsAcrossSteps:
+    """Requests held from one step to the next equal the reference, and only a parent
+    that came back with the same views gets its requests back."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("world", ("world", "odd"))
+    @pytest.mark.parametrize("lm_set", TestShallowStepMatchesReference.LM_SETS)
+    def test_consecutive_blocks_of_real_decodes(
+        self, request_worlds, world, lm_set, mode, monkeypatch
+    ):
+        # blocks of shallow decodes, where views stay as they are, and of
+        # fusing decodes, where fusion and merges give a parent new views
+        tok, lm_sets = request_worlds[world]
+        lms = lm_sets[lm_set]
+        step_type = _FrameStep if mode == "ctc" else _LabelStep
+        expand = step_type.expand
+        decodes = []
+
+        def record(step, beam, t):
+            cands = expand(step, beam, t)
+            decodes[-1].append(cands)
+            return cands
+
+        monkeypatch.setattr(step_type, "expand", record)
+        rng = np.random.default_rng(51)
+        policies = (FusionPolicy("shallow"), FusionPolicy("shortest"), FusionPolicy("interval", 2))
+        for policy in policies:
+            for frames, beam in ((10, 3), (16, 6), (16, 10)):
+                em = EmissionMatrix(random_emissions(rng, frames, tok.vocab.size))
+                decodes.append([])
+                decode(em, DecodeConfig(beam, policy, lms, mode=mode), tok)
+
+        shapes = Counter()
+        for blocks in decodes:
+            memos, held = [{} for _ in lms], {}
+            previous, last = {}, None
+            for cands in blocks:
+                got = assert_requests_match_reference(cands, lms, tok, memos, held)
+                now = _requests_by_parent(cands, got)
+                shapes["blocks"] += 1
+                for tokens, (parent, by_label) in now.items():
+                    if tokens not in previous:
+                        continue
+                    before, old = previous[tokens]
+                    if before.views is parent.views:
+                        kind = "same views"
+                    else:
+                        # a frame block's singles are its parents: find the stay
+                        j = next(j for j, h in enumerate(last.singles) if h is before)
+                        swapped = last.single_views[j] is not before.views
+                        kind = "swapped views" if swapped else "new views"
+                    shapes[kind] += 1
+                    for c in by_label.keys() & old.keys():
+                        same = [a is b for a, b in zip(by_label[c], old[c])]
+                        # the same views get the same objects back; other views new ones
+                        assert same == [kind == "same views"] * len(lms), (kind, tokens, c)
+                        shapes["reused" if same[0] else "rebuilt"] += 1
+                previous, last = now, cands
+        assert shapes.pop("blocks") > 50
+        if mode == "ctc":
+            assert shapes["same views"] > 20 and shapes["reused"] > 100
+            assert shapes["swapped views"] > 0 and shapes["new views"] > 20
+            assert shapes["rebuilt"] > 50
+        else:
+            # every live label-sync survivor is a new extension: no parent comes back
+            assert not shapes
 
 
 @pytest.fixture(scope="module")
