@@ -57,9 +57,11 @@ valid candidate's whole content is scored, and those scores are added
 before the prune.  Its requests are built once per parent
 (``_shallow_requests``): the parent's rest is decoded and re-tokenized once
 and each child adds only its piece, with one word memo per LM that lives
-for one decode.  No LM score is kept between steps, but the built requests
-are: each family's, keyed by the parent's tokens, are held for one step
-and reused while the parent's views list is the same object.  A CTC prefix
+for one decode.  A joined open word missing from the memo is encoded by
+resuming greedy after the open word's fixed pieces.  No LM score is kept
+between steps, but the built requests are: each family's, keyed by the
+parent's tokens, and each single item's, keyed by its tokens, are held for
+one step and reused while the views list is the same object.  A CTC prefix
 that stays in the beam by a blank or a repeat comes back with its views,
 so 68.5% of the family requests of the ``ctc_shallow`` pool (seed 7) are the
 previous frame's objects; a label-sync parent never comes back.  The step
@@ -87,6 +89,7 @@ import math
 import numbers
 import time
 from dataclasses import KW_ONLY, dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -98,11 +101,13 @@ from .acoustic import (
     end_scores,
     lse2,
 )
-from .lm import ScoreRequest
+from .lm import ScoreRequest, _record
 from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
 # not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
 # and perfbench/tests/test_reconcile.py reads it (ROADMAP items 6 and 8)
 from .tokenization import tokenizable_prefix_len
+
+_cum_logprob = itemgetter(1)  # a ``PrefixCacheEntry``'s ``cum_logprob``
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
 MODES = ("ctc", "labelsync")
@@ -557,7 +562,7 @@ def _score(spec: LMSpec, requests: list[ScoreRequest], counters: DecodeCounters)
     ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
     """
     caches = spec.scorer.score_batch_incremental(requests)
-    new = [n for n in (len(tokens) - cache.scored_len for tokens, cache in requests) if n > 0]
+    new = [n for tokens, cache in requests if (n := len(tokens) - cache.scored_len) > 0]
     counters.lm_calls += 1
     counters.lm_hypotheses += len(new)
     counters.lm_tokens += sum(new)
@@ -696,8 +701,8 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
     step = step_type(source, config, asr_tok)
     # one word memo per LM for every re-tokenization of this decode, and
-    # shallow fusion's requests per parent, held for one step
-    memos, held = [{} for _ in config.lms], {}
+    # shallow fusion's requests per parent and per single item, held for one step
+    memos, held = [{} for _ in config.lms], ({}, {})
     beam = [step.root()]
     prev_shortest = 0
     trace: list[StepTrace] = []
@@ -737,38 +742,54 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreReques
 
     Each LM's requests come in candidate index order.  ``memos`` are the
     decode's word memos, one per LM, so each distinct word is encoded once
-    per decode.  Single items go through ``_whole_requests``.  Per family,
-    the parent's tail is decoded once into ``words`` and an open ``last``
-    word (None if the tail ends between words), re-tokenized once per LM as
-    ``base`` and ``closed``.  Per call and per LM, ``table[c]`` holds piece
-    ``c``'s glue and the LM tokens of its words (``Tokenizer.pieces``), all
-    of them and those after the first.  A child whose piece joins ``last``
-    gets ``base``, the joined word from the word memo and the piece's
-    further words; any other gets ``closed`` plus its piece's words.  Either
-    way that is ``decode(tail + (c,))``.
+    per decode.  Single items' requests are built by ``_whole_requests``.
+    Per family, the parent's tail is decoded once into ``words`` and an
+    open ``last`` word (None if the tail ends between words), re-tokenized
+    once per LM as ``base`` and ``closed``.  Per call and per LM,
+    ``table[c]`` holds piece ``c``'s glue and the LM tokens of its words
+    (``Tokenizer.pieces``), all of them and those after the first.  A child
+    whose piece joins ``last`` gets ``base``, the joined word and the
+    piece's further words; any other gets ``closed`` plus its piece's
+    words.  Either way that is ``decode(tail + (c,))``.  The joined word
+    comes from the word memo; on a miss greedy resumes over it after
+    ``last``'s fixed pieces (``Tokenizer.open_word``, once per family and LM
+    on its first miss), and the result goes into the memo.  Requests are
+    built with ``tuple.__new__``, as ``ScoreRequest(lm_tokens, cache)`` would
+    build them without its Python-level call.
 
-    ``held`` keeps the built requests from one call to the next: it maps a
-    parent's tokens to ``(views, slots)``, where ``slots[i][c]`` is LM ``i``'s
-    request for label ``c``, or None if not built.  A request depends only
-    on the parent's tokens, its views and the label, and a views list is
-    never changed in place, so a family reuses its entry when the stored
-    views ``is`` the parent's: a CTC prefix that stays in the beam by a
-    blank or a repeat gets back the same request objects (68.5% of the
-    family requests of the ``ctc_shallow`` pool at seed 7).  Only the labels
-    whose slots are None are built.  Each call leaves ``held`` holding
-    exactly its own families, at most beam x LMs x ``V`` slots.
+    ``held`` keeps the built requests from one call to the next, as two
+    dicts.  The first maps a parent's tokens to ``(views, slots)``, where
+    ``slots[i][c]`` is LM ``i``'s request for label ``c``, or None if not
+    built; the second maps a single item's tokens to ``(views, requests)``,
+    one request per LM.  A request depends only on the tokens, the views
+    and the label, and a views list is never changed in place, so an entry
+    is reused when the stored views ``is`` the candidate's: a CTC prefix
+    that stays in the beam by a blank or a repeat gets back the same
+    request objects (68.5% of the family requests and 68.9% of the stays of
+    the ``ctc_shallow`` pool at seed 7).  Only the labels whose slots are
+    None are built.  Each call leaves ``held`` holding exactly its own
+    families and single items, at most beam x LMs x (``V`` + 1) requests.
     """
     pieces, size = asr_tok.pieces, len(cands.begins)
+    held_families, held_stays = held
     singles, families = cands.families()
-    items = ((cands.tokens(j), cands.views(j)) for j in singles)
-    requests = _whole_requests(items, lms, asr_tok, memos)
+    requests = [[] for _ in lms]
+    kept_stays, kept_families = {}, {}
+    for j in singles:
+        tokens, views = cands.tokens(j), cands.views(j)
+        entry = held_stays.get(tokens)
+        if entry is None or entry[0] is not views:
+            built = _whole_requests(((tokens, views),), lms, asr_tok, memos)
+            entry = (views, [reqs[0] for reqs in built])
+        kept_stays[tokens] = entry
+        for request, reqs in zip(entry[1], requests):
+            reqs.append(request)
     tables = [{} for _ in lms]
-    kept = {}
     for parent, labels in families:
-        entry = held.get(parent.tokens)
+        entry = held_families.get(parent.tokens)
         if entry is None or entry[0] is not parent.views:
             entry = (parent.views, [[None] * size for _ in lms])
-        kept[parent.tokens] = entry
+        kept_families[parent.tokens] = entry
         slots = entry[1]
         missing = [c for c in labels if slots[0][c] is None]
         if missing:
@@ -780,6 +801,7 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreReques
                 lm_tok, cache = spec.tokenizer, view.cache
                 base = _retokenize(view.lm_tokens, words, lm_tok, memo)
                 closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
+                fixed = None
                 for c in missing:
                     piece = table.get(c)
                     if piece is None:
@@ -793,13 +815,17 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreReques
                         word = last + glue
                         joined = memo.get(word)
                         if joined is None:
-                            joined = memo[word] = tuple(lm_tok.encode_word(word))
+                            if fixed is None:
+                                fixed, offset = lm_tok.open_word(last)
+                            joined = fixed + tuple(lm_tok.encode_word(word, offset))
+                            memo[word] = joined
                         lm_tokens = base + joined + rest
-                    built[c] = ScoreRequest(lm_tokens, cache)
+                    built[c] = _record(ScoreRequest, (lm_tokens, cache))
         for built, reqs in zip(slots, requests):
             reqs += [built[c] for c in labels]
-    held.clear()
-    held.update(kept)
+    for store, now in ((held_families, kept_families), (held_stays, kept_stays)):
+        store.clear()
+        store.update(now)
     return requests
 
 
@@ -821,7 +847,8 @@ def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) 
     extra = np.zeros(cands.valid.size)
     for spec, requests in zip(lms, _shallow_requests(cands, lms, asr_tok, memos, held)):
         caches = _score(spec, requests, counters)
-        extra[cands.valid] += spec.weight * np.array([cache.cum_logprob for cache in caches])
+        scores = np.fromiter(map(_cum_logprob, caches), float, len(caches))
+        extra[cands.valid] += spec.weight * scores
     return extra
 
 

@@ -7,8 +7,11 @@ sequence's score and lets the next round resume where this one stopped, as
 an incremental LLM server answers with the new KV-cache state.  The n-gram
 realization keeps that contract exact: the chain rule makes any
 incremental partition of a sequence sum to the same total as scoring it
-from scratch.  Requests and caches are immutable ``NamedTuple`` values,
-cheap to build by the hundred thousand.
+from scratch.  Requests and caches are immutable ``NamedTuple`` values.
+The scorer builds each cache with ``tuple.__new__`` from a tuple of its
+fields, as the decoder builds shallow fusion's requests: the same object
+the constructor returns, without its Python-level call, which a pool's
+million requests would pay.
 
 Within one call, requests that resume from the same cache object share the
 work on their common prefix, as an LLM server shares KV-cache blocks across
@@ -45,6 +48,8 @@ from .tokenization import BOS_ID, EOS_ID, Vocabulary
 LN10 = math.log(10.0)
 # the sibling rows are cleared past this many contexts; a benchmark pool fills at most about 620
 _ROW_LIMIT = 2**10
+# a NamedTuple from a plain tuple of its fields, without its Python-level ``__new__``
+_record = tuple.__new__
 
 
 class LMError(ValueError):
@@ -175,7 +180,8 @@ class NGramModel:
         last_cache = last_stem = last_node = row = None
         caches = []
         for tokens, cache in requests:
-            tokens = tuple(tokens)
+            if type(tokens) is not tuple:
+                tokens = tuple(tokens)
             if cache is last_cache and cache.scored_len < len(tokens) and tokens[:-1] == last_stem:
                 if row is None:  # the run's first sibling
                     ctx, cum = last_node[2], last_node[1]
@@ -191,7 +197,7 @@ class NGramModel:
                 else:
                     lp = step(ctx, token)[0]
                 context = head + (token,) if keeps else ()
-                caches.append(PrefixCacheEntry(len(tokens), cum + lp, context, tokens))
+                caches.append(_record(PrefixCacheEntry, (len(tokens), cum + lp, context, tokens)))
                 continue
             start = cache.scored_len
             if start > len(tokens):
@@ -215,7 +221,7 @@ class NGramModel:
                 node = child
             if parent is not None:
                 last_cache, last_stem, last_node, row = cache, tokens[:-1], parent, None
-            caches.append(PrefixCacheEntry(len(tokens), node[1], node[2], tokens))
+            caches.append(_record(PrefixCacheEntry, (len(tokens), node[1], node[2], tokens)))
         return caches
 
 

@@ -151,7 +151,12 @@ class Tokenizer:
 
     ``encode`` is total on whitespace-delimited text: characters outside the
     vocabulary's alphabet map to the unknown token instead of erroring.
-    Each distinct word always encodes to the same piece sequence.
+    Each distinct word always encodes to the same piece sequence.  One
+    greedy loop serves two entries: ``encode_word`` runs it over a word
+    from an offset (0 unless resuming), and ``open_word`` stops it where the
+    rest of a growing word could still change a piece, so a word that
+    grows by more text resumes from that offset with its fixed pieces kept
+    (the prefix reuse of Fast WordPiece, without its trie).
 
     Two per-id tables serve the decoder, which indexes its candidates by id:
     ``begins[c]`` is whether id ``c`` begins a word (reserved ids, ``</s>``
@@ -176,16 +181,19 @@ class Tokenizer:
             pieces.append((glue, words, bool(text) and not text[-1].isspace()))
         self.pieces = tuple(pieces)
 
-    def encode_word(self, word: str) -> list[int]:
-        text = WORD_MARKER + word
+    def _greedy(self, text: str, i: int, stop: int) -> tuple[list[int], int]:
+        """Greedy longest match over ``text``: the pieces that start at ``i`` or after,
+        before ``stop``, and the offset after the last of them.
+
+        A piece starting at ``i`` reads at most ``text[i : i + _max_piece]``.
+        """
+        index, max_piece, n = self._index, self._max_piece, len(text)
         out: list[int] = []
-        i = 0
-        n = len(text)
-        while i < n:
-            end = min(n, i + self._max_piece)
+        while i < stop:
+            end = min(n, i + max_piece)
             token_id = None
             while end > i:
-                token_id = self._index.get(text[i:end])
+                token_id = index.get(text[i:end])
                 if token_id is not None:
                     break
                 end -= 1
@@ -197,7 +205,29 @@ class Tokenizer:
             else:
                 out.append(token_id)
                 i = end
-        return out
+        return out, i
+
+    def encode_word(self, word: str, start: int = 0) -> list[int]:
+        """The pieces of ``word``, or those greedy takes from offset ``start`` of its marked text.
+
+        ``start`` is the offset into ``WORD_MARKER + word`` that ``open_word``
+        returned for a prefix of ``word``.
+        """
+        text = WORD_MARKER + word
+        return self._greedy(text, start, len(text))[0]
+
+    def open_word(self, word: str) -> tuple[tuple[int, ...], int]:
+        """The pieces of ``encode_word(word)`` that every ``encode_word(word + more)`` starts with.
+
+        Returns them and the offset into ``WORD_MARKER + word`` after them:
+        ``open_word(word)[0] + tuple(encode_word(word + more, offset))`` is
+        ``encode_word(word + more)``.  A piece is fixed when it starts at
+        least ``_max_piece`` characters before the end, since nothing after
+        that is read to choose it.
+        """
+        text = WORD_MARKER + word
+        fixed, offset = self._greedy(text, 0, len(text) - self._max_piece + 1)
+        return tuple(fixed), offset
 
     def encode(self, text: str) -> list[int]:
         out: list[int] = []

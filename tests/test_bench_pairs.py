@@ -100,6 +100,26 @@ def test_an_incorrect_run_is_no_claim():
     assert got["verdict"] == "not claimed"
 
 
+def test_summary_says_which_deterministic_metrics_are_identical():
+    same = _runs(OTHER, [1.0] * 3, [0.9] * 3)
+    # a last-bit difference within its bound, in one pair only
+    moved = _runs(CLAIMED, PARENT, _faster(0.2))
+    change = next(r for r in moved if r["pair"] == 4 and r["side"] == "change")
+    change["result"]["metrics"]["lm_tokens"]["value"] = 1.0 + 1e-12
+    records = same + moved
+    assert bench_pairs.identical(records, OTHER) == dict.fromkeys(bench_pairs.DETERMINISTIC, True)
+    assert bench_pairs.identical(records, CLAIMED) == {
+        "nll_per_frame": True, "lm_calls": True, "lm_tokens": False
+    }
+    lines = bench_pairs.summarize(records, END_TO_END)
+    assert f"{OTHER:20s} identical in every pair: nll_per_frame, lm_calls, lm_tokens;" \
+        " differ: none" in lines
+    assert f"{CLAIMED:20s} identical in every pair: nll_per_frame, lm_calls;" \
+        " differ: lm_tokens" in lines
+    # the line only reports: the verdict does not read it
+    assert bench_pairs.verdict(records, CLAIMED, END_TO_END)["verdict"] == "claimed"
+
+
 @pytest.mark.parametrize("name, workload, want", [
     ("BENCH_19.json", None, "claimed"),
     ("BENCH_20.json", CLAIMED, "not claimed"),
@@ -107,6 +127,7 @@ def test_an_incorrect_run_is_no_claim():
     ("BENCH_23.json", None, "claimed"),
     ("BENCH_24.json", None, "claimed"),
     ("BENCH_25.json", None, "claimed"),
+    ("BENCH_26.json", None, "claimed"),
 ])
 def test_committed_records(name, workload, want, capsys):
     claimed, records = bench_pairs.file_records(json.loads((_ROOT / name).read_text()))

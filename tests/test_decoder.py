@@ -45,7 +45,7 @@ from beamfuse.decoder import (
     prune_frame_candidates,
 )
 from beamfuse.harness import emulated_lm_seconds, wer
-from beamfuse.lm import PrefixCacheEntry, read_arpa, train_ngram, write_arpa
+from beamfuse.lm import PrefixCacheEntry, ScoreRequest, read_arpa, train_ngram, write_arpa
 from beamfuse.tokenization import (
     BLANK_ID,
     BOS_ID,
@@ -618,7 +618,8 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(held, 1)
-    got = step.prune(cands, _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, counters))
+    extra = _shallow_scores(cands, lms, tok, [{} for _ in lms], ({}, {}), counters)
+    got = step.prune(cands, extra)
     for hyp in got:
         advance_views(hyp, tok, lms)
     deltas = [spec.scorer.counts() for spec in lms]
@@ -755,7 +756,7 @@ class TestShallowRequests:
                 beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, DecodeCounters())
+            _shallow_scores(cands, lms, tok, [{} for _ in lms], ({}, {}), DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -849,21 +850,27 @@ def _request_shapes(cands, tok) -> Counter:
 
 
 def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
-    """The per-parent requests are the flat reference's: tokens, cache objects and order.
+    """The per-parent requests are the flat reference's: type, tokens, cache objects and order.
 
-    ``held`` is the builder's requests per parent, passed from block to
-    block as a decode passes it; after the call it holds exactly this
-    block's parents, each with its views.  Returns the requests.
+    ``held`` is the builder's requests per parent and per single item,
+    passed from block to block as a decode passes it; after the call it
+    holds exactly this block's parents and single items, each with its
+    views.  Returns the requests.
     """
     got = _shallow_requests(cands, lms, tok, memos, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for reqs, ref in zip(got, want):
+        assert all(type(r) is ScoreRequest for r in reqs)
         assert [r.tokens for r in reqs] == [tokens for tokens, _ in ref]
         assert all(r.cache is cache for r, (_, cache) in zip(reqs, ref))
-    parents = [parent for parent, _ in cands.families()[1]]
-    assert held.keys() == {parent.tokens for parent in parents}
-    assert all(held[parent.tokens][0] is parent.views for parent in parents)
+    singles, families = cands.families()
+    parents = [parent for parent, _ in families]
+    held_families, held_stays = held
+    assert held_families.keys() == {parent.tokens for parent in parents}
+    assert all(held_families[parent.tokens][0] is parent.views for parent in parents)
+    assert held_stays.keys() == {cands.tokens(j) for j in singles}
+    assert all(held_stays[cands.tokens(j)][0] is cands.views(j) for j in singles)
     return got
 
 
@@ -901,7 +908,7 @@ class TestShallowRequestsPerParent:
         # one word memo per LM and one ``held`` across every block, as in a
         # decode: a label block's live parents are its frame block's, so
         # they reuse requests, and a new beam's equal prefixes have new views
-        memos, held = [{} for _ in lms], {}
+        memos, held = [{} for _ in lms], ({}, {})
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
@@ -925,9 +932,17 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        memos, held = [{} for _ in lms], {}
+        memos, held = [{} for _ in lms], ({}, {})
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
             assert_requests_match_reference(cands, lms, tok, memos, held)
+
+
+def _requests_by_stay(cands, got) -> dict:
+    """Each single item's views and per-LM requests, by its tokens."""
+    singles, _ = cands.families()
+    return {
+        cands.tokens(j): (cands.views(j), [reqs[i] for reqs in got]) for i, j in enumerate(singles)
+    }
 
 
 def _requests_by_parent(cands, got) -> dict:
@@ -942,8 +957,8 @@ def _requests_by_parent(cands, got) -> dict:
 
 
 class TestShallowRequestsAcrossSteps:
-    """Requests held from one step to the next equal the reference, and only a parent
-    that came back with the same views gets its requests back."""
+    """Requests held from one step to the next equal the reference, and only a parent or
+    single item that came back with the same views gets its requests back."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("world", ("world", "odd"))
@@ -973,14 +988,22 @@ class TestShallowRequestsAcrossSteps:
                 decodes.append([])
                 decode(em, DecodeConfig(beam, policy, lms, mode=mode), tok)
 
-        shapes = Counter()
+        shapes, stays = Counter(), Counter()
         for blocks in decodes:
-            memos, held = [{} for _ in lms], {}
-            previous, last = {}, None
+            memos, held = [{} for _ in lms], ({}, {})
+            previous, last, stays_before = {}, None, {}
             for cands in blocks:
                 got = assert_requests_match_reference(cands, lms, tok, memos, held)
                 now = _requests_by_parent(cands, got)
                 shapes["blocks"] += 1
+                # a single item back with the same views gets the same objects back
+                stays_now = _requests_by_stay(cands, got)
+                for tokens in stays_now.keys() & stays_before.keys():
+                    (views, reqs), (views_before, old) = stays_now[tokens], stays_before[tokens]
+                    same = views is views_before
+                    assert [a is b for a, b in zip(reqs, old)] == [same] * len(lms), tokens
+                    stays["reused" if same else "rebuilt"] += 1
+                stays_before = stays_now
                 for tokens, (parent, by_label) in now.items():
                     if tokens not in previous:
                         continue
@@ -1004,8 +1027,10 @@ class TestShallowRequestsAcrossSteps:
             assert shapes["same views"] > 20 and shapes["reused"] > 100
             assert shapes["swapped views"] > 0 and shapes["new views"] > 20
             assert shapes["rebuilt"] > 50
+            assert stays["reused"] > 100 and stays["rebuilt"] > 20
         else:
-            # every live label-sync survivor is a new extension: no parent comes back
+            # every live label-sync survivor is a new extension: no parent comes
+            # back, though an ended hypothesis carried over is a single item again
             assert not shapes
 
 

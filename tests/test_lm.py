@@ -279,6 +279,8 @@ class TestSharedPrefixProperty:
         got = model.score_batch_incremental(requests)
         want = reference_score_batch(model, requests)
         assert got == want
+        # tuple equality ignores the type: every cache is a ``PrefixCacheEntry``
+        assert all(type(c) is PrefixCacheEntry for c in got)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1, 2, 3]), _SEQS, st.lists(st.integers(0, 6), max_size=4), _SEQS)
@@ -310,7 +312,7 @@ def _sibling_batches(draw, order=None):
     fresh and scored caches, and hand-built ones whose context is a list or
     longer than order-1 and which share ``cum_logprob`` and context while
     their scored prefixes differ.  Runs are mixed with duplicates, requests
-    with no new tokens and empty requests.
+    with no new tokens and empty requests, and a run's tokens may be lists.
     """
     order = draw(st.sampled_from([1, 2, 3])) if order is None else order
     model = _small_model(order)
@@ -336,8 +338,9 @@ def _sibling_batches(draw, order=None):
             stem = cache.tokens + tuple(draw(st.lists(_TOKENS, max_size=3)))
             if kind == "nothing new":
                 requests.append(ScoreRequest(cache.tokens, cache))
+            shape = draw(st.sampled_from([tuple, tuple, list]))
             for last in draw(st.lists(_TOKENS, min_size=1, max_size=6)):
-                requests.append(ScoreRequest(stem + (last,), cache))
+                requests.append(ScoreRequest(shape(stem + (last,)), cache))
     return order, requests
 
 
@@ -373,6 +376,7 @@ class TestSiblingShortcut:
         got = model.score_batch_incremental(requests)
         assert _bits(got) == _bits(reference_score_batch(model, requests))
         assert all(type(c.context) is tuple and len(c.context) <= order - 1 for c in got)
+        assert all(type(c) is PrefixCacheEntry for c in got)
 
     def test_carriers_are_immutable(self):
         cache = PrefixCacheEntry(0, 0.0, ())

@@ -9,6 +9,7 @@ from beamfuse.tokenization import (
     NUM_SPECIALS,
     SPECIAL_TOKENS,
     UNK_ID,
+    WORD_MARKER,
     Tokenizer,
     Vocabulary,
     VocabularyError,
@@ -103,6 +104,43 @@ class TestTokenizer:
             first = asr_tok.encode_word(word)
             assert first == asr_tok.encode_word(word)
             assert asr_tok.encode(word) == first
+
+
+@st.composite
+def _greedy_vocab(draw):
+    """A vocabulary over "ab" whose longest real piece has 1 to 4 characters, marker included.
+
+    Pieces may start with the marker, and the marker alone may be a piece.
+    """
+    longest = draw(st.integers(1, 4))
+    body = st.text("ab", min_size=1, max_size=longest)
+    marked = st.text("ab", max_size=longest - 1).map(lambda s: WORD_MARKER + s)
+    pieces = draw(st.sets(body | marked, max_size=12))
+    pieces.add(draw(st.sampled_from([WORD_MARKER, ""])) + "a" * longest)
+    pieces = {p[:longest] for p in pieces}
+    return longest, make_vocab(*sorted(pieces))
+
+
+# "c" is outside every drawn vocabulary's alphabet; a marker inside a word starts a marked
+# piece or, as at the word start, goes to the unknown token with the character after it
+_WORD_TEXT = st.text("abc" + WORD_MARKER, max_size=9)
+
+
+class TestResumedEncoding:
+    """Greedy resumed after an open word's fixed pieces equals encoding the grown word."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_greedy_vocab(), _WORD_TEXT, _WORD_TEXT)
+    def test_resume_equals_encode_word(self, drawn, last, glue):
+        longest, vocab = drawn
+        tok = Tokenizer(vocab)
+        assert tok._max_piece == longest
+        fixed, offset = tok.open_word(last)
+        assert type(fixed) is tuple
+        assert list(fixed) + tok.encode_word(last, offset) == tok.encode_word(last)
+        assert list(fixed) + tok.encode_word(last + glue, offset) == tok.encode_word(last + glue)
+        # every piece that starts ``longest`` or more characters before the end is fixed
+        assert offset + longest > len(WORD_MARKER + last)
 
 
 @st.composite

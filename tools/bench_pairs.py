@@ -20,7 +20,9 @@ when nothing is claimed.  An existing file is never overwritten: with
 ``--append`` the runs are added to its ``batches`` list as one more batch,
 and without it the script stops before running anything.  A summary of the runs just made,
 per workload and end-to-end metric (medians, the parent's quartile spread,
-the pairs the change won), is printed.
+the pairs the change won), is printed, with a line per workload that says
+whether ``DETERMINISTIC``'s metrics are identical on both sides of every
+pair.  That line only reports; the verdict does not read it.
 
 A claimed gain also gets the claim rule's verdict (``verdict``), written
 into the file with the inputs it was decided on.  The rule: at least
@@ -54,6 +56,8 @@ CHANGE = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
 MIN_WIN_SHARE = 0.9
 CLAIMED_METRIC = "ms_per_frame"
+# end-to-end metrics a seed fixes: a change that keeps decoding as it was keeps them exactly
+DETERMINISTIC = ("nll_per_frame", "lm_calls", "lm_tokens")
 # seeds used for benchmarks before every run was recorded in a BENCH_*.json
 UNRECORDED_SEEDS = frozenset(
     [*range(1, 18), 71, 229, 419, 421, 431, 433, 439, 991, 999, 1001, 1002, 1103, 1201, 5003]
@@ -188,8 +192,21 @@ def file_records(bench: dict) -> tuple[str | None, list[dict]]:
     return None, bench["records"]
 
 
+def identical(records: list[dict], workload: str) -> dict[str, bool]:
+    """Per ``DETERMINISTIC`` metric: whether both sides of every pair of ``workload`` agree."""
+    out = {}
+    for name in DETERMINISTIC:
+        parent, change = _paired(records, workload, name)
+        out[name] = bool(parent) and parent == change
+    return out
+
+
 def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
-    """Per workload and metric: medians, the parent's quartile spread, pairs won."""
+    """Per workload and metric: medians, the parent's quartile spread, pairs won.
+
+    Each workload's last line says which ``DETERMINISTIC`` metrics are
+    identical on both sides of every pair and which differ.
+    """
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in records):
         for metric in metrics:
@@ -202,6 +219,10 @@ def summarize(records: list[dict], metrics: list[dict]) -> list[str]:
             lines.append(f"{workload:20s} {name:14s} parent {p_med:.6g} change {c_med:.6g}"
                          f" ({rel:+.1%}) parent IQR {_spread(parent):.3g}"
                          f" change wins {wins}/{len(parent)}")
+        same = identical(records, workload)
+        lines.append(f"{workload:20s} identical in every pair: "
+                     + (", ".join(n for n in DETERMINISTIC if same[n]) or "none")
+                     + "; differ: " + (", ".join(n for n in DETERMINISTIC if not same[n]) or "none"))
     return lines
 
 
