@@ -49,21 +49,20 @@ modes lives in a small step object:
 Both candidate blocks are ``Candidates``: single items, each with its own
 acoustic score and state, then one block of acoustic extension scores
 whose column ``c`` extends by token id ``c``.  The base answers ``valid``,
-``scores(weights)``, and ``tokens(j)``, ``views(j)`` and ``survivor(j, tokens)``
-for a flat index ``j``; ``families()`` groups the valid candidates by
-parent.  A mode's block supplies only the state an extension grows.  The
-shallow baseline is one more score term on the same cut: every
-valid candidate's whole content is scored, and those scores are added
-before the prune.  Its requests are built once per parent
-(``_shallow_requests``): the parent's rest is decoded and re-tokenized once
-and each child adds only its piece, with one word memo per LM that lives
-for one decode.  A joined open word missing from the memo is encoded by
-resuming greedy after the open word's fixed pieces.  No LM score is kept
-between steps, but the built requests are: each family's, keyed by the
-parent's tokens, and each single item's, keyed by its tokens, are held for
-one step and reused while the views list is the same object.  A CTC prefix
-that stays in the beam by a blank or a repeat comes back with its views,
-so 68.5% of the family requests of the ``ctc_shallow`` pool (seed 7) are the
+``scores(weights)``, and ``tokens(j)`` and ``survivor(j, tokens)`` for a flat
+index ``j``; ``families()`` groups the valid candidates: each parent with
+its labels, and each single item labelled blank.  A mode's block supplies
+only the state an extension grows.  The shallow baseline is one more score
+term on the same cut: every valid candidate's whole content is scored, and
+those scores are added before the prune.  Its requests are built once per
+group (``_shallow_requests``): the group's rest is decoded and
+re-tokenized once and each child adds only its piece, with one word memo
+per LM that lives for one decode.  A joined open word missing from the
+memo is encoded by resuming greedy after the open word's fixed pieces.  No
+LM score is kept between steps, but the built requests are, in one table
+keyed by a group's tokens and views list, for one step.  A CTC prefix that
+stays in the beam by a blank or a repeat comes back with its views, so
+68.5% of the family requests of the ``ctc_shallow`` pool (seed 7) are the
 previous frame's objects; a label-sync parent never comes back.  The step
 objects own every other mode difference too: the root hypothesis, the
 step count, and closing the last beam (label-sync hypotheses end with
@@ -300,28 +299,29 @@ class Candidates:
         r, c = divmod(j - n, len(self.begins))
         return self.parents[r].tokens + (c,)
 
-    def views(self, j: int) -> list[LMView]:
-        n = len(self.singles)
-        return self.single_views[j] if j < n else self.parents[(j - n) // len(self.begins)].views
+    def families(self) -> list[tuple]:
+        """The valid candidates as groups ``(tokens, views, labels)``, in index order.
 
-    def families(self) -> tuple[list[int], list]:
-        """Split the valid candidates into single items and per-parent families.
-
-        Returns the valid single indices and ``(parent, labels)`` for each
-        parent with a valid extension, so the singles followed by each
-        family's labels in turn are the valid indices in order.
+        Each parent with a valid extension is a family: its tokens and views
+        and the labels of those extensions.  Each valid single item is a
+        group of its own, its tokens and views labelled ``BLANK_ID``, whose
+        piece is empty text: a stay is its hypothesis extended by blank.  So
+        the groups' labels in turn are the valid indices in order.
         """
         n, parents = len(self.singles), self.parents
         kept = np.flatnonzero(self.valid)
         split = int(np.searchsorted(kept, n))
+        groups = [
+            (self.singles[j].tokens, self.single_views[j], (BLANK_ID,))
+            for j in kept[:split].tolist()
+        ]
         rows, labels = np.divmod(kept[split:] - n, len(self.begins))
-        labels = labels.tolist()
-        families, start = [], 0
+        labels, start = labels.tolist(), 0
         for parent, count in zip(parents, np.bincount(rows, minlength=len(parents)).tolist()):
             if count:
-                families.append((parent, labels[start : start + count]))
+                groups.append((parent.tokens, parent.views, labels[start : start + count]))
                 start += count
-        return kept[:split].tolist(), families
+        return groups
 
     def scores(self, weights: Sequence[float]) -> np.ndarray:
         """Acoustic plus weighted LM score of every index, -inf where not valid.
@@ -701,8 +701,8 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
     step = step_type(source, config, asr_tok)
     # one word memo per LM for every re-tokenization of this decode, and
-    # shallow fusion's requests per parent and per single item, held for one step
-    memos, held = [{} for _ in config.lms], ({}, {})
+    # shallow fusion's requests per candidate group, held for one step
+    memos, held = [{} for _ in config.lms], {}
     beam = [step.root()]
     prev_shortest = 0
     trace: list[StepTrace] = []
@@ -738,66 +738,55 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
 
 
 def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreRequest]]:
-    """Shallow fusion's LM requests for the valid candidates, built once per parent.
+    """Shallow fusion's LM requests for the valid candidates, built once per group.
 
     Each LM's requests come in candidate index order.  ``memos`` are the
     decode's word memos, one per LM, so each distinct word is encoded once
-    per decode.  Single items' requests are built by ``_whole_requests``.
-    Per family, the parent's tail is decoded once into ``words`` and an
-    open ``last`` word (None if the tail ends between words), re-tokenized
-    once per LM as ``base`` and ``closed``.  Per call and per LM,
-    ``table[c]`` holds piece ``c``'s glue and the LM tokens of its words
-    (``Tokenizer.pieces``), all of them and those after the first.  A child
-    whose piece joins ``last`` gets ``base``, the joined word and the
-    piece's further words; any other gets ``closed`` plus its piece's
-    words.  Either way that is ``decode(tail + (c,))``.  The joined word
-    comes from the word memo; on a miss greedy resumes over it after
-    ``last``'s fixed pieces (``Tokenizer.open_word``, once per family and LM
+    per decode.  Every group of ``cands.families()``, a single item labelled
+    blank or a parent with its labels, is built the same way.  Its tail is
+    decoded once into ``words`` and an open ``last`` word (None if the tail
+    ends between words, as after ``</s>``), re-tokenized once per LM as
+    ``base`` and ``closed``.  Per call and per LM, ``table[c]`` holds piece
+    ``c``'s glue and the LM tokens of its words (``Tokenizer.pieces``), all
+    of them and those after the first.  A child whose piece joins ``last``
+    gets ``base``, the joined word and the piece's further words; any other
+    gets ``closed`` plus its piece's words, so a blank child gets
+    ``closed``.  Either way that is ``decode(tail + (c,))``.  The joined
+    word comes from the word memo; on a miss greedy resumes over it after
+    ``last``'s fixed pieces (``Tokenizer.open_word``, once per group and LM
     on its first miss), and the result goes into the memo.  Requests are
     built with ``tuple.__new__``, as ``ScoreRequest(lm_tokens, cache)`` would
     build them without its Python-level call.
 
-    ``held`` keeps the built requests from one call to the next, as two
-    dicts.  The first maps a parent's tokens to ``(views, slots)``, where
-    ``slots[i][c]`` is LM ``i``'s request for label ``c``, or None if not
-    built; the second maps a single item's tokens to ``(views, requests)``,
-    one request per LM.  A request depends only on the tokens, the views
-    and the label, and a views list is never changed in place, so an entry
-    is reused when the stored views ``is`` the candidate's: a CTC prefix
-    that stays in the beam by a blank or a repeat gets back the same
-    request objects (68.5% of the family requests and 68.9% of the stays of
-    the ``ctc_shallow`` pool at seed 7).  Only the labels whose slots are
-    None are built.  Each call leaves ``held`` holding exactly its own
-    families and single items, at most beam x LMs x (``V`` + 1) requests.
+    ``held`` keeps the built requests from one call to the next, in one
+    dict keyed by ``(tokens, id(views))``.  Its value is ``(views, slots)``,
+    where ``slots[i][c]`` is LM ``i``'s request for label ``c``, or None if
+    not built; holding the views keeps their id unique.  A request depends
+    only on the tokens, the views and the label, and a views list is never
+    changed in place, so a group whose tokens and views object are both
+    held gets back the same request objects: a CTC prefix that stays in the
+    beam by a blank or a repeat comes back with its views (68.5% of the
+    family requests and 68.9% of the stays of the ``ctc_shallow`` pool at
+    seed 7).  A CTC stay and its own family share an entry, the stay in
+    slot ``BLANK_ID``, which no extension fills; a merged stay that took
+    another entry's views gets an entry of its own.  Only the labels whose
+    slots are None are built.  Each call leaves ``held`` holding exactly its
+    own groups, at most two per beam entry.
     """
     pieces, size = asr_tok.pieces, len(cands.begins)
-    held_families, held_stays = held
-    singles, families = cands.families()
     requests = [[] for _ in lms]
-    kept_stays, kept_families = {}, {}
-    for j in singles:
-        tokens, views = cands.tokens(j), cands.views(j)
-        entry = held_stays.get(tokens)
-        if entry is None or entry[0] is not views:
-            built = _whole_requests(((tokens, views),), lms, asr_tok, memos)
-            entry = (views, [reqs[0] for reqs in built])
-        kept_stays[tokens] = entry
-        for request, reqs in zip(entry[1], requests):
-            reqs.append(request)
-    tables = [{} for _ in lms]
-    for parent, labels in families:
-        entry = held_families.get(parent.tokens)
-        if entry is None or entry[0] is not parent.views:
-            entry = (parent.views, [[None] * size for _ in lms])
-        kept_families[parent.tokens] = entry
+    tables, kept = [{} for _ in lms], {}
+    for tokens, views, labels in cands.families():
+        key = (tokens, id(views))
+        entry = kept.get(key) or held.get(key) or (views, [[None] * size for _ in lms])
+        kept[key] = entry
         slots = entry[1]
         missing = [c for c in labels if slots[0][c] is None]
         if missing:
-            tail = parent.tokens[1 + parent.views[0].consumed :]
+            tail = tokens[1 + views[0].consumed :]
             words = asr_tok.decode(tail).split()
-            # a parent's tail holds ordinary ids only: ``</s>`` ends a hypothesis
             last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for view, spec, memo, table, built in zip(parent.views, lms, memos, tables, slots):
+            for view, spec, memo, table, built in zip(views, lms, memos, tables, slots):
                 lm_tok, cache = spec.tokenizer, view.cache
                 base = _retokenize(view.lm_tokens, words, lm_tok, memo)
                 closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
@@ -823,9 +812,8 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreReques
                     built[c] = _record(ScoreRequest, (lm_tokens, cache))
         for built, reqs in zip(slots, requests):
             reqs += [built[c] for c in labels]
-    for store, now in ((held_families, kept_families), (held_stays, kept_stays)):
-        store.clear()
-        store.update(now)
+    held.clear()
+    held.update(kept)
     return requests
 
 

@@ -496,6 +496,12 @@ def reference_shallow_step(mode, source, beam, asr_tok, lms, beam_size):
     return survivors, deltas
 
 
+def candidate_views(cands, j: int) -> list:
+    """Candidate ``j``'s views, read from the block's fields."""
+    n = len(cands.singles)
+    return cands.single_views[j] if j < n else cands.parents[(j - n) // len(cands.begins)].views
+
+
 def reference_shallow_requests(cands, lms, asr_tok) -> list:
     """Each LM's shallow requests built one flat candidate at a time.
 
@@ -506,7 +512,7 @@ def reference_shallow_requests(cands, lms, asr_tok) -> list:
     """
     out = [[] for _ in lms]
     for j in np.flatnonzero(cands.valid).tolist():
-        tokens, views = cands.tokens(j), cands.views(j)
+        tokens, views = cands.tokens(j), candidate_views(cands, j)
         words = asr_tok.decode(tokens[1 + views[0].consumed :]).split()
         for spec, view, reqs in zip(lms, views, out):
             reqs.append((_retokenize(view.lm_tokens, words, spec.tokenizer, {}), view.cache))

@@ -61,6 +61,7 @@ from conftest import (
     ODD_PIECES,
     CountingScorer,
     block_rows,
+    candidate_views,
     ctc_hypothesis,
     join_blocks,
     make_vocab,
@@ -618,7 +619,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(held, 1)
-    extra = _shallow_scores(cands, lms, tok, [{} for _ in lms], ({}, {}), counters)
+    extra = _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, counters)
     got = step.prune(cands, extra)
     for hyp in got:
         advance_views(hyp, tok, lms)
@@ -652,7 +653,7 @@ def assert_requests_retokenize(cands, lms, tok) -> int:
         requests = spec.scorer.last_requests
         assert len(requests) == len(kept)
         for j, req in zip(kept, requests):
-            view = cands.views(j)[i]
+            view = candidate_views(cands, j)[i]
             tail = tok.decode(cands.tokens(j)[1 + view.consumed :])
             assert req.cache is view.cache
             assert req.tokens == view.lm_tokens + tuple(spec.tokenizer.encode(tail))
@@ -756,7 +757,7 @@ class TestShallowRequests:
                 beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            _shallow_scores(cands, lms, tok, [{} for _ in lms], ({}, {}), DecodeCounters())
+            _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -817,20 +818,23 @@ def _request_blocks(pick, tok, beam) -> list:
 
 
 def _request_shapes(cands, tok) -> Counter:
-    """What the block asks of the builder: foreign stay views, and each child's kind of piece.
+    """What the block asks of the builder: each group's kind, and each child's kind of piece.
 
-    A continuation piece either joins the parent's open word, alone or with
-    more words after it, or brings new words: after an empty or closed tail
-    (``last`` None), or after the open word, which it leaves closed.
+    A single item is a stay or an ended hypothesis, labelled blank, with its
+    own entry's views or another's.  A continuation piece either joins the
+    parent's open word, alone or with more words after it, or brings new
+    words: after an empty or closed tail (``last`` None), or after the open
+    word, which it leaves closed.
     """
-    singles, families = cands.families()
+    own_views = {h.tokens: h.views for h in cands.singles}
     shapes = Counter()
-    shapes["stay with another entry's views"] += sum(
-        cands.single_views[j] is not cands.singles[j].views for j in singles
-    )
-    for parent, labels in families:
-        tail = parent.tokens[1 + parent.views[0].consumed :]
+    for tokens, views, labels in cands.families():
+        tail = tokens[1 + views[0].consumed :]
         opened = bool(tail) and tok.pieces[tail[-1]][2]
+        if labels == (BLANK_ID,):
+            shapes["ended" if tokens[-1] == EOS_ID else "stay" + " in an open word" * opened] += 1
+            shapes["stay with another entry's views"] += views is not own_views[tokens]
+            continue
         for c in labels:
             glue, more, _ = tok.pieces[c]
             if c == EOS_ID:
@@ -850,12 +854,12 @@ def _request_shapes(cands, tok) -> Counter:
 
 
 def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
-    """The per-parent requests are the flat reference's: type, tokens, cache objects and order.
+    """The per-group requests are the flat reference's: type, tokens, cache objects and order.
 
-    ``held`` is the builder's requests per parent and per single item,
-    passed from block to block as a decode passes it; after the call it
-    holds exactly this block's parents and single items, each with its
-    views.  Returns the requests.
+    ``held`` is the builder's one table, passed from block to block as a
+    decode passes it; after the call it holds exactly this block's groups,
+    keyed by their tokens and the id of their views, each entry with its
+    group's views.  Returns the requests.
     """
     got = _shallow_requests(cands, lms, tok, memos, held)
     want = reference_shallow_requests(cands, lms, tok)
@@ -864,13 +868,9 @@ def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
         assert all(type(r) is ScoreRequest for r in reqs)
         assert [r.tokens for r in reqs] == [tokens for tokens, _ in ref]
         assert all(r.cache is cache for r, (_, cache) in zip(reqs, ref))
-    singles, families = cands.families()
-    parents = [parent for parent, _ in families]
-    held_families, held_stays = held
-    assert held_families.keys() == {parent.tokens for parent in parents}
-    assert all(held_families[parent.tokens][0] is parent.views for parent in parents)
-    assert held_stays.keys() == {cands.tokens(j) for j in singles}
-    assert all(held_stays[cands.tokens(j)][0] is cands.views(j) for j in singles)
+    groups = cands.families()
+    assert held.keys() == {(tokens, id(views)) for tokens, views, _ in groups}
+    assert all(held[tokens, id(views)][0] is views for tokens, views, _ in groups)
     return got
 
 
@@ -908,7 +908,7 @@ class TestShallowRequestsPerParent:
         # one word memo per LM and one ``held`` across every block, as in a
         # decode: a label block's live parents are its frame block's, so
         # they reuse requests, and a new beam's equal prefixes have new views
-        memos, held = [{} for _ in lms], ({}, {})
+        memos, held = [{} for _ in lms], {}
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
@@ -923,6 +923,8 @@ class TestShallowRequestsPerParent:
             assert shapes["new words after a closed tail"] > 0
             assert shapes["new words after the open word"] > 0
             assert shapes["joins the open word with more words"] > 0
+        assert shapes["stay"] > 0 and shapes["stay in an open word"] > 10
+        assert shapes["ended"] > 10
         assert shapes["stay with another entry's views"] > 5
 
     @settings(max_examples=150, deadline=None)
@@ -932,28 +934,29 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        memos, held = [{} for _ in lms], ({}, {})
+        memos, held = [{} for _ in lms], {}
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
             assert_requests_match_reference(cands, lms, tok, memos, held)
 
 
-def _requests_by_stay(cands, got) -> dict:
-    """Each single item's views and per-LM requests, by its tokens."""
-    singles, _ = cands.families()
-    return {
-        cands.tokens(j): (cands.views(j), [reqs[i] for reqs in got]) for i, j in enumerate(singles)
-    }
+def _requests_by_group(cands, got) -> dict:
+    """Each group's requests by its tokens: ``{label: (views, per-LM requests)}``.
 
-
-def _requests_by_parent(cands, got) -> dict:
-    """Each family's requests by its parent's tokens: ``(parent, {label: per-LM requests})``."""
-    singles, families = cands.families()
-    out, start = {}, len(singles)
-    for parent, labels in families:
-        by_label = {c: [reqs[start + i] for reqs in got] for i, c in enumerate(labels)}
-        out[parent.tokens] = (parent, by_label)
+    A CTC stay and its parent's family have the same tokens, and the stay
+    is label ``BLANK_ID``, which no extension is.
+    """
+    out, start = {}, 0
+    for tokens, views, labels in cands.families():
+        by_label = out.setdefault(tokens, {})
+        for i, c in enumerate(labels, start):
+            by_label[c] = (views, [reqs[i] for reqs in got])
         start += len(labels)
     return out
+
+
+def _family_views(by_label: dict):
+    """The views of the family among a token's groups, or None if it has none."""
+    return next((views for c, (views, _) in by_label.items() if c != BLANK_ID), None)
 
 
 class TestShallowRequestsAcrossSteps:
@@ -990,38 +993,32 @@ class TestShallowRequestsAcrossSteps:
 
         shapes, stays = Counter(), Counter()
         for blocks in decodes:
-            memos, held = [{} for _ in lms], ({}, {})
-            previous, last, stays_before = {}, None, {}
+            memos, held = [{} for _ in lms], {}
+            previous = {}
             for cands in blocks:
                 got = assert_requests_match_reference(cands, lms, tok, memos, held)
-                now = _requests_by_parent(cands, got)
+                now = _requests_by_group(cands, got)
                 shapes["blocks"] += 1
-                # a single item back with the same views gets the same objects back
-                stays_now = _requests_by_stay(cands, got)
-                for tokens in stays_now.keys() & stays_before.keys():
-                    (views, reqs), (views_before, old) = stays_now[tokens], stays_before[tokens]
-                    same = views is views_before
-                    assert [a is b for a, b in zip(reqs, old)] == [same] * len(lms), tokens
-                    stays["reused" if same else "rebuilt"] += 1
-                stays_before = stays_now
-                for tokens, (parent, by_label) in now.items():
-                    if tokens not in previous:
-                        continue
-                    before, old = previous[tokens]
-                    if before.views is parent.views:
-                        kind = "same views"
-                    else:
-                        # a frame block's singles are its parents: find the stay
-                        j = next(j for j, h in enumerate(last.singles) if h is before)
-                        swapped = last.single_views[j] is not before.views
-                        kind = "swapped views" if swapped else "new views"
-                    shapes[kind] += 1
+                for tokens in now.keys() & previous.keys():
+                    by_label, old = now[tokens], previous[tokens]
+                    views, before = _family_views(by_label), _family_views(old)
+                    if views is not None and before is not None:
+                        if views is before:
+                            kind = "same views"
+                        else:
+                            # in a frame block the stay took other views in a merge
+                            swapped = BLANK_ID in old and old[BLANK_ID][0] is not before
+                            kind = "swapped views" if swapped else "new views"
+                        shapes[kind] += 1
                     for c in by_label.keys() & old.keys():
-                        same = [a is b for a, b in zip(by_label[c], old[c])]
+                        (views, reqs), (views_before, old_reqs) = by_label[c], old[c]
                         # the same views get the same objects back; other views new ones
-                        assert same == [kind == "same views"] * len(lms), (kind, tokens, c)
-                        shapes["reused" if same[0] else "rebuilt"] += 1
-                previous, last = now, cands
+                        same = views is views_before
+                        assert [a is b for a, b in zip(reqs, old_reqs)] == [same] * len(lms), (
+                            tokens, c)
+                        counts = stays if c == BLANK_ID else shapes
+                        counts["reused" if same else "rebuilt"] += 1
+                previous = now
         assert shapes.pop("blocks") > 50
         if mode == "ctc":
             assert shapes["same views"] > 20 and shapes["reused"] > 100
@@ -1032,6 +1029,56 @@ class TestShallowRequestsAcrossSteps:
             # every live label-sync survivor is a new extension: no parent comes
             # back, though an ended hypothesis carried over is a single item again
             assert not shapes
+
+
+class TestOneRequestTable:
+    """A stay is its own blank-labelled group in the one table ``held``."""
+
+    @staticmethod
+    def _merged_block(shallow_world):
+        """A frame block whose stay of ``b`` merges ``a``'s extension and takes ``a``'s views.
+
+        ``a``'s caches have scored more, so its views win the merge.
+        """
+        tok, lm_sets = shallow_world
+        lms = lm_sets["both"]
+        x, y = tok.vocab.token_id("▁x"), tok.vocab.token_id("▁y")
+
+        def views(scored):
+            return [LMView(0, (), PrefixCacheEntry(scored, 0.0, ())) for _ in lms]
+
+        a = ctc_hypothesis((BOS_ID, x), -1.0, -2.0, views(2), k=0)
+        b = ctc_hypothesis((BOS_ID, x, y), -1.0, -2.0, views(0), k=1)
+        frame = np.full(tok.vocab.size, -math.log(tok.vocab.size))
+        cands = extend_frame([a, b], frame, tok.begins)
+        assert cands.single_views == [a.views, a.views]
+        return tok, lms, a, b, cands
+
+    def test_stay_shares_its_family_entry(self, shallow_world):
+        tok, lms, a, _, cands = self._merged_block(shallow_world)
+        held = {}
+        got = _shallow_requests(cands, lms, tok, [{} for _ in lms], held)
+        slots = held[a.tokens, id(a.views)][1]
+        labels = _requests_by_group(cands, got)[a.tokens]
+        assert BLANK_ID in labels and len(labels) > 1
+        for i in range(len(lms)):
+            # the stay of ``a`` is candidate 0, the first request
+            assert slots[i][BLANK_ID] is got[i][0]
+            assert all(slots[i][c] is reqs[i] for c, (_, reqs) in labels.items())
+        assert len(held) == 3
+
+    def test_stay_with_other_views_gets_its_own_entry(self, shallow_world):
+        tok, lms, a, b, cands = self._merged_block(shallow_world)
+        held = {}
+        got = _shallow_requests(cands, lms, tok, [{} for _ in lms], held)
+        stay, family = held[b.tokens, id(a.views)], held[b.tokens, id(b.views)]
+        assert stay is not family and stay is not held[a.tokens, id(a.views)]
+        assert stay[0] is a.views and family[0] is b.views
+        for i in range(len(lms)):
+            # the stay of ``b`` is candidate 1; its entry holds that request alone
+            assert stay[1][i][BLANK_ID] is got[i][1]
+            assert sum(r is not None for r in stay[1][i]) == 1
+            assert family[1][i][BLANK_ID] is None
 
 
 @pytest.fixture(scope="module")
