@@ -28,6 +28,7 @@ from .decoder import (
 )
 from .harness import BenchConfig, generate_corpus, run_bench, split_corpus, wer
 from .lm import (
+    FamilyBatch,
     NGramModel,
     PrefixCacheEntry,
     ScoreRequest,

@@ -54,16 +54,18 @@ index ``j``; ``families()`` groups the valid candidates: each parent with
 its labels, and each single item labelled blank.  A mode's block supplies
 only the state an extension grows.  The shallow baseline is one more score
 term on the same cut: every valid candidate's whole content is scored, and
-those scores are added before the prune.  Its requests are built once per
-group (``_shallow_requests``): the group's rest is decoded and
-re-tokenized once and each child adds only its piece, with one word memo
-per LM that lives for one decode.  A joined open word missing from the
-memo is encoded by resuming greedy after the open word's fixed pieces.  No
-LM score is kept between steps, but the built requests are, in one table
-keyed by a group's tokens and views list, for one step.  A CTC prefix that
-stays in the beam by a blank or a repeat comes back with its views, so
-68.5% of the family requests of the ``ctc_shallow`` pool (seed 7) are the
-previous frame's objects; a label-sync parent never comes back.  The step
+those scores are added before the prune.  Each group is one family per LM
+(``_shallow_requests``): its rest is decoded and re-tokenized once into a
+base, each child adds only its piece as a short tail, and one word memo
+per LM lives for one decode.  A joined open word missing from the memo is
+encoded by resuming greedy after the open word's fixed pieces.  Each LM
+scores its families in one ``FamilyBatch`` call and answers with a float
+per child.  No LM score is kept between steps, but the built bases and
+tails are, in one table keyed by a group's tokens and views list, for one
+step.  A CTC prefix that stays in the beam by a blank or a repeat comes
+back with its views, so 68.5% of the family children of the
+``ctc_shallow`` pool (seed 7) are the previous frame's; a label-sync
+parent never comes back.  The step
 objects own every other mode difference too: the root hypothesis, the
 step count, and closing the last beam (label-sync hypotheses end with
 ``</s>``).
@@ -88,7 +90,6 @@ import math
 import numbers
 import time
 from dataclasses import KW_ONLY, dataclass, field
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -100,13 +101,11 @@ from .acoustic import (
     end_scores,
     lse2,
 )
-from .lm import ScoreRequest, _record
+from .lm import FamilyBatch, ScoreRequest
 from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
 # not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
 # and perfbench/tests/test_reconcile.py reads it (ROADMAP items 6 and 8)
 from .tokenization import tokenizable_prefix_len
-
-_cum_logprob = itemgetter(1)  # a ``PrefixCacheEntry``'s ``cum_logprob``
 
 POLICY_KINDS = ("always", "never", "shortest", "interval", "shallow")
 MODES = ("ctc", "labelsync")
@@ -555,18 +554,32 @@ def fusable(
     )
 
 
-def _score(spec: LMSpec, requests: list[ScoreRequest], counters: DecodeCounters) -> list:
-    """One batched LM call, counted after it returns; the new caches, in request order.
+def _score(
+    spec: LMSpec, requests: list[ScoreRequest] | FamilyBatch, counters: DecodeCounters
+) -> list:
+    """One batched LM call, counted after it returns; its answers, in request order.
 
     The call counts once; each request with tokens past its cache's
     ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
+    A ``FamilyBatch`` is counted per family from the lengths, as its
+    requests would be.  A family's base covers its cache (the scorer checks
+    it), so it has ``d >= 0`` new tokens: with ``d > 0`` every child counts,
+    and with ``d == 0`` only the children with a non-empty tail.
     """
-    caches = spec.scorer.score_batch_incremental(requests)
-    new = [n for tokens, cache in requests if (n := len(tokens) - cache.scored_len) > 0]
+    answers = spec.scorer.score_batch_incremental(requests)
+    if type(requests) is FamilyBatch:
+        hypotheses = tokens = 0
+        for cache, base, tails in requests.families:
+            d = len(base) - cache.scored_len
+            hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())
+            tokens += d * len(tails) + sum(map(len, tails))
+    else:
+        new = [n for seq, cache in requests if (n := len(seq) - cache.scored_len) > 0]
+        hypotheses, tokens = len(new), sum(new)
     counters.lm_calls += 1
-    counters.lm_hypotheses += len(new)
-    counters.lm_tokens += sum(new)
-    return caches
+    counters.lm_hypotheses += hypotheses
+    counters.lm_tokens += tokens
+    return answers
 
 
 def apply_lm_scores(
@@ -737,59 +750,62 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
-def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreRequest]]:
-    """Shallow fusion's LM requests for the valid candidates, built once per group.
+def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[FamilyBatch]:
+    """Shallow fusion's families for the valid candidates, one ``FamilyBatch`` per LM.
 
-    Each LM's requests come in candidate index order.  ``memos`` are the
-    decode's word memos, one per LM, so each distinct word is encoded once
-    per decode.  Every group of ``cands.families()``, a single item labelled
-    blank or a parent with its labels, is built the same way.  Its tail is
-    decoded once into ``words`` and an open ``last`` word (None if the tail
-    ends between words, as after ``</s>``), re-tokenized once per LM as
-    ``base`` and ``closed``.  Per call and per LM, ``table[c]`` holds piece
-    ``c``'s glue and the LM tokens of its words (``Tokenizer.pieces``), all
-    of them and those after the first.  A child whose piece joins ``last``
-    gets ``base``, the joined word and the piece's further words; any other
-    gets ``closed`` plus its piece's words, so a blank child gets
-    ``closed``.  Either way that is ``decode(tail + (c,))``.  The joined
+    Every group of ``cands.families()``, a single item labelled blank or a
+    parent with its labels, is one family per LM, and the families come in
+    group order, so the batches' requests come in candidate index order.
+    ``memos`` are the decode's word memos, one per LM, so each distinct
+    word is encoded once per decode.  A group's tail is decoded once into
+    ``words`` and an open ``last`` word (None if the tail ends between
+    words, as after ``</s>``), re-tokenized once per LM: the family's
+    ``base`` is the view's LM tokens plus ``words``.  Per call and per LM,
+    ``table[c]`` holds piece ``c``'s glue and the LM tokens of its words
+    (``Tokenizer.pieces``), all of them and those after the first.  A child
+    whose piece joins ``last`` has the tail of the joined word and the
+    piece's further words; any other has ``last``'s tokens and its piece's
+    words, so a blank child has ``last``'s tokens alone.  Either way
+    ``base + tail`` is ``decode(tokens + (c,))`` re-tokenized.  The joined
     word comes from the word memo; on a miss greedy resumes over it after
     ``last``'s fixed pieces (``Tokenizer.open_word``, once per group and LM
-    on its first miss), and the result goes into the memo.  Requests are
-    built with ``tuple.__new__``, as ``ScoreRequest(lm_tokens, cache)`` would
-    build them without its Python-level call.
+    on its first miss), and the result goes into the memo.
 
-    ``held`` keeps the built requests from one call to the next, in one
-    dict keyed by ``(tokens, id(views))``.  Its value is ``(views, slots)``,
-    where ``slots[i][c]`` is LM ``i``'s request for label ``c``, or None if
-    not built; holding the views keeps their id unique.  A request depends
-    only on the tokens, the views and the label, and a views list is never
+    ``held`` keeps the built bases and tails from one call to the next, in
+    one dict keyed by ``(tokens, id(views))``.  Its value is ``(views,
+    bases, tails)``, where ``bases[i]`` is LM ``i``'s base and
+    ``tails[i][c]`` its tail for label ``c``, or None if not built; holding
+    the views keeps their id unique.  A family depends only on the tokens
+    and the views, and a child also on its label, and a views list is never
     changed in place, so a group whose tokens and views object are both
-    held gets back the same request objects: a CTC prefix that stays in the
+    held gets back the same base and tails: a CTC prefix that stays in the
     beam by a blank or a repeat comes back with its views (68.5% of the
-    family requests and 68.9% of the stays of the ``ctc_shallow`` pool at
+    family children and 68.9% of the stays of the ``ctc_shallow`` pool at
     seed 7).  A CTC stay and its own family share an entry, the stay in
     slot ``BLANK_ID``, which no extension fills; a merged stay that took
     another entry's views gets an entry of its own.  Only the labels whose
-    slots are None are built.  Each call leaves ``held`` holding exactly its
-    own groups, at most two per beam entry.
+    slots are None are built.  Each call leaves ``held`` holding exactly
+    its own groups, at most two per beam entry.
     """
     pieces, size = asr_tok.pieces, len(cands.begins)
-    requests = [[] for _ in lms]
+    batches = [FamilyBatch() for _ in lms]
     tables, kept = [{} for _ in lms], {}
     for tokens, views, labels in cands.families():
         key = (tokens, id(views))
-        entry = kept.get(key) or held.get(key) or (views, [[None] * size for _ in lms])
+        entry = kept.get(key) or held.get(key) or (
+            views, [None] * len(lms), [[None] * size for _ in lms])
         kept[key] = entry
-        slots = entry[1]
-        missing = [c for c in labels if slots[0][c] is None]
+        _, bases, tails = entry
+        missing = [c for c in labels if tails[0][c] is None]
         if missing:
             tail = tokens[1 + views[0].consumed :]
             words = asr_tok.decode(tail).split()
             last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for view, spec, memo, table, built in zip(views, lms, memos, tables, slots):
-                lm_tok, cache = spec.tokenizer, view.cache
-                base = _retokenize(view.lm_tokens, words, lm_tok, memo)
-                closed = base if last is None else _retokenize(base, (last,), lm_tok, memo)
+            for i, (view, spec, memo, table) in enumerate(zip(views, lms, memos, tables)):
+                lm_tok, built = spec.tokenizer, tails[i]
+                if bases[i] is None:
+                    bases[i] = _retokenize(view.lm_tokens, words, lm_tok, memo)
+                opened = () if last is None else _retokenize((), (last,), lm_tok, memo)
                 fixed = None
                 for c in missing:
                     piece = table.get(c)
@@ -799,7 +815,7 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreReques
                                             _retokenize((), more[1:], lm_tok, memo))
                     glue, whole, rest = piece
                     if glue is None or last is None:
-                        lm_tokens = closed + whole
+                        built[c] = opened + whole
                     else:
                         word = last + glue
                         joined = memo.get(word)
@@ -808,13 +824,12 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[list[ScoreReques
                                 fixed, offset = lm_tok.open_word(last)
                             joined = fixed + tuple(lm_tok.encode_word(word, offset))
                             memo[word] = joined
-                        lm_tokens = base + joined + rest
-                    built[c] = _record(ScoreRequest, (lm_tokens, cache))
-        for built, reqs in zip(slots, requests):
-            reqs += [built[c] for c in labels]
+                        built[c] = joined + rest
+        for view, base, built, batch in zip(views, bases, tails, batches):
+            batch.families.append((view.cache, base, [built[c] for c in labels]))
     held.clear()
     held.update(kept)
-    return requests
+    return batches
 
 
 def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) -> np.ndarray:
@@ -826,17 +841,16 @@ def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) 
     still-growing final word, whose tokenization is tentative.  No LM score
     is kept between steps (the views' caches stay fresh, so the stale LM
     term in the candidate scores is 0), and the decoder's LM counters
-    reflect the full price of pre-pruning fusion.  Only the built requests
-    are kept, for one step, in ``held`` (see ``_shallow_requests``).
-    ``_shallow_requests`` builds the same requests, in the same order, as
-    ``_whole_requests`` over every candidate would.  ``memos`` are the
+    reflect the full price of pre-pruning fusion.  Each LM gets one
+    ``FamilyBatch`` (``_shallow_requests``), whose requests are the ones
+    ``_whole_requests`` over every candidate would build, in the same
+    order, and answers with one score per candidate.  Only the built bases
+    and tails are kept, for one step, in ``held``.  ``memos`` are the
     decode's word memos, one per LM.
     """
     extra = np.zeros(cands.valid.size)
-    for spec, requests in zip(lms, _shallow_requests(cands, lms, asr_tok, memos, held)):
-        caches = _score(spec, requests, counters)
-        scores = np.fromiter(map(_cum_logprob, caches), float, len(caches))
-        extra[cands.valid] += spec.weight * scores
+    for spec, batch in zip(lms, _shallow_requests(cands, lms, asr_tok, memos, held)):
+        extra[cands.valid] += spec.weight * np.array(_score(spec, batch, counters), float)
     return extra
 
 

@@ -9,27 +9,35 @@ realization keeps that contract exact: the chain rule makes any
 incremental partition of a sequence sum to the same total as scoring it
 from scratch.  Requests and caches are immutable ``NamedTuple`` values.
 The scorer builds each cache with ``tuple.__new__`` from a tuple of its
-fields, as the decoder builds shallow fusion's requests: the same object
-the constructor returns, without its Python-level call, which a pool's
-million requests would pay.
+fields: the same object the constructor returns, without its Python-level
+call.
 
 Within one call, requests that resume from the same cache object share the
 work on their common prefix, as an LLM server shares KV-cache blocks across
 requests with a common prefix: each (prefix, next token) pair is scored
 once, and its running sum is the same left-to-right addition a lone request
-would make, so every result is bit-identical.  Shallow fusion sends its
-candidates as runs of siblings that differ only in their last token, so a
-request that resumes the previous request's cache and repeats its
-``tokens[:-1]`` steps one token from where that request's walk stood.
+would make, so every result is bit-identical.
 
-The trie lives for one call.  Only the sibling step keeps anything between
+Shallow fusion scores whole candidate families: one parent's children,
+which share a re-tokenized base and differ in a short tail.  It sends them
+as a ``FamilyBatch``, through the same batch method, and gets back one
+float per child, not a cache: no family child is ever resumed, so a cache
+per child would be built only to be dropped.  Iterated, the batch is the
+plain requests ``base + tail`` it stands for, so whatever reads requests
+(a proxy, a test double) sees an ordinary batch.  The family walk walks
+each base once and each tail's leading tokens from the base's node, and
+reads the tail's last token from that context's next-token row: the
+n-gram form of what an LLM gives one context in one forward pass, every
+next token's score (ESPnet's ``BatchScorerInterface.batch_score``).
+
+The trie lives for one call.  Only the family walk keeps anything between
 calls: one row per context it steps from, ``vocab.size`` slots long, whose
-slot ``t`` holds log P(t | context) once a sibling step has asked for it.
-An LLM gets the same row, every next token's score, from one forward pass
-per context.  The rows are cleared at the start of a call once they hold
-more than ``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else
-reads or fills them: training calls ``logprob`` while its tables still
-fill, and ``logprob`` is the reference batch scoring is tested against.
+slot ``t`` holds log P(t | context) once a family child has asked for it.
+The rows are cleared at the start of a call once they hold more than
+``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else reads or
+fills them: plain requests walk the trie alone, training calls ``logprob``
+while its tables still fill, and ``logprob`` is the reference batch
+scoring is tested against.
 
 Scorers keep no counters and add no latency.  The decoder counts the work it
 requests (calls, requests with unscored tokens, and those tokens), not what
@@ -46,7 +54,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 LN10 = math.log(10.0)
-# the sibling rows are cleared past this many contexts; a benchmark pool fills at most about 620
+# the next-token rows are cleared past this many contexts; a benchmark pool fills at most about 620
 _ROW_LIMIT = 2**10
 # a NamedTuple from a plain tuple of its fields, without its Python-level ``__new__``
 _record = tuple.__new__
@@ -82,6 +90,29 @@ class ScoreRequest(NamedTuple):
     cache: PrefixCacheEntry
 
 
+class FamilyBatch:
+    """Candidate families for one batch call, answered with one score per child.
+
+    ``families`` lists ``(cache, base, tails)``: a group's token tuple
+    ``base``, resumed from ``cache`` and listed once, and ``tails``, one
+    tuple per child, whose tokens are ``base + tail``.  ``base`` must cover
+    ``cache``: its first ``scored_len`` tokens are the cache's.  Iterating
+    yields each child's ``ScoreRequest(base + tail, cache)``, family by
+    family, so a reader of requests sees the plain batch the families
+    stand for.
+    """
+
+    __slots__ = ("families",)
+
+    def __init__(self, families=()):
+        self.families = list(families)
+
+    def __iter__(self):
+        for cache, base, tails in self.families:
+            for tail in tails:
+                yield ScoreRequest(base + tail, cache)
+
+
 class NGramModel:
     """Absolute-discounting backoff model over a closed vocabulary.
 
@@ -101,7 +132,7 @@ class NGramModel:
         self.vocab = vocab
         self._probs = probs
         self._backoffs = backoffs
-        # context -> slot t holds ``_next(context, t)[0]`` or None, for the sibling step only
+        # context -> slot t holds ``_next(context, t)[0]`` or None, for the family walk only
         self._rows: dict[tuple[int, ...], list[float | None]] = {}
 
     # -- core scoring ---------------------------------------------------
@@ -148,81 +179,98 @@ class NGramModel:
 
     # -- batch interface --------------------------------------------------
 
-    def score_batch_incremental(self, requests: Sequence[ScoreRequest]) -> list[PrefixCacheEntry]:
-        """Score the unscored suffix of every request; the new caches, in request order.
+    def score_batch_incremental(self, requests: Sequence[ScoreRequest] | FamilyBatch) -> list:
+        """Score the unscored suffix of every request, in request order.
 
-        A request's score is its new cache's ``cum_logprob``.  The requests
-        resuming from one cache object walk a token trie that lives for this
-        call only; a node is ``(children, cum, context)`` after the tokens on
-        its path, so a prefix shared by several requests is scored once.  A
-        cache's ``context`` is read as its last order-1 ids, as ``logprob``
-        reads a context, and every new cache holds that tuple.
+        Plain requests get their new caches; a request's score is its
+        cache's ``cum_logprob``.  The requests resuming from one cache
+        object walk a token trie that lives for this call only; a node is
+        ``(children, cum, context)`` after the tokens on its path, so a
+        prefix shared by several requests is scored once.  A cache's
+        ``context`` is read as its last order-1 ids, as ``logprob`` reads a
+        context, and every new cache holds that tuple.
 
-        Sibling step: the call remembers the cache, ``tokens[:-1]`` and the
-        node before the last token of the previous request that walked at
-        least one token.  A request on the same cache object that has tokens
-        past its ``scored_len`` and the same ``tokens[:-1]`` takes its last
-        token from that node instead of walking from the root.  The walk ran
-        both checks on that cache and stem, so they hold and are skipped.
-        The step reads the node's context's row, filling a slot the first
-        time, and its cache is built from the node and the row, with no trie
-        leaf.  A token outside the vocabulary is stepped as the walk steps
-        it, which raises the walk's ``LMError``.
+        A ``FamilyBatch`` gets each child's score as a float, in the order
+        its requests iterate: no family child is ever resumed.  Each base
+        walks the call's trie once, after the checks a plain request gets.
+        A child's tail walks its leading tokens from the base's node, once
+        for a run of tails that share them, and reads its last token from
+        the row of that node's context, filling the slot the first time.
+        A token outside the vocabulary is stepped as the walk steps it,
+        which raises the walk's ``LMError``.
         """
-        step = self._next
-        rows = self._rows
-        if len(rows) > _ROW_LIMIT:
-            rows.clear()
-        size = self.vocab.size
-        keeps = self.order > 1  # an order-1 model's context is always ()
-        # id(cache) -> (cache, root); holding the cache keeps its id unique
+        if type(requests) is FamilyBatch:
+            return self._family_scores(requests.families)
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
-        last_cache = last_stem = last_node = row = None
         caches = []
         for tokens, cache in requests:
             if type(tokens) is not tuple:
                 tokens = tuple(tokens)
-            if cache is last_cache and cache.scored_len < len(tokens) and tokens[:-1] == last_stem:
-                if row is None:  # the run's first sibling
-                    ctx, cum = last_node[2], last_node[1]
+            node = self._resume(roots, cache, tokens)
+            caches.append(_record(PrefixCacheEntry, (len(tokens), node[1], node[2], tokens)))
+        return caches
+
+    def _resume(self, roots: dict, cache: PrefixCacheEntry, tokens: tuple) -> tuple:
+        """The call's trie node after ``tokens``, once they are checked to extend ``cache``.
+
+        ``roots`` maps ``id(cache)`` to ``(cache, root)``; holding the cache
+        keeps its id unique.
+        """
+        start = cache.scored_len
+        if start > len(tokens):
+            raise LMError(f"cache covers {start} tokens but sequence has {len(tokens)}")
+        if tokens[:start] != cache.tokens:
+            raise LMError(
+                "cached prefix is not a prefix of the submitted sequence "
+                f"({cache.tokens} vs {tokens[:start]})"
+            )
+        entry = roots.get(id(cache))
+        if entry is None:
+            root = ({}, cache.cum_logprob, self._context(cache.context))
+            entry = roots[id(cache)] = (cache, root)
+        return self._walk(entry[1], tokens[start:])
+
+    def _walk(self, node: tuple, tokens: tuple) -> tuple:
+        """The trie node after ``tokens`` from ``node``, scoring each new node once."""
+        for token in tokens:
+            child = node[0].get(token)
+            if child is None:
+                lp, after = self._next(node[2], token)
+                child = node[0][token] = ({}, node[1] + lp, after)
+            node = child
+        return node
+
+    def _family_scores(self, families) -> list[float]:
+        """Each family child's score, from its base's node and its context's row."""
+        step, walk, rows, size = self._next, self._walk, self._rows, self.vocab.size
+        if len(rows) > _ROW_LIMIT:
+            rows.clear()
+        roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
+        scores = []
+        push = scores.append
+        for cache, base, tails in families:
+            top = self._resume(roots, cache, base)
+            stem = None
+            for tail in tails:
+                if not tail:
+                    push(top[1])
+                    continue
+                if tail[:-1] != stem:
+                    stem = tail[:-1]
+                    node = walk(top, stem)
+                    ctx, cum = node[2], node[1]
                     row = rows.get(ctx)
                     if row is None:
                         row = rows[ctx] = [None] * size
-                    head = ctx[1:] if len(ctx) == self.order - 1 else ctx
-                token = tokens[-1]
+                token = tail[-1]
                 if 0 <= token < size:
                     lp = row[token]
                     if lp is None:
                         lp = row[token] = step(ctx, token)[0]
                 else:
                     lp = step(ctx, token)[0]
-                context = head + (token,) if keeps else ()
-                caches.append(_record(PrefixCacheEntry, (len(tokens), cum + lp, context, tokens)))
-                continue
-            start = cache.scored_len
-            if start > len(tokens):
-                raise LMError(f"cache covers {start} tokens but sequence has {len(tokens)}")
-            if tokens[:start] != cache.tokens:
-                raise LMError(
-                    "cached prefix is not a prefix of the submitted sequence "
-                    f"({cache.tokens} vs {tokens[:start]})"
-                )
-            entry = roots.get(id(cache))
-            if entry is None:
-                root = ({}, cache.cum_logprob, self._context(cache.context))
-                entry = roots[id(cache)] = (cache, root)
-            node, parent = entry[1], None
-            for token in tokens[start:]:
-                parent = node
-                child = node[0].get(token)
-                if child is None:
-                    lp, after = step(node[2], token)
-                    child = node[0][token] = ({}, node[1] + lp, after)
-                node = child
-            if parent is not None:
-                last_cache, last_stem, last_node, row = cache, tokens[:-1], parent, None
-            caches.append(_record(PrefixCacheEntry, (len(tokens), node[1], node[2], tokens)))
-        return caches
+                push(cum + lp)
+        return scores
 
 
 def train_ngram(

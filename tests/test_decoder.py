@@ -34,6 +34,7 @@ from beamfuse.decoder import (
     LMView,
     _FrameStep,
     _LabelStep,
+    _score,
     _shallow_requests,
     _shallow_scores,
     _whole_requests,
@@ -45,7 +46,14 @@ from beamfuse.decoder import (
     prune_frame_candidates,
 )
 from beamfuse.harness import emulated_lm_seconds, wer
-from beamfuse.lm import PrefixCacheEntry, ScoreRequest, read_arpa, train_ngram, write_arpa
+from beamfuse.lm import (
+    FamilyBatch,
+    PrefixCacheEntry,
+    ScoreRequest,
+    read_arpa,
+    train_ngram,
+    write_arpa,
+)
 from beamfuse.tokenization import (
     BLANK_ID,
     BOS_ID,
@@ -854,23 +862,33 @@ def _request_shapes(cands, tok) -> Counter:
 
 
 def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
-    """The per-group requests are the flat reference's: type, tokens, cache objects and order.
+    """The families' requests are the flat reference's: type, tokens, cache objects and order.
 
     ``held`` is the builder's one table, passed from block to block as a
     decode passes it; after the call it holds exactly this block's groups,
     keyed by their tokens and the id of their views, each entry with its
-    group's views.  Returns the requests.
+    group's views, and each group's family is its entry's base and the
+    tails of its labels.  Returns the batches, one per LM.
     """
     got = _shallow_requests(cands, lms, tok, memos, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
-    for reqs, ref in zip(got, want):
+    for batch, ref in zip(got, want):
+        assert type(batch) is FamilyBatch
+        reqs = list(batch)
         assert all(type(r) is ScoreRequest for r in reqs)
         assert [r.tokens for r in reqs] == [tokens for tokens, _ in ref]
         assert all(r.cache is cache for r, (_, cache) in zip(reqs, ref))
     groups = cands.families()
     assert held.keys() == {(tokens, id(views)) for tokens, views, _ in groups}
-    assert all(held[tokens, id(views)][0] is views for tokens, views, _ in groups)
+    for g, (tokens, views, labels) in enumerate(groups):
+        held_views, bases, tails = held[tokens, id(views)]
+        assert held_views is views
+        for i, batch in enumerate(got):
+            cache, base, family_tails = batch.families[g]
+            assert cache is views[i].cache and base is bases[i]
+            assert len(family_tails) == len(labels)
+            assert all(tail is tails[i][c] for tail, c in zip(family_tails, labels))
     return got
 
 
@@ -939,29 +957,29 @@ class TestShallowRequestsPerParent:
             assert_requests_match_reference(cands, lms, tok, memos, held)
 
 
-def _requests_by_group(cands, got) -> dict:
-    """Each group's requests by its tokens: ``{label: (views, per-LM requests)}``.
+def _children_by_group(cands, held) -> dict:
+    """Each group's children by its tokens: ``{label: (views, held entry, per-LM (base, tail))}``.
 
     A CTC stay and its parent's family have the same tokens, and the stay
     is label ``BLANK_ID``, which no extension is.
     """
-    out, start = {}, 0
+    out = {}
     for tokens, views, labels in cands.families():
+        entry = held[tokens, id(views)]
         by_label = out.setdefault(tokens, {})
-        for i, c in enumerate(labels, start):
-            by_label[c] = (views, [reqs[i] for reqs in got])
-        start += len(labels)
+        for c in labels:
+            by_label[c] = (views, entry, [(base, tails[c]) for base, tails in zip(*entry[1:])])
     return out
 
 
 def _family_views(by_label: dict):
     """The views of the family among a token's groups, or None if it has none."""
-    return next((views for c, (views, _) in by_label.items() if c != BLANK_ID), None)
+    return next((views for c, (views, *_) in by_label.items() if c != BLANK_ID), None)
 
 
 class TestShallowRequestsAcrossSteps:
-    """Requests held from one step to the next equal the reference, and only a parent or
-    single item that came back with the same views gets its requests back."""
+    """Families held from one step to the next equal the reference, and only a parent or
+    single item that came back with the same views gets its base and tails back."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("world", ("world", "odd"))
@@ -996,8 +1014,8 @@ class TestShallowRequestsAcrossSteps:
             memos, held = [{} for _ in lms], {}
             previous = {}
             for cands in blocks:
-                got = assert_requests_match_reference(cands, lms, tok, memos, held)
-                now = _requests_by_group(cands, got)
+                assert_requests_match_reference(cands, lms, tok, memos, held)
+                now = _children_by_group(cands, held)
                 shapes["blocks"] += 1
                 for tokens in now.keys() & previous.keys():
                     by_label, old = now[tokens], previous[tokens]
@@ -1011,11 +1029,16 @@ class TestShallowRequestsAcrossSteps:
                             kind = "swapped views" if swapped else "new views"
                         shapes[kind] += 1
                     for c in by_label.keys() & old.keys():
-                        (views, reqs), (views_before, old_reqs) = by_label[c], old[c]
-                        # the same views get the same objects back; other views new ones
+                        (views, entry, now_lms), (views_before, old_entry, old_lms) = (
+                            by_label[c], old[c])
+                        # the same views get the same entry back, with the same tail
+                        # objects and equal bases; other views get a new entry
                         same = views is views_before
-                        assert [a is b for a, b in zip(reqs, old_reqs)] == [same] * len(lms), (
-                            tokens, c)
+                        assert (entry is old_entry) == same, (tokens, c)
+                        if same:
+                            assert all(base == old_base and tail is old_tail
+                                       for (base, tail), (old_base, old_tail)
+                                       in zip(now_lms, old_lms)), (tokens, c)
                         counts = stays if c == BLANK_ID else shapes
                         counts["reused" if same else "rebuilt"] += 1
                 previous = now
@@ -1058,13 +1081,17 @@ class TestOneRequestTable:
         tok, lms, a, _, cands = self._merged_block(shallow_world)
         held = {}
         got = _shallow_requests(cands, lms, tok, [{} for _ in lms], held)
-        slots = held[a.tokens, id(a.views)][1]
-        labels = _requests_by_group(cands, got)[a.tokens]
+        entry = held[a.tokens, id(a.views)]
+        labels = _children_by_group(cands, held)[a.tokens]
         assert BLANK_ID in labels and len(labels) > 1
-        for i in range(len(lms)):
-            # the stay of ``a`` is candidate 0, the first request
-            assert slots[i][BLANK_ID] is got[i][0]
-            assert all(slots[i][c] is reqs[i] for c, (_, reqs) in labels.items())
+        assert all(e is entry for _, e, _ in labels.values())
+        # the groups are the stays of ``a`` and ``b``, then ``a``'s family and ``b``'s
+        family_labels = cands.families()[2][2]
+        for i, batch in enumerate(got):
+            stay, family = batch.families[0], batch.families[2]
+            assert stay[1] is family[1] is entry[1][i]
+            assert len(stay[2]) == 1 and stay[2][0] is entry[2][i][BLANK_ID]
+            assert all(t is entry[2][i][c] for t, c in zip(family[2], family_labels, strict=True))
         assert len(held) == 3
 
     def test_stay_with_other_views_gets_its_own_entry(self, shallow_world):
@@ -1074,11 +1101,58 @@ class TestOneRequestTable:
         stay, family = held[b.tokens, id(a.views)], held[b.tokens, id(b.views)]
         assert stay is not family and stay is not held[a.tokens, id(a.views)]
         assert stay[0] is a.views and family[0] is b.views
-        for i in range(len(lms)):
-            # the stay of ``b`` is candidate 1; its entry holds that request alone
-            assert stay[1][i][BLANK_ID] is got[i][1]
-            assert sum(r is not None for r in stay[1][i]) == 1
-            assert family[1][i][BLANK_ID] is None
+        for i, batch in enumerate(got):
+            # the stay of ``b`` is the second group; its entry holds that tail alone
+            assert batch.families[1][1] is stay[1][i]
+            assert batch.families[1][2] == [stay[2][i][BLANK_ID]]
+            assert sum(t is not None for t in stay[2][i]) == 1
+            assert family[2][i][BLANK_ID] is None
+
+
+class TestFamilyCounts:
+    """``_score`` counts a ``FamilyBatch`` exactly as it counts the requests it stands for."""
+
+    @staticmethod
+    def _scored(spec, requests):
+        counters = DecodeCounters()
+        answers = _score(spec, requests, counters)
+        return answers, (counters.lm_calls, counters.lm_hypotheses, counters.lm_tokens)
+
+    @staticmethod
+    def _assert_counts_as_requests(spec, batch):
+        scores, counted = TestFamilyCounts._scored(spec, batch)
+        caches, want = TestFamilyCounts._scored(spec, list(batch))
+        assert counted == want
+        assert scores == [cache.cum_logprob for cache in caches]
+        return counted
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_family_batch_counts_as_its_requests(self, shallow_world, data):
+        tok, lm_sets = shallow_world
+        spec = data.draw(st.sampled_from(lm_sets["both"]))
+        ids = st.integers(NUM_SPECIALS, spec.tokenizer.vocab.size - 1)
+        seqs = st.lists(ids, max_size=3).map(tuple)
+        fresh = spec.scorer.fresh_cache()
+        scored = spec.scorer.score_batch_incremental([ScoreRequest(data.draw(seqs), fresh)])
+        families = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            # a base that adds nothing to its cache is as likely as one that does
+            cache = data.draw(st.sampled_from([fresh, scored[0]]))
+            base = cache.tokens + (data.draw(seqs) if data.draw(st.booleans()) else ())
+            families.append((cache, base, data.draw(st.lists(seqs, max_size=4))))
+        self._assert_counts_as_requests(spec, FamilyBatch(families))
+
+    def test_children_with_no_new_tokens_count_nothing(self, shallow_world):
+        tok, lm_sets = shallow_world
+        spec = lm_sets["matched"][0]
+        a, b = tok.vocab.token_id("▁a"), tok.vocab.token_id("▁b")
+        fresh = spec.scorer.fresh_cache()
+        scored = spec.scorer.score_batch_incremental([ScoreRequest((a,), fresh)])[0]
+        # the root's blank stay: an empty base, an empty tail and a fresh cache
+        assert self._assert_counts_as_requests(spec, FamilyBatch([(fresh, (), [()])])) == (1, 0, 0)
+        batch = FamilyBatch([(scored, (a,), [(), (b,), (), (b, a)]), (fresh, (a,), [(), (b,)])])
+        assert self._assert_counts_as_requests(spec, batch) == (1, 4, 6)
 
 
 @pytest.fixture(scope="module")

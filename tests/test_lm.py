@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import beamfuse.lm as lm_mod
 from beamfuse.lm import (
     ArpaFormatError,
+    FamilyBatch,
     LMError,
     NGramModel,
     PrefixCacheEntry,
@@ -305,14 +306,17 @@ def _bits(caches) -> list[tuple]:
 
 
 @st.composite
-def _sibling_batches(draw, order=None):
-    """``(order, requests)``: runs of siblings sharing ``tokens[:-1]`` over a mixed cache pool.
+def _family_batches(draw, order=None):
+    """``(order, FamilyBatch)``: families over a mixed cache pool, whose tails share stems.
 
     ``order`` is drawn unless given.  The pool holds equal but distinct
     fresh and scored caches, and hand-built ones whose context is a list or
     longer than order-1 and which share ``cum_logprob`` and context while
-    their scored prefixes differ.  Runs are mixed with duplicates, requests
-    with no new tokens and empty requests, and a run's tokens may be lists.
+    their scored prefixes differ.  A family's base is its cache's tokens
+    plus up to three more, so some bases add nothing.  Its tails come in
+    runs: an empty tail, or a stem from a short list (``()`` among them)
+    followed by several last tokens, so neighbouring tails share their
+    stem or not.  Families may repeat and share cache objects.
     """
     order = draw(st.sampled_from([1, 2, 3])) if order is None else order
     model = _small_model(order)
@@ -326,55 +330,72 @@ def _sibling_batches(draw, order=None):
     cum = draw(st.floats(-20.0, 0.0))
     for prefix in draw(st.lists(_SEQS, max_size=3)):
         pool.append(PrefixCacheEntry(len(prefix), cum, context, prefix))
-    requests = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["run", "run", "duplicate", "nothing new", "empty"]))
-        if kind == "duplicate" and requests:
-            requests.append(draw(st.sampled_from(requests)))
-        elif kind == "empty":
-            requests.append(ScoreRequest((), draw(st.sampled_from(fresh))))
-        else:
-            cache = draw(st.sampled_from(pool))
-            stem = cache.tokens + tuple(draw(st.lists(_TOKENS, max_size=3)))
-            if kind == "nothing new":
-                requests.append(ScoreRequest(cache.tokens, cache))
-            shape = draw(st.sampled_from([tuple, tuple, list]))
-            for last in draw(st.lists(_TOKENS, min_size=1, max_size=6)):
-                requests.append(ScoreRequest(shape(stem + (last,)), cache))
-    return order, requests
+    stems = [()] + draw(st.lists(st.lists(_TOKENS, min_size=1, max_size=3).map(tuple), max_size=3))
+    families = []
+    for _ in range(draw(st.integers(1, 5))):
+        if families and draw(st.booleans()):
+            families.append(draw(st.sampled_from(families)))  # a duplicate
+            continue
+        cache = draw(st.sampled_from(pool))
+        base = cache.tokens + tuple(draw(st.lists(_TOKENS, max_size=3)))
+        tails = []
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.booleans()):
+                tails.append(())
+            else:
+                stem = draw(st.sampled_from(stems))
+                lasts = draw(st.lists(_TOKENS, min_size=1, max_size=5))
+                tails += [stem + (last,) for last in lasts]
+        families.append((cache, base, tails))
+    return order, FamilyBatch(families)
+
+
+def _score_bits(model, batch) -> list[str]:
+    """Each child's score of ``batch`` by ``repr``, after checking that each is a float."""
+    scores = model.score_batch_incremental(batch)
+    assert all(type(score) is float for score in scores)
+    return [repr(score) for score in scores]
+
+
+def _reference_bits(model, batch) -> list[str]:
+    """``reference_score_batch`` on the requests ``batch`` stands for, each score by ``repr``."""
+    return [repr(cache.cum_logprob) for cache in reference_score_batch(model, list(batch))]
 
 
 # Two caches with equal cum and context but different scored prefixes grow
-# equal tries: B's root equals A's root, though it is another root, when
-# B's third request repeats the stem A's request left behind.
+# equal tries: B's root equals A's root, though it is another root.  The
+# last family repeats the stem A's family left behind, from B's base.
 _X, _Y, _Z, _W = range(NUM_SPECIALS, NUM_SPECIALS + 4)
 _A = PrefixCacheEntry(1, -1.0, (_X,), (_X,))
 _B = PrefixCacheEntry(2, -1.0, (_X,), (_X, _Y))
-_EQUAL_ROOTS = [
-    ScoreRequest((_X, _Y, _Y, _Z), _B),
-    ScoreRequest((_X, _Y, _Z), _A),
-    ScoreRequest((_X, _Y, _W), _B),
-]
+_EQUAL_ROOTS = FamilyBatch([
+    (_B, (_X, _Y), [(_Y, _Z)]),
+    (_A, (_X,), [(_Y, _Z)]),
+    (_B, (_X, _Y), [(_Y, _W), (_Z, _W)]),
+])
 
 
-# An empty request on the cache object a one-token request just resumed:
-# its stem, (), repeats that request's, but it has no last token to step.
+# An empty tail after a one-token tail of the same family: its stem, (),
+# repeats that tail's, but it has no last token to step.
 _FRESH = PrefixCacheEntry(0, 0.0, (BOS_ID,))
-_EMPTY_AFTER_ONE = [ScoreRequest((_X,), _FRESH), ScoreRequest((), _FRESH)]
+_EMPTY_AFTER_ONE = FamilyBatch([(_FRESH, (), [(_X,), ()])])
 
 
 class TestSiblingShortcut:
-    """The sibling shortcut gives what one request at a time gives, bit for bit."""
+    """A family's children score as one request at a time scores them, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_sibling_batches())
+    @given(_family_batches())
     @example((3, _EQUAL_ROOTS))
     @example((3, _EMPTY_AFTER_ONE))
-    def test_batch_equals_reference(self, batch):
-        order, requests = batch
+    def test_batch_equals_reference(self, drawn):
+        order, batch = drawn
         model = _small_model(order)
-        got = model.score_batch_incremental(requests)
-        assert _bits(got) == _bits(reference_score_batch(model, requests))
+        assert _score_bits(model, batch) == _reference_bits(model, batch)
+        # the same requests sent plain, some with list tokens, walk the trie alone
+        plain = [ScoreRequest(list(t) if i % 2 else t, c) for i, (t, c) in enumerate(batch)]
+        got = model.score_batch_incremental(plain)
+        assert _bits(got) == _bits(reference_score_batch(model, plain))
         assert all(type(c.context) is tuple and len(c.context) <= order - 1 for c in got)
         assert all(type(c) is PrefixCacheEntry for c in got)
 
@@ -386,27 +407,63 @@ class TestSiblingShortcut:
                 setattr(carrier, name, getattr(carrier, name))
 
 
+class TestFamilyBatch:
+    """A ``FamilyBatch`` iterates as the requests it stands for, and its bases are checked."""
+
+    def test_it_iterates_as_its_requests(self):
+        model = _small_model(2)
+        fresh = model.fresh_cache()
+        scored = model.score_batch_incremental([ScoreRequest((_X, _Y), fresh)])[0]
+        batch = FamilyBatch([(fresh, (_X,), [(), (_Y,), (_Z, _W)]), (scored, (_X, _Y), []),
+                             (scored, (_X, _Y), [(_Z,)])])
+        requests = list(batch)
+        assert requests == [ScoreRequest((_X,), fresh), ScoreRequest((_X, _Y), fresh),
+                            ScoreRequest((_X, _Z, _W), fresh), ScoreRequest((_X, _Y, _Z), scored)]
+        assert all(type(r) is ScoreRequest for r in requests)
+        assert all(r.cache is c for r, c in zip(requests, [fresh, fresh, fresh, scored]))
+        assert list(batch) == requests  # it iterates again
+        assert model.score_batch_incremental(FamilyBatch()) == []
+
+    def test_a_base_short_of_its_cache_raises(self):
+        # ``base + tail`` covers the cache, which a plain request allows; the base alone does not
+        model = _small_model(2)
+        cache = model.score_batch_incremental([ScoreRequest((_X, _Y), model.fresh_cache())])[0]
+        reference_score_batch(model, [ScoreRequest((_X, _Y, _Z), cache)])
+        with pytest.raises(LMError, match="cache covers 2 tokens but sequence has 1"):
+            model.score_batch_incremental(FamilyBatch([(cache, (_X,), [(_Y, _Z)])]))
+
+    def test_a_base_whose_head_differs_from_the_cache_raises(self):
+        # the exact-tokens check: the base ends as the cache's tokens do, but starts otherwise
+        model = _small_model(3)
+        cache = model.score_batch_incremental([ScoreRequest((_X, _Y), model.fresh_cache())])[0]
+        batch = FamilyBatch([(cache, (_Z, _Y), [(_W,)])])
+        with pytest.raises(LMError, match="not a prefix"):
+            reference_score_batch(model, list(batch))
+        with pytest.raises(LMError, match="not a prefix"):
+            model.score_batch_incremental(batch)
+
+
 def _filled(model) -> int:
-    """The slots the model's sibling rows hold."""
+    """The slots the model's next-token rows hold."""
     return sum(slot is not None for row in model._rows.values() for slot in row)
 
 
 def _cold(order) -> NGramModel:
-    """``_small_model(order)``'s tables behind empty sibling rows."""
+    """``_small_model(order)``'s tables behind empty next-token rows."""
     model = _small_model(order)
     return NGramModel(order, model.vocab, model._probs, model._backoffs)
 
 
 @st.composite
 def _row_calls(draw):
-    """``(order, batches)``: 2-4 sibling batches for one model, the last one a repeat."""
+    """``(order, batches)``: 2-4 family batches for one model, the last one a repeat."""
     order = draw(st.sampled_from([1, 2, 3]))
-    batches = [r for _, r in draw(st.lists(_sibling_batches(order), min_size=1, max_size=3))]
+    batches = [b for _, b in draw(st.lists(_family_batches(order), min_size=1, max_size=3))]
     return order, batches + [draw(st.sampled_from(batches))]
 
 
 class TestSiblingRows:
-    """The sibling rows outlive a call, stay bounded, and only the sibling step uses them."""
+    """The next-token rows outlive a call, stay bounded, and only the family walk uses them."""
 
     @pytest.mark.parametrize("limit", [None, 1])
     @settings(max_examples=150, deadline=None)
@@ -418,19 +475,18 @@ class TestSiblingRows:
             if limit is not None:
                 patch.setattr(lm_mod, "_ROW_LIMIT", limit)
             bound = lm_mod._ROW_LIMIT
-            for requests in batches:
-                got = model.score_batch_incremental(requests)
-                assert _bits(got) == _bits(reference_score_batch(model, requests))
-                # a call adds at most one row per request
-                assert len(model._rows) <= bound + len(requests)
+            for batch in batches:
+                assert _score_bits(model, batch) == _reference_bits(model, batch)
+                # a call adds at most one row per child
+                assert len(model._rows) <= bound + len(list(batch))
 
     @settings(max_examples=50, deadline=None)
     @given(calls=_row_calls())
     def test_every_filled_slot_is_the_step(self, calls):
         order, batches = calls
         model = _cold(order)
-        for requests in batches:
-            model.score_batch_incremental(requests)
+        for batch in batches:
+            model.score_batch_incremental(batch)
         for ctx, row in model._rows.items():
             assert len(row) == model.vocab.size and any(slot is not None for slot in row)
             for t, slot in enumerate(row):
@@ -439,15 +495,14 @@ class TestSiblingRows:
     def test_a_warm_step_makes_no_next_call(self, monkeypatch):
         model = _cold(2)
         a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
-        cache = model.fresh_cache()
-        run = [ScoreRequest((a, last), cache) for last in (a, b, c)]
-        cold = model.score_batch_incremental(run)
-        assert list(model._rows) == [(a,)] and _filled(model) == 2  # the first request walks
+        batch = FamilyBatch([(model.fresh_cache(), (a,), [(a,), (b,), (c,)])])
+        cold = model.score_batch_incremental(batch)
+        assert list(model._rows) == [(a,)] and _filled(model) == 3
         steps, step = [], model._next
         monkeypatch.setattr(model, "_next", lambda ctx, t: steps.append((ctx, t)) or step(ctx, t))
-        warm = model.score_batch_incremental(run)
-        assert steps == [((BOS_ID,), a), ((a,), a)]  # the walk's steps only
-        assert _bits(warm) == _bits(cold)
+        warm = model.score_batch_incremental(batch)
+        assert steps == [((BOS_ID,), a)]  # the base's walk only
+        assert warm == cold
 
     def test_the_limit_clears_the_rows(self, monkeypatch):
         monkeypatch.setattr(lm_mod, "_ROW_LIMIT", 1)
@@ -455,10 +510,10 @@ class TestSiblingRows:
         a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
         cache = model.fresh_cache()
         for first in (a, b):
-            model.score_batch_incremental([ScoreRequest((first, last), cache) for last in (a, c)])
+            model.score_batch_incremental(FamilyBatch([(cache, (first,), [(a,), (c,)])]))
         assert list(model._rows) == [(a,), (b,)]  # one row was not past the limit
-        model.score_batch_incremental([ScoreRequest((c, last), cache) for last in (a, b)])
-        assert list(model._rows) == [(c,)] and _filled(model) == 1
+        model.score_batch_incremental(FamilyBatch([(cache, (c,), [(a,), (b,)])]))
+        assert list(model._rows) == [(c,)] and _filled(model) == 2
         assert model._rows[(c,)][b] == model._next((c,), b)[0]
 
     def test_oracles_leave_them_empty(self, tmp_path):
@@ -467,8 +522,9 @@ class TestSiblingRows:
         model = train_ngram([[a, c, b], [a, b, d], [e, a, c]], vocab, 3, 0.4)
         model.logprob((BOS_ID, a), c)
         model.sequence_logprob((BOS_ID, a, c, b, EOS_ID))
-        # lone requests walk from the root
-        model.score_batch_incremental([ScoreRequest((a, c, b), model.fresh_cache())])
+        # plain requests walk the trie alone, siblings too
+        cache = model.fresh_cache()
+        model.score_batch_incremental([ScoreRequest((a, c, last), cache) for last in (a, b, b)])
         write_arpa(model, str(tmp_path / "lm.arpa"))
         back = read_arpa(str(tmp_path / "lm.arpa"))
         back.sequence_logprob((BOS_ID, b, d, EOS_ID))
@@ -487,12 +543,15 @@ class TestSiblingRows:
             model.score_batch_incremental([ScoreRequest((a, bad), cache)])
         with pytest.raises(LMError) as referenced:
             reference_score_batch(model, [ScoreRequest((a, bad), cache)])
-        # the run's second request fills the last id's slot, which index -1 would read
-        run = [ScoreRequest((a, last), cache) for last in (a, size - 1, bad)]
-        with pytest.raises(LMError) as stepped:
-            model.score_batch_incremental(run)
-        assert _filled(model) == 1  # the sibling steps ran
-        assert str(stepped.value) == str(walked.value) == str(referenced.value)
+        # in a base, in a tail's stem, and last after two children filled
+        # their slots, the last id's among them, which index -1 would read
+        families = [(cache, (a, bad), [()]), (cache, (a,), [(bad, a)]),
+                    (cache, (a,), [(a,), (size - 1,), (bad,)])]
+        for family in families:
+            with pytest.raises(LMError) as stepped:
+                model.score_batch_incremental(FamilyBatch([family]))
+            assert str(stepped.value) == str(walked.value) == str(referenced.value)
+        assert _filled(model) == 2  # the row steps ran
 
 
 class TestArpa:

@@ -71,11 +71,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "family request as a plain tuple",
+        "family count also counts children with no new tokens",
         _DECODER,
-        "built[c] = _record(ScoreRequest, (lm_tokens, cache))",
-        "built[c] = (lm_tokens, cache)",
-        (_TESTS + "TestShallowRequestsPerParent::test_every_shape",),
+        "            hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())\n",
+        "            hypotheses += len(tails) if d >= 0 else len(tails) - tails.count(())\n",
+        (
+            _TESTS + "TestFamilyCounts::test_a_family_batch_counts_as_its_requests",
+            _TESTS + "TestFamilyCounts::test_children_with_no_new_tokens_count_nothing",
+        ),
     ),
     Mutant(
         "shortest fires on >=",
@@ -114,6 +117,13 @@ MUTANTS = (
         "                        lp = step(ctx, token)[0]\n"
         "                        row[token] = lp + 1e-12\n",
         ("tests/test_lm.py::TestSiblingRows::test_every_filled_slot_is_the_step",),
+    ),
+    Mutant(
+        "tail-stem node reused without comparing the stem",
+        _LM,
+        "                if tail[:-1] != stem:\n",
+        "                if stem is None:\n",
+        ("tests/test_lm.py::TestSiblingShortcut::test_batch_equals_reference",),
     ),
     Mutant(
         "open word fixes no piece within the longest piece of its end",
