@@ -5,10 +5,10 @@ prunes the candidates to the beam size by the combined score (acoustic plus
 weighted LM scores, the LM part possibly stale), advances the survivors' LM
 views over their newly completed words, and — if the fusion policy fires —
 scores those words with one batched LM call per model: the delayed pass.
-The whole-hypothesis requests (``_whole_requests``) resume each
-hypothesis's views with its re-tokenized rest; finalization scores them for
-the last beam with ``</s>`` and ranks by the scorers flagged for final
-selection.
+Every request for a hypothesis's whole content comes from one builder,
+``_family_requests``, which resumes its views with its re-tokenized rest;
+finalization scores the last beam's with ``</s>`` and ranks by the scorers
+flagged for final selection.
 
 The decoder counts the LM work it requests: every LM call goes through
 ``_score``, which adds it to the decode's own ``DecodeCounters``.  Scorers
@@ -55,7 +55,7 @@ its labels, and each single item labelled blank.  A mode's block supplies
 only the state an extension grows.  The shallow baseline is one more score
 term on the same cut: every valid candidate's whole content is scored, and
 those scores are added before the prune.  Each group is one family per LM
-(``_shallow_requests``): its rest is decoded and re-tokenized once into a
+(``_family_requests``): its rest is decoded and re-tokenized once into a
 base, each child adds only its piece as a short tail, and one word memo
 per LM lives for one decode.  A joined open word missing from the memo is
 encoded by resuming greedy after the open word's fixed pieces.  Each LM
@@ -65,10 +65,11 @@ tails are, in one table keyed by a group's tokens and views list, for one
 step.  A CTC prefix that stays in the beam by a blank or a repeat comes
 back with its views, so 68.5% of the family children of the
 ``ctc_shallow`` pool (seed 7) are the previous frame's; a label-sync
-parent never comes back.  The step
-objects own every other mode difference too: the root hypothesis, the
-step count, and closing the last beam (label-sync hypotheses end with
-``</s>``).
+parent never comes back.  Finalization sends the last beam through the
+same builder, each hypothesis a group labelled blank whose one tail gets
+``</s>``.  The step objects own every other mode difference too: the root
+hypothesis's state, the step count, and closing the last beam (label-sync
+hypotheses end with ``</s>``).
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -561,21 +562,19 @@ def _score(
 
     The call counts once; each request with tokens past its cache's
     ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
-    A ``FamilyBatch`` is counted per family from the lengths, as its
-    requests would be.  A family's base covers its cache (the scorer checks
-    it), so it has ``d >= 0`` new tokens: with ``d > 0`` every child counts,
-    and with ``d == 0`` only the children with a non-empty tail.
+    Every batch is counted per family from the lengths, a plain request as
+    a family of one empty tail.  A family's base covers its cache (the
+    scorer checks it), so it has ``d >= 0`` new tokens: with ``d > 0`` every
+    child counts, and with ``d == 0`` only the children with a non-empty tail.
     """
     answers = spec.scorer.score_batch_incremental(requests)
-    if type(requests) is FamilyBatch:
-        hypotheses = tokens = 0
-        for cache, base, tails in requests.families:
-            d = len(base) - cache.scored_len
-            hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())
-            tokens += d * len(tails) + sum(map(len, tails))
-    else:
-        new = [n for seq, cache in requests if (n := len(seq) - cache.scored_len) > 0]
-        hypotheses, tokens = len(new), sum(new)
+    families = requests.families if type(requests) is FamilyBatch else [
+        (cache, seq, ((),)) for seq, cache in requests]
+    hypotheses = tokens = 0
+    for cache, base, tails in families:
+        d = len(base) - cache.scored_len
+        hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())
+        tokens += d * len(tails) + sum(map(len, tails))
     counters.lm_calls += 1
     counters.lm_hypotheses += hypotheses
     counters.lm_tokens += tokens
@@ -596,7 +595,7 @@ def apply_lm_scores(
 
 # -- per-mode steps ---------------------------------------------------------------
 #
-# ``root`` is the first beam's hypothesis and ``limit`` the step count cap.
+# ``root_state`` is the root hypothesis's state and ``limit`` the step count cap.
 # ``expand`` returns a step's candidates, sized by the step's expansion count;
 # ``prune(cands, extra)`` keeps the best by the stale combined score plus
 # ``extra`` (the shallow LM scores, or None) and builds the survivors as new
@@ -608,17 +607,14 @@ def apply_lm_scores(
 class _FrameStep:
     """Frame-synchronous CTC prefix search: one emission row per step."""
 
+    root_state = (0.0, NEG_INF)
+
     def __init__(self, em: EmissionMatrix, config: DecodeConfig, asr_tok: Tokenizer):
         self.rows = em.log_probs
         self.limit = em.num_frames
         self.begins = asr_tok.begins
-        self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
-
-    def root(self) -> Hypothesis:
-        views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
-        return Hypothesis((BOS_ID,), 0.0, views, (0.0, NEG_INF), k=0)
 
     def expand(self, beam, t):
         return extend_frame(beam, self.rows[t - 1], self.begins)
@@ -644,6 +640,8 @@ class _LabelStep:
     another width is a ``DecodeError``.
     """
 
+    root_state = 0
+
     def __init__(self, source, config: DecodeConfig, asr_tok: Tokenizer):
         if isinstance(source, EmissionMatrix):
             source = CtcPrefixScorer(source, EOS_ID, disallowed=(BOS_ID, UNK_ID))
@@ -651,13 +649,8 @@ class _LabelStep:
         self.block = source.root()
         self.limit = source.T
         self.begins = asr_tok.begins
-        self.lms = config.lms
         self.beam_size = config.beam
         self.weights = [spec.weight for spec in config.lms]
-
-    def root(self) -> Hypothesis:
-        views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in self.lms]
-        return Hypothesis((BOS_ID,), views=views, state=0, k=0)
 
     def expand(self, beam, t) -> LabelCandidates:
         ended = [h for h in beam if h.ended]
@@ -716,7 +709,8 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     # one word memo per LM for every re-tokenization of this decode, and
     # shallow fusion's requests per candidate group, held for one step
     memos, held = [{} for _ in config.lms], {}
-    beam = [step.root()]
+    views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in config.lms]
+    beam = [Hypothesis((BOS_ID,), 0.0, views, step.root_state, k=0)]
     prev_shortest = 0
     trace: list[StepTrace] = []
     shallow = config.policy.kind == "shallow" and bool(config.lms)
@@ -750,13 +744,15 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
-def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[FamilyBatch]:
-    """Shallow fusion's families for the valid candidates, one ``FamilyBatch`` per LM.
+def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
+    """Each group's family per LM, one ``FamilyBatch`` per LM, in group order.
 
-    Every group of ``cands.families()``, a single item labelled blank or a
-    parent with its labels, is one family per LM, and the families come in
-    group order, so the batches' requests come in candidate index order.
-    ``memos`` are the decode's word memos, one per LM, so each distinct
+    A group ``(tokens, views, labels)`` is a hypothesis, its views and the
+    labels of its children: a parent with its extensions' labels, or a
+    hypothesis alone labelled blank, whose one child is its whole content.
+    Shallow fusion passes ``cands.families()``, so the batches' requests
+    come in candidate index order; finalization passes the last beam.
+    ``lms`` may not be empty.  ``memos`` are the decode's word memos, one per LM, so each distinct
     word is encoded once per decode.  A group's tail is decoded once into
     ``words`` and an open ``last`` word (None if the tail ends between
     words, as after ``</s>``), re-tokenized once per LM: the family's
@@ -787,13 +783,13 @@ def _shallow_requests(cands, lms, asr_tok, memos, held) -> list[FamilyBatch]:
     slots are None are built.  Each call leaves ``held`` holding exactly
     its own groups, at most two per beam entry.
     """
-    pieces, size = asr_tok.pieces, len(cands.begins)
+    pieces = asr_tok.pieces
     batches = [FamilyBatch() for _ in lms]
     tables, kept = [{} for _ in lms], {}
-    for tokens, views, labels in cands.families():
+    for tokens, views, labels in groups:
         key = (tokens, id(views))
         entry = kept.get(key) or held.get(key) or (
-            views, [None] * len(lms), [[None] * size for _ in lms])
+            views, [None] * len(lms), [[None] * len(pieces) for _ in lms])
         kept[key] = entry
         _, bases, tails = entry
         missing = [c for c in labels if tails[0][c] is None]
@@ -842,30 +838,17 @@ def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) 
     is kept between steps (the views' caches stay fresh, so the stale LM
     term in the candidate scores is 0), and the decoder's LM counters
     reflect the full price of pre-pruning fusion.  Each LM gets one
-    ``FamilyBatch`` (``_shallow_requests``), whose requests are the ones
-    ``_whole_requests`` over every candidate would build, in the same
-    order, and answers with one score per candidate.  Only the built bases
-    and tails are kept, for one step, in ``held``.  ``memos`` are the
+    ``FamilyBatch`` (``_family_requests`` over ``cands.families()``), whose
+    requests are every valid candidate's whole content re-tokenized, in
+    index order, and answers with one score per candidate.  Only the built
+    bases and tails are kept, for one step, in ``held``.  ``memos`` are the
     decode's word memos, one per LM.
     """
     extra = np.zeros(cands.valid.size)
-    for spec, batch in zip(lms, _shallow_requests(cands, lms, asr_tok, memos, held)):
+    batches = _family_requests(cands.families(), lms, asr_tok, memos, held)
+    for spec, batch in zip(lms, batches):
         extra[cands.valid] += spec.weight * np.array(_score(spec, batch, counters), float)
     return extra
-
-
-def _whole_requests(items, lms: Sequence[LMSpec], asr_tok: Tokenizer, memos, close=()) -> list:
-    """Each LM's requests for every item's whole content plus ``close``, in item order.
-
-    ``items`` yields ``(tokens, views)``, read once; each request resumes its view's cache.
-    """
-    requests = [[] for _ in lms]
-    for tokens, views in items:
-        words = asr_tok.decode(tokens[1 + views[0].consumed :]).split() if lms else ()
-        for spec, view, memo, reqs in zip(lms, views, memos, requests):
-            lm_tokens = _retokenize(view.lm_tokens, words, spec.tokenizer, memo)
-            reqs.append(ScoreRequest(lm_tokens + close, view.cache))
-    return requests
 
 
 def _trace_step(t, fired, shortest, beam) -> StepTrace:
@@ -880,18 +863,27 @@ def _trace_step(t, fired, shortest, beam) -> StepTrace:
 def finalize_beam(beam, config, asr_tok, counters, memos) -> list[ScoredHypothesis]:
     """One last LM pass over every whole hypothesis with ``</s>``; the whole beam ranked.
 
-    ``memos`` are the decode's word memos, one per LM.
+    Each hypothesis is a group of its own labelled blank for
+    ``_family_requests``, so its family's base plus its one tail is its
+    whole content re-tokenized; the tail gets ``</s>``.  Each LM answers
+    with one score per hypothesis.  ``memos`` are the decode's word memos,
+    one per LM.
     """
     if not beam:
         raise DecodeError("empty beam at finalization")
-    items = ((h.tokens, h.views) for h in beam)
-    requests = _whole_requests(items, config.lms, asr_tok, memos, (EOS_ID,))
-    caches = [_score(spec, reqs, counters) for spec, reqs in zip(config.lms, requests)]
-    counters.lm_calls_final += len(config.lms)
+    scores = []
+    if config.lms:
+        groups = [(h.tokens, h.views, (BLANK_ID,)) for h in beam]
+        batches = _family_requests(groups, config.lms, asr_tok, memos, {})
+        for spec, batch in zip(config.lms, batches):
+            for _, _, tails in batch.families:
+                tails[0] += (EOS_ID,)
+            scores.append(_score(spec, batch, counters))
+        counters.lm_calls_final += len(config.lms)
 
     entries = []
     for j, hyp in enumerate(beam):
-        lm_scores = tuple(per_lm[j].cum_logprob for per_lm in caches)
+        lm_scores = tuple(per_lm[j] for per_lm in scores)
         total = hyp.e2e
         for spec, raw in zip(config.lms, lm_scores):
             if spec.use_in_final:

@@ -18,21 +18,24 @@ requests with a common prefix: each (prefix, next token) pair is scored
 once, and its running sum is the same left-to-right addition a lone request
 would make, so every result is bit-identical.
 
-Shallow fusion scores whole candidate families: one parent's children,
-which share a re-tokenized base and differ in a short tail.  It sends them
-as a ``FamilyBatch``, through the same batch method, and gets back one
-float per child, not a cache: no family child is ever resumed, so a cache
-per child would be built only to be dropped.  Iterated, the batch is the
-plain requests ``base + tail`` it stands for, so whatever reads requests
-(a proxy, a test double) sees an ordinary batch.  The family walk walks
-each base once and each tail's leading tokens from the base's node, and
-reads the tail's last token from that context's next-token row: the
-n-gram form of what an LLM gives one context in one forward pass, every
-next token's score (ESPnet's ``BatchScorerInterface.batch_score``).
+The decoder scores whole hypotheses as families: in shallow fusion one
+parent's children, which share a re-tokenized base and differ in a short
+tail, and at finalization each hypothesis alone, its one tail closed by
+``</s>``.  It sends them as a ``FamilyBatch``, through the same batch
+method, and gets back one float per child, not a cache: no family child is
+ever resumed, so a cache per child would be built only to be dropped.
+Iterated, the batch is the plain requests ``base + tail`` it stands for,
+so whatever reads requests (a proxy, a test double) sees an ordinary
+batch.  The family walk walks each base once and each tail's leading
+tokens from the base's node, and reads the tail's last token from that
+context's next-token row: the n-gram form of what an LLM gives one context
+in one forward pass, every next token's score (ESPnet's
+``BatchScorerInterface.batch_score``).
 
-The trie lives for one call.  Only the family walk keeps anything between
-calls: one row per context it steps from, ``vocab.size`` slots long, whose
-slot ``t`` holds log P(t | context) once a family child has asked for it.
+The trie lives for one call.  Only the family walk, shallow fusion's and
+finalization's, keeps anything between calls: one row per context it steps
+from, ``vocab.size`` slots long, whose slot ``t`` holds log P(t | context)
+once a family child has asked for it.
 The rows are cleared at the start of a call once they hold more than
 ``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else reads or
 fills them: plain requests walk the trie alone, training calls ``logprob``
@@ -54,7 +57,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 LN10 = math.log(10.0)
-# the next-token rows are cleared past this many contexts; a benchmark pool fills at most about 620
+# the next-token rows are cleared past this many contexts; a benchmark pool fills at most
+# about 700 at seed 7 (ctc_shallow 704, ctc_shortest 524, labelsync_shortest 338)
 _ROW_LIMIT = 2**10
 # a NamedTuple from a plain tuple of its fields, without its Python-level ``__new__``
 _record = tuple.__new__
@@ -444,6 +448,8 @@ def read_arpa(path: str) -> NGramModel:
                 gram = tuple(ids[t] for t in toks)
             except KeyError as exc:
                 raise ArpaFormatError(f"order {k}: unknown token {exc.args[0]!r}") from exc
+            if gram in probs:
+                raise ArpaFormatError(f"order {k}: n-gram {' '.join(toks)!r} listed twice")
             probs[gram] = logp * LN10
             if bow is not None:
                 backoffs[gram] = bow * LN10

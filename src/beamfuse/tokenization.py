@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 # "▁" (U+2581), SentencePiece's word marker, starts each word-initial piece; it is fixed,
 # as vocabulary files do not store it.  As one character it makes decoding a plain
-# concatenation of piece texts, which ``Tokenizer.pieces`` and ``_shallow_requests`` use.
+# concatenation of piece texts, which ``Tokenizer.pieces`` and ``_family_requests`` use.
 WORD_MARKER = "▁"
 
 BLANK_ID = 0
@@ -52,14 +52,15 @@ class Vocabulary:
     def __post_init__(self) -> None:
         if len(self.tokens) < NUM_SPECIALS:
             raise VocabularyError("vocabulary must contain the four reserved tokens")
-        if self.tokens[1:NUM_SPECIALS] != SPECIAL_TOKENS[1:]:
-            raise VocabularyError(
-                f"tokens 1..3 must be {SPECIAL_TOKENS[1:]}, got {self.tokens[1:NUM_SPECIALS]}"
-            )
         # a vocabulary file holds one token per line, and reading it splits at \n and \r
         broken = [tok for tok in self.tokens if "\n" in tok or "\r" in tok]
         if broken:
             raise VocabularyError(f"a token may not contain a line break: {broken[0]!r}")
+        # id 0 is blank: a real piece there would be dropped as blank in decoding
+        if self.tokens[:NUM_SPECIALS] != SPECIAL_TOKENS:
+            raise VocabularyError(
+                f"tokens 0..3 must be {SPECIAL_TOKENS}, got {self.tokens[:NUM_SPECIALS]}"
+            )
         if len(set(self.tokens)) != len(self.tokens):
             raise VocabularyError("token strings must be unique")
         for tok in self.tokens[NUM_SPECIALS:]:

@@ -34,10 +34,9 @@ from beamfuse.decoder import (
     LMView,
     _FrameStep,
     _LabelStep,
+    _family_requests,
     _score,
-    _shallow_requests,
     _shallow_scores,
-    _whole_requests,
     advance_views,
     apply_lm_scores,
     decode,
@@ -108,6 +107,12 @@ def _lm_counts(counters: DecodeCounters) -> tuple[int, int, int]:
     return (counters.lm_calls, counters.lm_hypotheses, counters.lm_tokens)
 
 
+def _root(step, lms) -> Hypothesis:
+    """The first beam's hypothesis, as ``decode`` builds it for ``step``."""
+    views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in lms]
+    return Hypothesis((BOS_ID,), 0.0, views, step.root_state, k=0)
+
+
 class TestGreedyCleanDecode:
     def test_recovers_reference(self, asr_tok, corpus_split):
         for line, em in utterances(asr_tok, corpus_split, 5, noise=0.0):
@@ -161,7 +166,7 @@ class TestTokenizerTables:
         em = EmissionMatrix(random_emissions(np.random.default_rng(9), 4, asr_tok.vocab.size))
         cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], mode=mode)
         step = (_FrameStep if mode == "ctc" else _LabelStep)(em, cfg, asr_tok)
-        cands = step.expand([step.root()], 1)
+        cands = step.expand([_root(step, [])], 1)
         assert step.begins is asr_tok.begins
         assert cands.begins is asr_tok.begins
         # block column c extends by id c; only the reserved ids other than
@@ -870,7 +875,7 @@ def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
     group's views, and each group's family is its entry's base and the
     tails of its labels.  Returns the batches, one per LM.
     """
-    got = _shallow_requests(cands, lms, tok, memos, held)
+    got = _family_requests(cands.families(), lms, tok, memos, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for batch, ref in zip(got, want):
@@ -1080,7 +1085,7 @@ class TestOneRequestTable:
     def test_stay_shares_its_family_entry(self, shallow_world):
         tok, lms, a, _, cands = self._merged_block(shallow_world)
         held = {}
-        got = _shallow_requests(cands, lms, tok, [{} for _ in lms], held)
+        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], held)
         entry = held[a.tokens, id(a.views)]
         labels = _children_by_group(cands, held)[a.tokens]
         assert BLANK_ID in labels and len(labels) > 1
@@ -1097,7 +1102,7 @@ class TestOneRequestTable:
     def test_stay_with_other_views_gets_its_own_entry(self, shallow_world):
         tok, lms, a, b, cands = self._merged_block(shallow_world)
         held = {}
-        got = _shallow_requests(cands, lms, tok, [{} for _ in lms], held)
+        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], held)
         stay, family = held[b.tokens, id(a.views)], held[b.tokens, id(b.views)]
         assert stay is not family and stay is not held[a.tokens, id(a.views)]
         assert stay[0] is a.views and family[0] is b.views
@@ -1110,7 +1115,11 @@ class TestOneRequestTable:
 
 
 class TestFamilyCounts:
-    """``_score`` counts a ``FamilyBatch`` exactly as it counts the requests it stands for."""
+    """``_score`` counts a ``FamilyBatch`` exactly as it counts the requests it stands for.
+
+    Both equal the per-request rule: a request with ``n > 0`` tokens past
+    its cache's ``scored_len`` is one hypothesis with ``n`` new tokens.
+    """
 
     @staticmethod
     def _scored(spec, requests):
@@ -1122,7 +1131,8 @@ class TestFamilyCounts:
     def _assert_counts_as_requests(spec, batch):
         scores, counted = TestFamilyCounts._scored(spec, batch)
         caches, want = TestFamilyCounts._scored(spec, list(batch))
-        assert counted == want
+        new = [n for r in batch if (n := len(r.tokens) - r.cache.scored_len) > 0]
+        assert counted == want == (1, len(new), sum(new))
         assert scores == [cache.cum_logprob for cache in caches]
         return counted
 
@@ -1322,6 +1332,7 @@ class TestRetokenizeDecodesOnce:
     """A hypothesis's views share ``consumed``, so its rest is decoded once for every LM."""
 
     def test_one_decode_per_item_with_two_lms(self, shallow_world, monkeypatch):
+        # finalization's requests: the builder's blank-labelled groups, each tail with </s>
         tok, lm_sets = shallow_world
         lms = lm_sets["both"]
         decoded = []
@@ -1336,12 +1347,29 @@ class TestRetokenizeDecodesOnce:
             k = tokenizable_prefix_len(tokens, tok.vocab)
             beam.append(Hypothesis(tokens, views=views, k=k))
 
-        items = [(h.tokens, h.views) for h in beam]
-        requests = _whole_requests(iter(items), lms, tok, [{}, {}], (EOS_ID,))
-        assert len(decoded) == len(beam)
-        for spec, reqs in zip(lms, requests):
-            alone = _whole_requests(iter(items), [spec], tok, [{}], (EOS_ID,))
-            assert reqs == alone[0]
+        # each hypothesis with its fresh views and with views advanced past its closed words
+        groups = []
+        for hyp in beam:
+            ahead = Hypothesis(hyp.tokens, views=hyp.views, k=hyp.k)
+            advance_views(ahead, tok, lms)
+            groups += [(hyp.tokens, hyp.views, (BLANK_ID,)), (hyp.tokens, ahead.views, (BLANK_ID,))]
+        assert sum(bool(views[0].lm_tokens) for _, views, _ in groups) >= 3
+        decoded.clear()
+        batches = _family_requests(groups, lms, tok, [{}, {}], {})
+        assert len(decoded) == len(groups)
+        for i, (spec, batch) in enumerate(zip(lms, batches)):
+            own = [(tokens, [views[i]], labels) for tokens, views, labels in groups]
+            assert batch.families == _family_requests(own, [spec], tok, [{}], {})[0].families
+            for _, _, tails in batch.families:
+                tails[0] += (EOS_ID,)
+            want = []
+            for tokens, views, _ in groups:
+                view = views[i]
+                words = spec.tokenizer.encode(tok.decode(tokens[1 + view.consumed :]))
+                want.append(ScoreRequest(view.lm_tokens + tuple(words) + (EOS_ID,), view.cache))
+            got = list(batch)
+            assert got == want
+            assert all(g.cache is w.cache for g, w in zip(got, want))
 
         decoded.clear()
         advanced = 0
@@ -1559,7 +1587,7 @@ class TestPythonFloats:
                         for x in (hyp.e2e_score, hyp.combined_score, *hyp.lm_scores):
                             assert type(x) is float
         step = _FrameStep(em, DecodeConfig(5, FusionPolicy("never"), lm_sets["both"]), tok)
-        beam = [step.root()]
+        beam = [_root(step, lm_sets["both"])]
         for t in range(1, step.limit + 1):
             beam = step.prune(step.expand(beam, t), None)
             for hyp in beam:
@@ -1680,7 +1708,7 @@ class TestValueSemantics:
         mode = "ctc" if step_type is _FrameStep else "labelsync"
         step = step_type(em, DecodeConfig(beam=4, policy=FusionPolicy("always"), lms=lms, mode=mode), tok)
         counters = DecodeCounters()
-        beam = [step.root()]
+        beam = [_root(step, lms)]
         for t in range(1, 4):
             beam = _fusing_step(step, beam, t, tok, lms, counters)
         snapshot = [(h, h.views, _fields(h.views)) for h in beam]

@@ -181,6 +181,20 @@ class TestArpa:
         # the unigram section is checked as a vocabulary, with the vocabulary's error
         _read_or_typed_error(read_arpa, (ArpaFormatError, VocabularyError), scratch)
 
+    def test_repeated_ngram_rejected(self, scratch):
+        # one 2-gram line takes another's tokens: the header count still holds
+        corpus = [_ARPA_TOK.encode(line) for line in ("a b", "ac d", "b a d", "dc a")]
+        write_arpa(train_ngram(corpus, _ARPA_TOK.vocab, 2, 0.4), str(scratch))
+        lines = scratch.read_text(encoding="utf-8").split("\n")
+        start = lines.index("\\2-grams:") + 1
+        repeated = lines[start].split("\t")[1]
+        second = lines[start + 1].split("\t")
+        second[1] = repeated
+        lines[start + 1] = "\t".join(second)
+        scratch.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ArpaFormatError, match=f"n-gram {repeated!r} listed twice"):
+            read_arpa(str(scratch))
+
 
 # -- manifests -------------------------------------------------------------------
 

@@ -200,6 +200,11 @@ class TestVocabularyValidation:
         with pytest.raises(VocabularyError):
             Vocabulary(("<blank>", "<s>", "</s>", "oops", "x"))
 
+    def test_real_piece_at_blank_id_rejected(self):
+        # id 0 is blank: "a b a" would encode to [0, 5, 0] and decode to "b"
+        with pytest.raises(VocabularyError, match="tokens 0..3"):
+            Vocabulary(("▁a", "<s>", "</s>", "<unk>", "a", "▁b"))
+
     def test_file_round_trip(self, tmp_path, asr_tok):
         path = tmp_path / "v.vocab"
         write_vocab(asr_tok.vocab, str(path))

@@ -73,11 +73,32 @@ MUTANTS = (
     Mutant(
         "family count also counts children with no new tokens",
         _DECODER,
-        "            hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())\n",
-        "            hypotheses += len(tails) if d >= 0 else len(tails) - tails.count(())\n",
+        "        hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())\n",
+        "        hypotheses += len(tails) if d >= 0 else len(tails) - tails.count(())\n",
         (
             _TESTS + "TestFamilyCounts::test_a_family_batch_counts_as_its_requests",
             _TESTS + "TestFamilyCounts::test_children_with_no_new_tokens_count_nothing",
+            _TESTS + "TestDecoderCounters::test_counts_equal_scorer_boundary",
+        ),
+    ),
+    Mutant(
+        "plain request counted with no tail",
+        _DECODER,
+        "        (cache, seq, ((),)) for seq, cache in requests]\n",
+        "        (cache, seq, ()) for seq, cache in requests]\n",
+        (
+            _TESTS + "TestFamilyCounts::test_a_family_batch_counts_as_its_requests",
+            _TESTS + "TestDecoderCounters::test_counts_equal_scorer_boundary",
+        ),
+    ),
+    Mutant(
+        "finalization's tails without the </s> append",
+        _DECODER,
+        "                tails[0] += (EOS_ID,)\n",
+        "                pass\n",
+        (
+            _TESTS + "TestFinalization::test_requests_equal_from_scratch_retokenization",
+            _TESTS + "TestDecodeMatchesReference::test_decode_equals_reference",
         ),
     ),
     Mutant(
