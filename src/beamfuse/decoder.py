@@ -4,7 +4,9 @@ One search loop (``decode``) serves both modes.  Each step it expands the beam,
 prunes the candidates to the beam size by the combined score (acoustic plus
 weighted LM scores, the LM part possibly stale), advances the survivors' LM
 views over their newly completed words, and — if the fusion policy fires —
-scores those words with one batched LM call per model: the delayed pass.
+scores those words with one batched LM call per model: the delayed pass,
+which sends each hypothesis's view as a family of one empty tail and keeps
+the caches the scorer answers with.
 Every request for a hypothesis's whole content comes from one builder,
 ``_family_requests``, which resumes its views with its re-tokenized rest;
 finalization scores the last beam's with ``</s>`` and ranks by the scorers
@@ -57,19 +59,19 @@ term on the same cut: every valid candidate's whole content is scored, and
 those scores are added before the prune.  Each group is one family per LM
 (``_family_requests``): its rest is decoded and re-tokenized once into a
 base, each child adds only its piece as a short tail, and one word memo
-per LM lives for one decode.  A joined open word missing from the memo is
-encoded by resuming greedy after the open word's fixed pieces.  Each LM
-scores its families in one ``FamilyBatch`` call and answers with a float
-per child.  No LM score is kept between steps, but the built bases and
-tails are, in one table keyed by a group's tokens and views list, for one
-step.  A CTC prefix that stays in the beam by a blank or a repeat comes
-back with its views, so 68.5% of the family children of the
-``ctc_shallow`` pool (seed 7) are the previous frame's; a label-sync
-parent never comes back.  Finalization sends the last beam through the
-same builder, each hypothesis a group labelled blank whose one tail gets
-``</s>``.  The step objects own every other mode difference too: the root
-hypothesis's state, the step count, and closing the last beam (label-sync
-hypotheses end with ``</s>``).
+per LM, which also holds each piece's LM tokens, lives for one decode.  A
+joined open word missing from the memo is encoded by resuming greedy after
+the open word's fixed pieces.  Each LM scores its families in one
+``FamilyBatch`` call and answers with a float per child.  No LM score is
+kept between steps, but the built bases and tails are, in one table keyed
+by a group's tokens and views list, for one step.  A CTC prefix that
+stays in the beam by a blank or a repeat comes back with its views, so
+68.5% of the family children of the ``ctc_shallow`` pool (seed 7) are the
+previous frame's; a label-sync parent never comes back.  Finalization
+sends the last beam through the same builder, each hypothesis a group
+labelled blank whose one tail gets ``</s>``.  The step objects own every
+other mode difference too: the root hypothesis's state, the step count,
+and closing the last beam (label-sync hypotheses end with ``</s>``).
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -102,7 +104,7 @@ from .acoustic import (
     end_scores,
     lse2,
 )
-from .lm import FamilyBatch, ScoreRequest
+from .lm import FamilyBatch
 from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
 # not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
 # and perfbench/tests/test_reconcile.py reads it (ROADMAP items 6 and 8)
@@ -555,23 +557,19 @@ def fusable(
     )
 
 
-def _score(
-    spec: LMSpec, requests: list[ScoreRequest] | FamilyBatch, counters: DecodeCounters
-) -> list:
-    """One batched LM call, counted after it returns; its answers, in request order.
+def _score(spec: LMSpec, batch: FamilyBatch, counters: DecodeCounters) -> tuple[list, list]:
+    """One batched LM call, counted after it returns; its ``(caches, scores)``.
 
-    The call counts once; each request with tokens past its cache's
-    ``scored_len`` counts as one hypothesis, and those tokens as new tokens.
-    Every batch is counted per family from the lengths, a plain request as
-    a family of one empty tail.  A family's base covers its cache (the
-    scorer checks it), so it has ``d >= 0`` new tokens: with ``d > 0`` every
-    child counts, and with ``d == 0`` only the children with a non-empty tail.
+    The call counts once; each request the batch stands for with tokens past
+    its cache's ``scored_len`` counts as one hypothesis, and those tokens as
+    new tokens.  The batch is counted per family from the lengths.  A
+    family's base covers its cache (the scorer checks it), so it has
+    ``d >= 0`` new tokens: with ``d > 0`` every child counts, and with
+    ``d == 0`` only the children with a non-empty tail.
     """
-    answers = spec.scorer.score_batch_incremental(requests)
-    families = requests.families if type(requests) is FamilyBatch else [
-        (cache, seq, ((),)) for seq, cache in requests]
+    answers = spec.scorer.score_batch_incremental(batch)
     hypotheses = tokens = 0
-    for cache, base, tails in families:
+    for cache, base, tails in batch.families:
         d = len(base) - cache.scored_len
         hypotheses += len(tails) if d > 0 else len(tails) - tails.count(())
         tokens += d * len(tails) + sum(map(len, tails))
@@ -584,11 +582,15 @@ def _score(
 def apply_lm_scores(
     beam: Sequence[Hypothesis], lms: Sequence[LMSpec], counters: DecodeCounters
 ) -> None:
-    """One batched incremental call per LM; each hypothesis gets views with the new caches."""
+    """One batched incremental call per LM; each hypothesis gets views with the new caches.
+
+    Each hypothesis's view is a family of one empty tail, ``(cache,
+    lm_tokens, ((),))``, whose cache after its base is the view's new cache.
+    """
     caches = []
     for i, spec in enumerate(lms):
-        requests = [ScoreRequest(h.views[i].lm_tokens, h.views[i].cache) for h in beam]
-        caches.append(_score(spec, requests, counters))
+        batch = FamilyBatch([(h.views[i].cache, h.views[i].lm_tokens, ((),)) for h in beam])
+        caches.append(_score(spec, batch, counters)[0])
     for hyp, new in zip(beam, zip(*caches)):
         hyp.views = [LMView(v.consumed, v.lm_tokens, cache) for v, cache in zip(hyp.views, new)]
 
@@ -756,9 +758,10 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
     word is encoded once per decode.  A group's tail is decoded once into
     ``words`` and an open ``last`` word (None if the tail ends between
     words, as after ``</s>``), re-tokenized once per LM: the family's
-    ``base`` is the view's LM tokens plus ``words``.  Per call and per LM,
-    ``table[c]`` holds piece ``c``'s glue and the LM tokens of its words
-    (``Tokenizer.pieces``), all of them and those after the first.  A child
+    ``base`` is the view's LM tokens plus ``words``.  The same memo, keyed
+    by ASR id ``c`` (an ``int``, where a word is a ``str``), holds piece
+    ``c``'s glue and the LM tokens of its words (``Tokenizer.pieces``), all
+    of them and those after the first, built once per decode.  A child
     whose piece joins ``last`` has the tail of the joined word and the
     piece's further words; any other has ``last``'s tokens and its piece's
     words, so a blank child has ``last``'s tokens alone.  Either way
@@ -785,7 +788,7 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
     """
     pieces = asr_tok.pieces
     batches = [FamilyBatch() for _ in lms]
-    tables, kept = [{} for _ in lms], {}
+    kept = {}
     for tokens, views, labels in groups:
         key = (tokens, id(views))
         entry = kept.get(key) or held.get(key) or (
@@ -797,18 +800,18 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
             tail = tokens[1 + views[0].consumed :]
             words = asr_tok.decode(tail).split()
             last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for i, (view, spec, memo, table) in enumerate(zip(views, lms, memos, tables)):
+            for i, (view, spec, memo) in enumerate(zip(views, lms, memos)):
                 lm_tok, built = spec.tokenizer, tails[i]
                 if bases[i] is None:
                     bases[i] = _retokenize(view.lm_tokens, words, lm_tok, memo)
                 opened = () if last is None else _retokenize((), (last,), lm_tok, memo)
                 fixed = None
                 for c in missing:
-                    piece = table.get(c)
+                    piece = memo.get(c)
                     if piece is None:
                         glue, more, _ = pieces[c]
-                        piece = table[c] = (glue, _retokenize((), more, lm_tok, memo),
-                                            _retokenize((), more[1:], lm_tok, memo))
+                        piece = memo[c] = (glue, _retokenize((), more, lm_tok, memo),
+                                           _retokenize((), more[1:], lm_tok, memo))
                     glue, whole, rest = piece
                     if glue is None or last is None:
                         built[c] = opened + whole
@@ -847,7 +850,7 @@ def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) 
     extra = np.zeros(cands.valid.size)
     batches = _family_requests(cands.families(), lms, asr_tok, memos, held)
     for spec, batch in zip(lms, batches):
-        extra[cands.valid] += spec.weight * np.array(_score(spec, batch, counters), float)
+        extra[cands.valid] += spec.weight * np.array(_score(spec, batch, counters)[1], float)
     return extra
 
 
@@ -878,7 +881,7 @@ def finalize_beam(beam, config, asr_tok, counters, memos) -> list[ScoredHypothes
         for spec, batch in zip(config.lms, batches):
             for _, _, tails in batch.families:
                 tails[0] += (EOS_ID,)
-            scores.append(_score(spec, batch, counters))
+            scores.append(_score(spec, batch, counters)[1])
         counters.lm_calls_final += len(config.lms)
 
     entries = []

@@ -1,46 +1,46 @@
 """Backoff n-gram language model with prefix-cached incremental batch scoring.
 
-The scorer interface is what the decoder fuses against: a batch of
-(token sequence, cache) requests comes in, only the unscored suffix of each
-sequence is scored, and the new caches are the whole answer: each holds its
-sequence's score and lets the next round resume where this one stopped, as
-an incremental LLM server answers with the new KV-cache state.  The n-gram
-realization keeps that contract exact: the chain rule makes any
-incremental partition of a sequence sum to the same total as scoring it
-from scratch.  Requests and caches are immutable ``NamedTuple`` values.
-The scorer builds each cache with ``tuple.__new__`` from a tuple of its
-fields: the same object the constructor returns, without its Python-level
-call.
+The scorer interface is what the decoder fuses against, and it takes one
+request shape, a ``FamilyBatch``.  A family is a cache, a base token
+sequence that resumes it, and the tails of its children, and only what the
+cache has not scored is scored.  The answer is a new cache per family, after
+its base, which lets the next round resume where this one stopped, as an
+incremental LLM server answers with the new KV-cache state, and one float
+per child, its sequence's score.  The n-gram realization keeps that
+contract exact: the chain rule makes any incremental partition of a
+sequence sum to the same total as scoring it from scratch.  Requests and
+caches are immutable ``NamedTuple`` values.  The scorer builds each cache
+with ``tuple.__new__`` from a tuple of its fields: the same object the
+constructor returns, without its Python-level call.
 
-Within one call, requests that resume from the same cache object share the
+Within one call, families that resume from the same cache object share the
 work on their common prefix, as an LLM server shares KV-cache blocks across
 requests with a common prefix: each (prefix, next token) pair is scored
 once, and its running sum is the same left-to-right addition a lone request
 would make, so every result is bit-identical.
 
-The decoder scores whole hypotheses as families: in shallow fusion one
-parent's children, which share a re-tokenized base and differ in a short
-tail, and at finalization each hypothesis alone, its one tail closed by
-``</s>``.  It sends them as a ``FamilyBatch``, through the same batch
-method, and gets back one float per child, not a cache: no family child is
-ever resumed, so a cache per child would be built only to be dropped.
-Iterated, the batch is the plain requests ``base + tail`` it stands for,
-so whatever reads requests (a proxy, a test double) sees an ordinary
-batch.  The family walk walks each base once and each tail's leading
+The decoder sends every request as a family.  The delayed pass sends each
+hypothesis's view as a family of one empty tail and keeps its cache.
+Shallow fusion sends one parent's children, which share a re-tokenized
+base and differ in a short tail, and finalization each hypothesis alone,
+its one tail closed by ``</s>``; both keep the floats.  No child gets a
+cache: none is ever resumed, so a cache per child would be built only to be
+dropped.  Iterated, the batch is the plain requests ``base + tail`` it
+stands for, so whatever reads requests (a proxy, a test double) sees an
+ordinary batch.  The walk walks each base once and each tail's leading
 tokens from the base's node, and reads the tail's last token from that
 context's next-token row: the n-gram form of what an LLM gives one context
 in one forward pass, every next token's score (ESPnet's
 ``BatchScorerInterface.batch_score``).
 
-The trie lives for one call.  Only the family walk, shallow fusion's and
-finalization's, keeps anything between calls: one row per context it steps
-from, ``vocab.size`` slots long, whose slot ``t`` holds log P(t | context)
-once a family child has asked for it.
+The trie lives for one call.  Only the next-token rows outlive it: one row
+per context a tail's last token is read from, ``vocab.size`` slots long,
+whose slot ``t`` holds log P(t | context) once a child has asked for it.
 The rows are cleared at the start of a call once they hold more than
 ``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else reads or
-fills them: plain requests walk the trie alone, training calls ``logprob``
-while its tables still fill, and ``logprob`` is the reference batch
-scoring is tested against.
+fills them: bases and empty tails (all the delayed pass sends) walk the
+trie alone, training calls ``logprob`` while its tables still fill, and
+``logprob`` is the reference batch scoring is tested against.
 
 Scorers keep no counters and add no latency.  The decoder counts the work it
 requests (calls, requests with unscored tokens, and those tokens), not what
@@ -95,15 +95,16 @@ class ScoreRequest(NamedTuple):
 
 
 class FamilyBatch:
-    """Candidate families for one batch call, answered with one score per child.
+    """The one request shape: families answered with a cache each and a score per child.
 
     ``families`` lists ``(cache, base, tails)``: a group's token tuple
     ``base``, resumed from ``cache`` and listed once, and ``tails``, one
     tuple per child, whose tokens are ``base + tail``.  ``base`` must cover
-    ``cache``: its first ``scored_len`` tokens are the cache's.  Iterating
-    yields each child's ``ScoreRequest(base + tail, cache)``, family by
-    family, so a reader of requests sees the plain batch the families
-    stand for.
+    ``cache``: its first ``scored_len`` tokens are the cache's.  A plain
+    request is a family of one empty tail, ``(cache, tokens, ((),))``.
+    Iterating yields each child's ``ScoreRequest(base + tail, cache)``,
+    family by family, so a reader of requests sees the plain batch the
+    families stand for.
     """
 
     __slots__ = ("families",)
@@ -183,36 +184,56 @@ class NGramModel:
 
     # -- batch interface --------------------------------------------------
 
-    def score_batch_incremental(self, requests: Sequence[ScoreRequest] | FamilyBatch) -> list:
-        """Score the unscored suffix of every request, in request order.
+    def score_batch_incremental(self, batch: FamilyBatch) -> tuple[list, list[float]]:
+        """``(caches, scores)``: one cache per family, after its base, and one float per child.
 
-        Plain requests get their new caches; a request's score is its
-        cache's ``cum_logprob``.  The requests resuming from one cache
-        object walk a token trie that lives for this call only; a node is
-        ``(children, cum, context)`` after the tokens on its path, so a
-        prefix shared by several requests is scored once.  A cache's
-        ``context`` is read as its last order-1 ids, as ``logprob`` reads a
-        context, and every new cache holds that tuple.
-
-        A ``FamilyBatch`` gets each child's score as a float, in the order
-        its requests iterate: no family child is ever resumed.  Each base
-        walks the call's trie once, after the checks a plain request gets.
-        A child's tail walks its leading tokens from the base's node, once
+        The caches come in family order and the scores in the order the
+        batch's requests iterate; a child's score is its request's, and no
+        child gets a cache, since none is ever resumed.  The families
+        resuming from one cache object walk a token trie that lives for this
+        call only; a node is ``(children, cum, context)`` after the tokens on
+        its path, so a prefix shared by several bases or tails is scored
+        once.  A cache's ``context`` is read as its last order-1 ids, as
+        ``logprob`` reads a context, and every new cache holds that tuple.
+        A child's tail walks its leading tokens from its base's node, once
         for a run of tails that share them, and reads its last token from
         the row of that node's context, filling the slot the first time.
         A token outside the vocabulary is stepped as the walk steps it,
-        which raises the walk's ``LMError``.
+        which raises the walk's ``LMError``; so does anything but a
+        ``FamilyBatch``.
         """
-        if type(requests) is FamilyBatch:
-            return self._family_scores(requests.families)
+        if not isinstance(batch, FamilyBatch):
+            raise LMError(f"expected a FamilyBatch, got {type(batch).__name__}")
+        step, walk, rows, size = self._next, self._walk, self._rows, self.vocab.size
+        if len(rows) > _ROW_LIMIT:
+            rows.clear()
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
-        caches = []
-        for tokens, cache in requests:
-            if type(tokens) is not tuple:
-                tokens = tuple(tokens)
-            node = self._resume(roots, cache, tokens)
-            caches.append(_record(PrefixCacheEntry, (len(tokens), node[1], node[2], tokens)))
-        return caches
+        caches, scores = [], []
+        push = scores.append
+        for cache, base, tails in batch.families:
+            top = self._resume(roots, cache, base)
+            caches.append(_record(PrefixCacheEntry, (len(base), top[1], top[2], base)))
+            stem = None
+            for tail in tails:
+                if not tail:
+                    push(top[1])
+                    continue
+                if tail[:-1] != stem:
+                    stem = tail[:-1]
+                    node = walk(top, stem)
+                    ctx, cum = node[2], node[1]
+                    row = rows.get(ctx)
+                    if row is None:
+                        row = rows[ctx] = [None] * size
+                token = tail[-1]
+                if 0 <= token < size:
+                    lp = row[token]
+                    if lp is None:
+                        lp = row[token] = step(ctx, token)[0]
+                else:
+                    lp = step(ctx, token)[0]
+                push(cum + lp)
+        return caches, scores
 
     def _resume(self, roots: dict, cache: PrefixCacheEntry, tokens: tuple) -> tuple:
         """The call's trie node after ``tokens``, once they are checked to extend ``cache``.
@@ -243,38 +264,6 @@ class NGramModel:
                 child = node[0][token] = ({}, node[1] + lp, after)
             node = child
         return node
-
-    def _family_scores(self, families) -> list[float]:
-        """Each family child's score, from its base's node and its context's row."""
-        step, walk, rows, size = self._next, self._walk, self._rows, self.vocab.size
-        if len(rows) > _ROW_LIMIT:
-            rows.clear()
-        roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
-        scores = []
-        push = scores.append
-        for cache, base, tails in families:
-            top = self._resume(roots, cache, base)
-            stem = None
-            for tail in tails:
-                if not tail:
-                    push(top[1])
-                    continue
-                if tail[:-1] != stem:
-                    stem = tail[:-1]
-                    node = walk(top, stem)
-                    ctx, cum = node[2], node[1]
-                    row = rows.get(ctx)
-                    if row is None:
-                        row = rows[ctx] = [None] * size
-                token = tail[-1]
-                if 0 <= token < size:
-                    lp = row[token]
-                    if lp is None:
-                        lp = row[token] = step(ctx, token)[0]
-                else:
-                    lp = step(ctx, token)[0]
-                push(cum + lp)
-        return scores
 
 
 def train_ngram(
@@ -395,7 +384,10 @@ def read_arpa(path: str) -> NGramModel:
         if not part.startswith("ngram "):
             raise ArpaFormatError(f"bad header line: {part!r}")
         spec, _, count = part[len("ngram "):].partition("=")
-        header[_arpa_number(int, spec, part)] = _arpa_number(int, count, part)
+        k = _arpa_number(int, spec, part)
+        if k in header:
+            raise ArpaFormatError(f"header lists order {k} twice")
+        header[k] = _arpa_number(int, count, part)
         i += 1
     if not header:
         raise ArpaFormatError("header lists no n-gram orders")
@@ -405,6 +397,7 @@ def read_arpa(path: str) -> NGramModel:
 
     sections: dict[int, list[tuple[float, list[str], float | None]]] = {k: [] for k in header}
     current: int | None = None
+    seen: set[int] = set()
     for line in lines[i:]:
         text = line.strip()
         if not text:
@@ -416,6 +409,9 @@ def read_arpa(path: str) -> NGramModel:
             current = _arpa_number(int, text[1:-len("-grams:")], text)
             if current not in sections:
                 raise ArpaFormatError(f"unexpected section for order {current}")
+            if current in seen:
+                raise ArpaFormatError(f"section \\{current}-grams: appears twice")
+            seen.add(current)
             continue
         if current is None:
             raise ArpaFormatError(f"entry outside any section: {text!r}")

@@ -27,7 +27,7 @@ from beamfuse.decoder import (
     advance_views,
 )
 from beamfuse.harness import generate_corpus, split_corpus
-from beamfuse.lm import LMError, PrefixCacheEntry, ScoreRequest, train_ngram
+from beamfuse.lm import FamilyBatch, LMError, PrefixCacheEntry, ScoreRequest, train_ngram
 from beamfuse.tokenization import (
     BOS_ID,
     EOS_ID,
@@ -127,6 +127,16 @@ class CountingScorer:
                 self.hypotheses += 1
                 self.tokens += new
         return self.inner.score_batch_incremental(requests)
+
+
+def as_families(requests) -> FamilyBatch:
+    """Plain requests as one-child families ``(cache, tokens, ((),))``, in request order."""
+    return FamilyBatch([(req.cache, req.tokens, ((),)) for req in requests])
+
+
+def score_caches(scorer, requests) -> list:
+    """The new caches for plain requests, each sent to ``scorer`` as a one-child family."""
+    return scorer.score_batch_incremental(as_families(requests))[0]
 
 
 def reference_score_batch(model, requests) -> list:

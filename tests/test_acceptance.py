@@ -34,7 +34,7 @@ from beamfuse.harness import (
     wer,
 )
 from beamfuse.lm import (
-    ScoreRequest,
+    FamilyBatch,
     read_arpa,
     train_ngram,
     write_arpa,
@@ -214,7 +214,8 @@ def test_c04_incremental_cache_exactness(world):
         cache = world.lm.fresh_cache()
         cum = 0.0
         for end in rounds + [len(seq)]:
-            cache = world.lm.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
+            family = FamilyBatch([(cache, seq[:end], ((),))])
+            cache = world.lm.score_batch_incremental(family)[0][0]
             cum = cache.cum_logprob
         reference = world.lm.sequence_logprob((BOS_ID,) + seq)
         worst = max(worst, abs(cum - reference))

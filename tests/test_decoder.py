@@ -67,6 +67,7 @@ from beamfuse.tokenization import (
 from conftest import (
     ODD_PIECES,
     CountingScorer,
+    as_families,
     block_rows,
     candidate_views,
     ctc_hypothesis,
@@ -80,6 +81,7 @@ from conftest import (
     reference_label_step,
     reference_shallow_requests,
     reference_shallow_step,
+    score_caches,
 )
 
 
@@ -1122,15 +1124,16 @@ class TestFamilyCounts:
     """
 
     @staticmethod
-    def _scored(spec, requests):
+    def _scored(spec, batch):
         counters = DecodeCounters()
-        answers = _score(spec, requests, counters)
+        answers = _score(spec, batch, counters)
         return answers, (counters.lm_calls, counters.lm_hypotheses, counters.lm_tokens)
 
     @staticmethod
     def _assert_counts_as_requests(spec, batch):
-        scores, counted = TestFamilyCounts._scored(spec, batch)
-        caches, want = TestFamilyCounts._scored(spec, list(batch))
+        # the requests it stands for, each sent as a one-child family
+        (_, scores), counted = TestFamilyCounts._scored(spec, batch)
+        (caches, _), want = TestFamilyCounts._scored(spec, as_families(batch))
         new = [n for r in batch if (n := len(r.tokens) - r.cache.scored_len) > 0]
         assert counted == want == (1, len(new), sum(new))
         assert scores == [cache.cum_logprob for cache in caches]
@@ -1144,7 +1147,7 @@ class TestFamilyCounts:
         ids = st.integers(NUM_SPECIALS, spec.tokenizer.vocab.size - 1)
         seqs = st.lists(ids, max_size=3).map(tuple)
         fresh = spec.scorer.fresh_cache()
-        scored = spec.scorer.score_batch_incremental([ScoreRequest(data.draw(seqs), fresh)])
+        scored = score_caches(spec.scorer, [ScoreRequest(data.draw(seqs), fresh)])
         families = []
         for _ in range(data.draw(st.integers(0, 4))):
             # a base that adds nothing to its cache is as likely as one that does
@@ -1158,7 +1161,7 @@ class TestFamilyCounts:
         spec = lm_sets["matched"][0]
         a, b = tok.vocab.token_id("▁a"), tok.vocab.token_id("▁b")
         fresh = spec.scorer.fresh_cache()
-        scored = spec.scorer.score_batch_incremental([ScoreRequest((a,), fresh)])[0]
+        scored = score_caches(spec.scorer, [ScoreRequest((a,), fresh)])[0]
         # the root's blank stay: an empty base, an empty tail and a fresh cache
         assert self._assert_counts_as_requests(spec, FamilyBatch([(fresh, (), [()])])) == (1, 0, 0)
         batch = FamilyBatch([(scored, (a,), [(), (b,), (), (b, a)]), (fresh, (a,), [(), (b,)])])
@@ -1790,6 +1793,33 @@ class TestApplyLmScores:
         assert view.cache.cum_logprob == pytest.approx(
             model.sequence_logprob((BOS_ID, a)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("step_type", [_FrameStep, _LabelStep])
+    def test_batch_iterates_to_the_plain_requests(self, tiny, step_type):
+        # each view is sent as a family of one empty tail, which stands for the view's request
+        tok, model = tiny
+        lms = [LMSpec(CountingScorer(model), tok, 0.5), LMSpec(CountingScorer(model), tok, 0.3)]
+        em = EmissionMatrix(random_emissions(np.random.default_rng(14), 16, tok.vocab.size))
+        mode = "ctc" if step_type is _FrameStep else "labelsync"
+        config = DecodeConfig(beam=4, policy=FusionPolicy("always"), lms=lms, mode=mode)
+        step, counters = step_type(em, config, tok), DecodeCounters()
+        beam, resumed = [_root(step, lms)], 0
+        for t in range(1, step.limit + 1):
+            beam = step.prune(step.expand(beam, t), None)
+            for hyp in beam:
+                advance_views(hyp, tok, lms)
+            want = [[ScoreRequest(h.views[i].lm_tokens, h.views[i].cache) for h in beam]
+                    for i in range(len(lms))]
+            apply_lm_scores(beam, lms, counters)
+            for spec, plain in zip(lms, want):
+                got = spec.scorer.last_requests
+                assert got == plain
+                assert all(type(r) is ScoreRequest and type(r.tokens) is tuple for r in got)
+                assert all(g.cache is p.cache for g, p in zip(got, plain))
+                resumed += sum(r.cache.scored_len > 0 for r in got)
+            if all(h.ended for h in beam):
+                break
+        assert resumed > 0
 
 
 class TestPolicyEquivalences:

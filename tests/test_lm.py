@@ -21,7 +21,13 @@ from beamfuse.lm import (
 )
 from beamfuse.tokenization import BOS_ID, EOS_ID, NUM_SPECIALS
 
-from conftest import CountingScorer, make_vocab, reference_score_batch
+from conftest import (
+    CountingScorer,
+    as_families,
+    make_vocab,
+    reference_score_batch,
+    score_caches,
+)
 
 
 def fresh_trigram(corpus_split, lm_tok):
@@ -156,7 +162,7 @@ class TestScoring:
         cache = trigram.fresh_cache()
         prev = 0.0
         for end in range(1, len(seq) + 1):
-            res = trigram.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
+            res = score_caches(trigram, [ScoreRequest(seq[:end], cache)])[0]
             assert res.cum_logprob < prev
             prev = res.cum_logprob
             cache = res
@@ -166,14 +172,14 @@ class TestBatchIncremental:
     def test_nothing_new_scores_nothing(self, corpus_split, lm_tok):
         model = fresh_trigram(corpus_split, lm_tok)
         seq = (5, 6, 7)
-        full = model.score_batch_incremental([ScoreRequest(seq, model.fresh_cache())])[0]
-        again = model.score_batch_incremental([ScoreRequest(seq, full)])[0]
+        full = score_caches(model, [ScoreRequest(seq, model.fresh_cache())])[0]
+        again = score_caches(model, [ScoreRequest(seq, full)])[0]
         assert again == full
 
     def test_single_fresh_request_equals_from_scratch(self, trigram, lm_tok, corpus_split):
         _, eval_lines = corpus_split
         seq = tuple(lm_tok.encode(eval_lines[2])) + (EOS_ID,)
-        res = trigram.score_batch_incremental([ScoreRequest(seq, trigram.fresh_cache())])[0]
+        res = score_caches(trigram, [ScoreRequest(seq, trigram.fresh_cache())])[0]
         assert res.cum_logprob == trigram.sequence_logprob((BOS_ID,) + seq)
         assert res.scored_len == len(seq)
 
@@ -186,9 +192,7 @@ class TestBatchIncremental:
             caches = [trigram.fresh_cache()]
             cum = None
             for end in cuts + [len(seq)]:
-                res = trigram.score_batch_incremental(
-                    [ScoreRequest(seq[:end], caches[-1])]
-                )[0]
+                res = score_caches(trigram, [ScoreRequest(seq[:end], caches[-1])])[0]
                 caches.append(res)
                 cum = res.cum_logprob
             assert cum == trigram.sequence_logprob((BOS_ID,) + seq)
@@ -197,34 +201,31 @@ class TestBatchIncremental:
         _, eval_lines = corpus_split
         seqs = [tuple(lm_tok.encode(line)) for line in eval_lines[:5]]
         requests = [ScoreRequest(s, trigram.fresh_cache()) for s in seqs]
-        results = trigram.score_batch_incremental(requests)
-        for seq, res in zip(seqs, results):
+        caches, scores = trigram.score_batch_incremental(as_families(requests))
+        assert scores == [cache.cum_logprob for cache in caches]
+        for seq, res in zip(seqs, caches):
             assert res.cum_logprob == trigram.sequence_logprob((BOS_ID,) + seq)
 
     def test_cache_sequence_mismatch_rejected(self, trigram):
         # the second pair shares the cached context tail (20, 30) but not
         # the sequence the cache was built for
         for scored, submitted in [((5, 6, 7), (5, 9, 7, 8)), ((10, 20, 30), (40, 20, 30, 50))]:
-            first = trigram.score_batch_incremental(
-                [ScoreRequest(scored, trigram.fresh_cache())]
-            )[0]
+            first = score_caches(trigram, [ScoreRequest(scored, trigram.fresh_cache())])[0]
             with pytest.raises(LMError):
-                trigram.score_batch_incremental([ScoreRequest(submitted, first)])
+                score_caches(trigram, [ScoreRequest(submitted, first)])
 
     def test_cache_longer_than_sequence_rejected(self, trigram):
         bad = PrefixCacheEntry(5, -1.0, (6, 7))
         with pytest.raises(LMError):
-            trigram.score_batch_incremental([ScoreRequest((5,), bad)])
+            score_caches(trigram, [ScoreRequest((5,), bad)])
 
     def test_bad_request_after_good_one_on_the_same_cache(self, trigram):
         # the good request creates the shared walk; the bad one must still be checked
-        cache = trigram.score_batch_incremental(
-            [ScoreRequest((5, 6, 7), trigram.fresh_cache())]
-        )[0]
+        cache = score_caches(trigram, [ScoreRequest((5, 6, 7), trigram.fresh_cache())])[0]
         good = ScoreRequest((5, 6, 7, 8), cache)
         for bad, message in [((5, 9, 7, 8), "not a prefix"), ((5, 6), "cache covers 3 tokens")]:
             with pytest.raises(LMError, match=message):
-                trigram.score_batch_incremental([good, ScoreRequest(bad, cache)])
+                score_caches(trigram, [good, ScoreRequest(bad, cache)])
 
     def test_counters_match_scored_lengths(self, corpus_split, lm_tok):
         # the new tokens of successive requests add up to what the cache covers
@@ -233,7 +234,7 @@ class TestBatchIncremental:
         seq = tuple(lm_tok.encode(eval_lines[3]))
         cache = model.fresh_cache()
         for end in (2, 5, len(seq)):
-            cache = model.score_batch_incremental([ScoreRequest(seq[:end], cache)])[0]
+            cache = score_caches(model, [ScoreRequest(seq[:end], cache)])[0]
         assert model.tokens == cache.scored_len == len(seq)
         assert model.counts() == (3, 3, len(seq))
 
@@ -260,9 +261,7 @@ class TestSharedPrefixProperty:
     def test_batch_equals_reference(self, order, data):
         model = _small_model(order)
         seqs = data.draw(st.lists(_SEQS, max_size=3))
-        earlier = model.score_batch_incremental(
-            [ScoreRequest(seq, model.fresh_cache()) for seq in seqs]
-        )
+        earlier = score_caches(model, [ScoreRequest(seq, model.fresh_cache()) for seq in seqs])
         pool = [model.fresh_cache(), model.fresh_cache()]  # equal, distinct objects
         for res in earlier:
             pool += [res, res._replace()]
@@ -277,9 +276,10 @@ class TestSharedPrefixProperty:
                 data.draw(st.lists(_TOKENS, max_size=2))
             )
             requests.append(ScoreRequest(cache.tokens + suffix, cache))
-        got = model.score_batch_incremental(requests)
+        got, scores = model.score_batch_incremental(as_families(requests))
         want = reference_score_batch(model, requests)
         assert got == want
+        assert scores == [cache.cum_logprob for cache in want]
         # tuple equality ignores the type: every cache is a ``PrefixCacheEntry``
         assert all(type(c) is PrefixCacheEntry for c in got)
 
@@ -290,8 +290,8 @@ class TestSharedPrefixProperty:
         model = _small_model(order)
         cache = model.fresh_cache()
         for end in sorted(min(c, len(seq)) for c in cuts) + [len(seq)]:
-            res, _ = model.score_batch_incremental(
-                [ScoreRequest(seq[:end], cache), ScoreRequest(cache.tokens + sibling, cache)]
+            res, _ = score_caches(
+                model, [ScoreRequest(seq[:end], cache), ScoreRequest(cache.tokens + sibling, cache)]
             )
             cache = res
         assert res.cum_logprob == model.sequence_logprob((BOS_ID, *seq))
@@ -320,8 +320,8 @@ def _family_batches(draw, order=None):
     """
     order = draw(st.sampled_from([1, 2, 3])) if order is None else order
     model = _small_model(order)
-    earlier = model.score_batch_incremental(
-        [ScoreRequest(seq, model.fresh_cache()) for seq in draw(st.lists(_SEQS, max_size=3))]
+    earlier = score_caches(
+        model, [ScoreRequest(seq, model.fresh_cache()) for seq in draw(st.lists(_SEQS, max_size=3))]
     )
     fresh = [model.fresh_cache(), model.fresh_cache()]
     pool = fresh + [c for res in earlier for c in (res, res._replace())]
@@ -350,16 +350,28 @@ def _family_batches(draw, order=None):
     return order, FamilyBatch(families)
 
 
-def _score_bits(model, batch) -> list[str]:
-    """Each child's score of ``batch`` by ``repr``, after checking that each is a float."""
-    scores = model.score_batch_incremental(batch)
+def _answer_bits(model, batch) -> tuple[list, list[str]]:
+    """``batch``'s caches by ``_bits`` and each child's score by ``repr``, types checked first.
+
+    Every cache is a ``PrefixCacheEntry`` whose context is a tuple of at
+    most order-1 ids, and every score a float.
+    """
+    caches, scores = model.score_batch_incremental(batch)
+    assert all(type(c) is PrefixCacheEntry for c in caches)
+    assert all(type(c.context) is tuple and len(c.context) <= model.order - 1 for c in caches)
     assert all(type(score) is float for score in scores)
-    return [repr(score) for score in scores]
+    return _bits(caches), [repr(score) for score in scores]
 
 
-def _reference_bits(model, batch) -> list[str]:
-    """``reference_score_batch`` on the requests ``batch`` stands for, each score by ``repr``."""
-    return [repr(cache.cum_logprob) for cache in reference_score_batch(model, list(batch))]
+def _reference_bits(model, batch) -> tuple[list, list[str]]:
+    """``reference_score_batch`` on each family's base, and on the requests ``batch`` stands for.
+
+    The first are the families' caches by ``_bits``, the second each
+    child's score by ``repr``.
+    """
+    bases = [ScoreRequest(base, cache) for cache, base, _ in batch.families]
+    children = reference_score_batch(model, list(batch))
+    return _bits(reference_score_batch(model, bases)), [repr(c.cum_logprob) for c in children]
 
 
 # Two caches with equal cum and context but different scored prefixes grow
@@ -382,7 +394,7 @@ _EMPTY_AFTER_ONE = FamilyBatch([(_FRESH, (), [(_X,), ()])])
 
 
 class TestSiblingShortcut:
-    """A family's children score as one request at a time scores them, bit for bit."""
+    """A family's cache and its children's scores are one request at a time's, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(_family_batches())
@@ -391,13 +403,7 @@ class TestSiblingShortcut:
     def test_batch_equals_reference(self, drawn):
         order, batch = drawn
         model = _small_model(order)
-        assert _score_bits(model, batch) == _reference_bits(model, batch)
-        # the same requests sent plain, some with list tokens, walk the trie alone
-        plain = [ScoreRequest(list(t) if i % 2 else t, c) for i, (t, c) in enumerate(batch)]
-        got = model.score_batch_incremental(plain)
-        assert _bits(got) == _bits(reference_score_batch(model, plain))
-        assert all(type(c.context) is tuple and len(c.context) <= order - 1 for c in got)
-        assert all(type(c) is PrefixCacheEntry for c in got)
+        assert _answer_bits(model, batch) == _reference_bits(model, batch)
 
     def test_carriers_are_immutable(self):
         cache = PrefixCacheEntry(0, 0.0, ())
@@ -408,12 +414,12 @@ class TestSiblingShortcut:
 
 
 class TestFamilyBatch:
-    """A ``FamilyBatch`` iterates as the requests it stands for, and its bases are checked."""
+    """The one request shape: it iterates as its requests, and its bases are checked."""
 
     def test_it_iterates_as_its_requests(self):
         model = _small_model(2)
         fresh = model.fresh_cache()
-        scored = model.score_batch_incremental([ScoreRequest((_X, _Y), fresh)])[0]
+        scored = score_caches(model, [ScoreRequest((_X, _Y), fresh)])[0]
         batch = FamilyBatch([(fresh, (_X,), [(), (_Y,), (_Z, _W)]), (scored, (_X, _Y), []),
                              (scored, (_X, _Y), [(_Z,)])])
         requests = list(batch)
@@ -422,12 +428,20 @@ class TestFamilyBatch:
         assert all(type(r) is ScoreRequest for r in requests)
         assert all(r.cache is c for r, c in zip(requests, [fresh, fresh, fresh, scored]))
         assert list(batch) == requests  # it iterates again
-        assert model.score_batch_incremental(FamilyBatch()) == []
+        assert model.score_batch_incremental(FamilyBatch()) == ([], [])
+
+    def test_anything_else_raises(self):
+        model = _small_model(2)
+        fresh = model.fresh_cache()
+        batch = as_families([ScoreRequest((_X,), fresh), ScoreRequest((_X, _Y), fresh)])
+        for other in (list(batch), [], batch.families, tuple(batch), iter(batch)):
+            with pytest.raises(LMError, match="expected a FamilyBatch"):
+                model.score_batch_incremental(other)
 
     def test_a_base_short_of_its_cache_raises(self):
         # ``base + tail`` covers the cache, which a plain request allows; the base alone does not
         model = _small_model(2)
-        cache = model.score_batch_incremental([ScoreRequest((_X, _Y), model.fresh_cache())])[0]
+        cache = score_caches(model, [ScoreRequest((_X, _Y), model.fresh_cache())])[0]
         reference_score_batch(model, [ScoreRequest((_X, _Y, _Z), cache)])
         with pytest.raises(LMError, match="cache covers 2 tokens but sequence has 1"):
             model.score_batch_incremental(FamilyBatch([(cache, (_X,), [(_Y, _Z)])]))
@@ -435,7 +449,7 @@ class TestFamilyBatch:
     def test_a_base_whose_head_differs_from_the_cache_raises(self):
         # the exact-tokens check: the base ends as the cache's tokens do, but starts otherwise
         model = _small_model(3)
-        cache = model.score_batch_incremental([ScoreRequest((_X, _Y), model.fresh_cache())])[0]
+        cache = score_caches(model, [ScoreRequest((_X, _Y), model.fresh_cache())])[0]
         batch = FamilyBatch([(cache, (_Z, _Y), [(_W,)])])
         with pytest.raises(LMError, match="not a prefix"):
             reference_score_batch(model, list(batch))
@@ -476,7 +490,7 @@ class TestSiblingRows:
                 patch.setattr(lm_mod, "_ROW_LIMIT", limit)
             bound = lm_mod._ROW_LIMIT
             for batch in batches:
-                assert _score_bits(model, batch) == _reference_bits(model, batch)
+                assert _answer_bits(model, batch) == _reference_bits(model, batch)
                 # a call adds at most one row per child
                 assert len(model._rows) <= bound + len(list(batch))
 
@@ -522,9 +536,9 @@ class TestSiblingRows:
         model = train_ngram([[a, c, b], [a, b, d], [e, a, c]], vocab, 3, 0.4)
         model.logprob((BOS_ID, a), c)
         model.sequence_logprob((BOS_ID, a, c, b, EOS_ID))
-        # plain requests walk the trie alone, siblings too
+        # one-child families with empty tails walk the trie alone, siblings too
         cache = model.fresh_cache()
-        model.score_batch_incremental([ScoreRequest((a, c, last), cache) for last in (a, b, b)])
+        score_caches(model, [ScoreRequest((a, c, last), cache) for last in (a, b, b)])
         write_arpa(model, str(tmp_path / "lm.arpa"))
         back = read_arpa(str(tmp_path / "lm.arpa"))
         back.sequence_logprob((BOS_ID, b, d, EOS_ID))
@@ -540,7 +554,7 @@ class TestSiblingRows:
         a = NUM_SPECIALS
         cache = model.fresh_cache()
         with pytest.raises(LMError) as walked:
-            model.score_batch_incremental([ScoreRequest((a, bad), cache)])
+            score_caches(model, [ScoreRequest((a, bad), cache)])
         with pytest.raises(LMError) as referenced:
             reference_score_batch(model, [ScoreRequest((a, bad), cache)])
         # in a base, in a tail's stem, and last after two children filled

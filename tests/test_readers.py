@@ -195,6 +195,31 @@ class TestArpa:
         with pytest.raises(ArpaFormatError, match=f"n-gram {repeated!r} listed twice"):
             read_arpa(str(scratch))
 
+    @staticmethod
+    def _bigram_lines(scratch) -> list[str]:
+        corpus = [_ARPA_TOK.encode(line) for line in ("a b", "ac d", "b a d", "dc a")]
+        write_arpa(train_ngram(corpus, _ARPA_TOK.vocab, 2, 0.4), str(scratch))
+        return scratch.read_text(encoding="utf-8").split("\n")
+
+    def test_repeated_header_order_rejected(self, scratch):
+        # a count for order 1 before the true one would otherwise be overwritten by it
+        lines = self._bigram_lines(scratch)
+        true = lines.index("\\data\\") + 1
+        assert lines[true].startswith("ngram 1=")
+        lines.insert(true, "ngram 1=99")
+        scratch.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ArpaFormatError, match="header lists order 1 twice"):
+            read_arpa(str(scratch))
+
+    def test_repeated_section_rejected(self, scratch):
+        # the unigram section split in two would otherwise read as one
+        lines = self._bigram_lines(scratch)
+        start = lines.index("\\1-grams:") + 1
+        lines.insert(start + 2, "\\1-grams:")
+        scratch.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ArpaFormatError, match=r"section \\1-grams: appears twice"):
+            read_arpa(str(scratch))
+
 
 # -- manifests -------------------------------------------------------------------
 

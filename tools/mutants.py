@@ -82,13 +82,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "plain request counted with no tail",
+        "delayed family without its empty tail",
         _DECODER,
-        "        (cache, seq, ((),)) for seq, cache in requests]\n",
-        "        (cache, seq, ()) for seq, cache in requests]\n",
+        "h.views[i].lm_tokens, ((),)) for h in beam])\n",
+        "h.views[i].lm_tokens, ()) for h in beam])\n",
         (
-            _TESTS + "TestFamilyCounts::test_a_family_batch_counts_as_its_requests",
-            _TESTS + "TestDecoderCounters::test_counts_equal_scorer_boundary",
+            _TESTS + "TestDecodeMatchesReference::test_decode_equals_reference",
+            "tests/test_decode_grid.py::test_slice_matches_the_committed_origin",
+            _TESTS + "TestApplyLmScores::test_scores_cover_current_words",
         ),
     ),
     Mutant(
@@ -119,6 +120,16 @@ MUTANTS = (
         (
             _TESTS + "TestLabelSync::test_one_scorer_call_per_step",
             "tests/test_decode_grid.py::test_slice_matches_the_committed_origin",
+        ),
+    ),
+    Mutant(
+        "family cache one token short of its base",
+        _LM,
+        "(len(base), top[1], top[2], base)",
+        "(len(base) - 1, top[1], top[2], base)",
+        (
+            "tests/test_lm.py::TestSiblingShortcut::test_batch_equals_reference",
+            "tests/test_lm.py::TestSharedPrefixProperty::test_batch_equals_reference",
         ),
     ),
     Mutant(
