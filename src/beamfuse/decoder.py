@@ -58,20 +58,20 @@ only the state an extension grows.  The shallow baseline is one more score
 term on the same cut: every valid candidate's whole content is scored, and
 those scores are added before the prune.  Each group is one family per LM
 (``_family_requests``): its rest is decoded and re-tokenized once into a
-base, each child adds only its piece as a short tail, and one word memo
-per LM, which also holds each piece's LM tokens, lives for one decode.  A
-joined open word missing from the memo is encoded by resuming greedy after
-the open word's fixed pieces.  Each LM scores its families in one
-``FamilyBatch`` call and answers with a float per child.  No LM score is
-kept between steps, but the built bases and tails are, in one table keyed
-by a group's tokens and views list, for one step.  A CTC prefix that
-stays in the beam by a blank or a repeat comes back with its views, so
-68.5% of the family children of the ``ctc_shallow`` pool (seed 7) are the
-previous frame's; a label-sync parent never comes back.  Finalization
-sends the last beam through the same builder, each hypothesis a group
-labelled blank whose one tail gets ``</s>``.  The step objects own every
-other mode difference too: the root hypothesis's state, the step count,
-and closing the last beam (label-sync hypotheses end with ``</s>``).
+base, and each child adds only its piece as a short tail.  One word memo
+of complete words and one ``_TailTables`` per LM live for one decode: a
+child that joins the open word gets the open word's fixed pieces plus the
+greedy pieces of the rest after them and the piece's glue, each such
+suffix encoded once.  Each LM scores its families in one ``FamilyBatch``
+call and answers with a float per child.  No LM score is kept between
+steps, but the built bases and tails are, in one table keyed by a group's
+tokens and views list, for one step: a CTC prefix that stays in the beam
+by a blank or a repeat comes back with its views, while a label-sync
+parent never does.  Finalization sends the last beam through the same
+builder, each hypothesis a group labelled blank whose one tail gets
+``</s>``.  The step objects own every other mode difference too: the root
+hypothesis's state, the step count, and closing the last beam (label-sync
+hypotheses end with ``</s>``).
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -508,6 +508,21 @@ def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer, memo) -> tuple:
     return lm_tokens
 
 
+class _TailTables:
+    """One LM's tables for its family tails, kept for one decode beside its word memo.
+
+    ``opens[last]`` is ``open_word(last)`` and ``encode_word(last)``, all
+    empty for ``None``; ``rests[text]`` is ``encode_rest(text)``; and
+    ``pieces[c]`` is ASR id ``c``'s glue and the LM tokens of its words,
+    all of them and those after the first.
+    """
+
+    __slots__ = ("opens", "rests", "pieces")
+
+    def __init__(self) -> None:
+        self.opens, self.rests, self.pieces = {None: ((), "", ())}, {}, {}
+
+
 def advance_views(
     hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec], memos=None
 ) -> None:
@@ -708,9 +723,9 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     started = time.perf_counter()
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
     step = step_type(source, config, asr_tok)
-    # one word memo per LM for every re-tokenization of this decode, and
+    # one word memo and one set of tail tables per LM for this decode, and
     # shallow fusion's requests per candidate group, held for one step
-    memos, held = [{} for _ in config.lms], {}
+    memos, tables, held = [{} for _ in config.lms], [_TailTables() for _ in config.lms], {}
     views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in config.lms]
     beam = [Hypothesis((BOS_ID,), 0.0, views, step.root_state, k=0)]
     prev_shortest = 0
@@ -723,7 +738,7 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
         counters.hyps_expanded += len(cands)
         extra = None
         if shallow:
-            extra = _shallow_scores(cands, config.lms, asr_tok, memos, held, counters)
+            extra = _shallow_scores(cands, config.lms, asr_tok, memos, tables, held, counters)
         beam = step.prune(cands, extra)
         # free the candidates before the next expansion builds new ones
         del cands
@@ -741,12 +756,12 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
         # only label-synchronous hypotheses ever end
         if all(h.ended for h in beam):
             break
-    nbest = finalize_beam(step.close(beam), config, asr_tok, counters, memos)
+    nbest = finalize_beam(step.close(beam), config, asr_tok, counters, memos, tables)
     counters.wall_seconds = time.perf_counter() - started
     return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
-def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
+def _family_requests(groups, lms, asr_tok, memos, tables, held) -> list[FamilyBatch]:
     """Each group's family per LM, one ``FamilyBatch`` per LM, in group order.
 
     A group ``(tokens, views, labels)`` is a hypothesis, its views and the
@@ -754,21 +769,17 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
     hypothesis alone labelled blank, whose one child is its whole content.
     Shallow fusion passes ``cands.families()``, so the batches' requests
     come in candidate index order; finalization passes the last beam.
-    ``lms`` may not be empty.  ``memos`` are the decode's word memos, one per LM, so each distinct
-    word is encoded once per decode.  A group's tail is decoded once into
-    ``words`` and an open ``last`` word (None if the tail ends between
-    words, as after ``</s>``), re-tokenized once per LM: the family's
-    ``base`` is the view's LM tokens plus ``words``.  The same memo, keyed
-    by ASR id ``c`` (an ``int``, where a word is a ``str``), holds piece
-    ``c``'s glue and the LM tokens of its words (``Tokenizer.pieces``), all
-    of them and those after the first, built once per decode.  A child
-    whose piece joins ``last`` has the tail of the joined word and the
-    piece's further words; any other has ``last``'s tokens and its piece's
-    words, so a blank child has ``last``'s tokens alone.  Either way
-    ``base + tail`` is ``decode(tokens + (c,))`` re-tokenized.  The joined
-    word comes from the word memo; on a miss greedy resumes over it after
-    ``last``'s fixed pieces (``Tokenizer.open_word``, once per group and LM
-    on its first miss), and the result goes into the memo.
+    ``lms`` may not be empty.  ``memos`` are the decode's word memos and
+    ``tables`` its ``_TailTables``, one each per LM, so each distinct
+    complete word, open word, suffix and piece is encoded once per decode.
+    A group's tail is decoded once into ``words`` and an open ``last`` word
+    (None if the tail ends between words, as after ``</s>``): the family's
+    ``base`` is the view's LM tokens plus ``words``, through the memo.  A
+    child whose piece joins ``last`` by ``glue`` has the joined word's
+    pieces, ``last``'s fixed ones plus ``rests[stub + glue]``, and the
+    piece's further words; any other has ``last``'s pieces and its piece's
+    words.  Either way ``base + tail`` is ``decode(tokens + (c,))``
+    re-tokenized, and only complete words enter the memo.
 
     ``held`` keeps the built bases and tails from one call to the next, in
     one dict keyed by ``(tokens, id(views))``.  Its value is ``(views,
@@ -778,13 +789,12 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
     and the views, and a child also on its label, and a views list is never
     changed in place, so a group whose tokens and views object are both
     held gets back the same base and tails: a CTC prefix that stays in the
-    beam by a blank or a repeat comes back with its views (68.5% of the
-    family children and 68.9% of the stays of the ``ctc_shallow`` pool at
-    seed 7).  A CTC stay and its own family share an entry, the stay in
-    slot ``BLANK_ID``, which no extension fills; a merged stay that took
-    another entry's views gets an entry of its own.  Only the labels whose
-    slots are None are built.  Each call leaves ``held`` holding exactly
-    its own groups, at most two per beam entry.
+    beam by a blank or a repeat comes back with its views.  A CTC stay and
+    its own family share an entry, the stay in slot ``BLANK_ID``, which no
+    extension fills; a merged stay that took another entry's views gets an
+    entry of its own.  Only the labels whose slots are None are built.
+    Each call leaves ``held`` holding exactly its own groups, at most two
+    per beam entry.
     """
     pieces = asr_tok.pieces
     batches = [FamilyBatch() for _ in lms]
@@ -800,30 +810,31 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
             tail = tokens[1 + views[0].consumed :]
             words = asr_tok.decode(tail).split()
             last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for i, (view, spec, memo) in enumerate(zip(views, lms, memos)):
-                lm_tok, built = spec.tokenizer, tails[i]
+            for i, (view, spec, memo, table) in enumerate(zip(views, lms, memos, tables)):
+                lm_tok, built, opens, rests = spec.tokenizer, tails[i], table.opens, table.rests
                 if bases[i] is None:
                     bases[i] = _retokenize(view.lm_tokens, words, lm_tok, memo)
-                opened = () if last is None else _retokenize((), (last,), lm_tok, memo)
-                fixed = None
+                opened = opens.get(last)
+                if opened is None:
+                    fixed, stub = lm_tok.open_word(last)
+                    opened = opens[last] = (fixed, stub, fixed + tuple(lm_tok.encode_rest(stub)))
+                fixed, stub, opened = opened
                 for c in missing:
-                    piece = memo.get(c)
+                    piece = table.pieces.get(c)
                     if piece is None:
                         glue, more, _ = pieces[c]
-                        piece = memo[c] = (glue, _retokenize((), more, lm_tok, memo),
-                                           _retokenize((), more[1:], lm_tok, memo))
+                        piece = table.pieces[c] = (
+                            glue, _retokenize((), more, lm_tok, memo),
+                            _retokenize((), more[1:], lm_tok, memo))
                     glue, whole, rest = piece
                     if glue is None or last is None:
                         built[c] = opened + whole
                     else:
-                        word = last + glue
-                        joined = memo.get(word)
+                        suffix = stub + glue
+                        joined = rests.get(suffix)
                         if joined is None:
-                            if fixed is None:
-                                fixed, offset = lm_tok.open_word(last)
-                            joined = fixed + tuple(lm_tok.encode_word(word, offset))
-                            memo[word] = joined
-                        built[c] = joined + rest
+                            joined = rests[suffix] = tuple(lm_tok.encode_rest(suffix))
+                        built[c] = fixed + joined + rest
         for view, base, built, batch in zip(views, bases, tails, batches):
             batch.families.append((view.cache, base, [built[c] for c in labels]))
     held.clear()
@@ -831,7 +842,9 @@ def _family_requests(groups, lms, asr_tok, memos, held) -> list[FamilyBatch]:
     return batches
 
 
-def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) -> np.ndarray:
+def _shallow_scores(
+    cands, lms, asr_tok, memos, tables, held, counters: DecodeCounters
+) -> np.ndarray:
     """Reference baseline: weighted LM scores of every valid candidate, 0 elsewhere.
 
     Classic shallow fusion charges each candidate token as it is emitted,
@@ -844,11 +857,11 @@ def _shallow_scores(cands, lms, asr_tok, memos, held, counters: DecodeCounters) 
     ``FamilyBatch`` (``_family_requests`` over ``cands.families()``), whose
     requests are every valid candidate's whole content re-tokenized, in
     index order, and answers with one score per candidate.  Only the built
-    bases and tails are kept, for one step, in ``held``.  ``memos`` are the
-    decode's word memos, one per LM.
+    bases and tails are kept, for one step, in ``held``.  ``memos`` and
+    ``tables`` are the decode's word memos and tail tables, one each per LM.
     """
     extra = np.zeros(cands.valid.size)
-    batches = _family_requests(cands.families(), lms, asr_tok, memos, held)
+    batches = _family_requests(cands.families(), lms, asr_tok, memos, tables, held)
     for spec, batch in zip(lms, batches):
         extra[cands.valid] += spec.weight * np.array(_score(spec, batch, counters)[1], float)
     return extra
@@ -863,21 +876,21 @@ def _trace_step(t, fired, shortest, beam) -> StepTrace:
     return StepTrace(t, fired, shortest, lm_state)
 
 
-def finalize_beam(beam, config, asr_tok, counters, memos) -> list[ScoredHypothesis]:
+def finalize_beam(beam, config, asr_tok, counters, memos, tables) -> list[ScoredHypothesis]:
     """One last LM pass over every whole hypothesis with ``</s>``; the whole beam ranked.
 
     Each hypothesis is a group of its own labelled blank for
     ``_family_requests``, so its family's base plus its one tail is its
     whole content re-tokenized; the tail gets ``</s>``.  Each LM answers
-    with one score per hypothesis.  ``memos`` are the decode's word memos,
-    one per LM.
+    with one score per hypothesis.  ``memos`` and ``tables`` are the
+    decode's word memos and tail tables, one each per LM.
     """
     if not beam:
         raise DecodeError("empty beam at finalization")
     scores = []
     if config.lms:
         groups = [(h.tokens, h.views, (BLANK_ID,)) for h in beam]
-        batches = _family_requests(groups, config.lms, asr_tok, memos, {})
+        batches = _family_requests(groups, config.lms, asr_tok, memos, tables, {})
         for spec, batch in zip(config.lms, batches):
             for _, _, tails in batch.families:
                 tails[0] += (EOS_ID,)

@@ -57,8 +57,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .tokenization import BOS_ID, EOS_ID, Vocabulary
 
 LN10 = math.log(10.0)
-# the next-token rows are cleared past this many contexts; a benchmark pool fills at most
-# about 700 at seed 7 (ctc_shallow 704, ctc_shortest 524, labelsync_shortest 338)
+# the next-token rows are cleared past this many contexts, above what a benchmark pool fills
 _ROW_LIMIT = 2**10
 # a NamedTuple from a plain tuple of its fields, without its Python-level ``__new__``
 _record = tuple.__new__
@@ -200,7 +199,7 @@ class NGramModel:
         the row of that node's context, filling the slot the first time.
         A token outside the vocabulary is stepped as the walk steps it,
         which raises the walk's ``LMError``; so does anything but a
-        ``FamilyBatch``.
+        ``FamilyBatch``, and a base that is not a tuple.
         """
         if not isinstance(batch, FamilyBatch):
             raise LMError(f"expected a FamilyBatch, got {type(batch).__name__}")
@@ -241,6 +240,8 @@ class NGramModel:
         ``roots`` maps ``id(cache)`` to ``(cache, root)``; holding the cache
         keeps its id unique.
         """
+        if not isinstance(tokens, tuple):
+            raise LMError(f"a family's base must be a tuple, got {type(tokens).__name__}")
         start = cache.scored_len
         if start > len(tokens):
             raise LMError(f"cache covers {start} tokens but sequence has {len(tokens)}")

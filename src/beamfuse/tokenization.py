@@ -153,11 +153,13 @@ class Tokenizer:
     ``encode`` is total on whitespace-delimited text: characters outside the
     vocabulary's alphabet map to the unknown token instead of erroring.
     Each distinct word always encodes to the same piece sequence.  One
-    greedy loop serves two entries: ``encode_word`` runs it over a word
-    from an offset (0 unless resuming), and ``open_word`` stops it where the
-    rest of a growing word could still change a piece, so a word that
-    grows by more text resumes from that offset with its fixed pieces kept
-    (the prefix reuse of Fast WordPiece, without its trie).
+    greedy loop serves every entry: ``encode_rest`` runs it over a text from
+    its start, ``encode_word`` over a marked word, and ``open_word`` stops
+    it where the rest of a growing word could still change a piece.  Greedy
+    at an offset reads only the text from there on, so a word that grows by
+    more text is its open word's fixed pieces plus ``encode_rest`` of the
+    unfixed rest and the new text (the suffix reuse of Fast WordPiece,
+    without its trie).
 
     Two per-id tables serve the decoder, which indexes its candidates by id:
     ``begins[c]`` is whether id ``c`` begins a word (reserved ids, ``</s>``
@@ -182,14 +184,15 @@ class Tokenizer:
             pieces.append((glue, words, bool(text) and not text[-1].isspace()))
         self.pieces = tuple(pieces)
 
-    def _greedy(self, text: str, i: int, stop: int) -> tuple[list[int], int]:
-        """Greedy longest match over ``text``: the pieces that start at ``i`` or after,
+    def _greedy(self, text: str, stop: int) -> tuple[list[int], int]:
+        """Greedy longest match over ``text`` from its start: the pieces that start
         before ``stop``, and the offset after the last of them.
 
         A piece starting at ``i`` reads at most ``text[i : i + _max_piece]``.
         """
         index, max_piece, n = self._index, self._max_piece, len(text)
         out: list[int] = []
+        i = 0
         while i < stop:
             end = min(n, i + max_piece)
             token_id = None
@@ -208,27 +211,30 @@ class Tokenizer:
                 i = end
         return out, i
 
-    def encode_word(self, word: str, start: int = 0) -> list[int]:
-        """The pieces of ``word``, or those greedy takes from offset ``start`` of its marked text.
+    def encode_rest(self, text: str) -> list[int]:
+        """The pieces greedy takes over ``text`` from its start.
 
-        ``start`` is the offset into ``WORD_MARKER + word`` that ``open_word``
-        returned for a prefix of ``word``.
+        ``text`` is a marked word or, after ``open_word``'s fixed pieces,
+        the rest of one; a rest that starts the word keeps its marker.
         """
-        text = WORD_MARKER + word
-        return self._greedy(text, start, len(text))[0]
+        return self._greedy(text, len(text))[0]
 
-    def open_word(self, word: str) -> tuple[tuple[int, ...], int]:
+    def encode_word(self, word: str) -> list[int]:
+        return self.encode_rest(WORD_MARKER + word)
+
+    def open_word(self, word: str) -> tuple[tuple[int, ...], str]:
         """The pieces of ``encode_word(word)`` that every ``encode_word(word + more)`` starts with.
 
-        Returns them and the offset into ``WORD_MARKER + word`` after them:
-        ``open_word(word)[0] + tuple(encode_word(word + more, offset))`` is
+        Returns them and ``stub``, the rest of ``WORD_MARKER + word`` after
+        them: ``fixed + tuple(encode_rest(stub + more))`` is
         ``encode_word(word + more)``.  A piece is fixed when it starts at
         least ``_max_piece`` characters before the end, since nothing after
-        that is read to choose it.
+        that is read to choose it, and at least two, since an unknown marker
+        takes the character after it.  So ``len(stub) < max(_max_piece, 2)``.
         """
         text = WORD_MARKER + word
-        fixed, offset = self._greedy(text, 0, len(text) - self._max_piece + 1)
-        return tuple(fixed), offset
+        fixed, offset = self._greedy(text, len(text) - max(self._max_piece, 2) + 1)
+        return tuple(fixed), text[offset:]
 
     def encode(self, text: str) -> list[int]:
         out: list[int] = []

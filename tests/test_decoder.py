@@ -34,6 +34,7 @@ from beamfuse.decoder import (
     LMView,
     _FrameStep,
     _LabelStep,
+    _TailTables,
     _family_requests,
     _score,
     _shallow_scores,
@@ -83,6 +84,11 @@ from conftest import (
     reference_shallow_step,
     score_caches,
 )
+
+
+def _tables(lms) -> list[_TailTables]:
+    """Fresh tail tables, one per LM, as a decode starts with."""
+    return [_TailTables() for _ in lms]
 
 
 @pytest.fixture(scope="module")
@@ -634,7 +640,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(held, 1)
-    extra = _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, counters)
+    extra = _shallow_scores(cands, lms, tok, [{} for _ in lms], _tables(lms), {}, counters)
     got = step.prune(cands, extra)
     for hyp in got:
         advance_views(hyp, tok, lms)
@@ -772,7 +778,8 @@ class TestShallowRequests:
                 beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            _shallow_scores(cands, lms, tok, [{} for _ in lms], {}, DecodeCounters())
+            memos, tables = [{} for _ in lms], _tables(lms)
+            _shallow_scores(cands, lms, tok, memos, tables, {}, DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -868,7 +875,7 @@ def _request_shapes(cands, tok) -> Counter:
     return shapes
 
 
-def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
+def assert_requests_match_reference(cands, lms, tok, memos, tables, held) -> list:
     """The families' requests are the flat reference's: type, tokens, cache objects and order.
 
     ``held`` is the builder's one table, passed from block to block as a
@@ -877,7 +884,7 @@ def assert_requests_match_reference(cands, lms, tok, memos, held) -> list:
     group's views, and each group's family is its entry's base and the
     tails of its labels.  Returns the batches, one per LM.
     """
-    got = _family_requests(cands.families(), lms, tok, memos, held)
+    got = _family_requests(cands.families(), lms, tok, memos, tables, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for batch, ref in zip(got, want):
@@ -933,12 +940,12 @@ class TestShallowRequestsPerParent:
         # one word memo per LM and one ``held`` across every block, as in a
         # decode: a label block's live parents are its frame block's, so
         # they reuse requests, and a new beam's equal prefixes have new views
-        memos, held = [{} for _ in lms], {}
+        memos, tables, held = [{} for _ in lms], _tables(lms), {}
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
             for cands in _request_blocks(lambda n: int(rng.integers(n)), tok, beam):
-                assert_requests_match_reference(cands, lms, tok, memos, held)
+                assert_requests_match_reference(cands, lms, tok, memos, tables, held)
                 shapes += _request_shapes(cands, tok)
         for kind in ("word begin", "</s>"):
             assert shapes[kind] > 10 and shapes[kind + " after an empty tail"] > 0
@@ -959,9 +966,9 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        memos, held = [{} for _ in lms], {}
+        memos, tables, held = [{} for _ in lms], _tables(lms), {}
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
-            assert_requests_match_reference(cands, lms, tok, memos, held)
+            assert_requests_match_reference(cands, lms, tok, memos, tables, held)
 
 
 def _children_by_group(cands, held) -> dict:
@@ -976,6 +983,16 @@ def _children_by_group(cands, held) -> dict:
         by_label = out.setdefault(tokens, {})
         for c in labels:
             by_label[c] = (views, entry, [(base, tails[c]) for base, tails in zip(*entry[1:])])
+    return out
+
+
+def _base_words(cands, tok) -> set:
+    """The words of every group's base: its tail's words, less an open last word."""
+    out = set()
+    for tokens, views, _ in cands.families():
+        tail = tokens[1 + views[0].consumed :]
+        words = tok.decode(tail).split()
+        out.update(words[:-1] if tail and tok.pieces[tail[-1]][2] else words)
     return out
 
 
@@ -1017,11 +1034,13 @@ class TestShallowRequestsAcrossSteps:
                 decode(em, DecodeConfig(beam, policy, lms, mode=mode), tok)
 
         shapes, stays = Counter(), Counter()
+        piece_words = {word for _, words, _ in tok.pieces for word in words}
         for blocks in decodes:
-            memos, held = [{} for _ in lms], {}
-            previous = {}
+            memos, tables, held = [{} for _ in lms], _tables(lms), {}
+            previous, complete = {}, set(piece_words)
             for cands in blocks:
-                assert_requests_match_reference(cands, lms, tok, memos, held)
+                assert_requests_match_reference(cands, lms, tok, memos, tables, held)
+                complete |= _base_words(cands, tok)
                 now = _children_by_group(cands, held)
                 shapes["blocks"] += 1
                 for tokens in now.keys() & previous.keys():
@@ -1049,6 +1068,10 @@ class TestShallowRequestsAcrossSteps:
                         counts = stays if c == BLANK_ID else shapes
                         counts["reused" if same else "rebuilt"] += 1
                 previous = now
+            # the word memos hold complete words only: no joined or open word, no piece id
+            for memo in memos:
+                assert all(type(word) is str for word in memo)
+                assert memo.keys() <= complete, sorted(memo.keys() - complete)[:5]
         assert shapes.pop("blocks") > 50
         if mode == "ctc":
             assert shapes["same views"] > 20 and shapes["reused"] > 100
@@ -1087,7 +1110,7 @@ class TestOneRequestTable:
     def test_stay_shares_its_family_entry(self, shallow_world):
         tok, lms, a, _, cands = self._merged_block(shallow_world)
         held = {}
-        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], held)
+        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], _tables(lms), held)
         entry = held[a.tokens, id(a.views)]
         labels = _children_by_group(cands, held)[a.tokens]
         assert BLANK_ID in labels and len(labels) > 1
@@ -1104,7 +1127,7 @@ class TestOneRequestTable:
     def test_stay_with_other_views_gets_its_own_entry(self, shallow_world):
         tok, lms, a, b, cands = self._merged_block(shallow_world)
         held = {}
-        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], held)
+        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], _tables(lms), held)
         stay, family = held[b.tokens, id(a.views)], held[b.tokens, id(b.views)]
         assert stay is not family and stay is not held[a.tokens, id(a.views)]
         assert stay[0] is a.views and family[0] is b.views
@@ -1358,11 +1381,12 @@ class TestRetokenizeDecodesOnce:
             groups += [(hyp.tokens, hyp.views, (BLANK_ID,)), (hyp.tokens, ahead.views, (BLANK_ID,))]
         assert sum(bool(views[0].lm_tokens) for _, views, _ in groups) >= 3
         decoded.clear()
-        batches = _family_requests(groups, lms, tok, [{}, {}], {})
+        batches = _family_requests(groups, lms, tok, [{}, {}], _tables(lms), {})
         assert len(decoded) == len(groups)
         for i, (spec, batch) in enumerate(zip(lms, batches)):
             own = [(tokens, [views[i]], labels) for tokens, views, labels in groups]
-            assert batch.families == _family_requests(own, [spec], tok, [{}], {})[0].families
+            alone = _family_requests(own, [spec], tok, [{}], _tables([spec]), {})[0]
+            assert batch.families == alone.families
             for _, _, tails in batch.families:
                 tails[0] += (EOS_ID,)
             want = []

@@ -446,6 +446,16 @@ class TestFamilyBatch:
         with pytest.raises(LMError, match="cache covers 2 tokens but sequence has 1"):
             model.score_batch_incremental(FamilyBatch([(cache, (_X,), [(_Y, _Z)])]))
 
+    def test_a_base_that_is_not_a_tuple_raises(self):
+        # a list base would fail the prefix check as "not a prefix"; its own message names it
+        model = _small_model(2)
+        fresh = model.fresh_cache()
+        with pytest.raises(LMError, match="a family's base must be a tuple, got list"):
+            model.score_batch_incremental(FamilyBatch([(fresh, [_X], [()])]))
+        # a tail is only indexed, so a list tail scores as its tuple does
+        listed = model.score_batch_incremental(FamilyBatch([(fresh, (_X,), [[_Y]])]))[1]
+        assert listed == model.score_batch_incremental(FamilyBatch([(fresh, (_X,), [(_Y,)])]))[1]
+
     def test_a_base_whose_head_differs_from_the_cache_raises(self):
         # the exact-tokens check: the base ends as the cache's tokens do, but starts otherwise
         model = _small_model(3)

@@ -127,7 +127,7 @@ _WORD_TEXT = st.text("abc" + WORD_MARKER, max_size=9)
 
 
 class TestResumedEncoding:
-    """Greedy resumed after an open word's fixed pieces equals encoding the grown word."""
+    """An open word's fixed pieces plus greedy over its stub and more text encode the grown word."""
 
     @settings(max_examples=400, deadline=None)
     @given(_greedy_vocab(), _WORD_TEXT, _WORD_TEXT)
@@ -135,12 +135,13 @@ class TestResumedEncoding:
         longest, vocab = drawn
         tok = Tokenizer(vocab)
         assert tok._max_piece == longest
-        fixed, offset = tok.open_word(last)
-        assert type(fixed) is tuple
-        assert list(fixed) + tok.encode_word(last, offset) == tok.encode_word(last)
-        assert list(fixed) + tok.encode_word(last + glue, offset) == tok.encode_word(last + glue)
-        # every piece that starts ``longest`` or more characters before the end is fixed
-        assert offset + longest > len(WORD_MARKER + last)
+        fixed, stub = tok.open_word(last)
+        assert type(fixed) is tuple and type(stub) is str
+        assert list(fixed) + tok.encode_rest(stub) == tok.encode_word(last)
+        assert list(fixed) + tok.encode_rest(stub + glue) == tok.encode_word(last + glue)
+        # every piece that starts ``longest`` (and 2) or more characters before the end is fixed
+        assert len(stub) < max(longest, 2)
+        assert (WORD_MARKER + last).endswith(stub)
 
 
 @st.composite

@@ -46,7 +46,9 @@ class Mutant(NamedTuple):
 
 _DECODER = "src/beamfuse/decoder.py"
 _LM = "src/beamfuse/lm.py"
+_TOKENIZATION = "src/beamfuse/tokenization.py"
 _TESTS = "tests/test_decoder.py::"
+_RESUMED = "tests/test_tokenization.py::TestResumedEncoding::test_resume_equals_encode_word"
 
 MUTANTS = (
     Mutant(
@@ -158,11 +160,40 @@ MUTANTS = (
         ("tests/test_lm.py::TestSiblingShortcut::test_batch_equals_reference",),
     ),
     Mutant(
+        "base type check removed",
+        _LM,
+        "        if not isinstance(tokens, tuple):\n"
+        "            raise LMError(f\"a family's base must be a tuple, got {type(tokens).__name__}\")\n",
+        "",
+        ("tests/test_lm.py::TestFamilyBatch::test_a_base_that_is_not_a_tuple_raises",),
+    ),
+    Mutant(
         "open word fixes no piece within the longest piece of its end",
-        "src/beamfuse/tokenization.py",
-        "len(text) - self._max_piece + 1)",
-        "len(text) - self._max_piece)",
-        ("tests/test_tokenization.py::TestResumedEncoding::test_resume_equals_encode_word",),
+        _TOKENIZATION,
+        "fixed, offset = self._greedy(text, len(text) - max(self._max_piece, 2) + 1)\n",
+        "fixed, offset = self._greedy(text, len(text) - max(self._max_piece, 2))\n",
+        (_RESUMED,),
+    ),
+    Mutant(
+        "stub cut one character late",
+        _TOKENIZATION,
+        "        return tuple(fixed), text[offset:]\n",
+        "        return tuple(fixed), text[offset + 1 :]\n",
+        (_RESUMED, _TESTS + "TestShallowRequestsPerParent::test_every_shape"),
+    ),
+    Mutant(
+        "suffix keyed without its glue",
+        _DECODER,
+        "                        joined = rests.get(suffix)\n"
+        "                        if joined is None:\n"
+        "                            joined = rests[suffix] =",
+        "                        joined = rests.get(stub)\n"
+        "                        if joined is None:\n"
+        "                            joined = rests[stub] =",
+        (
+            _TESTS + "TestShallowRequestsPerParent::test_every_shape",
+            _TESTS + "TestShallowRequestsAcrossSteps::test_consecutive_blocks_of_real_decodes",
+        ),
     ),
 )
 
