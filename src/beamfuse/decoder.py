@@ -58,11 +58,11 @@ only the state an extension grows.  The shallow baseline is one more score
 term on the same cut: every valid candidate's whole content is scored, and
 those scores are added before the prune.  Each group is one family per LM
 (``_family_requests``): its rest is decoded and re-tokenized once into a
-base, and each child adds only its piece as a short tail.  One word memo
-of complete words and one ``_TailTables`` per LM live for one decode: a
-child that joins the open word gets the open word's fixed pieces plus the
-greedy pieces of the rest after them and the piece's glue, each such
-suffix encoded once.  Each LM scores its families in one ``FamilyBatch``
+base, and each child adds only its piece as a short tail: a child that
+joins the open word gets the open word's fixed pieces plus the greedy
+pieces of the rest after them and the piece's glue.  The LM tokenizers
+memoize every encoding across decodes, so the decoder keeps no table of
+its own.  Each LM scores its families in one ``FamilyBatch``
 call and answers with a float per child.  No LM score is kept between
 steps, but the built bases and tails are, in one table keyed by a group's
 tokens and views list, for one step: a CTC prefix that stays in the beam
@@ -83,12 +83,12 @@ in O(1) by the step that builds it from ``Tokenizer.begins``.  An extension
 by a word-begin piece has its parent's length less ``<s>``; a continuation
 or ``</s>`` keeps its parent's ``k``; a stay, and an ended hypothesis
 carried over, keep their own.  ``advance_views`` re-tokenizes only when
-``k`` passed the views' ``consumed``, so no survivor is rescanned.  Every
-re-tokenization of one decode shares one word memo per LM.
+``k`` passed the views' ``consumed``, so no survivor is rescanned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -105,7 +105,7 @@ from .acoustic import (
     lse2,
 )
 from .lm import FamilyBatch
-from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
+from .tokenization import BLANK_ID, BOS_ID, EOS_ID, MEMO_SIZE, NUM_SPECIALS, UNK_ID, Tokenizer
 # not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
 # and perfbench/tests/test_reconcile.py reads it (ROADMAP items 6 and 8)
 from .tokenization import tokenizable_prefix_len
@@ -492,8 +492,8 @@ class LabelCandidates(Candidates):
 # -- LM bookkeeping ------------------------------------------------------------
 
 
-def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer, memo) -> tuple:
-    """``lm_tokens`` plus ``words``, each encoded once per ``memo``.
+def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer) -> tuple:
+    """``lm_tokens`` plus the LM tokens of ``words``, from ``lm_tok``'s word memo.
 
     The decoder's one map from ASR to LM tokens.  Given a view's LM tokens
     and the words of ``asr_tok.decode(tokens[1 + view.consumed : end])``, it
@@ -502,37 +502,29 @@ def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer, memo) -> tuple:
     decode once for every LM.
     """
     for word in words:
-        if word not in memo:
-            memo[word] = tuple(lm_tok.encode_word(word))
-        lm_tokens += memo[word]
+        lm_tokens += lm_tok.encode_word(word)
     return lm_tokens
 
 
-class _TailTables:
-    """One LM's tables for its family tails, kept for one decode beside its word memo.
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _piece_table(asr_tok: Tokenizer, lm_tok: Tokenizer) -> tuple:
+    """Per ASR id ``c``: its piece's glue and the LM tokens of its words, all and after the first.
 
-    ``opens[last]`` is ``open_word(last)`` and ``encode_word(last)``, all
-    empty for ``None``; ``rests[text]`` is ``encode_rest(text)``; and
-    ``pieces[c]`` is ASR id ``c``'s glue and the LM tokens of its words,
-    all of them and those after the first.
+    One table per pair of tokenizers, memoized as ``Tokenizer``'s encodings are.
     """
+    return tuple(
+        (glue, _retokenize((), words, lm_tok), _retokenize((), words[1:], lm_tok))
+        for glue, words, _ in asr_tok.pieces
+    )
 
-    __slots__ = ("opens", "rests", "pieces")
 
-    def __init__(self) -> None:
-        self.opens, self.rests, self.pieces = {None: ((), "", ())}, {}, {}
-
-
-def advance_views(
-    hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec], memos=None
-) -> None:
+def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
     """Give the hypothesis new LM views extended by its newly completed words.
 
     Only complete words are mapped, so advancing a growing hypothesis step by step
     gives the same LM tokens as re-tokenizing its whole complete-word prefix at
     once.  The words end at ``hyp.k``, which the step that built the hypothesis
-    set, so nothing is rescanned.  ``memos`` are the decode's word memos, one
-    per LM (fresh ones if omitted).  The old views, which other hypotheses
+    set, so nothing is rescanned.  The old views, which other hypotheses
     may share, are left as they are.
     """
     if not lms:
@@ -541,12 +533,7 @@ def advance_views(
     consumed = hyp.views[0].consumed
     if k > consumed:
         words = asr_tok.decode(hyp.tokens[1 + consumed : 1 + k]).split()
-        if memos is None:
-            memos = [{} for _ in lms]
-        new = [
-            _retokenize(v.lm_tokens, words, s.tokenizer, memo)
-            for v, s, memo in zip(hyp.views, lms, memos)
-        ]
+        new = [_retokenize(v.lm_tokens, words, s.tokenizer) for v, s in zip(hyp.views, lms)]
         hyp.views = [LMView(k, lm_tokens, v.cache) for v, lm_tokens in zip(hyp.views, new)]
 
 
@@ -723,9 +710,8 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     started = time.perf_counter()
     step_type = _FrameStep if config.mode == "ctc" else _LabelStep
     step = step_type(source, config, asr_tok)
-    # one word memo and one set of tail tables per LM for this decode, and
     # shallow fusion's requests per candidate group, held for one step
-    memos, tables, held = [{} for _ in config.lms], [_TailTables() for _ in config.lms], {}
+    held = {}
     views = [LMView(0, (), spec.scorer.fresh_cache()) for spec in config.lms]
     beam = [Hypothesis((BOS_ID,), 0.0, views, step.root_state, k=0)]
     prev_shortest = 0
@@ -738,12 +724,12 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
         counters.hyps_expanded += len(cands)
         extra = None
         if shallow:
-            extra = _shallow_scores(cands, config.lms, asr_tok, memos, tables, held, counters)
+            extra = _shallow_scores(cands, config.lms, asr_tok, held, counters)
         beam = step.prune(cands, extra)
         # free the candidates before the next expansion builds new ones
         del cands
         for hyp in beam:
-            advance_views(hyp, asr_tok, config.lms, memos)
+            advance_views(hyp, asr_tok, config.lms)
         fired, shortest = False, None
         if config.lms:
             shortest = min((len(h.views[0].lm_tokens) for h in beam), default=0)
@@ -756,12 +742,12 @@ def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
         # only label-synchronous hypotheses ever end
         if all(h.ended for h in beam):
             break
-    nbest = finalize_beam(step.close(beam), config, asr_tok, counters, memos, tables)
+    nbest = finalize_beam(step.close(beam), config, asr_tok, counters)
     counters.wall_seconds = time.perf_counter() - started
     return DecodeResult(nbest[0], nbest, counters, trace if config.keep_trace else None)
 
 
-def _family_requests(groups, lms, asr_tok, memos, tables, held) -> list[FamilyBatch]:
+def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     """Each group's family per LM, one ``FamilyBatch`` per LM, in group order.
 
     A group ``(tokens, views, labels)`` is a hypothesis, its views and the
@@ -769,17 +755,15 @@ def _family_requests(groups, lms, asr_tok, memos, tables, held) -> list[FamilyBa
     hypothesis alone labelled blank, whose one child is its whole content.
     Shallow fusion passes ``cands.families()``, so the batches' requests
     come in candidate index order; finalization passes the last beam.
-    ``lms`` may not be empty.  ``memos`` are the decode's word memos and
-    ``tables`` its ``_TailTables``, one each per LM, so each distinct
-    complete word, open word, suffix and piece is encoded once per decode.
-    A group's tail is decoded once into ``words`` and an open ``last`` word
-    (None if the tail ends between words, as after ``</s>``): the family's
-    ``base`` is the view's LM tokens plus ``words``, through the memo.  A
-    child whose piece joins ``last`` by ``glue`` has the joined word's
-    pieces, ``last``'s fixed ones plus ``rests[stub + glue]``, and the
-    piece's further words; any other has ``last``'s pieces and its piece's
-    words.  Either way ``base + tail`` is ``decode(tokens + (c,))``
-    re-tokenized, and only complete words enter the memo.
+    ``lms`` may not be empty.  A group's tail is decoded once into
+    ``words`` and an open ``last`` word (None if the tail ends between
+    words, as after ``</s>``): the family's ``base`` is the view's LM tokens
+    plus ``words``.  A child whose piece joins ``last`` by ``glue`` has the
+    joined word's pieces, ``last``'s fixed ones plus ``encode_rest(stub +
+    glue)``, and the LM tokens of the piece's further words; any other has
+    ``last``'s pieces and those of its piece's words, read from
+    ``_piece_table``.  Either way ``base + tail`` is ``decode(tokens +
+    (c,))`` re-tokenized, and only complete words are encoded whole.
 
     ``held`` keeps the built bases and tails from one call to the next, in
     one dict keyed by ``(tokens, id(views))``.  Its value is ``(views,
@@ -797,6 +781,7 @@ def _family_requests(groups, lms, asr_tok, memos, tables, held) -> list[FamilyBa
     per beam entry.
     """
     pieces = asr_tok.pieces
+    tables = [_piece_table(asr_tok, spec.tokenizer) for spec in lms]
     batches = [FamilyBatch() for _ in lms]
     kept = {}
     for tokens, views, labels in groups:
@@ -810,31 +795,18 @@ def _family_requests(groups, lms, asr_tok, memos, tables, held) -> list[FamilyBa
             tail = tokens[1 + views[0].consumed :]
             words = asr_tok.decode(tail).split()
             last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for i, (view, spec, memo, table) in enumerate(zip(views, lms, memos, tables)):
-                lm_tok, built, opens, rests = spec.tokenizer, tails[i], table.opens, table.rests
+            for i, (view, spec, table) in enumerate(zip(views, lms, tables)):
+                lm_tok, built = spec.tokenizer, tails[i]
                 if bases[i] is None:
-                    bases[i] = _retokenize(view.lm_tokens, words, lm_tok, memo)
-                opened = opens.get(last)
-                if opened is None:
-                    fixed, stub = lm_tok.open_word(last)
-                    opened = opens[last] = (fixed, stub, fixed + tuple(lm_tok.encode_rest(stub)))
-                fixed, stub, opened = opened
+                    bases[i] = _retokenize(view.lm_tokens, words, lm_tok)
+                fixed, stub = lm_tok.open_word(last) if last else ((), "")
+                opened = fixed + lm_tok.encode_rest(stub)
                 for c in missing:
-                    piece = table.pieces.get(c)
-                    if piece is None:
-                        glue, more, _ = pieces[c]
-                        piece = table.pieces[c] = (
-                            glue, _retokenize((), more, lm_tok, memo),
-                            _retokenize((), more[1:], lm_tok, memo))
-                    glue, whole, rest = piece
+                    glue, whole, rest = table[c]
                     if glue is None or last is None:
                         built[c] = opened + whole
                     else:
-                        suffix = stub + glue
-                        joined = rests.get(suffix)
-                        if joined is None:
-                            joined = rests[suffix] = tuple(lm_tok.encode_rest(suffix))
-                        built[c] = fixed + joined + rest
+                        built[c] = fixed + lm_tok.encode_rest(stub + glue) + rest
         for view, base, built, batch in zip(views, bases, tails, batches):
             batch.families.append((view.cache, base, [built[c] for c in labels]))
     held.clear()
@@ -842,9 +814,7 @@ def _family_requests(groups, lms, asr_tok, memos, tables, held) -> list[FamilyBa
     return batches
 
 
-def _shallow_scores(
-    cands, lms, asr_tok, memos, tables, held, counters: DecodeCounters
-) -> np.ndarray:
+def _shallow_scores(cands, lms, asr_tok, held, counters: DecodeCounters) -> np.ndarray:
     """Reference baseline: weighted LM scores of every valid candidate, 0 elsewhere.
 
     Classic shallow fusion charges each candidate token as it is emitted,
@@ -857,11 +827,10 @@ def _shallow_scores(
     ``FamilyBatch`` (``_family_requests`` over ``cands.families()``), whose
     requests are every valid candidate's whole content re-tokenized, in
     index order, and answers with one score per candidate.  Only the built
-    bases and tails are kept, for one step, in ``held``.  ``memos`` and
-    ``tables`` are the decode's word memos and tail tables, one each per LM.
+    bases and tails are kept, for one step, in ``held``.
     """
     extra = np.zeros(cands.valid.size)
-    batches = _family_requests(cands.families(), lms, asr_tok, memos, tables, held)
+    batches = _family_requests(cands.families(), lms, asr_tok, held)
     for spec, batch in zip(lms, batches):
         extra[cands.valid] += spec.weight * np.array(_score(spec, batch, counters)[1], float)
     return extra
@@ -876,21 +845,20 @@ def _trace_step(t, fired, shortest, beam) -> StepTrace:
     return StepTrace(t, fired, shortest, lm_state)
 
 
-def finalize_beam(beam, config, asr_tok, counters, memos, tables) -> list[ScoredHypothesis]:
+def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
     """One last LM pass over every whole hypothesis with ``</s>``; the whole beam ranked.
 
     Each hypothesis is a group of its own labelled blank for
     ``_family_requests``, so its family's base plus its one tail is its
     whole content re-tokenized; the tail gets ``</s>``.  Each LM answers
-    with one score per hypothesis.  ``memos`` and ``tables`` are the
-    decode's word memos and tail tables, one each per LM.
+    with one score per hypothesis.
     """
     if not beam:
         raise DecodeError("empty beam at finalization")
     scores = []
     if config.lms:
         groups = [(h.tokens, h.views, (BLANK_ID,)) for h in beam]
-        batches = _family_requests(groups, config.lms, asr_tok, memos, tables, {})
+        batches = _family_requests(groups, config.lms, asr_tok, {})
         for spec, batch in zip(config.lms, batches):
             for _, _, tails in batch.families:
                 tails[0] += (EOS_ID,)

@@ -14,6 +14,7 @@ file, and every word always encodes to the same piece sequence.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,6 +31,9 @@ UNK_ID = 3
 
 SPECIAL_TOKENS = ("<blank>", "<s>", "</s>", "<unk>")
 NUM_SPECIALS = len(SPECIAL_TOKENS)
+
+# entries each encoding memo keeps: a decoder's distinct hypothesis words keep growing
+MEMO_SIZE = 2**14
 
 
 class VocabularyError(ValueError):
@@ -159,7 +163,10 @@ class Tokenizer:
     at an offset reads only the text from there on, so a word that grows by
     more text is its open word's fixed pieces plus ``encode_rest`` of the
     unfixed rest and the new text (the suffix reuse of Fast WordPiece,
-    without its trie).
+    without its trie).  The three are memoized and answer tuples.  Each
+    memo is the class's, keyed by the tokenizer and the text, and keeps its
+    ``MEMO_SIZE`` most recent entries (each keeps its tokenizer alive): a
+    decoder asks again for free, and its ever new words stay bounded.
 
     Two per-id tables serve the decoder, which indexes its candidates by id:
     ``begins[c]`` is whether id ``c`` begins a word (reserved ids, ``</s>``
@@ -211,22 +218,26 @@ class Tokenizer:
                 i = end
         return out, i
 
-    def encode_rest(self, text: str) -> list[int]:
+    @functools.lru_cache(maxsize=MEMO_SIZE)
+    def encode_rest(self, text: str) -> tuple[int, ...]:
         """The pieces greedy takes over ``text`` from its start.
 
         ``text`` is a marked word or, after ``open_word``'s fixed pieces,
         the rest of one; a rest that starts the word keeps its marker.
         """
-        return self._greedy(text, len(text))[0]
+        return tuple(self._greedy(text, len(text))[0])
 
-    def encode_word(self, word: str) -> list[int]:
-        return self.encode_rest(WORD_MARKER + word)
+    @functools.lru_cache(maxsize=MEMO_SIZE)
+    def encode_word(self, word: str) -> tuple[int, ...]:
+        text = WORD_MARKER + word
+        return tuple(self._greedy(text, len(text))[0])
 
+    @functools.lru_cache(maxsize=MEMO_SIZE)
     def open_word(self, word: str) -> tuple[tuple[int, ...], str]:
         """The pieces of ``encode_word(word)`` that every ``encode_word(word + more)`` starts with.
 
         Returns them and ``stub``, the rest of ``WORD_MARKER + word`` after
-        them: ``fixed + tuple(encode_rest(stub + more))`` is
+        them: ``fixed + encode_rest(stub + more)`` is
         ``encode_word(word + more)``.  A piece is fixed when it starts at
         least ``_max_piece`` characters before the end, since nothing after
         that is read to choose it, and at least two, since an unknown marker

@@ -22,6 +22,7 @@ from beamfuse.decoder import (
     LMView,
     ScoredHypothesis,
     StepTrace,
+    _piece_table,
     _retokenize,
     _select_top,
     advance_views,
@@ -82,6 +83,12 @@ def make_vocab(*pieces: str) -> Vocabulary:
 # before and after (one a non-ASCII space), and unmarked pieces that
 # continue a word.
 ODD_PIECES = ("▁a", "b", "▁", "c d", "▁e f", "g\u3000", " h", "▁ab", "i")
+
+
+def clear_memos() -> None:
+    """Empty the encoding memos that outlive a decode: the tokenizers' and the piece tables."""
+    for memo in (Tokenizer.encode_word, Tokenizer.encode_rest, Tokenizer.open_word, _piece_table):
+        memo.cache_clear()
 
 
 def random_emissions(rng: np.random.Generator, frames: int, vocab: int) -> np.ndarray:
@@ -525,7 +532,7 @@ def reference_shallow_requests(cands, lms, asr_tok) -> list:
         tokens, views = cands.tokens(j), candidate_views(cands, j)
         words = asr_tok.decode(tokens[1 + views[0].consumed :]).split()
         for spec, view, reqs in zip(lms, views, out):
-            reqs.append((_retokenize(view.lm_tokens, words, spec.tokenizer, {}), view.cache))
+            reqs.append((_retokenize(view.lm_tokens, words, spec.tokenizer), view.cache))
     return out
 
 

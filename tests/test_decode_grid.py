@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import clear_memos
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "decode_grid.py"
 _SPEC = importlib.util.spec_from_file_location("decode_grid", _PATH)
 decode_grid = importlib.util.module_from_spec(_SPEC)
@@ -102,11 +104,26 @@ def test_origin_round_trip(tmp_path):
     assert problems == [] and drifts == [0.0]
 
 
-def test_slice_matches_the_committed_origin():
-    # 2 utterances x both modes x every policy x every LM set at beam 10: 80 decodes
-    records = decode_grid.grid_records({"ctc": (10,), "labelsync": (10,)}, utterances=2)
-    got = decode_grid.origin(records)
+# 2 utterances x both modes x every policy x every LM set at beam 10: 80 decodes
+SLICE = {"ctc": (10,), "labelsync": (10,)}
+
+
+@pytest.fixture(scope="module")
+def slice_records():
+    return decode_grid.grid_records(SLICE, utterances=2)
+
+
+def test_slice_matches_the_committed_origin(slice_records):
+    got = decode_grid.origin(slice_records)
     refs = {tuple(r[:5]): r for r in decode_grid.read_records(decode_grid.ORIGIN)}
     assert len(refs) == 1440 and len(got) == 80
     problems, _ = decode_grid.compare(got, [refs[tuple(g[:5])] for g in got])
     assert problems == []
+
+
+def test_decode_order_does_not_matter(slice_records):
+    # the encoding memos outlive a decode: one keyed too coarsely could hide
+    # behind the order the decodes happen to run in
+    clear_memos()
+    backward = decode_grid.grid_records(SLICE, utterances=2, reverse=True)
+    assert repr(backward) == repr(slice_records)

@@ -34,7 +34,6 @@ from beamfuse.decoder import (
     LMView,
     _FrameStep,
     _LabelStep,
-    _TailTables,
     _family_requests,
     _score,
     _shallow_scores,
@@ -71,6 +70,7 @@ from conftest import (
     as_families,
     block_rows,
     candidate_views,
+    clear_memos,
     ctc_hypothesis,
     join_blocks,
     make_vocab,
@@ -84,11 +84,6 @@ from conftest import (
     reference_shallow_step,
     score_caches,
 )
-
-
-def _tables(lms) -> list[_TailTables]:
-    """Fresh tail tables, one per LM, as a decode starts with."""
-    return [_TailTables() for _ in lms]
 
 
 @pytest.fixture(scope="module")
@@ -640,7 +635,7 @@ def assert_same_shallow_step(mode, source, beam, tok, lms, beam_size):
 
     counters = DecodeCounters()
     cands = step.expand(held, 1)
-    extra = _shallow_scores(cands, lms, tok, [{} for _ in lms], _tables(lms), {}, counters)
+    extra = _shallow_scores(cands, lms, tok, {}, counters)
     got = step.prune(cands, extra)
     for hyp in got:
         advance_views(hyp, tok, lms)
@@ -778,8 +773,7 @@ class TestShallowRequests:
                 beam.append(ctc_hypothesis(tokens, -1.0, -2.0, views, k=k))
             step = _FrameStep(EmissionMatrix(random_emissions(rng, 1, tok.vocab.size)), cfg, tok)
             cands = step.expand(beam, 1)
-            memos, tables = [{} for _ in lms], _tables(lms)
-            _shallow_scores(cands, lms, tok, memos, tables, {}, DecodeCounters())
+            _shallow_scores(cands, lms, tok, {}, DecodeCounters())
             most = max(most, assert_requests_retokenize(cands, lms, tok))
         assert most >= 4
 
@@ -875,16 +869,21 @@ def _request_shapes(cands, tok) -> Counter:
     return shapes
 
 
-def assert_requests_match_reference(cands, lms, tok, memos, tables, held) -> list:
+def assert_requests_match_reference(cands, lms, tok, held) -> list[str]:
     """The families' requests are the flat reference's: type, tokens, cache objects and order.
 
     ``held`` is the builder's one table, passed from block to block as a
     decode passes it; after the call it holds exactly this block's groups,
     keyed by their tokens and the id of their views, each entry with its
     group's views, and each group's family is its entry's base and the
-    tails of its labels.  Returns the batches, one per LM.
+    tails of its labels.  Returns the words the builder asked
+    ``Tokenizer.encode_word`` for, in call order.
     """
-    got = _family_requests(cands.families(), lms, tok, memos, tables, held)
+    encoded, encode_word = [], Tokenizer.encode_word
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tokenizer, "encode_word",
+                      lambda self, word: encoded.append(word) or encode_word(self, word))
+        got = _family_requests(cands.families(), lms, tok, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
     for batch, ref in zip(got, want):
@@ -903,7 +902,7 @@ def assert_requests_match_reference(cands, lms, tok, memos, tables, held) -> lis
             assert cache is views[i].cache and base is bases[i]
             assert len(family_tails) == len(labels)
             assert all(tail is tails[i][c] for tail, c in zip(family_tails, labels))
-    return got
+    return encoded
 
 
 @pytest.fixture(scope="module")
@@ -937,15 +936,14 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         rng = np.random.default_rng(48)
-        # one word memo per LM and one ``held`` across every block, as in a
-        # decode: a label block's live parents are its frame block's, so
+        # one ``held`` across every block, as in a decode: a label block's live parents are its frame block's, so
         # they reuse requests, and a new beam's equal prefixes have new views
-        memos, tables, held = [{} for _ in lms], _tables(lms), {}
+        held = {}
         shapes = Counter()
         for _ in range(40):
             beam = _request_beam(lambda n: int(rng.integers(n)), tok, lms)
             for cands in _request_blocks(lambda n: int(rng.integers(n)), tok, beam):
-                assert_requests_match_reference(cands, lms, tok, memos, tables, held)
+                assert_requests_match_reference(cands, lms, tok, held)
                 shapes += _request_shapes(cands, tok)
         for kind in ("word begin", "</s>"):
             assert shapes[kind] > 10 and shapes[kind + " after an empty tail"] > 0
@@ -966,9 +964,9 @@ class TestShallowRequestsPerParent:
         tok, lm_sets = request_worlds[world]
         lms = lm_sets[lm_set]
         pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
-        memos, tables, held = [{} for _ in lms], _tables(lms), {}
+        held = {}
         for cands in _request_blocks(pick, tok, _request_beam(pick, tok, lms)):
-            assert_requests_match_reference(cands, lms, tok, memos, tables, held)
+            assert_requests_match_reference(cands, lms, tok, held)
 
 
 def _children_by_group(cands, held) -> dict:
@@ -1036,11 +1034,12 @@ class TestShallowRequestsAcrossSteps:
         shapes, stays = Counter(), Counter()
         piece_words = {word for _, words, _ in tok.pieces for word in words}
         for blocks in decodes:
-            memos, tables, held = [{} for _ in lms], _tables(lms), {}
-            previous, complete = {}, set(piece_words)
+            held, previous = {}, {}
             for cands in blocks:
-                assert_requests_match_reference(cands, lms, tok, memos, tables, held)
-                complete |= _base_words(cands, tok)
+                encoded = assert_requests_match_reference(cands, lms, tok, held)
+                # only complete words are encoded whole: no joined or open word
+                complete = piece_words | _base_words(cands, tok)
+                assert set(encoded) <= complete, sorted(set(encoded) - complete)[:5]
                 now = _children_by_group(cands, held)
                 shapes["blocks"] += 1
                 for tokens in now.keys() & previous.keys():
@@ -1068,10 +1067,6 @@ class TestShallowRequestsAcrossSteps:
                         counts = stays if c == BLANK_ID else shapes
                         counts["reused" if same else "rebuilt"] += 1
                 previous = now
-            # the word memos hold complete words only: no joined or open word, no piece id
-            for memo in memos:
-                assert all(type(word) is str for word in memo)
-                assert memo.keys() <= complete, sorted(memo.keys() - complete)[:5]
         assert shapes.pop("blocks") > 50
         if mode == "ctc":
             assert shapes["same views"] > 20 and shapes["reused"] > 100
@@ -1110,7 +1105,7 @@ class TestOneRequestTable:
     def test_stay_shares_its_family_entry(self, shallow_world):
         tok, lms, a, _, cands = self._merged_block(shallow_world)
         held = {}
-        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], _tables(lms), held)
+        got = _family_requests(cands.families(), lms, tok, held)
         entry = held[a.tokens, id(a.views)]
         labels = _children_by_group(cands, held)[a.tokens]
         assert BLANK_ID in labels and len(labels) > 1
@@ -1127,7 +1122,7 @@ class TestOneRequestTable:
     def test_stay_with_other_views_gets_its_own_entry(self, shallow_world):
         tok, lms, a, b, cands = self._merged_block(shallow_world)
         held = {}
-        got = _family_requests(cands.families(), lms, tok, [{} for _ in lms], _tables(lms), held)
+        got = _family_requests(cands.families(), lms, tok, held)
         stay, family = held[b.tokens, id(a.views)], held[b.tokens, id(b.views)]
         assert stay is not family and stay is not held[a.tokens, id(a.views)]
         assert stay[0] is a.views and family[0] is b.views
@@ -1283,7 +1278,9 @@ def _decoder_containers() -> dict:
     """Sizes of the containers the decoder module keeps between calls.
 
     Module globals, class attributes and default arguments, counted deeply:
-    where a memo that outlives a decode would live.
+    where a memo that outlives a decode would live.  The bounded encoding
+    memos (``Tokenizer``'s and ``_piece_table``) are not containers, and
+    ``TestColdAndWarmMemos`` checks that they change no decode.
     """
     sizes = {}
     for name, value in vars(decoder_mod).items():
@@ -1300,8 +1297,8 @@ def _decoder_containers() -> dict:
 
 class TestWordMemoPerDecode:
     def test_decode_order_does_not_matter(self):
-        # a memo kept between decodes could make one decode depend on another;
-        # letters no other test uses keep a process-wide memo from being full already
+        # the encoding memos outlive a decode, so one decode could depend on another;
+        # letters no other test uses keep them from holding these words already
         tok = Tokenizer(make_vocab("▁m", "▁n", "o", "▁p"))
         cross_tok = Tokenizer(make_vocab("▁m", "▁n", "▁o", "m", "n", "o", "p", "▁mo"))
         corpus = ["m n", "mo n m", "n mo", "p", "m p o", "o"] * 3
@@ -1325,6 +1322,25 @@ class TestWordMemoPerDecode:
                     runs.append(results)
                 assert runs[0] == runs[1]
         assert _decoder_containers() == before
+
+
+class TestColdAndWarmMemos:
+    """The encoding memos kept between decodes change no decode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_cold_and_a_warm_memo_decode_alike(
+        self, asr_tok, lm_tok, asr_trigram, trigram, corpus_split, mode
+    ):
+        # the matched LM and the cross-vocabulary one, whose piece tables differ
+        lms = [LMSpec(asr_trigram, asr_tok, 0.4), LMSpec(trigram, lm_tok, 0.3)]
+        (_, em), = utterances(asr_tok, corpus_split, 1, noise=0.4, seed0=540)
+        for kind in ("shallow", "shortest"):
+            cfg = DecodeConfig(6, FusionPolicy(kind), lms, mode=mode, keep_trace=True)
+            clear_memos()
+            cold, warm = decode(em, cfg, asr_tok), decode(em, cfg, asr_tok)
+            assert Tokenizer.encode_word.cache_info().hits > 0
+            cold.counters.wall_seconds = warm.counters.wall_seconds = 0.0
+            assert repr(cold) == repr(warm)
 
 
 class TestWarmRowsDecodeAlike:
@@ -1381,11 +1397,11 @@ class TestRetokenizeDecodesOnce:
             groups += [(hyp.tokens, hyp.views, (BLANK_ID,)), (hyp.tokens, ahead.views, (BLANK_ID,))]
         assert sum(bool(views[0].lm_tokens) for _, views, _ in groups) >= 3
         decoded.clear()
-        batches = _family_requests(groups, lms, tok, [{}, {}], _tables(lms), {})
+        batches = _family_requests(groups, lms, tok, {})
         assert len(decoded) == len(groups)
         for i, (spec, batch) in enumerate(zip(lms, batches)):
             own = [(tokens, [views[i]], labels) for tokens, views, labels in groups]
-            alone = _family_requests(own, [spec], tok, [{}], _tables([spec]), {})[0]
+            alone = _family_requests(own, [spec], tok, {})[0]
             assert batch.families == alone.families
             for _, _, tails in batch.families:
                 tails[0] += (EOS_ID,)

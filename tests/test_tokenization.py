@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from beamfuse.decoder import Hypothesis, LMSpec, LMView, advance_views
 from beamfuse.tokenization import (
     BOS_ID,
+    MEMO_SIZE,
     NUM_SPECIALS,
     SPECIAL_TOKENS,
     UNK_ID,
@@ -102,8 +103,9 @@ class TestTokenizer:
         words = {w for line in train[:100] for w in line.split()}
         for word in sorted(words)[:100]:
             first = asr_tok.encode_word(word)
+            assert type(first) is tuple
             assert first == asr_tok.encode_word(word)
-            assert asr_tok.encode(word) == first
+            assert asr_tok.encode(word) == list(first)
 
 
 @st.composite
@@ -137,11 +139,33 @@ class TestResumedEncoding:
         assert tok._max_piece == longest
         fixed, stub = tok.open_word(last)
         assert type(fixed) is tuple and type(stub) is str
-        assert list(fixed) + tok.encode_rest(stub) == tok.encode_word(last)
-        assert list(fixed) + tok.encode_rest(stub + glue) == tok.encode_word(last + glue)
+        assert fixed + tok.encode_rest(stub) == tok.encode_word(last)
+        assert fixed + tok.encode_rest(stub + glue) == tok.encode_word(last + glue)
         # every piece that starts ``longest`` (and 2) or more characters before the end is fixed
         assert len(stub) < max(longest, 2)
         assert (WORD_MARKER + last).endswith(stub)
+
+
+class TestEncodingMemo:
+    """The memos of ``encode_word``, ``encode_rest`` and ``open_word`` change no answer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_greedy_vocab(), _greedy_vocab(),
+           st.lists(st.tuples(st.booleans(), _WORD_TEXT), min_size=1, max_size=30))
+    def test_interleaved_tokenizers_match_their_own_greedy(self, first, second, calls):
+        # the memos are the class's, so each answer must be its own tokenizer's
+        toks = (Tokenizer(first[1]), Tokenizer(second[1]))
+        methods = (Tokenizer.encode_word, Tokenizer.encode_rest, Tokenizer.open_word)
+        for which, text in calls * 2:
+            tok = toks[which]
+            for method in methods:
+                got = method(tok, text)
+                assert got == method.__wrapped__(tok, text), (method.__name__, text)
+                assert type(got) is tuple
+
+    def test_the_memos_are_bounded(self):
+        for method in (Tokenizer.encode_word, Tokenizer.encode_rest, Tokenizer.open_word):
+            assert method.cache_info().maxsize == MEMO_SIZE
 
 
 @st.composite

@@ -76,13 +76,14 @@ def lm_sets(assets) -> dict[str, list[LMSpec]]:
     return {"none": [], "matched": [matched], "cross": [cross], "both": [matched, second]}
 
 
-def grid_records(beams=BEAMS, utterances: int | None = None) -> list[tuple]:
+def grid_records(beams=BEAMS, utterances: int | None = None, reverse: bool = False) -> list[tuple]:
     """``(mode, policy kind, LM set, beam, plain result)`` for every decode of the grid.
 
     ``beams`` and ``utterances`` (the first that many) select a slice of it.
+    ``reverse`` decodes the slice last decode first; the records keep the grid's order.
     """
     assets = prepare_bench(BenchConfig(seed=7, utterances=8, noise=0.47, frames_per_token=(1, 2)))
-    records = []
+    jobs = []
     for mode, mode_beams in beams.items():
         for kind in POLICY_KINDS:
             policy = FusionPolicy(kind, INTERVAL if kind == "interval" else 0)
@@ -90,9 +91,13 @@ def grid_records(beams=BEAMS, utterances: int | None = None) -> list[tuple]:
                 for beam in mode_beams:
                     config = DecodeConfig(beam, policy, lms, mode=mode, keep_trace=True)
                     for utt in assets.utts[:utterances]:
-                        result = decode(utt.emissions, config, assets.asr_tok)
-                        result.counters.wall_seconds = 0.0
-                        records.append((mode, kind, name, beam, plain(dataclasses.asdict(result))))
+                        jobs.append(((mode, kind, name, beam), utt.emissions, config))
+    records = [None] * len(jobs)
+    for i in sorted(range(len(jobs)), reverse=reverse):
+        key, emissions, config = jobs[i]
+        result = decode(emissions, config, assets.asr_tok)
+        result.counters.wall_seconds = 0.0
+        records[i] = (*key, plain(dataclasses.asdict(result)))
     return records
 
 

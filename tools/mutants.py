@@ -184,12 +184,18 @@ MUTANTS = (
     Mutant(
         "suffix keyed without its glue",
         _DECODER,
-        "                        joined = rests.get(suffix)\n"
-        "                        if joined is None:\n"
-        "                            joined = rests[suffix] =",
-        "                        joined = rests.get(stub)\n"
-        "                        if joined is None:\n"
-        "                            joined = rests[stub] =",
+        "built[c] = fixed + lm_tok.encode_rest(stub + glue) + rest\n",
+        "built[c] = fixed + lm_tok.encode_rest(stub) + rest\n",
+        (
+            _TESTS + "TestShallowRequestsPerParent::test_every_shape",
+            _TESTS + "TestShallowRequestsAcrossSteps::test_consecutive_blocks_of_real_decodes",
+        ),
+    ),
+    Mutant(
+        "piece table of the first LM for every LM",
+        _DECODER,
+        "    tables = [_piece_table(asr_tok, spec.tokenizer) for spec in lms]\n",
+        "    tables = [_piece_table(asr_tok, lms[0].tokenizer) for spec in lms]\n",
         (
             _TESTS + "TestShallowRequestsPerParent::test_every_shape",
             _TESTS + "TestShallowRequestsAcrossSteps::test_consecutive_blocks_of_real_decodes",
