@@ -63,15 +63,18 @@ joins the open word gets the open word's fixed pieces plus the greedy
 pieces of the rest after them and the piece's glue.  The LM tokenizers
 memoize every encoding across decodes, so the decoder keeps no table of
 its own.  Each LM scores its families in one ``FamilyBatch``
-call and answers with a float per child.  No LM score is kept between
-steps, but the built bases and tails are, in one table keyed by a group's
-tokens and views list, for one step: a CTC prefix that stays in the beam
-by a blank or a repeat comes back with its views, while a label-sync
-parent never does.  Finalization sends the last beam through the same
-builder, each hypothesis a group labelled blank whose one tail gets
-``</s>``.  The step objects own every other mode difference too: the root
-hypothesis's state, the step count, and closing the last beam (label-sync
-hypotheses end with ``</s>``).
+call and answers with a float per child.  The decoder keeps no LM score
+between steps, but it keeps the built bases and tails and the families
+last sent, in one table keyed by a group's tokens and views list, for one
+step: a CTC prefix that stays in the beam by a blank or a repeat comes
+back with its views, while a label-sync parent never does.  A group that
+comes back with the same labels sends the very families it sent before,
+which the scorer answers from its memo of its previous call.
+Finalization sends the last beam through the same builder, each
+hypothesis a group labelled blank whose one tail gets ``</s>``.  The step
+objects own every other mode difference too: the root hypothesis's state,
+the step count, and closing the last beam (label-sync hypotheses end with
+``</s>``).
 
 Hypothesis state is plain values.  An ``LMView`` is an immutable tuple, and
 a view list is never changed in place: a candidate and its survivor share
@@ -88,10 +91,10 @@ carried over, keep their own.  ``advance_views`` re-tokenizes only when
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import time
+import weakref
 from dataclasses import KW_ONLY, dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -105,7 +108,7 @@ from .acoustic import (
     lse2,
 )
 from .lm import FamilyBatch
-from .tokenization import BLANK_ID, BOS_ID, EOS_ID, MEMO_SIZE, NUM_SPECIALS, UNK_ID, Tokenizer
+from .tokenization import BLANK_ID, BOS_ID, EOS_ID, NUM_SPECIALS, UNK_ID, Tokenizer
 # not called here: perfbench/layertrace.py patches ``decoder.tokenizable_prefix_len``
 # and perfbench/tests/test_reconcile.py reads it (ROADMAP items 6 and 8)
 from .tokenization import tokenizable_prefix_len
@@ -506,16 +509,25 @@ def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer) -> tuple:
     return lm_tokens
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
+# ASR tokenizer -> LM tokenizer -> ``_piece_table``; an entry dies with either tokenizer
+_PIECE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _piece_table(asr_tok: Tokenizer, lm_tok: Tokenizer) -> tuple:
     """Per ASR id ``c``: its piece's glue and the LM tokens of its words, all and after the first.
 
-    One table per pair of tokenizers, memoized as ``Tokenizer``'s encodings are.
+    One table per pair of tokenizers, kept while both live.
     """
-    return tuple(
-        (glue, _retokenize((), words, lm_tok), _retokenize((), words[1:], lm_tok))
-        for glue, words, _ in asr_tok.pieces
-    )
+    by_lm = _PIECE_TABLES.get(asr_tok)
+    if by_lm is None:
+        by_lm = _PIECE_TABLES[asr_tok] = weakref.WeakKeyDictionary()
+    table = by_lm.get(lm_tok)
+    if table is None:
+        table = by_lm[lm_tok] = tuple(
+            (glue, _retokenize((), words, lm_tok), _retokenize((), words[1:], lm_tok))
+            for glue, words, _ in asr_tok.pieces
+        )
+    return table
 
 
 def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
@@ -767,7 +779,7 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
 
     ``held`` keeps the built bases and tails from one call to the next, in
     one dict keyed by ``(tokens, id(views))``.  Its value is ``(views,
-    bases, tails)``, where ``bases[i]`` is LM ``i``'s base and
+    bases, tails, sent)``, where ``bases[i]`` is LM ``i``'s base and
     ``tails[i][c]`` its tail for label ``c``, or None if not built; holding
     the views keeps their id unique.  A family depends only on the tokens
     and the views, and a child also on its label, and a views list is never
@@ -776,9 +788,13 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     beam by a blank or a repeat comes back with its views.  A CTC stay and
     its own family share an entry, the stay in slot ``BLANK_ID``, which no
     extension fills; a merged stay that took another entry's views gets an
-    entry of its own.  Only the labels whose slots are None are built.
-    Each call leaves ``held`` holding exactly its own groups, at most two
-    per beam entry.
+    entry of its own.  ``sent[True]`` is the stay's and ``sent[False]`` the
+    family's ``(labels, families)``: the labels last built and the family
+    tuple sent to each LM.  A group whose labels are those gets the same
+    tuples back, with no tail looked up; otherwise only the labels whose
+    slots are None are built, and new family tuples are sent.  Each call
+    leaves ``held`` holding exactly its own groups, at most two per beam
+    entry.
     """
     pieces = asr_tok.pieces
     tables = [_piece_table(asr_tok, spec.tokenizer) for spec in lms]
@@ -787,28 +803,34 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     for tokens, views, labels in groups:
         key = (tokens, id(views))
         entry = kept.get(key) or held.get(key) or (
-            views, [None] * len(lms), [[None] * len(pieces) for _ in lms])
+            views, [None] * len(lms), [[None] * len(pieces) for _ in lms], [None, None])
         kept[key] = entry
-        _, bases, tails = entry
-        missing = [c for c in labels if tails[0][c] is None]
-        if missing:
-            tail = tokens[1 + views[0].consumed :]
-            words = asr_tok.decode(tail).split()
-            last = words.pop() if tail and pieces[tail[-1]][2] else None
-            for i, (view, spec, table) in enumerate(zip(views, lms, tables)):
-                lm_tok, built = spec.tokenizer, tails[i]
-                if bases[i] is None:
-                    bases[i] = _retokenize(view.lm_tokens, words, lm_tok)
-                fixed, stub = lm_tok.open_word(last) if last else ((), "")
-                opened = fixed + lm_tok.encode_rest(stub)
-                for c in missing:
-                    glue, whole, rest = table[c]
-                    if glue is None or last is None:
-                        built[c] = opened + whole
-                    else:
-                        built[c] = fixed + lm_tok.encode_rest(stub + glue) + rest
-        for view, base, built, batch in zip(views, bases, tails, batches):
-            batch.families.append((view.cache, base, [built[c] for c in labels]))
+        _, bases, tails, sent = entry
+        stay = labels[0] == BLANK_ID
+        last_sent = sent[stay]
+        if last_sent is None or last_sent[0] != labels:
+            missing = [c for c in labels if tails[0][c] is None]
+            if missing:
+                tail = tokens[1 + views[0].consumed :]
+                words = asr_tok.decode(tail).split()
+                last = words.pop() if tail and pieces[tail[-1]][2] else None
+                for i, (view, spec, table) in enumerate(zip(views, lms, tables)):
+                    lm_tok, built = spec.tokenizer, tails[i]
+                    if bases[i] is None:
+                        bases[i] = _retokenize(view.lm_tokens, words, lm_tok)
+                    fixed, stub = lm_tok.open_word(last) if last else ((), "")
+                    opened = fixed + lm_tok.encode_rest(stub)
+                    for c in missing:
+                        glue, whole, rest = table[c]
+                        if glue is None or last is None:
+                            built[c] = opened + whole
+                        else:
+                            built[c] = fixed + lm_tok.encode_rest(stub + glue) + rest
+            families = [(view.cache, base, tuple([built[c] for c in labels]))
+                        for view, base, built in zip(views, bases, tails)]
+            last_sent = sent[stay] = (labels, families)
+        for batch, family in zip(batches, last_sent[1]):
+            batch.families.append(family)
     held.clear()
     held.update(kept)
     return batches
@@ -827,7 +849,8 @@ def _shallow_scores(cands, lms, asr_tok, held, counters: DecodeCounters) -> np.n
     ``FamilyBatch`` (``_family_requests`` over ``cands.families()``), whose
     requests are every valid candidate's whole content re-tokenized, in
     index order, and answers with one score per candidate.  Only the built
-    bases and tails are kept, for one step, in ``held``.
+    bases and tails and the families sent are kept, for one step, in
+    ``held``.
     """
     extra = np.zeros(cands.valid.size)
     batches = _family_requests(cands.families(), lms, asr_tok, held)
@@ -850,8 +873,8 @@ def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
 
     Each hypothesis is a group of its own labelled blank for
     ``_family_requests``, so its family's base plus its one tail is its
-    whole content re-tokenized; the tail gets ``</s>``.  Each LM answers
-    with one score per hypothesis.
+    whole content re-tokenized; the family is sent as a new one whose tail
+    ends with ``</s>``.  Each LM answers with one score per hypothesis.
     """
     if not beam:
         raise DecodeError("empty beam at finalization")
@@ -860,9 +883,9 @@ def finalize_beam(beam, config, asr_tok, counters) -> list[ScoredHypothesis]:
         groups = [(h.tokens, h.views, (BLANK_ID,)) for h in beam]
         batches = _family_requests(groups, config.lms, asr_tok, {})
         for spec, batch in zip(config.lms, batches):
-            for _, _, tails in batch.families:
-                tails[0] += (EOS_ID,)
-            scores.append(_score(spec, batch, counters)[1])
+            closed = FamilyBatch([(cache, base, (tails[0] + (EOS_ID,),))
+                                  for cache, base, tails in batch.families])
+            scores.append(_score(spec, closed, counters)[1])
         counters.lm_calls_final += len(config.lms)
 
     entries = []

@@ -9,8 +9,9 @@ incremental LLM server answers with the new KV-cache state, and one float
 per child, its sequence's score.  The n-gram realization keeps that
 contract exact: the chain rule makes any incremental partition of a
 sequence sum to the same total as scoring it from scratch.  Requests and
-caches are immutable ``NamedTuple`` values.  The scorer builds each cache
-with ``tuple.__new__`` from a tuple of its fields: the same object the
+caches are immutable ``NamedTuple`` values, and a family is a tuple of
+tuples, so it cannot change either.  The scorer builds each cache with
+``tuple.__new__`` from a tuple of its fields: the same object the
 constructor returns, without its Python-level call.
 
 Within one call, families that resume from the same cache object share the
@@ -25,22 +26,27 @@ Shallow fusion sends one parent's children, which share a re-tokenized
 base and differ in a short tail, and finalization each hypothesis alone,
 its one tail closed by ``</s>``; both keep the floats.  No child gets a
 cache: none is ever resumed, so a cache per child would be built only to be
-dropped.  Iterated, the batch is the plain requests ``base + tail`` it
-stands for, so whatever reads requests (a proxy, a test double) sees an
-ordinary batch.  The walk walks each base once and each tail's leading
-tokens from the base's node, and reads the tail's last token from that
-context's next-token row: the n-gram form of what an LLM gives one context
-in one forward pass, every next token's score (ESPnet's
-``BatchScorerInterface.batch_score``).
+dropped.  A shallow-fusion group that comes back unchanged from one step
+to the next is sent as the very family object sent before, and a scorer
+may answer a family object it answered in its previous call from memory:
+the family cannot have changed, and neither can the model after training,
+as an LLM server reuses its earlier results across requests.  Iterated,
+the batch is the plain requests ``base + tail`` it stands for, so whatever
+reads requests (a proxy, a test double) sees an ordinary batch.  The walk
+walks each base once and each tail's leading tokens from the base's node,
+and reads the tail's last token from that context's next-token row: the
+n-gram form of what an LLM gives one context in one forward pass, every
+next token's score (ESPnet's ``BatchScorerInterface.batch_score``).
 
-The trie lives for one call.  Only the next-token rows outlive it: one row
-per context a tail's last token is read from, ``vocab.size`` slots long,
-whose slot ``t`` holds log P(t | context) once a child has asked for it.
-The rows are cleared at the start of a call once they hold more than
-``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else reads or
-fills them: bases and empty tails (all the delayed pass sends) walk the
-trie alone, training calls ``logprob`` while its tables still fill, and
-``logprob`` is the reference batch scoring is tested against.
+The trie lives for one call.  Only two things outlive it: the answers of
+the previous call, which the next call alone may reuse, and the next-token
+rows: one row per context a tail's last token is read from, ``vocab.size``
+slots long, whose slot ``t`` holds log P(t | context) once a child has
+asked for it.  The rows are cleared at the start of a call once they hold
+more than ``_ROW_LIMIT`` contexts, which bounds their memory.  Nothing else
+reads or fills them: bases and empty tails (all the delayed pass sends)
+walk the trie alone, training calls ``logprob`` while its tables still
+fill, and ``logprob`` is the reference batch scoring is tested against.
 
 Scorers keep no counters and add no latency.  The decoder counts the work it
 requests (calls, requests with unscored tokens, and those tokens), not what
@@ -61,6 +67,8 @@ LN10 = math.log(10.0)
 _ROW_LIMIT = 2**10
 # a NamedTuple from a plain tuple of its fields, without its Python-level ``__new__``
 _record = tuple.__new__
+# the tails of a family of one empty tail: a view of the delayed pass
+_VIEW = ((),)
 
 
 class LMError(ValueError):
@@ -97,10 +105,12 @@ class FamilyBatch:
     """The one request shape: families answered with a cache each and a score per child.
 
     ``families`` lists ``(cache, base, tails)``: a group's token tuple
-    ``base``, resumed from ``cache`` and listed once, and ``tails``, one
-    tuple per child, whose tokens are ``base + tail``.  ``base`` must cover
-    ``cache``: its first ``scored_len`` tokens are the cache's.  A plain
-    request is a family of one empty tail, ``(cache, tokens, ((),))``.
+    ``base``, resumed from ``cache`` and listed once, and ``tails``, a tuple
+    of one tuple per child, whose tokens are ``base + tail``.  ``base`` must
+    cover ``cache``: its first ``scored_len`` tokens are the cache's.  A
+    plain request is a family of one empty tail, ``(cache, tokens, ((),))``.
+    A family is immutable, so a scorer may answer a family object it
+    answered in its previous call from memory.
     Iterating yields each child's ``ScoreRequest(base + tail, cache)``,
     family by family, so a reader of requests sees the plain batch the
     families stand for.
@@ -138,6 +148,8 @@ class NGramModel:
         self._backoffs = backoffs
         # context -> slot t holds ``_next(context, t)[0]`` or None, for the family walk only
         self._rows: dict[tuple[int, ...], list[float | None]] = {}
+        # id(family) -> (family, cache, scores) for the previous call's families
+        self._answered: dict[int, tuple] = {}
 
     # -- core scoring ---------------------------------------------------
 
@@ -188,51 +200,82 @@ class NGramModel:
 
         The caches come in family order and the scores in the order the
         batch's requests iterate; a child's score is its request's, and no
-        child gets a cache, since none is ever resumed.  The families
-        resuming from one cache object walk a token trie that lives for this
-        call only; a node is ``(children, cum, context)`` after the tokens on
-        its path, so a prefix shared by several bases or tails is scored
-        once.  A cache's ``context`` is read as its last order-1 ids, as
-        ``logprob`` reads a context, and every new cache holds that tuple.
-        A child's tail walks its leading tokens from its base's node, once
-        for a run of tails that share them, and reads its last token from
-        the row of that node's context, filling the slot the first time.
-        A token outside the vocabulary is stepped as the walk steps it,
-        which raises the walk's ``LMError``; so does anything but a
-        ``FamilyBatch``, and a base that is not a tuple.
+        child gets a cache, since none is ever resumed.  A family that is
+        the very object the previous call answered gets that answer again,
+        unwalked: a family is immutable and the model does not change after
+        training, so its answer cannot have changed.  The memo holds the
+        families it answered, which keeps their ids unique, and only the
+        previous call's.  A family of one empty tail, the delayed pass's
+        view, is sent once, so it is neither looked up nor recorded, and its
+        base is walked here; any other new family is walked by ``_answer``.
+        The families resuming from one cache object walk one token trie that
+        lives for this call only, so a prefix they share is scored once.
+        Anything but a ``FamilyBatch`` raises ``LMError``.
         """
         if not isinstance(batch, FamilyBatch):
             raise LMError(f"expected a FamilyBatch, got {type(batch).__name__}")
-        step, walk, rows, size = self._next, self._walk, self._rows, self.vocab.size
-        if len(rows) > _ROW_LIMIT:
-            rows.clear()
+        if len(self._rows) > _ROW_LIMIT:
+            self._rows.clear()
+        resume, answer, memo, answered = self._resume, self._answer, self._answered, {}
         roots: dict[int, tuple[PrefixCacheEntry, tuple]] = {}
         caches, scores = [], []
-        push = scores.append
-        for cache, base, tails in batch.families:
-            top = self._resume(roots, cache, base)
-            caches.append(_record(PrefixCacheEntry, (len(base), top[1], top[2], base)))
-            stem = None
-            for tail in tails:
-                if not tail:
-                    push(top[1])
-                    continue
-                if tail[:-1] != stem:
-                    stem = tail[:-1]
-                    node = walk(top, stem)
-                    ctx, cum = node[2], node[1]
-                    row = rows.get(ctx)
-                    if row is None:
-                        row = rows[ctx] = [None] * size
-                token = tail[-1]
-                if 0 <= token < size:
-                    lp = row[token]
-                    if lp is None:
-                        lp = row[token] = step(ctx, token)[0]
-                else:
-                    lp = step(ctx, token)[0]
-                push(cum + lp)
+        for family in batch.families:
+            cache, base, tails = family
+            if tails == _VIEW:
+                top = resume(roots, cache, base)
+                caches.append(_record(PrefixCacheEntry, (len(base), top[1], top[2], base)))
+                scores.append(top[1])
+                continue
+            known = memo.get(id(family))
+            if known is None or known[0] is not family:
+                known = answer(roots, family)
+            answered[id(family)] = known
+            caches.append(known[1])
+            scores += known[2]
+        self._answered = answered
         return caches, scores
+
+    def _answer(self, roots: dict, family: tuple) -> tuple:
+        """``(family, cache, scores)``: its new cache, after its base, and its children's scores.
+
+        A node is ``(children, cum, context)`` after the tokens on its path.
+        A cache's ``context`` is read as its last order-1 ids, as
+        ``logprob`` reads a context, and every new cache holds that tuple.
+        A child's tail walks its leading tokens from its base's node, once
+        for a run of tails that share them, and reads its last token from
+        the row of that node's context, filling the slot the first time.  A
+        token outside the vocabulary is stepped as the walk steps it, which
+        raises the walk's ``LMError``; so do tails and a base that are not
+        tuples.
+        """
+        cache, base, tails = family
+        if not isinstance(tails, tuple):
+            raise LMError(f"a family's tails must be a tuple, got {type(tails).__name__}")
+        top = self._resume(roots, cache, base)
+        step, walk, rows, size = self._next, self._walk, self._rows, self.vocab.size
+        scores = []
+        push = scores.append
+        stem = None
+        for tail in tails:
+            if not tail:
+                push(top[1])
+                continue
+            if tail[:-1] != stem:
+                stem = tail[:-1]
+                node = walk(top, stem)
+                ctx, cum = node[2], node[1]
+                row = rows.get(ctx)
+                if row is None:
+                    row = rows[ctx] = [None] * size
+            token = tail[-1]
+            if 0 <= token < size:
+                lp = row[token]
+                if lp is None:
+                    lp = row[token] = step(ctx, token)[0]
+            else:
+                lp = step(ctx, token)[0]
+            push(cum + lp)
+        return family, _record(PrefixCacheEntry, (len(base), top[1], top[2], base)), scores
 
     def _resume(self, roots: dict, cache: PrefixCacheEntry, tokens: tuple) -> tuple:
         """The call's trie node after ``tokens``, once they are checked to extend ``cache``.

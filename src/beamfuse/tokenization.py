@@ -163,10 +163,24 @@ class Tokenizer:
     at an offset reads only the text from there on, so a word that grows by
     more text is its open word's fixed pieces plus ``encode_rest`` of the
     unfixed rest and the new text (the suffix reuse of Fast WordPiece,
-    without its trie).  The three are memoized and answer tuples.  Each
-    memo is the class's, keyed by the tokenizer and the text, and keeps its
-    ``MEMO_SIZE`` most recent entries (each keeps its tokenizer alive): a
-    decoder asks again for free, and its ever new words stay bounded.
+    without its trie).  The three answer tuples and are memoized, each in
+    a memo of this tokenizer's own that keeps its ``MEMO_SIZE`` most recent
+    entries: a decoder asks again for free, and its ever new words stay
+    bounded.  A memo holds only the tables greedy reads, so it dies with
+    its tokenizer, and ``__wrapped__`` is its uncached function.
+
+    ``encode_rest(text)`` is the pieces greedy takes over ``text`` from its
+    start: a marked word or, after ``open_word``'s fixed pieces, the rest
+    of one; a rest that starts the word keeps its marker.
+    ``encode_word(word)`` is ``encode_rest(WORD_MARKER + word)``.
+    ``open_word(word)`` is ``(fixed, stub)``: the pieces of
+    ``encode_word(word)`` that every ``encode_word(word + more)`` starts
+    with, and the rest of ``WORD_MARKER + word`` after them, so that
+    ``fixed + encode_rest(stub + more)`` is ``encode_word(word + more)``.
+    A piece is fixed when it starts at least ``_max_piece`` characters
+    before the end, since nothing after that is read to choose it, and at
+    least two, since an unknown marker takes the character after it.  So
+    ``len(stub) < max(_max_piece, 2)``.
 
     Two per-id tables serve the decoder, which indexes its candidates by id:
     ``begins[c]`` is whether id ``c`` begins a word (reserved ids, ``</s>``
@@ -190,62 +204,12 @@ class Tokenizer:
             glue = words[0] if words and not text[0].isspace() else None
             pieces.append((glue, words, bool(text) and not text[-1].isspace()))
         self.pieces = tuple(pieces)
-
-    def _greedy(self, text: str, stop: int) -> tuple[list[int], int]:
-        """Greedy longest match over ``text`` from its start: the pieces that start
-        before ``stop``, and the offset after the last of them.
-
-        A piece starting at ``i`` reads at most ``text[i : i + _max_piece]``.
-        """
-        index, max_piece, n = self._index, self._max_piece, len(text)
-        out: list[int] = []
-        i = 0
-        while i < stop:
-            end = min(n, i + max_piece)
-            token_id = None
-            while end > i:
-                token_id = index.get(text[i:end])
-                if token_id is not None:
-                    break
-                end -= 1
-            if token_id is None:
-                out.append(UNK_ID)
-                # at the word start the marker and the offending character
-                # are consumed together
-                i += 2 if text[i] == WORD_MARKER else 1
-            else:
-                out.append(token_id)
-                i = end
-        return out, i
-
-    @functools.lru_cache(maxsize=MEMO_SIZE)
-    def encode_rest(self, text: str) -> tuple[int, ...]:
-        """The pieces greedy takes over ``text`` from its start.
-
-        ``text`` is a marked word or, after ``open_word``'s fixed pieces,
-        the rest of one; a rest that starts the word keeps its marker.
-        """
-        return tuple(self._greedy(text, len(text))[0])
-
-    @functools.lru_cache(maxsize=MEMO_SIZE)
-    def encode_word(self, word: str) -> tuple[int, ...]:
-        text = WORD_MARKER + word
-        return tuple(self._greedy(text, len(text))[0])
-
-    @functools.lru_cache(maxsize=MEMO_SIZE)
-    def open_word(self, word: str) -> tuple[tuple[int, ...], str]:
-        """The pieces of ``encode_word(word)`` that every ``encode_word(word + more)`` starts with.
-
-        Returns them and ``stub``, the rest of ``WORD_MARKER + word`` after
-        them: ``fixed + encode_rest(stub + more)`` is
-        ``encode_word(word + more)``.  A piece is fixed when it starts at
-        least ``_max_piece`` characters before the end, since nothing after
-        that is read to choose it, and at least two, since an unknown marker
-        takes the character after it.  So ``len(stub) < max(_max_piece, 2)``.
-        """
-        text = WORD_MARKER + word
-        fixed, offset = self._greedy(text, len(text) - max(self._max_piece, 2) + 1)
-        return tuple(fixed), text[offset:]
+        # each memo holds the tables greedy reads, not the tokenizer, so it dies with it
+        memo = functools.lru_cache(maxsize=MEMO_SIZE)
+        greedy = functools.partial(_greedy, self._index, self._max_piece)
+        self.encode_rest = memo(functools.partial(_encode_rest, greedy))
+        self.encode_word = memo(functools.partial(_encode_word, greedy))
+        self.open_word = memo(functools.partial(_open_word, greedy, max(self._max_piece, 2)))
 
     def encode(self, text: str) -> list[int]:
         out: list[int] = []
@@ -264,6 +228,51 @@ class Tokenizer:
                 continue
             parts.append(tokens[token_id])
         return "".join(parts).replace(WORD_MARKER, " ").strip()
+
+
+def _greedy(index: dict, max_piece: int, text: str, stop: int) -> tuple[list[int], int]:
+    """Greedy longest match over ``text`` from its start: the pieces that start
+    before ``stop``, and the offset after the last of them.
+
+    ``index`` maps a piece to its id, and a piece starting at ``i`` reads at
+    most ``text[i : i + max_piece]``.
+    """
+    n = len(text)
+    out: list[int] = []
+    i = 0
+    while i < stop:
+        end = min(n, i + max_piece)
+        token_id = None
+        while end > i:
+            token_id = index.get(text[i:end])
+            if token_id is not None:
+                break
+            end -= 1
+        if token_id is None:
+            out.append(UNK_ID)
+            # at the word start the marker and the offending character
+            # are consumed together
+            i += 2 if text[i] == WORD_MARKER else 1
+        else:
+            out.append(token_id)
+            i = end
+    return out, i
+
+
+def _encode_rest(greedy, text: str) -> tuple[int, ...]:
+    return tuple(greedy(text, len(text))[0])
+
+
+def _encode_word(greedy, word: str) -> tuple[int, ...]:
+    return _encode_rest(greedy, WORD_MARKER + word)
+
+
+def _open_word(greedy, reach: int, word: str) -> tuple[tuple[int, ...], str]:
+    """``Tokenizer.open_word``: a piece is fixed when it starts ``reach`` or more characters
+    before the end of ``WORD_MARKER + word``."""
+    text = WORD_MARKER + word
+    fixed, offset = greedy(text, len(text) - reach + 1)
+    return tuple(fixed), text[offset:]
 
 
 def tokenizable_prefix_len(ids: Sequence[int], vocab: Vocabulary) -> int:

@@ -22,7 +22,7 @@ from beamfuse.decoder import (
     LMView,
     ScoredHypothesis,
     StepTrace,
-    _piece_table,
+    _PIECE_TABLES,
     _retokenize,
     _select_top,
     advance_views,
@@ -85,10 +85,12 @@ def make_vocab(*pieces: str) -> Vocabulary:
 ODD_PIECES = ("▁a", "b", "▁", "c d", "▁e f", "g\u3000", " h", "▁ab", "i")
 
 
-def clear_memos() -> None:
-    """Empty the encoding memos that outlive a decode: the tokenizers' and the piece tables."""
-    for memo in (Tokenizer.encode_word, Tokenizer.encode_rest, Tokenizer.open_word, _piece_table):
-        memo.cache_clear()
+def clear_memos(*toks: Tokenizer) -> None:
+    """Empty the encoding memos that outlive a decode: ``toks``' own and every piece table."""
+    for tok in toks:
+        for memo in (tok.encode_word, tok.encode_rest, tok.open_word):
+            memo.cache_clear()
+    _PIECE_TABLES.clear()
 
 
 def random_emissions(rng: np.random.Generator, frames: int, vocab: int) -> np.ndarray:

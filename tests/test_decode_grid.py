@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import clear_memos
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "decode_grid.py"
 _SPEC = importlib.util.spec_from_file_location("decode_grid", _PATH)
@@ -122,8 +121,8 @@ def test_slice_matches_the_committed_origin(slice_records):
 
 
 def test_decode_order_does_not_matter(slice_records):
-    # the encoding memos outlive a decode: one keyed too coarsely could hide
-    # behind the order the decodes happen to run in
-    clear_memos()
+    # the encoding memos and the scorers' answers outlive a decode: one keyed too
+    # coarsely could hide behind the order the decodes happen to run in; each
+    # ``grid_records`` builds its own tokenizers and scorers, so their memos start cold
     backward = decode_grid.grid_records(SLICE, utterances=2, reverse=True)
     assert repr(backward) == repr(slice_records)

@@ -869,20 +869,23 @@ def _request_shapes(cands, tok) -> Counter:
     return shapes
 
 
-def assert_requests_match_reference(cands, lms, tok, held) -> list[str]:
+def assert_requests_match_reference(cands, lms, tok, held) -> tuple[list, list[str]]:
     """The families' requests are the flat reference's: type, tokens, cache objects and order.
 
     ``held`` is the builder's one table, passed from block to block as a
     decode passes it; after the call it holds exactly this block's groups,
     keyed by their tokens and the id of their views, each entry with its
-    group's views, and each group's family is its entry's base and the
-    tails of its labels.  Returns the words the builder asked
-    ``Tokenizer.encode_word`` for, in call order.
+    group's views, and each group's family is a tuple of its entry's base
+    and a tuple of the tails of its labels, the very family its entry's
+    slot for the group's kind (stay or family) last sent with these labels.
+    Returns the batches and the words the builder asked the LM tokenizers'
+    ``encode_word`` for, in call order.
     """
-    encoded, encode_word = [], Tokenizer.encode_word
+    encoded = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Tokenizer, "encode_word",
-                      lambda self, word: encoded.append(word) or encode_word(self, word))
+        for lm_tok in {id(spec.tokenizer): spec.tokenizer for spec in lms}.values():
+            patch.setattr(lm_tok, "encode_word", lambda word, plain=lm_tok.encode_word:
+                          encoded.append(word) or plain(word))
         got = _family_requests(cands.families(), lms, tok, held)
     want = reference_shallow_requests(cands, lms, tok)
     assert len(got) == len(want) == len(lms)
@@ -895,14 +898,18 @@ def assert_requests_match_reference(cands, lms, tok, held) -> list[str]:
     groups = cands.families()
     assert held.keys() == {(tokens, id(views)) for tokens, views, _ in groups}
     for g, (tokens, views, labels) in enumerate(groups):
-        held_views, bases, tails = held[tokens, id(views)]
+        held_views, bases, tails, sent = held[tokens, id(views)]
         assert held_views is views
+        sent_labels, sent_families = sent[labels == (BLANK_ID,)]
+        assert sent_labels == labels and len(sent_families) == len(lms)
         for i, batch in enumerate(got):
-            cache, base, family_tails = batch.families[g]
+            family = batch.families[g]
+            cache, base, family_tails = family
+            assert type(family) is tuple and family is sent_families[i]
             assert cache is views[i].cache and base is bases[i]
-            assert len(family_tails) == len(labels)
+            assert type(family_tails) is tuple and len(family_tails) == len(labels)
             assert all(tail is tails[i][c] for tail, c in zip(family_tails, labels))
-    return encoded
+    return got, encoded
 
 
 @pytest.fixture(scope="module")
@@ -980,7 +987,7 @@ def _children_by_group(cands, held) -> dict:
         entry = held[tokens, id(views)]
         by_label = out.setdefault(tokens, {})
         for c in labels:
-            by_label[c] = (views, entry, [(base, tails[c]) for base, tails in zip(*entry[1:])])
+            by_label[c] = (views, entry, [(base, tails[c]) for base, tails in zip(*entry[1:3])])
     return out
 
 
@@ -1031,12 +1038,27 @@ class TestShallowRequestsAcrossSteps:
                 decodes.append([])
                 decode(em, DecodeConfig(beam, policy, lms, mode=mode), tok)
 
-        shapes, stays = Counter(), Counter()
+        shapes, stays, families = Counter(), Counter(), Counter()
         piece_words = {word for _, words, _ in tok.pieces for word in words}
         for blocks in decodes:
-            held, previous = {}, {}
+            held, previous, sent_before = {}, {}, {}
             for cands in blocks:
-                encoded = assert_requests_match_reference(cands, lms, tok, held)
+                got, encoded = assert_requests_match_reference(cands, lms, tok, held)
+                # a group whose views and labels are the previous block's gets back the very
+                # families sent then, one per LM; any other group gets new ones
+                sent_now, earlier = {}, {id(f) for *_, fams in sent_before.values() for f in fams}
+                for g, (tokens, views, labels) in enumerate(cands.families()):
+                    fams = [batch.families[g] for batch in got]
+                    key = (tokens, id(views), labels == (BLANK_ID,))
+                    before = sent_before.get(key)
+                    if before is not None and before[0] is views and before[1] == labels:
+                        assert all(f is b for f, b in zip(fams, before[2], strict=True)), tokens
+                        families["reused"] += 1
+                    else:
+                        assert not any(id(f) in earlier for f in fams), tokens
+                        families["new"] += 1
+                    sent_now[key] = (views, labels, fams)
+                sent_before = sent_now
                 # only complete words are encoded whole: no joined or open word
                 complete = piece_words | _base_words(cands, tok)
                 assert set(encoded) <= complete, sorted(set(encoded) - complete)[:5]
@@ -1068,7 +1090,9 @@ class TestShallowRequestsAcrossSteps:
                         counts["reused" if same else "rebuilt"] += 1
                 previous = now
         assert shapes.pop("blocks") > 50
+        assert families["new"] > 50
         if mode == "ctc":
+            assert families["reused"] > 100
             assert shapes["same views"] > 20 and shapes["reused"] > 100
             assert shapes["swapped views"] > 0 and shapes["new views"] > 20
             assert shapes["rebuilt"] > 50
@@ -1117,6 +1141,10 @@ class TestOneRequestTable:
             assert stay[1] is family[1] is entry[1][i]
             assert len(stay[2]) == 1 and stay[2][0] is entry[2][i][BLANK_ID]
             assert all(t is entry[2][i][c] for t, c in zip(family[2], family_labels, strict=True))
+            # the entry's slots keep what the stay and the family last sent, apart
+            stay_sent, family_sent = entry[3][True], entry[3][False]
+            assert stay_sent[1][i] is stay and family_sent[1][i] is family
+        assert stay_sent[0] == (BLANK_ID,) and family_sent[0] == family_labels
         assert len(held) == 3
 
     def test_stay_with_other_views_gets_its_own_entry(self, shallow_world):
@@ -1129,7 +1157,7 @@ class TestOneRequestTable:
         for i, batch in enumerate(got):
             # the stay of ``b`` is the second group; its entry holds that tail alone
             assert batch.families[1][1] is stay[1][i]
-            assert batch.families[1][2] == [stay[2][i][BLANK_ID]]
+            assert batch.families[1][2] == (stay[2][i][BLANK_ID],)
             assert sum(t is not None for t in stay[2][i]) == 1
             assert family[2][i][BLANK_ID] is None
 
@@ -1171,7 +1199,7 @@ class TestFamilyCounts:
             # a base that adds nothing to its cache is as likely as one that does
             cache = data.draw(st.sampled_from([fresh, scored[0]]))
             base = cache.tokens + (data.draw(seqs) if data.draw(st.booleans()) else ())
-            families.append((cache, base, data.draw(st.lists(seqs, max_size=4))))
+            families.append((cache, base, tuple(data.draw(st.lists(seqs, max_size=4)))))
         self._assert_counts_as_requests(spec, FamilyBatch(families))
 
     def test_children_with_no_new_tokens_count_nothing(self, shallow_world):
@@ -1181,8 +1209,8 @@ class TestFamilyCounts:
         fresh = spec.scorer.fresh_cache()
         scored = score_caches(spec.scorer, [ScoreRequest((a,), fresh)])[0]
         # the root's blank stay: an empty base, an empty tail and a fresh cache
-        assert self._assert_counts_as_requests(spec, FamilyBatch([(fresh, (), [()])])) == (1, 0, 0)
-        batch = FamilyBatch([(scored, (a,), [(), (b,), (), (b, a)]), (fresh, (a,), [(), (b,)])])
+        assert self._assert_counts_as_requests(spec, FamilyBatch([(fresh, (), ((),))])) == (1, 0, 0)
+        batch = FamilyBatch([(scored, (a,), ((), (b,), (), (b, a))), (fresh, (a,), ((), (b,)))])
         assert self._assert_counts_as_requests(spec, batch) == (1, 4, 6)
 
 
@@ -1264,6 +1292,20 @@ class TestDecodeMatchesReference:
         got = _result_record(decode(em, config, tok))
         assert got == _result_record(reference_decode(em, config, tok))
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ("matched", "cross"))
+    def test_two_specs_sharing_one_scorer(self, decode_worlds, name, mode):
+        # the scorer remembers only its previous call, which was the other spec's
+        tok, models = decode_worlds["built"]
+        lms = [LMSpec(*models[name], 0.5), LMSpec(*models[name], 1.5, False)]
+        rng = np.random.default_rng(57)
+        for kind in ("shallow", "always"):
+            for frames in (4, 8, 10):
+                em = EmissionMatrix(random_emissions(rng, frames, tok.vocab.size))
+                config = DecodeConfig(4, FusionPolicy(kind), lms, mode=mode, keep_trace=True)
+                got = _result_record(decode(em, config, tok))
+                assert got == _result_record(reference_decode(em, config, tok))
+
 
 def _deep_len(value, seen) -> int:
     """Entries in ``value`` and in every dict, list, set or tuple inside it."""
@@ -1278,9 +1320,10 @@ def _decoder_containers() -> dict:
     """Sizes of the containers the decoder module keeps between calls.
 
     Module globals, class attributes and default arguments, counted deeply:
-    where a memo that outlives a decode would live.  The bounded encoding
-    memos (``Tokenizer``'s and ``_piece_table``) are not containers, and
-    ``TestColdAndWarmMemos`` checks that they change no decode.
+    where a memo that outlives a decode would live.  The encoding memos
+    (each tokenizer's own, and ``_PIECE_TABLES``, a weak mapping) are not
+    containers, and ``TestColdAndWarmMemos`` checks that they change no
+    decode.
     """
     sizes = {}
     for name, value in vars(decoder_mod).items():
@@ -1336,9 +1379,9 @@ class TestColdAndWarmMemos:
         (_, em), = utterances(asr_tok, corpus_split, 1, noise=0.4, seed0=540)
         for kind in ("shallow", "shortest"):
             cfg = DecodeConfig(6, FusionPolicy(kind), lms, mode=mode, keep_trace=True)
-            clear_memos()
+            clear_memos(asr_tok, lm_tok)
             cold, warm = decode(em, cfg, asr_tok), decode(em, cfg, asr_tok)
-            assert Tokenizer.encode_word.cache_info().hits > 0
+            assert all(t.encode_word.cache_info().hits > 0 for t in (asr_tok, lm_tok))
             cold.counters.wall_seconds = warm.counters.wall_seconds = 0.0
             assert repr(cold) == repr(warm)
 
@@ -1403,8 +1446,9 @@ class TestRetokenizeDecodesOnce:
             own = [(tokens, [views[i]], labels) for tokens, views, labels in groups]
             alone = _family_requests(own, [spec], tok, {})[0]
             assert batch.families == alone.families
-            for _, _, tails in batch.families:
-                tails[0] += (EOS_ID,)
+            # each tail closed by ``</s>``, as finalization closes it
+            batch = FamilyBatch([(cache, base, (tails[0] + (EOS_ID,),))
+                                 for cache, base, tails in batch.families])
             want = []
             for tokens, views, _ in groups:
                 view = views[i]

@@ -346,7 +346,7 @@ def _family_batches(draw, order=None):
                 stem = draw(st.sampled_from(stems))
                 lasts = draw(st.lists(_TOKENS, min_size=1, max_size=5))
                 tails += [stem + (last,) for last in lasts]
-        families.append((cache, base, tails))
+        families.append((cache, base, tuple(tails)))
     return order, FamilyBatch(families)
 
 
@@ -381,16 +381,16 @@ _X, _Y, _Z, _W = range(NUM_SPECIALS, NUM_SPECIALS + 4)
 _A = PrefixCacheEntry(1, -1.0, (_X,), (_X,))
 _B = PrefixCacheEntry(2, -1.0, (_X,), (_X, _Y))
 _EQUAL_ROOTS = FamilyBatch([
-    (_B, (_X, _Y), [(_Y, _Z)]),
-    (_A, (_X,), [(_Y, _Z)]),
-    (_B, (_X, _Y), [(_Y, _W), (_Z, _W)]),
+    (_B, (_X, _Y), ((_Y, _Z),)),
+    (_A, (_X,), ((_Y, _Z),)),
+    (_B, (_X, _Y), ((_Y, _W), (_Z, _W))),
 ])
 
 
 # An empty tail after a one-token tail of the same family: its stem, (),
 # repeats that tail's, but it has no last token to step.
 _FRESH = PrefixCacheEntry(0, 0.0, (BOS_ID,))
-_EMPTY_AFTER_ONE = FamilyBatch([(_FRESH, (), [(_X,), ()])])
+_EMPTY_AFTER_ONE = FamilyBatch([(_FRESH, (), ((_X,), ()))])
 
 
 class TestSiblingShortcut:
@@ -420,8 +420,8 @@ class TestFamilyBatch:
         model = _small_model(2)
         fresh = model.fresh_cache()
         scored = score_caches(model, [ScoreRequest((_X, _Y), fresh)])[0]
-        batch = FamilyBatch([(fresh, (_X,), [(), (_Y,), (_Z, _W)]), (scored, (_X, _Y), []),
-                             (scored, (_X, _Y), [(_Z,)])])
+        batch = FamilyBatch([(fresh, (_X,), ((), (_Y,), (_Z, _W))), (scored, (_X, _Y), ()),
+                             (scored, (_X, _Y), ((_Z,),))])
         requests = list(batch)
         assert requests == [ScoreRequest((_X,), fresh), ScoreRequest((_X, _Y), fresh),
                             ScoreRequest((_X, _Z, _W), fresh), ScoreRequest((_X, _Y, _Z), scored)]
@@ -444,27 +444,98 @@ class TestFamilyBatch:
         cache = score_caches(model, [ScoreRequest((_X, _Y), model.fresh_cache())])[0]
         reference_score_batch(model, [ScoreRequest((_X, _Y, _Z), cache)])
         with pytest.raises(LMError, match="cache covers 2 tokens but sequence has 1"):
-            model.score_batch_incremental(FamilyBatch([(cache, (_X,), [(_Y, _Z)])]))
+            model.score_batch_incremental(FamilyBatch([(cache, (_X,), ((_Y, _Z),))]))
 
     def test_a_base_that_is_not_a_tuple_raises(self):
         # a list base would fail the prefix check as "not a prefix"; its own message names it
         model = _small_model(2)
         fresh = model.fresh_cache()
         with pytest.raises(LMError, match="a family's base must be a tuple, got list"):
-            model.score_batch_incremental(FamilyBatch([(fresh, [_X], [()])]))
-        # a tail is only indexed, so a list tail scores as its tuple does
-        listed = model.score_batch_incremental(FamilyBatch([(fresh, (_X,), [[_Y]])]))[1]
-        assert listed == model.score_batch_incremental(FamilyBatch([(fresh, (_X,), [(_Y,)])]))[1]
+            model.score_batch_incremental(FamilyBatch([(fresh, [_X], ((),))]))
+
+    def test_tails_that_are_not_a_tuple_raise(self):
+        # a family is answered from memory only because it cannot change, so its
+        # tails must be a tuple; the tails themselves are only indexed
+        model = _cold(2)
+        fresh = model.fresh_cache()
+        for tails in ([(_Y,)], [()], []):
+            with pytest.raises(LMError, match="a family's tails must be a tuple, got list"):
+                model.score_batch_incremental(FamilyBatch([(fresh, (_X,), tails)]))
+        listed = model.score_batch_incremental(FamilyBatch([(fresh, (_X,), ([_Y],))]))[1]
+        assert listed == model.score_batch_incremental(FamilyBatch([(fresh, (_X,), ((_Y,),))]))[1]
 
     def test_a_base_whose_head_differs_from_the_cache_raises(self):
         # the exact-tokens check: the base ends as the cache's tokens do, but starts otherwise
         model = _small_model(3)
         cache = score_caches(model, [ScoreRequest((_X, _Y), model.fresh_cache())])[0]
-        batch = FamilyBatch([(cache, (_Z, _Y), [(_W,)])])
+        batch = FamilyBatch([(cache, (_Z, _Y), ((_W,),))])
         with pytest.raises(LMError, match="not a prefix"):
             reference_score_batch(model, list(batch))
         with pytest.raises(LMError, match="not a prefix"):
             model.score_batch_incremental(batch)
+
+
+def _spied(model, monkeypatch) -> list:
+    """The trie steps and token steps ``model`` makes from now on, as ``(name, args)``."""
+    made = []
+    for name in ("_walk", "_next"):
+        plain = getattr(model, name)
+        monkeypatch.setattr(model, name,
+                            lambda *args, name=name, plain=plain: made.append((name, args))
+                            or plain(*args))
+    return made
+
+
+class TestAnswerMemo:
+    """A family the previous call answered is answered again from memory, and nothing else is."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_family_batches())
+    def test_a_batch_sent_twice(self, drawn):
+        order, batch = drawn
+        model = _cold(order)
+        want = _reference_bits(model, batch)
+        assert _answer_bits(model, batch) == want
+        with pytest.MonkeyPatch.context() as patch:
+            made = _spied(model, patch)
+            assert _answer_bits(model, batch) == want
+        # only a family of one empty tail, a delayed-pass view, is walked again: one walk each
+        views = sum(tails == ((),) for _, _, tails in batch.families)
+        assert len([m for m in made if m[0] == "_walk"]) == views
+        assert views or not made
+
+    def test_a_family_is_walked_again_only_when_it_is_new(self, monkeypatch):
+        model = _cold(3)
+        fresh = model.fresh_cache()
+        first = FamilyBatch([(fresh, (_X,), ((_Y,), (_Z, _W))), (fresh, (_Y, _Z), ((_X,),))])
+        answer = model.score_batch_incremental(first)
+        made = _spied(model, monkeypatch)
+        assert model.score_batch_incremental(FamilyBatch(first.families)) == answer
+        assert made == []
+        # equal by value, but new objects: walked, with the same answer
+        equal = FamilyBatch([(fresh, (_X,), ((_Y,), (_Z, _W))), (fresh, (_Y, _Z), ((_X,),))])
+        assert model.score_batch_incremental(equal) == answer
+        assert len([m for m in made if m[0] == "_walk"]) >= 2
+        # only the previous call is remembered: ``first`` came two calls ago
+        made.clear()
+        assert model.score_batch_incremental(first) == answer
+        assert made
+
+    def test_a_reused_id_gets_its_own_answer(self):
+        # the memo holds the families it answered, so no new family can take the id of one;
+        # were an answered family freed, CPython would hand its id to the next tuple of its size
+        model = _cold(2)
+        fresh = model.fresh_cache()
+        family = (fresh, (_X,), ((_Y,),))
+        model.score_batch_incremental(FamilyBatch([family]))
+        freed = id(family)
+        del family
+        for _ in range(100):
+            other = (fresh, (_Z,), ((_W,), (_X,)))
+            if id(other) == freed:
+                break
+        batch = FamilyBatch([other])
+        assert _answer_bits(model, batch) == _reference_bits(model, batch)
 
 
 def _filled(model) -> int:
@@ -519,12 +590,13 @@ class TestSiblingRows:
     def test_a_warm_step_makes_no_next_call(self, monkeypatch):
         model = _cold(2)
         a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
-        batch = FamilyBatch([(model.fresh_cache(), (a,), [(a,), (b,), (c,)])])
-        cold = model.score_batch_incremental(batch)
+        cache = model.fresh_cache()
+        cold = model.score_batch_incremental(FamilyBatch([(cache, (a,), ((a,), (b,), (c,)))]))
         assert list(model._rows) == [(a,)] and _filled(model) == 3
         steps, step = [], model._next
         monkeypatch.setattr(model, "_next", lambda ctx, t: steps.append((ctx, t)) or step(ctx, t))
-        warm = model.score_batch_incremental(batch)
+        # an equal family, but another object: walked, not remembered
+        warm = model.score_batch_incremental(FamilyBatch([(cache, (a,), ((a,), (b,), (c,)))]))
         assert steps == [((BOS_ID,), a)]  # the base's walk only
         assert warm == cold
 
@@ -534,9 +606,9 @@ class TestSiblingRows:
         a, b, c = range(NUM_SPECIALS, NUM_SPECIALS + 3)
         cache = model.fresh_cache()
         for first in (a, b):
-            model.score_batch_incremental(FamilyBatch([(cache, (first,), [(a,), (c,)])]))
+            model.score_batch_incremental(FamilyBatch([(cache, (first,), ((a,), (c,)))]))
         assert list(model._rows) == [(a,), (b,)]  # one row was not past the limit
-        model.score_batch_incremental(FamilyBatch([(cache, (c,), [(a,), (b,)])]))
+        model.score_batch_incremental(FamilyBatch([(cache, (c,), ((a,), (b,)))]))
         assert list(model._rows) == [(c,)] and _filled(model) == 2
         assert model._rows[(c,)][b] == model._next((c,), b)[0]
 
@@ -569,8 +641,8 @@ class TestSiblingRows:
             reference_score_batch(model, [ScoreRequest((a, bad), cache)])
         # in a base, in a tail's stem, and last after two children filled
         # their slots, the last id's among them, which index -1 would read
-        families = [(cache, (a, bad), [()]), (cache, (a,), [(bad, a)]),
-                    (cache, (a,), [(a,), (size - 1,), (bad,)])]
+        families = [(cache, (a, bad), ((),)), (cache, (a,), ((bad, a),)),
+                    (cache, (a,), ((a,), (size - 1,), (bad,)))]
         for family in families:
             with pytest.raises(LMError) as stepped:
                 model.score_batch_incremental(FamilyBatch([family]))

@@ -1,9 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfuse.decoder import Hypothesis, LMSpec, LMView, advance_views
+from beamfuse.decoder import (
+    _PIECE_TABLES,
+    Hypothesis,
+    LMSpec,
+    LMView,
+    _piece_table,
+    advance_views,
+)
 from beamfuse.tokenization import (
     BOS_ID,
     MEMO_SIZE,
@@ -146,26 +156,53 @@ class TestResumedEncoding:
         assert (WORD_MARKER + last).endswith(stub)
 
 
+_MEMOIZED = ("encode_word", "encode_rest", "open_word")
+
+
 class TestEncodingMemo:
-    """The memos of ``encode_word``, ``encode_rest`` and ``open_word`` change no answer."""
+    """The memos of ``encode_word``, ``encode_rest`` and ``open_word`` change no answer,
+    and each is its tokenizer's own."""
 
     @settings(max_examples=150, deadline=None)
     @given(_greedy_vocab(), _greedy_vocab(),
            st.lists(st.tuples(st.booleans(), _WORD_TEXT), min_size=1, max_size=30))
     def test_interleaved_tokenizers_match_their_own_greedy(self, first, second, calls):
-        # the memos are the class's, so each answer must be its own tokenizer's
         toks = (Tokenizer(first[1]), Tokenizer(second[1]))
-        methods = (Tokenizer.encode_word, Tokenizer.encode_rest, Tokenizer.open_word)
         for which, text in calls * 2:
             tok = toks[which]
-            for method in methods:
-                got = method(tok, text)
-                assert got == method.__wrapped__(tok, text), (method.__name__, text)
+            for name in _MEMOIZED:
+                method = getattr(tok, name)
+                got = method(text)
+                assert got == method.__wrapped__(text), (name, text)
                 assert type(got) is tuple
+        for name in _MEMOIZED:
+            assert getattr(toks[0], name) is not getattr(toks[1], name)
 
-    def test_the_memos_are_bounded(self):
-        for method in (Tokenizer.encode_word, Tokenizer.encode_rest, Tokenizer.open_word):
-            assert method.cache_info().maxsize == MEMO_SIZE
+    def test_the_memos_are_bounded(self, asr_tok):
+        for name in _MEMOIZED:
+            assert getattr(asr_tok, name).cache_info().maxsize == MEMO_SIZE
+
+    def test_a_tokenizer_dies_with_its_memos(self):
+        # nothing but the tokenizer holds its memos, and they do not hold it: it is
+        # freed when it is dropped, with no reference cycle left for the collector
+        asr, lm = Tokenizer(make_vocab("▁a", "b", "▁ab")), Tokenizer(make_vocab("▁a", "b"))
+        for tok in (asr, lm):
+            tok.encode("ab a bab")
+            tok.open_word("abab")
+            assert tok.encode_word.cache_info().currsize > 0
+        _piece_table(asr, lm)
+        tables = len(_PIECE_TABLES)
+        asr_ref, lm_ref = weakref.ref(asr), weakref.ref(lm)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del asr, tok
+            assert asr_ref() is None and len(_PIECE_TABLES) == tables - 1
+            del lm
+            assert lm_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @st.composite

@@ -97,11 +97,21 @@ MUTANTS = (
     Mutant(
         "finalization's tails without the </s> append",
         _DECODER,
-        "                tails[0] += (EOS_ID,)\n",
-        "                pass\n",
+        "(cache, base, (tails[0] + (EOS_ID,),))",
+        "(cache, base, tails)",
         (
             _TESTS + "TestFinalization::test_requests_equal_from_scratch_retokenization",
             _TESTS + "TestDecodeMatchesReference::test_decode_equals_reference",
+        ),
+    ),
+    Mutant(
+        "family reused though its labels changed",
+        _DECODER,
+        "        if last_sent is None or last_sent[0] != labels:\n",
+        "        if last_sent is None or len(last_sent[0]) != len(labels):\n",
+        (
+            _TESTS + "TestShallowRequestsPerParent::test_every_shape",
+            _TESTS + "TestShallowRequestsAcrossSteps::test_consecutive_blocks_of_real_decodes",
         ),
     ),
     Mutant(
@@ -127,8 +137,15 @@ MUTANTS = (
     Mutant(
         "family cache one token short of its base",
         _LM,
-        "(len(base), top[1], top[2], base)",
-        "(len(base) - 1, top[1], top[2], base)",
+        "family, _record(PrefixCacheEntry, (len(base), top[1], top[2], base)), scores",
+        "family, _record(PrefixCacheEntry, (len(base) - 1, top[1], top[2], base)), scores",
+        ("tests/test_lm.py::TestSiblingShortcut::test_batch_equals_reference",),
+    ),
+    Mutant(
+        "view cache one token short of its base",
+        _LM,
+        "caches.append(_record(PrefixCacheEntry, (len(base), top[1], top[2], base)))",
+        "caches.append(_record(PrefixCacheEntry, (len(base) - 1, top[1], top[2], base)))",
         (
             "tests/test_lm.py::TestSiblingShortcut::test_batch_equals_reference",
             "tests/test_lm.py::TestSharedPrefixProperty::test_batch_equals_reference",
@@ -137,8 +154,8 @@ MUTANTS = (
     Mutant(
         "sibling step without the vocabulary-range guard",
         _LM,
-        "                if 0 <= token < size:\n",
-        "                if True:\n",
+        "            if 0 <= token < size:\n",
+        "            if True:\n",
         (
             "tests/test_lm.py::TestSiblingRows"
             "::test_a_token_outside_the_vocabulary_raises_on_either_path",
@@ -147,17 +164,35 @@ MUTANTS = (
     Mutant(
         "row slot off by 1e-12",
         _LM,
-        "                        lp = row[token] = step(ctx, token)[0]\n",
-        "                        lp = step(ctx, token)[0]\n"
-        "                        row[token] = lp + 1e-12\n",
+        "                    lp = row[token] = step(ctx, token)[0]\n",
+        "                    lp = step(ctx, token)[0]\n"
+        "                    row[token] = lp + 1e-12\n",
         ("tests/test_lm.py::TestSiblingRows::test_every_filled_slot_is_the_step",),
     ),
     Mutant(
         "tail-stem node reused without comparing the stem",
         _LM,
-        "                if tail[:-1] != stem:\n",
-        "                if stem is None:\n",
+        "            if tail[:-1] != stem:\n",
+        "            if stem is None:\n",
         ("tests/test_lm.py::TestSiblingShortcut::test_batch_equals_reference",),
+    ),
+    Mutant(
+        "tails type check removed",
+        _LM,
+        "        if not isinstance(tails, tuple):\n"
+        "            raise LMError(f\"a family's tails must be a tuple, got {type(tails).__name__}\")\n",
+        "",
+        ("tests/test_lm.py::TestFamilyBatch::test_tails_that_are_not_a_tuple_raise",),
+    ),
+    Mutant(
+        "memo hit without the identity check",
+        _LM,
+        # the memo keyed by an id alone: it neither checks nor holds the family
+        "            if known is None or known[0] is not family:\n"
+        "                known = answer(roots, family)\n",
+        "            if known is None:\n"
+        "                known = (None, *answer(roots, family)[1:])\n",
+        ("tests/test_lm.py::TestAnswerMemo::test_a_reused_id_gets_its_own_answer",),
     ),
     Mutant(
         "base type check removed",
@@ -170,15 +205,15 @@ MUTANTS = (
     Mutant(
         "open word fixes no piece within the longest piece of its end",
         _TOKENIZATION,
-        "fixed, offset = self._greedy(text, len(text) - max(self._max_piece, 2) + 1)\n",
-        "fixed, offset = self._greedy(text, len(text) - max(self._max_piece, 2))\n",
+        "    fixed, offset = greedy(text, len(text) - reach + 1)\n",
+        "    fixed, offset = greedy(text, len(text) - reach)\n",
         (_RESUMED,),
     ),
     Mutant(
         "stub cut one character late",
         _TOKENIZATION,
-        "        return tuple(fixed), text[offset:]\n",
-        "        return tuple(fixed), text[offset + 1 :]\n",
+        "    return tuple(fixed), text[offset:]\n",
+        "    return tuple(fixed), text[offset + 1 :]\n",
         (_RESUMED, _TESTS + "TestShallowRequestsPerParent::test_every_shape"),
     ),
     Mutant(
