@@ -58,18 +58,19 @@ only the state an extension grows.  The shallow baseline is one more score
 term on the same cut: every valid candidate's whole content is scored, and
 those scores are added before the prune.  Each group is one family per LM
 (``_family_requests``): its rest is decoded and re-tokenized once into a
-base, and each child adds only its piece as a short tail: a child that
-joins the open word gets the open word's fixed pieces plus the greedy
-pieces of the rest after them and the piece's glue.  The LM tokenizers
-memoize every encoding across decodes, so the decoder keeps no table of
-its own.  Each LM scores its families in one ``FamilyBatch``
-call and answers with a float per child.  The decoder keeps no LM score
-between steps, but it keeps the built bases and tails and the families
-last sent, in one table keyed by a group's tokens and views list, for one
-step: a CTC prefix that stays in the beam by a blank or a repeat comes
-back with its views, while a label-sync parent never does.  A group that
-comes back with the same labels sends the very families it sent before,
-which the scorer answers from its memo of its previous call.
+base, which ends with the fixed pieces of its open word, if any, and each
+child adds only a short tail, read from the row of the open word's stub
+(the text after those pieces) by its label.  The LM tokenizers memoize
+every encoding across decodes, and the stub rows live with the pair of
+tokenizers, so the decoder threads no table of its own.  Each LM scores
+its families in one ``FamilyBatch`` call and answers with a float per
+child.  The decoder keeps no LM score between steps, but it keeps the
+built bases and stubs and the families last sent, in one table keyed by a
+group's tokens and views list, for one step: a CTC prefix that stays in
+the beam by a blank or a repeat comes back with its views, while a
+label-sync parent never does.  A group that comes back with the same
+labels sends the very families it sent before, which the scorer answers
+from its memo of its previous call.
 Finalization sends the last beam through the same builder, each
 hypothesis a group labelled blank whose one tail gets ``</s>``.  The step
 objects own every other mode difference too: the root hypothesis's state,
@@ -96,6 +97,7 @@ import numbers
 import time
 import weakref
 from dataclasses import KW_ONLY, dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -165,7 +167,18 @@ class DecodeConfig:
             raise DecodeError(f"policy must be a FusionPolicy, got {self.policy!r}")
         if self.mode not in MODES:
             raise DecodeError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.lms, (list, tuple)):
+            raise DecodeError(f"lms must be a list or tuple of LMSpec, got {self.lms!r}")
         for i, spec in enumerate(self.lms):
+            if not isinstance(spec, LMSpec):
+                raise DecodeError(f"LM {i}: expected an LMSpec, got {spec!r}")
+            if not isinstance(spec.tokenizer, Tokenizer):
+                raise DecodeError(f"LM {i}: tokenizer must be a Tokenizer, got {spec.tokenizer!r}")
+            for method in ("score_batch_incremental", "fresh_cache"):
+                if not callable(getattr(spec.scorer, method, None)):
+                    raise DecodeError(f"LM {i}: the scorer has no {method}(): {spec.scorer!r}")
+            if not isinstance(spec.use_in_final, bool):
+                raise DecodeError(f"LM {i}: use_in_final must be a bool, got {spec.use_in_final!r}")
             w = spec.weight
             if isinstance(w, bool) or not isinstance(w, numbers.Real) or not math.isfinite(w):
                 raise DecodeError(f"LM {i}: weight must be a finite real number, got {w!r}")
@@ -511,23 +524,65 @@ def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer) -> tuple:
 
 # ASR tokenizer -> LM tokenizer -> ``_piece_table``; an entry dies with either tokenizer
 _PIECE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# stub rows a piece table keeps: a row is at most about 5 KB at 64 ASR ids, so 1.3 MB in all
+_STUB_ROWS = 2**8
 
 
-def _piece_table(asr_tok: Tokenizer, lm_tok: Tokenizer) -> tuple:
-    """Per ASR id ``c``: its piece's glue and the LM tokens of its words, all and after the first.
+class _PieceTable(NamedTuple):
+    """A pair of tokenizers' ASR pieces in LM tokens, and the stub rows built from them.
 
-    One table per pair of tokenizers, kept while both live.
+    ``pieces[c]`` is ASR id ``c``'s glue and the LM tokens of its words, all
+    and after the first; ``whole[c]`` is the second, the tail of label ``c``
+    in a group that ends between words.  ``rows`` maps a stub to its row
+    (``_stub_row``).
+    """
+
+    pieces: tuple
+    whole: tuple
+    rows: dict
+
+
+def _piece_table(asr_tok: Tokenizer, lm_tok: Tokenizer) -> _PieceTable:
+    """The ``_PieceTable`` of a pair of tokenizers, one per pair, kept while both live.
+
+    It holds only tuples of ids and strings, so it keeps neither tokenizer
+    alive, and its stub rows die with it.
     """
     by_lm = _PIECE_TABLES.get(asr_tok)
     if by_lm is None:
         by_lm = _PIECE_TABLES[asr_tok] = weakref.WeakKeyDictionary()
     table = by_lm.get(lm_tok)
     if table is None:
-        table = by_lm[lm_tok] = tuple(
+        pieces = tuple(
             (glue, _retokenize((), words, lm_tok), _retokenize((), words[1:], lm_tok))
             for glue, words, _ in asr_tok.pieces
         )
+        table = by_lm[lm_tok] = _PieceTable(pieces, tuple(p[1] for p in pieces), {})
     return table
+
+
+def _stub_row(table: _PieceTable, stub: str, lm_tok: Tokenizer) -> tuple:
+    """Per ASR id ``c``: the tail after an open word's fixed pieces, given the word's ``stub``.
+
+    A piece that joins the open word by its glue gets ``encode_rest(stub +
+    glue)`` and the LM tokens of its further words; any other piece gets
+    ``encode_rest(stub)`` and the LM tokens of its words.  So the open
+    word's fixed pieces plus ``row[c]`` are the LM tokens of the open word
+    joined with piece ``c``'s text.  A row is built once per stub, for
+    every id, and kept in ``table.rows``, which is emptied before it would
+    hold more than ``_STUB_ROWS`` rows.  A row is a tuple of ``len(pieces)``
+    tails, each a short tuple of small ints: about 5 KB at 64 ASR ids.
+    """
+    rows = table.rows
+    row = rows.get(stub)
+    if row is None:
+        opened = lm_tok.encode_rest(stub)
+        row = tuple(opened + whole if glue is None else lm_tok.encode_rest(stub + glue) + rest
+                    for glue, whole, rest in table.pieces)
+        if len(rows) >= _STUB_ROWS:
+            rows.clear()
+        rows[stub] = row
+    return row
 
 
 def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
@@ -769,32 +824,31 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     come in candidate index order; finalization passes the last beam.
     ``lms`` may not be empty.  A group's tail is decoded once into
     ``words`` and an open ``last`` word (None if the tail ends between
-    words, as after ``</s>``): the family's ``base`` is the view's LM tokens
-    plus ``words``.  A child whose piece joins ``last`` by ``glue`` has the
-    joined word's pieces, ``last``'s fixed ones plus ``encode_rest(stub +
-    glue)``, and the LM tokens of the piece's further words; any other has
-    ``last``'s pieces and those of its piece's words, read from
-    ``_piece_table``.  Either way ``base + tail`` is ``decode(tokens +
-    (c,))`` re-tokenized, and only complete words are encoded whole.
+    words, as after ``</s>``), and ``fixed, stub = open_word(last)``: the
+    family's ``base`` is the view's LM tokens plus ``words`` plus
+    ``fixed``, which every child shares.  A child's tail is what follows:
+    label ``c``'s slot in the stub's row (``_stub_row``), or in the
+    ``whole`` column of ``_piece_table`` when there is no open word.  A
+    stay's one tail is ``encode_rest(stub)`` (or empty), read without a
+    row.  Either way ``base + tail`` is ``decode(tokens + (c,))``
+    re-tokenized, and only complete words are encoded whole.
 
-    ``held`` keeps the built bases and tails from one call to the next, in
-    one dict keyed by ``(tokens, id(views))``.  Its value is ``(views,
-    bases, tails, sent)``, where ``bases[i]`` is LM ``i``'s base and
-    ``tails[i][c]`` its tail for label ``c``, or None if not built; holding
-    the views keeps their id unique.  A family depends only on the tokens
-    and the views, and a child also on its label, and a views list is never
-    changed in place, so a group whose tokens and views object are both
-    held gets back the same base and tails: a CTC prefix that stays in the
-    beam by a blank or a repeat comes back with its views.  A CTC stay and
-    its own family share an entry, the stay in slot ``BLANK_ID``, which no
-    extension fills; a merged stay that took another entry's views gets an
-    entry of its own.  ``sent[True]`` is the stay's and ``sent[False]`` the
-    family's ``(labels, families)``: the labels last built and the family
+    ``held`` keeps the built bases from one call to the next, in one dict
+    keyed by ``(tokens, id(views))``.  Its value is ``(views, bases, stubs,
+    sent)``, where ``bases[i]`` is LM ``i``'s base and ``stubs[i]`` its
+    stub, or None with no open word; holding the views keeps their id
+    unique.  A family depends only on the tokens and the views, and a child
+    also on its label, and a views list is never changed in place, so a
+    group whose tokens and views object are both held gets back the same
+    bases and stubs: a CTC prefix that stays in the beam by a blank or a
+    repeat comes back with its views.  A CTC stay and its own family share
+    an entry; a merged stay that took another entry's views gets an entry
+    of its own.  ``sent[True]`` is the stay's and ``sent[False]`` the
+    family's ``(labels, families)``: the labels last sent and the family
     tuple sent to each LM.  A group whose labels are those gets the same
-    tuples back, with no tail looked up; otherwise only the labels whose
-    slots are None are built, and new family tuples are sent.  Each call
-    leaves ``held`` holding exactly its own groups, at most two per beam
-    entry.
+    tuples back; otherwise its tails are gathered anew from the rows.  Each
+    call leaves ``held`` holding exactly its own groups, at most two per
+    beam entry.
     """
     pieces = asr_tok.pieces
     tables = [_piece_table(asr_tok, spec.tokenizer) for spec in lms]
@@ -802,32 +856,33 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     kept = {}
     for tokens, views, labels in groups:
         key = (tokens, id(views))
-        entry = kept.get(key) or held.get(key) or (
-            views, [None] * len(lms), [[None] * len(pieces) for _ in lms], [None, None])
+        entry = kept.get(key) or held.get(key)
+        if entry is None:
+            tail = tokens[1 + views[0].consumed :]
+            words = asr_tok.decode(tail).split()
+            last = words.pop() if tail and pieces[tail[-1]][2] else None
+            bases, stubs = [], []
+            for view, spec in zip(views, lms):
+                fixed, stub = spec.tokenizer.open_word(last) if last else ((), None)
+                bases.append(_retokenize(view.lm_tokens, words, spec.tokenizer) + fixed)
+                stubs.append(stub)
+            entry = (views, bases, stubs, [None, None])
         kept[key] = entry
-        _, bases, tails, sent = entry
+        _, bases, stubs, sent = entry
         stay = labels[0] == BLANK_ID
         last_sent = sent[stay]
         if last_sent is None or last_sent[0] != labels:
-            missing = [c for c in labels if tails[0][c] is None]
-            if missing:
-                tail = tokens[1 + views[0].consumed :]
-                words = asr_tok.decode(tail).split()
-                last = words.pop() if tail and pieces[tail[-1]][2] else None
-                for i, (view, spec, table) in enumerate(zip(views, lms, tables)):
-                    lm_tok, built = spec.tokenizer, tails[i]
-                    if bases[i] is None:
-                        bases[i] = _retokenize(view.lm_tokens, words, lm_tok)
-                    fixed, stub = lm_tok.open_word(last) if last else ((), "")
-                    opened = fixed + lm_tok.encode_rest(stub)
-                    for c in missing:
-                        glue, whole, rest = table[c]
-                        if glue is None or last is None:
-                            built[c] = opened + whole
-                        else:
-                            built[c] = fixed + lm_tok.encode_rest(stub + glue) + rest
-            families = [(view.cache, base, tuple([built[c] for c in labels]))
-                        for view, base, built in zip(views, bases, tails)]
+            if stay:
+                tails = [((),) if stub is None else (spec.tokenizer.encode_rest(stub),)
+                         for spec, stub in zip(lms, stubs)]
+            else:
+                # ``itemgetter`` of one label answers the slot alone, not a tuple of it
+                gather = (itemgetter(*labels) if len(labels) > 1
+                          else lambda row, c=labels[0]: (row[c],))
+                tails = [gather(table.whole if stub is None else
+                                _stub_row(table, stub, spec.tokenizer))
+                         for spec, table, stub in zip(lms, tables, stubs)]
+            families = [(view.cache, base, t) for view, base, t in zip(views, bases, tails)]
             last_sent = sent[stay] = (labels, families)
         for batch, family in zip(batches, last_sent[1]):
             batch.families.append(family)
@@ -849,7 +904,7 @@ def _shallow_scores(cands, lms, asr_tok, held, counters: DecodeCounters) -> np.n
     ``FamilyBatch`` (``_family_requests`` over ``cands.families()``), whose
     requests are every valid candidate's whole content re-tokenized, in
     index order, and answers with one score per candidate.  Only the built
-    bases and tails and the families sent are kept, for one step, in
+    bases and stubs and the families sent are kept, for one step, in
     ``held``.
     """
     extra = np.zeros(cands.valid.size)

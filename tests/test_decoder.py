@@ -35,6 +35,7 @@ from beamfuse.decoder import (
     _FrameStep,
     _LabelStep,
     _family_requests,
+    _piece_table,
     _score,
     _shallow_scores,
     advance_views,
@@ -469,9 +470,19 @@ def assert_carried(got, ended):
     assert got.views is ended.views and got.state is ended.state and got.k == ended.k
 
 
+class UncalledScorer:
+    """An LM scorer with no vocabulary, for a config whose LMs are never called."""
+
+    def fresh_cache(self):
+        raise AssertionError("not called")
+
+    def score_batch_incremental(self, batch):
+        raise AssertionError("not called")
+
+
 def assert_same_label_step(tok, scorer, beam, beam_size, weights):
     """The array label step and the reference keep the same survivors, bit for bit."""
-    lms = [LMSpec(None, tok, w) for w in weights]
+    lms = [LMSpec(UncalledScorer(), tok, w) for w in weights]
     cfg = DecodeConfig(beam=beam_size, policy=FusionPolicy("never"), lms=lms, mode="labelsync")
     step = _LabelStep(scorer, cfg, tok)
     ids = list(range(NUM_SPECIALS, tok.vocab.size)) + [EOS_ID]
@@ -869,6 +880,13 @@ def _request_shapes(cands, tok) -> Counter:
     return shapes
 
 
+def _open_word(tokens, views, tok):
+    """A group's closed words and its open last word (None if its tail ends between words)."""
+    tail = tokens[1 + views[0].consumed :]
+    words = tok.decode(tail).split()
+    return words, (words.pop() if tail and tok.pieces[tail[-1]][2] else None)
+
+
 def assert_requests_match_reference(cands, lms, tok, held) -> tuple[list, list[str]]:
     """The families' requests are the flat reference's: type, tokens, cache objects and order.
 
@@ -878,6 +896,9 @@ def assert_requests_match_reference(cands, lms, tok, held) -> tuple[list, list[s
     group's views, and each group's family is a tuple of its entry's base
     and a tuple of the tails of its labels, the very family its entry's
     slot for the group's kind (stay or family) last sent with these labels.
+    Each base ends with its open word's fixed pieces, and each tail is what
+    follows them: a stay's is ``encode_rest(stub)``, and any other child's
+    the slot of its label in its stub's row (or in the ``whole`` column).
     Returns the batches and the words the builder asked the LM tokenizers'
     ``encode_word`` for, in call order.
     """
@@ -898,17 +919,28 @@ def assert_requests_match_reference(cands, lms, tok, held) -> tuple[list, list[s
     groups = cands.families()
     assert held.keys() == {(tokens, id(views)) for tokens, views, _ in groups}
     for g, (tokens, views, labels) in enumerate(groups):
-        held_views, bases, tails, sent = held[tokens, id(views)]
-        assert held_views is views
-        sent_labels, sent_families = sent[labels == (BLANK_ID,)]
+        held_views, bases, stubs, sent = held[tokens, id(views)]
+        assert held_views is views and len(bases) == len(stubs) == len(lms)
+        stay = labels == (BLANK_ID,)
+        sent_labels, sent_families = sent[stay]
         assert sent_labels == labels and len(sent_families) == len(lms)
+        words, last = _open_word(tokens, views, tok)
         for i, batch in enumerate(got):
             family = batch.families[g]
             cache, base, family_tails = family
             assert type(family) is tuple and family is sent_families[i]
             assert cache is views[i].cache and base is bases[i]
+            lm_tok = lms[i].tokenizer
+            fixed, stub = lm_tok.open_word(last) if last else ((), None)
+            assert base == views[i].lm_tokens + tuple(lm_tok.encode(" ".join(words))) + fixed
+            assert stubs[i] == stub
             assert type(family_tails) is tuple and len(family_tails) == len(labels)
-            assert all(tail is tails[i][c] for tail, c in zip(family_tails, labels))
+            if stay:
+                assert family_tails == ((() if stub is None else lm_tok.encode_rest(stub)),)
+            else:
+                table = _piece_table(tok, lm_tok)
+                row = table.whole if stub is None else table.rows[stub]
+                assert all(tail is row[c] for tail, c in zip(family_tails, labels))
     return got, encoded
 
 
@@ -977,7 +1009,7 @@ class TestShallowRequestsPerParent:
 
 
 def _children_by_group(cands, held) -> dict:
-    """Each group's children by its tokens: ``{label: (views, held entry, per-LM (base, tail))}``.
+    """Each group's children by its tokens: ``{label: (views, held entry, per-LM (base, stub))}``.
 
     A CTC stay and its parent's family have the same tokens, and the stay
     is label ``BLANK_ID``, which no extension is.
@@ -987,7 +1019,7 @@ def _children_by_group(cands, held) -> dict:
         entry = held[tokens, id(views)]
         by_label = out.setdefault(tokens, {})
         for c in labels:
-            by_label[c] = (views, entry, [(base, tails[c]) for base, tails in zip(*entry[1:3])])
+            by_label[c] = (views, entry, list(zip(*entry[1:3])))
     return out
 
 
@@ -1078,13 +1110,13 @@ class TestShallowRequestsAcrossSteps:
                     for c in by_label.keys() & old.keys():
                         (views, entry, now_lms), (views_before, old_entry, old_lms) = (
                             by_label[c], old[c])
-                        # the same views get the same entry back, with the same tail
-                        # objects and equal bases; other views get a new entry
+                        # the same views get the same entry back, with the same base
+                        # objects and stubs; other views get a new entry
                         same = views is views_before
                         assert (entry is old_entry) == same, (tokens, c)
                         if same:
-                            assert all(base == old_base and tail is old_tail
-                                       for (base, tail), (old_base, old_tail)
+                            assert all(base is old_base and stub == old_stub
+                                       for (base, stub), (old_base, old_stub)
                                        in zip(now_lms, old_lms)), (tokens, c)
                         counts = stays if c == BLANK_ID else shapes
                         counts["reused" if same else "rebuilt"] += 1
@@ -1137,10 +1169,13 @@ class TestOneRequestTable:
         # the groups are the stays of ``a`` and ``b``, then ``a``'s family and ``b``'s
         family_labels = cands.families()[2][2]
         for i, batch in enumerate(got):
+            lm_tok, stub = lms[i].tokenizer, entry[2][i]
+            assert stub == lm_tok.open_word("x")[1]
             stay, family = batch.families[0], batch.families[2]
             assert stay[1] is family[1] is entry[1][i]
-            assert len(stay[2]) == 1 and stay[2][0] is entry[2][i][BLANK_ID]
-            assert all(t is entry[2][i][c] for t, c in zip(family[2], family_labels, strict=True))
+            assert stay[2] == (lm_tok.encode_rest(stub),)
+            row = _piece_table(tok, lm_tok).rows[stub]
+            assert all(t is row[c] for t, c in zip(family[2], family_labels, strict=True))
             # the entry's slots keep what the stay and the family last sent, apart
             stay_sent, family_sent = entry[3][True], entry[3][False]
             assert stay_sent[1][i] is stay and family_sent[1][i] is family
@@ -1155,11 +1190,13 @@ class TestOneRequestTable:
         assert stay is not family and stay is not held[a.tokens, id(a.views)]
         assert stay[0] is a.views and family[0] is b.views
         for i, batch in enumerate(got):
-            # the stay of ``b`` is the second group; its entry holds that tail alone
+            # the stay of ``b`` is the second group; its entry sent that tail alone
+            lm_tok = lms[i].tokenizer
             assert batch.families[1][1] is stay[1][i]
-            assert batch.families[1][2] == (stay[2][i][BLANK_ID],)
-            assert sum(t is not None for t in stay[2][i]) == 1
-            assert family[2][i][BLANK_ID] is None
+            assert batch.families[1][2] == (lm_tok.encode_rest(stay[2][i]),)
+            # ``a``'s views have consumed nothing, so the stay's base holds the word "x"
+            assert stay[1][i] == tuple(lm_tok.encode("x")) + lm_tok.open_word("y")[0]
+            assert stay[3][False] is None and family[3][True] is None
 
 
 class TestFamilyCounts:
@@ -2415,7 +2452,7 @@ class TestValidation:
                 config(scorer, asr_tok)
             config(scorer, tok)
         # a scorer without a vocabulary is not checked
-        config(None, asr_tok)
+        config(UncalledScorer(), asr_tok)
 
     def test_weight_validation(self, tiny):
         tok, model = tiny
@@ -2446,3 +2483,53 @@ class TestValidation:
     def test_real_weights_are_accepted(self, tiny, weight):
         tok, model = tiny
         DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[LMSpec(model, tok, weight)])
+
+    # each of these used to pass here and fail inside decode, or fail with another error
+    @pytest.mark.parametrize("lms", [None, {}, "lm", iter(())])
+    def test_lms_must_be_a_list_or_tuple(self, lms):
+        with pytest.raises(DecodeError, match="lms must be a list or tuple of LMSpec"):
+            DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=lms)
+
+    @pytest.mark.parametrize("entry", [object(), None, ("scorer", "tokenizer", 0.5)])
+    def test_each_lm_must_be_an_lm_spec(self, tiny, entry):
+        tok, model = tiny
+        with pytest.raises(DecodeError, match="LM 1: expected an LMSpec"):
+            DecodeConfig(beam=2, policy=FusionPolicy("never"),
+                         lms=[LMSpec(model, tok, 0.5), entry])
+
+    @pytest.mark.parametrize("tokenizer", ["tok", None, make_vocab("▁a", "▁b", "c")])
+    def test_the_tokenizer_must_be_a_tokenizer(self, tiny, tokenizer):
+        _, model = tiny
+        with pytest.raises(DecodeError, match="LM 0: tokenizer must be a Tokenizer"):
+            DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[LMSpec(model, tokenizer, 0.5)])
+
+    @pytest.mark.parametrize("method", ["score_batch_incremental", "fresh_cache"])
+    def test_the_scorer_must_score_batches_and_give_fresh_caches(self, tiny, method):
+        tok, _ = tiny
+        other = "fresh_cache" if method == "score_batch_incremental" else "score_batch_incremental"
+        # a scorer without the method, or with it as data, is no scorer
+        lacking = type("Lacking", (), {other: lambda self, *args: None})()
+        as_data = type("AsData", (), {other: lambda self, *args: None, method: 1})()
+        for scorer in (lacking, as_data):
+            with pytest.raises(DecodeError, match=f"LM 0: the scorer has no {method}"):
+                DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[LMSpec(scorer, tok, 0.5)])
+
+    def test_a_missing_scorer_is_no_scorer(self, tiny):
+        tok, _ = tiny
+        with pytest.raises(DecodeError, match="LM 0: the scorer has no score_batch_incremental"):
+            DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[LMSpec(None, tok, 0.5)])
+
+    @pytest.mark.parametrize("flag", ["no", "yes", 0, 1, None, np.bool_(True)])
+    def test_use_in_final_must_be_a_bool(self, tiny, flag):
+        tok, model = tiny
+        with pytest.raises(DecodeError, match="LM 0: use_in_final must be a bool"):
+            DecodeConfig(beam=2, policy=FusionPolicy("never"),
+                         lms=[LMSpec(model, tok, 0.5, use_in_final=flag)])
+
+    def test_scorer_proxies_and_tuples_of_specs_are_accepted(self, tiny):
+        tok, model = tiny
+        for scorer in (model, CountingScorer(model), UncalledScorer()):
+            for use_in_final in (True, False):
+                spec = LMSpec(scorer, tok, 0.5, use_in_final)
+                DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=(spec, spec))
+                DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[spec])

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import sys
 import weakref
 
 import numpy as np
@@ -6,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beamfuse.decoder as decoder_mod
 from beamfuse.decoder import (
     _PIECE_TABLES,
     Hypothesis,
     LMSpec,
     LMView,
     _piece_table,
+    _stub_row,
     advance_views,
 )
 from beamfuse.tokenization import (
@@ -156,6 +160,46 @@ class TestResumedEncoding:
         assert (WORD_MARKER + last).endswith(stub)
 
 
+def _joined(asr, word: str, c: int) -> str:
+    """``word`` followed by the text of ASR id ``c``: the marker read as a space, a reserved id empty."""
+    return word + ("" if c < NUM_SPECIALS else asr.vocab.tokens[c].replace(WORD_MARKER, " "))
+
+
+class TestStubRows:
+    """An open word's fixed pieces plus its stub's row encode the word joined with each ASR piece."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_greedy_vocab(), _greedy_vocab(),
+           st.lists(st.text("abc", min_size=1, max_size=9), min_size=1, max_size=8))
+    def test_a_row_completes_the_open_word_with_each_piece(self, asr_drawn, lm_drawn, words):
+        # several words per pair of tokenizers, so rows of stubs that share a start meet
+        asr, lm = Tokenizer(asr_drawn[1]), Tokenizer(lm_drawn[1])
+        table = _piece_table(asr, lm)
+        for word in words * 2:
+            fixed, stub = lm.open_word(word)
+            row = _stub_row(table, stub, lm)
+            assert type(row) is tuple and len(row) == asr.vocab.size
+            for c in range(asr.vocab.size):
+                assert fixed + row[c] == tuple(lm.encode(_joined(asr, word, c))), (word, c)
+        # a group that ends between words reads the ``whole`` column
+        assert all(table.whole[c] == tuple(lm.encode(_joined(asr, "", c)))
+                   for c in range(asr.vocab.size))
+
+    def test_rows_stay_within_their_bound(self, monkeypatch):
+        asr = Tokenizer(make_vocab("▁a", "▁b", "a", "b", "ab"))
+        lm = Tokenizer(make_vocab("▁a", "▁b", "a", "b", "▁ab", "aba", "bab", "bb"))
+        table = _piece_table(asr, lm)
+        monkeypatch.setattr(decoder_mod, "_STUB_ROWS", 3)
+        words = ["".join(w) for n in range(1, 7) for w in itertools.product("ab", repeat=n)]
+        stubs = {lm.open_word(word)[1] for word in words}
+        assert len(stubs) > 2 * 3
+        for word in words:
+            fixed, stub = lm.open_word(word)
+            row = _stub_row(table, stub, lm)
+            assert table.rows[stub] is row and len(table.rows) <= 3
+            assert fixed + row[asr.vocab.token_id("ab")] == tuple(lm.encode(word + "ab"))
+
+
 _MEMOIZED = ("encode_word", "encode_rest", "open_word")
 
 
@@ -190,7 +234,11 @@ class TestEncodingMemo:
             tok.encode("ab a bab")
             tok.open_word("abab")
             assert tok.encode_word.cache_info().currsize > 0
-        _piece_table(asr, lm)
+        table = _piece_table(asr, lm)
+        _stub_row(table, lm.open_word("abab")[1], lm)
+        rows = table.rows
+        assert rows
+        del table
         tables = len(_PIECE_TABLES)
         asr_ref, lm_ref = weakref.ref(asr), weakref.ref(lm)
         enabled = gc.isenabled()
@@ -198,6 +246,8 @@ class TestEncodingMemo:
         try:
             del asr, tok
             assert asr_ref() is None and len(_PIECE_TABLES) == tables - 1
+            # the stub rows died with their piece table: only this name and the call hold them
+            assert sys.getrefcount(rows) == 2
             del lm
             assert lm_ref() is None
         finally:
