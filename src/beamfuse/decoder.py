@@ -60,9 +60,10 @@ those scores are added before the prune.  Each group is one family per LM
 (``_family_requests``): its rest is decoded and re-tokenized once into a
 base, which ends with the fixed pieces of its open word, if any, and each
 child adds only a short tail, read from the row of the open word's stub
-(the text after those pieces) by its label.  The LM tokenizers memoize
-every encoding across decodes, and the stub rows live with the pair of
-tokenizers, so the decoder threads no table of its own.  Each LM scores
+(the text after those pieces) by its label.  Re-tokenization lives in the
+LM tokenizer (``Tokenizer.extend``, ``base`` and ``tail_rows``), which
+memoizes every encoding and row across decodes, so the decoder encodes
+nothing itself and threads no table of its own.  Each LM scores
 its families in one ``FamilyBatch`` call and answers with a float per
 child.  The decoder keeps no LM score between steps, but it keeps the
 built bases and stubs and the families last sent, in one table keyed by a
@@ -95,7 +96,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-import weakref
 from dataclasses import KW_ONLY, dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -167,6 +167,8 @@ class DecodeConfig:
             raise DecodeError(f"policy must be a FusionPolicy, got {self.policy!r}")
         if self.mode not in MODES:
             raise DecodeError(f"unknown mode {self.mode!r}")
+        if not isinstance(self.keep_trace, bool):
+            raise DecodeError(f"keep_trace must be a bool, got {self.keep_trace!r}")
         if not isinstance(self.lms, (list, tuple)):
             raise DecodeError(f"lms must be a list or tuple of LMSpec, got {self.lms!r}")
         for i, spec in enumerate(self.lms):
@@ -508,83 +510,6 @@ class LabelCandidates(Candidates):
 # -- LM bookkeeping ------------------------------------------------------------
 
 
-def _retokenize(lm_tokens: tuple, words, lm_tok: Tokenizer) -> tuple:
-    """``lm_tokens`` plus the LM tokens of ``words``, from ``lm_tok``'s word memo.
-
-    The decoder's one map from ASR to LM tokens.  Given a view's LM tokens
-    and the words of ``asr_tok.decode(tokens[1 + view.consumed : end])``, it
-    re-tokenizes ``tokens[1:end]``, since a view ends at a word boundary.  A
-    hypothesis's views advance together and share ``consumed``, so callers
-    decode once for every LM.
-    """
-    for word in words:
-        lm_tokens += lm_tok.encode_word(word)
-    return lm_tokens
-
-
-# ASR tokenizer -> LM tokenizer -> ``_piece_table``; an entry dies with either tokenizer
-_PIECE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# stub rows a piece table keeps: a row is at most about 5 KB at 64 ASR ids, so 1.3 MB in all
-_STUB_ROWS = 2**8
-
-
-class _PieceTable(NamedTuple):
-    """A pair of tokenizers' ASR pieces in LM tokens, and the stub rows built from them.
-
-    ``pieces[c]`` is ASR id ``c``'s glue and the LM tokens of its words, all
-    and after the first; ``whole[c]`` is the second, the tail of label ``c``
-    in a group that ends between words.  ``rows`` maps a stub to its row
-    (``_stub_row``).
-    """
-
-    pieces: tuple
-    whole: tuple
-    rows: dict
-
-
-def _piece_table(asr_tok: Tokenizer, lm_tok: Tokenizer) -> _PieceTable:
-    """The ``_PieceTable`` of a pair of tokenizers, one per pair, kept while both live.
-
-    It holds only tuples of ids and strings, so it keeps neither tokenizer
-    alive, and its stub rows die with it.
-    """
-    by_lm = _PIECE_TABLES.get(asr_tok)
-    if by_lm is None:
-        by_lm = _PIECE_TABLES[asr_tok] = weakref.WeakKeyDictionary()
-    table = by_lm.get(lm_tok)
-    if table is None:
-        pieces = tuple(
-            (glue, _retokenize((), words, lm_tok), _retokenize((), words[1:], lm_tok))
-            for glue, words, _ in asr_tok.pieces
-        )
-        table = by_lm[lm_tok] = _PieceTable(pieces, tuple(p[1] for p in pieces), {})
-    return table
-
-
-def _stub_row(table: _PieceTable, stub: str, lm_tok: Tokenizer) -> tuple:
-    """Per ASR id ``c``: the tail after an open word's fixed pieces, given the word's ``stub``.
-
-    A piece that joins the open word by its glue gets ``encode_rest(stub +
-    glue)`` and the LM tokens of its further words; any other piece gets
-    ``encode_rest(stub)`` and the LM tokens of its words.  So the open
-    word's fixed pieces plus ``row[c]`` are the LM tokens of the open word
-    joined with piece ``c``'s text.  A row is built once per stub, for
-    every id, and kept in ``table.rows``, which is emptied before it would
-    hold more than ``_STUB_ROWS`` rows.  A row is a tuple of ``len(pieces)``
-    tails, each a short tuple of small ints: about 5 KB at 64 ASR ids.
-    """
-    rows = table.rows
-    row = rows.get(stub)
-    if row is None:
-        opened = lm_tok.encode_rest(stub)
-        row = tuple(opened + whole if glue is None else lm_tok.encode_rest(stub + glue) + rest
-                    for glue, whole, rest in table.pieces)
-        if len(rows) >= _STUB_ROWS:
-            rows.clear()
-        rows[stub] = row
-    return row
-
-
 def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) -> None:
     """Give the hypothesis new LM views extended by its newly completed words.
 
@@ -599,8 +524,9 @@ def advance_views(hyp: Hypothesis, asr_tok: Tokenizer, lms: Sequence[LMSpec]) ->
     k = hyp.k
     consumed = hyp.views[0].consumed
     if k > consumed:
+        # a hypothesis's views share ``consumed``, so the words are decoded once for every LM
         words = asr_tok.decode(hyp.tokens[1 + consumed : 1 + k]).split()
-        new = [_retokenize(v.lm_tokens, words, s.tokenizer) for v, s in zip(hyp.views, lms)]
+        new = [s.tokenizer.extend(v.lm_tokens, words) for v, s in zip(hyp.views, lms)]
         hyp.views = [LMView(k, lm_tokens, v.cache) for v, lm_tokens in zip(hyp.views, new)]
 
 
@@ -765,6 +691,10 @@ class _LabelStep:
 
 def decode(source, config: DecodeConfig, asr_tok: Tokenizer) -> DecodeResult:
     """Run the search loop over emissions (or a label-sync scorer) and finalize."""
+    if not isinstance(config, DecodeConfig):
+        raise DecodeError(f"config must be a DecodeConfig, got {config!r}")
+    if not isinstance(asr_tok, Tokenizer):
+        raise DecodeError(f"asr_tok must be a Tokenizer, got {asr_tok!r}")
     if isinstance(source, EmissionMatrix):
         if source.vocab_size != asr_tok.vocab.size:
             raise DecodeError(
@@ -824,13 +754,11 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     come in candidate index order; finalization passes the last beam.
     ``lms`` may not be empty.  A group's tail is decoded once into
     ``words`` and an open ``last`` word (None if the tail ends between
-    words, as after ``</s>``), and ``fixed, stub = open_word(last)``: the
-    family's ``base`` is the view's LM tokens plus ``words`` plus
-    ``fixed``, which every child shares.  A child's tail is what follows:
-    label ``c``'s slot in the stub's row (``_stub_row``), or in the
-    ``whole`` column of ``_piece_table`` when there is no open word.  A
-    stay's one tail is ``encode_rest(stub)`` (or empty), read without a
-    row.  Either way ``base + tail`` is ``decode(tokens + (c,))``
+    words, as after ``</s>``), and each LM tokenizer's ``base(view's LM
+    tokens, words, last)`` is the family's ``base``, which every child
+    shares, and the open word's stub.  Every child's tail, a stay's
+    included, is its label's slot in that tokenizer's ``tail_rows(asr_tok)``
+    row of the stub, so ``base + tail`` is ``decode(tokens + (c,))``
     re-tokenized, and only complete words are encoded whole.
 
     ``held`` keeps the built bases from one call to the next, in one dict
@@ -851,7 +779,7 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
     beam entry.
     """
     pieces = asr_tok.pieces
-    tables = [_piece_table(asr_tok, spec.tokenizer) for spec in lms]
+    tail_rows = [spec.tokenizer.tail_rows(asr_tok) for spec in lms]
     batches = [FamilyBatch() for _ in lms]
     kept = {}
     for tokens, views, labels in groups:
@@ -861,28 +789,18 @@ def _family_requests(groups, lms, asr_tok, held) -> list[FamilyBatch]:
             tail = tokens[1 + views[0].consumed :]
             words = asr_tok.decode(tail).split()
             last = words.pop() if tail and pieces[tail[-1]][2] else None
-            bases, stubs = [], []
-            for view, spec in zip(views, lms):
-                fixed, stub = spec.tokenizer.open_word(last) if last else ((), None)
-                bases.append(_retokenize(view.lm_tokens, words, spec.tokenizer) + fixed)
-                stubs.append(stub)
+            bases, stubs = zip(*[spec.tokenizer.base(view.lm_tokens, words, last)
+                                 for view, spec in zip(views, lms)])
             entry = (views, bases, stubs, [None, None])
         kept[key] = entry
         _, bases, stubs, sent = entry
         stay = labels[0] == BLANK_ID
         last_sent = sent[stay]
         if last_sent is None or last_sent[0] != labels:
-            if stay:
-                tails = [((),) if stub is None else (spec.tokenizer.encode_rest(stub),)
-                         for spec, stub in zip(lms, stubs)]
-            else:
-                # ``itemgetter`` of one label answers the slot alone, not a tuple of it
-                gather = (itemgetter(*labels) if len(labels) > 1
-                          else lambda row, c=labels[0]: (row[c],))
-                tails = [gather(table.whole if stub is None else
-                                _stub_row(table, stub, spec.tokenizer))
-                         for spec, table, stub in zip(lms, tables, stubs)]
-            families = [(view.cache, base, t) for view, base, t in zip(views, bases, tails)]
+            # ``itemgetter`` of one label answers the slot alone, not a tuple of it
+            gather = itemgetter(*labels) if len(labels) > 1 else lambda row, c=labels[0]: (row[c],)
+            families = [(view.cache, base, gather(tail_row(stub)))
+                        for view, base, tail_row, stub in zip(views, bases, tail_rows, stubs)]
             last_sent = sent[stay] = (labels, families)
         for batch, family in zip(batches, last_sent[1]):
             batch.families.append(family)
@@ -905,7 +823,10 @@ def _shallow_scores(cands, lms, asr_tok, held, counters: DecodeCounters) -> np.n
     requests are every valid candidate's whole content re-tokenized, in
     index order, and answers with one score per candidate.  Only the built
     bases and stubs and the families sent are kept, for one step, in
-    ``held``.
+    ``held``.  In label-sync mode a ``</s>`` candidate, and every ended
+    hypothesis carried over, is scored without the LM's ``</s>`` until
+    finalization, unlike classic label-sync shallow fusion, which charges
+    P(``</s>`` | context) when a hypothesis ends.
     """
     extra = np.zeros(cands.valid.size)
     batches = _family_requests(cands.families(), lms, asr_tok, held)

@@ -4,9 +4,10 @@ Two tokenizers over different vocabularies create the mismatch this package
 resolves at decode time: hypothesis prefixes produced with one inventory are
 mapped into another by detokenizing the longest complete-word prefix
 (``tokenizable_prefix_len``) and re-encoding it, which the decoder does
-incrementally in ``advance_views``.  The decoder does not scan for that
-prefix: the step that builds a hypothesis sets its length in O(1) from the
-parent's and whether the new piece begins a word, and
+incrementally in ``advance_views``.  Every such map lives in the target's
+``Tokenizer``: the decoder encodes nothing itself.  Nor does it scan for
+that prefix: the step that builds a hypothesis sets its length in O(1) from
+the parent's and whether the new piece begins a word, and
 ``tokenizable_prefix_len`` defines what that length must be.  Everything
 here is deterministic: the same corpus always yields the same vocabulary
 file, and every word always encodes to the same piece sequence.
@@ -15,13 +16,14 @@ file, and every word always encodes to the same piece sequence.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # "▁" (U+2581), SentencePiece's word marker, starts each word-initial piece; it is fixed,
 # as vocabulary files do not store it.  As one character it makes decoding a plain
-# concatenation of piece texts, which ``Tokenizer.pieces`` and ``_family_requests`` use.
+# concatenation of piece texts, which ``Tokenizer.pieces`` and ``Tokenizer.tail_rows`` use.
 WORD_MARKER = "▁"
 
 BLANK_ID = 0
@@ -34,6 +36,8 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 
 # entries each encoding memo keeps: a decoder's distinct hypothesis words keep growing
 MEMO_SIZE = 2**14
+# rows each ``tail_rows`` memo keeps: a full row is about 6 KB at 64 ASR ids, so 1.6 MB in all
+TAIL_ROWS = 2**8
 
 
 class VocabularyError(ValueError):
@@ -189,6 +193,11 @@ class Tokenizer:
     empty.  ``words`` are the text's words, ``glue`` the first of them if it
     joins the word before it, and ``opens`` whether text ending with it ends
     inside a word.  ``decode`` is these texts concatenated, stripped.
+
+    Re-tokenization, from another tokenizer's ids (the ASR side's) into
+    this one's, is three methods: ``extend`` encodes complete words, and
+    ``base`` and ``tail_rows`` a text with an open last word and each of
+    its one-piece extensions.
     """
 
     def __init__(self, vocab: Vocabulary):
@@ -210,12 +219,48 @@ class Tokenizer:
         self.encode_rest = memo(functools.partial(_encode_rest, greedy))
         self.encode_word = memo(functools.partial(_encode_word, greedy))
         self.open_word = memo(functools.partial(_open_word, greedy, max(self._max_piece, 2)))
+        # ASR tokenizer -> its ``tail_rows`` memo; an entry dies with either tokenizer
+        self._tail_rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def encode(self, text: str) -> list[int]:
         out: list[int] = []
         for word in text.split():
             out.extend(self.encode_word(word))
         return out
+
+    def extend(self, tokens: tuple, words: Iterable[str]) -> tuple:
+        """``tokens`` plus the pieces of ``words``: a text that ends between words, grown."""
+        for word in words:
+            tokens += self.encode_word(word)
+        return tokens
+
+    def base(self, tokens: tuple, words: Sequence[str], last: str | None) -> tuple:
+        """``(base, stub)``: ``extend(tokens, words)`` and ``open_word(last)``'s fixed pieces,
+        and its stub; with no open word ``last`` (None), no pieces and stub None."""
+        fixed, stub = self.open_word(last) if last else ((), None)
+        return self.extend(tokens, words) + fixed, stub
+
+    def tail_rows(self, asr_tok: Tokenizer):
+        """The memo ``row(stub)``, one per ``asr_tok``: each ASR id's tail after a ``base``.
+
+        A piece that joins the open word by its glue gets ``encode_rest(stub
+        + glue)`` and the pieces of its further words, any other piece
+        ``encode_rest(stub)`` and those of its words, so ``base +
+        row(stub)[c]`` encodes the base's text joined with piece ``c``'s.
+        ``row(None)`` is each piece's words alone, and a reserved id is empty
+        text: ``row(stub)[BLANK_ID]`` is ``encode_rest(stub)``.  A row
+        builds each slot when it is first read (``_TailRow``).  The memo
+        keeps its ``TAIL_ROWS`` most recent rows and holds only tuples and
+        the ``encode_rest`` memo, so it dies with either tokenizer.
+        """
+        rows = self._tail_rows.get(asr_tok)
+        if rows is None:
+            pieces = tuple((glue, self.extend((), words), self.extend((), words[1:]))
+                           for glue, words, _ in asr_tok.pieces)
+            memo = functools.lru_cache(maxsize=TAIL_ROWS)
+            rows = self._tail_rows[asr_tok] = memo(
+                functools.partial(_TailRow, self.encode_rest, pieces))
+        return rows
 
     def decode(self, ids: Sequence[int]) -> str:
         tokens = self.vocab.tokens
@@ -273,6 +318,32 @@ def _open_word(greedy, reach: int, word: str) -> tuple[tuple[int, ...], str]:
     text = WORD_MARKER + word
     fixed, offset = greedy(text, len(text) - reach + 1)
     return tuple(fixed), text[offset:]
+
+
+class _TailRow(dict):
+    """``Tokenizer.tail_rows``' row of one stub: ASR id -> tail, each slot built when first read.
+
+    ``pieces[c]`` is ASR id ``c``'s glue and the pieces of its words, all and
+    after the first.  A stay or a final hypothesis reads one slot of its row
+    and a shallow-fusion family most of them, so a row builds only the
+    slots read.
+    """
+
+    __slots__ = ("encode_rest", "pieces", "stub")
+
+    def __init__(self, encode_rest, pieces: tuple, stub: str | None):
+        self.encode_rest, self.pieces, self.stub = encode_rest, pieces, stub
+
+    def __missing__(self, c: int) -> tuple:
+        glue, whole, rest = self.pieces[c]
+        if self.stub is None:
+            tail = whole
+        elif glue is None:
+            tail = self.encode_rest(self.stub) + whole
+        else:
+            tail = self.encode_rest(self.stub + glue) + rest
+        self[c] = tail
+        return tail
 
 
 def tokenizable_prefix_len(ids: Sequence[int], vocab: Vocabulary) -> int:

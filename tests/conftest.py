@@ -22,8 +22,6 @@ from beamfuse.decoder import (
     LMView,
     ScoredHypothesis,
     StepTrace,
-    _PIECE_TABLES,
-    _retokenize,
     _select_top,
     advance_views,
 )
@@ -86,11 +84,15 @@ ODD_PIECES = ("▁a", "b", "▁", "c d", "▁e f", "g\u3000", " h", "▁ab", "i"
 
 
 def clear_memos(*toks: Tokenizer) -> None:
-    """Empty the encoding memos that outlive a decode: ``toks``' own and every piece table."""
+    """Empty the memos that outlive a decode: ``toks``' encodings and every ``tail_rows`` memo.
+
+    Each tokenizer's map of ``tail_rows`` memos is emptied whole, so the
+    next decode builds each memo anew, its pieces' words included.
+    """
     for tok in toks:
         for memo in (tok.encode_word, tok.encode_rest, tok.open_word):
             memo.cache_clear()
-    _PIECE_TABLES.clear()
+        tok._tail_rows.clear()
 
 
 def random_emissions(rng: np.random.Generator, frames: int, vocab: int) -> np.ndarray:
@@ -525,7 +527,7 @@ def reference_shallow_requests(cands, lms, asr_tok) -> list:
     """Each LM's shallow requests built one flat candidate at a time.
 
     Every valid candidate ``j``, in index order, is decoded from its views'
-    ``consumed`` on and re-tokenized with ``_retokenize``: the request builder
+    ``consumed`` on and re-tokenized with ``Tokenizer.extend``: the request builder
     as it was before requests were built per parent.  Returns each LM's
     ``(lm_tokens, cache)`` pairs.
     """
@@ -534,7 +536,7 @@ def reference_shallow_requests(cands, lms, asr_tok) -> list:
         tokens, views = cands.tokens(j), candidate_views(cands, j)
         words = asr_tok.decode(tokens[1 + views[0].consumed :]).split()
         for spec, view, reqs in zip(lms, views, out):
-            reqs.append((_retokenize(view.lm_tokens, words, spec.tokenizer), view.cache))
+            reqs.append((spec.tokenizer.extend(view.lm_tokens, words), view.cache))
     return out
 
 

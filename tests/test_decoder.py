@@ -35,7 +35,6 @@ from beamfuse.decoder import (
     _FrameStep,
     _LabelStep,
     _family_requests,
-    _piece_table,
     _score,
     _shallow_scores,
     advance_views,
@@ -897,8 +896,8 @@ def assert_requests_match_reference(cands, lms, tok, held) -> tuple[list, list[s
     and a tuple of the tails of its labels, the very family its entry's
     slot for the group's kind (stay or family) last sent with these labels.
     Each base ends with its open word's fixed pieces, and each tail is what
-    follows them: a stay's is ``encode_rest(stub)``, and any other child's
-    the slot of its label in its stub's row (or in the ``whole`` column).
+    follows them: the slot of its label in its stub's ``tail_rows`` row, a
+    stay's included, which is ``encode_rest(stub)`` (or empty).
     Returns the batches and the words the builder asked the LM tokenizers'
     ``encode_word`` for, in call order.
     """
@@ -935,12 +934,10 @@ def assert_requests_match_reference(cands, lms, tok, held) -> tuple[list, list[s
             assert base == views[i].lm_tokens + tuple(lm_tok.encode(" ".join(words))) + fixed
             assert stubs[i] == stub
             assert type(family_tails) is tuple and len(family_tails) == len(labels)
+            row = lm_tok.tail_rows(tok)(stub)
+            assert all(tail is row[c] for tail, c in zip(family_tails, labels))
             if stay:
                 assert family_tails == ((() if stub is None else lm_tok.encode_rest(stub)),)
-            else:
-                table = _piece_table(tok, lm_tok)
-                row = table.whole if stub is None else table.rows[stub]
-                assert all(tail is row[c] for tail, c in zip(family_tails, labels))
     return got, encoded
 
 
@@ -1173,8 +1170,8 @@ class TestOneRequestTable:
             assert stub == lm_tok.open_word("x")[1]
             stay, family = batch.families[0], batch.families[2]
             assert stay[1] is family[1] is entry[1][i]
-            assert stay[2] == (lm_tok.encode_rest(stub),)
-            row = _piece_table(tok, lm_tok).rows[stub]
+            row = lm_tok.tail_rows(tok)(stub)
+            assert stay[2] == (row[BLANK_ID],) == (lm_tok.encode_rest(stub),)
             assert all(t is row[c] for t, c in zip(family[2], family_labels, strict=True))
             # the entry's slots keep what the stay and the family last sent, apart
             stay_sent, family_sent = entry[3][True], entry[3][False]
@@ -1193,7 +1190,7 @@ class TestOneRequestTable:
             # the stay of ``b`` is the second group; its entry sent that tail alone
             lm_tok = lms[i].tokenizer
             assert batch.families[1][1] is stay[1][i]
-            assert batch.families[1][2] == (lm_tok.encode_rest(stay[2][i]),)
+            assert batch.families[1][2] == (lm_tok.tail_rows(tok)(stay[2][i])[BLANK_ID],)
             # ``a``'s views have consumed nothing, so the stay's base holds the word "x"
             assert stay[1][i] == tuple(lm_tok.encode("x")) + lm_tok.open_word("y")[0]
             assert stay[3][False] is None and family[3][True] is None
@@ -1358,8 +1355,8 @@ def _decoder_containers() -> dict:
 
     Module globals, class attributes and default arguments, counted deeply:
     where a memo that outlives a decode would live.  The encoding memos
-    (each tokenizer's own, and ``_PIECE_TABLES``, a weak mapping) are not
-    containers, and ``TestColdAndWarmMemos`` checks that they change no
+    and the ``tail_rows`` memos, each tokenizer's own, are not in the
+    module, and ``TestColdAndWarmMemos`` checks that they change no
     decode.
     """
     sizes = {}
@@ -1411,7 +1408,7 @@ class TestColdAndWarmMemos:
     def test_a_cold_and_a_warm_memo_decode_alike(
         self, asr_tok, lm_tok, asr_trigram, trigram, corpus_split, mode
     ):
-        # the matched LM and the cross-vocabulary one, whose piece tables differ
+        # the matched LM and the cross-vocabulary one, whose tail rows differ
         lms = [LMSpec(asr_trigram, asr_tok, 0.4), LMSpec(trigram, lm_tok, 0.3)]
         (_, em), = utterances(asr_tok, corpus_split, 1, noise=0.4, seed0=540)
         for kind in ("shallow", "shortest"):
@@ -2525,6 +2522,27 @@ class TestValidation:
         with pytest.raises(DecodeError, match="LM 0: use_in_final must be a bool"):
             DecodeConfig(beam=2, policy=FusionPolicy("never"),
                          lms=[LMSpec(model, tok, 0.5, use_in_final=flag)])
+
+    @pytest.mark.parametrize("flag", ["no", "", 0, 1, None, np.bool_(False)])
+    def test_keep_trace_must_be_a_bool(self, flag):
+        # "no" used to be accepted, and kept a trace
+        with pytest.raises(DecodeError, match="keep_trace must be a bool"):
+            DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[], keep_trace=flag)
+
+    @pytest.mark.parametrize("asr_tok", ["tok", None, make_vocab("▁a")])
+    def test_decode_needs_a_tokenizer(self, asr_tok):
+        # a string used to fail inside decode with an AttributeError
+        em = EmissionMatrix(random_emissions(np.random.default_rng(7), 3, 8))
+        cfg = DecodeConfig(beam=2, policy=FusionPolicy("never"), lms=[])
+        with pytest.raises(DecodeError, match="asr_tok must be a Tokenizer"):
+            decode(em, cfg, asr_tok)
+
+    @pytest.mark.parametrize("config", [None, {"beam": 2, "mode": "ctc"}, "ctc"])
+    def test_decode_needs_a_decode_config(self, asr_tok, config):
+        # a dict used to fail inside decode with an AttributeError
+        em = EmissionMatrix(random_emissions(np.random.default_rng(7), 3, asr_tok.vocab.size))
+        with pytest.raises(DecodeError, match="config must be a DecodeConfig"):
+            decode(em, config, asr_tok)
 
     def test_scorer_proxies_and_tuples_of_specs_are_accepted(self, tiny):
         tok, model = tiny

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import sys
 import weakref
 
 import numpy as np
@@ -8,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import beamfuse.decoder as decoder_mod
+import beamfuse.tokenization as tokenization_mod
 from beamfuse.decoder import (
-    _PIECE_TABLES,
     Hypothesis,
     LMSpec,
     LMView,
-    _piece_table,
-    _stub_row,
     advance_views,
 )
 from beamfuse.tokenization import (
+    BLANK_ID,
     BOS_ID,
     MEMO_SIZE,
     NUM_SPECIALS,
@@ -166,7 +163,7 @@ def _joined(asr, word: str, c: int) -> str:
 
 
 class TestStubRows:
-    """An open word's fixed pieces plus its stub's row encode the word joined with each ASR piece."""
+    """A ``base`` plus its stub's ``tail_rows`` row encode the text joined with each ASR piece."""
 
     @settings(max_examples=200, deadline=None)
     @given(_greedy_vocab(), _greedy_vocab(),
@@ -174,30 +171,48 @@ class TestStubRows:
     def test_a_row_completes_the_open_word_with_each_piece(self, asr_drawn, lm_drawn, words):
         # several words per pair of tokenizers, so rows of stubs that share a start meet
         asr, lm = Tokenizer(asr_drawn[1]), Tokenizer(lm_drawn[1])
-        table = _piece_table(asr, lm)
+        row = lm.tail_rows(asr)
+        assert lm.tail_rows(asr) is row
+        before = words[:2]
+        prefix = lm.extend((), before[:1])
+        assert prefix == tuple(lm.encode(" ".join(before[:1])))
         for word in words * 2:
-            fixed, stub = lm.open_word(word)
-            row = _stub_row(table, stub, lm)
-            assert type(row) is tuple and len(row) == asr.vocab.size
+            base, stub = lm.base(prefix, before[1:], word)
+            assert stub == lm.open_word(word)[1]
+            tails = row(stub)
             for c in range(asr.vocab.size):
-                assert fixed + row[c] == tuple(lm.encode(_joined(asr, word, c))), (word, c)
-        # a group that ends between words reads the ``whole`` column
-        assert all(table.whole[c] == tuple(lm.encode(_joined(asr, "", c)))
+                want = lm.encode(" ".join([*before, _joined(asr, word, c)]))
+                assert type(tails[c]) is tuple and base + tails[c] == tuple(want), (word, c)
+        # a group that ends between words has no stub and reads ``row(None)``, the whole words
+        assert lm.base(prefix, before[1:], None) == (lm.extend(prefix, before[1:]), None)
+        assert all(row(None)[c] == tuple(lm.encode(_joined(asr, "", c)))
                    for c in range(asr.vocab.size))
 
     def test_rows_stay_within_their_bound(self, monkeypatch):
         asr = Tokenizer(make_vocab("▁a", "▁b", "a", "b", "ab"))
         lm = Tokenizer(make_vocab("▁a", "▁b", "a", "b", "▁ab", "aba", "bab", "bb"))
-        table = _piece_table(asr, lm)
-        monkeypatch.setattr(decoder_mod, "_STUB_ROWS", 3)
+        # the bound is read when the memo is built
+        monkeypatch.setattr(tokenization_mod, "TAIL_ROWS", 3)
+        row = lm.tail_rows(asr)
         words = ["".join(w) for n in range(1, 7) for w in itertools.product("ab", repeat=n)]
         stubs = {lm.open_word(word)[1] for word in words}
         assert len(stubs) > 2 * 3
         for word in words:
-            fixed, stub = lm.open_word(word)
-            row = _stub_row(table, stub, lm)
-            assert table.rows[stub] is row and len(table.rows) <= 3
-            assert fixed + row[asr.vocab.token_id("ab")] == tuple(lm.encode(word + "ab"))
+            base, stub = lm.base((), (), word)
+            tails = row(stub)
+            assert row(stub) is tails and row.cache_info().currsize <= 3
+            assert base + tails[asr.vocab.token_id("ab")] == tuple(lm.encode(word + "ab"))
+        info = row.cache_info()
+        assert info.maxsize == 3 and info.currsize == 3 and info.misses > len(stubs)
+
+    def test_a_row_builds_only_the_slots_read(self):
+        # a stay or a final hypothesis reads one slot: its row builds that one alone
+        asr = Tokenizer(make_vocab("▁a", "▁b", "a", "b", "ab"))
+        lm = Tokenizer(make_vocab("▁a", "▁b", "a", "b", "▁ab", "aba", "bab", "bb"))
+        stub = lm.open_word("abab")[1]
+        row = lm.tail_rows(asr)(stub)
+        assert row[BLANK_ID] == lm.encode_rest(stub) and len(row) == 1
+        assert row[asr.vocab.token_id("ab")] == lm.encode_rest(stub + "ab") and len(row) == 2
 
 
 _MEMOIZED = ("encode_word", "encode_rest", "open_word")
@@ -226,30 +241,44 @@ class TestEncodingMemo:
         for name in _MEMOIZED:
             assert getattr(asr_tok, name).cache_info().maxsize == MEMO_SIZE
 
-    def test_a_tokenizer_dies_with_its_memos(self):
-        # nothing but the tokenizer holds its memos, and they do not hold it: it is
-        # freed when it is dropped, with no reference cycle left for the collector
-        asr, lm = Tokenizer(make_vocab("▁a", "b", "▁ab")), Tokenizer(make_vocab("▁a", "b"))
+    @staticmethod
+    def _warm(asr, lm):
+        """Fill both tokenizers' memos and a row of ``lm``'s tail rows of ``asr``; a weak
+        reference to that ``tail_rows`` memo."""
         for tok in (asr, lm):
             tok.encode("ab a bab")
             tok.open_word("abab")
             assert tok.encode_word.cache_info().currsize > 0
-        table = _piece_table(asr, lm)
-        _stub_row(table, lm.open_word("abab")[1], lm)
-        rows = table.rows
-        assert rows
-        del table
-        tables = len(_PIECE_TABLES)
-        asr_ref, lm_ref = weakref.ref(asr), weakref.ref(lm)
+        rows = lm.tail_rows(asr)
+        rows(lm.open_word("abab")[1])
+        assert rows.cache_info().currsize == 1
+        return weakref.ref(rows)
+
+    def test_a_tokenizer_dies_with_its_memos(self):
+        # nothing but a tokenizer holds its memos and tail rows, and they hold no
+        # tokenizer: each is freed when it is dropped, with no reference cycle left
+        # for the collector, and the tail rows go with whichever tokenizer goes first
         enabled = gc.isenabled()
         gc.disable()
         try:
-            del asr, tok
-            assert asr_ref() is None and len(_PIECE_TABLES) == tables - 1
-            # the stub rows died with their piece table: only this name and the call hold them
-            assert sys.getrefcount(rows) == 2
-            del lm
-            assert lm_ref() is None
+            for asr_first in (True, False):
+                asr, lm = Tokenizer(make_vocab("▁a", "b", "▁ab")), Tokenizer(make_vocab("▁a", "b"))
+                rows_ref = self._warm(asr, lm)
+                asr_ref, lm_ref = weakref.ref(asr), weakref.ref(lm)
+                if asr_first:
+                    del asr
+                    assert asr_ref() is None and rows_ref() is None and not lm._tail_rows
+                    del lm
+                else:
+                    del lm
+                    assert lm_ref() is None and rows_ref() is None
+                    del asr
+                assert asr_ref() is None and lm_ref() is None
+            # matched: the ASR tokenizer is the LM tokenizer, and its rows are its own
+            tok = Tokenizer(make_vocab("▁a", "b", "▁ab"))
+            rows_ref, tok_ref = self._warm(tok, tok), weakref.ref(tok)
+            del tok
+            assert tok_ref() is None and rows_ref() is None
         finally:
             if enabled:
                 gc.enable()

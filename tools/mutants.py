@@ -50,17 +50,6 @@ _TOKENIZATION = "src/beamfuse/tokenization.py"
 _TESTS = "tests/test_decoder.py::"
 _RESUMED = "tests/test_tokenization.py::TestResumedEncoding::test_resume_equals_encode_word"
 _ROWS = "tests/test_tokenization.py::TestStubRows::test_a_row_completes_the_open_word_with_each_piece"
-# ``decoder._stub_row`` from its lookup to its store
-_ROW_CACHE = (
-    "    row = rows.get(stub)\n"
-    "    if row is None:\n"
-    "        opened = lm_tok.encode_rest(stub)\n"
-    "        row = tuple(opened + whole if glue is None else lm_tok.encode_rest(stub + glue) + rest\n"
-    "                    for glue, whole, rest in table.pieces)\n"
-    "        if len(rows) >= _STUB_ROWS:\n"
-    "            rows.clear()\n"
-    "        rows[stub] = row\n"
-)
 
 MUTANTS = (
     Mutant(
@@ -230,9 +219,9 @@ MUTANTS = (
     ),
     Mutant(
         "suffix keyed without its glue",
-        _DECODER,
-        "else lm_tok.encode_rest(stub + glue) + rest\n",
-        "else lm_tok.encode_rest(stub) + rest\n",
+        _TOKENIZATION,
+        "            tail = self.encode_rest(self.stub + glue) + rest\n",
+        "            tail = self.encode_rest(self.stub) + rest\n",
         (
             _ROWS,
             _TESTS + "TestShallowRequestsPerParent::test_every_shape",
@@ -241,29 +230,21 @@ MUTANTS = (
     ),
     Mutant(
         "open word's fixed pieces left out of the base",
-        _DECODER,
-        "bases.append(_retokenize(view.lm_tokens, words, spec.tokenizer) + fixed)\n",
-        "bases.append(_retokenize(view.lm_tokens, words, spec.tokenizer))\n",
+        _TOKENIZATION,
+        "        return self.extend(tokens, words) + fixed, stub\n",
+        "        return self.extend(tokens, words), stub\n",
         (
+            _ROWS,
             _TESTS + "TestShallowRequestsPerParent::test_every_shape",
             _TESTS + "TestFinalization::test_requests_equal_from_scratch_retokenization",
             "tests/test_decode_grid.py::test_slice_matches_the_committed_origin",
         ),
     ),
     Mutant(
-        "stub row keyed by the stub's first character",
-        _DECODER,
-        # the row is still built from the whole stub, but found and kept by its start
-        _ROW_CACHE,
-        _ROW_CACHE.replace("rows.get(stub)", "rows.get(stub[:1])")
-                  .replace("rows[stub] = row", "rows[stub[:1]] = row"),
-        (_ROWS,),
-    ),
-    Mutant(
         "piece table of the first LM for every LM",
         _DECODER,
-        "    tables = [_piece_table(asr_tok, spec.tokenizer) for spec in lms]\n",
-        "    tables = [_piece_table(asr_tok, lms[0].tokenizer) for spec in lms]\n",
+        "    tail_rows = [spec.tokenizer.tail_rows(asr_tok) for spec in lms]\n",
+        "    tail_rows = [lms[0].tokenizer.tail_rows(asr_tok) for spec in lms]\n",
         (
             _TESTS + "TestShallowRequestsPerParent::test_every_shape",
             _TESTS + "TestShallowRequestsAcrossSteps::test_consecutive_blocks_of_real_decodes",
